@@ -55,7 +55,7 @@ fn run_query(title: &str, outer: usize, inner: usize, matches: usize, algo: Join
     let plan = plan_sql(join_query_sql(), &catalog, &config).expect("plan");
 
     let mut measurements = Vec::new();
-    for engine in [Engine::GenericIterators, Engine::OptimizedIterators] {
+    for engine in [Engine::IterGeneric, Engine::IterOptimized] {
         measurements.push(run_engine(engine, &plan, &catalog, None, false).expect("run"));
     }
     // Hand-coded variants.
@@ -78,7 +78,7 @@ fn run_query(title: &str, outer: usize, inner: usize, matches: usize, algo: Join
             rows,
         });
     }
-    measurements.push(run_engine(Engine::Hique, &plan, &catalog, None, false).expect("run"));
+    measurements.push(run_engine(Engine::Holistic, &plan, &catalog, None, false).expect("run"));
 
     let expected = measurements[0].rows;
     assert!(

@@ -46,7 +46,7 @@ fn run_query(title: &str, rows: usize, groups: usize, algo: AggAlgorithm, use_ma
     let plan = plan_sql(agg_query_sql(), &catalog, &config).expect("plan");
 
     let mut measurements = Vec::new();
-    for engine in [Engine::GenericIterators, Engine::OptimizedIterators] {
+    for engine in [Engine::IterGeneric, Engine::IterOptimized] {
         measurements.push(run_engine(engine, &plan, &catalog, None, true).expect("run"));
     }
     let heap = &catalog.table("agg_t").unwrap().heap;
@@ -64,7 +64,7 @@ fn run_query(title: &str, rows: usize, groups: usize, algo: AggAlgorithm, use_ma
             rows: count as u64,
         });
     }
-    measurements.push(run_engine(Engine::Hique, &plan, &catalog, None, true).expect("run"));
+    measurements.push(run_engine(Engine::Holistic, &plan, &catalog, None, true).expect("run"));
 
     let expected = measurements[0].rows;
     assert!(

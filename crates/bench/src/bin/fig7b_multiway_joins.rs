@@ -32,18 +32,12 @@ fn main() {
             .with_join_teams(false);
         let cascade_plan = plan_sql(&sql, &catalog, &cascade_cfg).expect("plan");
         times.push(
-            run_engine(
-                Engine::OptimizedIterators,
-                &cascade_plan,
-                &catalog,
-                None,
-                false,
-            )
-            .expect("run")
-            .elapsed,
+            run_engine(Engine::IterOptimized, &cascade_plan, &catalog, None, false)
+                .expect("run")
+                .elapsed,
         );
         times.push(
-            run_engine(Engine::Hique, &cascade_plan, &catalog, None, false)
+            run_engine(Engine::Holistic, &cascade_plan, &catalog, None, false)
                 .expect("run")
                 .elapsed,
         );
@@ -58,7 +52,7 @@ fn main() {
                 "team expected for {num_dims} dims"
             );
             times.push(
-                run_engine(Engine::Hique, &plan, &catalog, None, false)
+                run_engine(Engine::Holistic, &plan, &catalog, None, false)
                     .expect("run")
                     .elapsed,
             );

@@ -24,13 +24,10 @@ fn main() {
         let catalog = join_workload(rows, rows, matches).expect("workload");
         let mut times = Vec::new();
         for (engine, algo) in [
-            (Engine::OptimizedIterators, JoinAlgorithm::Merge),
-            (
-                Engine::OptimizedIterators,
-                JoinAlgorithm::HybridHashSortMerge,
-            ),
-            (Engine::Hique, JoinAlgorithm::Merge),
-            (Engine::Hique, JoinAlgorithm::HybridHashSortMerge),
+            (Engine::IterOptimized, JoinAlgorithm::Merge),
+            (Engine::IterOptimized, JoinAlgorithm::HybridHashSortMerge),
+            (Engine::Holistic, JoinAlgorithm::Merge),
+            (Engine::Holistic, JoinAlgorithm::HybridHashSortMerge),
         ] {
             let config = PlannerConfig::default().with_join_algorithm(algo);
             let plan = plan_sql(join_query_sql(), &catalog, &config).expect("plan");

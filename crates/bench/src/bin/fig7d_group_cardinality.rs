@@ -29,7 +29,7 @@ fn main() {
         let groups = groups.min(rows);
         let catalog = agg_workload(rows, groups).expect("workload");
         let mut times = Vec::new();
-        for engine in [Engine::OptimizedIterators, Engine::Hique] {
+        for engine in [Engine::IterOptimized, Engine::Holistic] {
             for algo in [
                 AggAlgorithm::Sort,
                 AggAlgorithm::HybridHashSort,

@@ -42,10 +42,10 @@ fn main() {
     for (name, sql) in all_queries() {
         let plan = plan_sql(sql, &catalog, &PlannerConfig::default()).expect("plan");
         for (engine, label) in [
-            (Engine::GenericIterators, "PostgreSQL-class (iterators)"),
-            (Engine::OptimizedIterators, "System X-class (opt. iter.)"),
+            (Engine::IterGeneric, "PostgreSQL-class (iterators)"),
+            (Engine::IterOptimized, "System X-class (opt. iter.)"),
             (Engine::Dsm, "MonetDB-class (DSM)"),
-            (Engine::Hique, "HIQUE"),
+            (Engine::Holistic, "HIQUE"),
         ] {
             let m = run_engine(engine, &plan, &catalog, Some(&dsm), true).expect("run");
             println!(

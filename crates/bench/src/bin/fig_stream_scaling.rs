@@ -70,7 +70,7 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-const ENGINES: [Engine; 3] = [Engine::Hique, Engine::OptimizedIterators, Engine::Dsm];
+const ENGINES: [Engine; 3] = [Engine::Holistic, Engine::IterOptimized, Engine::Dsm];
 
 fn main() {
     let args = match parse_args() {
@@ -95,7 +95,7 @@ fn main() {
     let mut baseline_rows = Vec::new();
     for (_, sql) in queries {
         let plan = plan_sql(sql, &baseline_catalog, &PlannerConfig::default()).expect("plan");
-        let m = run_engine(Engine::Hique, &plan, &baseline_catalog, None, false).expect("run");
+        let m = run_engine(Engine::Holistic, &plan, &baseline_catalog, None, false).expect("run");
         baseline_rows.push(m.rows);
     }
 
@@ -137,7 +137,7 @@ fn main() {
                         "{name} on {engine:?}: peak {} pages > budget {budget}",
                         m.stats.peak_resident_pages
                     );
-                    if budget == tightest && engine == Engine::Hique {
+                    if budget == tightest && engine == Engine::Holistic {
                         tight_spills += m.stats.spilled_temporaries;
                     }
                     println!(

@@ -24,11 +24,7 @@ fn main() {
     println!("Table II — effect of compiler optimization; this run: {profile}\n");
 
     let s = bench_scale();
-    let engines = [
-        Engine::GenericIterators,
-        Engine::OptimizedIterators,
-        Engine::Hique,
-    ];
+    let engines = [Engine::IterGeneric, Engine::IterOptimized, Engine::Holistic];
 
     // The four micro-benchmark queries of Figures 5 and 6, at reduced size.
     let join1 = join_workload((1_000.0 * s) as usize, (1_000.0 * s) as usize, 100).unwrap();

@@ -1,38 +1,25 @@
-//! Shared helpers for the experiment harness binaries and Criterion benches:
-//! planning a SQL query, running it on each engine, timing it and printing
-//! result tables in the shape the paper reports.
+//! Shared helpers for the experiment harness binaries: planning a SQL query,
+//! running it on each engine, timing it and printing result tables in the
+//! shape the paper reports.
 
 use std::time::{Duration, Instant};
 
 use hique_dsm::DsmDatabase;
 use hique_holistic::ExecOptions;
-use hique_iter::ExecMode;
 use hique_plan::{plan_query, CatalogProvider, PhysicalPlan, PlannerConfig};
+use hique_server::run_plan;
+pub use hique_server::Engine;
 use hique_storage::Catalog;
 use hique_types::{ExecStats, QueryResult, Result};
 
-/// The engine configurations compared by the paper's micro-benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Generic iterators (Volcano, fully generic field access).
-    GenericIterators,
-    /// Optimized iterators (Volcano, type-specialized predicates).
-    OptimizedIterators,
-    /// The DSM / column-at-a-time baseline (MonetDB-class).
-    Dsm,
-    /// HIQUE: holistic generated code.
-    Hique,
-}
-
-impl Engine {
-    /// Display label matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Engine::GenericIterators => "Generic Iterators",
-            Engine::OptimizedIterators => "Optimized Iterators",
-            Engine::Dsm => "MonetDB-class (DSM)",
-            Engine::Hique => "HIQUE",
-        }
+/// Display label of an engine mode matching the paper's figures.
+pub fn paper_label(engine: Engine) -> &'static str {
+    match engine {
+        Engine::IterGeneric => "Generic Iterators",
+        Engine::IterOptimized => "Optimized Iterators",
+        Engine::Dsm => "MonetDB-class (DSM)",
+        Engine::Holistic => "HIQUE",
+        Engine::Vm => "HIQUE bytecode VM",
     }
 }
 
@@ -69,35 +56,20 @@ pub fn run_engine(
     materialize_output: bool,
 ) -> Result<Measurement> {
     let start = Instant::now();
-    let result: QueryResult = match engine {
-        Engine::GenericIterators => {
-            hique_iter::execute_plan_with(plan, catalog, ExecMode::Generic, materialize_output)?
+    // Decomposing on demand is part of what an unprepared DSM run costs.
+    let owned;
+    let dsm = match dsm {
+        None if engine == Engine::Dsm => {
+            owned = DsmDatabase::from_catalog(catalog)?;
+            Some(&owned)
         }
-        Engine::OptimizedIterators => {
-            hique_iter::execute_plan_with(plan, catalog, ExecMode::Optimized, materialize_output)?
-        }
-        Engine::Dsm => {
-            let owned;
-            let db = match dsm {
-                Some(db) => db,
-                None => {
-                    owned = DsmDatabase::from_catalog(catalog)?;
-                    &owned
-                }
-            };
-            hique_dsm::execute_plan(plan, db)?
-        }
-        Engine::Hique => {
-            let generated = hique_holistic::generate(plan)?;
-            generated.execute_with(
-                catalog,
-                &ExecOptions {
-                    collect_rows: materialize_output,
-                    ..ExecOptions::default()
-                },
-            )?
-        }
+        dsm => dsm,
     };
+    let options = ExecOptions {
+        collect_rows: materialize_output,
+        ..ExecOptions::default()
+    };
+    let result: QueryResult = run_plan(engine, plan, catalog, dsm, &options)?;
     let elapsed = start.elapsed();
     let rows = if result.rows.is_empty() {
         result.stats.rows_out
@@ -105,18 +77,11 @@ pub fn run_engine(
         result.rows.len() as u64
     };
     Ok(Measurement {
-        engine: engine.label().to_string(),
+        engine: paper_label(engine).to_string(),
         elapsed,
         stats: result.stats,
         rows,
     })
-}
-
-/// Time a closure (single run).
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
 }
 
 /// Render a table of measurements with normalized counter columns, mirroring
@@ -210,10 +175,10 @@ mod tests {
         .unwrap();
         let mut rows = Vec::new();
         for engine in [
-            Engine::GenericIterators,
-            Engine::OptimizedIterators,
+            Engine::IterGeneric,
+            Engine::IterOptimized,
             Engine::Dsm,
-            Engine::Hique,
+            Engine::Holistic,
         ] {
             let m = run_engine(engine, &plan, &catalog, None, true).unwrap();
             rows.push(m.rows);
@@ -231,7 +196,7 @@ mod tests {
             &PlannerConfig::default(),
         )
         .unwrap();
-        let ms: Vec<Measurement> = [Engine::GenericIterators, Engine::Hique]
+        let ms: Vec<Measurement> = [Engine::IterGeneric, Engine::Holistic]
             .iter()
             .map(|&e| run_engine(e, &plan, &catalog, None, true).unwrap())
             .collect();

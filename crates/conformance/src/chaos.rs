@@ -29,12 +29,14 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
+use hique_holistic::ExecOptions;
+use hique_server::run_plan;
 use hique_storage::FaultPlan;
 use hique_types::{CancelToken, HiqueError};
 
 use crate::canon::{canonicalize, compare, CanonicalResult};
 use crate::genquery::QueryGenerator;
-use crate::runner::{plan_sql, run_engine, run_engine_cancellable, EngineId, Fixture};
+use crate::runner::{plan_sql, run_engine, Engine, Fixture};
 
 /// Spill budget (in pool pages) forced onto every chaos query's planner
 /// config, so spill paths (the fault surface for writes and allocations) are
@@ -235,7 +237,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
             // Fault-free baseline for this plan; a baseline error is a plain
             // engine bug, not chaos.
             let baseline =
-                match run_engine(EngineId::IterGeneric, &plan, &fixture.catalog, &fixture.dsm) {
+                match run_engine(Engine::IterGeneric, &plan, &fixture.catalog, &fixture.dsm) {
                     Ok(result) => canonicalize(&result),
                     Err(e) => {
                         report.failures.push(ChaosFailure {
@@ -250,7 +252,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                     }
                 };
 
-            for (engine_idx, engine) in EngineId::ALL.into_iter().enumerate() {
+            for (engine_idx, engine) in Engine::ALL.into_iter().enumerate() {
                 let run_seed = mix(query.seed ^ ((engine_idx as u64) << 32) ^ threads as u64);
 
                 // Schedule 1: a seeded storage fault under the pool.
@@ -266,7 +268,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                     RunOutcome::Cancelled => unreachable!("fault schedule cannot cancel"),
                     RunOutcome::Violation(detail) => report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "fault",
                         detail,
@@ -276,7 +278,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 if let Some(detail) = leak_detail(fixture) {
                     report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "leak",
                         detail,
@@ -289,8 +291,17 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 // are legal).
                 let deadline = Duration::from_millis((run_seed >> 16) % 3);
                 let cancel = CancelToken::with_deadline(deadline);
-                let result =
-                    run_engine_cancellable(engine, &plan, &fixture.catalog, &fixture.dsm, cancel);
+                let options = ExecOptions {
+                    cancel,
+                    ..ExecOptions::default()
+                };
+                let result = run_plan(
+                    engine,
+                    &plan,
+                    &fixture.catalog,
+                    Some(&fixture.dsm),
+                    &options,
+                );
                 report.runs += 1;
                 match classify(result, &baseline, true) {
                     RunOutcome::Matched => report.matched += 1,
@@ -298,7 +309,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                     RunOutcome::InjectedError => unreachable!("no fault plan installed"),
                     RunOutcome::Violation(detail) => report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "cancel",
                         detail,
@@ -308,7 +319,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 if let Some(detail) = leak_detail(fixture) {
                     report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "leak",
                         detail,
@@ -319,7 +330,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
 
             // Recovery probe: after the whole fault/cancel battery, the pool
             // must still serve a clean holistic run that matches baseline.
-            let recovered = run_engine(EngineId::Holistic, &plan, &fixture.catalog, &fixture.dsm);
+            let recovered = run_engine(Engine::Holistic, &plan, &fixture.catalog, &fixture.dsm);
             report.runs += 1;
             match classify(recovered, &baseline, false) {
                 RunOutcome::Matched => report.matched += 1,

@@ -52,5 +52,5 @@ pub use genquery::{query_for_seed, replay_seed, scan_query_for_seed, QueryGenera
 pub use mutate::{run_mutation_suite, MutationReport, MIN_REJECTION_RATE};
 pub use planquality::{measure_actuals, q_error, CardSample, QualityReport};
 pub use runner::{
-    run_suite, run_suite_with_budget, CheckOutcome, Divergence, EngineId, Fixture, SuiteReport,
+    run_suite, run_suite_with_budget, CheckOutcome, Divergence, Engine, Fixture, SuiteReport,
 };

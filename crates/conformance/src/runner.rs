@@ -10,44 +10,15 @@
 use std::fmt;
 
 use hique_dsm::DsmDatabase;
-use hique_iter::ExecMode;
+use hique_holistic::ExecOptions;
 use hique_plan::{plan_query, CatalogProvider, PhysicalPlan, PlannerConfig};
+use hique_server::run_plan;
+pub use hique_server::Engine;
 use hique_storage::Catalog;
-use hique_types::{CancelToken, HiqueError, QueryResult};
+use hique_types::{HiqueError, QueryResult};
 
 use crate::canon::{canonicalize, compare, CanonicalResult, Mismatch};
 use crate::genquery::{QueryGenerator, RandomQuery};
-
-/// The engines (and engine modes) under differential test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineId {
-    IterGeneric,
-    IterOptimized,
-    Dsm,
-    Holistic,
-    /// Query-time-compiled bytecode (constants specialized to immediates).
-    Vm,
-}
-
-impl EngineId {
-    pub const ALL: [EngineId; 5] = [
-        EngineId::IterGeneric,
-        EngineId::IterOptimized,
-        EngineId::Dsm,
-        EngineId::Holistic,
-        EngineId::Vm,
-    ];
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineId::IterGeneric => "iter-generic",
-            EngineId::IterOptimized => "iter-optimized",
-            EngineId::Dsm => "dsm",
-            EngineId::Holistic => "holistic",
-            EngineId::Vm => "vm",
-        }
-    }
-}
 
 /// Parse, analyze and optimize `sql` into the single shared physical plan
 /// all engines will execute.
@@ -61,56 +32,14 @@ pub fn plan_sql(
     plan_query(&bound, catalog, config)
 }
 
-/// Execute a shared plan on one engine.
+/// Execute a shared plan on one engine, preparing from scratch.
 pub fn run_engine(
-    engine: EngineId,
+    engine: Engine,
     plan: &PhysicalPlan,
     catalog: &Catalog,
     dsm: &DsmDatabase,
 ) -> Result<QueryResult, HiqueError> {
-    run_engine_cancellable(engine, plan, catalog, dsm, CancelToken::disabled())
-}
-
-/// Execute a shared plan on one engine under a cancellation token — the
-/// entry point the chaos lane uses to fuzz cooperative cancellation through
-/// every engine mode.
-pub fn run_engine_cancellable(
-    engine: EngineId,
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    dsm: &DsmDatabase,
-    cancel: CancelToken,
-) -> Result<QueryResult, HiqueError> {
-    match engine {
-        EngineId::IterGeneric => {
-            hique_iter::execute_plan_cancellable(plan, catalog, ExecMode::Generic, true, cancel)
-        }
-        EngineId::IterOptimized => {
-            hique_iter::execute_plan_cancellable(plan, catalog, ExecMode::Optimized, true, cancel)
-        }
-        EngineId::Dsm => hique_dsm::execute_plan_cancellable(plan, dsm, cancel),
-        EngineId::Holistic => {
-            let generated = hique_holistic::generate(plan)?;
-            let options = hique_holistic::ExecOptions {
-                cancel,
-                ..Default::default()
-            };
-            generated.execute_with(catalog, &options)
-        }
-        EngineId::Vm => {
-            // The real query-time pipeline: render the kernel program, lower
-            // it to bytecode with constants specialized to immediates,
-            // interpret.
-            let generated = hique_holistic::generate(plan)?;
-            let program =
-                hique_vm::compile(&generated, catalog, hique_vm::CompileMode::Specialized)?;
-            let options = hique_holistic::ExecOptions {
-                cancel,
-                ..Default::default()
-            };
-            program.execute(&generated, catalog, &options)
-        }
-    }
+    run_plan(engine, plan, catalog, Some(dsm), &ExecOptions::default())
 }
 
 /// One engine disagreeing with the baseline on one query.
@@ -223,15 +152,15 @@ impl Fixture {
             }
         };
 
-        let mut results: Vec<(EngineId, CanonicalResult)> = Vec::new();
+        let mut results: Vec<(Engine, CanonicalResult)> = Vec::new();
         let mut divergences = Vec::new();
-        for engine in EngineId::ALL {
+        for engine in Engine::ALL {
             match run_engine(engine, &plan, &self.catalog, &self.dsm) {
                 Ok(result) => results.push((engine, canonicalize(&result))),
                 Err(e) => divergences.push(Divergence {
                     seed: query.seed,
                     sql: query.sql.clone(),
-                    engine: engine.label(),
+                    engine: engine.name(),
                     baseline: "-",
                     mismatch: Mismatch {
                         row: None,
@@ -257,8 +186,8 @@ impl Fixture {
                     divergences.push(Divergence {
                         seed: query.seed,
                         sql: query.sql.clone(),
-                        engine: engine.label(),
-                        baseline: base_engine.label(),
+                        engine: engine.name(),
+                        baseline: base_engine.name(),
                         mismatch,
                     });
                 }

@@ -11,11 +11,62 @@
 
 use std::path::PathBuf;
 
-use hique_conformance::runner::{plan_sql, run_engine, EngineId, Fixture};
+use hique_conformance::runner::{plan_sql, run_engine, Engine, Fixture};
 use hique_conformance::{canonicalize, compare};
 use hique_plan::PlannerConfig;
+use hique_types::ExecStats;
 
 const SF: f64 = 0.004;
+
+/// The work counters of [`ExecStats`]: what a plan over fixed data costs in
+/// tuples, bytes, comparisons, hashes, calls and passes.  `io`, the spill
+/// and peak fields and the timings depend on the pool and the clock, not on
+/// the work, and stay out.
+fn work_counters(s: &ExecStats) -> String {
+    format!(
+        "calls={} tuples={} bytes_touched={} bytes_materialized={} comparisons={} hash_ops={} \
+         sort_passes={} partition_passes={} vm_batches={} vm_fused_ops={} rows_out={}",
+        s.function_calls,
+        s.tuples_processed,
+        s.bytes_touched,
+        s.bytes_materialized,
+        s.comparisons,
+        s.hash_ops,
+        s.sort_passes,
+        s.partition_passes,
+        s.vm_batches,
+        s.vm_fused_ops,
+        s.rows_out,
+    )
+}
+
+/// Pin the work counters of the two kernel-providing engines at threads 1
+/// and 4 in `<name>.stats.txt`: the tier and thread parity suites compare
+/// runs of one commit with each other, this compares every commit with the
+/// blessed one.
+fn check_work_counters(fixture: &Fixture, name: &str, sql: &str) {
+    let mut text = String::new();
+    for engine in [Engine::Holistic, Engine::Vm] {
+        for threads in [1usize, 4] {
+            let config = PlannerConfig::default().with_threads(threads);
+            let plan = plan_sql(sql, &fixture.catalog, &config).unwrap();
+            let result = run_engine(engine, &plan, &fixture.catalog, &fixture.dsm).unwrap();
+            text.push_str(&format!(
+                "{} threads={threads} {}\n",
+                engine.name(),
+                work_counters(&result.stats)
+            ));
+        }
+    }
+    let path = golden_path(&format!("{name}.stats"));
+    if std::env::var_os("HIQUE_BLESS").is_some() {
+        std::fs::write(&path, &text).unwrap();
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("{name}: missing golden file {path:?} ({e}); run with HIQUE_BLESS=1 to create it")
+    });
+    assert_eq!(text, golden, "{name}: work counters moved from {path:?}");
+}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -28,7 +79,7 @@ fn check_query(fixture: &Fixture, name: &str, sql: &str) {
     let path = golden_path(name);
 
     if std::env::var_os("HIQUE_BLESS").is_some() {
-        let result = run_engine(EngineId::Holistic, &plan, &fixture.catalog, &fixture.dsm).unwrap();
+        let result = run_engine(Engine::Holistic, &plan, &fixture.catalog, &fixture.dsm).unwrap();
         std::fs::write(&path, canonicalize(&result).to_text()).unwrap();
     }
 
@@ -40,16 +91,15 @@ fn check_query(fixture: &Fixture, name: &str, sql: &str) {
     // order, which near a {:.4} rounding boundary could flip a printed
     // digit — so they are held to the harness's tolerant comparison against
     // the holistic result instead of to the exact bytes.
-    let holistic = canonicalize(
-        &run_engine(EngineId::Holistic, &plan, &fixture.catalog, &fixture.dsm).unwrap(),
-    );
+    let holistic =
+        canonicalize(&run_engine(Engine::Holistic, &plan, &fixture.catalog, &fixture.dsm).unwrap());
     assert_eq!(
         holistic.to_text(),
         golden,
         "{name} on holistic no longer matches {path:?}"
     );
-    for engine in EngineId::ALL {
-        if engine == EngineId::Holistic {
+    for engine in Engine::ALL {
+        if engine == Engine::Holistic {
             continue;
         }
         let canonical =
@@ -57,7 +107,7 @@ fn check_query(fixture: &Fixture, name: &str, sql: &str) {
         if let Err(mismatch) = compare(&canonical, &holistic) {
             panic!(
                 "{name} on {} diverges from golden: {mismatch}",
-                engine.label()
+                engine.name()
             );
         }
     }
@@ -68,6 +118,7 @@ fn tpch_results_match_golden_files() {
     let fixture = Fixture::generate(SF).unwrap();
     for (name, sql) in hique_tpch::queries::all_queries() {
         check_query(&fixture, &name.to_ascii_lowercase(), sql);
+        check_work_counters(&fixture, &name.to_ascii_lowercase(), sql);
     }
     // The golden results must not be vacuous: Q1 always has the full
     // flag/status groups at this scale factor.

@@ -8,7 +8,7 @@
 //! against the knob leaking into planning), while the holistic engine
 //! exercises the parallel staging, join and aggregation paths for real.
 
-use hique_conformance::{canonicalize, compare, EngineId, Fixture};
+use hique_conformance::{canonicalize, compare, Engine, Fixture};
 use hique_conformance::{runner::plan_sql, runner::run_engine, QueryGenerator};
 
 const SF: f64 = 0.002;
@@ -31,12 +31,12 @@ fn four_workers_agree_with_serial_on_every_engine_mode() {
         assert_eq!(serial_plan.threads, 1);
         assert_eq!(parallel_plan.threads, 4);
 
-        for engine in EngineId::ALL {
+        for engine in Engine::ALL {
             let serial = run_engine(engine, &serial_plan, &fixture.catalog, &fixture.dsm)
                 .unwrap_or_else(|e| {
                     panic!(
                         "{} failed serial (seed {:#x}): {e}\n  sql: {}",
-                        engine.label(),
+                        engine.name(),
                         query.seed,
                         query.sql
                     )
@@ -45,7 +45,7 @@ fn four_workers_agree_with_serial_on_every_engine_mode() {
                 .unwrap_or_else(|e| {
                     panic!(
                         "{} failed with 4 workers (seed {:#x}): {e}\n  sql: {}",
-                        engine.label(),
+                        engine.name(),
                         query.seed,
                         query.sql
                     )
@@ -53,12 +53,12 @@ fn four_workers_agree_with_serial_on_every_engine_mode() {
             if let Err(mismatch) = compare(&canonicalize(&parallel), &canonicalize(&serial)) {
                 panic!(
                     "{}: threads=4 diverged from threads=1: {mismatch}\n  seed: {:#x}\n  sql: {}",
-                    engine.label(),
+                    engine.name(),
                     query.seed,
                     query.sql
                 );
             }
-            if engine == EngineId::Holistic {
+            if engine == Engine::Holistic {
                 // The stats contract is stronger than result equality:
                 // per-worker counters must sum exactly to the serial counts.
                 assert_eq!(

@@ -13,7 +13,7 @@
 //! report spilled temporaries (whole-partition reload would have blown the
 //! pool's frame budget long before these queries finished).
 
-use hique_conformance::{canonicalize, compare, EngineId, Fixture};
+use hique_conformance::{canonicalize, compare, Engine, Fixture};
 use hique_conformance::{runner::plan_sql, runner::run_engine, QueryGenerator};
 use hique_plan::PlannerConfig;
 
@@ -60,7 +60,7 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
         let mem_plan = plan_sql(&query.sql, &unbounded.catalog, &base_config)
             .unwrap_or_else(|e| panic!("planning failed (seed {:#x}): {e}", query.seed));
         let baseline = run_engine(
-            EngineId::IterGeneric,
+            Engine::IterGeneric,
             &mem_plan,
             &unbounded.catalog,
             &unbounded.dsm,
@@ -88,12 +88,12 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                 );
                 assert_eq!(paged_plan.memory_budget_pages, budget);
 
-                for engine in EngineId::ALL {
+                for engine in Engine::ALL {
                     let result = run_engine(engine, &paged_plan, &paged.catalog, &paged.dsm)
                         .unwrap_or_else(|e| {
                             panic!(
                                 "{} failed (seed {:#x}, threads {threads}, budget {budget}): {e}\n  sql: {}",
-                                engine.label(),
+                                engine.name(),
                                 query.seed,
                                 query.sql
                             )
@@ -102,7 +102,7 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                         panic!(
                             "{}: budget {budget} pages diverged from unbounded: {mismatch}\n  \
                              seed: {:#x}\n  threads: {threads}\n  sql: {}",
-                            engine.label(),
+                            engine.name(),
                             query.seed,
                             query.sql
                         );
@@ -110,7 +110,7 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                     // Paged executions report their pool traffic; the
                     // holistic engine always scans base pages through the
                     // pool.
-                    if engine == EngineId::Holistic {
+                    if engine == Engine::Holistic {
                         let io = result.stats.io;
                         assert!(
                             io.pool_hits + io.pool_misses > 0,
@@ -125,7 +125,7 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                         assert!(
                             result.stats.peak_resident_pages <= BUDGET_PAGES as u64,
                             "{}: peak {} pages > budget {BUDGET_PAGES} (seed {:#x})",
-                            engine.label(),
+                            engine.name(),
                             result.stats.peak_resident_pages,
                             query.seed
                         );
@@ -194,7 +194,7 @@ fn temp_space_claims_released_between_sequential_queries() {
 
     let mut results = Vec::new();
     for _ in 0..3 {
-        let result = run_engine(EngineId::Holistic, &plan, &paged.catalog, &paged.dsm).unwrap();
+        let result = run_engine(Engine::Holistic, &plan, &paged.catalog, &paged.dsm).unwrap();
         assert!(
             result.stats.spilled_temporaries > 0,
             "the probe query must actually spill for this test to mean anything"

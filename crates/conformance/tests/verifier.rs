@@ -154,4 +154,10 @@ fn nested_loops_degradation_releases_spills_and_pins() {
         0,
         "nested-loops degradation leaked pinned frames"
     );
+    let orphans = std::fs::read_dir(fixture.catalog.storage().unwrap().dir())
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "spill"))
+        .count();
+    assert_eq!(orphans, 0, "nested-loops degradation leaked spill files");
 }

@@ -26,17 +26,26 @@ pub struct CompiledAgg {
     dtypes: Vec<DataType>,
 }
 
-/// Fixed-size numeric accumulator (one per aggregate per group).
+/// Fixed-size numeric accumulator (one per aggregate per group), shared by
+/// the compiled kernels and the bytecode interpreter so both finish every
+/// aggregate function the same way.
 #[derive(Debug, Clone, Copy)]
-struct Accum {
+pub struct Accum {
     sum: f64,
     count: i64,
     min: f64,
     max: f64,
 }
 
+impl Default for Accum {
+    fn default() -> Self {
+        Accum::new()
+    }
+}
+
 impl Accum {
-    fn new() -> Self {
+    /// The empty accumulator.
+    pub fn new() -> Self {
         Accum {
             sum: 0.0,
             count: 0,
@@ -45,8 +54,9 @@ impl Accum {
         }
     }
 
+    /// Fold one argument value in.
     #[inline(always)]
-    fn update(&mut self, v: f64) {
+    pub fn update(&mut self, v: f64) {
         self.sum += v;
         self.count += 1;
         if v < self.min {
@@ -57,8 +67,9 @@ impl Accum {
         }
     }
 
+    /// Count one tuple of an argument-less aggregate (`COUNT(*)`).
     #[inline(always)]
-    fn update_count_only(&mut self) {
+    pub fn update_count_only(&mut self) {
         self.count += 1;
     }
 
@@ -66,7 +77,9 @@ impl Accum {
     /// thread-local aggregation merge).  COUNT/MIN/MAX combine exactly; SUM
     /// (and AVG through it) re-associates the floating-point addition, which
     /// is deterministic for a fixed chunking but may differ from the serial
-    /// accumulation order in the final bits (DESIGN.md §7).
+    /// accumulation order in the final bits (DESIGN.md §7).  Combining onto
+    /// a fresh accumulator reproduces `other` bit for bit — which is what
+    /// lets a serial pool run the chunked kernels as the serial form.
     #[inline(always)]
     fn combine(&mut self, other: &Accum) {
         self.sum += other.sum;
@@ -79,7 +92,8 @@ impl Accum {
         }
     }
 
-    fn finish(&self, func: AggFunc, dtype: DataType) -> Value {
+    /// The aggregate's result value for `func` with result type `dtype`.
+    pub fn finish(&self, func: AggFunc, dtype: DataType) -> Value {
         match func {
             AggFunc::Count => Value::Int64(self.count),
             AggFunc::Sum => match dtype {
@@ -95,6 +109,177 @@ impl Accum {
             AggFunc::Min => Value::Float64(self.min),
             AggFunc::Max => Value::Float64(self.max),
         }
+    }
+}
+
+/// The single group of a global aggregate (no grouping columns): one
+/// accumulator set plus the tuples and bytes it has seen.  Empty input
+/// yields no group, the convention shared by the iterator and DSM engines.
+struct GlobalGroup {
+    accums: Vec<Accum>,
+    tuples: u64,
+    bytes: u64,
+}
+
+impl GlobalGroup {
+    fn new(agg: &CompiledAgg) -> Self {
+        GlobalGroup {
+            accums: vec![Accum::new(); agg.funcs.len()],
+            tuples: 0,
+            bytes: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn update(&mut self, agg: &CompiledAgg, record: &[u8]) {
+        self.tuples += 1;
+        self.bytes += record.len() as u64;
+        agg.update_all(&mut self.accums, record);
+    }
+
+    fn combine(&mut self, other: &GlobalGroup) {
+        self.tuples += other.tuples;
+        self.bytes += other.bytes;
+        for (a, o) in self.accums.iter_mut().zip(&other.accums) {
+            a.combine(o);
+        }
+    }
+
+    fn finish(self, agg: &CompiledAgg, stats: &mut ExecStats) -> Vec<Row> {
+        stats.tuples_processed += self.tuples;
+        stats.bytes_touched += self.bytes;
+        if self.tuples == 0 {
+            return Vec::new();
+        }
+        vec![agg.finish_row(Vec::new(), &self.accums)]
+    }
+}
+
+/// The value directories of map aggregation (paper Figure 4): one sorted
+/// array of distinct key images per grouping attribute, and — once sealed —
+/// the |M_i| products that turn a tuple's directory positions into its
+/// offset in the dense aggregate arrays.
+struct MapDirectory {
+    values: Vec<Vec<i64>>,
+    multipliers: Vec<usize>,
+    total: usize,
+}
+
+impl MapDirectory {
+    fn new(group_keys: usize) -> Self {
+        MapDirectory {
+            values: vec![Vec::new(); group_keys],
+            multipliers: Vec::new(),
+            total: 0,
+        }
+    }
+
+    fn insert(&mut self, attribute: usize, v: i64) {
+        let d = &mut self.values[attribute];
+        if let Err(pos) = d.binary_search(&v) {
+            d.insert(pos, v);
+        }
+    }
+
+    /// Pre-pass step: enter `record`'s grouping values.
+    fn observe(&mut self, keys: &[CompiledKey], record: &[u8]) {
+        for (i, k) in keys.iter().enumerate() {
+            self.insert(i, k.as_i64(record));
+        }
+    }
+
+    /// Merge a worker's partial directories in (set union, so the result is
+    /// the directory a single pre-pass over all records builds).
+    fn absorb(&mut self, partial: &MapDirectory) {
+        for (i, d) in partial.values.iter().enumerate() {
+            for &v in d {
+                self.insert(i, v);
+            }
+        }
+    }
+
+    /// Close the pre-pass: fix the offset formula of Figure 4(b).
+    fn seal(&mut self) {
+        let n = self.values.len();
+        self.multipliers = vec![1usize; n];
+        for i in (0..n.saturating_sub(1)).rev() {
+            self.multipliers[i] = self.multipliers[i + 1] * self.values[i + 1].len().max(1);
+        }
+        self.total = self.values.iter().map(|d| d.len().max(1)).product();
+    }
+
+    /// Main-pass step: `record`'s offset, counting the directory searches.
+    #[inline(always)]
+    fn offset(&self, keys: &[CompiledKey], record: &[u8], comparisons: &mut u64) -> usize {
+        let mut offset = 0usize;
+        for ((d, k), m) in self.values.iter().zip(keys).zip(&self.multipliers) {
+            *comparisons += (d.len().max(2) as f64).log2().ceil() as u64;
+            let id = d
+                .binary_search(&k.as_i64(record))
+                .expect("value present in directory");
+            offset += id * m;
+        }
+        offset
+    }
+}
+
+/// The dense aggregate arrays of map aggregation plus one representative
+/// per occupied group (to decode the group's attribute values for the
+/// output): a record index when the input is resident, an owned copy when
+/// it streams past one page at a time.
+struct MapGroups<R> {
+    accums: Vec<Vec<Accum>>,
+    representative: Vec<Option<R>>,
+}
+
+impl<R: Clone> MapGroups<R> {
+    fn new(agg: &CompiledAgg, dir: &MapDirectory) -> Self {
+        MapGroups {
+            accums: vec![vec![Accum::new(); agg.funcs.len()]; dir.total],
+            representative: vec![None; dir.total],
+        }
+    }
+
+    #[inline(always)]
+    fn update(
+        &mut self,
+        agg: &CompiledAgg,
+        dir: &MapDirectory,
+        record: &[u8],
+        stats: &mut ExecStats,
+        representative: impl FnOnce() -> R,
+    ) {
+        stats.add_tuple(record.len());
+        let offset = dir.offset(&agg.group_keys, record, &mut stats.comparisons);
+        agg.update_all(&mut self.accums[offset], record);
+        if self.representative[offset].is_none() {
+            self.representative[offset] = Some(representative());
+        }
+    }
+
+    /// Fold a later chunk's arrays in; the earlier representative wins.
+    fn combine(&mut self, other: &MapGroups<R>) {
+        for (merged, local) in self.accums.iter_mut().zip(&other.accums) {
+            for (a, l) in merged.iter_mut().zip(local) {
+                a.combine(l);
+            }
+        }
+        for (merged, local) in self.representative.iter_mut().zip(&other.representative) {
+            if merged.is_none() {
+                merged.clone_from(local);
+            }
+        }
+    }
+
+    /// One output row per occupied group, in offset order.
+    fn emit<'r>(&'r self, agg: &CompiledAgg, record: impl Fn(&'r R) -> &'r [u8]) -> Vec<Row> {
+        let mut out = Vec::new();
+        for (offset, rep) in self.representative.iter().enumerate() {
+            if let Some(rep) = rep {
+                out.push(agg.finish_row(agg.group_values(record(rep)), &self.accums[offset]));
+            }
+        }
+        out
     }
 }
 
@@ -162,36 +347,46 @@ impl CompiledAgg {
         Row::new(values)
     }
 
+    // ---- Resident-input kernels ------------------------------------------
+    //
+    // Each divides its work across `pool`; a serial pool runs the same code
+    // inline, which is the serial form.
+
     /// Sort aggregation: the input must already be ordered on the grouping
-    /// columns (each partition independently); a single linear scan detects
-    /// group boundaries.
-    pub fn sort_aggregate(&self, input: &StagedRelation, stats: &mut ExecStats) -> Vec<Row> {
+    /// columns (each partition independently); a single linear scan per
+    /// partition detects group boundaries.
+    ///
+    /// Each partition's groups are found and accumulated entirely by one
+    /// task and the per-partition row vectors are concatenated in partition
+    /// order, so the output — including floating-point accumulation order —
+    /// is the same for every pool width.  A global aggregate (no grouping
+    /// columns) is one group spanning every partition and is scanned
+    /// serially.
+    pub fn sort_aggregate(
+        &self,
+        input: &StagedRelation,
+        pool: &ScopedPool,
+        stats: &mut ExecStats,
+    ) -> Vec<Row> {
         stats.add_calls(1);
-        let mut out = Vec::new();
-        let ts = input.tuple_size();
         if self.group_keys.is_empty() {
-            // Global aggregate: a single group spanning every partition.
-            // Empty input yields no group, the convention shared by the
-            // iterator and DSM engines.
-            let mut accums = vec![Accum::new(); self.funcs.len()];
-            let mut any = false;
-            for p in 0..input.num_partitions() {
-                let buf = input.partition(p);
-                for i in 0..buf.len() / ts {
-                    let rec = &buf[i * ts..(i + 1) * ts];
-                    stats.tuples_processed += 1;
-                    stats.bytes_touched += ts as u64;
-                    self.update_all(&mut accums, rec);
-                    any = true;
-                }
+            let mut group = GlobalGroup::new(self);
+            for rec in input.records() {
+                group.update(self, rec);
             }
-            if any {
-                out.push(self.finish_row(Vec::new(), &accums));
-            }
-            return out;
+            return group.finish(self, stats);
         }
-        for p in 0..input.num_partitions() {
-            self.sort_aggregate_partition(input.partition(p), ts, stats, &mut out);
+        let ts = input.tuple_size();
+        let results: Vec<(Vec<Row>, ExecStats)> = pool.map(input.num_partitions(), |p| {
+            let mut local = ExecStats::new();
+            let mut rows = Vec::new();
+            self.sort_aggregate_partition(input.partition(p), ts, &mut local, &mut rows);
+            (rows, local)
+        });
+        let mut out = Vec::new();
+        for (rows, local) in results {
+            stats.merge(&local);
+            out.extend(rows);
         }
         out
     }
@@ -232,91 +427,26 @@ impl CompiledAgg {
         out.push(self.finish_row(self.group_values(last), &accums));
     }
 
-    /// [`CompiledAgg::sort_aggregate`] with the partitions divided across
-    /// `pool`.
-    ///
-    /// Each partition's groups are found and accumulated entirely by one
-    /// task and the per-partition row vectors are concatenated in partition
-    /// order, so the output — including floating-point accumulation order —
-    /// is byte-identical to the serial scan.  Global aggregates (no grouping
-    /// columns) span partitions and stay serial.
-    pub fn sort_aggregate_pooled(
-        &self,
-        input: &StagedRelation,
-        pool: &ScopedPool,
-        stats: &mut ExecStats,
-    ) -> Vec<Row> {
-        if pool.is_serial() || input.num_partitions() <= 1 || self.group_keys.is_empty() {
-            return self.sort_aggregate(input, stats);
-        }
-        stats.add_calls(1);
-        let ts = input.tuple_size();
-        let results: Vec<(Vec<Row>, ExecStats)> = pool.map(input.num_partitions(), |p| {
-            let mut local = ExecStats::new();
-            let mut rows = Vec::new();
-            self.sort_aggregate_partition(input.partition(p), ts, &mut local, &mut rows);
-            (rows, local)
-        });
-        let mut out = Vec::new();
-        for (rows, local) in results {
-            stats.merge(&local);
-            out.extend(rows);
-        }
-        out
-    }
-
     /// Hybrid hash-sort aggregation: partition on the first grouping column,
-    /// sort each partition on all grouping columns, then scan (paper §V-B).
-    pub fn hybrid_aggregate(
-        &self,
-        input: &StagedRelation,
-        partitions: usize,
-        stats: &mut ExecStats,
-    ) -> Vec<Row> {
-        stats.add_calls(1);
-        if self.group_keys.is_empty() {
-            return self.sort_aggregate(input, stats);
-        }
-        let first = self.group_keys[0];
-        let m = partitions.max(1);
-        let mut staged = if input.num_partitions() == m {
-            input.clone()
-        } else {
-            stats.partition_passes += 1;
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); m];
-            for rec in input.records() {
-                stats.add_hashes(1);
-                parts[(first.hash(rec) as usize) % m].extend_from_slice(rec);
-            }
-            stats.add_materialized(parts.iter().map(|p| p.len()).sum());
-            StagedRelation::from_partitions(input.schema().clone(), parts)
-        };
-        stats.sort_passes += staged.num_partitions() as u64;
-        staged.sort_all(&self.group_keys);
-        self.sort_aggregate(&staged, stats)
-    }
-
-    /// [`CompiledAgg::hybrid_aggregate`] with the scatter, the per-partition
-    /// sorts and the per-partition scans divided across `pool`.
+    /// sort each partition on all grouping columns, then scan (paper §V-B),
+    /// with the scatter, the per-partition sorts and the per-partition scans
+    /// divided across `pool`.
     ///
     /// The scatter chunks each source partition's records in scan order and
     /// concatenates the per-chunk buckets in chunk order, so every staged
     /// partition holds its records in exactly the serial scatter order; the
-    /// sorts are stable and the scans partition-local, making the whole path
-    /// byte-identical to the serial kernel (including float accumulation).
-    pub fn hybrid_aggregate_pooled(
+    /// sorts are stable and the scans partition-local, making the result
+    /// (including float accumulation) the same for every pool width.
+    pub fn hybrid_aggregate(
         &self,
         input: &StagedRelation,
         partitions: usize,
         pool: &ScopedPool,
         stats: &mut ExecStats,
     ) -> Vec<Row> {
-        if pool.is_serial() {
-            return self.hybrid_aggregate(input, partitions, stats);
-        }
         stats.add_calls(1);
         if self.group_keys.is_empty() {
-            return self.sort_aggregate(input, stats);
+            return self.sort_aggregate(input, pool, stats);
         }
         let first = self.group_keys[0];
         let m = partitions.max(1);
@@ -329,8 +459,76 @@ impl CompiledAgg {
             StagedRelation::from_partitions(input.schema().clone(), parts)
         };
         stats.sort_passes += staged.num_partitions() as u64;
-        staged.par_sort_all(&self.group_keys, pool);
-        self.sort_aggregate_pooled(&staged, pool, stats)
+        staged.sort_all(&self.group_keys, pool);
+        self.sort_aggregate(&staged, pool, stats)
+    }
+
+    /// Map aggregation: one value directory per grouping attribute maps each
+    /// tuple to an offset in dense aggregate arrays; a single scan, no
+    /// staging (paper §V-B, Figure 4).  The directories are built in a light
+    /// pre-pass over the grouping columns (the paper assumes the domains are
+    /// known from the catalogue); the main pass is pure offset arithmetic.
+    ///
+    /// Both passes divide across `pool`: workers process contiguous record
+    /// chunks (deterministic chunking) into thread-local directories and
+    /// dense arrays, merged in chunk order — the union of the directories,
+    /// [`Accum::combine`] of the arrays, the lowest-index representative —
+    /// so groups, representatives and integer aggregates are the same for
+    /// every pool width, while SUM/AVG re-associate floating-point addition
+    /// deterministically per width (DESIGN.md §7).
+    pub fn map_aggregate(
+        &self,
+        input: &StagedRelation,
+        pool: &ScopedPool,
+        stats: &mut ExecStats,
+    ) -> Vec<Row> {
+        stats.add_calls(1);
+        let records: Vec<&[u8]> = input.records().collect();
+        let ranges = chunk_ranges(records.len(), pool.threads());
+
+        if self.group_keys.is_empty() {
+            let chunks: Vec<GlobalGroup> = pool.map_items(&ranges, |_, range| {
+                let mut group = GlobalGroup::new(self);
+                for rec in &records[range.clone()] {
+                    group.update(self, rec);
+                }
+                group
+            });
+            let mut group = GlobalGroup::new(self);
+            for chunk in &chunks {
+                group.combine(chunk);
+            }
+            return group.finish(self, stats);
+        }
+
+        let partial_dirs: Vec<MapDirectory> = pool.map_items(&ranges, |_, range| {
+            let mut dir = MapDirectory::new(self.group_keys.len());
+            for rec in &records[range.clone()] {
+                dir.observe(&self.group_keys, rec);
+            }
+            dir
+        });
+        let mut dir = MapDirectory::new(self.group_keys.len());
+        for partial in &partial_dirs {
+            dir.absorb(partial);
+        }
+        dir.seal();
+
+        // Representatives are global record positions.
+        let chunks: Vec<(MapGroups<usize>, ExecStats)> = pool.map_items(&ranges, |_, range| {
+            let mut local = ExecStats::new();
+            let mut groups = MapGroups::new(self, &dir);
+            for ri in range.clone() {
+                groups.update(self, &dir, records[ri], &mut local, || ri);
+            }
+            (groups, local)
+        });
+        let mut groups = MapGroups::new(self, &dir);
+        for (chunk, local) in &chunks {
+            stats.merge(local);
+            groups.combine(chunk);
+        }
+        groups.emit(self, |&ri| records[ri])
     }
 
     // ---- Page-at-a-time stream kernels -----------------------------------
@@ -385,8 +583,9 @@ impl CompiledAgg {
 
     /// [`CompiledAgg::map_aggregate`] over a stream: the directory pre-pass
     /// and the offset-arithmetic main pass each walk the pages once; only
-    /// the directories, the dense aggregate arrays and one representative
-    /// record per occupied group stay resident.
+    /// the directories, the dense aggregate arrays and one owned
+    /// representative record per occupied group stay resident (a stream
+    /// cannot hand out borrows).
     pub fn map_aggregate_stream(
         &self,
         set: &PartitionSet<'_>,
@@ -396,61 +595,18 @@ impl CompiledAgg {
         if self.group_keys.is_empty() {
             return self.global_aggregate_stream(set, stats);
         }
-        // Pre-pass: sorted value directory per grouping attribute.
-        let mut directories: Vec<Vec<i64>> = vec![Vec::new(); self.group_keys.len()];
-        set.for_each_record(|rec| {
-            for (d, k) in directories.iter_mut().zip(&self.group_keys) {
-                let v = k.as_i64(rec);
-                if let Err(pos) = d.binary_search(&v) {
-                    d.insert(pos, v);
-                }
-            }
-        })?;
-        let mut multipliers = vec![1usize; self.group_keys.len()];
-        for i in (0..self.group_keys.len().saturating_sub(1)).rev() {
-            multipliers[i] = multipliers[i + 1] * directories[i + 1].len().max(1);
-        }
-        let total: usize = directories.iter().map(|d| d.len().max(1)).product();
-
-        // Main pass: dense aggregate arrays plus an owned representative
-        // record per occupied group (a stream cannot hand out borrows).
-        let mut accums = vec![vec![Accum::new(); self.funcs.len()]; total];
-        let mut representative: Vec<Option<Vec<u8>>> = vec![None; total];
-        let ts = set
-            .streams()
-            .first()
-            .map(|s| s.tuple_size())
-            .unwrap_or_default();
-        set.for_each_record(|rec| {
-            stats.tuples_processed += 1;
-            stats.bytes_touched += ts as u64;
-            let mut offset = 0usize;
-            for ((d, k), m) in directories.iter().zip(&self.group_keys).zip(&multipliers) {
-                stats.comparisons += (d.len().max(2) as f64).log2().ceil() as u64;
-                let id = d
-                    .binary_search(&k.as_i64(rec))
-                    .expect("value present in directory");
-                offset += id * m;
-            }
-            self.update_all(&mut accums[offset], rec);
-            if representative[offset].is_none() {
-                representative[offset] = Some(rec.to_vec());
-            }
-        })?;
-
-        let mut out = Vec::new();
-        for (offset, rep) in representative.iter().enumerate() {
-            if let Some(rec) = rep {
-                out.push(self.finish_row(self.group_values(rec), &accums[offset]));
-            }
-        }
-        Ok(out)
+        let mut dir = MapDirectory::new(self.group_keys.len());
+        set.for_each_record(|rec| dir.observe(&self.group_keys, rec))?;
+        dir.seal();
+        let mut groups: MapGroups<Vec<u8>> = MapGroups::new(self, &dir);
+        set.for_each_record(|rec| groups.update(self, &dir, rec, stats, || rec.to_vec()))?;
+        Ok(groups.emit(self, |rep| rep.as_slice()))
     }
 
     /// [`CompiledAgg::hybrid_aggregate`] over a stream: one streaming
     /// scatter pass hash-partitions the records on the first grouping
-    /// column, then the partitions sort and scan through the existing
-    /// pooled kernels (deterministic for any pool width).
+    /// column, then the partitions sort and scan as resident input
+    /// (deterministic for any pool width).
     pub fn hybrid_aggregate_stream(
         &self,
         set: &PartitionSet<'_>,
@@ -474,242 +630,20 @@ impl CompiledAgg {
         stats.add_materialized(parts.iter().map(|p| p.len()).sum());
         let mut staged = StagedRelation::from_partitions(schema.clone(), parts);
         stats.sort_passes += staged.num_partitions() as u64;
-        staged.par_sort_all(&self.group_keys, pool);
-        Ok(self.sort_aggregate_pooled(&staged, pool, stats))
+        staged.sort_all(&self.group_keys, pool);
+        Ok(self.sort_aggregate(&staged, pool, stats))
     }
 
     /// Global aggregate (no grouping columns) over a stream: one pass, one
-    /// accumulator set; empty input yields no group, the cross-engine
-    /// convention.
+    /// accumulator set.
     fn global_aggregate_stream(
         &self,
         set: &PartitionSet<'_>,
         stats: &mut ExecStats,
     ) -> Result<Vec<Row>> {
-        let mut accums = vec![Accum::new(); self.funcs.len()];
-        let mut any = false;
-        let ts = set
-            .streams()
-            .first()
-            .map(|s| s.tuple_size())
-            .unwrap_or_default();
-        set.for_each_record(|rec| {
-            stats.tuples_processed += 1;
-            stats.bytes_touched += ts as u64;
-            self.update_all(&mut accums, rec);
-            any = true;
-        })?;
-        if any {
-            return Ok(vec![self.finish_row(Vec::new(), &accums)]);
-        }
-        Ok(Vec::new())
-    }
-
-    /// Map aggregation: one value directory per grouping attribute maps each
-    /// tuple to an offset in dense aggregate arrays; a single scan, no
-    /// staging (paper §V-B, Figure 4).
-    ///
-    /// The directories are built in a light pre-pass over the grouping
-    /// columns (the paper assumes the domains are known from the catalogue);
-    /// the main pass is pure offset arithmetic.
-    pub fn map_aggregate(&self, input: &StagedRelation, stats: &mut ExecStats) -> Vec<Row> {
-        stats.add_calls(1);
-        let ts = input.tuple_size();
-        if self.group_keys.is_empty() {
-            // Single global group; empty input yields no group, matching the
-            // sort path and the iterator/DSM engines.
-            let mut accums = vec![Accum::new(); self.funcs.len()];
-            let mut any = false;
-            for rec in input.records() {
-                stats.tuples_processed += 1;
-                stats.bytes_touched += ts as u64;
-                self.update_all(&mut accums, rec);
-                any = true;
-            }
-            if any {
-                return vec![self.finish_row(Vec::new(), &accums)];
-            }
-            return Vec::new();
-        }
-
-        // Pre-pass: sorted value directory per grouping attribute.
-        let mut directories: Vec<Vec<i64>> = vec![Vec::new(); self.group_keys.len()];
-        for rec in input.records() {
-            for (d, k) in directories.iter_mut().zip(&self.group_keys) {
-                let v = k.as_i64(rec);
-                if let Err(pos) = d.binary_search(&v) {
-                    d.insert(pos, v);
-                }
-            }
-        }
-        // |M_i| products for the offset formula of Figure 4(b).
-        let mut multipliers = vec![1usize; self.group_keys.len()];
-        for i in (0..self.group_keys.len().saturating_sub(1)).rev() {
-            multipliers[i] = multipliers[i + 1] * directories[i + 1].len().max(1);
-        }
-        let total: usize = directories.iter().map(|d| d.len().max(1)).product();
-
-        // Dense aggregate arrays + representative record per occupied group
-        // (to decode the group's attribute values for the output).
-        let mut accums = vec![vec![Accum::new(); self.funcs.len()]; total];
-        let mut representative: Vec<Option<usize>> = vec![None; total];
-        let records: Vec<&[u8]> = input.records().collect();
-        for (ri, rec) in records.iter().enumerate() {
-            stats.tuples_processed += 1;
-            stats.bytes_touched += ts as u64;
-            let mut offset = 0usize;
-            for ((d, k), m) in directories.iter().zip(&self.group_keys).zip(&multipliers) {
-                stats.comparisons += (d.len().max(2) as f64).log2().ceil() as u64;
-                let id = d
-                    .binary_search(&k.as_i64(rec))
-                    .expect("value present in directory");
-                offset += id * m;
-            }
-            self.update_all(&mut accums[offset], rec);
-            if representative[offset].is_none() {
-                representative[offset] = Some(ri);
-            }
-        }
-
-        let mut out = Vec::new();
-        for (offset, rep) in representative.iter().enumerate() {
-            if let Some(ri) = rep {
-                out.push(self.finish_row(self.group_values(records[*ri]), &accums[offset]));
-            }
-        }
-        out
-    }
-
-    /// [`CompiledAgg::map_aggregate`] with the directory pre-pass and the
-    /// main accumulation pass divided across `pool`.
-    ///
-    /// Workers process contiguous record chunks (deterministic chunking)
-    /// into thread-local dense aggregate arrays; the final merge combines
-    /// the arrays in chunk order with [`Accum::combine`] — the existing
-    /// serial combine logic — and keeps the lowest-index representative
-    /// record, so groups, representatives and integer aggregates match the
-    /// serial pass exactly, while SUM/AVG re-associate floating-point
-    /// addition deterministically (DESIGN.md §7).
-    pub fn map_aggregate_pooled(
-        &self,
-        input: &StagedRelation,
-        pool: &ScopedPool,
-        stats: &mut ExecStats,
-    ) -> Vec<Row> {
-        if pool.is_serial() {
-            return self.map_aggregate(input, stats);
-        }
-        stats.add_calls(1);
-        let ts = input.tuple_size();
-        let records: Vec<&[u8]> = input.records().collect();
-        let ranges = chunk_ranges(records.len(), pool.threads());
-
-        if self.group_keys.is_empty() {
-            // Single global group; empty input yields no group, matching the
-            // serial path and the iterator/DSM engines.
-            let chunks: Vec<(Vec<Accum>, u64)> = pool.map_items(&ranges, |_, range| {
-                let mut accums = vec![Accum::new(); self.funcs.len()];
-                for rec in &records[range.clone()] {
-                    self.update_all(&mut accums, rec);
-                }
-                (accums, range.len() as u64)
-            });
-            let mut accums = vec![Accum::new(); self.funcs.len()];
-            let mut any = false;
-            for (local, tuples) in &chunks {
-                stats.tuples_processed += tuples;
-                stats.bytes_touched += tuples * ts as u64;
-                any = any || *tuples > 0;
-                for (a, l) in accums.iter_mut().zip(local) {
-                    a.combine(l);
-                }
-            }
-            if any {
-                return vec![self.finish_row(Vec::new(), &accums)];
-            }
-            return Vec::new();
-        }
-
-        // Pre-pass: per-worker sorted value sets, merged into the global
-        // sorted value directory per grouping attribute (the same set — and
-        // therefore the same offsets — the serial pre-pass builds).
-        let partial_dirs: Vec<Vec<Vec<i64>>> = pool.map_items(&ranges, |_, range| {
-            let mut dirs: Vec<Vec<i64>> = vec![Vec::new(); self.group_keys.len()];
-            for rec in &records[range.clone()] {
-                for (d, k) in dirs.iter_mut().zip(&self.group_keys) {
-                    let v = k.as_i64(rec);
-                    if let Err(pos) = d.binary_search(&v) {
-                        d.insert(pos, v);
-                    }
-                }
-            }
-            dirs
-        });
-        let mut directories: Vec<Vec<i64>> = vec![Vec::new(); self.group_keys.len()];
-        for dirs in &partial_dirs {
-            for (d, partial) in directories.iter_mut().zip(dirs) {
-                for &v in partial {
-                    if let Err(pos) = d.binary_search(&v) {
-                        d.insert(pos, v);
-                    }
-                }
-            }
-        }
-        let mut multipliers = vec![1usize; self.group_keys.len()];
-        for i in (0..self.group_keys.len().saturating_sub(1)).rev() {
-            multipliers[i] = multipliers[i + 1] * directories[i + 1].len().max(1);
-        }
-        let total: usize = directories.iter().map(|d| d.len().max(1)).product();
-
-        // Main pass: thread-local dense arrays + representative indexes
-        // (global record positions), merged in chunk order.
-        type MapChunk = (Vec<Vec<Accum>>, Vec<Option<usize>>, ExecStats);
-        let chunks: Vec<MapChunk> = pool.map_items(&ranges, |_, range| {
-            let mut local = ExecStats::new();
-            let mut accums = vec![vec![Accum::new(); self.funcs.len()]; total];
-            let mut representative: Vec<Option<usize>> = vec![None; total];
-            for ri in range.clone() {
-                let rec = records[ri];
-                local.tuples_processed += 1;
-                local.bytes_touched += ts as u64;
-                let mut offset = 0usize;
-                for ((d, k), m) in directories.iter().zip(&self.group_keys).zip(&multipliers) {
-                    local.comparisons += (d.len().max(2) as f64).log2().ceil() as u64;
-                    let id = d
-                        .binary_search(&k.as_i64(rec))
-                        .expect("value present in directory");
-                    offset += id * m;
-                }
-                self.update_all(&mut accums[offset], rec);
-                if representative[offset].is_none() {
-                    representative[offset] = Some(ri);
-                }
-            }
-            (accums, representative, local)
-        });
-        let mut accums = vec![vec![Accum::new(); self.funcs.len()]; total];
-        let mut representative: Vec<Option<usize>> = vec![None; total];
-        for (local_accums, local_rep, local_stats) in &chunks {
-            stats.merge(local_stats);
-            for (merged, local) in accums.iter_mut().zip(local_accums) {
-                for (a, l) in merged.iter_mut().zip(local) {
-                    a.combine(l);
-                }
-            }
-            for (merged, local) in representative.iter_mut().zip(local_rep) {
-                if merged.is_none() {
-                    *merged = *local;
-                }
-            }
-        }
-
-        let mut out = Vec::new();
-        for (offset, rep) in representative.iter().enumerate() {
-            if let Some(ri) = rep {
-                out.push(self.finish_row(self.group_values(records[*ri]), &accums[offset]));
-            }
-        }
-        out
+        let mut group = GlobalGroup::new(self);
+        set.for_each_record(|rec| group.update(self, rec))?;
+        Ok(group.finish(self, stats))
     }
 }
 
@@ -741,10 +675,14 @@ fn par_scatter(
         }
         (parts, hashes)
     });
-    let mut parts: Vec<Vec<u8>> = vec![Vec::new(); m];
-    for (local_parts, hashes) in &locals {
-        stats.add_hashes(*hashes);
-        for (bucket, local) in parts.iter_mut().zip(local_parts) {
+    // The first task's buckets become the result (a serial pool over an
+    // unpartitioned input has no other task, so nothing is copied twice).
+    let mut locals = locals.into_iter();
+    let (mut parts, hashes) = locals.next().unwrap_or_else(|| (vec![Vec::new(); m], 0));
+    stats.add_hashes(hashes);
+    for (local_parts, hashes) in locals {
+        stats.add_hashes(hashes);
+        for (bucket, local) in parts.iter_mut().zip(&local_parts) {
             bucket.extend_from_slice(local);
         }
     }
@@ -841,20 +779,24 @@ mod tests {
         let input = relation(1000);
         let compiled = CompiledAgg::compile(&spec(), input.schema()).unwrap();
         assert_eq!(compiled.num_aggregates(), 5);
+        let pool = ScopedPool::serial();
 
         let mut s1 = ExecStats::new();
         let mut sorted_input = input.clone();
-        sorted_input.sort_all(&[
-            CompiledKey::compile(input.schema(), 0),
-            CompiledKey::compile(input.schema(), 1),
-        ]);
-        let sort_res = normalized(compiled.sort_aggregate(&sorted_input, &mut s1));
+        sorted_input.sort_all(
+            &[
+                CompiledKey::compile(input.schema(), 0),
+                CompiledKey::compile(input.schema(), 1),
+            ],
+            &pool,
+        );
+        let sort_res = normalized(compiled.sort_aggregate(&sorted_input, &pool, &mut s1));
 
         let mut s2 = ExecStats::new();
-        let hybrid_res = normalized(compiled.hybrid_aggregate(&input, 16, &mut s2));
+        let hybrid_res = normalized(compiled.hybrid_aggregate(&input, 16, &pool, &mut s2));
 
         let mut s3 = ExecStats::new();
-        let map_res = normalized(compiled.map_aggregate(&input, &mut s3));
+        let map_res = normalized(compiled.map_aggregate(&input, &pool, &mut s3));
 
         assert_eq!(sort_res.len(), 10);
         assert_eq!(sort_res, hybrid_res);
@@ -870,18 +812,23 @@ mod tests {
         assert!(s3.comparisons > 0);
     }
 
-    #[test]
-    fn global_aggregate_without_groups() {
-        let input = relation(100);
+    fn global_spec() -> AggregateSpec {
         let mut s = spec();
         s.group_columns = vec![];
         s.group_domain_sizes = vec![];
-        let compiled = CompiledAgg::compile(&s, input.schema()).unwrap();
+        s
+    }
+
+    #[test]
+    fn global_aggregate_without_groups() {
+        let input = relation(100);
+        let compiled = CompiledAgg::compile(&global_spec(), input.schema()).unwrap();
+        let pool = ScopedPool::serial();
         let mut stats = ExecStats::new();
         for rows in [
-            compiled.map_aggregate(&input, &mut stats),
-            compiled.sort_aggregate(&input, &mut stats),
-            compiled.hybrid_aggregate(&input, 4, &mut stats),
+            compiled.map_aggregate(&input, &pool, &mut stats),
+            compiled.sort_aggregate(&input, &pool, &mut stats),
+            compiled.hybrid_aggregate(&input, 4, &pool, &mut stats),
         ] {
             assert_eq!(rows.len(), 1);
             assert_eq!(rows[0].get(1), &Value::Int64(100));
@@ -889,66 +836,68 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_produces_no_groups() {
+    fn empty_input_produces_no_groups_at_any_pool_width() {
+        // The PR-1 bug class × N threads: zero rows in must be zero rows out
+        // on every kernel, grouped or global.
         let input = StagedRelation::new(schema());
-        let compiled = CompiledAgg::compile(&spec(), input.schema()).unwrap();
-        let mut stats = ExecStats::new();
-        assert!(compiled.sort_aggregate(&input, &mut stats).is_empty());
-        assert!(compiled.hybrid_aggregate(&input, 4, &mut stats).is_empty());
-        assert!(compiled.map_aggregate(&input, &mut stats).is_empty());
+        for s in [spec(), global_spec()] {
+            let compiled = CompiledAgg::compile(&s, input.schema()).unwrap();
+            for threads in [1, 2, 4, 16] {
+                let pool = ScopedPool::new(threads);
+                let mut stats = ExecStats::new();
+                assert!(compiled
+                    .sort_aggregate(&input, &pool, &mut stats)
+                    .is_empty());
+                assert!(compiled
+                    .hybrid_aggregate(&input, 4, &pool, &mut stats)
+                    .is_empty());
+                assert!(compiled.map_aggregate(&input, &pool, &mut stats).is_empty());
+            }
+        }
+        // And a non-empty global aggregate still yields exactly one row.
+        let filled = relation(100);
+        let compiled = CompiledAgg::compile(&global_spec(), filled.schema()).unwrap();
+        let rows = compiled.map_aggregate(&filled, &ScopedPool::new(4), &mut ExecStats::new());
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get(1), &Value::Int64(100));
     }
 
     #[test]
-    fn pooled_aggregation_matches_serial_for_every_algorithm() {
+    fn every_algorithm_is_identical_across_pool_widths() {
         let input = relation(1000);
         let compiled = CompiledAgg::compile(&spec(), input.schema()).unwrap();
         let group_keys = [
             CompiledKey::compile(input.schema(), 0),
             CompiledKey::compile(input.schema(), 1),
         ];
-        for threads in [2, 4, 16] {
+        // Sort aggregation over a partitioned, per-partition-sorted input.
+        let mut staged = {
+            let mut s = ExecStats::new();
+            let parts = super::par_scatter(&input, group_keys[0], 8, &ScopedPool::serial(), &mut s);
+            StagedRelation::from_partitions(input.schema().clone(), parts)
+        };
+        staged.sort_all(&group_keys, &ScopedPool::serial());
+        let run = |threads: usize| {
             let pool = ScopedPool::new(threads);
-
-            // Sort aggregation over a partitioned, per-partition-sorted
-            // input: partitions aggregate independently, so the pooled scan
-            // must be bit-identical, stats included.
-            let mut staged = {
-                let mut s = ExecStats::new();
-                let parts =
-                    super::par_scatter(&input, group_keys[0], 8, &ScopedPool::serial(), &mut s);
-                StagedRelation::from_partitions(input.schema().clone(), parts)
-            };
-            staged.sort_all(&group_keys);
-            let mut s1 = ExecStats::new();
-            let serial_rows = compiled.sort_aggregate(&staged, &mut s1);
-            let mut s2 = ExecStats::new();
-            let pooled_rows = compiled.sort_aggregate_pooled(&staged, &pool, &mut s2);
-            assert_eq!(pooled_rows, serial_rows, "sort threads={threads}");
-            assert_eq!(s1, s2, "sort stats threads={threads}");
-
-            // Hybrid: scatter + sort + scan are all order-preserving, so the
-            // whole pooled path is bit-identical too.
-            let mut h1 = ExecStats::new();
-            let serial_hybrid = compiled.hybrid_aggregate(&input, 16, &mut h1);
-            let mut h2 = ExecStats::new();
-            let pooled_hybrid = compiled.hybrid_aggregate_pooled(&input, 16, &pool, &mut h2);
-            assert_eq!(pooled_hybrid, serial_hybrid, "hybrid threads={threads}");
-            assert_eq!(h1, h2, "hybrid stats threads={threads}");
-
-            // Map: thread-local arrays merged with the combine logic. The
+            let (mut s, mut h, mut m) = (ExecStats::new(), ExecStats::new(), ExecStats::new());
+            let sort = compiled.sort_aggregate(&staged, &pool, &mut s);
+            let hybrid = compiled.hybrid_aggregate(&input, 16, &pool, &mut h);
+            // Map: thread-local arrays merged with the combine logic.  The
             // test values are integer-valued floats, so even the SUM/AVG
             // accumulators match exactly here.
-            let mut m1 = ExecStats::new();
-            let serial_map = compiled.map_aggregate(&input, &mut m1);
-            let mut m2 = ExecStats::new();
-            let pooled_map = compiled.map_aggregate_pooled(&input, &pool, &mut m2);
-            assert_eq!(pooled_map, serial_map, "map threads={threads}");
-            assert_eq!(m1, m2, "map stats threads={threads}");
+            let map = compiled.map_aggregate(&input, &pool, &mut m);
+            ((sort, s), (hybrid, h), (map, m))
+        };
+        let serial = run(1);
+        for threads in [2, 4, 16] {
+            // Partitions aggregate independently and the scatter, the sorts
+            // and the scans are order-preserving: rows and stats both match.
+            assert_eq!(run(threads), serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn pooled_aggregation_with_more_threads_than_groups() {
+    fn more_threads_than_groups() {
         // 2 groups (g2 only), 16 threads: the merge must not invent or drop
         // groups when most thread-locals stay empty.
         let input = relation(500);
@@ -956,18 +905,18 @@ mod tests {
         s.group_columns = vec![1];
         s.group_domain_sizes = vec![2];
         let compiled = CompiledAgg::compile(&s, input.schema()).unwrap();
-        let pool = ScopedPool::new(16);
+        let (serial, wide) = (ScopedPool::serial(), ScopedPool::new(16));
         let mut st = ExecStats::new();
-        let serial = normalized(compiled.map_aggregate(&input, &mut ExecStats::new()));
-        let pooled = normalized(compiled.map_aggregate_pooled(&input, &pool, &mut st));
-        assert_eq!(pooled.len(), 2);
-        assert_eq!(pooled, serial);
-        let hybrid = normalized(compiled.hybrid_aggregate_pooled(&input, 8, &pool, &mut st));
-        assert_eq!(hybrid, serial);
+        let expected = normalized(compiled.map_aggregate(&input, &serial, &mut st));
+        assert_eq!(expected.len(), 2);
+        let map = normalized(compiled.map_aggregate(&input, &wide, &mut st));
+        assert_eq!(map, expected);
+        let hybrid = normalized(compiled.hybrid_aggregate(&input, 8, &wide, &mut st));
+        assert_eq!(hybrid, expected);
     }
 
     #[test]
-    fn pooled_aggregation_skewed_into_one_group() {
+    fn skew_into_one_group() {
         // Every record in one group: a single partition/offset receives all
         // updates from every worker.
         let rows: Vec<Row> = (0..600)
@@ -981,45 +930,41 @@ mod tests {
             .collect();
         let input = StagedRelation::from_rows(schema(), &rows).unwrap();
         let compiled = CompiledAgg::compile(&spec(), input.schema()).unwrap();
-        let pool = ScopedPool::new(4);
-        let serial = compiled.map_aggregate(&input, &mut ExecStats::new());
-        let pooled = compiled.map_aggregate_pooled(&input, &pool, &mut ExecStats::new());
-        assert_eq!(pooled, serial);
-        assert_eq!(pooled.len(), 1);
-        assert_eq!(pooled[0].get(3), &Value::Int64(600));
-        let hybrid = compiled.hybrid_aggregate_pooled(&input, 8, &pool, &mut ExecStats::new());
-        assert_eq!(hybrid, serial);
+        let (serial, wide) = (ScopedPool::serial(), ScopedPool::new(4));
+        let expected = compiled.map_aggregate(&input, &serial, &mut ExecStats::new());
+        assert_eq!(expected.len(), 1);
+        assert_eq!(expected[0].get(3), &Value::Int64(600));
+        let map = compiled.map_aggregate(&input, &wide, &mut ExecStats::new());
+        assert_eq!(map, expected);
+        let hybrid = compiled.hybrid_aggregate(&input, 8, &wide, &mut ExecStats::new());
+        assert_eq!(hybrid, expected);
     }
 
     #[test]
-    fn pooled_global_aggregate_over_empty_input_returns_no_rows() {
-        // The PR-1 bug class × N threads: a global aggregate over zero rows
-        // must produce zero rows on every path and every pool width.
-        let input = StagedRelation::new(schema());
-        let mut s = spec();
-        s.group_columns = vec![];
-        s.group_domain_sizes = vec![];
-        let compiled = CompiledAgg::compile(&s, input.schema()).unwrap();
-        for threads in [2, 4, 16] {
-            let pool = ScopedPool::new(threads);
-            let mut stats = ExecStats::new();
-            assert!(compiled
-                .map_aggregate_pooled(&input, &pool, &mut stats)
-                .is_empty());
-            assert!(compiled
-                .hybrid_aggregate_pooled(&input, 4, &pool, &mut stats)
-                .is_empty());
-            assert!(compiled
-                .sort_aggregate_pooled(&input, &pool, &mut stats)
-                .is_empty());
+    fn combining_onto_a_fresh_accumulator_is_bit_exact() {
+        // What lets a serial pool run the chunked kernels as the serial
+        // form: one chunk folded into a fresh accumulator must reproduce the
+        // chunk's own bits, signed zeros, infinities and NaN included.
+        let cases: [&[f64]; 6] = [
+            &[],
+            &[-0.0],
+            &[-0.0, -0.0],
+            &[0.1, 0.2, 0.3, -0.6],
+            &[f64::INFINITY, 1.0],
+            &[f64::NAN, 1.0],
+        ];
+        for values in cases {
+            let mut chunk = Accum::new();
+            for &v in values {
+                chunk.update(v);
+            }
+            let mut merged = Accum::new();
+            merged.combine(&chunk);
+            assert_eq!(merged.sum.to_bits(), chunk.sum.to_bits(), "{values:?}");
+            assert_eq!(merged.min.to_bits(), chunk.min.to_bits(), "{values:?}");
+            assert_eq!(merged.max.to_bits(), chunk.max.to_bits(), "{values:?}");
+            assert_eq!(merged.count, chunk.count, "{values:?}");
         }
-        // And a non-empty global aggregate still yields exactly one row.
-        let filled = relation(100);
-        let compiled = CompiledAgg::compile(&s, filled.schema()).unwrap();
-        let pool = ScopedPool::new(4);
-        let rows = compiled.map_aggregate_pooled(&filled, &pool, &mut ExecStats::new());
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get(1), &Value::Int64(100));
     }
 
     #[test]

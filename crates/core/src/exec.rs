@@ -1,31 +1,33 @@
-//! Execution of a generated query program.
+//! The evaluate-query driver.
 //!
-//! The executor plays the role of the paper's composed `evaluate_query`
-//! function: it calls the instantiated staging kernels, the join kernels in
-//! plan order (materializing intermediate results as temporary relations,
-//! or streaming the final join straight into the output sink), the
-//! aggregation kernel, and finally orders/limits the result.
+//! The paper's generated program is one composed `evaluate_query` function:
+//! stage every input, run the join cascade (materializing intermediate
+//! results as temporary relations, or streaming the final join straight
+//! into the output), aggregate, order/limit and emit.  Only the kernels
+//! plugged into that skeleton change per query.  [`run`] is the skeleton,
+//! written once and generic (static dispatch) over a [`Kernels`] provider
+//! whose hooks sit at phase granularity; the statically compiled kernels of
+//! a [`crate::GeneratedQuery`] and the bytecode interpreter of `hique-vm`
+//! are its two implementations.  Everything an execution shares regardless
+//! of provider lives here: option resolution, the
+//! [`hique_pipeline::RunEnvelope`], staged-slot spilling between phases,
+//! the streaming-or-materializing record sink, cancellation checks between
+//! steps, the four [`PhaseTimings`] phases and result finalization.
 
 use std::time::Instant;
 
 use hique_par::{chunk_ranges, ScopedPool};
-use hique_pipeline::SpillContext;
-use hique_plan::{AggAlgorithm, JoinAlgorithm, StagingStrategy};
-use hique_storage::Catalog;
+use hique_pipeline::{RunEnvelope, SpillContext};
+use hique_plan::{AggregateSpec, PhysicalPlan};
+use hique_storage::{Catalog, TableHeap};
 use hique_types::{
     result::finalize_rows, CancelToken, ExecStats, HiqueError, PhaseTimings, QueryResult, Result,
-    Row, Value,
+    Row,
 };
 
-use crate::generator::{GeneratedQuery, OutputKernel};
-use crate::join::{
-    fine_partition_join_pooled, hybrid_join_pooled, merge_join_pooled, nested_loops_join,
-    team_join, JoinSink,
-};
-use crate::kernel::CompiledKey;
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
-use crate::staging::{stage_table_cancellable, StagedInput};
+use crate::staging::StagedInput;
 
 /// Execution options.
 #[derive(Debug, Clone)]
@@ -64,92 +66,133 @@ impl Default for ExecOptions {
     }
 }
 
-/// A sink receiving final (non-aggregated) output tuples.
-enum OutputSink<'a> {
-    Collect {
-        kernels: &'a [OutputKernel],
-        rows: Vec<Row>,
+/// What every kernel hook works against for the length of one execution.
+pub struct Run<'a> {
+    /// The plan being evaluated.
+    pub plan: &'a PhysicalPlan,
+    /// The run's work counters; parallel kernels merge their per-worker
+    /// sets into it in task order.
+    pub stats: ExecStats,
+    /// Worker pool (`ExecOptions::threads`, else the plan's).
+    pub pool: ScopedPool,
+    /// The statement's cancellation token.
+    pub cancel: &'a CancelToken,
+    /// Spill context of a budgeted run on a paged catalog.
+    pub spill: Option<&'a SpillContext>,
+}
+
+/// Where a join step (or the final output scan) sends its records.
+pub enum RecordSink<'a, D> {
+    /// Materialize into the relation the next step consumes.
+    Relation(&'a mut StagedRelation),
+    /// Decode into result rows.
+    Rows {
+        decode: &'a mut D,
+        rows: &'a mut Vec<Row>,
     },
-    Count(u64),
+    /// Count without materializing (`collect_rows == false`).
+    Count(&'a mut u64),
 }
 
-/// Decode one output record through the output kernels (non-aggregate
-/// queries).
-fn decode_output_row(kernels: &[OutputKernel], record: &[u8]) -> Row {
-    let values: Vec<Value> = kernels
-        .iter()
-        .map(|k| match k {
-            OutputKernel::Column(key) => key.value(record),
-            OutputKernel::Expr(expr, dtype) => {
-                let v = expr.eval(record);
-                match dtype {
-                    hique_types::DataType::Int32 => Value::Int32(v as i32),
-                    hique_types::DataType::Int64 => Value::Int64(v as i64),
-                    hique_types::DataType::Date => Value::Date(v as i32),
-                    _ => Value::Float64(v),
-                }
-            }
-            OutputKernel::GroupPosition(_) | OutputKernel::AggregatePosition(_) => {
-                unreachable!("aggregate kernels in a non-aggregate sink")
-            }
-        })
-        .collect();
-    Row::new(values)
-}
-
-impl OutputSink<'_> {
+impl<D: FnMut(&[u8]) -> Row> RecordSink<'_, D> {
+    /// Consume one record of the step's output layout.
     #[inline]
-    fn consume(&mut self, record: &[u8]) {
+    pub fn push(&mut self, record: &[u8]) {
         match self {
-            OutputSink::Collect { kernels, rows } => {
-                rows.push(decode_output_row(kernels, record));
-            }
-            OutputSink::Count(n) => *n += 1,
+            RecordSink::Relation(out) => out.push(record),
+            RecordSink::Rows { decode, rows } => rows.push(decode(record)),
+            RecordSink::Count(n) => **n += 1,
         }
     }
 }
 
-/// Execute the generated program.
-pub fn execute(
-    generated: &GeneratedQuery,
+/// The per-query kernels the driver plugs into the evaluate-query skeleton.
+///
+/// Hooks are called once per phase or step, never per record; a provider's
+/// inner loops are its own.  Every hook must be deterministic in the pool
+/// width: same records in the same order, same counters.
+pub trait Kernels: Sync {
+    /// Whether [`Kernels::join`] evaluates a whole join team in one call
+    /// (all members at once).  Otherwise the driver walks the team as a
+    /// cascade of binary steps over the shared key.
+    const FUSES_JOIN_TEAMS: bool;
+
+    /// Scan, filter, project and pre-organize base table `t` of the plan.
+    fn stage(&self, t: usize, heap: &TableHeap, run: &mut Run<'_>) -> Result<StagedInput>;
+
+    /// Cascade step `step`: join the running intermediate with the staged
+    /// `rights` (one input, or every other member of a fused team), pushing
+    /// each output record — the inputs' records concatenated, left first —
+    /// into `sink` in the one order every pool width produces.
+    fn join(
+        &self,
+        step: usize,
+        left: StagedInput,
+        rights: Vec<StagedInput>,
+        run: &mut Run<'_>,
+        sink: &mut RecordSink<'_, impl FnMut(&[u8]) -> Row>,
+    ) -> Result<()>;
+
+    /// Aggregate the joined records into result rows in output-column order.
+    fn aggregate(
+        &self,
+        spec: &AggregateSpec,
+        input: StagedSlot,
+        run: &mut Run<'_>,
+    ) -> Result<Vec<Row>>;
+
+    /// A decoder turning one joined record into a result row (non-aggregate
+    /// queries).  Each parallel decode worker takes its own.
+    fn decoder(&self) -> impl FnMut(&[u8]) -> Row;
+}
+
+/// An [`ExecOptions`] override, or the plan's value when it is `0`.
+fn or_plan(option: usize, plan: usize) -> usize {
+    if option == 0 {
+        plan
+    } else {
+        option
+    }
+}
+
+/// The sink of records that leave the join cascade for the result.
+fn output_sink<'a, D>(
+    collect_rows: bool,
+    decode: &'a mut D,
+    rows: &'a mut Vec<Row>,
+    counted: &'a mut u64,
+) -> RecordSink<'a, D> {
+    if collect_rows {
+        RecordSink::Rows { decode, rows }
+    } else {
+        RecordSink::Count(counted)
+    }
+}
+
+/// Evaluate `plan` over `catalog` with the given kernels.
+pub fn run<K: Kernels>(
+    kernels: &K,
+    plan: &PhysicalPlan,
     catalog: &Catalog,
     options: &ExecOptions,
 ) -> Result<QueryResult> {
-    let plan = &generated.plan;
-    let mut stats = ExecStats::new();
+    // The spill decision depends only on relation sizes, so results (and
+    // work counters) are identical for every budget.
+    let envelope = RunEnvelope::begin(
+        catalog.buffer_pool(),
+        catalog.storage().map(|s| s.temp()),
+        or_plan(options.memory_budget_pages, plan.memory_budget_pages),
+        &options.cancel,
+    )?;
+    let mut run = Run {
+        plan,
+        stats: ExecStats::new(),
+        pool: ScopedPool::new(or_plan(options.threads, plan.threads)),
+        cancel: &options.cancel,
+        spill: envelope.spill(),
+    };
+    let (cancel, spill) = (run.cancel, run.spill);
     let mut timings = PhaseTimings::new();
-    // Partition-parallel execution: `options.threads` overrides the plan's
-    // configured worker count; both default to 1 (serial).
-    let pool = ScopedPool::new(if options.threads == 0 {
-        plan.threads
-    } else {
-        options.threads
-    });
-    // Memory budget: staged inputs and join temporaries spill through the
-    // catalog's buffer pool once a budget is set and the catalog runs in
-    // paged mode.  The spill decision depends only on relation sizes, so
-    // results (and work counters) are identical for every budget.
-    let budget_pages = if options.memory_budget_pages == 0 {
-        plan.memory_budget_pages
-    } else {
-        options.memory_budget_pages
-    };
-    let cancel = &options.cancel;
-    let spill_ctx: Option<SpillContext> = match (budget_pages, catalog.storage()) {
-        (pages, Some(runtime)) if pages > 0 => Some(SpillContext::acquire_cancellable(
-            runtime.temp(),
-            pages,
-            cancel.clone(),
-        )?),
-        _ => None,
-    };
-    let spill = spill_ctx.as_ref();
-    let io_base = catalog.pool_stats();
-    let faults_base = catalog.faults_injected();
-    // Per-execution residency window: peak_resident_pages reports this
-    // run's high-water, not the pool's lifetime maximum — and concurrent
-    // executions each hold their own window.
-    let peak_window = catalog.buffer_pool().map(|p| p.begin_peak_window());
 
     // ---- Staging -----------------------------------------------------------
     let t0 = Instant::now();
@@ -157,8 +200,7 @@ pub fn execute(
     for &t in &plan.join_order {
         cancel.check()?;
         let info = catalog.table(&plan.staged[t].table_name)?;
-        let input =
-            stage_table_cancellable(&info.heap, &plan.staged[t], &mut stats, &pool, cancel)?;
+        let input = kernels.stage(t, &info.heap, &mut run)?;
         staged[t] = Some(StagedSlot::stage(input, spill)?);
     }
     timings.record("staging", t0.elapsed());
@@ -166,371 +208,109 @@ pub fn execute(
     // ---- Joins --------------------------------------------------------------
     let t1 = Instant::now();
     let streams_to_sink = plan.aggregate.is_none();
-    let mut sink = if options.collect_rows {
-        OutputSink::Collect {
-            kernels: &generated.outputs,
-            rows: Vec::new(),
-        }
-    } else {
-        OutputSink::Count(0)
+    let mut decode = kernels.decoder();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut counted: u64 = 0;
+    let mut take = |t: usize| staged[t].take().expect("every input is staged once");
+    // The right-hand inputs of each cascade step, in join order.
+    let steps: Vec<&[usize]> = match &plan.join_team {
+        Some(team) if K::FUSES_JOIN_TEAMS => vec![&team.members[1..]],
+        Some(team) => team.members[1..].chunks(1).collect(),
+        None => plan
+            .joins
+            .iter()
+            .map(|j| std::slice::from_ref(&j.right))
+            .collect(),
     };
-
-    // The staged slot feeding aggregation / output when not streaming.  It
-    // stays a slot (possibly spilled) until its consumer runs: streaming
-    // consumers read it page-at-a-time, never re-materializing a spilled
-    // partition.
-    let mut final_slot: Option<StagedSlot> = None;
-
-    if plan.staged.len() == 1 {
-        final_slot = Some(
-            staged[plan.join_order[0]]
-                .take()
-                .expect("single input staged"),
-        );
-    } else if let Some(team) = &plan.join_team {
-        // The team join's deeply nested loops cursor over every input at
-        // once (random access within key groups), so members materialize.
-        let members: Vec<StagedInput> = team
-            .members
-            .iter()
-            .map(|&m| staged[m].take().expect("staged").into_input(spill))
-            .collect::<Result<_>>()?;
-        let inputs: Vec<&StagedRelation> = members.iter().map(|i| &i.relation).collect();
-        let keys: Vec<CompiledKey> = team
-            .members
-            .iter()
-            .zip(&team.key_columns)
-            .map(|(&m, &kc)| CompiledKey::compile(&plan.staged[m].schema, kc))
-            .collect();
-        let joined_width = plan.joined_schema.tuple_size();
-        let mut buf = vec![0u8; joined_width];
-        if streams_to_sink {
-            team_join(&inputs, &keys, &mut stats, &mut |records| {
-                concat_records(records, &mut buf);
-                sink.consume(&buf);
-            });
-        } else {
-            let mut out = StagedRelation::new(plan.joined_schema.clone());
-            team_join(&inputs, &keys, &mut stats, &mut |records| {
-                concat_records(records, &mut buf);
-                out.push(&buf);
-            });
-            stats.add_materialized(out.data_bytes());
-            final_slot = Some(StagedSlot::stage(StagedInput::unpartitioned(out), spill)?);
-        }
-    } else {
-        // Binary cascade.  The running intermediate is a StagedSlot: each
-        // join step materializes it (the merge cursors need random access),
-        // joins, and re-stages the output — which spills through the pool
-        // under a budget and is consumed page-at-a-time by whatever comes
-        // next.
-        let mut current_slot = staged[plan.join_order[0]]
+    // The running intermediate stays a slot (possibly spilled) until its
+    // consumer runs: each step materializes it (merge cursors and hash
+    // builds need random access), joins, and re-stages the output — which
+    // spills through the pool under a budget, the paper's temporary table
+    // subject to the same LRU pressure as base pages — and streaming
+    // consumers read it back page-at-a-time.  `None` once the last join has
+    // streamed into the result.
+    let mut current = Some(take(plan.join_order[0]));
+    for (i, rights) in steps.iter().enumerate() {
+        cancel.check()?;
+        let left = current
             .take()
-            .expect("first input staged");
-        let mut current_schema = plan.staged[plan.join_order[0]].schema.clone();
-        // Which column (if any) the current intermediate is sorted on.
-        let mut sorted_on: Option<usize> = match &plan.staged[plan.join_order[0]].strategy {
-            StagingStrategy::Sort { key_columns } => key_columns.first().copied(),
-            _ => None,
+            .expect("intermediate feeds the next step")
+            .into_input(spill)?;
+        let rights: Vec<StagedInput> = rights
+            .iter()
+            .map(|&r| take(r).into_input(spill))
+            .collect::<Result<_>>()?;
+        let out_schema = rights
+            .iter()
+            .fold(left.relation.schema().clone(), |schema, right| {
+                schema.join(right.relation.schema())
+            });
+        let mut out = StagedRelation::new(out_schema);
+        let stream_this = streams_to_sink && i == steps.len() - 1;
+        let mut sink = if stream_this {
+            output_sink(options.collect_rows, &mut decode, &mut rows, &mut counted)
+        } else {
+            RecordSink::Relation(&mut out)
         };
-
-        for (i, step) in plan.joins.iter().enumerate() {
-            cancel.check()?;
-            let current = current_slot.into_input(spill)?;
-            let right_desc = &plan.staged[step.right];
-            let right = staged[step.right]
-                .take()
-                .expect("right input staged")
-                .into_input(spill)?;
-            let out_schema = current_schema.join(&right_desc.schema);
-            let left_key = CompiledKey::compile(&current_schema, step.left_key);
-            let right_key = CompiledKey::compile(&right_desc.schema, step.right_key);
-            let last = i == plan.joins.len() - 1;
-            let stream_this = last && streams_to_sink;
-
-            let mut out = StagedRelation::new(out_schema.clone());
-            let mut buf = vec![0u8; out_schema.tuple_size()];
-            // When the final join streams into a counting sink, hand the
-            // kernels a counting sink directly: workers count locally with
-            // nothing materialized or replayed (the paper's micro-benchmark
-            // methodology).
-            let count_final = stream_this && matches!(sink, OutputSink::Count(_));
-            let mut counted: u64 = 0;
-            {
-                let mut consume = |lrec: &[u8], rrec: &[u8]| {
-                    buf[..lrec.len()].copy_from_slice(lrec);
-                    buf[lrec.len()..].copy_from_slice(rrec);
-                    if stream_this {
-                        sink.consume(&buf);
-                    } else {
-                        out.push(&buf);
-                    }
-                };
-                let mut join_sink = if count_final {
-                    JoinSink::Count(&mut counted)
-                } else {
-                    JoinSink::Pairs(&mut consume)
-                };
-                match step.algorithm {
-                    JoinAlgorithm::Merge => {
-                        let mut left_rel = current.relation;
-                        if sorted_on != Some(step.left_key) {
-                            left_rel.flatten();
-                            stats.sort_passes += 1;
-                            left_rel.par_sort_all(&[left_key], &pool);
-                        }
-                        merge_join_pooled(
-                            &left_rel,
-                            &right.relation,
-                            left_key,
-                            right_key,
-                            &pool,
-                            &mut stats,
-                            &mut join_sink,
-                        );
-                    }
-                    JoinAlgorithm::Partition => {
-                        fine_partition_join_pooled(
-                            &current,
-                            &right,
-                            left_key,
-                            right_key,
-                            &pool,
-                            &mut stats,
-                            &mut join_sink,
-                        );
-                    }
-                    JoinAlgorithm::HybridHashSortMerge => {
-                        let partitions = match &right_desc.strategy {
-                            StagingStrategy::PartitionThenSort { partitions, .. }
-                            | StagingStrategy::PartitionCoarse { partitions, .. } => *partitions,
-                            _ => 64,
-                        };
-                        let mut left_rel = current.relation;
-                        let mut right_rel = right.relation;
-                        hybrid_join_pooled(
-                            &mut left_rel,
-                            &mut right_rel,
-                            left_key,
-                            right_key,
-                            partitions,
-                            &pool,
-                            &mut stats,
-                            &mut join_sink,
-                        );
-                    }
-                    JoinAlgorithm::NestedLoops => {
-                        // Forced degradation only (the optimizer never
-                        // picks it): serial blocked nested loops, matching
-                        // the kernel text source.rs renders for it.
-                        let mut run = |consumer: &mut dyn FnMut(&[u8], &[u8])| {
-                            nested_loops_join(
-                                &current.relation,
-                                &right.relation,
-                                left_key,
-                                right_key,
-                                &mut stats,
-                                consumer,
-                            )
-                        };
-                        match &mut join_sink {
-                            JoinSink::Pairs(consumer) => run(consumer),
-                            JoinSink::Count(total) => {
-                                let mut n = 0u64;
-                                run(&mut |_, _| n += 1);
-                                **total += n;
-                            }
-                        }
-                    }
-                }
-            }
-            if count_final {
-                if let OutputSink::Count(n) = &mut sink {
-                    *n += counted;
-                }
-            }
-            if !stream_this {
-                stats.add_materialized(out.data_bytes());
-                sorted_on = match step.algorithm {
-                    // Merge-join output is ordered by the join key.
-                    JoinAlgorithm::Merge => Some(step.left_key),
-                    _ => None,
-                };
-                // Under a memory budget, a large join temporary goes out as
-                // pool pages — the paper's temporary table in the buffer
-                // pool, subject to the same LRU pressure as base pages —
-                // and stays there until its consumer pulls it back one
-                // pinned page (or one partition) at a time.
-                current_slot = StagedSlot::stage(StagedInput::unpartitioned(out), spill)?;
-                current_schema = out_schema;
-            } else {
-                current_slot = StagedSlot::Mem(StagedInput::unpartitioned(StagedRelation::new(
-                    out_schema.clone(),
-                )));
-                current_schema = out_schema;
-            }
-        }
-        if !streams_to_sink {
-            final_slot = Some(current_slot);
+        kernels.join(i, left, rights, &mut run, &mut sink)?;
+        if !stream_this {
+            run.stats.add_materialized(out.data_bytes());
+            current = Some(StagedSlot::stage(StagedInput::unpartitioned(out), spill)?);
         }
     }
     timings.record("join", t1.elapsed());
 
-    // ---- Aggregation ----------------------------------------------------------
-    let mut rows: Vec<Row> = Vec::new();
+    // ---- Aggregation / output -------------------------------------------------
     if let Some(spec) = &plan.aggregate {
         let t2 = Instant::now();
         cancel.check()?;
-        let compiled = generated
-            .aggregation
-            .as_ref()
-            .expect("aggregation kernels generated");
-        let slot = final_slot
+        let slot = current
             .take()
             .ok_or_else(|| HiqueError::Execution("aggregation input missing".into()))?;
-        let group_keys: Vec<CompiledKey> = spec
-            .group_columns
-            .iter()
-            .map(|&c| CompiledKey::compile(&plan.joined_schema, c))
-            .collect();
-        // Did staging already produce exactly the interesting order sort
-        // aggregation needs?
-        let already_sorted = plan.staged.len() == 1
-            && matches!(
-                &plan.staged[plan.join_order[0]].strategy,
-                StagingStrategy::Sort { key_columns } if *key_columns == spec.group_columns
-            );
-        // A spilled aggregation input is consumed page-at-a-time through
-        // the pipeline substrate — except when sort aggregation must first
-        // sort it, which requires random access and therefore an explicit
-        // gather.
-        let stream_agg = slot.is_spilled()
-            && match spec.algorithm {
-                AggAlgorithm::Sort => already_sorted,
-                _ => true,
-            };
-        let group_rows = if stream_agg {
-            let set = slot.partitions(spill)?;
-            match spec.algorithm {
-                AggAlgorithm::Map => compiled.map_aggregate_stream(&set, &mut stats)?,
-                AggAlgorithm::HybridHashSort => {
-                    let partitions = slot
-                        .num_partitions()
-                        .max((slot.data_bytes() / (1 << 20)).next_power_of_two());
-                    let schema = slot.schema().clone();
-                    compiled
-                        .hybrid_aggregate_stream(&set, &schema, partitions, &pool, &mut stats)?
-                }
-                AggAlgorithm::Sort => compiled.sort_aggregate_stream(&set, &mut stats)?,
-            }
-        } else {
-            let input = slot.into_input(spill)?;
-            match spec.algorithm {
-                AggAlgorithm::Map => {
-                    compiled.map_aggregate_pooled(&input.relation, &pool, &mut stats)
-                }
-                AggAlgorithm::HybridHashSort => {
-                    let partitions = input
-                        .relation
-                        .num_partitions()
-                        .max((input.relation.data_bytes() / (1 << 20)).next_power_of_two());
-                    compiled.hybrid_aggregate_pooled(&input.relation, partitions, &pool, &mut stats)
-                }
-                AggAlgorithm::Sort => {
-                    if already_sorted {
-                        compiled.sort_aggregate_pooled(&input.relation, &pool, &mut stats)
-                    } else {
-                        let mut rel = input.relation;
-                        rel.flatten();
-                        stats.sort_passes += 1;
-                        rel.par_sort_all(&group_keys, &pool);
-                        compiled.sort_aggregate_pooled(&rel, &pool, &mut stats)
-                    }
-                }
-            }
-        };
-        // Map aggregation rows to output columns.
-        let group_count = spec.group_columns.len();
-        for grow in group_rows {
-            let values: Vec<Value> = generated
-                .outputs
-                .iter()
-                .map(|k| match k {
-                    OutputKernel::GroupPosition(p) => grow.get(*p).clone(),
-                    OutputKernel::AggregatePosition(i) => grow.get(group_count + i).clone(),
-                    _ => unreachable!("scalar output in aggregate query"),
-                })
-                .collect();
-            rows.push(Row::new(values));
-        }
+        rows = kernels.aggregate(spec, slot, &mut run)?;
         timings.record("aggregation", t2.elapsed());
-    } else if let Some(slot) = final_slot.take() {
-        // Non-aggregate single-table (or materialized) result: run the
-        // output kernels over every record.
+    } else if let Some(slot) = current.take() {
+        // Non-aggregate result that did not stream out of a join: run the
+        // output decoder over every record.
         let t3 = Instant::now();
         cancel.check()?;
-        if slot.is_spilled() {
-            // Page-at-a-time: decode straight off pinned pool pages, one
-            // page resident at a time — the spilled relation is never
-            // re-materialized on its way to the sink.
-            let set = slot.partitions(spill)?;
-            set.for_each_record(|rec| sink.consume(rec))?;
-        } else {
+        if options.collect_rows && !run.pool.is_serial() && !slot.is_spilled() {
+            // Decode record chunks in parallel, appended in chunk order
+            // (= serial record order).
             let input = slot.into_input(spill)?;
-            match &mut sink {
-                OutputSink::Collect { kernels, rows } if !pool.is_serial() => {
-                    // Decode record chunks in parallel, appended in chunk
-                    // order (= serial record order).
-                    let records: Vec<&[u8]> = input.relation.records().collect();
-                    let ranges = chunk_ranges(records.len(), pool.threads());
-                    for chunk in pool.map_items(&ranges, |_, range| {
-                        records[range.clone()]
-                            .iter()
-                            .map(|rec| decode_output_row(kernels, rec))
-                            .collect::<Vec<Row>>()
-                    }) {
-                        rows.extend(chunk);
-                    }
-                }
-                _ => {
-                    for rec in input.relation.records() {
-                        sink.consume(rec);
-                    }
-                }
+            let records: Vec<&[u8]> = input.relation.records().collect();
+            let ranges = chunk_ranges(records.len(), run.pool.threads());
+            for chunk in run.pool.map_items(&ranges, |_, range| {
+                let mut decode = kernels.decoder();
+                records[range.clone()]
+                    .iter()
+                    .map(|rec| decode(rec))
+                    .collect::<Vec<Row>>()
+            }) {
+                rows.extend(chunk);
             }
+        } else {
+            // Page-at-a-time for either source: a spilled relation decodes
+            // straight off pinned pool pages, one page resident at a time,
+            // never re-materialized on its way to the sink.
+            let mut sink = output_sink(options.collect_rows, &mut decode, &mut rows, &mut counted);
+            slot.partitions(spill)?
+                .for_each_record(|rec| sink.push(rec))?;
         }
         timings.record("output", t3.elapsed());
     }
 
     // ---- Finalize ---------------------------------------------------------------
     let t4 = Instant::now();
-    match sink {
-        OutputSink::Collect {
-            rows: sink_rows, ..
-        } if plan.aggregate.is_none() => {
-            rows = sink_rows;
-        }
-        OutputSink::Count(n) if plan.aggregate.is_none() => {
-            stats.rows_out = n;
-        }
-        _ => {}
-    }
     finalize_rows(&mut rows, &plan.order_by, plan.limit);
-    if options.collect_rows || plan.aggregate.is_some() {
-        stats.rows_out = rows.len() as u64;
-    }
+    let Run { mut stats, .. } = run;
+    stats.rows_out = if options.collect_rows || plan.aggregate.is_some() {
+        rows.len() as u64
+    } else {
+        counted
+    };
     timings.record("output", t4.elapsed());
-
-    // Buffer-pool traffic of this execution (zero on memory-resident
-    // catalogs): base-page fetches plus temporary-table spills/reloads.
-    stats.io = catalog.pool_stats().since(&io_base);
-    if let Some(ctx) = &spill_ctx {
-        stats.spilled_temporaries = ctx.spill_count();
-        stats.spill_claim_denied = ctx.claim_denied();
-        stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = catalog.faults_injected().saturating_sub(faults_base);
+    envelope.finish(&mut stats);
 
     Ok(QueryResult {
         schema: plan.output_schema.clone(),
@@ -540,26 +320,17 @@ pub fn execute(
     })
 }
 
-/// Concatenate one record per team member into `buf` (sized to the joined
-/// schema's tuple width).
-#[inline]
-fn concat_records(records: &[&[u8]], buf: &mut [u8]) {
-    let mut off = 0usize;
-    for r in records {
-        buf[off..off + r.len()].copy_from_slice(r);
-        off += r.len();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::generate;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
-    use hique_types::{Column, DataType, Schema};
+    use hique_plan::{plan_query, AggAlgorithm, CatalogProvider, JoinAlgorithm, PlannerConfig};
+    use hique_types::{Column, DataType, Schema, Value};
     use std::sync::Arc;
 
-    fn catalog() -> Catalog {
+    /// Tables `r(k, v, tag)`, `s(k, w)` and `u(k, z)` with the given row
+    /// counts, analyzed.
+    fn catalog_with(r_rows: i32, s_rows: i32, u_rows: i32) -> Catalog {
         let mut cat = Catalog::new();
         cat.create_table(
             "r",
@@ -570,46 +341,40 @@ mod tests {
             ]),
         )
         .unwrap();
-        cat.create_table(
-            "s",
-            Schema::new(vec![
-                Column::new("k", DataType::Int32),
-                Column::new("w", DataType::Int32),
-            ]),
-        )
-        .unwrap();
-        cat.create_table(
-            "u",
-            Schema::new(vec![
-                Column::new("k", DataType::Int32),
-                Column::new("z", DataType::Int32),
-            ]),
-        )
-        .unwrap();
-        for i in 0..200 {
-            cat.table_mut("r")
+        for t in ["s", "u"] {
+            let payload = if t == "s" { "w" } else { "z" };
+            cat.create_table(
+                t,
+                Schema::new(vec![
+                    Column::new("k", DataType::Int32),
+                    Column::new(payload, DataType::Int32),
+                ]),
+            )
+            .unwrap();
+        }
+        let mut append = |table: &str, values: Vec<Value>| {
+            cat.table_mut(table)
                 .unwrap()
                 .heap
-                .append_row(&Row::new(vec![
+                .append_row(&Row::new(values))
+                .unwrap();
+        };
+        for i in 0..r_rows {
+            let tag = if i % 2 == 0 { "ev" } else { "od" };
+            append(
+                "r",
+                vec![
                     Value::Int32(i % 20),
                     Value::Float64(i as f64),
-                    Value::Str(if i % 2 == 0 { "ev" } else { "od" }.into()),
-                ]))
-                .unwrap();
+                    Value::Str(tag.into()),
+                ],
+            );
         }
-        for i in 0..40 {
-            cat.table_mut("s")
-                .unwrap()
-                .heap
-                .append_row(&Row::new(vec![Value::Int32(i % 20), Value::Int32(i)]))
-                .unwrap();
+        for i in 0..s_rows {
+            append("s", vec![Value::Int32(i % 20), Value::Int32(i)]);
         }
-        for i in 0..20 {
-            cat.table_mut("u")
-                .unwrap()
-                .heap
-                .append_row(&Row::new(vec![Value::Int32(i), Value::Int32(100 + i)]))
-                .unwrap();
+        for i in 0..u_rows {
+            append("u", vec![Value::Int32(i), Value::Int32(100 + i)]);
         }
         for t in ["r", "s", "u"] {
             cat.analyze_table(t).unwrap();
@@ -617,19 +382,33 @@ mod tests {
         cat
     }
 
-    fn run(sql: &str, cat: &Catalog, config: &PlannerConfig) -> QueryResult {
+    fn catalog() -> Catalog {
+        catalog_with(200, 40, 20)
+    }
+
+    fn plan(sql: &str, cat: &Catalog, config: &PlannerConfig) -> PhysicalPlan {
         let q = hique_sql::parse_query(sql).unwrap();
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, config).unwrap();
-        generate(&plan).unwrap().execute(cat).unwrap()
+        plan_query(&bound, cat, config).unwrap()
+    }
+
+    fn run(sql: &str, cat: &Catalog, config: &PlannerConfig) -> QueryResult {
+        generate(&plan(sql, cat, config))
+            .unwrap()
+            .execute(cat)
+            .unwrap()
     }
 
     fn run_iter(sql: &str, cat: &Catalog, config: &PlannerConfig) -> QueryResult {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, config).unwrap();
-        hique_iter::execute_plan(&plan, cat, hique_iter::ExecMode::Optimized).unwrap()
+        hique_iter::execute_plan(
+            &plan(sql, cat, config),
+            cat,
+            hique_iter::ExecMode::Optimized,
+        )
+        .unwrap()
     }
+
+    const JOIN_SQL: &str = "select r.v, s.w from r, s where r.k = s.k";
 
     #[test]
     fn holistic_matches_iterator_engine_on_filters_and_projection() {
@@ -695,10 +474,7 @@ mod tests {
     #[test]
     fn count_only_execution_skips_row_materialization() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select r.v, s.w from r, s where r.k = s.k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
-        let generated = generate(&plan).unwrap();
+        let generated = generate(&plan(JOIN_SQL, &cat, &PlannerConfig::default())).unwrap();
         let counted = generated
             .execute_with(
                 &cat,
@@ -764,9 +540,7 @@ mod tests {
     #[test]
     fn exec_options_threads_override_the_plan() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select r.v, s.w from r, s where r.k = s.k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default().with_threads(4)).unwrap();
+        let plan = plan(JOIN_SQL, &cat, &PlannerConfig::default().with_threads(4));
         assert_eq!(plan.threads, 4);
         let generated = generate(&plan).unwrap();
         // Inherit the plan's 4 workers, then override back down to 1: both
@@ -801,50 +575,9 @@ mod tests {
             // Global aggregate over a spilled input.
             "select count(*) as n, max(v) as mx from r",
         ];
-        // A working set well past the 8-page budget (the shared test
-        // catalog's 200-row tables never cross the spill threshold).
-        let big_catalog = || {
-            let mut cat = Catalog::new();
-            cat.create_table(
-                "r",
-                Schema::new(vec![
-                    Column::new("k", DataType::Int32),
-                    Column::new("v", DataType::Float64),
-                    Column::new("tag", DataType::Char(4)),
-                ]),
-            )
-            .unwrap();
-            cat.create_table(
-                "s",
-                Schema::new(vec![
-                    Column::new("k", DataType::Int32),
-                    Column::new("w", DataType::Int32),
-                ]),
-            )
-            .unwrap();
-            for i in 0..2000 {
-                cat.table_mut("r")
-                    .unwrap()
-                    .heap
-                    .append_row(&Row::new(vec![
-                        Value::Int32(i % 20),
-                        Value::Float64(i as f64),
-                        Value::Str(if i % 2 == 0 { "ev" } else { "od" }.into()),
-                    ]))
-                    .unwrap();
-            }
-            for i in 0..200 {
-                cat.table_mut("s")
-                    .unwrap()
-                    .heap
-                    .append_row(&Row::new(vec![Value::Int32(i % 20), Value::Int32(i)]))
-                    .unwrap();
-            }
-            for t in ["r", "s"] {
-                cat.analyze_table(t).unwrap();
-            }
-            cat
-        };
+        // A working set well past the budget (the shared test catalog's
+        // 200-row tables never cross the spill threshold).
+        let big_catalog = || catalog_with(2000, 200, 0);
         let plain = big_catalog();
         let mut paged = big_catalog();
         paged.spill_to_disk(BUDGET).unwrap();
@@ -907,31 +640,7 @@ mod tests {
         // holder (never proceed without spill capability) and report the
         // wait as spill_claim_denied once it runs.
         const BUDGET: usize = 4;
-        let build = || {
-            let mut cat = Catalog::new();
-            cat.create_table(
-                "r",
-                Schema::new(vec![
-                    Column::new("k", DataType::Int32),
-                    Column::new("v", DataType::Float64),
-                    Column::new("tag", DataType::Char(4)),
-                ]),
-            )
-            .unwrap();
-            for i in 0..2000 {
-                cat.table_mut("r")
-                    .unwrap()
-                    .heap
-                    .append_row(&Row::new(vec![
-                        Value::Int32(i % 20),
-                        Value::Float64(i as f64),
-                        Value::Str(if i % 2 == 0 { "ev" } else { "od" }.into()),
-                    ]))
-                    .unwrap();
-            }
-            cat.analyze_table("r").unwrap();
-            cat
-        };
+        let build = || catalog_with(2000, 0, 0);
         let plain = build();
         let mut paged = build();
         paged.spill_to_disk(BUDGET).unwrap();
@@ -975,10 +684,7 @@ mod tests {
     #[test]
     fn cancelled_execution_surfaces_a_typed_error_not_a_panic() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select r.v, s.w from r, s where r.k = s.k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
-        let generated = generate(&plan).unwrap();
+        let generated = generate(&plan(JOIN_SQL, &cat, &PlannerConfig::default())).unwrap();
         // Pre-cancelled token: the execution stops at the first check point.
         let cancel = CancelToken::new();
         cancel.cancel();

@@ -78,14 +78,14 @@ impl GeneratedQuery {
 
     /// Execute the generated program against the catalog's data.
     pub fn execute(&self, catalog: &Catalog) -> Result<QueryResult> {
-        exec::execute(self, catalog, &ExecOptions::default())
+        self.execute_with(catalog, &ExecOptions::default())
     }
 
     /// Execute with explicit options (e.g. counting-only output for the
     /// inflationary-join micro-benchmarks, matching the paper's
     /// "we did not materialize the output" methodology).
     pub fn execute_with(&self, catalog: &Catalog, options: &ExecOptions) -> Result<QueryResult> {
-        exec::execute(self, catalog, options)
+        exec::run(self, &self.plan, catalog, options)
     }
 }
 

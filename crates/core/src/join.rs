@@ -17,7 +17,7 @@ use crate::kernel::CompiledKey;
 use crate::relation::StagedRelation;
 use crate::staging::StagedInput;
 
-/// Where a parallel join kernel sends its matches.
+/// Where a join kernel sends its matches.
 pub enum JoinSink<'a> {
     /// Stream every match pair, in the serial kernel's match order.
     Pairs(&'a mut dyn FnMut(&[u8], &[u8])),
@@ -37,15 +37,18 @@ enum TaskMatches {
 /// Run `tasks` pair-producing join tasks across `pool` and deliver their
 /// matches to `sink` in task order.
 ///
-/// `task` receives (task index, per-match emit callback, local stats).  In
-/// `Pairs` mode each task buffers its matches as packed `lts + rts`-byte
-/// records which are replayed in task order afterwards, so the consumer sees
-/// exactly the serial kernel's match sequence and a streaming sink or
-/// materialized intermediate is byte-identical for any pool width.  In
-/// `Count` mode tasks count locally and the counts are summed in task order.
+/// `task` receives (task index, per-match emit callback, counter set).  On
+/// a serial pool (or with a single task) the tasks run in order on the
+/// caller's thread and emit **straight into the sink** against the caller's
+/// counters — nothing is buffered.  Across workers, in `Pairs` mode each
+/// task buffers its matches as packed `lts + rts`-byte records which are
+/// replayed in task order afterwards, so the consumer sees exactly the
+/// serial match sequence and a streaming sink or materialized intermediate
+/// is byte-identical for any pool width; in `Count` mode tasks count locally
+/// and the counts are summed in task order.
 ///
 /// The `Pairs` buffering bounds peak memory by the join's total output
-/// size: every consumer of a pooled join either materializes that output
+/// size: every consumer of a parallel join either materializes that output
 /// anyway (intermediate relations, collected result rows) — so the
 /// parallel mode at most doubles the output's footprint transiently — or
 /// is counting, which takes the `Count` path and buffers nothing.
@@ -58,6 +61,23 @@ fn run_join_tasks(
     sink: &mut JoinSink,
     task: impl Fn(usize, &mut dyn FnMut(&[u8], &[u8]), &mut ExecStats) + Sync,
 ) {
+    if pool.is_serial() || tasks <= 1 {
+        match sink {
+            JoinSink::Pairs(consumer) => {
+                for p in 0..tasks {
+                    task(p, &mut **consumer, stats);
+                }
+            }
+            JoinSink::Count(total) => {
+                let mut n = 0u64;
+                for p in 0..tasks {
+                    task(p, &mut |_, _| n += 1, stats);
+                }
+                **total += n;
+            }
+        }
+        return;
+    }
     let counting = matches!(sink, JoinSink::Count(_));
     let results: Vec<(TaskMatches, ExecStats)> = pool.map(tasks, |p| {
         let mut local = ExecStats::new();
@@ -93,61 +113,22 @@ fn run_join_tasks(
     }
 }
 
-/// Dispatch a serial join kernel into a [`JoinSink`] (the pooled kernels'
-/// single-thread fallback).
-fn serial_into_sink(sink: &mut JoinSink, run: impl FnOnce(&mut dyn FnMut(&[u8], &[u8]))) {
-    match sink {
-        JoinSink::Pairs(consumer) => run(consumer),
-        JoinSink::Count(total) => {
-            let mut n = 0u64;
-            run(&mut |_, _| n += 1);
-            **total += n;
-        }
+/// Partition `p` of `rel`, or an empty run when `rel` has fewer partitions.
+fn partition_or_empty(rel: &StagedRelation, p: usize) -> &[u8] {
+    if p < rel.num_partitions() {
+        rel.partition(p)
+    } else {
+        &[]
     }
 }
 
-/// Merge join over two relations sorted on their join keys (each flattened
-/// to a single partition).  `consumer` receives (left record, right record)
-/// for every match.
-pub fn merge_join(
-    left: &StagedRelation,
-    right: &StagedRelation,
-    left_key: CompiledKey,
-    right_key: CompiledKey,
-    stats: &mut ExecStats,
-    consumer: &mut dyn FnMut(&[u8], &[u8]),
-) {
-    stats.add_calls(1);
-    for p in 0..left.num_partitions().max(right.num_partitions()) {
-        let lbuf = if p < left.num_partitions() {
-            left.partition(p)
-        } else {
-            &[]
-        };
-        let rbuf = if p < right.num_partitions() {
-            right.partition(p)
-        } else {
-            &[]
-        };
-        merge_buffers(
-            lbuf,
-            left.tuple_size(),
-            rbuf,
-            right.tuple_size(),
-            left_key,
-            right_key,
-            stats,
-            consumer,
-        );
-    }
-}
-
-/// [`merge_join`] with the partition pairs divided across `pool`.
+/// Merge join over two relations sorted on their join keys, partition pair
+/// by partition pair across `pool`.
 ///
-/// Each pair is merged independently with local counters; matches reach
-/// `sink` in partition order, so both the match sequence and the summed
-/// [`ExecStats`] equal the serial kernel's.
-pub fn merge_join_pooled(
+/// Each pair is merged independently; matches reach `sink` in partition
+/// order, so both the match sequence and the summed [`ExecStats`] are the
+/// same for every pool width.
+pub fn merge_join(
     left: &StagedRelation,
     right: &StagedRelation,
     left_key: CompiledKey,
@@ -156,26 +137,13 @@ pub fn merge_join_pooled(
     stats: &mut ExecStats,
     sink: &mut JoinSink,
 ) {
-    let parts = left.num_partitions().max(right.num_partitions());
-    if pool.is_serial() || parts <= 1 {
-        return serial_into_sink(sink, |consumer| {
-            merge_join(left, right, left_key, right_key, stats, consumer)
-        });
-    }
     stats.add_calls(1);
+    let parts = left.num_partitions().max(right.num_partitions());
     let (lts, rts) = (left.tuple_size(), right.tuple_size());
-    run_join_tasks(parts, lts, rts, pool, stats, sink, |p, emit, local| {
-        let lbuf = if p < left.num_partitions() {
-            left.partition(p)
-        } else {
-            &[]
-        };
-        let rbuf = if p < right.num_partitions() {
-            right.partition(p)
-        } else {
-            &[]
-        };
-        merge_buffers(lbuf, lts, rbuf, rts, left_key, right_key, local, emit);
+    run_join_tasks(parts, lts, rts, pool, stats, sink, |p, emit, stats| {
+        let lbuf = partition_or_empty(left, p);
+        let rbuf = partition_or_empty(right, p);
+        merge_buffers(lbuf, lts, rbuf, rts, left_key, right_key, stats, emit);
     });
 }
 
@@ -198,7 +166,6 @@ fn merge_buffers(
     let nr = rbuf.len() / rts;
     let mut li = 0usize;
     let mut rj = 0usize;
-    let mut matches: u64 = 0;
     let mut comparisons: u64 = 0;
     while li < nl && rj < nr {
         let lrec = &lbuf[li * lts..(li + 1) * lts];
@@ -223,7 +190,6 @@ fn merge_buffers(
                             break;
                         }
                         consumer(lrec, rrec);
-                        matches += 1;
                         k += 1;
                     }
                     li += 1;
@@ -244,10 +210,8 @@ fn merge_buffers(
         }
     }
     stats.add_comparisons(comparisons);
-    stats.rows_out += 0; // rows_out is set by the executor, not per-join
     stats.tuples_processed += (nl + nr) as u64;
     stats.bytes_touched += (lbuf.len() + rbuf.len()) as u64;
-    let _ = matches;
 }
 
 /// Blocked nested loops (the paper's Listing 2 template with no staging
@@ -263,38 +227,44 @@ pub fn nested_loops_join(
     left_key: CompiledKey,
     right_key: CompiledKey,
     stats: &mut ExecStats,
-    consumer: &mut dyn FnMut(&[u8], &[u8]),
+    sink: &mut JoinSink,
 ) {
     stats.add_calls(1);
     let (lts, rts) = (left.tuple_size(), right.tuple_size());
-    let mut comparisons: u64 = 0;
-    for lp in 0..left.num_partitions() {
-        for lrec in left.partition(lp).chunks_exact(lts) {
-            let lkey = left_key.as_i64(lrec);
-            for rp in 0..right.num_partitions() {
-                for rrec in right.partition(rp).chunks_exact(rts) {
-                    comparisons += 1;
-                    if right_key.as_i64(rrec) == lkey {
-                        consumer(lrec, rrec);
+    let serial = ScopedPool::serial();
+    run_join_tasks(1, lts, rts, &serial, stats, sink, |_, emit, stats| {
+        let mut comparisons: u64 = 0;
+        for lp in 0..left.num_partitions() {
+            for lrec in left.partition(lp).chunks_exact(lts) {
+                let lkey = left_key.as_i64(lrec);
+                for rp in 0..right.num_partitions() {
+                    for rrec in right.partition(rp).chunks_exact(rts) {
+                        comparisons += 1;
+                        if right_key.as_i64(rrec) == lkey {
+                            emit(lrec, rrec);
+                        }
                     }
                 }
             }
         }
-    }
-    stats.add_comparisons(comparisons);
-    stats.tuples_processed += (left.num_records() + right.num_records()) as u64;
-    stats.bytes_touched += (left.data_bytes() + right.data_bytes()) as u64;
+        stats.add_comparisons(comparisons);
+        stats.tuples_processed += (left.num_records() + right.num_records()) as u64;
+        stats.bytes_touched += (left.data_bytes() + right.data_bytes()) as u64;
+    });
 }
 
 /// Hybrid hash-sort-merge join (paper §V-B): both inputs coarsely
 /// partitioned with the same hash function and partition count, each pair of
-/// corresponding partitions sorted just before being merge-joined.
+/// corresponding partitions sorted just before being merge-joined, with the
+/// per-partition sorts and the partition-pair merges divided across `pool`.
 ///
 /// Inputs staged with matching partition counts are used as-is; otherwise
 /// the side that does not match is repartitioned here (the generated code
 /// would have staged it correctly in the first place — this keeps the kernel
-/// robust for intermediate results).
-// Mirrors the generated kernel's parameter list one-for-one.
+/// robust for intermediate results).  Repartitioning stays serial — it is a
+/// single memcpy-bound scatter pass — so its counters and partition contents
+/// do not depend on the pool width.
+// Mirrors the generated kernel's parameter list one-for-one, plus the pool.
 #[allow(clippy::too_many_arguments)]
 pub fn hybrid_join(
     left: &mut StagedRelation,
@@ -302,8 +272,9 @@ pub fn hybrid_join(
     left_key: CompiledKey,
     right_key: CompiledKey,
     partitions: usize,
+    pool: &ScopedPool,
     stats: &mut ExecStats,
-    consumer: &mut dyn FnMut(&[u8], &[u8]),
+    sink: &mut JoinSink,
 ) {
     stats.add_calls(1);
     let m = partitions
@@ -319,75 +290,13 @@ pub fn hybrid_join(
     // Sort every partition on the join key (cheap no-op if staging already
     // sorted them).
     stats.sort_passes += (2 * m) as u64;
-    left.sort_all(&[left_key]);
-    right.sort_all(&[right_key]);
-    for p in 0..m {
-        merge_buffers(
-            left.partition(p),
-            left.tuple_size(),
-            right.partition(p),
-            right.tuple_size(),
-            left_key,
-            right_key,
-            stats,
-            consumer,
-        );
-    }
-}
-
-/// [`hybrid_join`] with the per-partition sorts and the partition-pair
-/// merges divided across `pool`.
-///
-/// Repartitioning (only needed when an input's staged partition count does
-/// not match) stays serial — it is a single memcpy-bound scatter pass — so
-/// its counters and partition contents are trivially identical to the
-/// serial kernel's.
-// Same signature as the serial kernel plus the worker pool.
-#[allow(clippy::too_many_arguments)]
-pub fn hybrid_join_pooled(
-    left: &mut StagedRelation,
-    right: &mut StagedRelation,
-    left_key: CompiledKey,
-    right_key: CompiledKey,
-    partitions: usize,
-    pool: &ScopedPool,
-    stats: &mut ExecStats,
-    sink: &mut JoinSink,
-) {
-    if pool.is_serial() {
-        return serial_into_sink(sink, |consumer| {
-            hybrid_join(
-                left, right, left_key, right_key, partitions, stats, consumer,
-            )
-        });
-    }
-    stats.add_calls(1);
-    let m = partitions
-        .max(left.num_partitions())
-        .max(right.num_partitions())
-        .max(1);
-    if left.num_partitions() != m {
-        repartition(left, left_key, m, stats);
-    }
-    if right.num_partitions() != m {
-        repartition(right, right_key, m, stats);
-    }
-    stats.sort_passes += (2 * m) as u64;
-    left.par_sort_all(&[left_key], pool);
-    right.par_sort_all(&[right_key], pool);
+    left.sort_all(&[left_key], pool);
+    right.sort_all(&[right_key], pool);
     let (lts, rts) = (left.tuple_size(), right.tuple_size());
     let (left, right) = (&*left, &*right);
-    run_join_tasks(m, lts, rts, pool, stats, sink, |p, emit, local| {
-        merge_buffers(
-            left.partition(p),
-            lts,
-            right.partition(p),
-            rts,
-            left_key,
-            right_key,
-            local,
-            emit,
-        );
+    run_join_tasks(m, lts, rts, pool, stats, sink, |p, emit, stats| {
+        let (lbuf, rbuf) = (left.partition(p), right.partition(p));
+        merge_buffers(lbuf, lts, rbuf, rts, left_key, right_key, stats, emit);
     });
 }
 
@@ -407,49 +316,12 @@ fn repartition(rel: &mut StagedRelation, key: CompiledKey, m: usize, stats: &mut
 }
 
 /// Fine-grained partition join: inputs partitioned by join-key *value*, so
-/// corresponding partitions cross-join without further comparisons.
-pub fn fine_partition_join(
-    left: &StagedInput,
-    right: &StagedInput,
-    left_key: CompiledKey,
-    right_key: CompiledKey,
-    stats: &mut ExecStats,
-    consumer: &mut dyn FnMut(&[u8], &[u8]),
-) {
-    stats.add_calls(1);
-    let left_dir = fine_directory_of(left, left_key, stats);
-    let right_dir = fine_directory_of(right, right_key, stats);
-    let lts = left.relation.tuple_size();
-    let rts = right.relation.tuple_size();
-    for (key, &lp) in &left_dir.0 {
-        let Some(&rp) = right_dir.0.get(key) else {
-            continue;
-        };
-        let lbuf = left_dir
-            .1
-            .as_ref()
-            .map_or_else(|| left.relation.partition(lp), |v| v[lp].as_slice());
-        let rbuf = right_dir
-            .1
-            .as_ref()
-            .map_or_else(|| right.relation.partition(rp), |v| v[rp].as_slice());
-        stats.tuples_processed += (lbuf.len() / lts + rbuf.len() / rts) as u64;
-        stats.bytes_touched += (lbuf.len() + rbuf.len()) as u64;
-        for lrec in lbuf.chunks_exact(lts) {
-            for rrec in rbuf.chunks_exact(rts) {
-                consumer(lrec, rrec);
-            }
-        }
-    }
-}
-
-/// [`fine_partition_join`] with the matched partition pairs divided across
-/// `pool`.
+/// corresponding partitions cross-join without further comparisons, the
+/// matched partition pairs divided across `pool`.
 ///
 /// The directories are ordered maps, so the matched (key → partition pair)
-/// list is in key order; cross-joining each pair into a local buffer and
-/// replaying in that order reproduces the serial match sequence exactly.
-pub fn fine_partition_join_pooled(
+/// list is in key order and every pool width emits the same match sequence.
+pub fn fine_partition_join(
     left: &StagedInput,
     right: &StagedInput,
     left_key: CompiledKey,
@@ -458,11 +330,6 @@ pub fn fine_partition_join_pooled(
     stats: &mut ExecStats,
     sink: &mut JoinSink,
 ) {
-    if pool.is_serial() {
-        return serial_into_sink(sink, |consumer| {
-            fine_partition_join(left, right, left_key, right_key, stats, consumer)
-        });
-    }
     stats.add_calls(1);
     let left_dir = fine_directory_of(left, left_key, stats);
     let right_dir = fine_directory_of(right, right_key, stats);
@@ -479,7 +346,7 @@ pub fn fine_partition_join_pooled(
         pool,
         stats,
         sink,
-        |i, emit, local| {
+        |i, emit, stats| {
             let (lp, rp) = pairs[i];
             let lbuf = left_dir
                 .1
@@ -489,8 +356,8 @@ pub fn fine_partition_join_pooled(
                 .1
                 .as_ref()
                 .map_or_else(|| right.relation.partition(rp), |v| v[rp].as_slice());
-            local.tuples_processed += (lbuf.len() / lts + rbuf.len() / rts) as u64;
-            local.bytes_touched += (lbuf.len() + rbuf.len()) as u64;
+            stats.tuples_processed += (lbuf.len() / lts + rbuf.len() / rts) as u64;
+            stats.bytes_touched += (lbuf.len() + rbuf.len()) as u64;
             for lrec in lbuf.chunks_exact(lts) {
                 for rrec in rbuf.chunks_exact(rts) {
                     emit(lrec, rrec);
@@ -677,7 +544,7 @@ mod tests {
     fn sorted_relation(name: &str, keys: &[i32]) -> StagedRelation {
         let mut rel = relation(name, keys);
         let key = CompiledKey::compile(rel.schema(), 0);
-        rel.sort_all(&[key]);
+        rel.sort_all(&[key], &ScopedPool::serial());
         rel
     }
 
@@ -687,11 +554,17 @@ mod tests {
             .sum()
     }
 
-    fn count_matches(f: impl FnOnce(&mut dyn FnMut(&[u8], &[u8]))) -> usize {
-        let mut count = 0usize;
-        let mut consumer = |_: &[u8], _: &[u8]| count += 1;
-        f(&mut consumer);
-        count
+    /// Run a join kernel against a `Pairs` sink, returning its match
+    /// sequence as (left bytes, right bytes) pairs.
+    fn pair_trace(f: impl FnOnce(&mut JoinSink)) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut trace = Vec::new();
+        let mut consumer = |l: &[u8], r: &[u8]| trace.push((l.to_vec(), r.to_vec()));
+        f(&mut JoinSink::Pairs(&mut consumer));
+        trace
+    }
+
+    fn count_matches(f: impl FnOnce(&mut JoinSink)) -> usize {
+        pair_trace(f).len()
     }
 
     #[test]
@@ -702,8 +575,9 @@ mod tests {
         let right = sorted_relation("r", &rkeys);
         let lk = CompiledKey::compile(left.schema(), 0);
         let rk = CompiledKey::compile(right.schema(), 0);
+        let pool = ScopedPool::serial();
         let mut stats = ExecStats::new();
-        let n = count_matches(|c| merge_join(&left, &right, lk, rk, &mut stats, c));
+        let n = count_matches(|s| merge_join(&left, &right, lk, rk, &pool, &mut stats, s));
         assert_eq!(n, expected_pairs(&lkeys, &rkeys));
         assert!(stats.comparisons > 0);
     }
@@ -714,19 +588,20 @@ mod tests {
         let right = sorted_relation("r", &[10, 20]);
         let lk = CompiledKey::compile(left.schema(), 0);
         let rk = CompiledKey::compile(right.schema(), 0);
+        let pool = ScopedPool::serial();
         let mut stats = ExecStats::new();
         assert_eq!(
-            count_matches(|c| merge_join(&left, &right, lk, rk, &mut stats, c)),
+            count_matches(|s| merge_join(&left, &right, lk, rk, &pool, &mut stats, s)),
             0
         );
         let empty = sorted_relation("e", &[]);
         let ek = CompiledKey::compile(empty.schema(), 0);
         assert_eq!(
-            count_matches(|c| merge_join(&empty, &right, ek, rk, &mut stats, c)),
+            count_matches(|s| merge_join(&empty, &right, ek, rk, &pool, &mut stats, s)),
             0
         );
         assert_eq!(
-            count_matches(|c| merge_join(&left, &empty, lk, ek, &mut stats, c)),
+            count_matches(|s| merge_join(&left, &empty, lk, ek, &pool, &mut stats, s)),
             0
         );
     }
@@ -739,8 +614,10 @@ mod tests {
         let mut right = relation("r", &rkeys);
         let lk = CompiledKey::compile(left.schema(), 0);
         let rk = CompiledKey::compile(right.schema(), 0);
+        let pool = ScopedPool::serial();
         let mut stats = ExecStats::new();
-        let n = count_matches(|c| hybrid_join(&mut left, &mut right, lk, rk, 8, &mut stats, c));
+        let n =
+            count_matches(|s| hybrid_join(&mut left, &mut right, lk, rk, 8, &pool, &mut stats, s));
         assert_eq!(n, expected_pairs(&lkeys, &rkeys));
         assert!(stats.hash_ops >= (lkeys.len() + rkeys.len()) as u64);
         assert!(stats.partition_passes >= 2);
@@ -757,7 +634,9 @@ mod tests {
         let mut stats = ExecStats::new();
         repartition(&mut right, rk, 4, &mut stats);
         let lk = CompiledKey::compile(left.schema(), 0);
-        let n = count_matches(|c| hybrid_join(&mut left, &mut right, lk, rk, 4, &mut stats, c));
+        let pool = ScopedPool::serial();
+        let n =
+            count_matches(|s| hybrid_join(&mut left, &mut right, lk, rk, 4, &pool, &mut stats, s));
         assert_eq!(n, expected_pairs(&lkeys, &rkeys));
     }
 
@@ -769,22 +648,20 @@ mod tests {
         let right = StagedInput::unpartitioned(relation("r", &rkeys));
         let lk = CompiledKey::compile(left.relation.schema(), 0);
         let rk = CompiledKey::compile(right.relation.schema(), 0);
+        let pool = ScopedPool::serial();
         let mut stats = ExecStats::new();
-        let mut count = 0usize;
-        fine_partition_join(&left, &right, lk, rk, &mut stats, &mut |_, _| count += 1);
-        assert_eq!(count, expected_pairs(&lkeys, &rkeys));
-    }
-
-    /// Collect a join's match sequence as (left bytes, right bytes) pairs.
-    fn pair_trace(f: impl FnOnce(&mut dyn FnMut(&[u8], &[u8]))) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut trace = Vec::new();
-        let mut consumer = |l: &[u8], r: &[u8]| trace.push((l.to_vec(), r.to_vec()));
-        f(&mut consumer);
-        trace
+        let fine = pair_trace(|s| fine_partition_join(&left, &right, lk, rk, &pool, &mut stats, s));
+        assert_eq!(fine.len(), expected_pairs(&lkeys, &rkeys));
+        // Nested loops emits outer-major; on inputs already grouped by key
+        // that is the fine join's key order.
+        let nested = pair_trace(|s| {
+            nested_loops_join(&left.relation, &right.relation, lk, rk, &mut stats, s)
+        });
+        assert_eq!(nested, fine);
     }
 
     #[test]
-    fn pooled_merge_join_replays_the_serial_match_sequence() {
+    fn merge_join_across_workers_replays_the_serial_match_sequence() {
         let lkeys: Vec<i32> = (0..300).map(|i| (i * 3) % 31).collect();
         let rkeys: Vec<i32> = (0..200).map(|i| (i * 5) % 29).collect();
         // Partitioned inputs: hash-partition both sides the same way, sort
@@ -796,60 +673,37 @@ mod tests {
         let mut setup = ExecStats::new();
         repartition(&mut left, lk, 8, &mut setup);
         repartition(&mut right, rk, 8, &mut setup);
-        left.sort_all(&[lk]);
-        right.sort_all(&[rk]);
+        left.sort_all(&[lk], &ScopedPool::serial());
+        right.sort_all(&[rk], &ScopedPool::serial());
 
-        let mut serial_stats = ExecStats::new();
-        let serial = pair_trace(|c| merge_join(&left, &right, lk, rk, &mut serial_stats, c));
-        for threads in [2, 4, 7] {
+        let run = |threads: usize| {
             let pool = ScopedPool::new(threads);
-            let mut par_stats = ExecStats::new();
-            let par = pair_trace(|c| {
-                merge_join_pooled(
-                    &left,
-                    &right,
-                    lk,
-                    rk,
-                    &pool,
-                    &mut par_stats,
-                    &mut JoinSink::Pairs(c),
-                )
-            });
-            assert_eq!(par, serial, "threads={threads}");
-            assert_eq!(par_stats, serial_stats, "threads={threads}");
+            let mut stats = ExecStats::new();
+            let trace = pair_trace(|s| merge_join(&left, &right, lk, rk, &pool, &mut stats, s));
+            (trace, stats)
+        };
+        let serial = run(1);
+        assert_eq!(serial.0.len(), expected_pairs(&lkeys, &rkeys));
+        for threads in [2, 4, 7] {
+            assert_eq!(run(threads), serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn pooled_hybrid_join_matches_serial_including_stats() {
+    fn hybrid_join_across_workers_matches_serial_including_stats() {
         let lkeys: Vec<i32> = (0..400).map(|i| i % 37).collect();
         let rkeys: Vec<i32> = (0..150).map(|i| (i * 5) % 41).collect();
         let lk = CompiledKey::compile(relation("l", &lkeys).schema(), 0);
         let rk = CompiledKey::compile(relation("r", &rkeys).schema(), 0);
-        let mut serial_stats = ExecStats::new();
-        let serial = {
+        let run = |threads: usize| {
+            let pool = ScopedPool::new(threads);
+            let mut stats = ExecStats::new();
             let (mut l, mut r) = (relation("l", &lkeys), relation("r", &rkeys));
-            pair_trace(|c| hybrid_join(&mut l, &mut r, lk, rk, 8, &mut serial_stats, c))
+            let trace =
+                pair_trace(|s| hybrid_join(&mut l, &mut r, lk, rk, 8, &pool, &mut stats, s));
+            (trace, stats)
         };
-        let pool = ScopedPool::new(4);
-        let mut par_stats = ExecStats::new();
-        let par = {
-            let (mut l, mut r) = (relation("l", &lkeys), relation("r", &rkeys));
-            pair_trace(|c| {
-                hybrid_join_pooled(
-                    &mut l,
-                    &mut r,
-                    lk,
-                    rk,
-                    8,
-                    &pool,
-                    &mut par_stats,
-                    &mut JoinSink::Pairs(c),
-                )
-            })
-        };
-        assert_eq!(par, serial);
-        assert_eq!(par_stats, serial_stats);
+        assert_eq!(run(4), run(1));
     }
 
     #[test]
@@ -867,7 +721,7 @@ mod tests {
             let rk = CompiledKey::compile(right.relation.schema(), 0);
             let mut count = 0u64;
             let mut stats = ExecStats::new();
-            fine_partition_join_pooled(
+            fine_partition_join(
                 &left,
                 &right,
                 lk,
@@ -880,7 +734,7 @@ mod tests {
 
             let (mut l, mut r) = (relation("l", &lkeys), relation("r", &rkeys));
             let mut count = 0u64;
-            hybrid_join_pooled(
+            hybrid_join(
                 &mut l,
                 &mut r,
                 lk,
@@ -895,51 +749,29 @@ mod tests {
     }
 
     #[test]
-    fn pooled_fine_partition_join_matches_serial_and_handles_empty_inputs() {
+    fn fine_partition_join_across_workers_matches_serial_and_handles_empty_inputs() {
         let lkeys = vec![1, 1, 2, 3, 3, 3, 9, 9];
         let rkeys = vec![1, 3, 3, 4, 9];
         let left = StagedInput::unpartitioned(relation("l", &lkeys));
         let right = StagedInput::unpartitioned(relation("r", &rkeys));
+        let empty = StagedInput::unpartitioned(relation("e", &[]));
         let lk = CompiledKey::compile(left.relation.schema(), 0);
         let rk = CompiledKey::compile(right.relation.schema(), 0);
-        let mut serial_stats = ExecStats::new();
-        let serial =
-            pair_trace(|c| fine_partition_join(&left, &right, lk, rk, &mut serial_stats, c));
-        let pool = ScopedPool::new(4);
-        let mut par_stats = ExecStats::new();
-        let par = pair_trace(|c| {
-            fine_partition_join_pooled(
-                &left,
-                &right,
-                lk,
-                rk,
-                &pool,
-                &mut par_stats,
-                &mut JoinSink::Pairs(c),
-            )
-        });
-        assert_eq!(par, serial);
-        assert_eq!(par_stats, serial_stats);
-
-        // Empty sides: no matches, no panics, stats still mirror serial.
-        let empty = StagedInput::unpartitioned(relation("e", &[]));
         let ek = CompiledKey::compile(empty.relation.schema(), 0);
-        let mut s1 = ExecStats::new();
-        let mut s2 = ExecStats::new();
-        let serial_empty = pair_trace(|c| fine_partition_join(&empty, &right, ek, rk, &mut s1, c));
-        let par_empty = pair_trace(|c| {
-            fine_partition_join_pooled(
-                &empty,
-                &right,
-                ek,
-                rk,
-                &pool,
-                &mut s2,
-                &mut JoinSink::Pairs(c),
-            )
-        });
-        assert!(serial_empty.is_empty() && par_empty.is_empty());
-        assert_eq!(s1, s2);
+        let run = |l: &StagedInput, lk: CompiledKey, threads: usize| {
+            let pool = ScopedPool::new(threads);
+            let mut stats = ExecStats::new();
+            let trace =
+                pair_trace(|s| fine_partition_join(l, &right, lk, rk, &pool, &mut stats, s));
+            (trace, stats)
+        };
+        let serial = run(&left, lk, 1);
+        assert_eq!(serial.0.len(), expected_pairs(&lkeys, &rkeys));
+        assert_eq!(run(&left, lk, 4), serial);
+        // Empty side: no matches, no panics, stats still mirror serial.
+        let serial_empty = run(&empty, ek, 1);
+        assert!(serial_empty.0.is_empty());
+        assert_eq!(run(&empty, ek, 4), serial_empty);
     }
 
     #[test]

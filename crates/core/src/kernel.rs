@@ -228,6 +228,18 @@ impl CompiledExpr {
     }
 }
 
+/// The typed output value of an arithmetic expression evaluated in `f64`
+/// (the numeric cast table of the output kernels, compiled or interpreted).
+#[inline]
+pub fn expr_value(v: f64, dtype: DataType) -> Value {
+    match dtype {
+        DataType::Int32 => Value::Int32(v as i32),
+        DataType::Int64 => Value::Int64(v as i64),
+        DataType::Date => Value::Date(v as i32),
+        _ => Value::Float64(v),
+    }
+}
+
 /// A single-column key accessor specialized on type and offset, used by the
 /// sort, partition and join kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod agg;
+mod compiled;
 pub mod exec;
 pub mod generator;
 pub mod join;
@@ -41,12 +42,6 @@ pub use exec::ExecOptions;
 pub use generator::{generate, GeneratedQuery, OutputKernel, PreparationCost};
 pub use relation::StagedRelation;
 pub use source::GeneratedSource;
-
-/// The shared partition-pipeline substrate (re-exported so downstream users
-/// of the holistic engine reach the streaming spill machinery without a
-/// separate dependency).
-pub use hique_pipeline as pipeline;
-pub use hique_pipeline::{PartitionSet, PartitionStream, ResidencyMeter, SpillContext};
 
 use hique_plan::PhysicalPlan;
 use hique_storage::Catalog;

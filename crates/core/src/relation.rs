@@ -42,7 +42,11 @@ pub(crate) fn sorted_copy(buf: &[u8], ts: usize, keys: &[CompiledKey]) -> Vec<u8
 /// When the runs are stable-sorted contiguous chunks of one logical buffer
 /// (in chunk order), the result is byte-identical to a stable sort of that
 /// whole buffer — the mergesort equivalence the parallel sort paths rely on.
-pub(crate) fn merge_sorted_runs(runs: &[Vec<u8>], ts: usize, keys: &[CompiledKey]) -> Vec<u8> {
+pub(crate) fn merge_sorted_runs(
+    mut runs: Vec<Vec<u8>>,
+    ts: usize,
+    keys: &[CompiledKey],
+) -> Vec<u8> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     // `live` stays in ascending run order (ties must go to the lowest run)
     // and is pruned as runs drain, so the per-record scan only touches runs
@@ -51,7 +55,7 @@ pub(crate) fn merge_sorted_runs(runs: &[Vec<u8>], ts: usize, keys: &[CompiledKey
     let mut live: Vec<usize> = (0..runs.len()).filter(|&r| !runs[r].is_empty()).collect();
     match live.len() {
         0 => return Vec::new(),
-        1 => return runs[live[0]].clone(),
+        1 => return std::mem::take(&mut runs[live[0]]),
         _ => {}
     }
     let mut cursors = vec![0usize; runs.len()];
@@ -74,24 +78,6 @@ pub(crate) fn merge_sorted_runs(runs: &[Vec<u8>], ts: usize, keys: &[CompiledKey
     }
     debug_assert_eq!(out.len(), total);
     out
-}
-
-/// Stable-sorted copy of `buf`, chunk-sorted across `pool` and merged.
-pub(crate) fn par_sorted_copy(
-    buf: &[u8],
-    ts: usize,
-    keys: &[CompiledKey],
-    pool: &ScopedPool,
-) -> Vec<u8> {
-    let n = buf.len() / ts;
-    if pool.is_serial() || n <= 1 {
-        return sorted_copy(buf, ts, keys);
-    }
-    let ranges = chunk_ranges(n, pool.threads());
-    let runs: Vec<Vec<u8>> = pool.map_items(&ranges, |_, r| {
-        sorted_copy(&buf[r.start * ts..r.end * ts], ts, keys)
-    });
-    merge_sorted_runs(&runs, ts, keys)
 }
 
 /// A materialized relation: packed records plus optional partitioning.
@@ -205,50 +191,34 @@ impl StagedRelation {
         self.partitions[0].reserve(n * self.tuple_size);
     }
 
-    /// Sort the records of partition `p` by `keys` (ascending, major first,
-    /// stable).
+    /// Sort every partition by `keys` (ascending, major first, stable)
+    /// across `pool`.
     ///
     /// This is the engine's "optimized quicksort over cache-fitting
     /// partitions": indices are sorted with the specialized key comparator
     /// and the records gathered into a fresh buffer in one pass.
-    pub fn sort_partition(&mut self, p: usize, keys: &[CompiledKey]) {
-        let ts = self.tuple_size;
-        if self.partitions[p].len() / ts <= 1 {
-            return;
-        }
-        self.partitions[p] = sorted_copy(&self.partitions[p], ts, keys);
-    }
-
-    /// Sort every partition by `keys`.
-    pub fn sort_all(&mut self, keys: &[CompiledKey]) {
-        for p in 0..self.partitions.len() {
-            self.sort_partition(p, keys);
-        }
-    }
-
-    /// Sort every partition by `keys` across `pool`, producing exactly the
-    /// bytes [`StagedRelation::sort_all`] would.
-    ///
     /// Multi-partition relations sort one partition per task; a single
     /// partition is chunk-sorted and merged (stable, lowest-chunk ties), so
-    /// both shapes match the serial stable sort byte-for-byte.
-    pub fn par_sort_all(&mut self, keys: &[CompiledKey], pool: &ScopedPool) {
-        if pool.is_serial() {
-            return self.sort_all(keys);
-        }
+    /// every pool width produces the serial stable sort byte-for-byte.
+    pub fn sort_all(&mut self, keys: &[CompiledKey], pool: &ScopedPool) {
         let ts = self.tuple_size;
-        if self.partitions.len() == 1 {
-            if self.partitions[0].len() / ts > 1 {
-                self.partitions[0] = par_sorted_copy(&self.partitions[0], ts, keys, pool);
+        if let [buf] = &mut self.partitions[..] {
+            let n = buf.len() / ts;
+            if !pool.is_serial() && n > 1 {
+                let runs: Vec<Vec<u8>> = pool
+                    .map_items(&chunk_ranges(n, pool.threads()), |_, r| {
+                        sorted_copy(&buf[r.start * ts..r.end * ts], ts, keys)
+                    });
+                *buf = merge_sorted_runs(runs, ts, keys);
+                return;
             }
-            return;
         }
         let parts = std::mem::take(&mut self.partitions);
-        self.partitions = pool.map_items(&parts, |_, buf| {
+        self.partitions = pool.map_owned(parts, |_, buf| {
             if buf.len() / ts <= 1 {
-                buf.clone()
+                buf
             } else {
-                sorted_copy(buf, ts, keys)
+                sorted_copy(&buf, ts, keys)
             }
         });
     }
@@ -345,7 +315,7 @@ mod tests {
             .collect();
         let mut rel = StagedRelation::from_rows(schema(), &rows).unwrap();
         let key = CompiledKey::compile(rel.schema(), 0);
-        rel.sort_all(&[key]);
+        rel.sort_all(&[key], &ScopedPool::serial());
         let sorted: Vec<i32> = rel
             .to_rows()
             .iter()
@@ -356,7 +326,10 @@ mod tests {
         // here; verify stability is not required, just ordering by v).
         let key_v = CompiledKey::compile(rel.schema(), 1);
         let mut rel2 = StagedRelation::from_rows(schema(), &rows).unwrap();
-        rel2.sort_all(&[CompiledKey::compile(rel2.schema(), 0), key_v]);
+        rel2.sort_all(
+            &[CompiledKey::compile(rel2.schema(), 0), key_v],
+            &ScopedPool::serial(),
+        );
         let pairs: Vec<(i32, f64)> = rel2
             .to_rows()
             .iter()
@@ -396,27 +369,27 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                merge_sorted_runs(&runs, ts, &[key(&rel)]),
+                merge_sorted_runs(runs.clone(), ts, &[key(&rel)]),
                 whole,
                 "chunks={chunks}"
             );
         }
         // Degenerate runs: all empty, one non-empty, interleaved empties.
-        assert!(merge_sorted_runs(&[Vec::new(), Vec::new()], ts, &[key(&rel)]).is_empty());
+        assert!(merge_sorted_runs(vec![Vec::new(), Vec::new()], ts, &[key(&rel)]).is_empty());
         let single = vec![Vec::new(), whole.clone(), Vec::new()];
-        assert_eq!(merge_sorted_runs(&single, ts, &[key(&rel)]), whole);
+        assert_eq!(merge_sorted_runs(single, ts, &[key(&rel)]), whole);
     }
 
     #[test]
-    fn par_sort_all_matches_serial_sort_bytes() {
+    fn sort_all_is_byte_identical_for_every_pool_width() {
         let rows: Vec<Row> = (0..300).map(|i| row((i * 11) % 23, i as f64)).collect();
         let key = CompiledKey::compile(&schema(), 0);
         // Single partition: chunk-sort + merge path.
         let mut serial = StagedRelation::from_rows(schema(), &rows).unwrap();
-        serial.sort_all(&[key]);
+        serial.sort_all(&[key], &ScopedPool::serial());
         for threads in [2, 3, 8] {
             let mut par = StagedRelation::from_rows(schema(), &rows).unwrap();
-            par.par_sort_all(&[key], &ScopedPool::new(threads));
+            par.sort_all(&[key], &ScopedPool::new(threads));
             assert_eq!(par.partition(0), serial.partition(0), "threads={threads}");
         }
         // Multi-partition: one task per partition (including empty ones).
@@ -426,9 +399,9 @@ mod tests {
             multi.push_to(if i % 2 == 0 { 0 } else { 3 }, &rec);
         }
         let mut serial_multi = multi.clone();
-        serial_multi.sort_all(&[key]);
+        serial_multi.sort_all(&[key], &ScopedPool::serial());
         let mut par_multi = multi.clone();
-        par_multi.par_sort_all(&[key], &ScopedPool::new(4));
+        par_multi.sort_all(&[key], &ScopedPool::new(4));
         for p in 0..5 {
             assert_eq!(par_multi.partition(p), serial_multi.partition(p), "p={p}");
         }
@@ -438,10 +411,10 @@ mod tests {
     fn empty_and_single_record_sorts() {
         let mut rel = StagedRelation::new(schema());
         let key = CompiledKey::compile(rel.schema(), 0);
-        rel.sort_all(&[key]);
+        rel.sort_all(&[key], &ScopedPool::serial());
         assert_eq!(rel.num_records(), 0);
         rel.push(&row(1, 1.0).to_record(&schema()).unwrap());
-        rel.sort_all(&[key]);
+        rel.sort_all(&[key], &ScopedPool::serial());
         assert_eq!(rel.num_records(), 1);
     }
 }

@@ -45,6 +45,10 @@ pub enum StagedSlot {
     Spilled(SpilledInput),
 }
 
+fn no_spill_context() -> HiqueError {
+    HiqueError::Execution("spilled input consumed without an active spill context".into())
+}
+
 impl StagedSlot {
     /// Wrap a freshly staged input, spilling it when a context is active
     /// and the relation exceeds the threshold.
@@ -117,11 +121,7 @@ impl StagedSlot {
                 ))
             }
             StagedSlot::Spilled(s) => {
-                let ctx = ctx.ok_or_else(|| {
-                    HiqueError::Execution(
-                        "spilled input consumed without an active spill context".into(),
-                    )
-                })?;
+                let ctx = ctx.ok_or_else(no_spill_context)?;
                 Ok(PartitionSet::new(
                     s.parts
                         .iter()
@@ -140,11 +140,7 @@ impl StagedSlot {
         match self {
             StagedSlot::Mem(input) => Ok(input),
             StagedSlot::Spilled(spilled) => {
-                let ctx = ctx.ok_or_else(|| {
-                    HiqueError::Execution(
-                        "spilled input consumed without an active spill context".into(),
-                    )
-                })?;
+                let ctx = ctx.ok_or_else(no_spill_context)?;
                 // Hold every partition's residency registration until the
                 // whole relation is assembled, so the meter's high-water
                 // reflects the cumulative materialization — the honest

@@ -40,17 +40,6 @@ impl StagedInput {
     }
 }
 
-/// Stage one base table according to its plan descriptor on the calling
-/// thread (serial; see [`stage_table_pooled`] for the partition-parallel
-/// form).
-pub fn stage_table(
-    heap: &TableHeap,
-    staged: &StagedTable,
-    stats: &mut ExecStats,
-) -> Result<StagedInput> {
-    stage_table_pooled(heap, staged, stats, &ScopedPool::serial())
-}
-
 /// The compiled scan/filter/project kernels shared by every worker.
 struct ScanKernels {
     filters: Vec<CompiledFilter>,
@@ -122,19 +111,9 @@ struct FineChunk {
 /// outputs are merged in chunk order.  Every strategy's merge reproduces the
 /// serial scan order exactly (concatenation, stable sort + run merge,
 /// per-partition concatenation, first-occurrence directory renumbering), so
-/// the staged relation is byte-identical for every pool width.
-pub fn stage_table_pooled(
-    heap: &TableHeap,
-    staged: &StagedTable,
-    stats: &mut ExecStats,
-    pool: &ScopedPool,
-) -> Result<StagedInput> {
-    stage_table_cancellable(heap, staged, stats, pool, &CancelToken::disabled())
-}
-
-/// [`stage_table_pooled`] under a cancellation token, checked once per heap
-/// page by every scan worker.
-pub fn stage_table_cancellable(
+/// the staged relation is byte-identical for every pool width.  Every scan
+/// worker checks `cancel` once per heap page.
+pub fn stage_table(
     heap: &TableHeap,
     staged: &StagedTable,
     stats: &mut ExecStats,
@@ -181,9 +160,7 @@ pub fn stage_table_cancellable(
                     // chunk (stable) so the merge below only has to interleave
                     // sorted runs.
                     if let Some(keys) = &sort_keys {
-                        if !pool.is_serial() {
-                            out = crate::relation::sorted_copy(&out, out_width, keys);
-                        }
+                        out = crate::relation::sorted_copy(&out, out_width, keys);
                     }
                     Ok((out, local))
                 });
@@ -192,41 +169,30 @@ pub fn stage_table_cancellable(
                 .collect::<Result<Vec<_>>>()?
                 .into_iter()
                 .unzip();
-            let total_records: usize = runs.iter().map(|b| b.len() / out_width.max(1)).sum();
-            let mut rel = StagedRelation::new(out_schema.clone());
-            rel.reserve(total_records);
-            match &sort_keys {
-                Some(keys) if !pool.is_serial() => {
-                    // Runs are stable-sorted chunks in scan order: the
-                    // lowest-run-wins merge equals a stable sort of the
-                    // whole staged buffer.
-                    for rec in
-                        merge_sorted_runs(&runs, out_width, keys).chunks_exact(out_width.max(1))
-                    {
-                        rel.push(rec);
-                    }
+            let data = match &sort_keys {
+                // Runs are stable-sorted chunks in scan order: the
+                // lowest-run-wins merge equals a stable sort of the whole
+                // staged buffer (one run, on a serial pool, is that sort).
+                Some(keys) => merge_sorted_runs(runs, out_width, keys),
+                // The first run is the base buffer: a serial scan's single run
+                // is staged without a second copy of the relation.
+                None => {
+                    let mut runs = runs.into_iter();
+                    let mut data = runs.next().unwrap_or_default();
+                    runs.for_each(|run| data.extend_from_slice(&run));
+                    data
                 }
-                _ => {
-                    for buf in &runs {
-                        for rec in buf.chunks_exact(out_width.max(1)) {
-                            rel.push(rec);
-                        }
-                    }
-                }
-            }
+            };
+            let rel = StagedRelation::from_partitions(out_schema.clone(), vec![data]);
             stats.merge(&worker_stats.into_iter().sum());
             stats.add_materialized(rel.data_bytes());
-            if let Some(keys) = sort_keys {
-                // Sort accounting is derived from the total row count (as in
-                // the serial path) so the counters do not depend on the pool
-                // width.
+            if sort_keys.is_some() {
+                // Sort accounting is derived from the total row count so the
+                // counters do not depend on the pool width.
                 stats.sort_passes += 1;
                 let n = rel.num_records() as f64;
                 if n > 1.0 {
                     stats.add_comparisons((n * n.log2()).ceil() as u64);
-                }
-                if pool.is_serial() {
-                    rel.sort_all(&keys);
                 }
             }
             StagedInput::unpartitioned(rel)
@@ -268,7 +234,7 @@ pub fn stage_table_cancellable(
             stats.add_materialized(rel.data_bytes());
             if matches!(staged.strategy, StagingStrategy::PartitionThenSort { .. }) {
                 stats.sort_passes += rel.num_partitions() as u64;
-                rel.par_sort_all(&[key], pool);
+                rel.sort_all(&[key], pool);
             }
             StagedInput::unpartitioned(rel)
         }
@@ -346,6 +312,17 @@ mod tests {
     use hique_sql::ast::CmpOp;
     use hique_types::{Column, DataType, Row, Schema, Value};
 
+    /// The one staging kernel at a given pool width, never cancelled.
+    fn stage(
+        heap: &TableHeap,
+        desc: &StagedTable,
+        stats: &mut ExecStats,
+        threads: usize,
+    ) -> Result<StagedInput> {
+        let pool = ScopedPool::new(threads);
+        stage_table(heap, desc, stats, &pool, &CancelToken::disabled())
+    }
+
     fn heap() -> TableHeap {
         let schema = Schema::new(vec![
             Column::new("k", DataType::Int32),
@@ -388,10 +365,11 @@ mod tests {
             value: Value::Float64(100.0),
         };
         let mut stats = ExecStats::new();
-        let staged = stage_table(
+        let staged = stage(
             &heap,
             &descriptor(StagingStrategy::None, vec![filter]),
             &mut stats,
+            1,
         )
         .unwrap();
         assert_eq!(staged.relation.num_records(), 100);
@@ -406,7 +384,7 @@ mod tests {
     fn sorted_staging_orders_by_key() {
         let heap = heap();
         let mut stats = ExecStats::new();
-        let staged = stage_table(
+        let staged = stage(
             &heap,
             &descriptor(
                 StagingStrategy::Sort {
@@ -415,6 +393,7 @@ mod tests {
                 vec![],
             ),
             &mut stats,
+            1,
         )
         .unwrap();
         let keys: Vec<i64> = staged
@@ -430,7 +409,7 @@ mod tests {
     fn coarse_partitioning_covers_all_rows_and_separates_keys() {
         let heap = heap();
         let mut stats = ExecStats::new();
-        let staged = stage_table(
+        let staged = stage(
             &heap,
             &descriptor(
                 StagingStrategy::PartitionThenSort {
@@ -440,6 +419,7 @@ mod tests {
                 vec![],
             ),
             &mut stats,
+            1,
         )
         .unwrap();
         let rel = &staged.relation;
@@ -472,7 +452,7 @@ mod tests {
     fn fine_partitioning_builds_value_directory() {
         let heap = heap();
         let mut stats = ExecStats::new();
-        let staged = stage_table(
+        let staged = stage(
             &heap,
             &descriptor(
                 StagingStrategy::PartitionFine {
@@ -482,6 +462,7 @@ mod tests {
                 vec![],
             ),
             &mut stats,
+            1,
         )
         .unwrap();
         let dir = staged.fine_directory.as_ref().unwrap();
@@ -540,16 +521,10 @@ mod tests {
         for strategy in all_strategies() {
             let desc = descriptor(strategy.clone(), vec![]);
             let mut serial_stats = ExecStats::new();
-            let serial = stage_table(&heap, &desc, &mut serial_stats).unwrap();
+            let serial = stage(&heap, &desc, &mut serial_stats, 1).unwrap();
             for threads in [2, 3, 4, 16] {
                 let mut par_stats = ExecStats::new();
-                let par = stage_table_pooled(
-                    &heap,
-                    &desc,
-                    &mut par_stats,
-                    &hique_par::ScopedPool::new(threads),
-                )
-                .unwrap();
+                let par = stage(&heap, &desc, &mut par_stats, threads).unwrap();
                 let context = format!("{strategy:?} threads={threads}");
                 assert_identical(&serial, &par, &context);
                 // Per-worker counters must sum exactly to the serial counts.
@@ -592,10 +567,9 @@ mod tests {
                 estimated_rows: 400,
             };
             let mut s1 = ExecStats::new();
-            let serial = stage_table(&heap, &desc, &mut s1).unwrap();
+            let serial = stage(&heap, &desc, &mut s1, 1).unwrap();
             let mut s4 = ExecStats::new();
-            let par =
-                stage_table_pooled(&heap, &desc, &mut s4, &hique_par::ScopedPool::new(4)).unwrap();
+            let par = stage(&heap, &desc, &mut s4, 4).unwrap();
             assert_identical(&serial, &par, &format!("{strategy:?}"));
             assert_eq!(s1, s4);
             assert_eq!(par.relation.num_records(), 400);
@@ -623,8 +597,7 @@ mod tests {
                 estimated_rows: 0,
             };
             let mut stats = ExecStats::new();
-            let par = stage_table_pooled(&heap, &desc, &mut stats, &hique_par::ScopedPool::new(4))
-                .unwrap();
+            let par = stage(&heap, &desc, &mut stats, 4).unwrap();
             assert_eq!(par.relation.num_records(), 0);
             assert!(par.relation.num_partitions() >= 1);
         }
@@ -654,10 +627,11 @@ mod tests {
                 partitions: 4,
             },
         ] {
-            let staged = stage_table(
+            let staged = stage(
                 &heap,
                 &descriptor(strategy, vec![filter.clone()]),
                 &mut stats,
+                1,
             )
             .unwrap();
             assert_eq!(staged.relation.num_records(), 0);

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hique_storage::{BufferPool, BufferPoolStats, Catalog, TableHeap, TempSpace};
+use hique_storage::{BufferPool, Catalog, TableHeap, TempSpace};
 use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at, read_str_at};
 use hique_types::{DataType, HiqueError, Result, Schema, Value};
 
@@ -204,11 +204,6 @@ impl DsmDatabase {
     /// The source catalog's spill space, when it runs in paged mode.
     pub fn temp(&self) -> Option<&Arc<TempSpace>> {
         self.temp.as_ref()
-    }
-
-    /// Snapshot of the pool counters (zeros without a paged source).
-    pub fn pool_stats(&self) -> BufferPoolStats {
-        self.pool.as_ref().map(|p| p.stats()).unwrap_or_default()
     }
 }
 

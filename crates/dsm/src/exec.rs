@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use hique_par::{chunk_ranges, ScopedPool};
-use hique_pipeline::SpillContext;
+use hique_pipeline::{RunEnvelope, SpillContext};
 use hique_plan::PhysicalPlan;
 use hique_sql::analyze::{ColumnFilter, OutputExpr, ScalarExpr};
 use hique_sql::ast::{AggFunc, BinOp};
@@ -106,25 +106,8 @@ pub fn execute_plan_cancellable(
     let mut timings = PhaseTimings::new();
     let started = Instant::now();
     let pool = ScopedPool::new(plan.threads);
-    let spill_ctx: Option<SpillContext> = match (plan.memory_budget_pages, db.temp()) {
-        (pages, Some(temp)) if pages > 0 => Some(SpillContext::acquire_cancellable(
-            temp,
-            pages,
-            cancel.clone(),
-        )?),
-        _ => None,
-    };
-    let spill = spill_ctx.as_ref();
-    let io_base = db.pool_stats();
-    let faults_base = db
-        .pool()
-        .and_then(|p| p.fault_plan())
-        .map(|plan| plan.injected())
-        .unwrap_or(0);
-    // Per-execution residency window: peak_resident_pages reports this
-    // run's high-water, not the pool's lifetime maximum — and concurrent
-    // executions each hold their own window.
-    let peak_window = db.pool().map(|p| p.begin_peak_window());
+    let envelope = RunEnvelope::begin(db.pool(), db.temp(), plan.memory_budget_pages, &cancel)?;
+    let spill = envelope.spill();
 
     // Resolve the decomposed tables in FROM order.
     let stores: Vec<&ColumnStore> = plan
@@ -166,32 +149,7 @@ pub fn execute_plan_cancellable(
     let first = plan.join_order[0];
     alignment.insert(first, U32Slot::stage(selections[first].clone(), spill)?);
 
-    struct Step {
-        right: usize,
-        left_key: usize,
-        right_key: usize,
-    }
-    let steps: Vec<Step> = if let Some(team) = &plan.join_team {
-        team.members
-            .iter()
-            .zip(&team.key_columns)
-            .skip(1)
-            .map(|(&right, &rk)| Step {
-                right,
-                left_key: team.key_columns[0],
-                right_key: rk,
-            })
-            .collect()
-    } else {
-        plan.joins
-            .iter()
-            .map(|j| Step {
-                right: j.right,
-                left_key: j.left_key,
-                right_key: j.right_key,
-            })
-            .collect()
-    };
+    let steps = plan.binary_steps();
 
     for step in &steps {
         stats.add_calls(1);
@@ -435,19 +393,7 @@ pub fn execute_plan_cancellable(
     finalize_rows(&mut rows, &plan.order_by, plan.limit);
     stats.rows_out = rows.len() as u64;
     timings.record("total", started.elapsed());
-    stats.io = db.pool_stats().since(&io_base);
-    if let Some(ctx) = &spill_ctx {
-        stats.spilled_temporaries = ctx.spill_count();
-        stats.spill_claim_denied = ctx.claim_denied();
-        stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = db
-        .pool()
-        .and_then(|p| p.fault_plan())
-        .map(|plan| plan.injected())
-        .unwrap_or(0)
-        .saturating_sub(faults_base);
+    envelope.finish(&mut stats);
     Ok(QueryResult {
         schema: plan.output_schema.clone(),
         rows,

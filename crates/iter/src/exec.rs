@@ -1,10 +1,9 @@
 //! Plan execution: building the iterator pipeline and running it.
 
-use std::rc::Rc;
 use std::time::Instant;
 
 use hique_par::ScopedPool;
-use hique_pipeline::SpillContext;
+use hique_pipeline::RunEnvelope;
 use hique_plan::{AggAlgorithm, JoinAlgorithm, PhysicalPlan, StagingStrategy};
 use hique_storage::Catalog;
 use hique_types::{
@@ -24,23 +23,14 @@ use crate::BoxedIterator;
 /// `mode` selects between the paper's "generic iterators" and "optimized
 /// iterators" implementations.
 pub fn execute_plan(plan: &PhysicalPlan, catalog: &Catalog, mode: ExecMode) -> Result<QueryResult> {
-    execute_plan_with(plan, catalog, mode, true)
+    execute_plan_cancellable(plan, catalog, mode, true, CancelToken::disabled())
 }
 
-/// Like [`execute_plan`], but when `collect_rows` is `false` the final
-/// result rows are only counted (`stats.rows_out`), not materialized —
-/// matching the paper's micro-benchmark methodology of never materializing
-/// query output.  Aggregate results are always collected.
-pub fn execute_plan_with(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    mode: ExecMode,
-    collect_rows: bool,
-) -> Result<QueryResult> {
-    execute_plan_cancellable(plan, catalog, mode, collect_rows, CancelToken::disabled())
-}
-
-/// [`execute_plan_with`] under a cancellation token, polled at the engine's
+/// [`execute_plan`] with an output mode and a cancellation token.  When
+/// `collect_rows` is `false` the final result rows are only counted
+/// (`stats.rows_out`), not materialized — matching the paper's
+/// micro-benchmark methodology of never materializing query output;
+/// aggregate results are always collected.  `cancel` is polled at the engine's
 /// page-granularity points (scan page fetches, spilled partition pulls,
 /// spill-admission waits, output batches).
 pub fn execute_plan_cancellable(
@@ -57,24 +47,17 @@ pub fn execute_plan_cancellable(
     // Under a memory budget on a paged catalog, sort runs and hash
     // partitions above the threshold spill through the buffer pool (the
     // same size-only policy as the holistic engine).
-    let spill: Option<Rc<SpillContext>> =
-        match (plan.memory_budget_pages, catalog.storage()) {
-            (pages, Some(runtime)) if pages > 0 => Some(Rc::new(
-                SpillContext::acquire_cancellable(runtime.temp(), pages, cancel.clone())?,
-            )),
-            _ => None,
-        };
+    let envelope = RunEnvelope::begin(
+        catalog.buffer_pool(),
+        catalog.storage().map(|s| s.temp()),
+        plan.memory_budget_pages,
+        &cancel,
+    )?;
     let ctx = ExecContext::new(mode)
         .with_pool(pool)
-        .with_spill(spill.clone())
+        .with_spill(envelope.spill_shared())
         .with_cancel(cancel.clone());
     let started = Instant::now();
-    let io_base = catalog.pool_stats();
-    let faults_base = catalog.faults_injected();
-    // Per-execution residency window: peak_resident_pages reports this
-    // run's high-water, not the pool's lifetime maximum — and concurrent
-    // executions each hold their own window.
-    let peak_window = catalog.buffer_pool().map(|p| p.begin_peak_window());
 
     // ---- Staged inputs ----------------------------------------------------
     let staged_iter = |t: usize, ctx: &ExecContext| -> Result<BoxedIterator<'_>> {
@@ -97,35 +80,7 @@ pub fn execute_plan_cancellable(
     // Either the explicit binary cascade, or a cascade synthesised from the
     // join team (the iterator model has no fused multi-way join — that is
     // precisely the holistic engine's advantage in Figure 7(b)).
-    struct Step {
-        right: usize,
-        left_key: usize,
-        right_key: usize,
-        algorithm: JoinAlgorithm,
-    }
-    let steps: Vec<Step> = if let Some(team) = &plan.join_team {
-        team.members
-            .iter()
-            .zip(team.key_columns.iter())
-            .skip(1)
-            .map(|(&right, &right_key)| Step {
-                right,
-                left_key: team.key_columns[0],
-                right_key,
-                algorithm: team.algorithm,
-            })
-            .collect()
-    } else {
-        plan.joins
-            .iter()
-            .map(|j| Step {
-                right: j.right,
-                left_key: j.left_key,
-                right_key: j.right_key,
-                algorithm: j.algorithm,
-            })
-            .collect()
-    };
+    let steps = plan.binary_steps();
 
     for (i, step) in steps.iter().enumerate() {
         let right = staged_iter(step.right, &ctx)?;
@@ -241,16 +196,7 @@ pub fn execute_plan_cancellable(
     let mut timings = PhaseTimings::new();
     timings.record("total", started.elapsed());
     let mut stats = ctx.stats();
-    // Buffer-pool traffic of this execution (zero on memory-resident
-    // catalogs).
-    stats.io = catalog.pool_stats().since(&io_base);
-    if let Some(spill) = &spill {
-        stats.spilled_temporaries = spill.spill_count();
-        stats.spill_claim_denied = spill.claim_denied();
-        stats.spill_consumer_peak_pages = spill.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = catalog.faults_injected().saturating_sub(faults_base);
+    envelope.finish(&mut stats);
     Ok(QueryResult {
         schema: plan.output_schema.clone(),
         rows,

@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use hique_par::ScopedPool;
 use hique_pipeline::SpillContext;
@@ -38,7 +39,7 @@ pub struct ExecContext {
     /// Spill policy when the plan carries a memory budget and the catalog
     /// runs in paged mode: sort runs and hash-partitioned join inputs above
     /// the size threshold go through the buffer pool.
-    spill: Option<Rc<SpillContext>>,
+    spill: Option<Arc<SpillContext>>,
     /// Cooperative cancellation, polled at page boundaries (scan page
     /// fetches, spilled partition pulls, output batches).
     cancel: CancelToken,
@@ -73,7 +74,7 @@ impl ExecContext {
     }
 
     /// Route oversized intermediates through `spill`.
-    pub fn with_spill(mut self, spill: Option<Rc<SpillContext>>) -> Self {
+    pub fn with_spill(mut self, spill: Option<Arc<SpillContext>>) -> Self {
         self.spill = spill;
         self
     }
@@ -106,7 +107,7 @@ impl ExecContext {
     }
 
     /// The active spill policy, if any.
-    pub fn spill(&self) -> Option<&Rc<SpillContext>> {
+    pub fn spill(&self) -> Option<&Arc<SpillContext>> {
         self.spill.as_ref()
     }
 

@@ -1,6 +1,6 @@
 //! Blocking sort iterator.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use hique_par::{chunk_ranges, ScopedPool};
 use hique_types::{
@@ -143,7 +143,7 @@ impl QueryIterator for SortIterator<'_> {
             Some(spill) if spill.should_spill(sorted.len() * self.schema.tuple_size()) => {
                 let spilled = SpilledRows::spill(&sorted, &self.schema, spill)?;
                 drop(sorted);
-                SortedRun::Spilled(spilled.cursor(Rc::clone(spill)))
+                SortedRun::Spilled(spilled.cursor(Arc::clone(spill)))
             }
             _ => SortedRun::Rows(sorted),
         };
@@ -186,7 +186,6 @@ mod tests {
     use hique_plan::{StagedTable, StagingStrategy};
     use hique_storage::{BufferPool, TableHeap, TempSpace};
     use hique_types::{Column, DataType, Value};
-    use std::sync::Arc;
 
     fn make_scan<'a>(heap: &'a TableHeap, ctx: &ExecContext) -> BoxedIterator<'a> {
         let staged = StagedTable {
@@ -298,10 +297,10 @@ mod tests {
 
         for threads in [1, 4] {
             // Budget 1 page: every run spills.
-            let spill = Rc::new(SpillContext::acquire(&temp, 1).expect("space free"));
+            let spill = Arc::new(SpillContext::acquire(&temp, 1).expect("space free"));
             let ctx = ExecContext::new(ExecMode::Optimized)
                 .with_pool(ScopedPool::new(threads))
-                .with_spill(Some(Rc::clone(&spill)));
+                .with_spill(Some(Arc::clone(&spill)));
             let mut sorted = SortIterator::ascending(make_scan(&heap, &ctx), &[0], ctx.clone());
             let rows = drain(&mut sorted, &ctx).unwrap();
             assert_eq!(rows, expected, "threads={threads}");

@@ -12,7 +12,7 @@
 //! so `threads = N` spills exactly what `threads = 1` spills and results
 //! are identical for every budget.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use hique_pipeline::SpillContext;
 use hique_storage::SpillHandle;
@@ -65,7 +65,7 @@ impl SpilledRows {
 
     /// A streaming decoder over the run: rows come back in order, decoding
     /// one page per refill, with only that page's rows resident.
-    pub fn cursor(&self, ctx: Rc<SpillContext>) -> RowCursor {
+    pub fn cursor(&self, ctx: Arc<SpillContext>) -> RowCursor {
         RowCursor {
             ctx,
             handle: self.handle,
@@ -79,7 +79,7 @@ impl SpilledRows {
 
 /// Streaming decoder over a [`SpilledRows`] run.
 pub struct RowCursor {
-    ctx: Rc<SpillContext>,
+    ctx: Arc<SpillContext>,
     handle: SpillHandle,
     schema: Schema,
     next_page: usize,
@@ -125,7 +125,6 @@ mod tests {
     use super::*;
     use hique_storage::{BufferPool, TempSpace};
     use hique_types::{Column, DataType, Value};
-    use std::sync::Arc;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -147,7 +146,7 @@ mod tests {
             .collect()
     }
 
-    fn ctx(name: &str, budget: usize) -> (Rc<SpillContext>, std::path::PathBuf) {
+    fn ctx(name: &str, budget: usize) -> (Arc<SpillContext>, std::path::PathBuf) {
         let mut path = std::env::temp_dir();
         path.push(format!(
             "hique_iter_spill_{}_{name}.spill",
@@ -156,7 +155,7 @@ mod tests {
         let pool = Arc::new(BufferPool::new(budget).unwrap());
         let temp = Arc::new(TempSpace::create(pool, &path).unwrap());
         (
-            Rc::new(SpillContext::acquire(&temp, 1).expect("space free")),
+            Arc::new(SpillContext::acquire(&temp, 1).expect("space free")),
             path,
         )
     }
@@ -168,7 +167,7 @@ mod tests {
         let run = SpilledRows::spill(&original, &schema(), &ctx).unwrap();
         assert_eq!(run.num_rows(), 1000);
 
-        let mut cursor = run.cursor(Rc::clone(&ctx));
+        let mut cursor = run.cursor(Arc::clone(&ctx));
         let mut streamed = Vec::new();
         while let Some(row) = cursor.next().unwrap() {
             streamed.push(row);
@@ -189,7 +188,7 @@ mod tests {
         let run = SpilledRows::spill(&[], &schema(), &ctx).unwrap();
         assert_eq!(run.num_rows(), 0);
         assert!(run.load(&ctx).unwrap().is_empty());
-        assert!(run.cursor(Rc::clone(&ctx)).next().unwrap().is_none());
+        assert!(run.cursor(Arc::clone(&ctx)).next().unwrap().is_none());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -20,21 +20,22 @@
 //!   explicitly, and the [`ResidencyMeter`] records how many pages each
 //!   style held resident so tests can prove the streaming paths stay under
 //!   the budget where whole-partition reload could not;
-//! * [`PartitionSet`] — the deterministic fan-out: partitions map across a
-//!   [`ScopedPool`] in partition order (same chunking/merge rules as the
-//!   PR-2 holistic kernels), so `threads = 1 ≡ threads = N` holds for every
-//!   engine that drives its per-partition work through it.
+//! * [`PartitionSet`] — a relation's partition streams in partition order,
+//!   the one order every consumer reads them in;
+//! * [`RunEnvelope`] — what every engine does around one execution: claim
+//!   the spill namespace, take the pool and fault baselines, open the peak
+//!   window, and at the end fill the storage-side fields of `ExecStats`.
 
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hique_par::ScopedPool;
 use hique_storage::{
-    records_per_page, SpillHandle, SpillNamespace, TempSpace, PAGE_HEADER_SIZE, PAGE_SIZE,
+    records_per_page, BufferPool, BufferPoolStats, PeakWindow, SpillHandle, SpillNamespace,
+    TempSpace, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
-use hique_types::{CancelToken, HiqueError, Result};
+use hique_types::{CancelToken, ExecStats, HiqueError, Result};
 
 /// Bytes of record data one spill page holds.
 pub fn page_data_bytes() -> usize {
@@ -202,6 +203,93 @@ impl SpillContext {
 }
 
 // ---------------------------------------------------------------------------
+// Run envelope
+// ---------------------------------------------------------------------------
+
+/// The storage-side bracket around one query execution, shared by every
+/// engine: [`RunEnvelope::begin`] claims the spill namespace (when the run
+/// is budgeted and the catalog paged), snapshots the pool and fault
+/// counters and opens an epoch-tagged peak window; [`RunEnvelope::finish`]
+/// turns those into the run's `io`, `spilled_temporaries`,
+/// `spill_claim_denied`, `spill_consumer_peak_pages`, `peak_resident_pages`
+/// and `faults_injected`.  Dropping the envelope on an early `?` return
+/// releases the claim (file, frames, admission slot) and closes the window.
+pub struct RunEnvelope<'a> {
+    spill: Option<Arc<SpillContext>>,
+    pool: Option<&'a BufferPool>,
+    io_base: BufferPoolStats,
+    faults_base: u64,
+    peak_window: Option<PeakWindow<'a>>,
+}
+
+/// Faults injected so far by the plan installed on `pool` (0 without one).
+fn faults_injected(pool: Option<&BufferPool>) -> u64 {
+    pool.and_then(|p| p.fault_plan())
+        .map(|plan| plan.injected())
+        .unwrap_or(0)
+}
+
+impl<'a> RunEnvelope<'a> {
+    /// Open the bracket for a run with a resolved `budget_pages` over a
+    /// catalog's storage runtime (`pool` and `temp` are both `None` for a
+    /// memory-resident catalog, which makes every reported field zero).
+    /// The spill-admission wait observes `cancel`.
+    pub fn begin(
+        pool: Option<&'a Arc<BufferPool>>,
+        temp: Option<&Arc<TempSpace>>,
+        budget_pages: usize,
+        cancel: &CancelToken,
+    ) -> Result<Self> {
+        let spill =
+            match temp {
+                Some(temp) if budget_pages > 0 => Some(Arc::new(
+                    SpillContext::acquire_cancellable(temp, budget_pages, cancel.clone())?,
+                )),
+                _ => None,
+            };
+        let pool = pool.map(|p| &**p);
+        Ok(RunEnvelope {
+            spill,
+            pool,
+            io_base: pool.map(|p| p.stats()).unwrap_or_default(),
+            faults_base: faults_injected(pool),
+            // Per-execution residency window: the run's own high-water, not
+            // the pool's lifetime maximum — concurrent executions each hold
+            // their own.
+            peak_window: pool.map(|p| p.begin_peak_window()),
+        })
+    }
+
+    /// The run's spill context (`None`: unbudgeted or memory-resident).
+    pub fn spill(&self) -> Option<&SpillContext> {
+        self.spill.as_deref()
+    }
+
+    /// The spill context as a shared handle, for engines whose operators
+    /// each keep one (the iterator tree).
+    pub fn spill_shared(&self) -> Option<Arc<SpillContext>> {
+        self.spill.clone()
+    }
+
+    /// Close the bracket, filling the storage-side fields of `stats`.
+    pub fn finish(self, stats: &mut ExecStats) {
+        // Buffer-pool traffic of this execution (zero on memory-resident
+        // catalogs): base-page fetches plus temporary-table spills/reloads.
+        stats.io = self
+            .pool
+            .map(|p| p.stats().since(&self.io_base))
+            .unwrap_or_default();
+        if let Some(ctx) = &self.spill {
+            stats.spilled_temporaries = ctx.spill_count();
+            stats.spill_claim_denied = ctx.claim_denied();
+            stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
+        }
+        stats.peak_resident_pages = self.peak_window.map(|w| w.end() as u64).unwrap_or(0);
+        stats.faults_injected = faults_injected(self.pool).saturating_sub(self.faults_base);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Partition streams
 // ---------------------------------------------------------------------------
 
@@ -346,10 +434,7 @@ impl<'a> PartitionStream<'a> {
 // Partition-set fan-out
 // ---------------------------------------------------------------------------
 
-/// A set of partition streams plus the deterministic fan-out rule every
-/// engine shares: per-partition work maps across the pool and the results
-/// are merged in partition order, reproducing the serial processing order
-/// for any pool width.
+/// The partition streams of one relation, in partition order.
 pub struct PartitionSet<'a> {
     streams: Vec<PartitionStream<'a>>,
 }
@@ -391,17 +476,6 @@ impl<'a> PartitionSet<'a> {
             s.for_each_record(&mut f)?;
         }
         Ok(())
-    }
-
-    /// Apply `f` to every partition across `pool`, returning the results in
-    /// partition order regardless of scheduling (the merge rule all pooled
-    /// kernels rely on).
-    pub fn map_pooled<R, F>(&self, pool: &ScopedPool, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &PartitionStream<'a>) -> R + Sync,
-    {
-        pool.map_items(&self.streams, f)
     }
 }
 
@@ -520,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_set_fans_out_in_partition_order() {
+    fn partition_set_visits_partitions_in_order() {
         let bufs: Vec<Vec<u8>> = (0..5).map(|p| packed(50 + p * 13, 8)).collect();
         let set = PartitionSet::new(bufs.iter().map(|b| PartitionStream::mem(b, 8)).collect());
         assert_eq!(set.len(), 5);
@@ -533,11 +607,6 @@ mod tests {
         set.for_each_record(|r| all.extend_from_slice(r)).unwrap();
         let concat: Vec<u8> = bufs.iter().flatten().copied().collect();
         assert_eq!(all, concat);
-        let serial = set.map_pooled(&ScopedPool::serial(), |i, s| (i, s.num_records()));
-        for threads in [2, 4, 8] {
-            let par = set.map_pooled(&ScopedPool::new(threads), |i, s| (i, s.num_records()));
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 
     #[test]
@@ -573,6 +642,139 @@ mod tests {
         let free = SpillContext::acquire(&temp, 1).unwrap();
         assert!(free.cancel().check().is_ok());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn envelope_finish_fills_every_storage_field_of_a_budgeted_paged_run() {
+        let (temp, pool, path) = temp_space("envelope", 2);
+        let envelope =
+            RunEnvelope::begin(Some(&pool), Some(&temp), 1, &CancelToken::disabled()).unwrap();
+        let ctx = envelope
+            .spill()
+            .expect("budgeted paged run claims a namespace");
+        // A partition far past the 2-frame pool: writing it evicts, streaming
+        // it back misses.
+        let buf = packed(2000, 16);
+        let handle = ctx.spill(&buf, 16).unwrap();
+        let stream = PartitionStream::spilled(ctx, handle);
+        stream.for_each_record(|_| {}).unwrap();
+        // One injected read fault on the second pass.
+        let plan = Arc::new(hique_storage::FaultPlan::new().fail_nth_read(1));
+        pool.set_fault_plan(Some(plan));
+        assert!(stream.for_each_record(|_| {}).is_err());
+
+        // Poison the six fields so each must be overwritten, not left alone.
+        let mut stats = ExecStats::new();
+        stats.io.pool_hits = u64::MAX;
+        stats.spilled_temporaries = u64::MAX;
+        stats.spill_claim_denied = u64::MAX;
+        stats.spill_consumer_peak_pages = u64::MAX;
+        stats.peak_resident_pages = u64::MAX;
+        stats.faults_injected = u64::MAX;
+        stats.tuples_processed = 7;
+        envelope.finish(&mut stats);
+        assert!(
+            stats.io.pool_misses > 0 && stats.io.pages_written > 0,
+            "{stats}"
+        );
+        assert!(stats.io.pool_hits < u64::MAX, "{stats}");
+        assert_eq!(stats.spilled_temporaries, 1);
+        assert_eq!(stats.spill_claim_denied, 0);
+        assert_eq!(stats.spill_consumer_peak_pages, 1);
+        assert_eq!(stats.peak_resident_pages, 2, "the window saw the pool fill");
+        assert_eq!(stats.faults_injected, 1);
+        assert_eq!(
+            stats.tuples_processed, 7,
+            "work counters are not its business"
+        );
+        // Finishing released the claim, its file and every pin.
+        assert_eq!(temp.active_claims(), 0);
+        assert_eq!(pool.pinned_frames(), 0);
+        assert!(!path.with_extension("0.spill").exists());
+
+        // A memory-resident catalog, or an unbudgeted run, reports zeros.
+        let mut stats = ExecStats::new();
+        let plain = RunEnvelope::begin(None, None, 8, &CancelToken::disabled()).unwrap();
+        assert!(plain.spill().is_none());
+        plain.finish(&mut stats);
+        assert_eq!(stats, ExecStats::new());
+        let unbudgeted =
+            RunEnvelope::begin(Some(&pool), Some(&temp), 0, &CancelToken::disabled()).unwrap();
+        assert!(unbudgeted.spill().is_none());
+        assert_eq!(temp.active_claims(), 0);
+    }
+
+    #[test]
+    fn overlapping_envelopes_report_independent_peaks() {
+        let (temp, pool, _path) = temp_space("overlap", 16);
+        let cancel = CancelToken::disabled();
+        let outer = RunEnvelope::begin(Some(&pool), Some(&temp), 1, &cancel).unwrap();
+        let three_pages = packed(3 * records_per_page(16), 16);
+        outer.spill().unwrap().spill(&three_pages, 16).unwrap();
+        // The inner run opens while three frames are already resident, adds
+        // two of its own and ends; the outer run then adds three more.
+        let inner = RunEnvelope::begin(Some(&pool), Some(&temp), 1, &cancel).unwrap();
+        let two_pages = packed(2 * records_per_page(16), 16);
+        inner.spill().unwrap().spill(&two_pages, 16).unwrap();
+        let (mut inner_stats, mut outer_stats) = (ExecStats::new(), ExecStats::new());
+        inner.finish(&mut inner_stats);
+        outer.spill().unwrap().spill(&three_pages, 16).unwrap();
+        outer.finish(&mut outer_stats);
+        assert_eq!(inner_stats.peak_resident_pages, 5);
+        assert_eq!(inner_stats.spilled_temporaries, 1);
+        // Ending the inner run dropped its two frames with its namespace;
+        // the outer window keeps its own high-water mark.
+        assert_eq!(outer_stats.peak_resident_pages, 6);
+        assert_eq!(outer_stats.spilled_temporaries, 2);
+        assert_eq!(temp.active_claims(), 0);
+    }
+
+    #[test]
+    fn abandoned_envelope_leaves_no_claim_pin_or_file() {
+        let (temp, pool, path) = temp_space("abandon", 2);
+        let spill_files = || {
+            let dir = path.parent().expect("temp dir");
+            let stem = path
+                .file_stem()
+                .expect("stem")
+                .to_string_lossy()
+                .to_string();
+            std::fs::read_dir(dir)
+                .expect("temp dir listing")
+                .filter_map(|e| e.ok())
+                .filter(|e| {
+                    let name = e.file_name().to_string_lossy().to_string();
+                    name.starts_with(&stem) && name.ends_with(".spill")
+                })
+                .count()
+        };
+        // A pre-cancelled statement never gets as far as a claim.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let err = RunEnvelope::begin(Some(&pool), Some(&temp), 1, &cancelled)
+            .err()
+            .expect("cancelled before admission");
+        assert!(matches!(err, HiqueError::Cancelled(_)), "{err}");
+        assert_eq!((temp.active_claims(), spill_files()), (0, 0));
+
+        // An execution that returns early with `?` drops its envelope
+        // unfinished, mid-way through its spilled data.
+        let run = || -> Result<()> {
+            let envelope =
+                RunEnvelope::begin(Some(&pool), Some(&temp), 1, &CancelToken::disabled())?;
+            let ctx = envelope.spill().expect("claimed");
+            let handle = ctx.spill(&packed(2000, 16), 16)?;
+            assert_eq!((temp.active_claims(), spill_files()), (1, 1));
+            let mut pages = 0usize;
+            PartitionStream::spilled(ctx, handle).for_each_page(|_| pages += 1)?;
+            Err(HiqueError::Unsupported(format!(
+                "gave up after {pages} pages"
+            )))
+        };
+        assert!(matches!(run(), Err(HiqueError::Unsupported(_))));
+        assert_eq!((temp.active_claims(), spill_files()), (0, 0));
+        assert_eq!(pool.pinned_frames(), 0);
+        assert_eq!(pool.resident(), 0, "the namespace took its frames with it");
     }
 
     #[test]

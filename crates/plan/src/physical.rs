@@ -209,14 +209,28 @@ impl PhysicalPlan {
         self.staged.len() > 1
     }
 
-    /// True when the plan aggregates.
-    pub fn has_aggregate(&self) -> bool {
-        self.aggregate.is_some()
-    }
-
-    /// The staged table that starts the join pipeline.
-    pub fn first_input(&self) -> &StagedTable {
-        &self.staged[self.join_order[0]]
+    /// The joins as a cascade of binary steps, for engines without a fused
+    /// join-team kernel: the plan's own steps, or — for a team — one step
+    /// per further member over the shared key.  A team step's left key is
+    /// member 0's key column, whose offset is stable because member 0 stays
+    /// the record prefix as the intermediate grows; team steps carry no
+    /// row estimate.
+    pub fn binary_steps(&self) -> Vec<JoinStep> {
+        let Some(team) = &self.join_team else {
+            return self.joins.clone();
+        };
+        team.members
+            .iter()
+            .zip(&team.key_columns)
+            .skip(1)
+            .map(|(&right, &right_key)| JoinStep {
+                right,
+                left_key: team.key_columns[0],
+                right_key,
+                algorithm: team.algorithm,
+                estimated_rows: 0,
+            })
+            .collect()
     }
 }
 

@@ -28,9 +28,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod engine;
 pub mod session;
 pub mod wire;
 
 pub use cache::{CacheStats, PlanCache, PreparedQuery};
-pub use session::{Engine, Server, ServerConfig, Session};
+pub use engine::{run_plan, Engine};
+pub use session::{Server, ServerConfig, Session};
 pub use wire::{serve, WireClient, WireResponse};

@@ -14,58 +14,7 @@ use hique_vm::VmProgram;
 use parking_lot::Mutex;
 
 use crate::cache::{CacheStats, Lookup, PlanCache, PreparedQuery};
-
-/// Which engine mode a session executes on.  All five share the catalog,
-/// the cached plan and the spill/peak-window contracts; the differential
-/// harness relies on their results being canonically identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Holistic generated kernels (the paper's engine).
-    Holistic,
-    /// Generic Volcano iterators.
-    IterGeneric,
-    /// Type-specialized iterators.
-    IterOptimized,
-    /// Column-at-a-time DSM engine.
-    Dsm,
-    /// Query-time-compiled bytecode interpreted by the register VM.
-    Vm,
-}
-
-impl Engine {
-    /// Every engine mode, in the canonical differential-test order.
-    pub const ALL: [Engine; 5] = [
-        Engine::Holistic,
-        Engine::IterGeneric,
-        Engine::IterOptimized,
-        Engine::Dsm,
-        Engine::Vm,
-    ];
-
-    /// Stable lowercase name (wire protocol `.engine` argument).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Holistic => "holistic",
-            Engine::IterGeneric => "iter-generic",
-            Engine::IterOptimized => "iter-optimized",
-            Engine::Dsm => "dsm",
-            Engine::Vm => "vm",
-        }
-    }
-
-    /// Parse a wire-protocol engine name.
-    pub fn parse(name: &str) -> Result<Engine> {
-        Engine::ALL
-            .into_iter()
-            .find(|e| e.name() == name)
-            .ok_or_else(|| {
-                HiqueError::Unsupported(format!(
-                    "unknown engine '{name}' (expected one of: holistic, iter-generic, \
-                     iter-optimized, dsm, vm)"
-                ))
-            })
-    }
-}
+use crate::engine::{run_plan, Engine};
 
 /// Server sizing knobs.
 #[derive(Debug, Clone)]
@@ -333,54 +282,37 @@ impl Session {
                 id: self.id,
             }
         };
+        let options = ExecOptions {
+            cancel,
+            ..ExecOptions::default()
+        };
+        let catalog = &self.shared.catalog;
         let result = match engine {
-            Engine::Holistic => prepared.generated.execute_with(
-                &self.shared.catalog,
-                &ExecOptions {
-                    cancel: cancel.clone(),
-                    ..ExecOptions::default()
-                },
-            ),
-            Engine::IterGeneric => hique_iter::execute_plan_cancellable(
+            // The two kernel engines run their cached programs; the rest
+            // have nothing to cache beyond the plan.
+            Engine::Holistic => prepared.generated.execute_with(catalog, &options),
+            Engine::IterGeneric | Engine::IterOptimized | Engine::Dsm => run_plan(
+                engine,
                 prepared.plan(),
-                &self.shared.catalog,
-                hique_iter::ExecMode::Generic,
-                true,
-                cancel.clone(),
-            ),
-            Engine::IterOptimized => hique_iter::execute_plan_cancellable(
-                prepared.plan(),
-                &self.shared.catalog,
-                hique_iter::ExecMode::Optimized,
-                true,
-                cancel.clone(),
-            ),
-            Engine::Dsm => hique_dsm::execute_plan_cancellable(
-                prepared.plan(),
-                &self.shared.dsm,
-                cancel.clone(),
+                catalog,
+                Some(&self.shared.dsm),
+                &options,
             ),
             // Bytecode when the plan lowered; otherwise degrade gracefully
             // to the holistic engine the bytecode was rendered from — the
             // reply is identical (the differential harness proves it), and
             // the degradation is visible only as `vm_fallbacks` in `.stats`.
             Engine::Vm => {
-                let options = ExecOptions {
-                    cancel: cancel.clone(),
-                    ..ExecOptions::default()
-                };
                 let fallback = |e: HiqueError| match e {
                     HiqueError::Unsupported(_) => {
                         self.shared.vm_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        prepared
-                            .generated
-                            .execute_with(&self.shared.catalog, &options)
+                        prepared.generated.execute_with(catalog, &options)
                     }
                     other => Err(other),
                 };
                 match prepared.vm.as_ref() {
                     Some(program) => program
-                        .execute(&prepared.generated, &self.shared.catalog, &options)
+                        .execute(&prepared.generated, catalog, &options)
                         .or_else(fallback),
                     None => fallback(HiqueError::Unsupported(
                         "query has no bytecode lowering (vm engine)".into(),

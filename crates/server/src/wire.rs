@@ -35,7 +35,8 @@ use std::time::Duration;
 
 use hique_types::{HiqueError, QueryResult, Result};
 
-use crate::session::{Engine, Server, Session};
+use crate::engine::Engine;
+use crate::session::{Server, Session};
 
 /// How often an idle connection or the accept loop re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);

@@ -1,4 +1,4 @@
-//! System catalog: table name → schema, heap, statistics, indexes.
+//! System catalog: table name → schema, heap, statistics.
 //!
 //! The paper's storage manager "is responsible for maintaining information
 //! on table/file associations and schemata"; the optimizer additionally
@@ -14,7 +14,6 @@ use std::sync::Arc;
 use hique_types::tuple::read_value;
 use hique_types::{ColumnDistribution, HiqueError, Result, Schema, Value};
 
-use crate::btree::BPlusTree;
 use crate::buffer::{BufferPool, BufferPoolStats};
 use crate::disk::DiskManager;
 use crate::heap::TableHeap;
@@ -58,8 +57,6 @@ pub struct TableInfo {
     /// Per-column statistics, aligned with `schema.columns()`; empty until
     /// [`Catalog::analyze_table`] runs.
     pub column_stats: Vec<ColumnStats>,
-    /// Secondary B+-tree indexes, keyed by indexed column index.
-    pub indexes: BTreeMap<usize, BPlusTree>,
 }
 
 impl TableInfo {
@@ -102,11 +99,6 @@ impl StorageRuntime {
     /// of operation counters).
     pub fn install_fault_plan(&self, plan: Option<Arc<crate::fault::FaultPlan>>) {
         self.pool.set_fault_plan(plan);
-    }
-
-    /// Faults injected by the currently installed plan (0 when none is).
-    pub fn faults_injected(&self) -> u64 {
-        self.pool.fault_plan().map(|p| p.injected()).unwrap_or(0)
     }
 }
 
@@ -153,7 +145,6 @@ impl Catalog {
                 schema,
                 heap,
                 column_stats: Vec::new(),
-                indexes: BTreeMap::new(),
             },
         );
         Ok(())
@@ -174,7 +165,6 @@ impl Catalog {
                 schema: heap.schema().clone(),
                 heap,
                 column_stats: Vec::new(),
-                indexes: BTreeMap::new(),
             },
         );
         Ok(())
@@ -196,7 +186,7 @@ impl Catalog {
             .ok_or_else(|| HiqueError::Catalog(format!("unknown table '{name}'")))
     }
 
-    /// Look up a table mutably (for loading data or building indexes).
+    /// Look up a table mutably (for loading data).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut TableInfo> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
@@ -321,17 +311,6 @@ impl Catalog {
             .unwrap_or_default()
     }
 
-    /// Faults injected by the runtime's installed fault plan so far (0 for
-    /// a memory-resident catalog or when no plan is installed).  Engines
-    /// snapshot this around an execution to fill
-    /// `ExecStats::faults_injected`.
-    pub fn faults_injected(&self) -> u64 {
-        self.storage
-            .as_ref()
-            .map(|s| s.faults_injected())
-            .unwrap_or(0)
-    }
-
     /// Gather per-column statistics — distinct counts, min/max bounds, a
     /// most-common-values list and an equi-depth histogram — replacing any
     /// previous statistics.  A table analyzed while empty still gets one
@@ -355,28 +334,6 @@ impl Catalog {
             });
         }
         info.column_stats = stats;
-        Ok(())
-    }
-
-    /// Build a B+-tree index over an integer-typed column of the table.
-    pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
-        let info = self.table_mut(table)?;
-        let col = info.schema.index_of(column)?;
-        let schema = info.schema.clone();
-        let mut tree = BPlusTree::new();
-        for page_no in 0..info.heap.num_pages() {
-            let page = info.heap.page_guard(page_no)?;
-            for slot in 0..page.num_tuples() {
-                let v = read_value(page.record(slot), &schema, col);
-                let key = v.as_i64().map_err(|_| {
-                    HiqueError::Catalog(format!(
-                        "cannot index non-numeric column '{column}' of '{table}'"
-                    ))
-                })?;
-                tree.insert(key, (page_no as u32, slot as u32));
-            }
-        }
-        info.indexes.insert(col, tree);
         Ok(())
     }
 }
@@ -539,12 +496,10 @@ mod tests {
         // Double spill is a typed error.
         assert!(matches!(cat.spill_to_disk(1), Err(HiqueError::Storage(_))));
 
-        // Re-analyze and index through the pool: identical statistics, and
+        // Re-analyze through the pool: identical statistics, and
         // the tiny budget forces evictions.
         cat.analyze_table("t").unwrap();
         assert_eq!(cat.table("t").unwrap().column_stats[0].distinct(), 300);
-        cat.create_index("t", "id").unwrap();
-        assert_eq!(cat.table("t").unwrap().indexes[&0].len(), 300);
         let stats = cat.pool_stats();
         assert!(stats.evictions > 0, "{stats:?}");
         assert!(stats.misses > 0, "{stats:?}");
@@ -565,20 +520,5 @@ mod tests {
         // Dropping the catalog removes the spill directory.
         drop(cat);
         assert!(!runtime_dir.exists());
-    }
-
-    #[test]
-    fn index_creation_and_misuse() {
-        let mut cat = Catalog::new();
-        populate(&mut cat, 100);
-        cat.create_index("t", "id").unwrap();
-        let info = cat.table("t").unwrap();
-        let tree = info.indexes.values().next().unwrap();
-        assert_eq!(tree.len(), 100);
-        let rid = tree.get(57).unwrap();
-        let rec = info.heap.record_at(rid.0 as usize, rid.1 as usize).unwrap();
-        assert_eq!(read_value(rec, &info.schema, 0), Value::Int32(57));
-        assert!(cat.create_index("t", "name").is_err());
-        assert!(cat.create_index("missing", "id").is_err());
     }
 }

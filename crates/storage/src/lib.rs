@@ -10,14 +10,10 @@
 //!   file-backed tables (the reported experiments run with memory-resident
 //!   data, as in the paper, but the subsystem is a real component);
 //! * a system [`catalog::Catalog`] mapping table names to schemas, heaps and
-//!   basic statistics;
-//! * an in-memory B+-tree index ([`btree::BPlusTree`]) with 1 KiB nodes,
-//!   four per physical page, following the paper's fractal-B+-tree layout
-//!   parameters (without the prefetching, which we do not model).
+//!   basic statistics.
 
 #![forbid(unsafe_code)]
 
-pub mod btree;
 pub mod buffer;
 pub mod catalog;
 pub mod disk;

@@ -1,46 +1,39 @@
-//! Executing a compiled bytecode program.
+//! The bytecode kernel provider: a compiled [`VmProgram`] plugged into the
+//! evaluate-query driver ([`hique_holistic::exec::run`]).
 //!
-//! The executor walks the same evaluate-query shape as the holistic
-//! engine's composed program (stage every input → join cascade →
-//! aggregation → output, DESIGN.md §2) but every per-record kernel —
-//! filter, projection, key image, argument expression, output decode — is
-//! interpreted bytecode from the [`VmProgram`] instead of a statically
-//! compiled Rust kernel.  Join steps and aggregation run as deterministic
-//! hash algorithms over the same order-preserving `i64` key images the
-//! static kernels use: build the right input in staging order, probe the
-//! left input in staging order, emit left-major — one fixed order for
-//! every thread count and budget, which is what keeps results
-//! bit-identical across the conformance matrix.
-//!
-//! The execution contract is the engine contract everywhere else
-//! (DESIGN.md §7/§9/§12): [`ExecOptions`] threads/budget/cancel,
-//! page-at-a-time heap scans through pin guards, staged inputs spilled
-//! through the catalog's [`SpillContext`] namespace and consumed
-//! page-at-a-time when streaming, full [`ExecStats`] with the same merge
-//! semantics, and cooperative cancellation checked at page granularity.
+//! The driver walks the same skeleton for this engine as for the holistic
+//! one (stage every input → join cascade → aggregation → output,
+//! DESIGN.md "Executor") and owns everything around the kernels — options,
+//! run envelope, slot spilling, sinks, timings, finalization.  What lives
+//! here is what is the VM's own: every per-record kernel — filter,
+//! projection, key image, argument expression, output decode — is
+//! interpreted bytecode from the program instead of a statically compiled
+//! Rust kernel, and join steps and aggregation run as deterministic hash
+//! algorithms over the same order-preserving `i64` key images the static
+//! kernels use: build the right input in staging order, probe the left
+//! input in staging order, emit left-major — one fixed order for every
+//! thread count and budget, which is what keeps results bit-identical
+//! across the conformance matrix.  A join team is walked as a cascade of
+//! such hash joins over the shared key.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use hique_holistic::kernel::CompiledKey;
+use hique_holistic::agg::Accum;
+use hique_holistic::exec::{self, Kernels, RecordSink, Run};
+use hique_holistic::kernel::{expr_value, CompiledKey};
 use hique_holistic::spill::StagedSlot;
 use hique_holistic::staging::StagedInput;
 use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
-use hique_par::{chunk_ranges, ScopedPool};
-use hique_pipeline::SpillContext;
-use hique_plan::{JoinAlgorithm, StagedTable};
-use hique_sql::ast::AggFunc;
+use hique_par::chunk_ranges;
+use hique_plan::{AggregateSpec, JoinAlgorithm};
 use hique_storage::{Catalog, TableHeap};
-use hique_types::{
-    result::finalize_rows, CancelToken, DataType, ExecStats, HiqueError, PhaseTimings, QueryResult,
-    Result, Row, Value,
-};
+use hique_types::{CancelToken, ExecStats, HiqueError, QueryResult, Result, Row, Value};
 
-use crate::bytecode::{run_expr, run_filter, run_image, run_project, ConstPool, Frag, Op};
-use crate::program::{OutputOp, TableFrags, VmProgram};
+use crate::bytecode::{run_expr, run_filter, run_image, run_project, Op};
+use crate::program::{OutputOp, VmProgram};
 use crate::vector::{
     for_each_ref_batch, run_expr_batch, run_filter_batch, run_image_batch, run_project_batch,
-    Batch, VecStep, BATCH,
+    Batch, BATCH,
 };
 
 /// Probe-side records between cancellation checks in a hash join.
@@ -107,17 +100,22 @@ pub enum Tier {
 
 impl VmProgram {
     /// Execute this program on the default (vectorized) tier; see
-    /// [`execute`].
+    /// [`VmProgram::execute_with_tier`].
     pub fn execute(
         &self,
         generated: &GeneratedQuery,
         catalog: &Catalog,
         options: &ExecOptions,
     ) -> Result<QueryResult> {
-        execute_tiered(self, generated, catalog, options, Tier::default())
+        self.execute_with_tier(generated, catalog, options, Tier::default())
     }
 
-    /// Execute this program on an explicit tier; see [`execute_tiered`].
+    /// Execute this program on an explicit interpreter tier.
+    ///
+    /// `generated` must be the query the program was compiled for (or
+    /// rebound to via [`VmProgram::bind`]): the plan-shape signature is
+    /// re-derived and checked, so executing bytecode against a foreign plan
+    /// is a typed error instead of garbage decoding.
     pub fn execute_with_tier(
         &self,
         generated: &GeneratedQuery,
@@ -125,215 +123,215 @@ impl VmProgram {
         options: &ExecOptions,
         tier: Tier,
     ) -> Result<QueryResult> {
-        execute_tiered(self, generated, catalog, options, tier)
-    }
-}
-
-/// Execute a compiled program on the default (vectorized) tier.
-///
-/// `generated` must be the query the program was compiled for (or rebound
-/// to via [`VmProgram::bind`]): the plan-shape signature is re-derived and
-/// checked, so executing bytecode against a foreign plan is a typed error
-/// instead of garbage decoding.
-pub fn execute(
-    program: &VmProgram,
-    generated: &GeneratedQuery,
-    catalog: &Catalog,
-    options: &ExecOptions,
-) -> Result<QueryResult> {
-    execute_tiered(program, generated, catalog, options, Tier::default())
-}
-
-/// Execute a compiled program on an explicit interpreter tier; see
-/// [`execute`] for the contract.
-pub fn execute_tiered(
-    program: &VmProgram,
-    generated: &GeneratedQuery,
-    catalog: &Catalog,
-    options: &ExecOptions,
-    tier: Tier,
-) -> Result<QueryResult> {
-    if crate::program::plan_signature(generated, catalog)? != program.signature {
-        return Err(HiqueError::Execution(
-            "bytecode program does not match the prepared plan shape".into(),
-        ));
-    }
-    let plan = generated.plan();
-    let code = &program.code[..];
-    let consts = &program.pool;
-    let mut stats = ExecStats::new();
-    let mut timings = PhaseTimings::new();
-    let pool = ScopedPool::new(if options.threads == 0 {
-        plan.threads
-    } else {
-        options.threads
-    });
-    let budget_pages = if options.memory_budget_pages == 0 {
-        plan.memory_budget_pages
-    } else {
-        options.memory_budget_pages
-    };
-    let cancel = &options.cancel;
-    let spill_ctx: Option<SpillContext> = match (budget_pages, catalog.storage()) {
-        (pages, Some(runtime)) if pages > 0 => Some(SpillContext::acquire_cancellable(
-            runtime.temp(),
-            pages,
-            cancel.clone(),
-        )?),
-        _ => None,
-    };
-    let spill = spill_ctx.as_ref();
-    let io_base = catalog.pool_stats();
-    let faults_base = catalog.faults_injected();
-    let peak_window = catalog.buffer_pool().map(|p| p.begin_peak_window());
-
-    // ---- Staging -----------------------------------------------------------
-    let t0 = Instant::now();
-    let mut staged: Vec<Option<StagedSlot>> = (0..plan.staged.len()).map(|_| None).collect();
-    for &t in &plan.join_order {
-        cancel.check()?;
-        let info = catalog.table(&plan.staged[t].table_name)?;
-        let input = stage_table(
-            &info.heap,
-            &plan.staged[t],
-            &program.tables[t],
-            program.vec.filters.get(t).and_then(|f| f.as_deref()),
+        if crate::program::plan_signature(generated, catalog)? != self.signature {
+            return Err(HiqueError::Execution(
+                "bytecode program does not match the prepared plan shape".into(),
+            ));
+        }
+        let kernels = Interpreter {
+            program: self,
             tier,
-            code,
-            consts,
-            &mut stats,
-            &pool,
-            cancel,
-        )?;
-        staged[t] = Some(StagedSlot::stage(input, spill)?);
+        };
+        exec::run(&kernels, generated.plan(), catalog, options)
     }
-    timings.record("staging", t0.elapsed());
+}
 
-    // ---- Joins -------------------------------------------------------------
-    let t1 = Instant::now();
-    let streams_to_sink = plan.aggregate.is_none();
-    let mut sink = if options.collect_rows {
-        OutputSink::Collect {
-            outputs: &program.outputs,
-            code,
-            consts,
-            regs: vec![0.0; program.float_registers],
-            rows: Vec::new(),
-        }
-    } else {
-        OutputSink::Count(0)
-    };
-    let mut final_slot: Option<StagedSlot> = None;
+/// A program on one interpreter tier: the driver's kernel provider.
+struct Interpreter<'a> {
+    program: &'a VmProgram,
+    tier: Tier,
+}
 
-    // The join cascade, unified over binary steps and join teams: a team
-    // over a shared key is a cascade of hash joins where the left key is
-    // always member 0's key column (its offset is stable — member 0 stays
-    // the record prefix as the intermediate grows).
-    struct CascadeStep {
-        right: usize,
-        left_image: Frag,
-        right_image: Frag,
-        algorithm: JoinAlgorithm,
-    }
-    let steps: Vec<CascadeStep> = if let Some(team) = &plan.join_team {
-        team.members[1..]
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| CascadeStep {
-                right: m,
-                left_image: program.team_images[0],
-                right_image: program.team_images[i + 1],
-                algorithm: team.algorithm,
-            })
-            .collect()
-    } else {
-        plan.joins
-            .iter()
-            .zip(&program.joins)
-            .map(|(step, frags)| CascadeStep {
-                right: step.right,
-                left_image: frags.left_image,
-                right_image: frags.right_image,
-                algorithm: step.algorithm,
-            })
-            .collect()
-    };
-    let first = if let Some(team) = &plan.join_team {
-        team.members[0]
-    } else {
-        plan.join_order[0]
-    };
+impl Kernels for Interpreter<'_> {
+    const FUSES_JOIN_TEAMS: bool = false;
 
-    if steps.is_empty() {
-        final_slot = Some(staged[first].take().expect("single input staged"));
-    } else {
-        let mut current_slot = staged[first].take().expect("first input staged");
-        let mut current_schema = plan.staged[first].schema.clone();
-        for (i, step) in steps.iter().enumerate() {
-            cancel.check()?;
-            if step.algorithm == JoinAlgorithm::NestedLoops {
-                return Err(HiqueError::Unsupported(
-                    "nested-loops cross products are not generated".into(),
-                ));
-            }
-            let current = current_slot.into_input(spill)?;
-            let right_desc = &plan.staged[step.right];
-            let right = staged[step.right]
-                .take()
-                .expect("right input staged")
-                .into_input(spill)?;
-            let out_schema = current_schema.join(&right_desc.schema);
-            let last = i == steps.len() - 1;
-            let stream_this = last && streams_to_sink;
-
-            let mut out = StagedRelation::new(out_schema.clone());
-            let mut buf = vec![0u8; out_schema.tuple_size()];
-            hash_join(
-                &current.relation,
-                &right.relation,
-                step.left_image.ops(code),
-                step.right_image.ops(code),
-                tier,
-                &mut stats,
-                cancel,
-                &mut |lrec, rrec| {
-                    buf[..lrec.len()].copy_from_slice(lrec);
-                    buf[lrec.len()..].copy_from_slice(rrec);
-                    if stream_this {
-                        sink.consume(&buf);
-                    } else {
-                        out.push(&buf);
+    /// Scan one base table through its bytecode filter/projection fragments,
+    /// dividing the heap pages across the pool.  Page chunks are merged in
+    /// chunk order, so the staged relation is byte-identical for every thread
+    /// count; workers observe the shared cancellation token once per page.
+    ///
+    /// On the vectorized tier the batch is one heap page's packed record
+    /// area, filled under the same pin guard the scalar loop scans under:
+    /// the fused filter narrows a selection vector and the projection sweeps
+    /// the survivors column-major.  Page boundaries are invariant across
+    /// `chunk_ranges` splits, so `vm_batches` is deterministic per thread
+    /// count.
+    fn stage(&self, t: usize, heap: &TableHeap, run: &mut Run<'_>) -> Result<StagedInput> {
+        let program = self.program;
+        let (desc, frags) = (&run.plan.staged[t], &program.tables[t]);
+        let vec_filter = program.vec.filters.get(t).and_then(|f| f.as_deref());
+        let (tier, code, consts) = (self.tier, &program.code[..], &program.pool);
+        let (stats, pool, cancel) = (&mut run.stats, &run.pool, run.cancel);
+        let base_ts = heap.schema().tuple_size();
+        let out_width = desc.schema.tuple_size();
+        let chunks = chunk_ranges(heap.num_pages(), pool.threads());
+        // One operator invocation: the compiled staging fragment is one call.
+        stats.add_calls(1);
+        let worker_outputs: Vec<Result<(Vec<u8>, ExecStats)>> =
+            pool.map_items(&chunks, |_, pages| {
+                let mut local = ExecStats::new();
+                let mut out: Vec<u8> = Vec::new();
+                if tier == Tier::Vectorized {
+                    let mut sel: Vec<u32> = Vec::new();
+                    for p in pages.clone() {
+                        cancel.check()?;
+                        let page = heap.page_guard(p)?;
+                        let data = page.data();
+                        // The verifier proved every fragment access in-bounds for
+                        // the base schema; the page must really hold records of
+                        // that width.
+                        debug_assert_eq!(
+                            data.len() % base_ts.max(1),
+                            0,
+                            "heap page width differs from the verified schema"
+                        );
+                        let batch = Batch::Packed {
+                            data,
+                            width: base_ts,
+                        };
+                        let n = batch.len();
+                        local.vm_batches += 1;
+                        local.tuples_processed += n as u64;
+                        local.bytes_touched += (n * base_ts) as u64;
+                        match vec_filter {
+                            Some(steps) => run_filter_batch(
+                                steps,
+                                consts,
+                                &batch,
+                                &mut sel,
+                                &mut local.comparisons,
+                                &mut local.vm_fused_ops,
+                            ),
+                            None => {
+                                // Per-fragment scalar fallback: same selection,
+                                // row-at-a-time filter.
+                                sel.clear();
+                                for r in 0..n {
+                                    if run_filter(
+                                        frags.filter.ops(code),
+                                        consts,
+                                        batch.rec(r),
+                                        &mut local.comparisons,
+                                    ) {
+                                        sel.push(r as u32);
+                                    }
+                                }
+                            }
+                        }
+                        run_project_batch(
+                            frags.project.ops(code),
+                            &batch,
+                            &sel,
+                            out_width,
+                            &mut out,
+                        );
                     }
-                },
-            )?;
-            if !stream_this {
-                stats.add_materialized(out.data_bytes());
-                current_slot = StagedSlot::stage(StagedInput::unpartitioned(out), spill)?;
-            } else {
-                current_slot = StagedSlot::Mem(StagedInput::unpartitioned(StagedRelation::new(
-                    out_schema.clone(),
-                )));
-            }
-            current_schema = out_schema;
+                } else {
+                    let mut buf = vec![0u8; out_width];
+                    for p in pages.clone() {
+                        cancel.check()?;
+                        let page = heap.page_guard(p)?;
+                        for record in page.records() {
+                            // The verifier proved every fragment access in-bounds for
+                            // the base schema; the record must really have that width.
+                            debug_assert_eq!(
+                                record.len(),
+                                base_ts,
+                                "heap record width differs from the verified schema"
+                            );
+                            local.add_tuple(base_ts);
+                            if !run_filter(
+                                frags.filter.ops(code),
+                                consts,
+                                record,
+                                &mut local.comparisons,
+                            ) {
+                                continue;
+                            }
+                            run_project(frags.project.ops(code), record, &mut buf);
+                            out.extend_from_slice(&buf);
+                        }
+                    }
+                }
+                Ok((out, local))
+            });
+        let mut data: Vec<u8> = Vec::new();
+        for r in worker_outputs {
+            let (chunk, local) = r?;
+            data.extend_from_slice(&chunk);
+            stats.merge(&local);
         }
-        if !streams_to_sink {
-            final_slot = Some(current_slot);
-        }
+        let rel = StagedRelation::from_partitions(desc.schema.clone(), vec![data]);
+        stats.add_materialized(rel.data_bytes());
+        Ok(StagedInput::unpartitioned(rel))
     }
-    timings.record("join", t1.elapsed());
 
-    // ---- Aggregation -------------------------------------------------------
-    let mut rows: Vec<Row> = Vec::new();
-    if let Some(spec) = &plan.aggregate {
-        let t2 = Instant::now();
-        cancel.check()?;
+    fn join(
+        &self,
+        step: usize,
+        left: StagedInput,
+        rights: Vec<StagedInput>,
+        run: &mut Run<'_>,
+        sink: &mut RecordSink<'_, impl FnMut(&[u8]) -> Row>,
+    ) -> Result<()> {
+        let (program, plan) = (self.program, run.plan);
+        // A team over a shared key is a cascade of hash joins whose left
+        // key is always member 0's key column (its offset is stable —
+        // member 0 stays the record prefix as the intermediate grows).
+        let (left_image, right_image, algorithm) = match &plan.join_team {
+            Some(team) => (
+                program.team_images[0],
+                program.team_images[step + 1],
+                team.algorithm,
+            ),
+            None => {
+                let frags = &program.joins[step];
+                (
+                    frags.left_image,
+                    frags.right_image,
+                    plan.joins[step].algorithm,
+                )
+            }
+        };
+        if algorithm == JoinAlgorithm::NestedLoops {
+            return Err(HiqueError::Unsupported(
+                "nested-loops cross products are not generated".into(),
+            ));
+        }
+        let (left, right) = (&left.relation, &rights[0].relation);
+        let mut buf = vec![0u8; left.tuple_size() + right.tuple_size()];
+        hash_join(
+            left,
+            right,
+            left_image.ops(&program.code),
+            right_image.ops(&program.code),
+            self.tier,
+            &mut run.stats,
+            run.cancel,
+            &mut |lrec, rrec| {
+                buf[..lrec.len()].copy_from_slice(lrec);
+                buf[lrec.len()..].copy_from_slice(rrec);
+                sink.push(&buf);
+            },
+        )
+    }
+
+    /// Hash aggregation in first-occurrence order: group identity is the tuple
+    /// of key images (the same identity the static kernels use for directories
+    /// and sort grouping).
+    fn aggregate(
+        &self,
+        spec: &AggregateSpec,
+        slot: StagedSlot,
+        run: &mut Run<'_>,
+    ) -> Result<Vec<Row>> {
+        let program = self.program;
+        let (plan, spill, stats) = (run.plan, run.spill, &mut run.stats);
+        let (code, consts) = (&program.code[..], &program.pool);
         let frags = program
             .agg
             .as_ref()
             .expect("aggregation fragments compiled");
-        let slot = final_slot
-            .take()
-            .ok_or_else(|| HiqueError::Execution("aggregation input missing".into()))?;
         let group_keys: Vec<CompiledKey> = spec
             .group_columns
             .iter()
@@ -342,12 +340,9 @@ pub fn execute_tiered(
         let tuple_size = plan.joined_schema.tuple_size();
         let n_aggs = frags.args.len();
         let mut regs = vec![0.0f64; program.float_registers];
-        // Hash aggregation in first-occurrence order: group identity is the
-        // tuple of key images (the same identity the static kernels use for
-        // directories and sort grouping).
         let mut index: ImageMap<Vec<i64>, usize> = ImageMap::default();
         let mut groups: Vec<(Vec<Value>, Vec<Accum>)> = Vec::new();
-        if tier == Tier::Vectorized {
+        if self.tier == Tier::Vectorized {
             // Page-batched aggregation: the batch is one page's packed
             // record area — for spilled inputs one *pinned* page at a time
             // (through the same guard the scalar consumer uses, so
@@ -450,207 +445,52 @@ pub fn execute_tiered(
                     }
                 }
             };
-            if slot.is_spilled() {
-                // Page-at-a-time: aggregate straight off pinned pool pages.
-                let set = slot.partitions(spill)?;
-                set.for_each_record(&mut process)?;
-            } else {
-                let input = slot.into_input(spill)?;
-                for rec in input.relation.records() {
-                    process(rec);
-                }
-            }
+            // Page-at-a-time for either source: a spilled input aggregates
+            // straight off pinned pool pages.
+            slot.partitions(spill)?.for_each_record(&mut process)?;
         }
-        for (values, accums) in &groups {
-            let row: Vec<Value> = program
+        Ok(groups
+            .iter()
+            .map(|(values, accums)| {
+                Row::new(
+                    program
+                        .outputs
+                        .iter()
+                        .map(|o| match o {
+                            OutputOp::Group(p) => values[*p].clone(),
+                            OutputOp::Aggregate(i) => {
+                                let a = &spec.aggregates[*i];
+                                accums[*i].finish(a.func, a.dtype)
+                            }
+                            _ => unreachable!("scalar output in aggregate query"),
+                        })
+                        .collect(),
+                )
+            })
+            .collect())
+    }
+
+    fn decoder(&self) -> impl FnMut(&[u8]) -> Row {
+        let program = self.program;
+        let mut regs = vec![0.0f64; program.float_registers];
+        move |record| {
+            let values: Vec<Value> = program
                 .outputs
                 .iter()
                 .map(|o| match o {
-                    OutputOp::Group(p) => values[*p].clone(),
-                    OutputOp::Aggregate(i) => {
-                        let a = &spec.aggregates[*i];
-                        accums[*i].finish(a.func, a.dtype)
+                    OutputOp::Column(key) => key.value(record),
+                    OutputOp::Expr(frag, dtype) => expr_value(
+                        run_expr(frag.ops(&program.code), &program.pool, record, &mut regs),
+                        *dtype,
+                    ),
+                    OutputOp::Group(_) | OutputOp::Aggregate(_) => {
+                        unreachable!("aggregate kernels in a non-aggregate sink")
                     }
-                    _ => unreachable!("scalar output in aggregate query"),
                 })
                 .collect();
-            rows.push(Row::new(row));
+            Row::new(values)
         }
-        timings.record("aggregation", t2.elapsed());
-    } else if let Some(slot) = final_slot.take() {
-        let t3 = Instant::now();
-        cancel.check()?;
-        if slot.is_spilled() {
-            // Page-at-a-time decode off pinned pool pages; the spilled
-            // relation is never re-materialized on its way to the sink.
-            let set = slot.partitions(spill)?;
-            set.for_each_record(|rec| sink.consume(rec))?;
-        } else {
-            let input = slot.into_input(spill)?;
-            for rec in input.relation.records() {
-                sink.consume(rec);
-            }
-        }
-        timings.record("output", t3.elapsed());
     }
-
-    // ---- Finalize ----------------------------------------------------------
-    let t4 = Instant::now();
-    match sink {
-        OutputSink::Collect {
-            rows: sink_rows, ..
-        } if plan.aggregate.is_none() => {
-            rows = sink_rows;
-        }
-        OutputSink::Count(n) if plan.aggregate.is_none() => {
-            stats.rows_out = n;
-        }
-        _ => {}
-    }
-    finalize_rows(&mut rows, &plan.order_by, plan.limit);
-    if options.collect_rows || plan.aggregate.is_some() {
-        stats.rows_out = rows.len() as u64;
-    }
-    timings.record("output", t4.elapsed());
-
-    stats.io = catalog.pool_stats().since(&io_base);
-    if let Some(ctx) = &spill_ctx {
-        stats.spilled_temporaries = ctx.spill_count();
-        stats.spill_claim_denied = ctx.claim_denied();
-        stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = catalog.faults_injected().saturating_sub(faults_base);
-
-    Ok(QueryResult {
-        schema: plan.output_schema.clone(),
-        rows,
-        stats,
-        timings,
-    })
-}
-
-/// Scan one base table through its bytecode filter/projection fragments,
-/// dividing the heap pages across the pool.  Page chunks are merged in
-/// chunk order, so the staged relation is byte-identical for every thread
-/// count; workers observe the shared cancellation token once per page.
-///
-/// On the vectorized tier the batch is one heap page's packed record
-/// area, filled under the same pin guard the scalar loop scans under:
-/// the fused filter narrows a selection vector and the projection sweeps
-/// the survivors column-major.  Page boundaries are invariant across
-/// `chunk_ranges` splits, so `vm_batches` is deterministic per thread
-/// count.
-// The scalar kernel's parameter list plus the tier and fused-filter inputs;
-// a params struct would just rename the arguments.
-#[allow(clippy::too_many_arguments)]
-fn stage_table(
-    heap: &TableHeap,
-    desc: &StagedTable,
-    frags: &TableFrags,
-    vec_filter: Option<&[VecStep]>,
-    tier: Tier,
-    code: &[Op],
-    consts: &ConstPool,
-    stats: &mut ExecStats,
-    pool: &ScopedPool,
-    cancel: &CancelToken,
-) -> Result<StagedInput> {
-    let base_ts = heap.schema().tuple_size();
-    let out_width = desc.schema.tuple_size();
-    let chunks = chunk_ranges(heap.num_pages(), pool.threads());
-    // One operator invocation: the compiled staging fragment is one call.
-    stats.add_calls(1);
-    let worker_outputs: Vec<Result<(Vec<u8>, ExecStats)>> = pool.map_items(&chunks, |_, pages| {
-        let mut local = ExecStats::new();
-        let mut out: Vec<u8> = Vec::new();
-        if tier == Tier::Vectorized {
-            let mut sel: Vec<u32> = Vec::new();
-            for p in pages.clone() {
-                cancel.check()?;
-                let page = heap.page_guard(p)?;
-                let data = page.data();
-                // The verifier proved every fragment access in-bounds for
-                // the base schema; the page must really hold records of
-                // that width.
-                debug_assert_eq!(
-                    data.len() % base_ts.max(1),
-                    0,
-                    "heap page width diverges from the schema the program was verified against"
-                );
-                let batch = Batch::Packed {
-                    data,
-                    width: base_ts,
-                };
-                let n = batch.len();
-                local.vm_batches += 1;
-                local.tuples_processed += n as u64;
-                local.bytes_touched += (n * base_ts) as u64;
-                match vec_filter {
-                    Some(steps) => run_filter_batch(
-                        steps,
-                        consts,
-                        &batch,
-                        &mut sel,
-                        &mut local.comparisons,
-                        &mut local.vm_fused_ops,
-                    ),
-                    None => {
-                        // Per-fragment scalar fallback: same selection,
-                        // row-at-a-time filter.
-                        sel.clear();
-                        for r in 0..n {
-                            if run_filter(
-                                frags.filter.ops(code),
-                                consts,
-                                batch.rec(r),
-                                &mut local.comparisons,
-                            ) {
-                                sel.push(r as u32);
-                            }
-                        }
-                    }
-                }
-                run_project_batch(frags.project.ops(code), &batch, &sel, out_width, &mut out);
-            }
-        } else {
-            let mut buf = vec![0u8; out_width];
-            for p in pages.clone() {
-                cancel.check()?;
-                let page = heap.page_guard(p)?;
-                for record in page.records() {
-                    // The verifier proved every fragment access in-bounds for
-                    // the base schema; the record must really have that width.
-                    debug_assert_eq!(
-                        record.len(),
-                        base_ts,
-                        "heap record width diverges from the schema the program was verified against"
-                    );
-                    local.add_tuple(base_ts);
-                    if !run_filter(
-                        frags.filter.ops(code),
-                        consts,
-                        record,
-                        &mut local.comparisons,
-                    ) {
-                        continue;
-                    }
-                    run_project(frags.project.ops(code), record, &mut buf);
-                    out.extend_from_slice(&buf);
-                }
-            }
-        }
-        Ok((out, local))
-    });
-    let mut data: Vec<u8> = Vec::new();
-    for r in worker_outputs {
-        let (chunk, local) = r?;
-        data.extend_from_slice(&chunk);
-        stats.merge(&local);
-    }
-    let rel = StagedRelation::from_partitions(desc.schema.clone(), vec![data]);
-    stats.add_materialized(rel.data_bytes());
-    Ok(StagedInput::unpartitioned(rel))
 }
 
 /// Deterministic hash join over key images: build the right input in its
@@ -732,121 +572,4 @@ fn hash_join(
         }
     }
     Ok(())
-}
-
-/// A sink receiving final (non-aggregated) output tuples.
-enum OutputSink<'a> {
-    Collect {
-        outputs: &'a [OutputOp],
-        code: &'a [Op],
-        consts: &'a ConstPool,
-        regs: Vec<f64>,
-        rows: Vec<Row>,
-    },
-    Count(u64),
-}
-
-impl OutputSink<'_> {
-    #[inline]
-    fn consume(&mut self, record: &[u8]) {
-        match self {
-            OutputSink::Collect {
-                outputs,
-                code,
-                consts,
-                regs,
-                rows,
-            } => {
-                rows.push(decode_output_row(outputs, code, consts, regs, record));
-            }
-            OutputSink::Count(n) => *n += 1,
-        }
-    }
-}
-
-/// Decode one record through the bytecode output kernels (the VM analogue
-/// of the holistic executor's `decode_output_row`, including its numeric
-/// cast table).
-fn decode_output_row(
-    outputs: &[OutputOp],
-    code: &[Op],
-    consts: &ConstPool,
-    regs: &mut [f64],
-    record: &[u8],
-) -> Row {
-    let values: Vec<Value> = outputs
-        .iter()
-        .map(|o| match o {
-            OutputOp::Column(key) => key.value(record),
-            OutputOp::Expr(frag, dtype) => {
-                let v = run_expr(frag.ops(code), consts, record, regs);
-                match dtype {
-                    DataType::Int32 => Value::Int32(v as i32),
-                    DataType::Int64 => Value::Int64(v as i64),
-                    DataType::Date => Value::Date(v as i32),
-                    _ => Value::Float64(v),
-                }
-            }
-            OutputOp::Group(_) | OutputOp::Aggregate(_) => {
-                unreachable!("aggregate kernels in a non-aggregate sink")
-            }
-        })
-        .collect();
-    Row::new(values)
-}
-
-/// Aggregate accumulator with the exact semantics of the static kernels'
-/// (`sum`/`count`/`min`/`max` over `f64`, typed finish per function).
-#[derive(Debug, Clone, Copy)]
-struct Accum {
-    sum: f64,
-    count: i64,
-    min: f64,
-    max: f64,
-}
-
-impl Accum {
-    fn new() -> Self {
-        Accum {
-            sum: 0.0,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    #[inline(always)]
-    fn update(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    #[inline(always)]
-    fn update_count_only(&mut self) {
-        self.count += 1;
-    }
-
-    fn finish(&self, func: AggFunc, dtype: DataType) -> Value {
-        match func {
-            AggFunc::Count => Value::Int64(self.count),
-            AggFunc::Sum => match dtype {
-                DataType::Int64 => Value::Int64(self.sum as i64),
-                DataType::Int32 => Value::Int32(self.sum as i32),
-                _ => Value::Float64(self.sum),
-            },
-            AggFunc::Avg => Value::Float64(if self.count == 0 {
-                f64::NAN
-            } else {
-                self.sum / self.count as f64
-            }),
-            AggFunc::Min => Value::Float64(self.min),
-            AggFunc::Max => Value::Float64(self.max),
-        }
-    }
 }

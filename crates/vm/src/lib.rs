@@ -6,10 +6,10 @@
 //! kernels (DESIGN.md §2).  This crate closes the gap with compilation
 //! that really happens at query time: [`compile`] lowers the rendered
 //! kernel program into compact register-machine bytecode
-//! ([`bytecode::Op`]), and [`exec::execute`] runs it as the fifth engine
-//! mode (`vm`) under the same execution contract as the others — threads,
-//! memory budget, spill namespaces, cancellation, full [`ExecStats`]
-//! parity (DESIGN.md §13).
+//! ([`bytecode::Op`]), and [`VmProgram::execute`] plugs it into the shared
+//! evaluate-query driver as the fifth engine mode (`vm`) — same threads,
+//! memory budget, spill namespaces, cancellation and [`ExecStats`] contract
+//! as the holistic engine, because it is the same driver (DESIGN.md §13).
 //!
 //! Constant specialization is the paper's headline trick and the axis this
 //! crate makes explicit: a [`CompileMode::Specialized`] program folds the
@@ -51,7 +51,7 @@ pub(crate) mod vector;
 pub mod verify;
 
 pub use bytecode::{ConstPool, Frag, Op};
-pub use exec::{execute, Tier};
+pub use exec::Tier;
 pub use mutate::{mutants, Mutant};
 pub use program::{collect_pool, compile, plan_signature, plan_structure, CompileMode, VmProgram};
 pub use verify::{verify, VerifyError};

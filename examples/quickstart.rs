@@ -1,5 +1,5 @@
 //! Quickstart: create tables, load rows, run SQL through the holistic
-//! engine, and inspect the generated code.
+//! engine and the bytecode VM, and inspect the generated code.
 //!
 //! ```bash
 //! cargo run --example quickstart
@@ -51,5 +51,18 @@ fn main() -> hique::types::Result<()> {
     let result = generated.execute(&catalog)?;
     println!("{}", result.to_text());
     println!("counters: {}", result.stats);
+
+    // 4. Compile the same program at query time: lower its kernels to
+    //    register bytecode and run them through the same driver (the `vm`
+    //    engine, the fastest mode).
+    let program = hique::vm::compile(&generated, &catalog, hique::vm::CompileMode::Specialized)?;
+    let vm = program.execute(&generated, &catalog, &Default::default())?;
+    println!(
+        "\nvm: {} bytecode ops compiled in {:?}, {} rows",
+        program.code_len(),
+        program.compile_cost(),
+        vm.num_rows()
+    );
+    println!("counters: {}", vm.stats);
     Ok(())
 }
