@@ -10,7 +10,11 @@
 //! The workload is small on purpose (seconds, not minutes): TPC-H Q1/Q3/Q10
 //! through the holistic engine, the bytecode VM on both interpreter tiers,
 //! the two micro-benchmarks, and a pool-backed Q1 under a tight memory
-//! budget so buffer-pool-path regressions are tracked too.  Comparison
+//! budget so buffer-pool-path regressions are tracked too.  The
+//! `*_ns_per_tuple` cases carry the aggregation layer on its own:
+//! aggregation phase time ÷ tuples aggregated, for Q1 on both kernel
+//! providers and — the roofline — for the map-aggregation micro-benchmark
+//! next to the optimized hand-coded kernel over the same table.  Comparison
 //! warns (GitHub `::warning::` annotations) and never fails the job —
 //! shared-runner timings are too noisy for a hard gate; the artifact trail
 //! is the record.  `--dashboard DIR` additionally renders every
@@ -21,12 +25,14 @@
 
 use std::time::Instant;
 
+use hique_bench::handcoded::{aggregate, HandVariant};
 use hique_bench::runner::plan_sql;
 use hique_bench::trend::{parse_results, regressions, render_snapshot, BenchResult};
 use hique_bench::workload::{agg_query_sql, agg_workload, join_query_sql, join_workload};
 use hique_holistic::ExecOptions;
 use hique_plan::{AggAlgorithm, JoinAlgorithm, PlannerConfig};
 use hique_storage::Catalog;
+use hique_types::{ExecStats, QueryResult};
 
 struct Args {
     sf: f64,
@@ -128,6 +134,24 @@ fn measure_vm_ms(
     best
 }
 
+/// Best-of-`repeats` aggregation-phase nanoseconds per aggregated tuple of
+/// a single-table aggregate query (what staging materialized is what the
+/// aggregation consumed).
+fn agg_ns_per_tuple(
+    plan: &hique_plan::PhysicalPlan,
+    repeats: usize,
+    run: impl Fn() -> hique_types::Result<QueryResult>,
+) -> f64 {
+    let tuple_size = plan.staged[0].schema.tuple_size() as f64;
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats {
+        let result = run().expect("execute");
+        let nanos = result.timings.get("aggregation").expect("phase").as_nanos() as f64;
+        best = best.min(nanos * tuple_size / result.stats.bytes_materialized as f64);
+    }
+    best
+}
+
 /// Render every `BENCH_*.json` under `dir` (ordered oldest-modified first)
 /// into `dir/dashboard.html`.
 fn write_dashboard(dir: &str, current: Option<(&str, &[BenchResult])>) -> std::io::Result<()> {
@@ -180,7 +204,8 @@ fn main() {
 
     let mut results: Vec<BenchResult> = Vec::new();
     let mut record = |name: &str, millis: f64| {
-        println!("{name:<28} {millis:>10.3} ms");
+        let unit = if name.ends_with("_ms") { "ms" } else { "ns" };
+        println!("{name:<34} {millis:>10.3} {unit}");
         results.push(BenchResult {
             name: name.into(),
             millis,
@@ -231,6 +256,24 @@ fn main() {
         );
     }
 
+    // The aggregation layer alone, per tuple, on both kernel providers.
+    let q1_plan = plan_sql(hique_tpch::queries::Q1_SQL, &catalog, &default_config).expect("plan");
+    let q1 = hique_holistic::generate(&q1_plan).expect("generate");
+    let q1_vm = hique_vm::compile(&q1, &catalog, hique_vm::CompileMode::Specialized).expect("vm");
+    let options = ExecOptions::default();
+    record(
+        "q1_agg_ns_per_tuple_holistic",
+        agg_ns_per_tuple(&q1_plan, args.repeats, || {
+            q1.execute_with(&catalog, &options)
+        }),
+    );
+    record(
+        "q1_agg_ns_per_tuple_vm",
+        agg_ns_per_tuple(&q1_plan, args.repeats, || {
+            q1_vm.execute(&q1, &catalog, &options)
+        }),
+    );
+
     // The paper's micro-benchmarks.
     let join_catalog = join_workload(
         (1_500_000.0 * args.sf) as usize,
@@ -257,6 +300,28 @@ fn main() {
             args.repeats,
         ),
     );
+
+    // The same layer against its roofline: map aggregation over the
+    // micro-benchmark table, generated kernels vs the optimized hand-coded
+    // kernel (which reads the heap directly and knows the key domain).
+    let map_config = PlannerConfig::default().with_agg_algorithm(AggAlgorithm::Map);
+    let map_plan = plan_sql(agg_query_sql(), &agg_catalog, &map_config).expect("plan");
+    let map_agg = hique_holistic::generate(&map_plan).expect("generate");
+    record(
+        "map_agg_ns_per_tuple_holistic",
+        agg_ns_per_tuple(&map_plan, args.repeats, || {
+            map_agg.execute_with(&agg_catalog, &options)
+        }),
+    );
+    let heap = &agg_catalog.table("agg_t").expect("table").heap;
+    let mut best = f64::INFINITY;
+    for _ in 0..args.repeats {
+        let mut stats = ExecStats::new();
+        let t = Instant::now();
+        aggregate(heap, 1000, true, HandVariant::Optimized, &mut stats);
+        best = best.min(t.elapsed().as_nanos() as f64 / stats.tuples_processed as f64);
+    }
+    record("map_agg_ns_per_tuple_handcoded", best);
 
     // Pool-backed Q1 under a tight budget: tracks the buffer-pool path.
     let mut paged = hique_tpch::generate_into_catalog(args.sf).expect("catalog");

@@ -93,32 +93,26 @@ pub fn render_profile_table(title: &str, measurements: &[Measurement]) -> String
         "{:<26} {:>10} {:>12} {:>14} {:>12} {:>14} {:>10}\n",
         "implementation", "time (ms)", "rows", "func calls %", "cmps %", "bytes %", "speedup"
     ));
-    let base_calls = measurements
-        .first()
-        .map(|m| m.stats.function_calls.max(1))
-        .unwrap_or(1);
-    let base_cmps = measurements
-        .first()
-        .map(|m| m.stats.comparisons.max(1))
-        .unwrap_or(1);
-    let base_bytes = measurements
-        .first()
-        .map(|m| m.stats.bytes_touched.max(1))
-        .unwrap_or(1);
-    let base_time = measurements
-        .first()
-        .map(|m| m.elapsed.as_secs_f64())
-        .unwrap_or(1.0);
+    let Some(base) = measurements.first() else {
+        return out;
+    };
+    // A counter as a percentage of the baseline engine's; `n/a` when the
+    // baseline never counted it (a map aggregation does no comparisons on
+    // the iterator engines, and x / 0 is not a percentage).
+    let pct = |value: u64, base: u64| match base {
+        0 => "n/a".to_string(),
+        base => format!("{:.2}%", 100.0 * value as f64 / base as f64),
+    };
     for m in measurements {
         out.push_str(&format!(
-            "{:<26} {:>10.2} {:>12} {:>13.2}% {:>11.2}% {:>13.2}% {:>9.2}x\n",
+            "{:<26} {:>10.2} {:>12} {:>14} {:>12} {:>14} {:>9.2}x\n",
             m.engine,
             m.elapsed.as_secs_f64() * 1000.0,
             m.rows,
-            100.0 * m.stats.function_calls as f64 / base_calls as f64,
-            100.0 * m.stats.comparisons as f64 / base_cmps as f64,
-            100.0 * m.stats.bytes_touched as f64 / base_bytes as f64,
-            base_time / m.elapsed.as_secs_f64().max(1e-9),
+            pct(m.stats.function_calls, base.stats.function_calls),
+            pct(m.stats.comparisons, base.stats.comparisons),
+            pct(m.stats.bytes_touched, base.stats.bytes_touched),
+            base.elapsed.as_secs_f64() / m.elapsed.as_secs_f64().max(1e-9),
         ));
     }
     out
@@ -204,6 +198,14 @@ mod tests {
         assert!(table.contains("Generic Iterators"));
         assert!(table.contains("HIQUE"));
         assert!(table.contains("speedup"));
+        // A zero baseline counter renders as n/a, not as a huge percentage.
+        let mut zero_base = ms.clone();
+        zero_base[0].stats.comparisons = 0;
+        let table = render_profile_table("test", &zero_base);
+        assert!(
+            table.contains("n/a") && !table.contains("00000.00%"),
+            "{table}"
+        );
         let series = render_series_table(
             "s",
             "x",

@@ -13,12 +13,13 @@
 
 use std::fmt::Write as _;
 
-/// One measured benchmark: label and best-of-N wall milliseconds.
+/// One measured benchmark: label and best-of-N value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Stable benchmark name (snake_case, `_ms` suffix by convention).
+    /// Stable benchmark name (snake_case; the suffix names the unit —
+    /// `_ms` wall milliseconds, `_ns_per_tuple` nanoseconds per tuple).
     pub name: String,
-    /// Best observed wall-clock milliseconds.
+    /// Best observed value, in the name's unit (lower is better).
     pub millis: f64,
 }
 

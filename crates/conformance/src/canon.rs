@@ -113,9 +113,12 @@ impl fmt::Display for Mismatch {
 
 fn values_match(a: &Value, b: &Value) -> bool {
     match (a, b) {
-        // Any numeric pair compares through f64 with relative tolerance, so
-        // Int32/Int64 width differences and float accumulation error are
-        // both absorbed here.
+        // A date is a date on every engine: `8041.0` for `1992-01-07` is a
+        // typing bug, not float error (typed MIN/MAX hid behind this once).
+        (Value::Date(_), Value::Float64(_)) | (Value::Float64(_), Value::Date(_)) => false,
+        // Any other numeric pair compares through f64 with relative
+        // tolerance, so Int32/Int64 width differences and float accumulation
+        // error are both absorbed here.
         (Value::Float64(_), _) | (_, Value::Float64(_)) => match (a.as_f64(), b.as_f64()) {
             (Ok(fa), Ok(fb)) => (fa - fb).abs() <= FLOAT_RELATIVE_EPS * (1.0 + fa.abs()),
             _ => false,
@@ -212,6 +215,13 @@ mod tests {
         assert!(values_match(&Value::Int32(5), &Value::Int64(5)));
         assert!(!values_match(&Value::Int32(5), &Value::Int64(6)));
         assert!(!values_match(&Value::Str("5".into()), &Value::Int64(5)));
+    }
+
+    #[test]
+    fn a_date_never_matches_its_day_number_as_a_float() {
+        assert!(values_match(&Value::Date(8041), &Value::Date(8041)));
+        assert!(!values_match(&Value::Date(8041), &Value::Float64(8041.0)));
+        assert!(!values_match(&Value::Float64(8041.0), &Value::Date(8041)));
     }
 
     #[test]

@@ -1,115 +1,29 @@
 //! Aggregation kernels: sort, hybrid hash-sort and map aggregation over
 //! packed record buffers (paper §V-B).
 //!
-//! The kernels are instantiated with compiled group-key accessors and
-//! compiled aggregate argument expressions, so the per-tuple work is a few
-//! primitive reads, arithmetic operations and accumulator updates — no
-//! function calls, no boxed values (those appear only when the handful of
-//! result groups is converted to output rows).
+//! The kernels are instantiated with compiled group-key accessors and the
+//! query's aggregate program ([`AggProgram`]: every aggregate's argument in
+//! one shared-subexpression register DAG, plus function-specialised
+//! accumulator slots), so the per-tuple work is a few primitive reads,
+//! arithmetic operations and accumulator updates — no function calls, no
+//! boxed values (those appear only when the handful of result groups is
+//! converted to output rows).
 
 use hique_par::{chunk_ranges, ScopedPool};
 use hique_pipeline::PartitionSet;
 use hique_plan::AggregateSpec;
-use hique_sql::ast::AggFunc;
-use hique_types::{DataType, ExecStats, HiqueError, Result, Row, Schema, Value};
+use hique_types::{ExecStats, Result, Row, Schema, Value};
 
-use crate::kernel::{compare_keys, CompiledExpr, CompiledKey};
+pub use crate::agg_program::{Accum, AccumLayout, AccumSlot, AggNode, AggProgram};
+use crate::kernel::{compare_keys, CompiledKey};
 use crate::relation::StagedRelation;
 
-/// A compiled aggregation: group-key accessors + per-aggregate argument
-/// kernels, instantiated against the input relation's schema.
+/// A compiled aggregation: group-key accessors plus the query's aggregate
+/// program, instantiated against the input relation's schema.
 #[derive(Debug, Clone)]
 pub struct CompiledAgg {
     group_keys: Vec<CompiledKey>,
-    funcs: Vec<AggFunc>,
-    args: Vec<Option<CompiledExpr>>,
-    dtypes: Vec<DataType>,
-}
-
-/// Fixed-size numeric accumulator (one per aggregate per group), shared by
-/// the compiled kernels and the bytecode interpreter so both finish every
-/// aggregate function the same way.
-#[derive(Debug, Clone, Copy)]
-pub struct Accum {
-    sum: f64,
-    count: i64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Accum {
-    fn default() -> Self {
-        Accum::new()
-    }
-}
-
-impl Accum {
-    /// The empty accumulator.
-    pub fn new() -> Self {
-        Accum {
-            sum: 0.0,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one argument value in.
-    #[inline(always)]
-    pub fn update(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Count one tuple of an argument-less aggregate (`COUNT(*)`).
-    #[inline(always)]
-    pub fn update_count_only(&mut self) {
-        self.count += 1;
-    }
-
-    /// Fold another accumulator into this one (the combine step of the
-    /// thread-local aggregation merge).  COUNT/MIN/MAX combine exactly; SUM
-    /// (and AVG through it) re-associates the floating-point addition, which
-    /// is deterministic for a fixed chunking but may differ from the serial
-    /// accumulation order in the final bits (DESIGN.md §7).  Combining onto
-    /// a fresh accumulator reproduces `other` bit for bit — which is what
-    /// lets a serial pool run the chunked kernels as the serial form.
-    #[inline(always)]
-    fn combine(&mut self, other: &Accum) {
-        self.sum += other.sum;
-        self.count += other.count;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-
-    /// The aggregate's result value for `func` with result type `dtype`.
-    pub fn finish(&self, func: AggFunc, dtype: DataType) -> Value {
-        match func {
-            AggFunc::Count => Value::Int64(self.count),
-            AggFunc::Sum => match dtype {
-                DataType::Int64 => Value::Int64(self.sum as i64),
-                DataType::Int32 => Value::Int32(self.sum as i32),
-                _ => Value::Float64(self.sum),
-            },
-            AggFunc::Avg => Value::Float64(if self.count == 0 {
-                f64::NAN
-            } else {
-                self.sum / self.count as f64
-            }),
-            AggFunc::Min => Value::Float64(self.min),
-            AggFunc::Max => Value::Float64(self.max),
-        }
-    }
+    program: AggProgram,
 }
 
 /// The single group of a global aggregate (no grouping columns): one
@@ -117,6 +31,7 @@ impl Accum {
 /// yields no group, the convention shared by the iterator and DSM engines.
 struct GlobalGroup {
     accums: Vec<Accum>,
+    regs: Vec<f64>,
     tuples: u64,
     bytes: u64,
 }
@@ -124,7 +39,8 @@ struct GlobalGroup {
 impl GlobalGroup {
     fn new(agg: &CompiledAgg) -> Self {
         GlobalGroup {
-            accums: vec![Accum::new(); agg.funcs.len()],
+            accums: agg.fresh_accums(),
+            regs: agg.program.frame(),
             tuples: 0,
             bytes: 0,
         }
@@ -134,7 +50,7 @@ impl GlobalGroup {
     fn update(&mut self, agg: &CompiledAgg, record: &[u8]) {
         self.tuples += 1;
         self.bytes += record.len() as u64;
-        agg.update_all(&mut self.accums, record);
+        agg.update_all(&mut self.regs, &mut self.accums, record);
     }
 
     fn combine(&mut self, other: &GlobalGroup) {
@@ -155,184 +71,247 @@ impl GlobalGroup {
     }
 }
 
-/// The value directories of map aggregation (paper Figure 4): one sorted
-/// array of distinct key images per grouping attribute, and — once sealed —
-/// the |M_i| products that turn a tuple's directory positions into its
-/// offset in the dense aggregate arrays.
+/// The value directories of map aggregation (paper Figure 4), grown on
+/// first occurrence during the one scan: per grouping attribute the
+/// distinct key images seen so far, sorted, each with the id it was given
+/// on discovery.  A tuple's ids, weighted by the |M_i| products of Figure
+/// 4(b), are its offset in the dense cell array, which names its group.
+///
+/// The products are taken over per-attribute *capacities* (powers of two)
+/// rather than the current directory sizes, so the array is laid out again
+/// only when a directory outgrows its capacity — a handful of times per
+/// attribute — and accumulators never move.
 struct MapDirectory {
-    values: Vec<Vec<i64>>,
+    values: Vec<Vec<(i64, u32)>>,
+    /// Per attribute, a direct-mapped memo of recent `(image, id)` pairs in
+    /// front of the directory's binary search.
+    memo: Vec<[(i64, u32); MEMO]>,
+    capacity: Vec<usize>,
     multipliers: Vec<usize>,
-    total: usize,
+    /// Group number + 1 per offset; 0 = no tuple seen yet.
+    cells: Vec<u32>,
 }
+
+/// Entries per directory memo.
+const MEMO: usize = 64;
+/// No directory hands this id out, so it marks an empty memo entry.
+const NO_ID: u32 = u32::MAX;
 
 impl MapDirectory {
     fn new(group_keys: usize) -> Self {
         MapDirectory {
             values: vec![Vec::new(); group_keys],
-            multipliers: Vec::new(),
-            total: 0,
+            memo: vec![[(0, NO_ID); MEMO]; group_keys],
+            capacity: vec![1; group_keys],
+            multipliers: vec![1; group_keys],
+            cells: vec![0],
         }
     }
 
-    fn insert(&mut self, attribute: usize, v: i64) {
-        let d = &mut self.values[attribute];
-        if let Err(pos) = d.binary_search(&v) {
-            d.insert(pos, v);
-        }
-    }
-
-    /// Pre-pass step: enter `record`'s grouping values.
-    fn observe(&mut self, keys: &[CompiledKey], record: &[u8]) {
-        for (i, k) in keys.iter().enumerate() {
-            self.insert(i, k.as_i64(record));
-        }
-    }
-
-    /// Merge a worker's partial directories in (set union, so the result is
-    /// the directory a single pre-pass over all records builds).
-    fn absorb(&mut self, partial: &MapDirectory) {
-        for (i, d) in partial.values.iter().enumerate() {
-            for &v in d {
-                self.insert(i, v);
+    /// The offset of the tuple whose `i`-th key image is `image(i)`,
+    /// entering unseen values — and, when that makes a directory outgrow
+    /// its capacity, laying the cell array out again for `groups` (one
+    /// image per attribute per group seen so far, in group order).
+    #[inline(always)]
+    fn offset(&mut self, image: impl Fn(usize) -> i64, groups: &[i64]) -> usize {
+        match self.probe(&image) {
+            (offset, true) => offset,
+            _ => {
+                self.grow(groups);
+                self.probe(&image).0
             }
         }
     }
 
-    /// Close the pre-pass: fix the offset formula of Figure 4(b).
-    fn seal(&mut self) {
+    /// One look at every directory: the offset under the current layout,
+    /// and whether every directory still fits its capacity (when not, the
+    /// offset is meaningless until [`MapDirectory::grow`] ran).
+    #[inline(always)]
+    fn probe(&mut self, image: impl Fn(usize) -> i64) -> (usize, bool) {
+        let (mut offset, mut fits) = (0usize, true);
+        for (i, d) in self.values.iter_mut().enumerate() {
+            let v = image(i);
+            // Fibonacci hashing: the top bits of the product.
+            let slot = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.ilog2());
+            let memo = &mut self.memo[i][slot as usize];
+            if memo.0 != v || memo.1 == NO_ID {
+                let id = match d.binary_search_by_key(&v, |&(value, _)| value) {
+                    Ok(pos) => d[pos].1,
+                    Err(pos) => {
+                        let id = d.len() as u32;
+                        d.insert(pos, (v, id));
+                        fits &= d.len() <= self.capacity[i];
+                        id
+                    }
+                };
+                *memo = (v, id);
+            }
+            offset += memo.1 as usize * self.multipliers[i];
+        }
+        (offset, fits)
+    }
+
+    /// Size the cell array for the grown directories and re-enter `groups`.
+    #[cold]
+    fn grow(&mut self, groups: &[i64]) {
+        for (cap, d) in self.capacity.iter_mut().zip(&self.values) {
+            *cap = d.len().next_power_of_two();
+        }
         let n = self.values.len();
-        self.multipliers = vec![1usize; n];
         for i in (0..n.saturating_sub(1)).rev() {
-            self.multipliers[i] = self.multipliers[i + 1] * self.values[i + 1].len().max(1);
+            self.multipliers[i] = self.multipliers[i + 1] * self.capacity[i + 1];
         }
-        self.total = self.values.iter().map(|d| d.len().max(1)).product();
+        self.cells = vec![0; self.capacity.iter().product()];
+        for (g, group) in groups.chunks_exact(n).enumerate() {
+            let (offset, _) = self.probe(|i| group[i]);
+            self.cells[offset] = g as u32 + 1;
+        }
     }
 
-    /// Main-pass step: `record`'s offset, counting the directory searches.
-    #[inline(always)]
-    fn offset(&self, keys: &[CompiledKey], record: &[u8], comparisons: &mut u64) -> usize {
-        let mut offset = 0usize;
-        for ((d, k), m) in self.values.iter().zip(keys).zip(&self.multipliers) {
-            *comparisons += (d.len().max(2) as f64).log2().ceil() as u64;
-            let id = d
-                .binary_search(&k.as_i64(record))
-                .expect("value present in directory");
-            offset += id * m;
-        }
-        offset
+    /// Directory searches one tuple costs: Σ⌈log₂|dᵢ|⌉, a one-value
+    /// directory counting as one probe.
+    fn comparisons_per_tuple(&self) -> u64 {
+        self.values
+            .iter()
+            .map(|d| u64::from((d.len().max(2) - 1).ilog2() + 1))
+            .sum()
     }
 }
 
-/// The dense aggregate arrays of map aggregation plus one representative
-/// per occupied group (to decode the group's attribute values for the
-/// output): a record index when the input is resident, an owned copy when
-/// it streams past one page at a time.
-struct MapGroups<R> {
-    accums: Vec<Vec<Accum>>,
-    representative: Vec<Option<R>>,
+/// The groups of map aggregation in discovery order: per group its key
+/// images, its accumulator slots and a copy of its first record (to decode
+/// the group's attribute values for the output).
+struct MapGroups {
+    dir: MapDirectory,
+    images: Vec<i64>,
+    accums: Vec<Accum>,
+    representatives: Vec<u8>,
+    /// Record width (known once a group exists).
+    width: usize,
+    regs: Vec<f64>,
+    tuples: u64,
 }
 
-impl<R: Clone> MapGroups<R> {
-    fn new(agg: &CompiledAgg, dir: &MapDirectory) -> Self {
+impl MapGroups {
+    fn new(agg: &CompiledAgg) -> Self {
         MapGroups {
-            accums: vec![vec![Accum::new(); agg.funcs.len()]; dir.total],
-            representative: vec![None; dir.total],
+            dir: MapDirectory::new(agg.group_keys.len()),
+            images: Vec::new(),
+            accums: Vec::new(),
+            representatives: Vec::new(),
+            width: 0,
+            regs: agg.program.frame(),
+            tuples: 0,
+        }
+    }
+
+    /// The group of the tuple with key images `image(i)`, entered with
+    /// `record` as its representative when it is the group's first.
+    #[inline(always)]
+    fn group(&mut self, agg: &CompiledAgg, image: impl Fn(usize) -> i64, record: &[u8]) -> usize {
+        let offset = self.dir.offset(&image, &self.images);
+        match self.dir.cells[offset] {
+            0 => {
+                let k = agg.group_keys.len();
+                let g = self.images.len() / k;
+                self.images.extend((0..k).map(image));
+                self.accums.extend(agg.fresh_accums());
+                self.representatives.extend_from_slice(record);
+                self.width = record.len();
+                self.dir.cells[offset] = g as u32 + 1;
+                g
+            }
+            cell => cell as usize - 1,
         }
     }
 
     #[inline(always)]
-    fn update(
-        &mut self,
-        agg: &CompiledAgg,
-        dir: &MapDirectory,
-        record: &[u8],
-        stats: &mut ExecStats,
-        representative: impl FnOnce() -> R,
-    ) {
-        stats.add_tuple(record.len());
-        let offset = dir.offset(&agg.group_keys, record, &mut stats.comparisons);
-        agg.update_all(&mut self.accums[offset], record);
-        if self.representative[offset].is_none() {
-            self.representative[offset] = Some(representative());
-        }
+    fn update(&mut self, agg: &CompiledAgg, record: &[u8]) {
+        self.tuples += 1;
+        let g = self.group(agg, |i| agg.group_keys[i].as_i64(record), record);
+        let s = agg.slots();
+        agg.update_all(&mut self.regs, &mut self.accums[g * s..(g + 1) * s], record);
     }
 
-    /// Fold a later chunk's arrays in; the earlier representative wins.
-    fn combine(&mut self, other: &MapGroups<R>) {
-        for (merged, local) in self.accums.iter_mut().zip(&other.accums) {
-            for (a, l) in merged.iter_mut().zip(local) {
+    /// Fold a later chunk's groups in; the earlier representative wins.
+    fn combine(&mut self, agg: &CompiledAgg, other: &MapGroups) {
+        self.tuples += other.tuples;
+        let (k, s, ts) = (agg.group_keys.len(), agg.slots(), other.width);
+        for (g, images) in other.images.chunks_exact(k).enumerate() {
+            let rep = &other.representatives[g * ts..(g + 1) * ts];
+            let merged = self.group(agg, |i| images[i], rep);
+            let local = &other.accums[g * s..(g + 1) * s];
+            for (a, l) in self.accums[merged * s..(merged + 1) * s]
+                .iter_mut()
+                .zip(local)
+            {
                 a.combine(l);
             }
         }
-        for (merged, local) in self.representative.iter_mut().zip(&other.representative) {
-            if merged.is_none() {
-                merged.clone_from(local);
-            }
-        }
     }
 
-    /// One output row per occupied group, in offset order.
-    fn emit<'r>(&'r self, agg: &CompiledAgg, record: impl Fn(&'r R) -> &'r [u8]) -> Vec<Row> {
-        let mut out = Vec::new();
-        for (offset, rep) in self.representative.iter().enumerate() {
-            if let Some(rep) = rep {
-                out.push(agg.finish_row(agg.group_values(record(rep)), &self.accums[offset]));
-            }
-        }
-        out
+    /// One output row per group, in offset order of the sorted directories
+    /// (= lexicographic order of the groups' key images), charging the
+    /// scan's work to `stats`: every tuple searched every final directory.
+    fn emit(&self, agg: &CompiledAgg, stats: &mut ExecStats) -> Vec<Row> {
+        stats.tuples_processed += self.tuples;
+        stats.bytes_touched += self.tuples * self.width as u64;
+        stats.comparisons += self.tuples * self.dir.comparisons_per_tuple();
+        let (k, s, ts) = (agg.group_keys.len(), agg.slots(), self.width);
+        let mut order: Vec<usize> = (0..self.images.len() / k).collect();
+        order.sort_unstable_by_key(|&g| &self.images[g * k..(g + 1) * k]);
+        order
+            .into_iter()
+            .map(|g| {
+                let rep = &self.representatives[g * ts..(g + 1) * ts];
+                agg.finish_row(agg.group_values(rep), &self.accums[g * s..(g + 1) * s])
+            })
+            .collect()
     }
 }
 
 impl CompiledAgg {
     /// Instantiate the aggregation templates for `spec` over `input_schema`.
     pub fn compile(spec: &AggregateSpec, input_schema: &Schema) -> Result<Self> {
-        let group_keys = spec
-            .group_columns
-            .iter()
-            .map(|&c| CompiledKey::compile(input_schema, c))
-            .collect();
-        let mut funcs = Vec::new();
-        let mut args = Vec::new();
-        let mut dtypes = Vec::new();
-        for a in &spec.aggregates {
-            if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                if let Some(arg) = &a.arg {
-                    if matches!(arg.dtype(), DataType::Char(_)) {
-                        return Err(HiqueError::Codegen(
-                            "MIN/MAX over string columns is not supported by the holistic kernels"
-                                .into(),
-                        ));
-                    }
-                }
-            }
-            funcs.push(a.func);
-            args.push(match &a.arg {
-                Some(e) => Some(CompiledExpr::compile(e, input_schema)?),
-                None => None,
-            });
-            dtypes.push(a.dtype);
-        }
         Ok(CompiledAgg {
-            group_keys,
-            funcs,
-            args,
-            dtypes,
+            group_keys: spec
+                .group_columns
+                .iter()
+                .map(|&c| CompiledKey::compile(input_schema, c))
+                .collect(),
+            program: AggProgram::compile(spec, input_schema)?,
         })
     }
 
     /// Number of aggregates.
     pub fn num_aggregates(&self) -> usize {
-        self.funcs.len()
+        self.program.layout().num_aggregates()
     }
 
+    /// The aggregate program — exposed so alternative back ends (the
+    /// bytecode VM) lower the *same* DAG and slots instead of re-deriving
+    /// them from the plan.
+    pub fn program(&self) -> &AggProgram {
+        &self.program
+    }
+
+    /// Accumulator slots per group.
+    fn slots(&self) -> usize {
+        self.program.layout().slots().len()
+    }
+
+    fn fresh_accums(&self) -> Vec<Accum> {
+        vec![Accum::new(); self.slots()]
+    }
+
+    /// Fold `record` into its group's slots: the one place aggregate
+    /// arguments are evaluated, once per distinct DAG node.
     #[inline(always)]
-    fn update_all(&self, accums: &mut [Accum], record: &[u8]) {
-        for (i, arg) in self.args.iter().enumerate() {
-            match arg {
-                Some(expr) => accums[i].update(expr.eval(record)),
-                None => accums[i].update_count_only(),
-            }
-        }
+    fn update_all(&self, regs: &mut [f64], accums: &mut [Accum], record: &[u8]) {
+        self.program.eval(record, regs);
+        self.program
+            .layout()
+            .accumulate(accums, |r| regs[r as usize]);
     }
 
     fn group_values(&self, record: &[u8]) -> Vec<Value> {
@@ -341,9 +320,8 @@ impl CompiledAgg {
 
     fn finish_row(&self, group: Vec<Value>, accums: &[Accum]) -> Row {
         let mut values = group;
-        for (i, acc) in accums.iter().enumerate() {
-            values.push(acc.finish(self.funcs[i], self.dtypes[i]));
-        }
+        let layout = self.program.layout();
+        values.extend((0..layout.num_aggregates()).map(|i| layout.finish(i, accums)));
         Row::new(values)
     }
 
@@ -406,7 +384,8 @@ impl CompiledAgg {
         if n == 0 {
             return;
         }
-        let mut accums = vec![Accum::new(); self.funcs.len()];
+        let mut regs = self.program.frame();
+        let mut accums = self.fresh_accums();
         let mut group_start = 0usize;
         for i in 0..n {
             let rec = &buf[i * ts..(i + 1) * ts];
@@ -417,11 +396,11 @@ impl CompiledAgg {
                 stats.comparisons += self.group_keys.len() as u64;
                 if compare_keys(&self.group_keys, prev, rec) != std::cmp::Ordering::Equal {
                     out.push(self.finish_row(self.group_values(prev), &accums));
-                    accums = vec![Accum::new(); self.funcs.len()];
+                    accums.fill(Accum::new());
                     group_start = i;
                 }
             }
-            self.update_all(&mut accums, rec);
+            self.update_all(&mut regs, &mut accums, rec);
         }
         let last = &buf[(n - 1) * ts..n * ts];
         out.push(self.finish_row(self.group_values(last), &accums));
@@ -464,15 +443,16 @@ impl CompiledAgg {
     }
 
     /// Map aggregation: one value directory per grouping attribute maps each
-    /// tuple to an offset in dense aggregate arrays; a single scan, no
-    /// staging (paper §V-B, Figure 4).  The directories are built in a light
-    /// pre-pass over the grouping columns (the paper assumes the domains are
-    /// known from the catalogue); the main pass is pure offset arithmetic.
+    /// tuple to an offset in a dense array; a single scan, no staging
+    /// (paper §V-B, Figure 4).  The directories grow on first occurrence
+    /// during that scan ([`MapDirectory`]) — the paper assumes the domains
+    /// are known from the catalogue; here they are discovered as they
+    /// appear, without a second look at the input.
     ///
-    /// Both passes divide across `pool`: workers process contiguous record
+    /// The scan divides across `pool`: workers process contiguous record
     /// chunks (deterministic chunking) into thread-local directories and
-    /// dense arrays, merged in chunk order — the union of the directories,
-    /// [`Accum::combine`] of the arrays, the lowest-index representative —
+    /// groups, merged in chunk order — the union of the directories,
+    /// [`Accum::combine`] of the slots, the lowest-index representative —
     /// so groups, representatives and integer aggregates are the same for
     /// every pool width, while SUM/AVG re-associate floating-point addition
     /// deterministically per width (DESIGN.md §7).
@@ -483,14 +463,16 @@ impl CompiledAgg {
         stats: &mut ExecStats,
     ) -> Vec<Row> {
         stats.add_calls(1);
-        let records: Vec<&[u8]> = input.records().collect();
-        let ranges = chunk_ranges(records.len(), pool.threads());
+        let ts = input.tuple_size();
+        let ranges = chunk_ranges(input.num_records(), pool.threads());
 
         if self.group_keys.is_empty() {
             let chunks: Vec<GlobalGroup> = pool.map_items(&ranges, |_, range| {
                 let mut group = GlobalGroup::new(self);
-                for rec in &records[range.clone()] {
-                    group.update(self, rec);
+                for run in input.packed_runs(range.clone()) {
+                    for rec in run.chunks_exact(ts) {
+                        group.update(self, rec);
+                    }
                 }
                 group
             });
@@ -501,34 +483,21 @@ impl CompiledAgg {
             return group.finish(self, stats);
         }
 
-        let partial_dirs: Vec<MapDirectory> = pool.map_items(&ranges, |_, range| {
-            let mut dir = MapDirectory::new(self.group_keys.len());
-            for rec in &records[range.clone()] {
-                dir.observe(&self.group_keys, rec);
+        let chunks: Vec<MapGroups> = pool.map_items(&ranges, |_, range| {
+            let mut groups = MapGroups::new(self);
+            for run in input.packed_runs(range.clone()) {
+                for rec in run.chunks_exact(ts) {
+                    groups.update(self, rec);
+                }
             }
-            dir
+            groups
         });
-        let mut dir = MapDirectory::new(self.group_keys.len());
-        for partial in &partial_dirs {
-            dir.absorb(partial);
+        let mut chunks = chunks.into_iter();
+        let mut groups = chunks.next().unwrap_or_else(|| MapGroups::new(self));
+        for chunk in chunks {
+            groups.combine(self, &chunk);
         }
-        dir.seal();
-
-        // Representatives are global record positions.
-        let chunks: Vec<(MapGroups<usize>, ExecStats)> = pool.map_items(&ranges, |_, range| {
-            let mut local = ExecStats::new();
-            let mut groups = MapGroups::new(self, &dir);
-            for ri in range.clone() {
-                groups.update(self, &dir, records[ri], &mut local, || ri);
-            }
-            (groups, local)
-        });
-        let mut groups = MapGroups::new(self, &dir);
-        for (chunk, local) in &chunks {
-            stats.merge(local);
-            groups.combine(chunk);
-        }
-        groups.emit(self, |&ri| records[ri])
+        groups.emit(self, stats)
     }
 
     // ---- Page-at-a-time stream kernels -----------------------------------
@@ -557,7 +526,8 @@ impl CompiledAgg {
         for stream in set.streams() {
             let ts = stream.tuple_size();
             let mut prev: Vec<u8> = Vec::new();
-            let mut accums = vec![Accum::new(); self.funcs.len()];
+            let mut regs = self.program.frame();
+            let mut accums = self.fresh_accums();
             let mut in_group = false;
             stream.for_each_record(|rec| {
                 stats.tuples_processed += 1;
@@ -566,10 +536,10 @@ impl CompiledAgg {
                     stats.comparisons += self.group_keys.len() as u64;
                     if compare_keys(&self.group_keys, &prev, rec) != std::cmp::Ordering::Equal {
                         out.push(self.finish_row(self.group_values(&prev), &accums));
-                        accums = vec![Accum::new(); self.funcs.len()];
+                        accums.fill(Accum::new());
                     }
                 }
-                self.update_all(&mut accums, rec);
+                self.update_all(&mut regs, &mut accums, rec);
                 prev.clear();
                 prev.extend_from_slice(rec);
                 in_group = true;
@@ -581,11 +551,9 @@ impl CompiledAgg {
         Ok(out)
     }
 
-    /// [`CompiledAgg::map_aggregate`] over a stream: the directory pre-pass
-    /// and the offset-arithmetic main pass each walk the pages once; only
-    /// the directories, the dense aggregate arrays and one owned
-    /// representative record per occupied group stay resident (a stream
-    /// cannot hand out borrows).
+    /// [`CompiledAgg::map_aggregate`] over a stream: the same single scan,
+    /// walking the pages once; only the directories, the groups' slots and
+    /// one representative record per group stay resident.
     pub fn map_aggregate_stream(
         &self,
         set: &PartitionSet<'_>,
@@ -595,12 +563,9 @@ impl CompiledAgg {
         if self.group_keys.is_empty() {
             return self.global_aggregate_stream(set, stats);
         }
-        let mut dir = MapDirectory::new(self.group_keys.len());
-        set.for_each_record(|rec| dir.observe(&self.group_keys, rec))?;
-        dir.seal();
-        let mut groups: MapGroups<Vec<u8>> = MapGroups::new(self, &dir);
-        set.for_each_record(|rec| groups.update(self, &dir, rec, stats, || rec.to_vec()))?;
-        Ok(groups.emit(self, |rep| rep.as_slice()))
+        let mut groups = MapGroups::new(self);
+        set.for_each_record(|rec| groups.update(self, rec))?;
+        Ok(groups.emit(self, stats))
     }
 
     /// [`CompiledAgg::hybrid_aggregate`] over a stream: one streaming
@@ -692,9 +657,11 @@ fn par_scatter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::CompiledExpr;
     use hique_plan::AggAlgorithm;
     use hique_sql::analyze::{BoundAggregate, ScalarExpr};
-    use hique_types::{result::sort_rows, Column};
+    use hique_sql::ast::{AggFunc, BinOp};
+    use hique_types::{result::sort_rows, Column, DataType};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -737,7 +704,7 @@ mod tests {
                 BoundAggregate {
                     func: AggFunc::Avg,
                     arg: Some(ScalarExpr::Binary {
-                        op: hique_sql::ast::BinOp::Mul,
+                        op: BinOp::Mul,
                         left: Box::new(ScalarExpr::Column {
                             index: 2,
                             dtype: DataType::Float64,
@@ -941,33 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn combining_onto_a_fresh_accumulator_is_bit_exact() {
-        // What lets a serial pool run the chunked kernels as the serial
-        // form: one chunk folded into a fresh accumulator must reproduce the
-        // chunk's own bits, signed zeros, infinities and NaN included.
-        let cases: [&[f64]; 6] = [
-            &[],
-            &[-0.0],
-            &[-0.0, -0.0],
-            &[0.1, 0.2, 0.3, -0.6],
-            &[f64::INFINITY, 1.0],
-            &[f64::NAN, 1.0],
-        ];
-        for values in cases {
-            let mut chunk = Accum::new();
-            for &v in values {
-                chunk.update(v);
-            }
-            let mut merged = Accum::new();
-            merged.combine(&chunk);
-            assert_eq!(merged.sum.to_bits(), chunk.sum.to_bits(), "{values:?}");
-            assert_eq!(merged.min.to_bits(), chunk.min.to_bits(), "{values:?}");
-            assert_eq!(merged.max.to_bits(), chunk.max.to_bits(), "{values:?}");
-            assert_eq!(merged.count, chunk.count, "{values:?}");
-        }
-    }
-
-    #[test]
     fn string_min_max_rejected() {
         let mut s = spec();
         s.aggregates.push(BoundAggregate {
@@ -981,24 +921,320 @@ mod tests {
         assert!(CompiledAgg::compile(&s, &schema()).is_err());
     }
 
-    #[test]
-    fn sum_int_and_accumulator_finishes() {
-        let mut acc = Accum::new();
-        for v in [1.0, 2.0, 5.0] {
-            acc.update(v);
+    // ---- Single-pass map aggregation ≡ the two-pass form ------------------
+
+    /// The map aggregation this crate shipped before the single scan, kept
+    /// as the oracle: a directory pre-pass over every record, sealed
+    /// directories, dense per-chunk arrays of four-field accumulators fed
+    /// by tree-walking argument evaluation, merged in chunk order onto
+    /// fresh arrays, one row per occupied offset.
+    fn two_pass_map_aggregate(
+        spec: &AggregateSpec,
+        input: &StagedRelation,
+        threads: usize,
+    ) -> (Vec<Row>, ExecStats) {
+        #[derive(Clone, Copy)]
+        struct Old {
+            sum: f64,
+            count: i64,
+            min: f64,
+            max: f64,
         }
-        assert_eq!(acc.finish(AggFunc::Sum, DataType::Int64), Value::Int64(8));
-        assert_eq!(acc.finish(AggFunc::Sum, DataType::Int32), Value::Int32(8));
-        assert_eq!(acc.finish(AggFunc::Count, DataType::Int64), Value::Int64(3));
+        let fresh = Old {
+            sum: 0.0,
+            count: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        };
+        let keys: Vec<CompiledKey> = spec
+            .group_columns
+            .iter()
+            .map(|&c| CompiledKey::compile(input.schema(), c))
+            .collect();
+        let args: Vec<Option<CompiledExpr>> = spec
+            .aggregates
+            .iter()
+            .map(|a| {
+                a.arg
+                    .as_ref()
+                    .map(|e| CompiledExpr::compile(e, input.schema()).unwrap())
+            })
+            .collect();
+        let records: Vec<&[u8]> = input.records().collect();
+        let mut stats = ExecStats::new();
+        stats.add_calls(1);
+
+        let mut dirs: Vec<Vec<i64>> = vec![Vec::new(); keys.len()];
+        for rec in &records {
+            for (d, k) in dirs.iter_mut().zip(&keys) {
+                if let Err(pos) = d.binary_search(&k.as_i64(rec)) {
+                    d.insert(pos, k.as_i64(rec));
+                }
+            }
+        }
+        let mut multipliers = vec![1usize; keys.len()];
+        for i in (0..keys.len().saturating_sub(1)).rev() {
+            multipliers[i] = multipliers[i + 1] * dirs[i + 1].len().max(1);
+        }
+        let total: usize = dirs.iter().map(|d| d.len().max(1)).product();
+
+        let mut merged = vec![vec![fresh; args.len()]; total];
+        let mut reps: Vec<Option<usize>> = vec![None; total];
+        for range in chunk_ranges(records.len(), threads) {
+            let mut local = vec![vec![fresh; args.len()]; total];
+            let mut local_reps: Vec<Option<usize>> = vec![None; total];
+            for ri in range {
+                let rec = records[ri];
+                stats.add_tuple(rec.len());
+                let mut offset = 0usize;
+                for ((d, k), m) in dirs.iter().zip(&keys).zip(&multipliers) {
+                    stats.comparisons += (d.len().max(2) as f64).log2().ceil() as u64;
+                    offset += d.binary_search(&k.as_i64(rec)).unwrap() * m;
+                }
+                for (acc, arg) in local[offset].iter_mut().zip(&args) {
+                    match arg {
+                        Some(expr) => {
+                            let v = expr.eval(rec);
+                            acc.sum += v;
+                            acc.count += 1;
+                            if v < acc.min {
+                                acc.min = v;
+                            }
+                            if v > acc.max {
+                                acc.max = v;
+                            }
+                        }
+                        None => acc.count += 1,
+                    }
+                }
+                local_reps[offset].get_or_insert(ri);
+            }
+            for (m, l) in merged.iter_mut().zip(&local) {
+                for (a, o) in m.iter_mut().zip(l) {
+                    a.sum += o.sum;
+                    a.count += o.count;
+                    if o.min < a.min {
+                        a.min = o.min;
+                    }
+                    if o.max > a.max {
+                        a.max = o.max;
+                    }
+                }
+            }
+            for (m, l) in reps.iter_mut().zip(&local_reps) {
+                if m.is_none() {
+                    *m = *l;
+                }
+            }
+        }
+
+        let mut rows = Vec::new();
+        for (offset, rep) in reps.iter().enumerate() {
+            let Some(ri) = *rep else { continue };
+            let mut values: Vec<Value> = keys.iter().map(|k| k.value(records[ri])).collect();
+            for (acc, a) in merged[offset].iter().zip(&spec.aggregates) {
+                values.push(match a.func {
+                    AggFunc::Count => Value::Int64(acc.count),
+                    AggFunc::Sum => Value::from_f64(acc.sum, a.dtype),
+                    AggFunc::Avg => Value::Float64(acc.sum / acc.count as f64),
+                    // Typed since this PR (the old form answered Float64).
+                    AggFunc::Min => Value::from_f64(acc.min, a.dtype),
+                    AggFunc::Max => Value::from_f64(acc.max, a.dtype),
+                });
+            }
+            rows.push(Row::new(values));
+        }
+        (rows, stats)
+    }
+
+    /// Rows as exact text: floats by bit pattern, every other value with
+    /// its variant (`Value`'s own equality compares across numeric types).
+    fn exact(rows: &[Row]) -> Vec<Vec<String>> {
+        rows.iter()
+            .map(|row| {
+                row.values()
+                    .iter()
+                    .map(|v| match v {
+                        Value::Float64(f) => format!("f64:{:016x}", f.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// [`schema`] with a string key wider than its 8-byte image.
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("g1", DataType::Int32),
+            Column::new("g2", DataType::Char(10)),
+            Column::new("v", DataType::Float64),
+        ])
+    }
+
+    /// `(g1, g2, v)` rows.  `g2` repeats its letter eight times and then
+    /// spells the record number: records of one letter are one group (the
+    /// key image is the first eight bytes) whose output spelling tells
+    /// which record represented it.
+    fn relation_of(keys: impl Iterator<Item = (i32, char)>) -> StagedRelation {
+        let rows: Vec<Row> = keys
+            .enumerate()
+            .map(|(i, (g1, g2))| {
+                Row::new(vec![
+                    Value::Int32(g1),
+                    Value::Str(format!("{}{:02}", g2.to_string().repeat(8), i % 100)),
+                    Value::Float64(i as f64 * 0.125 - 7.0),
+                ])
+            })
+            .collect();
+        StagedRelation::from_rows(wide_schema(), &rows).unwrap()
+    }
+
+    /// A spec over [`schema`] whose aggregates share nodes and slots.
+    fn sharing_spec(group_columns: Vec<usize>) -> AggregateSpec {
+        let v = || ScalarExpr::Column {
+            index: 2,
+            dtype: DataType::Float64,
+        };
+        let g1 = || ScalarExpr::Column {
+            index: 0,
+            dtype: DataType::Int32,
+        };
+        let bin = |op, l: ScalarExpr, r: ScalarExpr| ScalarExpr::Binary {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+            dtype: DataType::Float64,
+        };
+        let one = || ScalarExpr::Literal(Value::Int32(1));
+        let disc = || bin(BinOp::Mul, v(), bin(BinOp::Sub, one(), g1()));
+        let agg = |func, arg: Option<ScalarExpr>, dtype| BoundAggregate { func, arg, dtype };
+        AggregateSpec {
+            group_domain_sizes: vec![0; group_columns.len()],
+            group_columns,
+            aggregates: vec![
+                agg(AggFunc::Sum, Some(v()), DataType::Float64),
+                agg(AggFunc::Sum, Some(disc()), DataType::Float64),
+                agg(
+                    AggFunc::Sum,
+                    Some(bin(BinOp::Div, disc(), bin(BinOp::Add, one(), g1()))),
+                    DataType::Float64,
+                ),
+                agg(AggFunc::Avg, Some(v()), DataType::Float64),
+                agg(AggFunc::Count, None, DataType::Int64),
+                agg(AggFunc::Min, Some(g1()), DataType::Int32),
+                agg(AggFunc::Max, Some(disc()), DataType::Float64),
+                agg(AggFunc::Sum, Some(g1()), DataType::Int64),
+            ],
+            algorithm: AggAlgorithm::Map,
+        }
+    }
+
+    fn assert_single_pass_matches_two_pass(spec: &AggregateSpec, input: &StagedRelation) {
+        let compiled = CompiledAgg::compile(spec, input.schema()).unwrap();
+        for threads in [1, 2, 3, 4, 16] {
+            let (rows, stats) = two_pass_map_aggregate(spec, input, threads);
+            let mut got_stats = ExecStats::new();
+            let got = compiled.map_aggregate(input, &ScopedPool::new(threads), &mut got_stats);
+            // Rows, their order, and (through `g2`'s spelling) which record
+            // represents each group.
+            assert_eq!(exact(&got), exact(&rows), "rows, threads={threads}");
+            assert_eq!(got_stats, stats, "stats, threads={threads}");
+        }
+    }
+
+    #[test]
+    fn single_pass_map_aggregation_matches_the_two_pass_form() {
+        let mut rng = XorShift(0x5EED_CAFE);
+        // Random keys over a small domain: every directory is complete early.
+        let random = relation_of((0..3000).map(|_| {
+            let r = rng.next();
+            ((r % 7) as i32 - 3, (b'A' + (r >> 8) as u8 % 5) as char)
+        }));
+        // Directories that keep growing until the last record: each record
+        // brings a new g1 value (descending, so every insert lands at the
+        // front) and the last one a new g2 value.
+        let n = 700;
+        let growing = relation_of((0..n).map(|i| (n - i, if i + 1 == n { 'Z' } else { 'A' })));
+        // One-group skew, and more threads than groups (or records).
+        let skew = relation_of((0..600).map(|_| (1, 'A')));
+        let tiny = relation_of([(5, 'B'), (5, 'A'), (4, 'B')].into_iter());
+        let empty = StagedRelation::new(wide_schema());
+        for input in [&random, &growing, &skew, &tiny, &empty] {
+            for group_columns in [vec![0, 1], vec![1, 0], vec![1], vec![0]] {
+                assert_single_pass_matches_two_pass(&sharing_spec(group_columns), input);
+            }
+        }
+    }
+
+    #[test]
+    fn multi_partition_input_chunks_like_the_flat_record_sequence() {
+        // `packed_runs` must cut exactly the ranges a flat record vector
+        // would: partitions of uneven size, chunk boundaries inside them.
+        let flat = relation_of((0..1000).map(|i| (i % 11, (b'A' + (i % 3) as u8) as char)));
+        let ts = flat.tuple_size();
+        let buf = flat.partition(0);
+        let cuts = [0, 13, 13, 400, 1000];
+        let parts: Vec<Vec<u8>> = cuts
+            .windows(2)
+            .map(|w| buf[w[0] * ts..w[1] * ts].to_vec())
+            .collect();
+        let partitioned = StagedRelation::from_partitions(wide_schema(), parts);
+        assert_single_pass_matches_two_pass(&sharing_spec(vec![0, 1]), &partitioned);
+    }
+
+    #[test]
+    fn streamed_map_aggregation_reads_a_spilled_input_once() {
+        use hique_pipeline::SpillContext;
+        use hique_storage::{BufferPool, TempSpace};
+        use std::sync::Arc;
+
+        let input = relation_of((0..4000).map(|i| (i % 13, (b'A' + (i % 4) as u8) as char)));
+        let spec = sharing_spec(vec![0, 1]);
+        let compiled = CompiledAgg::compile(&spec, input.schema()).unwrap();
+        let (rows, stats) = two_pass_map_aggregate(&spec, &input, 1);
+
+        let mut path = std::env::temp_dir();
+        path.push(format!("hique_agg_stream_{}.spill", std::process::id()));
+        // Two frames: no page of the first pass could survive to a second.
+        let pool = Arc::new(BufferPool::new(2).unwrap());
+        let temp = Arc::new(TempSpace::create(Arc::clone(&pool), &path).unwrap());
+        let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
+        let slot = crate::spill::StagedSlot::stage(
+            crate::staging::StagedInput::unpartitioned(input.clone()),
+            Some(&ctx),
+        )
+        .unwrap();
+        assert!(slot.is_spilled());
+        let pages = slot
+            .data_bytes()
+            .div_ceil(hique_pipeline::page_data_bytes() / input.tuple_size() * input.tuple_size());
+
+        let before = pool.stats();
+        let mut got_stats = ExecStats::new();
+        let got = compiled
+            .map_aggregate_stream(&slot.partitions(Some(&ctx)).unwrap(), &mut got_stats)
+            .unwrap();
+        let io = pool.stats().since(&before);
+        assert_eq!(exact(&got), exact(&rows));
+        assert_eq!(got_stats, stats);
         assert_eq!(
-            acc.finish(AggFunc::Min, DataType::Float64),
-            Value::Float64(1.0)
+            io.pages_read, pages as u64,
+            "one pass over the spilled pages"
         );
-        assert_eq!(
-            acc.finish(AggFunc::Max, DataType::Float64),
-            Value::Float64(5.0)
-        );
-        let avg = acc.finish(AggFunc::Avg, DataType::Float64);
-        assert!((avg.as_f64().unwrap() - 8.0 / 3.0).abs() < 1e-12);
+        assert_eq!(ctx.meter().peak(), 1);
+        drop(slot);
+        std::fs::remove_file(&path).ok();
     }
 }

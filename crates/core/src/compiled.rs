@@ -17,7 +17,7 @@ use crate::generator::{GeneratedQuery, OutputKernel};
 use crate::join::{
     fine_partition_join, hybrid_join, merge_join, nested_loops_join, team_join, JoinSink,
 };
-use crate::kernel::{expr_value, CompiledKey};
+use crate::kernel::CompiledKey;
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
 use crate::staging::{stage_table, StagedInput};
@@ -177,7 +177,7 @@ impl Kernels for GeneratedQuery {
                 .iter()
                 .map(|k| match k {
                     OutputKernel::Column(key) => key.value(record),
-                    OutputKernel::Expr(expr, dtype) => expr_value(expr.eval(record), *dtype),
+                    OutputKernel::Expr(expr, dtype) => Value::from_f64(expr.eval(record), *dtype),
                     OutputKernel::GroupPosition(_) | OutputKernel::AggregatePosition(_) => {
                         unreachable!("aggregate kernels in a non-aggregate sink")
                     }

@@ -76,6 +76,12 @@ impl GeneratedQuery {
         &self.outputs
     }
 
+    /// The compiled aggregation (group keys + aggregate program) of an
+    /// aggregate query, exposed for the same reason.
+    pub fn aggregation(&self) -> Option<&CompiledAgg> {
+        self.aggregation.as_ref()
+    }
+
     /// Execute the generated program against the catalog's data.
     pub fn execute(&self, catalog: &Catalog) -> Result<QueryResult> {
         self.execute_with(catalog, &ExecOptions::default())

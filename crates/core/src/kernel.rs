@@ -215,28 +215,21 @@ impl CompiledExpr {
             CompiledExpr::ColF64(off) => read_f64_at(record, *off),
             CompiledExpr::Const(c) => *c,
             CompiledExpr::Bin { op, left, right } => {
-                let l = left.eval(record);
-                let r = right.eval(record);
-                match op {
-                    BinOp::Add => l + r,
-                    BinOp::Sub => l - r,
-                    BinOp::Mul => l * r,
-                    BinOp::Div => l / r,
-                }
+                apply(*op, left.eval(record), right.eval(record))
             }
         }
     }
 }
 
-/// The typed output value of an arithmetic expression evaluated in `f64`
-/// (the numeric cast table of the output kernels, compiled or interpreted).
-#[inline]
-pub fn expr_value(v: f64, dtype: DataType) -> Value {
-    match dtype {
-        DataType::Int32 => Value::Int32(v as i32),
-        DataType::Int64 => Value::Int64(v as i64),
-        DataType::Date => Value::Date(v as i32),
-        _ => Value::Float64(v),
+/// `l <op> r` in `f64` — the one arithmetic every compiled expression
+/// form (output trees, the aggregate program) evaluates with.
+#[inline(always)]
+pub(crate) fn apply(op: BinOp, l: f64, r: f64) -> f64 {
+    match op {
+        BinOp::Add => l + r,
+        BinOp::Sub => l - r,
+        BinOp::Mul => l * r,
+        BinOp::Div => l / r,
     }
 }
 
@@ -276,10 +269,12 @@ impl CompiledKey {
                 bits ^ (((bits >> 63) as u64) >> 1) as i64
             }
             DataType::Char(_) => {
+                // First `min(width, 8)` bytes, big-endian, zero-padded — byte
+                // by byte: a variable-length copy would be a `memcpy` call
+                // per key per tuple.
                 let bytes = &record[self.offset..self.offset + self.width.min(8)];
-                let mut buf = [0u8; 8];
-                buf[..bytes.len()].copy_from_slice(bytes);
-                i64::from_be_bytes(buf)
+                let image = bytes.iter().fold(0u64, |v, &b| (v << 8) | b as u64);
+                (image << (8 * (8 - bytes.len()))) as i64
             }
         }
     }

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod agg;
+mod agg_program;
 mod compiled;
 pub mod exec;
 pub mod generator;

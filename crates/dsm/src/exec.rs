@@ -347,14 +347,10 @@ pub fn execute_plan_cancellable(
                         let a = &spec.aggregates[*i];
                         match a.func {
                             AggFunc::Count => Value::Int64(acc.count),
-                            AggFunc::Sum => match a.dtype {
-                                DataType::Int64 => Value::Int64(acc.sum as i64),
-                                DataType::Int32 => Value::Int32(acc.sum as i32),
-                                _ => Value::Float64(acc.sum),
-                            },
+                            AggFunc::Sum => Value::from_f64(acc.sum, a.dtype),
                             AggFunc::Avg => Value::Float64(acc.sum / acc.count.max(1) as f64),
-                            AggFunc::Min => Value::Float64(acc.min),
-                            AggFunc::Max => Value::Float64(acc.max),
+                            AggFunc::Min => Value::from_f64(acc.min, a.dtype),
+                            AggFunc::Max => Value::from_f64(acc.max, a.dtype),
                         }
                     }
                     OutputExpr::Scalar(_) => unreachable!("scalar output in aggregate plan"),

@@ -45,6 +45,19 @@ impl Value {
         }
     }
 
+    /// The typed value of a number computed in `f64` — the numeric cast
+    /// table every engine's expression outputs and SUM/MIN/MAX finishes go
+    /// through (`Char` has no numeric form and stays `Float64`).
+    #[inline]
+    pub fn from_f64(v: f64, dtype: DataType) -> Value {
+        match dtype {
+            DataType::Int32 => Value::Int32(v as i32),
+            DataType::Int64 => Value::Int64(v as i64),
+            DataType::Date => Value::Date(v as i32),
+            DataType::Float64 | DataType::Char(_) => Value::Float64(v),
+        }
+    }
+
     /// Interpret the value as `f64` for aggregate arithmetic.
     pub fn as_f64(&self) -> Result<f64> {
         match self {

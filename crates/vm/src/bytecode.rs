@@ -7,7 +7,7 @@
 //! order-preserving `i64` images the statically compiled kernels use for
 //! hashing and partitioning.  A program is one flat `Vec<Op>`; the
 //! compiler hands out [`Frag`] ranges (filter fragment, projection
-//! fragment, per-aggregate argument fragment, …) into it.
+//! fragment, the aggregation's one shared expression fragment, …) into it.
 //!
 //! Constants appear in two forms.  In [`CompileMode::Specialized`]
 //! programs numeric constants are immediates folded into the instruction —
@@ -42,6 +42,11 @@ pub enum RhsF {
     /// Index into [`ConstPool::floats`].
     Pool(u32),
 }
+
+/// Largest float bank a program may declare.  Register operands are `u8`;
+/// staying well below 256 leaves the mutation lane register indexes that
+/// are out of every bank.
+pub(crate) const MAX_REGISTERS: usize = 192;
 
 /// One bytecode instruction.
 ///

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use hique_holistic::agg::Accum;
 use hique_holistic::exec::{self, Kernels, RecordSink, Run};
-use hique_holistic::kernel::{expr_value, CompiledKey};
+use hique_holistic::kernel::CompiledKey;
 use hique_holistic::spill::StagedSlot;
 use hique_holistic::staging::StagedInput;
 use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
@@ -59,8 +59,15 @@ impl std::hash::Hasher for ImageHasher {
     fn finish(&self) -> u64 {
         self.0
     }
+    /// Word-at-a-time: an `[i64]` key hashes through here as raw bytes.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            self.add(u64::from_ne_bytes(word));
+        }
+        for &b in words.remainder() {
             self.add(b as u64);
         }
     }
@@ -318,7 +325,9 @@ impl Kernels for Interpreter<'_> {
 
     /// Hash aggregation in first-occurrence order: group identity is the tuple
     /// of key images (the same identity the static kernels use for directories
-    /// and sort grouping).
+    /// and sort grouping).  Aggregate arguments are the shared DAG fragment,
+    /// evaluated once per tuple (scalar) or once per page batch (vectorized);
+    /// the program's accumulator slots fold its registers.
     fn aggregate(
         &self,
         spec: &AggregateSpec,
@@ -332,136 +341,93 @@ impl Kernels for Interpreter<'_> {
             .agg
             .as_ref()
             .expect("aggregation fragments compiled");
-        let group_keys: Vec<CompiledKey> = spec
-            .group_columns
-            .iter()
-            .map(|&c| CompiledKey::compile(&plan.joined_schema, c))
-            .collect();
+        let (dag, layout) = (frags.dag.ops(code), &frags.layout);
         let tuple_size = plan.joined_schema.tuple_size();
-        let n_aggs = frags.args.len();
-        let mut regs = vec![0.0f64; program.float_registers];
-        let mut index: ImageMap<Vec<i64>, usize> = ImageMap::default();
-        let mut groups: Vec<(Vec<Value>, Vec<Accum>)> = Vec::new();
-        if self.tier == Tier::Vectorized {
-            // Page-batched aggregation: the batch is one page's packed
-            // record area — for spilled inputs one *pinned* page at a time
-            // (through the same guard the scalar consumer uses, so
-            // `spill_consumer_peak_pages` stays 1), for in-memory inputs
-            // the same page-shaped chunks.  Group-key images and argument
-            // expressions evaluate into columnar lanes once per batch;
-            // groups then update row-major in input order, reusing one
-            // scratch key so only first occurrences allocate.
-            let set = slot.partitions(spill)?;
-            let n_groups = frags.group_images.len();
-            let mut gimgs: Vec<Vec<i64>> = vec![Vec::new(); n_groups];
-            let mut vals: Vec<Vec<f64>> = vec![Vec::new(); n_aggs];
-            let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); program.float_registers];
-            let mut key: Vec<i64> = vec![0; n_groups];
-            for stream in set.streams() {
-                stream.for_each_page(|data| {
-                    let batch = Batch::Packed {
-                        data,
-                        width: tuple_size,
-                    };
-                    let n = batch.len();
-                    stats.vm_batches += 1;
-                    for (g, f) in frags.group_images.iter().enumerate() {
-                        run_image_batch(f.ops(code), &batch, &mut gimgs[g]);
-                    }
-                    for (a, arg) in frags.args.iter().enumerate() {
-                        let Some(f) = arg else { continue };
-                        match program.vec.agg_args.get(a).and_then(|s| s.as_deref()) {
-                            Some(steps) => run_expr_batch(
-                                steps,
-                                consts,
-                                &batch,
-                                &mut lanes,
-                                &mut vals[a],
-                                &mut stats.vm_fused_ops,
-                            ),
-                            None => {
-                                // Per-fragment scalar fallback.
-                                vals[a].clear();
-                                for r in 0..n {
-                                    vals[a].push(run_expr(
-                                        f.ops(code),
-                                        consts,
-                                        batch.rec(r),
-                                        &mut regs,
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    for r in 0..n {
-                        stats.add_tuple(tuple_size);
-                        stats.add_hashes(1);
-                        for g in 0..n_groups {
-                            key[g] = gimgs[g][r];
-                        }
-                        let gi = match index.get(key.as_slice()) {
-                            Some(&gi) => gi,
-                            None => {
-                                let rec = batch.rec(r);
-                                let values = group_keys.iter().map(|k| k.value(rec)).collect();
-                                groups.push((values, vec![Accum::new(); n_aggs]));
-                                index.insert(key.clone(), groups.len() - 1);
-                                groups.len() - 1
-                            }
+        let mut groups = Groups {
+            keys: spec
+                .group_columns
+                .iter()
+                .map(|&c| CompiledKey::compile(&plan.joined_schema, c))
+                .collect(),
+            slots: layout.slots().len(),
+            index: ImageMap::default(),
+            values: Vec::new(),
+            accums: Vec::new(),
+        };
+        let mut key: Vec<i64> = vec![0; frags.group_images.len()];
+        let set = slot.partitions(spill)?;
+        match (self.tier, &program.vec.agg_dag) {
+            (Tier::Vectorized, Some(steps)) => {
+                // Page-batched aggregation: the batch is one page's packed
+                // record area — for spilled inputs one *pinned* page at a time
+                // (through the same guard the scalar consumer uses, so
+                // `spill_consumer_peak_pages` stays 1), for in-memory inputs
+                // the same page-shaped chunks.  Group-key images and the DAG
+                // evaluate into columnar lanes once per batch; rows then find
+                // their groups in input order and each slot sweeps the batch.
+                let mut gimgs: Vec<Vec<i64>> = vec![Vec::new(); key.len()];
+                let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); program.float_registers];
+                let mut bases: Vec<usize> = Vec::new();
+                for stream in set.streams() {
+                    stream.for_each_page(|data| {
+                        let batch = Batch::Packed {
+                            data,
+                            width: tuple_size,
                         };
-                        let accums = &mut groups[gi].1;
-                        for (a, arg) in frags.args.iter().enumerate() {
-                            match arg {
-                                Some(_) => accums[a].update(vals[a][r]),
-                                None => accums[a].update_count_only(),
-                            }
+                        let n = batch.len();
+                        stats.vm_batches += 1;
+                        stats.tuples_processed += n as u64;
+                        stats.bytes_touched += (n * tuple_size) as u64;
+                        stats.add_hashes(n as u64);
+                        for (g, f) in frags.group_images.iter().enumerate() {
+                            run_image_batch(f.ops(code), &batch, &mut gimgs[g]);
                         }
+                        run_expr_batch(steps, consts, &batch, &mut lanes, &mut stats.vm_fused_ops);
+                        bases.clear();
+                        for r in 0..n {
+                            for (k, images) in key.iter_mut().zip(&gimgs) {
+                                *k = images[r];
+                            }
+                            bases.push(groups.base(&key, batch.rec(r)));
+                        }
+                        layout.accumulate_batch(&mut groups.accums, &bases, |reg| {
+                            &lanes[reg as usize][..n]
+                        });
+                    })?;
+                }
+            }
+            // The scalar tier, and the vectorized tier's fallback for a DAG
+            // fragment without a batch lowering: page-at-a-time for either
+            // source, a spilled input aggregates straight off pinned pages.
+            _ => {
+                let mut regs = vec![0.0f64; program.float_registers];
+                set.for_each_record(|rec| {
+                    stats.add_tuple(tuple_size);
+                    stats.add_hashes(1);
+                    for (k, f) in key.iter_mut().zip(&frags.group_images) {
+                        *k = run_image(f.ops(code), rec);
                     }
+                    let base = groups.base(&key, rec);
+                    run_expr(dag, consts, rec, &mut regs);
+                    layout.accumulate(&mut groups.accums[base..base + groups.slots], |reg| {
+                        regs[reg as usize]
+                    });
                 })?;
             }
-        } else {
-            let mut process = |rec: &[u8]| {
-                stats.add_tuple(tuple_size);
-                stats.add_hashes(1);
-                let key: Vec<i64> = frags
-                    .group_images
-                    .iter()
-                    .map(|f| run_image(f.ops(code), rec))
-                    .collect();
-                let gi = match index.get(&key) {
-                    Some(&gi) => gi,
-                    None => {
-                        let values = group_keys.iter().map(|k| k.value(rec)).collect();
-                        groups.push((values, vec![Accum::new(); n_aggs]));
-                        index.insert(key, groups.len() - 1);
-                        groups.len() - 1
-                    }
-                };
-                let accums = &mut groups[gi].1;
-                for (a, arg) in frags.args.iter().enumerate() {
-                    match arg {
-                        Some(f) => accums[a].update(run_expr(f.ops(code), consts, rec, &mut regs)),
-                        None => accums[a].update_count_only(),
-                    }
-                }
-            };
-            // Page-at-a-time for either source: a spilled input aggregates
-            // straight off pinned pool pages.
-            slot.partitions(spill)?.for_each_record(&mut process)?;
         }
         Ok(groups
+            .values
             .iter()
-            .map(|(values, accums)| {
+            .enumerate()
+            .map(|(g, values)| {
+                let accums = &groups.accums[g * groups.slots..(g + 1) * groups.slots];
                 Row::new(
                     program
                         .outputs
                         .iter()
                         .map(|o| match o {
                             OutputOp::Group(p) => values[*p].clone(),
-                            OutputOp::Aggregate(i) => {
-                                let a = &spec.aggregates[*i];
-                                accums[*i].finish(a.func, a.dtype)
-                            }
+                            OutputOp::Aggregate(i) => layout.finish(*i, accums),
                             _ => unreachable!("scalar output in aggregate query"),
                         })
                         .collect(),
@@ -479,7 +445,7 @@ impl Kernels for Interpreter<'_> {
                 .iter()
                 .map(|o| match o {
                     OutputOp::Column(key) => key.value(record),
-                    OutputOp::Expr(frag, dtype) => expr_value(
+                    OutputOp::Expr(frag, dtype) => Value::from_f64(
                         run_expr(frag.ops(&program.code), &program.pool, record, &mut regs),
                         *dtype,
                     ),
@@ -490,6 +456,34 @@ impl Kernels for Interpreter<'_> {
                 .collect();
             Row::new(values)
         }
+    }
+}
+
+/// The groups of a hash aggregation in first-occurrence order: decoded key
+/// values and accumulator slots per group, indexed by the key-image tuple.
+struct Groups {
+    keys: Vec<CompiledKey>,
+    slots: usize,
+    index: ImageMap<Vec<i64>, usize>,
+    values: Vec<Vec<Value>>,
+    accums: Vec<Accum>,
+}
+
+impl Groups {
+    /// Where the slots of `key`'s group start in `accums`, entering the
+    /// group (decoded from `rec`, its first tuple) when it is new.
+    #[inline]
+    fn base(&mut self, key: &[i64], rec: &[u8]) -> usize {
+        if let Some(&g) = self.index.get(key) {
+            return g * self.slots;
+        }
+        let g = self.values.len();
+        self.values
+            .push(self.keys.iter().map(|k| k.value(rec)).collect());
+        self.accums
+            .resize(self.accums.len() + self.slots, Accum::new());
+        self.index.insert(key.to_vec(), g);
+        g * self.slots
     }
 }
 

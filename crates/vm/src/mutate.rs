@@ -18,7 +18,9 @@
 
 use hique_sql::ast::CmpOp;
 
-use crate::bytecode::{Frag, Op, RhsF, RhsI};
+use hique_holistic::agg::AccumSlot;
+
+use crate::bytecode::{Frag, Op, RhsF, RhsI, MAX_REGISTERS};
 use crate::program::{OutputOp, VmProgram};
 
 /// One corrupted program and the human-readable description of the single
@@ -66,11 +68,11 @@ impl Rng {
 /// guaranteed to land on no field boundary.
 const FAR_OFFSET: u32 = 1 << 20;
 
-/// A register index far past any bank the compiler sizes (expression
-/// nesting depth bounds the bank; parser depth keeps it tiny).
+/// A register index past any bank the compiler sizes.
 const FAR_REGISTER: u8 = 200;
+const _: () = assert!(FAR_REGISTER as usize >= MAX_REGISTERS);
 
-const KINDS: usize = 16;
+const KINDS: usize = 17;
 
 /// Generate up to `count` single-mutation corruptions of `template`,
 /// deterministically from `seed`.  Kinds that do not apply to the program
@@ -115,6 +117,7 @@ fn apply(p: &mut VmProgram, kind: usize, rng: &mut Rng) -> Option<String> {
         13 => fused_wrong_operand_type(p, rng),
         14 => fused_register_out_of_lattice(p, rng),
         15 => fused_pool_oob(p, rng),
+        16 => redirect_aggregate_register(p, rng),
         _ => None,
     }
 }
@@ -204,12 +207,12 @@ fn register_out_of_bank(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     ))
 }
 
-/// Expression fragments of the program (aggregate arguments and output
+/// Expression fragments of the program (the aggregate DAG and output
 /// expressions) — the only fragments the register machine runs.
 fn expr_frags(p: &VmProgram) -> Vec<Frag> {
     let mut frags = Vec::new();
     if let Some(agg) = &p.agg {
-        frags.extend(agg.args.iter().flatten().copied());
+        frags.push(agg.dag);
     }
     for o in &p.outputs {
         if let OutputOp::Expr(f, _) = o {
@@ -618,9 +621,7 @@ fn frag_out_of_range(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
         for f in &mut agg.group_images {
             frags.push(("group image", f));
         }
-        for f in agg.args.iter_mut().flatten() {
-            frags.push(("aggregate argument", f));
-        }
+        frags.push(("aggregate DAG", &mut agg.dag));
     }
     for o in &mut p.outputs {
         if let OutputOp::Expr(f, _) = o {
@@ -726,21 +727,17 @@ fn fused_wrong_operand_type(p: &mut VmProgram, rng: &mut Rng) -> Option<String> 
     ))
 }
 
-/// Point a register inside a fused aggregate-argument step outside the
-/// float bank, leaving the scalar fragment intact: statically a
+/// Point a register inside a fused aggregate-DAG step outside the float
+/// bank, leaving the scalar fragment intact: statically a
 /// `RegisterOutOfRange` on the vectorized plan.
 fn fused_register_out_of_lattice(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
-    let targets: Vec<(usize, usize)> = p
-        .vec
-        .agg_args
-        .iter()
-        .enumerate()
-        .flat_map(|(a, steps)| steps.iter().flatten().enumerate().map(move |(s, _)| (a, s)))
-        .collect();
-    let &(ai, s) = rng.pick(&targets)?;
     let bank = p.float_registers;
+    let steps = p.vec.agg_dag.as_mut()?;
+    if steps.is_empty() {
+        return None;
+    }
+    let s = rng.below(steps.len());
     let which = rng.below(3);
-    let steps = p.vec.agg_args[ai].as_mut()?;
     let mutate_reg = |r: &mut u8| {
         let old = *r;
         *r = FAR_REGISTER;
@@ -780,7 +777,7 @@ fn fused_register_out_of_lattice(p: &mut VmProgram, rng: &mut Rng) -> Option<Str
         crate::vector::VecStep::TestTest(..) => return None,
     };
     Some(format!(
-        "vectorized aggregate arg {ai} step {s}: register r{old} -> r{FAR_REGISTER} \
+        "vectorized aggregate DAG step {s}: register r{old} -> r{FAR_REGISTER} \
          (bank is {bank})"
     ))
 }
@@ -823,11 +820,9 @@ fn fused_pool_oob(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
             }
         }
     }
-    for (a, steps) in p.vec.agg_args.iter().enumerate() {
-        for (s, step) in steps.iter().flatten().enumerate() {
-            if step_has_pool(step) {
-                targets.push((1, a, s));
-            }
+    for (s, step) in p.vec.agg_dag.iter().flatten().enumerate() {
+        if step_has_pool(step) {
+            targets.push((1, 0, s));
         }
     }
     let &(kind, fi, si) = rng.pick(&targets)?;
@@ -855,15 +850,46 @@ fn fused_pool_oob(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let step = if kind == 0 {
         &mut p.vec.filters[fi].as_mut()?[si]
     } else {
-        &mut p.vec.agg_args[fi].as_mut()?[si]
+        &mut p.vec.agg_dag.as_mut()?[si]
     };
     let section = match step {
         VecStep::Op(x) => corrupt(x),
         VecStep::TestTest(x, y) | VecStep::LoadArith(x, y) => corrupt(x).or_else(|| corrupt(y)),
     }?;
-    let frag = if kind == 0 { "filter" } else { "aggregate arg" };
+    let frag = if kind == 0 { "filter" } else { "aggregate DAG" };
     Some(format!(
         "vectorized {frag} {fi} step {si}: {section} pool reference pushed past its section"
+    ))
+}
+
+/// Point one accumulator slot at a sibling node of the aggregate DAG: a
+/// defined, in-bank register holding another expression's value —
+/// statically a `PlanMismatch` against the generator's aggregate program.
+fn redirect_aggregate_register(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
+    let agg = p.agg.as_mut()?;
+    let nodes = agg.dag.len();
+    if nodes < 2 {
+        return None;
+    }
+    let mut registers: Vec<(usize, &mut u16)> = agg
+        .layout
+        .slots_mut()
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(s, slot)| match slot {
+            AccumSlot::Sum(reg) | AccumSlot::Min(reg) | AccumSlot::Max(reg) => Some((s, reg)),
+            AccumSlot::Count => None,
+        })
+        .collect();
+    if registers.is_empty() {
+        return None;
+    }
+    let pick = rng.below(registers.len());
+    let (s, reg) = &mut registers[pick];
+    let old = **reg;
+    **reg = (old + 1 + rng.below(nodes - 1) as u16) % nodes as u16;
+    Some(format!(
+        "aggregate slot {s}: argument register r{old} -> r{reg} (a sibling DAG node)"
     ))
 }
 

@@ -23,13 +23,13 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
+use hique_holistic::agg::{AccumLayout, AggNode, AggProgram};
 use hique_holistic::kernel::{CompiledExpr, CompiledKey};
 use hique_holistic::{GeneratedQuery, OutputKernel};
-use hique_sql::analyze::ScalarExpr;
 use hique_storage::Catalog;
 use hique_types::{DataType, HiqueError, Result, Schema};
 
-use crate::bytecode::{ConstPool, Frag, Op, RhsF, RhsI};
+use crate::bytecode::{ConstPool, Frag, Op, RhsF, RhsI, MAX_REGISTERS};
 
 /// Constant-handling strategy of a compiled program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +61,18 @@ pub struct JoinFrags {
     pub right_image: Frag,
 }
 
-/// Aggregation fragments.
-#[derive(Debug, Clone, Default)]
+/// Aggregation fragments: the generator's aggregate program
+/// ([`AggProgram`]) lowered once, shared by every aggregate.
+#[derive(Debug, Clone)]
 pub struct AggFrags {
     /// One image fragment per grouping column (over the joined schema).
     pub group_images: Vec<Frag>,
-    /// One argument expression per aggregate; `None` for `COUNT(*)`.
-    pub args: Vec<Option<Frag>>,
+    /// The program's register DAG, one op per node: op `i` of the fragment
+    /// defines register `i` and nothing redefines it.
+    pub dag: Frag,
+    /// The program's accumulator slots and aggregate finishes; slot
+    /// registers name DAG nodes.
+    pub layout: AccumLayout,
 }
 
 /// How one output column is decoded.
@@ -110,8 +115,8 @@ pub struct VmProgram {
     pub(crate) structure: Vec<String>,
     pub(crate) compile_cost: Duration,
     pub(crate) verify_cost: Duration,
-    /// The vectorized tier's fused lowering of the filter and aggregate-
-    /// argument fragments, built *after* constant folding (the steps copy
+    /// The vectorized tier's fused lowering of the filter and aggregate-DAG
+    /// fragments, built *after* constant folding (the steps copy
     /// the folded ops) in both [`compile`] and [`VmProgram::bind`] and
     /// checked by the verifier against the scalar fragments.
     pub(crate) vec: crate::vector::VecPlan,
@@ -289,23 +294,18 @@ pub fn compile(
         }
     }
 
-    // Aggregation fragments over the joined schema.
-    let agg = match &plan.aggregate {
-        Some(spec) => {
-            let mut frags = AggFrags::default();
-            for &g in &spec.group_columns {
-                frags
-                    .group_images
-                    .push(b.emit_image(&plan.joined_schema, g));
-            }
-            for a in &spec.aggregates {
-                frags.args.push(match &a.arg {
-                    Some(e) => Some(b.emit_scalar_expr(e, &plan.joined_schema)?),
-                    None => None,
-                });
-            }
-            Some(frags)
-        }
+    // Aggregation fragments over the joined schema: the group-key images
+    // and the generator's aggregate program, lowered node for node.
+    let agg = match plan.aggregate.as_ref().zip(generated.aggregation()) {
+        Some((spec, compiled)) => Some(AggFrags {
+            group_images: spec
+                .group_columns
+                .iter()
+                .map(|&g| b.emit_image(&plan.joined_schema, g))
+                .collect(),
+            dag: b.emit_agg_program(compiled.program())?,
+            layout: compiled.program().layout().clone(),
+        }),
         None => None,
     };
 
@@ -483,47 +483,46 @@ impl Builder {
         self.frag(start)
     }
 
-    /// Lower an analyzed scalar expression (aggregate arguments).
-    fn emit_scalar_expr(&mut self, expr: &ScalarExpr, schema: &Schema) -> Result<Frag> {
+    /// Lower the aggregate program's register DAG: one op per node, node
+    /// `i` into register `i` (constants pooled, like every literal).
+    fn emit_agg_program(&mut self, program: &AggProgram) -> Result<Frag> {
         let start = self.pc();
-        self.lower_scalar(expr, schema, 0)?;
-        Ok(self.frag(start))
-    }
-
-    fn lower_scalar(&mut self, expr: &ScalarExpr, schema: &Schema, reg: u8) -> Result<()> {
-        self.max_regs = self.max_regs.max(reg as usize + 1);
-        match expr {
-            ScalarExpr::Column { index, dtype } => {
-                let offset = schema.offset(*index) as u32;
-                self.code.push(match dtype {
-                    DataType::Int32 | DataType::Date => Op::LoadI32F { dst: reg, offset },
-                    DataType::Int64 => Op::LoadI64F { dst: reg, offset },
-                    DataType::Float64 => Op::LoadF { dst: reg, offset },
-                    DataType::Char(_) => {
-                        return Err(HiqueError::Codegen(
-                            "string column in arithmetic expression".into(),
-                        ))
-                    }
-                });
-            }
-            ScalarExpr::Literal(v) => {
-                let idx = self.pool.push_float(v.as_f64()?);
-                self.code.push(Op::PoolF { dst: reg, idx });
-            }
-            ScalarExpr::Binary {
-                op, left, right, ..
-            } => {
-                self.lower_scalar(left, schema, reg)?;
-                self.lower_scalar(right, schema, reg + 1)?;
-                self.code.push(Op::Arith {
-                    op: *op,
-                    dst: reg,
-                    a: reg,
-                    b: reg + 1,
-                });
-            }
+        let nodes = program.nodes();
+        if nodes.len() > MAX_REGISTERS {
+            return Err(HiqueError::Unsupported(format!(
+                "aggregate program needs {} registers, the bytecode bank holds {MAX_REGISTERS}",
+                nodes.len()
+            )));
         }
-        Ok(())
+        self.max_regs = self.max_regs.max(nodes.len());
+        for (i, node) in nodes.iter().enumerate() {
+            let dst = i as u8;
+            self.code.push(match *node {
+                AggNode::Const(c) => Op::PoolF {
+                    dst,
+                    idx: self.pool.push_float(c),
+                },
+                AggNode::ColI32(off) => Op::LoadI32F {
+                    dst,
+                    offset: off as u32,
+                },
+                AggNode::ColI64(off) => Op::LoadI64F {
+                    dst,
+                    offset: off as u32,
+                },
+                AggNode::ColF64(off) => Op::LoadF {
+                    dst,
+                    offset: off as u32,
+                },
+                AggNode::Bin { op, left, right } => Op::Arith {
+                    op,
+                    dst,
+                    a: left as u8,
+                    b: right as u8,
+                },
+            });
+        }
+        Ok(self.frag(start))
     }
 
     /// Lower an already-instantiated kernel expression (output kernels).
@@ -598,10 +597,10 @@ pub fn collect_pool(generated: &GeneratedQuery, catalog: &Catalog) -> Result<Con
             }
         }
     }
-    if let Some(spec) = &plan.aggregate {
-        for a in &spec.aggregates {
-            if let Some(e) = &a.arg {
-                collect_scalar_literals(e, &mut pool)?;
+    if let Some(compiled) = generated.aggregation() {
+        for node in compiled.program().nodes() {
+            if let AggNode::Const(c) = node {
+                pool.push_float(*c);
             }
         }
     }
@@ -611,20 +610,6 @@ pub fn collect_pool(generated: &GeneratedQuery, catalog: &Catalog) -> Result<Con
         }
     }
     Ok(pool)
-}
-
-fn collect_scalar_literals(expr: &ScalarExpr, pool: &mut ConstPool) -> Result<()> {
-    match expr {
-        ScalarExpr::Column { .. } => {}
-        ScalarExpr::Literal(v) => {
-            pool.push_float(v.as_f64()?);
-        }
-        ScalarExpr::Binary { left, right, .. } => {
-            collect_scalar_literals(left, pool)?;
-            collect_scalar_literals(right, pool)?;
-        }
-    }
-    Ok(())
 }
 
 fn collect_compiled_literals(expr: &CompiledExpr, pool: &mut ConstPool) {
@@ -650,24 +635,21 @@ fn dtype_tag(d: DataType) -> (u8, u32) {
     }
 }
 
-fn hash_scalar_structure(expr: &ScalarExpr, h: &mut DefaultHasher) {
-    match expr {
-        ScalarExpr::Column { index, dtype } => {
-            0u8.hash(h);
-            index.hash(h);
-            dtype_tag(*dtype).hash(h);
-        }
-        // Literal *presence* is structural; the value is a pool constant.
-        ScalarExpr::Literal(_) => 1u8.hash(h),
-        ScalarExpr::Binary {
-            op, left, right, ..
-        } => {
-            2u8.hash(h);
-            (*op as u8).hash(h);
-            hash_scalar_structure(left, h);
-            hash_scalar_structure(right, h);
+/// The structure of the aggregate program: which nodes exist and who reads
+/// whom (so two class-mates whose equal or unequal literals intern to
+/// different DAGs do not share a template), not what the constants are.
+fn hash_agg_program(program: &AggProgram, h: &mut DefaultHasher) {
+    program.nodes().len().hash(h);
+    for node in program.nodes() {
+        match *node {
+            AggNode::Const(_) => 0u8.hash(h),
+            AggNode::ColI32(off) => (1u8, off).hash(h),
+            AggNode::ColI64(off) => (2u8, off).hash(h),
+            AggNode::ColF64(off) => (3u8, off).hash(h),
+            AggNode::Bin { op, left, right } => (4u8, op as u8, left, right).hash(h),
         }
     }
+    program.layout().slots().hash(h);
 }
 
 fn hash_compiled_structure(expr: &CompiledExpr, h: &mut DefaultHasher) {
@@ -685,14 +667,24 @@ fn hash_compiled_structure(expr: &CompiledExpr, h: &mut DefaultHasher) {
     }
 }
 
-fn scalar_shape(expr: &ScalarExpr) -> String {
-    match expr {
-        ScalarExpr::Column { index, dtype } => format!("col{index}:{dtype:?}"),
-        ScalarExpr::Literal(_) => "lit".into(),
-        ScalarExpr::Binary {
-            op, left, right, ..
-        } => format!("({} {op:?} {})", scalar_shape(left), scalar_shape(right)),
-    }
+fn agg_program_shape(program: &AggProgram) -> String {
+    let nodes: Vec<String> = program
+        .nodes()
+        .iter()
+        .enumerate()
+        .map(|(i, node)| match *node {
+            AggNode::Const(_) => format!("r{i}=const"),
+            AggNode::ColI32(off) => format!("r{i}=i32@{off}"),
+            AggNode::ColI64(off) => format!("r{i}=i64@{off}"),
+            AggNode::ColF64(off) => format!("r{i}=f64@{off}"),
+            AggNode::Bin { op, left, right } => format!("r{i}=(r{left} {op:?} r{right})"),
+        })
+        .collect();
+    format!(
+        "aggregate program: {} slots={:?}",
+        nodes.join(" "),
+        program.layout().slots()
+    )
 }
 
 fn compiled_shape(expr: &CompiledExpr) -> String {
@@ -756,16 +748,14 @@ pub fn plan_structure(generated: &GeneratedQuery, catalog: &Catalog) -> Result<V
     match &plan.aggregate {
         Some(spec) => {
             parts.push(format!("group columns: {:?}", spec.group_columns));
-            for (i, a) in spec.aggregates.iter().enumerate() {
-                parts.push(format!(
-                    "aggregate[{i}]: {:?}:{:?} arg={}",
-                    a.func,
-                    a.dtype,
-                    a.arg
-                        .as_ref()
-                        .map(scalar_shape)
-                        .unwrap_or_else(|| "*".into())
-                ));
+            if let Some(compiled) = generated.aggregation() {
+                let program = compiled.program();
+                parts.push(agg_program_shape(program));
+                for (i, (slot, func, dtype)) in program.layout().outputs().iter().enumerate() {
+                    parts.push(format!(
+                        "aggregate[{i}]: {func:?}:{dtype:?} from slot {slot}"
+                    ));
+                }
             }
         }
         None => parts.push("aggregate: none".into()),
@@ -827,16 +817,12 @@ pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u
         Some(spec) => {
             1u8.hash(&mut h);
             spec.group_columns.hash(&mut h);
-            spec.aggregates.len().hash(&mut h);
-            for a in &spec.aggregates {
-                (a.func as u8).hash(&mut h);
-                dtype_tag(a.dtype).hash(&mut h);
-                match &a.arg {
-                    Some(e) => {
-                        1u8.hash(&mut h);
-                        hash_scalar_structure(e, &mut h);
-                    }
-                    None => 0u8.hash(&mut h),
+            if let Some(compiled) = generated.aggregation() {
+                let program = compiled.program();
+                hash_agg_program(program, &mut h);
+                for (slot, func, dtype) in program.layout().outputs() {
+                    (*slot, *func as u8).hash(&mut h);
+                    dtype_tag(*dtype).hash(&mut h);
                 }
             }
         }
@@ -859,4 +845,181 @@ pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u
         }
     }
     Ok(h.finish())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bytecode::run_expr;
+    use crate::vector::{fuse_expr, run_expr_batch, Batch};
+    use hique_holistic::agg::AccumSlot;
+    use hique_plan::{AggAlgorithm, AggregateSpec};
+    use hique_sql::analyze::{BoundAggregate, ScalarExpr};
+    use hique_sql::ast::{AggFunc, BinOp};
+    use hique_types::tuple::encode_record;
+    use hique_types::{Column, Value};
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    fn schema() -> Schema {
+        Schema::new(vec![
+            Column::new("i", DataType::Int32),
+            Column::new("l", DataType::Int64),
+            Column::new("f", DataType::Float64),
+            Column::new("g", DataType::Float64),
+            Column::new("d", DataType::Date),
+        ])
+    }
+
+    /// A random expression; subtrees are drawn from `made` (everything
+    /// generated so far, across aggregates) to force sharing.
+    fn random_expr(rng: &mut XorShift, made: &mut Vec<ScalarExpr>, depth: usize) -> ScalarExpr {
+        let s = schema();
+        let expr = match rng.below(if depth == 0 { 2 } else { 5 }) {
+            0 => {
+                let index = rng.below(s.len());
+                ScalarExpr::Column {
+                    index,
+                    dtype: s.column(index).dtype,
+                }
+            }
+            1 => ScalarExpr::Literal(
+                [
+                    Value::Int32(1),
+                    Value::Int32(0),
+                    Value::Float64(-0.0),
+                    Value::Float64(0.1),
+                    Value::Float64(1.0),
+                    Value::Int64((1 << 53) + 1),
+                ][rng.below(6)]
+                .clone(),
+            ),
+            2 if !made.is_empty() => made[rng.below(made.len())].clone(),
+            _ => ScalarExpr::Binary {
+                op: [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][rng.below(4)],
+                left: Box::new(random_expr(rng, made, depth - 1)),
+                right: Box::new(random_expr(rng, made, depth - 1)),
+                dtype: DataType::Float64,
+            },
+        };
+        made.push(expr.clone());
+        expr
+    }
+
+    fn tree_size(e: &ScalarExpr) -> usize {
+        match e {
+            ScalarExpr::Binary { left, right, .. } => 1 + tree_size(left) + tree_size(right),
+            _ => 1,
+        }
+    }
+
+    fn edge_records() -> Vec<Vec<u8>> {
+        let ints = [0, 1, -1, i32::MIN, i32::MAX];
+        let longs = [0, -1, (1i64 << 53) + 1, i64::MIN, i64::MAX];
+        let floats = [
+            0.0,
+            -0.0,
+            1.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -1e308,
+        ];
+        let mut records = Vec::new();
+        for (n, &f) in floats.iter().enumerate() {
+            for (m, &g) in floats.iter().enumerate() {
+                let values = [
+                    Value::Int32(ints[(n + m) % ints.len()]),
+                    Value::Int64(longs[(n * 3 + m) % longs.len()]),
+                    Value::Float64(f),
+                    Value::Float64(g),
+                    Value::Date(ints[(n + 2 * m) % ints.len()]),
+                ];
+                records.push(encode_record(&schema(), &values).unwrap());
+            }
+        }
+        records
+    }
+
+    /// Aggregate program ≡ tree evaluation, bit for bit, on the compiled
+    /// provider (`AggProgram::eval`), the scalar tier (`run_expr` over the
+    /// lowered DAG, pooled and folded) and the vectorized tier
+    /// (`run_expr_batch` over the fused DAG).
+    #[test]
+    fn aggregate_program_matches_tree_evaluation_bit_for_bit() {
+        let s = schema();
+        let records = edge_records();
+        let refs: Vec<&[u8]> = records.iter().map(|r| r.as_slice()).collect();
+        let mut shared_somewhere = false;
+        for seed in 1..=40u64 {
+            let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut made = Vec::new();
+            let exprs: Vec<ScalarExpr> = (0..1 + rng.below(6))
+                .map(|_| random_expr(&mut rng, &mut made, 3))
+                .collect();
+            let spec = AggregateSpec {
+                group_columns: vec![],
+                aggregates: exprs
+                    .iter()
+                    .map(|e| BoundAggregate {
+                        func: AggFunc::Sum,
+                        arg: Some(e.clone()),
+                        dtype: DataType::Float64,
+                    })
+                    .collect(),
+                algorithm: AggAlgorithm::Map,
+                group_domain_sizes: vec![],
+            };
+            let program = AggProgram::compile(&spec, &s).unwrap();
+            shared_somewhere |= program.nodes().len() < exprs.iter().map(tree_size).sum::<usize>();
+            // Which register holds aggregate `a`'s argument.
+            let arg_reg = |a: usize| match program.layout().slots()
+                [program.layout().outputs()[a].0 as usize]
+            {
+                AccumSlot::Sum(reg) => reg as usize,
+                other => panic!("SUM finishes from {other:?}"),
+            };
+            let trees: Vec<CompiledExpr> = exprs
+                .iter()
+                .map(|e| CompiledExpr::compile(e, &s).unwrap())
+                .collect();
+
+            let mut b = Builder::default();
+            let dag = b.emit_agg_program(&program).unwrap();
+            let pooled = b.code.clone();
+            let mut folded = b.code.clone();
+            fold_constants(&mut folded, &b.pool);
+            assert!(folded.iter().all(|op| !matches!(op, Op::PoolF { .. })));
+
+            let mut frame = program.frame();
+            let mut regs = vec![0.0; program.nodes().len().max(1)];
+            let mut lanes = vec![Vec::new(); program.nodes().len().max(1)];
+            let steps = fuse_expr(dag.ops(&folded)).unwrap();
+            run_expr_batch(&steps, &b.pool, &Batch::Refs(&refs), &mut lanes, &mut 0);
+            for (r, rec) in refs.iter().enumerate() {
+                program.eval(rec, &mut frame);
+                for (a, tree) in trees.iter().enumerate() {
+                    let want = tree.eval(rec).to_bits();
+                    let reg = arg_reg(a);
+                    assert_eq!(frame[reg].to_bits(), want, "compiled, seed {seed}");
+                    for code in [&pooled, &folded] {
+                        run_expr(dag.ops(code), &b.pool, rec, &mut regs);
+                        assert_eq!(regs[reg].to_bits(), want, "scalar tier, seed {seed}");
+                    }
+                    assert_eq!(lanes[reg][r].to_bits(), want, "vectorized, seed {seed}");
+                }
+            }
+        }
+        assert!(shared_somewhere, "the generator must force shared nodes");
+    }
 }

@@ -63,9 +63,9 @@ pub(crate) enum VecStep {
 pub(crate) struct VecPlan {
     /// One entry per staged table, parallel to `VmProgram::tables`.
     pub(crate) filters: Vec<Option<Vec<VecStep>>>,
-    /// One entry per aggregate argument, parallel to `AggFrags::args`;
-    /// `None` for `COUNT(*)` (no argument) or a scalar-fallback fragment.
-    pub(crate) agg_args: Vec<Option<Vec<VecStep>>>,
+    /// The aggregate DAG fragment (`AggFrags::dag`); `None` without an
+    /// aggregation or for a scalar-fallback fragment.
+    pub(crate) agg_dag: Option<Vec<VecStep>>,
 }
 
 /// True for predicate-test ops (the only ops filter fragments contain).
@@ -167,14 +167,7 @@ pub(crate) fn build_vec_plan(
             .iter()
             .map(|t| fuse_filter(t.filter.ops(code)))
             .collect(),
-        agg_args: agg
-            .map(|a| {
-                a.args
-                    .iter()
-                    .map(|arg| arg.as_ref().and_then(|f| fuse_expr(f.ops(code))))
-                    .collect()
-            })
-            .unwrap_or_default(),
+        agg_dag: agg.and_then(|a| fuse_expr(a.dag.ops(code))),
     }
 }
 
@@ -455,28 +448,22 @@ fn step_expr_op(op: &Op, pool: &ConstPool, batch: &Batch<'_>, lanes: &mut [Vec<f
 /// Run a fused expression fragment over one batch: every step is
 /// dispatched once; rows are evaluated with the exact per-row operation
 /// order of the scalar interpreter (each row's lanes are independent), so
-/// the results are bit-identical.  `out` receives the per-row values of
-/// the fragment's result register.
+/// the results are bit-identical.  Register `r`'s per-row values are left
+/// in `lanes[r][..batch.len()]`; lanes no step defines keep stale rows.
 pub(crate) fn run_expr_batch(
     steps: &[VecStep],
     pool: &ConstPool,
     batch: &Batch<'_>,
     lanes: &mut [Vec<f64>],
-    out: &mut Vec<f64>,
     fused_ops: &mut u64,
 ) {
     let n = batch.len();
     for lane in lanes.iter_mut() {
-        lane.clear();
         lane.resize(n, 0.0);
     }
-    let mut result_lane = None;
     for step in steps {
         match step {
-            VecStep::Op(op) => {
-                step_expr_op(op, pool, batch, lanes);
-                result_lane = Some(expr_dst(op));
-            }
+            VecStep::Op(op) => step_expr_op(op, pool, batch, lanes),
             VecStep::LoadArith(load, arith) => {
                 *fused_ops += 1;
                 let (aop, adst, aa, ab) = match *arith {
@@ -493,16 +480,9 @@ pub(crate) fn run_expr_batch(
                     let (l, rr) = (lanes[aa][r], lanes[ab][r]);
                     lanes[adst][r] = apply(aop, l, rr);
                 }
-                result_lane = Some(adst);
             }
             VecStep::TestTest(..) => unreachable!("filter step in expression fragment"),
         }
-    }
-    out.clear();
-    match result_lane {
-        Some(lane) => out.extend_from_slice(&lanes[lane][..n]),
-        // An empty fragment produces the scalar interpreter's default.
-        None => out.resize(n, 0.0),
     }
 }
 
@@ -807,14 +787,13 @@ mod tests {
             "canonical lowering must fuse at least one pair"
         );
         let mut lanes = vec![Vec::new(); 3];
-        let mut out = Vec::new();
         let mut fused = 0u64;
-        run_expr_batch(&steps, &pool, &batch, &mut lanes, &mut out, &mut fused);
+        run_expr_batch(&steps, &pool, &batch, &mut lanes, &mut fused);
         assert!(fused >= 1);
         let mut regs = [0.0f64; 3];
         for (i, rec) in refs.iter().enumerate() {
             let scalar = run_expr(&ops, &pool, rec, &mut regs);
-            assert_eq!(out[i].to_bits(), scalar.to_bits(), "row {i}");
+            assert_eq!(lanes[0][i].to_bits(), scalar.to_bits(), "row {i}");
         }
     }
 

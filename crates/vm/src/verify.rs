@@ -32,6 +32,14 @@
 //!   column.  This is what makes structural single-op mutations (swapped
 //!   operator, nudged constant, relocated offset) statically detectable
 //!   instead of silent wrong answers;
+//! * **aggregate-program agreement** — the aggregation's one shared
+//!   expression fragment is the generator's aggregate program node for
+//!   node: op `i` defines register `i` (so no register has a second
+//!   definition a folded constant could leak through), loads read the
+//!   declared offsets, arithmetic reads the declared operand registers,
+//!   constants carry the declared values, and every accumulator slot reads
+//!   the declared node — a slot redirected to a sibling node is a static
+//!   rejection, not a plausible wrong sum;
 //! * **output arity** — the output decode table matches the plan's output
 //!   schema in length, kind (scalar vs. group/aggregate) and type, and
 //!   key-image widths agree with the holistic [`CompiledKey`] encoding the
@@ -45,6 +53,7 @@
 
 use std::fmt;
 
+use hique_holistic::agg::{AggNode, AggProgram};
 use hique_holistic::GeneratedQuery;
 use hique_sql::ast::CmpOp;
 use hique_storage::Catalog;
@@ -828,6 +837,78 @@ fn verify_expr(
     Ok(())
 }
 
+/// Hold the aggregation's shared expression fragment and slot table to
+/// the generator's aggregate program.  The generic expression checks run
+/// first (register bounds, def-before-use, typed loads, pool bounds), so a
+/// corrupted op keeps its specific diagnosis; positional agreement with
+/// the program's nodes and slots follows.
+fn verify_agg_program(
+    frags: &crate::program::AggFrags,
+    code: &[Op],
+    pool: &ConstPool,
+    joined: &FieldMap,
+    bank: usize,
+    program: &AggProgram,
+) -> Result<(), VerifyError> {
+    let context = "aggregate DAG";
+    let nodes = program.nodes();
+    let (ops, start) = frag_ops(context, frags.dag, code)?;
+    // COUNT-only aggregations have an empty DAG.
+    if !ops.is_empty() {
+        verify_expr(context, frags.dag, code, pool, joined, bank)?;
+    }
+    if ops.len() != nodes.len() {
+        return Err(VerifyError::ArityMismatch {
+            context: "aggregate DAG ops vs program nodes".into(),
+            expected: nodes.len(),
+            found: ops.len(),
+        });
+    }
+    for (i, (op, node)) in ops.iter().zip(nodes).enumerate() {
+        let agrees = match (*op, *node) {
+            (Op::ConstF { dst, value }, AggNode::Const(c)) => {
+                dst as usize == i && value.to_bits() == c.to_bits()
+            }
+            (Op::PoolF { dst, idx }, AggNode::Const(c)) => {
+                dst as usize == i && pool.floats[idx as usize].to_bits() == c.to_bits()
+            }
+            (Op::LoadI32F { dst, offset }, AggNode::ColI32(off))
+            | (Op::LoadI64F { dst, offset }, AggNode::ColI64(off))
+            | (Op::LoadF { dst, offset }, AggNode::ColF64(off)) => {
+                dst as usize == i && offset as usize == off
+            }
+            (
+                Op::Arith { op, dst, a, b },
+                AggNode::Bin {
+                    op: nop,
+                    left,
+                    right,
+                },
+            ) => dst as usize == i && op == nop && a as u16 == left && b as u16 == right,
+            _ => false,
+        };
+        if !agrees {
+            return Err(VerifyError::PlanMismatch {
+                context: format!("aggregate DAG node {i}"),
+                op: start + i as u32,
+                detail: format!("program declares {node:?} into r{i}, code has {op:?}"),
+            });
+        }
+    }
+    if frags.layout != *program.layout() {
+        return Err(VerifyError::PlanMismatch {
+            context: "aggregate slots".into(),
+            op: frags.dag.start,
+            detail: format!(
+                "program declares {:?}, bytecode carries {:?}",
+                program.layout(),
+                frags.layout
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Verify the vectorized (fused) plan against the scalar fragments it
 /// claims to batch (DESIGN.md §15).
 ///
@@ -857,14 +938,6 @@ fn verify_vec_plan(
             context: "vectorized filter table".into(),
             expected: program.tables.len(),
             found: vec.filters.len(),
-        });
-    }
-    let expected_args = program.agg.as_ref().map(|a| a.args.len()).unwrap_or(0);
-    if vec.agg_args.len() != expected_args {
-        return Err(VerifyError::ArityMismatch {
-            context: "vectorized aggregate-argument table".into(),
-            expected: expected_args,
-            found: vec.agg_args.len(),
         });
     }
     for (t, (steps, frags)) in vec.filters.iter().zip(&program.tables).enumerate() {
@@ -899,65 +972,62 @@ fn verify_vec_plan(
         }
         check_unfused_equality(&context, steps, frags.filter.ops(code))?;
     }
-    if let Some(frags) = &program.agg {
-        for (a, (steps, arg)) in vec.agg_args.iter().zip(&frags.args).enumerate() {
-            let Some(steps) = steps else { continue };
-            let context = format!("vectorized aggregate arg {a}");
-            let Some(frag) = arg else {
-                return Err(VerifyError::FusedDivergence {
-                    context,
-                    step: 0,
-                    detail: "vectorized argument for an argument-less aggregate".into(),
-                });
-            };
-            for (s, step) in steps.iter().enumerate() {
-                match step {
-                    VecStep::Op(op) => check_fused_expr_op(&context, s, op, pool, joined, bank)?,
-                    VecStep::LoadArith(load, arith) => {
-                        if !is_load(load) {
-                            return Err(VerifyError::WrongOpKind {
-                                context: context.clone(),
-                                op: s as u32,
-                                expected: "load",
-                                found: op_kind(load),
-                            });
-                        }
-                        check_fused_expr_op(&context, s, load, pool, joined, bank)?;
-                        let b = match arith {
-                            Op::Arith { b, .. } => *b,
-                            other => {
-                                return Err(VerifyError::WrongOpKind {
-                                    context: context.clone(),
-                                    op: s as u32,
-                                    expected: "arith",
-                                    found: op_kind(other),
-                                })
-                            }
-                        };
-                        check_fused_expr_op(&context, s, arith, pool, joined, bank)?;
-                        if expr_dst(load) != b as usize {
-                            return Err(VerifyError::FusedDivergence {
-                                context: context.clone(),
-                                step: s,
-                                detail: format!(
-                                    "fused load defines r{}, the arith reads r{b}",
-                                    expr_dst(load)
-                                ),
-                            });
-                        }
-                    }
-                    VecStep::TestTest(op, _) => {
+    if let Some(steps) = &vec.agg_dag {
+        let context = "vectorized aggregate DAG".to_string();
+        let Some(frags) = &program.agg else {
+            return Err(VerifyError::FusedDivergence {
+                context,
+                step: 0,
+                detail: "vectorized aggregate DAG for a query without aggregation".into(),
+            });
+        };
+        for (s, step) in steps.iter().enumerate() {
+            match step {
+                VecStep::Op(op) => check_fused_expr_op(&context, s, op, pool, joined, bank)?,
+                VecStep::LoadArith(load, arith) => {
+                    if !is_load(load) {
                         return Err(VerifyError::WrongOpKind {
                             context: context.clone(),
                             op: s as u32,
-                            expected: "expression",
-                            found: op_kind(op),
-                        })
+                            expected: "load",
+                            found: op_kind(load),
+                        });
+                    }
+                    check_fused_expr_op(&context, s, load, pool, joined, bank)?;
+                    let b = match arith {
+                        Op::Arith { b, .. } => *b,
+                        other => {
+                            return Err(VerifyError::WrongOpKind {
+                                context: context.clone(),
+                                op: s as u32,
+                                expected: "arith",
+                                found: op_kind(other),
+                            })
+                        }
+                    };
+                    check_fused_expr_op(&context, s, arith, pool, joined, bank)?;
+                    if expr_dst(load) != b as usize {
+                        return Err(VerifyError::FusedDivergence {
+                            context: context.clone(),
+                            step: s,
+                            detail: format!(
+                                "fused load defines r{}, the arith reads r{b}",
+                                expr_dst(load)
+                            ),
+                        });
                     }
                 }
+                VecStep::TestTest(op, _) => {
+                    return Err(VerifyError::WrongOpKind {
+                        context: context.clone(),
+                        op: s as u32,
+                        expected: "expression",
+                        found: op_kind(op),
+                    })
+                }
             }
-            check_unfused_equality(&context, steps, frag.ops(code))?;
         }
+        check_unfused_equality(&context, steps, frags.dag.ops(code))?;
     }
     Ok(())
 }
@@ -1306,39 +1376,14 @@ pub fn verify(
         {
             verify_image(&format!("group image {i}"), *frag, code, &joined, g)?;
         }
-        if frags.args.len() != spec.aggregates.len() {
-            return Err(VerifyError::ArityMismatch {
-                context: "aggregate argument fragments".into(),
-                expected: spec.aggregates.len(),
-                found: frags.args.len(),
+        let Some(compiled) = generated.aggregation() else {
+            return Err(VerifyError::PlanMismatch {
+                context: "aggregate DAG".into(),
+                op: frags.dag.start,
+                detail: "the generated query carries no aggregate program".into(),
             });
-        }
-        for (i, (agg, arg)) in spec.aggregates.iter().zip(&frags.args).enumerate() {
-            match (&agg.arg, arg) {
-                (Some(_), Some(frag)) => {
-                    verify_expr(
-                        &format!("aggregate arg {i}"),
-                        *frag,
-                        code,
-                        pool,
-                        &joined,
-                        bank,
-                    )?;
-                }
-                (None, None) => {}
-                (declared, compiled) => {
-                    return Err(VerifyError::PlanMismatch {
-                        context: format!("aggregate arg {i}"),
-                        op: compiled.map(|f| f.start).unwrap_or(0),
-                        detail: format!(
-                            "plan declares argument: {}, program compiled one: {}",
-                            declared.is_some(),
-                            compiled.is_some()
-                        ),
-                    })
-                }
-            }
-        }
+        };
+        verify_agg_program(frags, code, pool, &joined, bank, compiled.program())?;
     }
 
     // ---- Output decode table vs the plan signature ---------------------
@@ -1507,6 +1552,21 @@ mod tests {
     }
 
     /// The first op index of staged table 0's filter fragment.
+    /// Code index of the first column load of the aggregate DAG (its
+    /// constants come first).
+    fn first_dag_load(p: &VmProgram) -> usize {
+        let frag = p.agg.as_ref().unwrap().dag;
+        let load = frag.ops(&p.code).iter().position(is_load_from_record);
+        frag.start as usize + load.expect("the DAG loads a column")
+    }
+
+    fn is_load_from_record(op: &Op) -> bool {
+        matches!(
+            op,
+            Op::LoadF { .. } | Op::LoadI32F { .. } | Op::LoadI64F { .. }
+        )
+    }
+
     fn first_test(p: &VmProgram) -> usize {
         assert!(
             !p.tables[0].filter.is_empty(),
@@ -1539,7 +1599,7 @@ mod tests {
             &cat,
             CompileMode::Specialized,
         );
-        let frag = p.agg.as_ref().unwrap().args[0].unwrap();
+        let frag = p.agg.as_ref().unwrap().dag;
         p.code[frag.start as usize] = Op::Arith {
             op: hique_sql::ast::BinOp::Add,
             dst: 0,
@@ -1560,12 +1620,12 @@ mod tests {
             &cat,
             CompileMode::Specialized,
         );
-        let frag = p.agg.as_ref().unwrap().args[0].unwrap();
-        match &mut p.code[frag.start as usize] {
+        let i = first_dag_load(&p);
+        match &mut p.code[i] {
             Op::LoadF { dst, .. } | Op::LoadI32F { dst, .. } | Op::LoadI64F { dst, .. } => {
                 *dst = 200
             }
-            other => panic!("expected a load at the fragment head, got {other:?}"),
+            other => unreachable!("{other:?} is not a load"),
         }
         assert!(matches!(
             verify(&p, &g, &cat),
@@ -1604,12 +1664,11 @@ mod tests {
             &cat,
             CompileMode::Specialized,
         );
-        let frag = p.agg.as_ref().unwrap().args[0].unwrap();
-        let i = frag.start as usize;
+        let i = first_dag_load(&p);
         match p.code[i] {
             // `v` is f64; loading it as i32 reinterprets half the mantissa.
             Op::LoadF { dst, offset } => p.code[i] = Op::LoadI32F { dst, offset },
-            other => panic!("expected an f64 load at the fragment head, got {other:?}"),
+            other => panic!("expected an f64 load, got {other:?}"),
         }
         assert!(matches!(
             verify(&p, &g, &cat),

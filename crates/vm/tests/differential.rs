@@ -201,3 +201,53 @@ fn executing_against_a_mismatched_plan_is_a_typed_error() {
         Ok(_) => panic!("executing a mismatched plan must fail"),
     }
 }
+
+#[test]
+fn shared_dag_nodes_rebind_as_one_definition_or_refuse() {
+    let cat = catalog();
+    let sql = |a: &str, b: &str| {
+        format!(
+            "select k, sum(v * {a}) as x, avg(v * {b} + 1) as y, sum(v) as z \
+             from r group by k order by k"
+        )
+    };
+    // `2.5` and `v * 2.5` are one node each, read by both aggregates.
+    let template_query = prepare(&sql("2.5", "2.5"), &cat);
+    let template = compile(&template_query, &cat, CompileMode::Pooled).unwrap();
+    let unshared = compile(
+        &prepare(&sql("2.5", "4.0"), &cat),
+        &cat,
+        CompileMode::Pooled,
+    )
+    .unwrap();
+    assert!(template.code_len() < unshared.code_len());
+    assert!(template.float_registers() < unshared.float_registers());
+
+    // A classmate whose literals are equal where the template's were
+    // rebinds: the one folded constant reaches both aggregates.
+    let classmate = prepare(&sql("4.0", "4.0"), &cat);
+    let rebound = template.bind(&classmate, &cat).unwrap();
+    assert!(!rebound.has_pool_refs());
+    let opts = Default::default();
+    let baseline = hique_iter::execute_plan(classmate.plan(), &cat, ExecMode::Generic)
+        .unwrap()
+        .rows;
+    assert_eq!(
+        rebound.execute(&classmate, &cat, &opts).unwrap().rows,
+        baseline
+    );
+    assert_eq!(run_vm(&classmate, &cat, CompileMode::Specialized), baseline);
+
+    // A classmate whose literals differ there has another DAG: a constant
+    // folded for one aggregate must not reach the sibling, so the bind is
+    // refused (typed) and the caller compiles afresh.
+    let diverged = prepare(&sql("2.5", "4.0"), &cat);
+    match template.bind(&diverged, &cat) {
+        Err(HiqueError::Unsupported(msg)) => {
+            assert!(msg.contains("aggregate program"), "got: {msg}")
+        }
+        Err(e) => panic!("expected a typed divergence, got {e}"),
+        Ok(_) => panic!("bind must refuse a differently shared DAG"),
+    }
+    assert_vm_matches_baseline(&sql("2.5", "4.0"), &cat);
+}
