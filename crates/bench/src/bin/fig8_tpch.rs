@@ -10,22 +10,19 @@
 //! * *DSM column engine* — stands in for MonetDB.
 //! * *HIQUE* — holistic generated code.
 //!
-//! Scale factor defaults to 0.02 so the harness finishes quickly; set
-//! `HIQUE_TPCH_SF=1.0` (and several GiB of RAM + a few minutes) for the
-//! paper's scale factor.
+//! The TPC-H scale factor is the first argument; it defaults to 0.02 so the
+//! harness finishes quickly (`fig8_tpch 1.0` — several GiB of RAM and a few
+//! minutes — is the paper's scale factor).
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::{plan_sql, run_engine, tpch_scale_factor_arg, Engine};
 use hique_dsm::DsmDatabase;
 use hique_plan::PlannerConfig;
 use hique_tpch::queries::all_queries;
 
 fn main() {
-    let sf: f64 = std::env::var("HIQUE_TPCH_SF")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.02);
+    let sf = tpch_scale_factor_arg(0.02);
     eprintln!("generating TPC-H data at SF={sf} ...");
     let catalog = hique_tpch::generate_into_catalog(sf).expect("tpch generation");
     let dsm = DsmDatabase::from_catalog(&catalog).unwrap();

@@ -4,7 +4,8 @@
 //! generating query-specific code, and reports the size of the generated
 //! source artifact.  (The paper additionally reports `gcc` compile times and
 //! shared-library sizes; this reproduction executes specialized kernels
-//! in-process, so those two columns do not apply — see `DESIGN.md`.)
+//! in-process, so those two columns do not apply — see `DESIGN.md`.)  The
+//! TPC-H scale factor is the first argument (default 0.01).
 
 #![forbid(unsafe_code)]
 
@@ -14,10 +15,7 @@ use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
 use hique_tpch::queries::all_queries;
 
 fn main() {
-    let sf: f64 = std::env::var("HIQUE_TPCH_SF")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.01);
+    let sf = hique_bench::runner::tpch_scale_factor_arg(0.01);
     let catalog = hique_tpch::generate_into_catalog(sf).expect("tpch generation");
 
     println!("== Table III: query preparation cost (SF = {sf}) ==");

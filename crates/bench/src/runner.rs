@@ -153,6 +153,22 @@ pub fn bench_scale() -> f64 {
         .unwrap_or(1.0)
 }
 
+/// TPC-H scale factor taken from the first command-line argument
+/// (`default` when absent); an argument that is not a positive number ends
+/// the process with a usage line.
+pub fn tpch_scale_factor_arg(default: f64) -> f64 {
+    match std::env::args().nth(1) {
+        None => default,
+        Some(arg) => match arg.parse::<f64>() {
+            Ok(sf) if sf > 0.0 && sf.is_finite() => sf,
+            _ => {
+                eprintln!("usage: <binary> [TPC-H scale factor, default {default}]; got {arg:?}");
+                std::process::exit(2);
+            }
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

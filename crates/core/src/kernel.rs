@@ -11,131 +11,314 @@ use hique_sql::ast::{BinOp, CmpOp};
 use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at, read_str_at};
 use hique_types::{DataType, HiqueError, Result, Schema, Value};
 
+/// Order-preserving `u64` image of an integer: unsigned order of the images
+/// is signed order of the values.
+#[inline(always)]
+fn image_i64(v: i64) -> u64 {
+    (v as u64) ^ (1 << 63)
+}
+
+/// Order-preserving `u64` image of a float: unsigned order of the images is
+/// the IEEE total order (`f64::total_cmp`) of the values.
+#[inline(always)]
+fn image_f64(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// Order-preserving `u64` image of at most eight string bytes: big-endian,
+/// zero-padded — byte by byte, because a variable-length copy would be a
+/// `memcpy` call per tuple.
+#[inline(always)]
+fn image_bytes(bytes: &[u8]) -> u64 {
+    let image = bytes.iter().fold(0u64, |v, &b| (v << 8) | b as u64);
+    image << (8 * (8 - bytes.len()))
+}
+
+/// Evaluate `$body` with `$image` bound to a closure computing
+/// [`CompiledKey::order_image`] for `$key` — resolved on the key's type
+/// here, once, so a loop inside `$body` is monomorphic in it.
+macro_rules! with_order_image {
+    ($key:expr, |$image:ident| $body:expr) => {{
+        let off = $key.offset;
+        match $key.dtype {
+            DataType::Int32 | DataType::Date => {
+                let $image = move |r: &[u8]| image_i64(read_i32_at(r, off) as i64);
+                $body
+            }
+            DataType::Int64 => {
+                let $image = move |r: &[u8]| image_i64(read_i64_at(r, off));
+                $body
+            }
+            DataType::Float64 => {
+                let $image = move |r: &[u8]| image_f64(read_f64_at(r, off));
+                $body
+            }
+            DataType::Char(_) => {
+                let end = off + $key.width.min(8);
+                let $image = move |r: &[u8]| image_bytes(&r[off..end]);
+                $body
+            }
+        }
+    }};
+}
+
+/// The rows of one packed page still in play: every row — not written out
+/// until a filter narrows it — or an ascending list of row indexes.
+#[derive(Debug, Default)]
+pub struct Selection {
+    rows: Vec<u32>,
+    /// `Some(n)`: all `n` rows of the page; `rows` is stale.
+    all: Option<usize>,
+}
+
+impl Selection {
+    /// An empty selection.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Select every row of an `n`-row page.
+    pub fn select_all(&mut self, n: usize) {
+        self.all = Some(n);
+    }
+
+    /// Select nothing; rows are then [`Selection::push`]ed in ascending
+    /// order.
+    pub fn clear(&mut self) {
+        self.all = None;
+        self.rows.clear();
+    }
+
+    /// Add `row` (greater than every row selected so far).
+    pub fn push(&mut self, row: u32) {
+        debug_assert!(self.all.is_none() && self.rows.last().is_none_or(|&r| r < row));
+        self.rows.push(row);
+    }
+
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        self.all.unwrap_or(self.rows.len())
+    }
+
+    /// Whether no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The selected row indexes, ascending.
+    pub fn rows(&mut self) -> &[u32] {
+        if let Some(n) = self.all.take() {
+            self.rows.clear();
+            self.rows.extend(0..n as u32);
+        }
+        &self.rows
+    }
+
+    /// Keep the selected rows of `data` (records of `ts` bytes) that `pass`,
+    /// which sees the page from the row's first byte on.  Branch-free
+    /// compaction: every candidate is written back and the cursor advances
+    /// by the test's result, so a 50 % selective predicate costs no
+    /// mispredictions.
+    #[inline(always)]
+    fn retain(&mut self, data: &[u8], ts: usize, mut pass: impl FnMut(&[u8]) -> bool) {
+        let mut kept = 0;
+        match self.all.take() {
+            Some(n) => {
+                self.rows.clear();
+                self.rows.resize(n, 0);
+                for (i, rec) in data.chunks_exact(ts).take(n).enumerate() {
+                    self.rows[kept] = i as u32;
+                    kept += pass(rec) as usize;
+                }
+            }
+            None => {
+                for j in 0..self.rows.len() {
+                    let i = self.rows[j];
+                    self.rows[kept] = i;
+                    kept += pass(&data[i as usize * ts..]) as usize;
+                }
+            }
+        }
+        self.rows.truncate(kept);
+    }
+}
+
 /// A predicate specialized to a column's offset, type and constant.
+///
+/// Every comparison against a constant is an interval test on the column's
+/// order-preserving image ([`CompiledKey::order_image`]): `=` is `[v, v]`,
+/// `<` is `[0, v − 1]`, `>=` is `[v, MAX]`, `<>` is `[v, v]` inverted.  The
+/// operator is therefore resolved when the filter is compiled, and the only
+/// thing left to resolve per scan is the column type — which
+/// [`CompiledFilter::narrow`] does once per page, outside the row loop.
+/// Strings wider than eight bytes have no exact image and compare as slices.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CompiledFilter {
-    /// Compare the `i32` at `offset` with `value`.
-    I32 {
-        /// Byte offset of the column.
-        offset: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant operand.
-        value: i32,
-    },
-    /// Compare the `i64` at `offset` with `value`.
-    I64 {
-        /// Byte offset of the column.
-        offset: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant operand.
-        value: i64,
-    },
-    /// Compare the `f64` at `offset` with `value`.
-    F64 {
-        /// Byte offset of the column.
-        offset: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant operand.
-        value: f64,
-    },
-    /// Compare the fixed-width string at `offset` with `value`
-    /// (space-padded to the column width at compile time).
-    Str {
-        /// Byte offset of the column.
-        offset: usize,
-        /// Column width in bytes.
-        width: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Constant operand, already padded to `width`.
-        value: Vec<u8>,
-    },
+pub struct CompiledFilter {
+    key: CompiledKey,
+    test: FilterTest,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum FilterTest {
+    /// `lo <= image <= hi`, inverted when `negate`.
+    Interval { lo: u64, hi: u64, negate: bool },
+    /// Slice comparison with `value` (already padded to the column width).
+    Bytes { op: CmpOp, value: Vec<u8> },
+}
+
+impl FilterTest {
+    fn interval(op: CmpOp, v: u64) -> Self {
+        // `lo > hi` is the empty interval (`< MIN`, `> MAX`).
+        let (lo, hi) = match op {
+            CmpOp::Eq | CmpOp::NotEq => (v, v),
+            CmpOp::Lt => v.checked_sub(1).map_or((1, 0), |hi| (0, hi)),
+            CmpOp::LtEq => (0, v),
+            CmpOp::Gt => v.checked_add(1).map_or((1, 0), |lo| (lo, u64::MAX)),
+            CmpOp::GtEq => (v, u64::MAX),
+        };
+        FilterTest::Interval {
+            lo,
+            hi,
+            negate: op == CmpOp::NotEq,
+        }
+    }
 }
 
 impl CompiledFilter {
     /// Instantiate a filter template for a column of `schema`.
     pub fn compile(filter: &ColumnFilter, schema: &Schema) -> Result<Self> {
-        let col = schema.column(filter.column);
-        let offset = schema.offset(filter.column);
-        Ok(match col.dtype {
-            DataType::Int32 | DataType::Date => CompiledFilter::I32 {
-                offset,
-                op: filter.op,
-                value: filter.value.as_i64()? as i32,
-            },
-            DataType::Int64 => CompiledFilter::I64 {
-                offset,
-                op: filter.op,
-                value: filter.value.as_i64()?,
-            },
-            DataType::Float64 => CompiledFilter::F64 {
-                offset,
-                op: filter.op,
-                value: filter.value.as_f64()?,
-            },
-            DataType::Char(w) => {
+        let key = CompiledKey::compile(schema, filter.column);
+        Ok(match key.dtype {
+            DataType::Int32 | DataType::Date => {
+                Self::on_int(key, filter.op, filter.value.as_i64()? as i32 as i64)
+            }
+            DataType::Int64 => Self::on_int(key, filter.op, filter.value.as_i64()?),
+            DataType::Float64 => Self::on_float(key, filter.op, filter.value.as_f64()?),
+            DataType::Char(_) => {
                 let s = filter.value.as_str().ok_or_else(|| {
                     HiqueError::Codegen("string filter on non-string constant".into())
                 })?;
                 let mut bytes = s.as_bytes().to_vec();
-                bytes.resize(w as usize, b' ');
-                CompiledFilter::Str {
-                    offset,
-                    width: w as usize,
-                    op: filter.op,
-                    value: bytes,
-                }
+                bytes.resize(key.width, b' ');
+                Self::on_bytes(key, filter.op, bytes)
             }
         })
     }
 
-    /// Evaluate the predicate against a raw record.
-    #[inline(always)]
+    /// `key <op> value` for an integer or date key (an `i32` key is compared
+    /// after sign extension, so `value` may lie outside its range).
+    pub fn on_int(key: CompiledKey, op: CmpOp, value: i64) -> Self {
+        CompiledFilter {
+            key,
+            test: FilterTest::interval(op, image_i64(value)),
+        }
+    }
+
+    /// `key <op> value` for a float key, under the IEEE total order.
+    pub fn on_float(key: CompiledKey, op: CmpOp, value: f64) -> Self {
+        CompiledFilter {
+            key,
+            test: FilterTest::interval(op, image_f64(value)),
+        }
+    }
+
+    /// `key <op> value` for a string key; `value` is `key.width` bytes.
+    pub fn on_bytes(key: CompiledKey, op: CmpOp, value: Vec<u8>) -> Self {
+        debug_assert_eq!(value.len(), key.width);
+        let test = if key.image_is_exact() {
+            FilterTest::interval(op, image_bytes(&value))
+        } else {
+            FilterTest::Bytes { op, value }
+        };
+        CompiledFilter { key, test }
+    }
+
+    /// Evaluate the predicate against one raw record — the definition the
+    /// page sweep is tested against; scans use [`CompiledFilter::narrow`].
     pub fn matches(&self, record: &[u8]) -> bool {
-        match self {
-            CompiledFilter::I32 { offset, op, value } => {
-                op.matches(read_i32_at(record, *offset).cmp(value))
+        match &self.test {
+            FilterTest::Interval { lo, hi, negate } => {
+                let x = self.key.order_image(record);
+                ((*lo <= x) & (x <= *hi)) ^ negate
             }
-            CompiledFilter::I64 { offset, op, value } => {
-                op.matches(read_i64_at(record, *offset).cmp(value))
+            FilterTest::Bytes { op, value } => {
+                let (off, w) = (self.key.offset, self.key.width);
+                op.matches(record[off..off + w].cmp(value))
             }
-            CompiledFilter::F64 { offset, op, value } => {
-                op.matches(read_f64_at(record, *offset).total_cmp(value))
+        }
+    }
+
+    /// Narrow `sel` to the rows of a packed page (`data`, records of `ts`
+    /// bytes) that satisfy the predicate.
+    pub fn narrow(&self, data: &[u8], ts: usize, sel: &mut Selection) {
+        match &self.test {
+            FilterTest::Interval { lo, hi, negate } => {
+                let (lo, hi, negate) = (*lo, *hi, *negate);
+                with_order_image!(self.key, |image| sel.retain(data, ts, |rec| {
+                    let x = image(rec);
+                    ((lo <= x) & (x <= hi)) ^ negate
+                }))
             }
-            CompiledFilter::Str {
-                offset,
-                width,
-                op,
-                value,
-            } => op.matches(record[*offset..*offset + *width].cmp(value)),
+            FilterTest::Bytes { op, value } => {
+                let (off, end) = (self.key.offset, self.key.offset + self.key.width);
+                sel.retain(data, ts, |rec| op.matches(rec[off..end].cmp(value)))
+            }
         }
     }
 }
 
-/// A staging projection compiled to raw byte copies: `(src_offset, width,
-/// dst_offset)` per kept column.
+/// Widest single copy of a projection: wider segments repeat it.
+const MAX_PIECE: usize = 64;
+
+/// A staging projection compiled to raw byte copies.
+///
+/// Adjacent kept columns are coalesced into one segment, and every segment
+/// is cut into power-of-two pieces (34 bytes = 32 + 2) so that each copy has
+/// a width known at its call site — the paper's `memcpy` of constant size —
+/// whatever widths a schema produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProjection {
-    segments: Vec<(usize, usize, usize)>,
+    /// `(src_offset, dst_offset, width)`, widths powers of two up to
+    /// [`MAX_PIECE`].
+    pieces: Vec<(usize, usize, usize)>,
     output_width: usize,
 }
 
 impl CompiledProjection {
     /// Compile the projection keeping `keep` (base-schema column indexes).
     pub fn compile(base: &Schema, keep: &[usize]) -> Self {
-        let mut segments = Vec::with_capacity(keep.len());
         let mut dst = 0usize;
-        for &c in keep {
+        Self::from_copies(keep.iter().map(|&c| {
             let w = base.column(c).dtype.width();
-            segments.push((base.offset(c), w, dst));
             dst += w;
+            (base.offset(c), w, dst - w)
+        }))
+    }
+
+    /// Compile a list of `(src_offset, width, dst_offset)` copies that tile
+    /// the projected record.
+    pub fn from_copies(copies: impl IntoIterator<Item = (usize, usize, usize)>) -> Self {
+        let mut segments: Vec<(usize, usize, usize)> = Vec::new();
+        for (src, w, dst) in copies {
+            match segments.last_mut() {
+                Some((s, sw, d)) if *s + *sw == src && *d + *sw == dst => *sw += w,
+                _ => segments.push((src, w, dst)),
+            }
+        }
+        let mut pieces = Vec::new();
+        let mut output_width = 0;
+        for (mut src, mut w, mut dst) in segments {
+            output_width = output_width.max(dst + w);
+            while w > 0 {
+                let piece = MAX_PIECE.min(1 << w.ilog2());
+                pieces.push((src, dst, piece));
+                (src, dst, w) = (src + piece, dst + piece, w - piece);
+            }
         }
         CompiledProjection {
-            segments,
-            output_width: dst,
+            pieces,
+            output_width,
         }
     }
 
@@ -144,13 +327,45 @@ impl CompiledProjection {
         self.output_width
     }
 
-    /// Copy the kept columns of `src` into `dst` (which must be
-    /// `output_width` bytes).
-    #[inline(always)]
-    pub fn project_into(&self, src: &[u8], dst: &mut [u8]) {
-        for &(so, w, d) in &self.segments {
-            dst[d..d + w].copy_from_slice(&src[so..so + w]);
+    /// Project rows `rows` of a packed page (`data`, records of `ts` bytes)
+    /// onto the tail of `out`, one sweep over the rows per piece.
+    pub fn append(&self, data: &[u8], ts: usize, rows: &[u32], out: &mut Vec<u8>) {
+        let width = self.output_width;
+        if width == 0 {
+            return;
         }
+        let base = out.len();
+        out.resize(base + rows.len() * width, 0);
+        let tail = &mut out[base..];
+        for &(src, dst, piece) in &self.pieces {
+            match piece {
+                1 => copy_piece::<1>(data, ts, src, rows, tail, width, dst),
+                2 => copy_piece::<2>(data, ts, src, rows, tail, width, dst),
+                4 => copy_piece::<4>(data, ts, src, rows, tail, width, dst),
+                8 => copy_piece::<8>(data, ts, src, rows, tail, width, dst),
+                16 => copy_piece::<16>(data, ts, src, rows, tail, width, dst),
+                32 => copy_piece::<32>(data, ts, src, rows, tail, width, dst),
+                _ => copy_piece::<MAX_PIECE>(data, ts, src, rows, tail, width, dst),
+            }
+        }
+    }
+}
+
+/// Copy the `W` bytes at `src` of every selected row to `dst` of its output
+/// record.
+#[inline(always)]
+fn copy_piece<const W: usize>(
+    data: &[u8],
+    ts: usize,
+    src: usize,
+    rows: &[u32],
+    tail: &mut [u8],
+    width: usize,
+    dst: usize,
+) {
+    for (out, &i) in tail.chunks_exact_mut(width).zip(rows) {
+        let at = i as usize * ts + src;
+        out[dst..dst + W].copy_from_slice(&data[at..at + W]);
     }
 }
 
@@ -268,15 +483,37 @@ impl CompiledKey {
                 let bits = read_f64_at(record, self.offset).to_bits() as i64;
                 bits ^ (((bits >> 63) as u64) >> 1) as i64
             }
+            // First `min(width, 8)` bytes, big-endian, zero-padded.
             DataType::Char(_) => {
-                // First `min(width, 8)` bytes, big-endian, zero-padded — byte
-                // by byte: a variable-length copy would be a `memcpy` call
-                // per key per tuple.
-                let bytes = &record[self.offset..self.offset + self.width.min(8)];
-                let image = bytes.iter().fold(0u64, |v, &b| (v << 8) | b as u64);
-                (image << (8 * (8 - bytes.len()))) as i64
+                image_bytes(&record[self.offset..self.offset + self.width.min(8)]) as i64
             }
         }
+    }
+
+    /// Order-preserving `u64` image of the key: unsigned order of the
+    /// images agrees with [`CompiledKey::compare`], and equals it when
+    /// [`CompiledKey::image_is_exact`].  (Unlike [`CompiledKey::as_i64`],
+    /// whose string images order bytes ≥ 0x80 first.)
+    #[inline(always)]
+    pub fn order_image(&self, record: &[u8]) -> u64 {
+        with_order_image!(self, |image| image(record))
+    }
+
+    /// `(order image, row index)` of every record of a packed buffer, the
+    /// key's type resolved once for the whole sweep.
+    pub(crate) fn image_pairs(&self, buf: &[u8], ts: usize) -> Vec<(u64, u32)> {
+        with_order_image!(self, |image| buf
+            .chunks_exact(ts)
+            .zip(0u32..)
+            .map(|(rec, i)| (image(rec), i))
+            .collect())
+    }
+
+    /// Whether [`CompiledKey::order_image`] is the whole key: false only
+    /// for strings wider than eight bytes, whose image is a prefix and
+    /// whose ties must fall back to [`CompiledKey::compare`].
+    pub fn image_is_exact(&self) -> bool {
+        self.width <= 8
     }
 
     /// Compare the key field of two records.
@@ -405,13 +642,90 @@ mod tests {
     #[test]
     fn projection_copies_selected_bytes() {
         let s = schema();
-        let rec = record(7, 1.5, "xyz", 3, 9);
+        let page = [record(7, 1.5, "xyz", 3, 9), record(8, 2.5, "abc", 4, 10)].concat();
         let proj = CompiledProjection::compile(&s, &[3, 0]);
         assert_eq!(proj.output_width(), 8);
-        let mut out = vec![0u8; proj.output_width()];
-        proj.project_into(&rec, &mut out);
-        assert_eq!(read_i32_at(&out, 0), 3);
-        assert_eq!(read_i32_at(&out, 4), 7);
+        let mut out = vec![0xAA];
+        proj.append(&page, s.tuple_size(), &[1], &mut out);
+        assert_eq!(out.len(), 9, "appended to the tail");
+        assert_eq!(read_i32_at(&out, 1), 4);
+        assert_eq!(read_i32_at(&out, 5), 8);
+    }
+
+    #[test]
+    fn projection_coalesces_adjacent_columns_into_power_of_two_pieces() {
+        let s = schema();
+        // f, s, d are adjacent: one 18-byte segment, copied as 16 + 2.
+        let proj = CompiledProjection::compile(&s, &[1, 2, 3]);
+        assert_eq!(proj.pieces, vec![(4, 0, 16), (20, 16, 2)]);
+        // Reordered columns do not coalesce.
+        let proj = CompiledProjection::compile(&s, &[3, 1]);
+        assert_eq!(proj.pieces, vec![(18, 0, 4), (4, 4, 8)]);
+        // Segments wider than the widest piece repeat it.
+        let proj = CompiledProjection::from_copies([(0, 150, 0)]);
+        assert_eq!(proj.output_width(), 150);
+        assert_eq!(
+            proj.pieces.iter().map(|p| p.2).collect::<Vec<_>>(),
+            vec![64, 64, 16, 4, 2]
+        );
+    }
+
+    #[test]
+    fn narrow_agrees_with_matches_for_every_operator() {
+        let s = schema();
+        let ts = s.tuple_size();
+        let recs: Vec<Vec<u8>> = (0..40)
+            .map(|i| {
+                record(
+                    i % 5 - 2,
+                    (i % 7) as f64 - 3.0,
+                    ["a", "b", "\u{e9}"][i as usize % 3],
+                    i,
+                    -(i as i64),
+                )
+            })
+            .collect();
+        let page = recs.concat();
+        for op in [
+            CmpOp::Eq,
+            CmpOp::NotEq,
+            CmpOp::Lt,
+            CmpOp::LtEq,
+            CmpOp::Gt,
+            CmpOp::GtEq,
+        ] {
+            for (column, value) in [
+                (0, Value::Int32(0)),
+                (1, Value::Float64(-0.0)),
+                (2, Value::Str("b".into())),
+                (3, Value::Date(i32::MAX)),
+                (4, Value::Int64(i64::MIN)),
+            ] {
+                let filter = CompiledFilter::compile(
+                    &ColumnFilter {
+                        table: 0,
+                        column,
+                        op,
+                        value,
+                    },
+                    &s,
+                )
+                .unwrap();
+                let expected: Vec<u32> = (0..recs.len() as u32)
+                    .filter(|&i| filter.matches(&recs[i as usize]))
+                    .collect();
+                // From the whole page, and from an explicit selection.
+                let mut sel = Selection::new();
+                sel.select_all(recs.len());
+                filter.narrow(&page, ts, &mut sel);
+                assert_eq!(sel.rows(), expected, "{op:?} on column {column}");
+                sel.clear();
+                (0..recs.len() as u32).step_by(2).for_each(|i| sel.push(i));
+                filter.narrow(&page, ts, &mut sel);
+                let even: Vec<u32> = expected.iter().copied().filter(|i| i % 2 == 0).collect();
+                assert_eq!(sel.rows(), even, "{op:?} on column {column}, even rows");
+            }
+        }
     }
 
     #[test]

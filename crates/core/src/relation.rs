@@ -12,26 +12,49 @@ use hique_types::{HiqueError, Result, Row, Schema};
 
 use crate::kernel::{compare_keys, CompiledKey};
 
-/// Stable-sorted copy of a packed record buffer.
+/// Stable sort of a packed record buffer, by key images.
+///
+/// A buffer whose records are already in order (TPC-H `lineitem` and
+/// `orders` by order key are) is returned as it is, after one pass that
+/// allocates nothing.  Otherwise the sort neither moves nor compares
+/// records: it extracts one `(order image of the major key, row index)`
+/// pair per record, sorts the 16-byte pairs and gathers the records once.
+/// The image is the whole key for a single numeric, date or `Char(≤ 8)`
+/// column; for multi-column keys and wider strings, equal images fall back
+/// to the record comparator ([`compare_keys`]), and the row index breaks the
+/// remaining ties — which is what makes the unstable pair sort a stable
+/// record sort.
 ///
 /// Stability is load-bearing for the parallel mode: a stable sort of the
 /// whole buffer equals chunk-wise stable sorts merged with
 /// [`merge_sorted_runs`], so `threads = N` staging produces byte-identical
 /// relations to `threads = 1`.
-pub(crate) fn sorted_copy(buf: &[u8], ts: usize, keys: &[CompiledKey]) -> Vec<u8> {
-    let n = buf.len() / ts;
-    if n <= 1 {
-        return buf.to_vec();
+pub(crate) fn sorted_copy(buf: Vec<u8>, ts: usize, keys: &[CompiledKey]) -> Vec<u8> {
+    let Some((major, minor)) = keys.split_first() else {
+        return buf;
+    };
+    if buf
+        .chunks_exact(ts)
+        .is_sorted_by(|a, b| compare_keys(keys, a, b).is_le())
+    {
+        return buf;
     }
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_by(|&a, &b| {
-        let ra = &buf[a as usize * ts..(a as usize + 1) * ts];
-        let rb = &buf[b as usize * ts..(b as usize + 1) * ts];
-        compare_keys(keys, ra, rb)
-    });
+    let record = |i: u32| &buf[i as usize * ts..(i as usize + 1) * ts];
+    let mut pairs = major.image_pairs(&buf, ts);
+    if major.image_is_exact() && minor.is_empty() {
+        pairs.sort_unstable();
+    } else {
+        // What still has to be compared when two images are equal.
+        let rest = if major.image_is_exact() { minor } else { keys };
+        pairs.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| compare_keys(rest, record(a.1), record(b.1)))
+                .then(a.1.cmp(&b.1))
+        });
+    }
     let mut sorted = Vec::with_capacity(buf.len());
-    for &i in &idx {
-        sorted.extend_from_slice(&buf[i as usize * ts..(i as usize + 1) * ts]);
+    for &(_, i) in &pairs {
+        sorted.extend_from_slice(record(i));
     }
     sorted
 }
@@ -210,8 +233,8 @@ impl StagedRelation {
     /// across `pool`.
     ///
     /// This is the engine's "optimized quicksort over cache-fitting
-    /// partitions": indices are sorted with the specialized key comparator
-    /// and the records gathered into a fresh buffer in one pass.
+    /// partitions": every sort goes through `sorted_copy`'s key-image
+    /// sort, which leaves an already ordered partition as it is.
     /// Multi-partition relations sort one partition per task; a single
     /// partition is chunk-sorted and merged (stable, lowest-chunk ties), so
     /// every pool width produces the serial stable sort byte-for-byte.
@@ -222,20 +245,14 @@ impl StagedRelation {
             if !pool.is_serial() && n > 1 {
                 let runs: Vec<Vec<u8>> = pool
                     .map_items(&chunk_ranges(n, pool.threads()), |_, r| {
-                        sorted_copy(&buf[r.start * ts..r.end * ts], ts, keys)
+                        sorted_copy(buf[r.start * ts..r.end * ts].to_vec(), ts, keys)
                     });
                 *buf = merge_sorted_runs(runs, ts, keys);
                 return;
             }
         }
         let parts = std::mem::take(&mut self.partitions);
-        self.partitions = pool.map_owned(parts, |_, buf| {
-            if buf.len() / ts <= 1 {
-                buf
-            } else {
-                sorted_copy(&buf, ts, keys)
-            }
-        });
+        self.partitions = pool.map_owned(parts, |_, buf| sorted_copy(buf, ts, keys));
     }
 
     /// Collapse a partitioned relation into a single concatenated partition
@@ -371,13 +388,13 @@ mod tests {
             .map(|(i, &k)| row(k, i as f64))
             .collect();
         let rel = StagedRelation::from_rows(schema(), &rows).unwrap();
-        let whole = sorted_copy(rel.partition(0), ts, &[key(&rel)]);
+        let whole = sorted_copy(rel.partition(0).to_vec(), ts, &[key(&rel)]);
         for chunks in [1, 2, 3, 4, 7] {
             let runs: Vec<Vec<u8>> = chunk_ranges(rows.len(), chunks)
                 .into_iter()
                 .map(|r| {
                     sorted_copy(
-                        &rel.partition(0)[r.start * ts..r.end * ts],
+                        rel.partition(0)[r.start * ts..r.end * ts].to_vec(),
                         ts,
                         &[key(&rel)],
                     )
@@ -393,6 +410,125 @@ mod tests {
         assert!(merge_sorted_runs(vec![Vec::new(), Vec::new()], ts, &[key(&rel)]).is_empty());
         let single = vec![Vec::new(), whole.clone(), Vec::new()];
         assert_eq!(merge_sorted_runs(single, ts, &[key(&rel)]), whole);
+    }
+
+    /// The comparator sort `sorted_copy` replaced: the reference the
+    /// key-image sort must equal byte for byte, stability included.
+    fn comparator_sort(buf: &[u8], ts: usize, keys: &[CompiledKey]) -> Vec<u8> {
+        let mut recs: Vec<&[u8]> = buf.chunks_exact(ts).collect();
+        recs.sort_by(|a, b| compare_keys(keys, a, b));
+        recs.concat()
+    }
+
+    #[test]
+    fn key_image_sort_equals_the_comparator_sort() {
+        // Every key type, with the values an image can get wrong: extremes,
+        // signed zeros, NaNs of both signs, infinities, bytes ≥ 0x80,
+        // `Char(12)` keys that share their eight-byte image.  `seq` makes
+        // every record distinct, so a stability violation changes bytes.
+        let schema = Schema::new(vec![
+            Column::new("i", DataType::Int32),
+            Column::new("l", DataType::Int64),
+            Column::new("d", DataType::Date),
+            Column::new("f", DataType::Float64),
+            Column::new("c3", DataType::Char(3)),
+            Column::new("c12", DataType::Char(12)),
+            Column::new("seq", DataType::Int32),
+        ]);
+        let ints = [i32::MIN, -5, -1, 0, 1, 7, i32::MAX];
+        let longs = [i64::MIN, -(1 << 40), -1, 0, 1, 1 << 40, i64::MAX];
+        let floats = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.5,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let shorts = ["", "a", "ab", "b", "\u{e9}", "\u{7f}"];
+        let longs12 = [
+            "",
+            "prefix01",
+            "prefix01A",
+            "prefix01B",
+            "prefix02",
+            "\u{e9}\u{e9}",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let rows: Vec<Row> = (0..500)
+            .map(|seq| {
+                Row::new(vec![
+                    Value::Int32(ints[next() % ints.len()]),
+                    Value::Int64(longs[next() % longs.len()]),
+                    Value::Date(ints[next() % ints.len()]),
+                    Value::Float64(floats[next() % floats.len()]),
+                    Value::Str(shorts[next() % shorts.len()].into()),
+                    Value::Str(longs12[next() % longs12.len()].into()),
+                    Value::Int32(seq),
+                ])
+            })
+            .collect();
+        let rel = StagedRelation::from_rows(schema.clone(), &rows).unwrap();
+        let (buf, ts) = (rel.partition(0), rel.tuple_size());
+        let key = |c: usize| CompiledKey::compile(&schema, c);
+        let key_sets: Vec<Vec<CompiledKey>> = (0..6)
+            .map(|c| vec![key(c)])
+            .chain([
+                vec![key(0), key(3)],
+                vec![key(5), key(4)],
+                vec![key(4), key(5), key(1)],
+                vec![],
+            ])
+            .collect();
+        for keys in &key_sets {
+            let expected = comparator_sort(buf, ts, keys);
+            assert_eq!(sorted_copy(buf.to_vec(), ts, keys), expected, "{keys:?}");
+            // Already sorted (returned as is), reverse-sorted, and every
+            // prefix down to the empty and single-record buffers.
+            assert_eq!(
+                sorted_copy(expected.clone(), ts, keys),
+                expected,
+                "{keys:?} sorted"
+            );
+            let reversed: Vec<u8> = expected.chunks_exact(ts).rev().flatten().copied().collect();
+            assert_eq!(
+                sorted_copy(reversed.clone(), ts, keys),
+                comparator_sort(&reversed, ts, keys),
+                "{keys:?} reversed"
+            );
+            for n in [0, 1, 2, 17] {
+                assert_eq!(
+                    sorted_copy(buf[..n * ts].to_vec(), ts, keys),
+                    comparator_sort(&buf[..n * ts], ts, keys),
+                    "{keys:?} first {n}"
+                );
+            }
+        }
+        // All-equal keys: the sort must be the identity.
+        let equal: Vec<Row> = (0..50)
+            .map(|seq| {
+                let mut values = rows[0].values().to_vec();
+                values[6] = Value::Int32(seq);
+                Row::new(values)
+            })
+            .collect();
+        let rel = StagedRelation::from_rows(schema.clone(), &equal).unwrap();
+        for keys in &key_sets {
+            assert_eq!(
+                sorted_copy(rel.partition(0).to_vec(), ts, keys),
+                rel.partition(0),
+                "{keys:?} all equal"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use hique_plan::{StagedTable, StagingStrategy};
 use hique_storage::TableHeap;
 use hique_types::{CancelToken, ExecStats, Result};
 
-use crate::kernel::{CompiledFilter, CompiledKey, CompiledProjection};
+use crate::kernel::{CompiledFilter, CompiledKey, CompiledProjection, Selection};
 use crate::relation::{merge_sorted_runs, StagedRelation};
 
 /// The result of staging one input: the materialized relation plus, for
@@ -40,49 +40,115 @@ impl StagedInput {
     }
 }
 
-/// The compiled scan/filter/project kernels shared by every worker.
-struct ScanKernels {
-    filters: Vec<CompiledFilter>,
-    projection: CompiledProjection,
-    tuple_size: usize,
-    /// Checked once per heap page, so a cancelled execution stops mid-scan
-    /// at the next page boundary (each worker observes the shared token).
-    cancel: CancelToken,
+/// The page loop of the paper's Listing 1, shared by both kernel providers:
+/// fetch each heap page of `pages` by reference, account for its tuples
+/// from the page's count (`tuples_processed`, `bytes_touched`), and hand its
+/// packed record area to `sweep`.
+///
+/// Pages come through [`TableHeap::page_guard`], so one loop serves
+/// memory-resident heaps (borrowed pages) and pool-backed heaps (pinned
+/// frames, unpinned as each page's sweep finishes).  `cancel` is checked
+/// once per page, so a cancelled execution stops mid-scan at the next page
+/// boundary.
+pub fn sweep_pages(
+    heap: &TableHeap,
+    pages: Range<usize>,
+    cancel: &CancelToken,
+    stats: &mut ExecStats,
+    mut sweep: impl FnMut(&[u8], &mut ExecStats),
+) -> Result<()> {
+    let ts = heap.schema().tuple_size();
+    for p in pages {
+        cancel.check()?;
+        let page = heap.page_guard(p)?;
+        let data = page.data();
+        debug_assert_eq!(
+            page.tuple_size(),
+            ts,
+            "heap page width differs from its schema"
+        );
+        stats.tuples_processed += (data.len() / ts) as u64;
+        stats.bytes_touched += data.len() as u64;
+        sweep(data, stats);
+    }
+    Ok(())
 }
 
-impl ScanKernels {
-    /// Run the instantiated Listing 1 loop over the heap pages of `pages`,
-    /// feeding every surviving projected record to `emit`.
+/// Bytes to reserve for the staged output of `pages` of `heap`: its share of
+/// `min(estimated_rows, heap tuples)` records of `width` bytes — never more
+/// than the scan can produce.
+pub fn staged_capacity(
+    heap: &TableHeap,
+    pages: &Range<usize>,
+    estimated_rows: usize,
+    width: usize,
+) -> usize {
+    let rows = estimated_rows.min(heap.num_tuples());
+    (rows * pages.len()).div_ceil(heap.num_pages().max(1)) * width
+}
+
+/// Concatenate per-worker runs in worker order.  The first run is the base
+/// buffer, so a serial scan's single run is staged without a second copy of
+/// the relation.
+pub fn concat_runs(runs: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
+    let mut runs = runs.into_iter();
+    let mut data = runs.next().unwrap_or_default();
+    runs.for_each(|run| data.extend_from_slice(&run));
+    data
+}
+
+/// The compiled scan/filter/project kernels shared by every worker:
+/// resolved once per scan, then swept over pages.
+struct ScanKernels<'a> {
+    heap: &'a TableHeap,
+    filters: Vec<CompiledFilter>,
+    projection: CompiledProjection,
+    estimated_rows: usize,
+    cancel: &'a CancelToken,
+}
+
+impl ScanKernels<'_> {
+    /// Run the instantiated Listing 1 loop over `pages`: each page's
+    /// survivors are projected once, straight onto the tail of `out`, then
+    /// `after_page` sees `out` (the partitioning strategies scatter and
+    /// clear it; plain and sorted staging leave it to grow into the run).
     ///
-    /// Pages are fetched through [`TableHeap::page_guard`], so the same
-    /// compiled loop serves memory-resident heaps (borrowed pages) and
-    /// pool-backed heaps (pinned frames, unpinned as each page's scan
-    /// finishes).
+    /// Nothing is dispatched or counted per tuple: each filter narrows a
+    /// selection vector with one sweep per page, and `comparisons` is the
+    /// sum of the selection lengths entering each filter — exactly what a
+    /// short-circuiting tuple-at-a-time loop counts.
     fn scan_chunk(
         &self,
-        heap: &TableHeap,
         pages: Range<usize>,
         stats: &mut ExecStats,
-        mut emit: impl FnMut(&[u8], &mut ExecStats),
+        out: &mut Vec<u8>,
+        mut after_page: impl FnMut(&mut Vec<u8>, &mut ExecStats),
     ) -> Result<()> {
-        let mut buf = vec![0u8; self.projection.output_width()];
-        // loop over pages / loop over tuples (Listing 1).
-        for p in pages {
-            self.cancel.check()?;
-            let page = heap.page_guard(p)?;
-            'tuples: for record in page.records() {
-                stats.add_tuple(self.tuple_size);
-                for f in &self.filters {
-                    stats.add_comparisons(1);
-                    if !f.matches(record) {
-                        continue 'tuples;
-                    }
+        let ts = self.heap.schema().tuple_size();
+        let mut sel = Selection::new();
+        sweep_pages(self.heap, pages, self.cancel, stats, |data, stats| {
+            sel.select_all(data.len() / ts);
+            for f in &self.filters {
+                if sel.is_empty() {
+                    break;
                 }
-                self.projection.project_into(record, &mut buf);
-                emit(&buf, stats);
+                stats.comparisons += sel.len() as u64;
+                f.narrow(data, ts, &mut sel);
             }
-        }
-        Ok(())
+            self.projection.append(data, ts, sel.rows(), out);
+            after_page(out, stats);
+        })
+    }
+
+    /// Output bytes to reserve for the run (or, divided by the partition
+    /// count, the partition buffers) of the worker scanning `pages`.
+    fn capacity(&self, pages: &Range<usize>) -> usize {
+        staged_capacity(
+            self.heap,
+            pages,
+            self.estimated_rows,
+            self.projection.output_width(),
+        )
     }
 }
 
@@ -101,18 +167,20 @@ struct FineChunk {
 ///
 /// The scan/filter/project loop is the instantiated Listing 1 template: the
 /// filters are [`CompiledFilter`]s with baked-in offsets and constants, the
-/// projection is a list of byte-range copies, and partitioning/sorting are
-/// interleaved with the scan exactly as the generated code would do.
+/// projection is a list of constant-width byte-range copies, and
+/// partitioning/sorting are interleaved with the scan exactly as the
+/// generated code would do.
 ///
 /// The parallel decomposition is the paper's partitioning pre-processing
 /// read backwards: pages are divided into contiguous per-worker chunks
 /// ([`chunk_ranges`] — deterministic in the page and worker counts), each
 /// worker runs the same compiled loop over its chunk, and the per-worker
-/// outputs are merged in chunk order.  Every strategy's merge reproduces the
-/// serial scan order exactly (concatenation, stable sort + run merge,
-/// per-partition concatenation, first-occurrence directory renumbering), so
-/// the staged relation is byte-identical for every pool width.  Every scan
-/// worker checks `cancel` once per heap page.
+/// outputs are merged in chunk order, the first worker's buffers serving as
+/// the base (a serial pool stages without a second copy).  Every strategy's
+/// merge reproduces the serial scan order exactly (concatenation, stable
+/// sort + run merge, per-partition concatenation, first-occurrence directory
+/// renumbering), so the staged relation is byte-identical for every pool
+/// width.  Every scan worker checks `cancel` once per heap page.
 pub fn stage_table(
     heap: &TableHeap,
     staged: &StagedTable,
@@ -122,14 +190,15 @@ pub fn stage_table(
 ) -> Result<StagedInput> {
     let base_schema = heap.schema();
     let kernels = ScanKernels {
+        heap,
         filters: staged
             .filters
             .iter()
             .map(|f| CompiledFilter::compile(f, base_schema))
             .collect::<Result<_>>()?,
         projection: CompiledProjection::compile(base_schema, &staged.keep),
-        tuple_size: base_schema.tuple_size(),
-        cancel: cancel.clone(),
+        estimated_rows: staged.estimated_rows,
+        cancel,
     };
     let out_schema = staged.schema.clone();
     let out_width = kernels.projection.output_width();
@@ -152,15 +221,13 @@ pub fn stage_table(
             let worker_outputs: Vec<Result<(Vec<u8>, ExecStats)>> =
                 pool.map_items(&chunks, |_, pages| {
                     let mut local = ExecStats::new();
-                    let mut out: Vec<u8> = Vec::new();
-                    kernels.scan_chunk(heap, pages.clone(), &mut local, |rec, _| {
-                        out.extend_from_slice(rec)
-                    })?;
+                    let mut out: Vec<u8> = Vec::with_capacity(kernels.capacity(pages));
+                    kernels.scan_chunk(pages.clone(), &mut local, &mut out, |_, _| {})?;
                     // Sorting interleaved with the scan: each worker sorts its
                     // chunk (stable) so the merge below only has to interleave
                     // sorted runs.
                     if let Some(keys) = &sort_keys {
-                        out = crate::relation::sorted_copy(&out, out_width, keys);
+                        out = crate::relation::sorted_copy(out, out_width, keys);
                     }
                     Ok((out, local))
                 });
@@ -174,14 +241,7 @@ pub fn stage_table(
                 // lowest-run-wins merge equals a stable sort of the whole
                 // staged buffer (one run, on a serial pool, is that sort).
                 Some(keys) => merge_sorted_runs(runs, out_width, keys),
-                // The first run is the base buffer: a serial scan's single run
-                // is staged without a second copy of the relation.
-                None => {
-                    let mut runs = runs.into_iter();
-                    let mut data = runs.next().unwrap_or_default();
-                    runs.for_each(|run| data.extend_from_slice(&run));
-                    data
-                }
+                None => concat_runs(runs),
             };
             let rel = StagedRelation::from_partitions(out_schema.clone(), vec![data]);
             stats.merge(&worker_stats.into_iter().sum());
@@ -207,27 +267,47 @@ pub fn stage_table(
         } => {
             let key = CompiledKey::compile(&out_schema, *key_column);
             let m = (*partitions).max(1);
+            // A power-of-two partition count masks the hash instead of
+            // dividing it (same assignment).
+            let mask = m.is_power_of_two().then(|| m - 1);
             stats.partition_passes += 1;
             let worker_outputs: Vec<(Vec<Vec<u8>>, ExecStats)> = pool
                 .map_items(&chunks, |_, pages| {
                     let mut local = ExecStats::new();
-                    let mut parts: Vec<Vec<u8>> = vec![Vec::new(); m];
-                    kernels.scan_chunk(heap, pages.clone(), &mut local, |rec, local| {
-                        local.add_hashes(1);
-                        let p = (key.hash(rec) as usize) % m;
-                        parts[p].extend_from_slice(rec);
-                    })?;
+                    let reserve = kernels.capacity(pages) / m;
+                    let mut parts: Vec<Vec<u8>> =
+                        (0..m).map(|_| Vec::with_capacity(reserve)).collect();
+                    let mut page_out: Vec<u8> = Vec::new();
+                    kernels.scan_chunk(
+                        pages.clone(),
+                        &mut local,
+                        &mut page_out,
+                        |out, local| {
+                            local.add_hashes((out.len() / out_width) as u64);
+                            for rec in out.chunks_exact(out_width) {
+                                let hash = key.hash(rec) as usize;
+                                let p = mask.map_or_else(|| hash % m, |mask| hash & mask);
+                                parts[p].extend_from_slice(rec);
+                            }
+                            out.clear();
+                        },
+                    )?;
                     Ok((parts, local))
                 })
                 .into_iter()
                 .collect::<Result<Vec<_>>>()?;
             // Per-partition concatenation in chunk order reproduces the
-            // serial scan order within every partition.
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); m];
-            for (worker_parts, local) in &worker_outputs {
-                stats.merge(local);
-                for (p, wp) in worker_parts.iter().enumerate() {
-                    parts[p].extend_from_slice(wp);
+            // serial scan order within every partition; the first worker's
+            // buffers are the base.
+            let mut worker_outputs = worker_outputs.into_iter();
+            let (mut parts, first) = worker_outputs
+                .next()
+                .unwrap_or_else(|| (vec![Vec::new(); m], ExecStats::new()));
+            stats.merge(&first);
+            for (worker_parts, local) in worker_outputs {
+                stats.merge(&local);
+                for (part, wp) in parts.iter_mut().zip(&worker_parts) {
+                    part.extend_from_slice(wp);
                 }
             }
             let mut rel = StagedRelation::from_partitions(out_schema.clone(), parts);
@@ -251,19 +331,28 @@ pub fn stage_table(
                     };
                     let (directory, order, parts) =
                         (&mut chunk.directory, &mut chunk.order, &mut chunk.parts);
-                    kernels.scan_chunk(heap, pages.clone(), &mut chunk.stats, |rec, local| {
-                        // Value → partition directory lookup (the sorted-array
-                        // binary search of the paper, realised as an ordered map).
-                        local.add_hashes(1);
-                        let k = key.as_i64(rec);
-                        let next = parts.len();
-                        let p = *directory.entry(k).or_insert_with(|| {
-                            parts.push(Vec::new());
-                            order.push(k);
-                            next
-                        });
-                        parts[p].extend_from_slice(rec);
-                    })?;
+                    let mut page_out: Vec<u8> = Vec::new();
+                    kernels.scan_chunk(
+                        pages.clone(),
+                        &mut chunk.stats,
+                        &mut page_out,
+                        |out, local| {
+                            // Value → partition directory lookup (the sorted-array
+                            // binary search of the paper, realised as an ordered map).
+                            local.add_hashes((out.len() / out_width) as u64);
+                            for rec in out.chunks_exact(out_width) {
+                                let k = key.as_i64(rec);
+                                let next = parts.len();
+                                let p = *directory.entry(k).or_insert_with(|| {
+                                    parts.push(Vec::new());
+                                    order.push(k);
+                                    next
+                                });
+                                parts[p].extend_from_slice(rec);
+                            }
+                            out.clear();
+                        },
+                    )?;
                     Ok(chunk)
                 })
                 .into_iter()
@@ -271,22 +360,25 @@ pub fn stage_table(
             // Renumber partitions by global first occurrence: chunks are in
             // scan order, so visiting each chunk's keys in its local
             // first-occurrence order assigns exactly the ids the serial scan
-            // would have.
-            let mut directory: BTreeMap<i64, usize> = BTreeMap::new();
-            let mut parts: Vec<Vec<u8>> = Vec::new();
-            for chunk in &worker_outputs {
+            // would have.  The first chunk's local ids already are the global
+            // ones, so its directory and buffers are the base.
+            let mut worker_outputs = worker_outputs.into_iter();
+            let (mut directory, mut parts) = match worker_outputs.next() {
+                Some(first) => {
+                    stats.merge(&first.stats);
+                    (first.directory, first.parts)
+                }
+                None => (BTreeMap::new(), Vec::new()),
+            };
+            for chunk in worker_outputs {
                 stats.merge(&chunk.stats);
-                for &k in &chunk.order {
+                for (k, local_part) in chunk.order.iter().zip(&chunk.parts) {
                     let next = parts.len();
-                    directory.entry(k).or_insert_with(|| {
+                    let p = *directory.entry(*k).or_insert_with(|| {
                         parts.push(Vec::new());
                         next
                     });
-                }
-            }
-            for chunk in &worker_outputs {
-                for (&k, &local_p) in &chunk.directory {
-                    parts[directory[&k]].extend_from_slice(&chunk.parts[local_p]);
+                    parts[p].extend_from_slice(local_part);
                 }
             }
             let rel = StagedRelation::from_partitions(out_schema.clone(), parts);
@@ -601,6 +693,398 @@ mod tests {
             assert_eq!(par.relation.num_records(), 0);
             assert!(par.relation.num_partitions() >= 1);
         }
+    }
+
+    /// The tuple-at-a-time scan this module ran before it swept pages, kept
+    /// as the reference the page sweep must equal byte for byte and counter
+    /// for counter: per-tuple `add_tuple`, short-circuit filters charged one
+    /// comparison each, per-column copies through a scratch record, a
+    /// comparator sort.  Serial; every pool width must reproduce it.
+    mod reference {
+        use super::*;
+        use crate::kernel::compare_keys;
+        use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at};
+
+        fn matches(f: &ColumnFilter, schema: &Schema, rec: &[u8]) -> bool {
+            let off = schema.offset(f.column);
+            let ord = match schema.column(f.column).dtype {
+                DataType::Int32 | DataType::Date => {
+                    read_i32_at(rec, off).cmp(&(f.value.as_i64().unwrap() as i32))
+                }
+                DataType::Int64 => read_i64_at(rec, off).cmp(&f.value.as_i64().unwrap()),
+                DataType::Float64 => read_f64_at(rec, off).total_cmp(&f.value.as_f64().unwrap()),
+                DataType::Char(w) => {
+                    let mut needle = f.value.as_str().unwrap().as_bytes().to_vec();
+                    needle.resize(w as usize, b' ');
+                    rec[off..off + w as usize].cmp(&needle)
+                }
+            };
+            f.op.matches(ord)
+        }
+
+        fn scan(
+            heap: &TableHeap,
+            desc: &StagedTable,
+            stats: &mut ExecStats,
+            mut emit: impl FnMut(&[u8], &mut ExecStats),
+        ) {
+            let base = heap.schema();
+            let mut buf = vec![0u8; desc.schema.tuple_size()];
+            for p in 0..heap.num_pages() {
+                let page = heap.page_guard(p).unwrap();
+                'tuples: for record in page.records() {
+                    stats.add_tuple(base.tuple_size());
+                    for f in &desc.filters {
+                        stats.add_comparisons(1);
+                        if !matches(f, base, record) {
+                            continue 'tuples;
+                        }
+                    }
+                    let mut dst = 0;
+                    for &c in &desc.keep {
+                        let (off, w) = (base.offset(c), base.column(c).dtype.width());
+                        buf[dst..dst + w].copy_from_slice(&record[off..off + w]);
+                        dst += w;
+                    }
+                    emit(&buf, stats);
+                }
+            }
+        }
+
+        pub(super) fn sorted(buf: &[u8], ts: usize, keys: &[CompiledKey]) -> Vec<u8> {
+            let mut recs: Vec<&[u8]> = buf.chunks_exact(ts).collect();
+            recs.sort_by(|a, b| compare_keys(keys, a, b));
+            recs.concat()
+        }
+
+        pub(super) fn stage(
+            heap: &TableHeap,
+            desc: &StagedTable,
+            stats: &mut ExecStats,
+        ) -> StagedInput {
+            let (schema, ts) = (desc.schema.clone(), desc.schema.tuple_size());
+            let key = |c: usize| CompiledKey::compile(&desc.schema, c);
+            stats.add_calls(1);
+            let mut directory = None;
+            let parts = match &desc.strategy {
+                StagingStrategy::None => {
+                    let mut out = Vec::new();
+                    scan(heap, desc, stats, |rec, _| out.extend_from_slice(rec));
+                    stats.add_materialized(out.len());
+                    vec![out]
+                }
+                StagingStrategy::Sort { key_columns } => {
+                    let mut out = Vec::new();
+                    scan(heap, desc, stats, |rec, _| out.extend_from_slice(rec));
+                    let keys: Vec<CompiledKey> = key_columns.iter().map(|&c| key(c)).collect();
+                    stats.add_materialized(out.len());
+                    stats.sort_passes += 1;
+                    let n = (out.len() / ts) as f64;
+                    if n > 1.0 {
+                        stats.add_comparisons((n * n.log2()).ceil() as u64);
+                    }
+                    vec![sorted(&out, ts, &keys)]
+                }
+                StagingStrategy::PartitionCoarse {
+                    key_column,
+                    partitions,
+                }
+                | StagingStrategy::PartitionThenSort {
+                    key_column,
+                    partitions,
+                } => {
+                    let (key, m) = (key(*key_column), (*partitions).max(1));
+                    stats.partition_passes += 1;
+                    let mut parts = vec![Vec::new(); m];
+                    scan(heap, desc, stats, |rec, stats| {
+                        stats.add_hashes(1);
+                        parts[(key.hash(rec) as usize) % m].extend_from_slice(rec);
+                    });
+                    stats.add_materialized(parts.iter().map(Vec::len).sum());
+                    if matches!(desc.strategy, StagingStrategy::PartitionThenSort { .. }) {
+                        stats.sort_passes += m as u64;
+                        parts = parts.iter().map(|p| sorted(p, ts, &[key])).collect();
+                    }
+                    parts
+                }
+                StagingStrategy::PartitionFine { key_column, .. } => {
+                    let key = key(*key_column);
+                    stats.partition_passes += 1;
+                    let mut dir: BTreeMap<i64, usize> = BTreeMap::new();
+                    let mut parts: Vec<Vec<u8>> = Vec::new();
+                    scan(heap, desc, stats, |rec, stats| {
+                        stats.add_hashes(1);
+                        let next = parts.len();
+                        let p = *dir.entry(key.as_i64(rec)).or_insert_with(|| {
+                            parts.push(Vec::new());
+                            next
+                        });
+                        parts[p].extend_from_slice(rec);
+                    });
+                    stats.add_materialized(parts.iter().map(Vec::len).sum());
+                    directory = Some(dir);
+                    parts
+                }
+            };
+            StagedInput {
+                relation: StagedRelation::from_partitions(schema, parts),
+                fine_directory: directory,
+            }
+        }
+    }
+
+    /// xorshift64*: the tests' seeded generator.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed.max(1);
+        move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    /// One column of every type the sweeps specialise on, strings narrower
+    /// and wider than the eight-byte image, and a pad between them so kept
+    /// columns can be adjacent or not.
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("i", DataType::Int32),
+            Column::new("l", DataType::Int64),
+            Column::new("d", DataType::Date),
+            Column::new("pad", DataType::Char(5)),
+            Column::new("f", DataType::Float64),
+            Column::new("c1", DataType::Char(1)),
+            Column::new("c3", DataType::Char(3)),
+            Column::new("c12", DataType::Char(12)),
+        ])
+    }
+
+    /// Small domains with the values that break naive compares: extremes,
+    /// signed zeros, NaN, infinities, bytes ≥ 0x80, strings sharing an
+    /// eight-byte prefix.
+    fn domain(column: usize) -> Vec<Value> {
+        match column {
+            0 => [i32::MIN, -7, 0, 3, i32::MAX].map(Value::Int32).to_vec(),
+            1 => [i64::MIN, -1, 0, 1 << 40, i64::MAX]
+                .map(Value::Int64)
+                .to_vec(),
+            2 => [-400, 0, 9000, 9001, i32::MAX].map(Value::Date).to_vec(),
+            3 => vec![Value::Str("pad".into())],
+            4 => [
+                f64::NEG_INFINITY,
+                -2.5,
+                -0.0,
+                0.0,
+                1e300,
+                f64::INFINITY,
+                f64::NAN,
+            ]
+            .map(Value::Float64)
+            .to_vec(),
+            5 => ["A", "R", "z"].map(|s| Value::Str(s.into())).to_vec(),
+            6 => ["", "ab", "abc", "\u{e9}"]
+                .map(|s| Value::Str(s.into()))
+                .to_vec(),
+            _ => [
+                "prefix01",
+                "prefix01AAAA",
+                "prefix01AAAB",
+                "\u{e9}t\u{e9}",
+                "",
+            ]
+            .map(|s| Value::Str(s.into()))
+            .to_vec(),
+        }
+    }
+
+    /// `rows` seeded rows over [`wide_schema`]: several pages and a partial
+    /// last one.  `paged` moves the heap behind a two-frame pool, so a
+    /// scan's guards come back pinned, evicted and re-read, and — at pool
+    /// widths above two — bypassed (`PageRef::Owned`).
+    fn wide_heap(rows: usize, seed: u64, paged: bool) -> TableHeap {
+        let schema = wide_schema();
+        let mut next = rng(seed);
+        let mut heap = TableHeap::from_rows(
+            schema.clone(),
+            (0..rows).map(|_| {
+                Row::new(
+                    (0..schema.len())
+                        .map(|c| {
+                            let d = domain(c);
+                            d[next() as usize % d.len()].clone()
+                        })
+                        .collect(),
+                )
+            }),
+        )
+        .unwrap();
+        if paged {
+            static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "hique_staging_test_{}_{}.tbl",
+                std::process::id(),
+                SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            ));
+            let disk = std::sync::Arc::new(hique_storage::DiskManager::open(&path).unwrap());
+            let pool = std::sync::Arc::new(hique_storage::BufferPool::new(2).unwrap());
+            heap.spill_to_disk(&pool, disk).unwrap();
+            std::fs::remove_file(&path).ok();
+        }
+        heap
+    }
+
+    fn strategies_for(kept: usize) -> Vec<StagingStrategy> {
+        vec![
+            StagingStrategy::None,
+            StagingStrategy::Sort {
+                key_columns: (0..kept.min(2)).collect(),
+            },
+            StagingStrategy::PartitionCoarse {
+                key_column: 0,
+                partitions: 4,
+            },
+            StagingStrategy::PartitionThenSort {
+                key_column: kept - 1,
+                partitions: 3,
+            },
+            StagingStrategy::PartitionFine {
+                key_column: 0,
+                partitions: 8,
+            },
+        ]
+    }
+
+    /// Stage `desc` at every pool width and hold bytes, directory and the
+    /// whole `ExecStats` to the tuple-at-a-time reference.
+    fn assert_matches_reference(heap: &TableHeap, desc: &StagedTable) {
+        let mut expected_stats = ExecStats::new();
+        let expected = reference::stage(heap, desc, &mut expected_stats);
+        for threads in [1, 2, 3, 4, 16] {
+            let mut stats = ExecStats::new();
+            let staged = stage(heap, desc, &mut stats, threads).unwrap();
+            let context = format!(
+                "paged={} threads={threads} filters={:?} keep={:?} {:?}",
+                heap.is_paged(),
+                desc.filters,
+                desc.keep,
+                desc.strategy
+            );
+            assert_identical(&expected, &staged, &context);
+            assert_eq!(expected_stats, stats, "{context}: stats");
+        }
+    }
+
+    fn wide_descriptor(
+        filters: Vec<ColumnFilter>,
+        keep: Vec<usize>,
+        strategy: StagingStrategy,
+        estimated_rows: usize,
+    ) -> StagedTable {
+        StagedTable {
+            table: 0,
+            table_name: "wide".into(),
+            filters,
+            schema: wide_schema().project(&keep),
+            keep,
+            strategy,
+            estimated_rows,
+        }
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::NotEq,
+        CmpOp::Lt,
+        CmpOp::LtEq,
+        CmpOp::Gt,
+        CmpOp::GtEq,
+    ];
+
+    #[test]
+    fn page_sweep_equals_the_tuple_loop_for_every_operator_and_type() {
+        for paged in [false, true] {
+            let heap = wide_heap(300, 7, paged);
+            assert!(heap.num_pages() > 3);
+            for column in [0, 1, 2, 4, 5, 6, 7] {
+                for op in OPS {
+                    for value in domain(column) {
+                        let filter = ColumnFilter {
+                            table: 0,
+                            column,
+                            op,
+                            value,
+                        };
+                        // Adjacent kept columns (one coalesced copy).
+                        let desc =
+                            wide_descriptor(vec![filter], vec![4, 5, 6], StagingStrategy::None, 40);
+                        assert_matches_reference(&heap, &desc);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_sweep_equals_the_tuple_loop_for_seeded_scans_and_strategies() {
+        let keeps: [&[usize]; 5] = [
+            &[0, 1, 2],
+            &[7, 0, 4],
+            &[6],
+            &[5, 1, 0, 3],
+            &[2, 3, 4, 5, 6, 7],
+        ];
+        let mut next = rng(42);
+        for paged in [false, true] {
+            // 0 rows: no pages at all; 1 row: one partial page; 431 rows:
+            // several pages and a partial last one.
+            for rows in [0, 1, 431] {
+                let heap = wide_heap(rows, 11 + rows as u64, paged);
+                for case in 0..10 {
+                    // 0–3 filters; early ones often reject, so later ones
+                    // see short (and empty) selections.
+                    let filters: Vec<ColumnFilter> = (0..case % 4)
+                        .map(|_| {
+                            let column = [0, 1, 2, 4, 5, 6, 7][next() as usize % 7];
+                            let d = domain(column);
+                            ColumnFilter {
+                                table: 0,
+                                column,
+                                op: OPS[next() as usize % OPS.len()],
+                                value: d[next() as usize % d.len()].clone(),
+                            }
+                        })
+                        .collect();
+                    let keep = keeps[next() as usize % keeps.len()].to_vec();
+                    // Estimates below, at and far above the heap's size.
+                    let estimated_rows = [0, rows, 1 << 20][next() as usize % 3];
+                    for strategy in strategies_for(keep.len()) {
+                        let desc = wide_descriptor(
+                            filters.clone(),
+                            keep.clone(),
+                            strategy,
+                            estimated_rows,
+                        );
+                        assert_matches_reference(&heap, &desc);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn staged_buffers_are_never_reserved_beyond_what_the_heap_can_produce() {
+        let heap = wide_heap(500, 3, false);
+        let pages = 0..heap.num_pages();
+        assert_eq!(
+            staged_capacity(&heap, &pages, usize::MAX >> 8, 12),
+            500 * 12
+        );
+        assert_eq!(staged_capacity(&heap, &pages, 10, 12), 10 * 12);
+        assert!(staged_capacity(&heap, &(0..1), 1 << 30, 12) <= 500 * 12);
+        let empty = TableHeap::new(wide_schema()).unwrap();
+        assert_eq!(staged_capacity(&empty, &(0..0), 100, 12), 0);
     }
 
     #[test]

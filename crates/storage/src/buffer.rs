@@ -251,11 +251,15 @@ impl BufferPool {
     }
 
     /// Fetch a page (from memory if resident, otherwise from disk), pin it,
-    /// and return a copy of its contents.
+    /// and hand it out.
     ///
-    /// The pool hands out copies rather than references so callers never
-    /// hold the pool lock across query execution; `unpin` releases the frame
-    /// for eviction and `write` installs modified contents.  Errors with a
+    /// The returned [`Page`] is a counted handle on the frame's image, not a
+    /// copy of it: a hit costs a counter bump under the lock, and callers
+    /// never hold the lock across query execution.  The handle is a value —
+    /// a later [`BufferPool::write`] replaces the frame's page and cannot
+    /// alter what was handed out, and mutating the handle copies the image
+    /// first (see [`Page`]).  The pin is about residency only: it keeps the
+    /// frame from being evicted until `unpin`.  Errors with a
     /// typed [`HiqueError::Storage`] when every frame is pinned at capacity
     /// (see [`BufferPool::fetch_or_bypass`] for the non-failing scan path).
     pub fn fetch(&self, id: PageId) -> Result<Page> {
@@ -562,6 +566,37 @@ mod tests {
         assert_eq!(stats.pages_read, 1);
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.pages_written, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_write_never_alters_a_page_already_handed_out() {
+        let (pool, f, path) = setup("cow", 2, 2);
+        let id = PageId::new(f, 0);
+        // A reader pins page 0, then the page is rewritten under it.
+        let held = pool.fetch(id).unwrap();
+        pool.write(id, page_with(77)).unwrap();
+        assert_eq!(
+            held.record(0),
+            &0u64.to_le_bytes(),
+            "the guard keeps the old image"
+        );
+        let fresh = pool.fetch(id).unwrap();
+        assert_eq!(
+            fresh.record(0),
+            &77u64.to_le_bytes(),
+            "the next fetch sees the new one"
+        );
+        // Modifying a fetched copy does not write through to the frame.
+        let mut scribbled = pool.fetch(id).unwrap();
+        scribbled.overwrite_record(0, &1u64.to_le_bytes()).unwrap();
+        assert_eq!(pool.fetch(id).unwrap().record(0), &77u64.to_le_bytes());
+        // The rewrite kept the reader's pin: four fetches, four unpins.
+        for _ in 0..4 {
+            pool.unpin(id).unwrap();
+        }
+        assert!(pool.unpin(id).is_err());
+        assert_eq!(pool.pinned_frames(), 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -31,7 +31,8 @@ use crate::disk::DiskManager;
 use crate::page::Page;
 
 /// A page borrowed from a heap: either a direct reference (memory mode) or
-/// a pinned/bypassed copy out of the buffer pool (paged mode).
+/// a handle on a pinned pool frame's image / a page read past a fully
+/// pinned pool (paged mode).  No variant copies the 4 KiB image.
 ///
 /// Dropping a pinned guard unpins the frame; the unpin cannot fail for a
 /// guard produced by [`TableHeap::page_guard`] (the frame is resident and
@@ -39,16 +40,16 @@ use crate::page::Page;
 pub enum PageRef<'a> {
     /// Direct reference into a memory-resident heap (or the paged tail).
     Borrowed(&'a Page),
-    /// Copy of a pool frame, pinned until this guard drops.
+    /// A pool frame's page, the frame pinned until this guard drops.
     Pinned {
-        /// The fetched page contents.
+        /// The fetched page (shares the frame's image).
         page: Page,
         /// Pool holding the pinned frame.
         pool: &'a BufferPool,
         /// Address of the pinned frame.
         id: PageId,
     },
-    /// Uncached copy read directly from disk (pool was fully pinned).
+    /// Uncached page read directly from disk (pool was fully pinned).
     Owned(Page),
 }
 
@@ -220,7 +221,7 @@ impl TableHeap {
     }
 
     /// Fetch page `p` through the storage mode's access path: a direct
-    /// borrow for memory heaps, a pinned (or pool-bypassing) copy for paged
+    /// borrow for memory heaps, a pinned (or pool-bypassing) page for paged
     /// heaps.  Out-of-range pages — including pages evicted from a heap that
     /// has since grown — surface a typed error, never a panic.
     pub fn page_guard(&self, p: usize) -> Result<PageRef<'_>> {
@@ -288,9 +289,10 @@ impl TableHeap {
                 pages,
                 last_tuples,
             } => {
-                // Write-through appends: the page is modified as a pool copy
-                // and installed dirty, so growth after eviction (and scans
-                // racing the append through the pool) stay consistent.
+                // Write-through appends: the fetched page is modified (which
+                // copies the image the frame and any reader still share) and
+                // installed dirty, so growth after eviction (and scans racing
+                // the append through the pool) stay consistent.
                 let capacity = crate::page::records_per_page(ts);
                 if *pages == 0 || *last_tuples >= capacity {
                     let mut page = Page::new(ts)?;
@@ -546,6 +548,33 @@ mod tests {
         assert!(paged.append_record(&[1, 2, 3]).is_err());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(temp_path("errors2")).ok();
+    }
+
+    #[test]
+    fn append_under_a_pinned_tail_page_leaves_the_reader_its_image() {
+        let (mut paged, pool, path) = paged_heap("pinned_tail", 4);
+        let HeapStore::Paged { file, pages, .. } = &paged.store else {
+            unreachable!("paged_heap spills")
+        };
+        let tail = PageId::new(*file, *pages - 1);
+        // A reader holds the tail page across two appends to it.
+        let held = pool.fetch(tail).unwrap();
+        let before = held.num_tuples();
+        assert!(!held.is_full(), "the appends below land on this page");
+        paged.append_row(&row(1000)).unwrap();
+        paged.append_row(&row(1001)).unwrap();
+        assert_eq!(held.num_tuples(), before, "the reader's image is unchanged");
+        pool.unpin(tail).unwrap();
+        assert_eq!(pool.pinned_frames(), 0);
+        let guard = paged.page_guard(paged.num_pages() - 1).unwrap();
+        assert_eq!(guard.num_tuples(), before + 2);
+        assert_eq!(
+            hique_types::tuple::read_i32_at(guard.record(before + 1), 0),
+            1001
+        );
+        drop(guard);
+        assert_eq!(paged.num_tuples(), 202);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

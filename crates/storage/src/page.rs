@@ -5,6 +5,8 @@
 //! `data_start + t * tuple_size`, which is what lets generated code walk a
 //! page with pure pointer arithmetic (paper, Listing 1).
 
+use std::sync::Arc;
+
 use hique_types::{HiqueError, Result};
 
 /// Physical page size in bytes (the paper uses 4096-byte pages).
@@ -25,9 +27,16 @@ pub fn records_per_page(tuple_size: usize) -> usize {
 ///
 /// The backing buffer is always exactly [`PAGE_SIZE`] bytes so pages can be
 /// written to and read from disk verbatim.
+///
+/// A `Page` is a value: the image sits behind a reference count, `clone`
+/// bumps the count, and the mutators ([`Page::push_record`],
+/// [`Page::overwrite_record`]) copy the image first when it is shared
+/// (copy-on-write).  That is what lets the buffer pool hand a frame's page
+/// to any number of readers without copying 4 KiB per fetch, while a write
+/// after the hand-out never alters what a reader already holds.
 #[derive(Clone)]
 pub struct Page {
-    buf: Box<[u8; PAGE_SIZE]>,
+    buf: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
@@ -41,24 +50,21 @@ impl Page {
                 "invalid tuple size {tuple_size} for {PAGE_SIZE}-byte pages"
             )));
         }
-        let mut page = Page {
-            buf: Box::new([0u8; PAGE_SIZE]),
-        };
-        page.set_num_tuples(0);
-        page.set_tuple_size(tuple_size as u32);
-        Ok(page)
+        let mut buf = Arc::new([0u8; PAGE_SIZE]);
+        Arc::make_mut(&mut buf)[4..8].copy_from_slice(&(tuple_size as u32).to_le_bytes());
+        Ok(Page { buf })
     }
 
     /// Reconstruct a page from raw bytes (e.g. read back from disk).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(HiqueError::Storage(format!(
+        // One allocation, one copy: the slice is copied into its counted
+        // allocation and the length check is the conversion to the array.
+        let buf: Arc<[u8; PAGE_SIZE]> = Arc::<[u8]>::from(bytes).try_into().map_err(|_| {
+            HiqueError::Storage(format!(
                 "page image must be {PAGE_SIZE} bytes, got {}",
                 bytes.len()
-            )));
-        }
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        buf.copy_from_slice(bytes);
+            ))
+        })?;
         let page = Page { buf };
         if page.tuple_size() == 0 {
             return Err(HiqueError::Storage("page image has zero tuple size".into()));
@@ -79,20 +85,12 @@ impl Page {
         u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize
     }
 
-    fn set_num_tuples(&mut self, n: u32) {
-        self.buf[0..4].copy_from_slice(&n.to_le_bytes());
-    }
-
     /// Width in bytes of every record on this page.
     #[inline(always)]
     pub fn tuple_size(&self) -> usize {
         // Deliberately infallible: same fixed-size header slice as
         // `num_tuples`.
         u32::from_le_bytes(self.buf[4..8].try_into().unwrap()) as usize
-    }
-
-    fn set_tuple_size(&mut self, n: u32) {
-        self.buf[4..8].copy_from_slice(&n.to_le_bytes());
     }
 
     /// Maximum number of records a page of this record width can hold.
@@ -122,8 +120,9 @@ impl Page {
         }
         let n = self.num_tuples();
         let off = PAGE_HEADER_SIZE + n * ts;
-        self.buf[off..off + ts].copy_from_slice(record);
-        self.set_num_tuples((n + 1) as u32);
+        let buf = Arc::make_mut(&mut self.buf);
+        buf[off..off + ts].copy_from_slice(record);
+        buf[0..4].copy_from_slice(&((n + 1) as u32).to_le_bytes());
         Ok(true)
     }
 
@@ -167,7 +166,7 @@ impl Page {
             )));
         }
         let off = PAGE_HEADER_SIZE + t * ts;
-        self.buf[off..off + ts].copy_from_slice(record);
+        Arc::make_mut(&mut self.buf)[off..off + ts].copy_from_slice(record);
         Ok(())
     }
 }
@@ -244,6 +243,32 @@ mod tests {
         assert_eq!(copy.record(0), &[9u8; 16]);
         assert!(Page::from_bytes(&[0u8; 10]).is_err());
         assert!(Page::from_bytes(&[0u8; PAGE_SIZE]).is_err());
+    }
+
+    #[test]
+    fn clones_share_the_image_until_one_of_them_writes() {
+        let mut original = Page::new(4).unwrap();
+        original.push_record(&[1, 1, 1, 1]).unwrap();
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.buf, &clone.buf), "clone is a handle");
+        // Either mutator on the clone leaves the original's image alone.
+        clone.push_record(&[2, 2, 2, 2]).unwrap();
+        clone.overwrite_record(0, &[9, 9, 9, 9]).unwrap();
+        assert_eq!(original.num_tuples(), 1);
+        assert_eq!(original.record(0), &[1, 1, 1, 1]);
+        assert_eq!(clone.num_tuples(), 2);
+        assert_eq!(clone.record(0), &[9, 9, 9, 9]);
+        // ...and a write to the original does not reach the clone.
+        original.overwrite_record(0, &[5, 5, 5, 5]).unwrap();
+        assert_eq!(clone.record(0), &[9, 9, 9, 9]);
+        // A page nobody shares is written in place.
+        let before = Arc::as_ptr(&clone.buf);
+        clone.push_record(&[3, 3, 3, 3]).unwrap();
+        assert_eq!(Arc::as_ptr(&clone.buf), before);
+        // A rejected write does not take a private copy either.
+        let shared = clone.clone();
+        assert!(clone.push_record(&[0]).is_err());
+        assert!(Arc::ptr_eq(&shared.buf, &clone.buf));
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub struct SpillHandle {
     pub tuple_size: usize,
 }
 
-/// One spilled page borrowed from a [`SpillNamespace`]: a pool copy that
-/// stays pinned until the guard drops, or an uncached bypass read when every
+/// One spilled page borrowed from a [`SpillNamespace`]: a pool frame's page
+/// (shared image, no copy) that stays pinned until the guard drops, or an uncached bypass read when every
 /// frame was pinned.  This is the primitive behind page-at-a-time
 /// consumption of spilled partitions — a consumer holds at most one page of
 /// a spilled buffer resident outside the pool, instead of reloading the

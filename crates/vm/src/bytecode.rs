@@ -212,10 +212,11 @@ fn debug_check_read(record: &[u8], offset: u32, width: u32) {
     );
 }
 
-/// Evaluate one predicate test against one record.  Shared by the scalar
-/// filter loop and the vectorized tier's fused conjunction steps.
+/// Evaluate one predicate test against one record — the definition of the
+/// test ops; the vectorized tier resolves each into a page sweep instead
+/// (`vector::resolve_filter`).
 #[inline(always)]
-pub(crate) fn test_op(op: &Op, pool: &ConstPool, record: &[u8]) -> bool {
+fn test_op(op: &Op, pool: &ConstPool, record: &[u8]) -> bool {
     match *op {
         Op::TestI32 { offset, op, rhs } => {
             debug_check_read(record, offset, 4);

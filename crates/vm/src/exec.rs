@@ -20,20 +20,20 @@ use std::collections::HashMap;
 
 use hique_holistic::agg::Accum;
 use hique_holistic::exec::{self, Kernels, RecordSink, Run};
-use hique_holistic::kernel::CompiledKey;
+use hique_holistic::kernel::{CompiledKey, Selection};
 use hique_holistic::spill::StagedSlot;
-use hique_holistic::staging::StagedInput;
+use hique_holistic::staging::{concat_runs, staged_capacity, sweep_pages, StagedInput};
 use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
 use hique_par::chunk_ranges;
 use hique_plan::{AggregateSpec, JoinAlgorithm};
 use hique_storage::{Catalog, TableHeap};
 use hique_types::{CancelToken, ExecStats, HiqueError, QueryResult, Result, Row, Value};
 
-use crate::bytecode::{run_expr, run_filter, run_image, run_project, Op};
+use crate::bytecode::{run_expr, run_filter, run_image, Op};
 use crate::program::{OutputOp, VmProgram};
 use crate::vector::{
-    for_each_ref_batch, run_expr_batch, run_filter_batch, run_image_batch, run_project_batch,
-    Batch, BATCH,
+    copy_plan, for_each_ref_batch, resolve_filter, run_expr_batch, run_filter_batch,
+    run_image_batch, Batch, BATCH,
 };
 
 /// Probe-side records between cancellation checks in a hash join.
@@ -154,21 +154,32 @@ impl Kernels for Interpreter<'_> {
 
     /// Scan one base table through its bytecode filter/projection fragments,
     /// dividing the heap pages across the pool.  Page chunks are merged in
-    /// chunk order, so the staged relation is byte-identical for every thread
-    /// count; workers observe the shared cancellation token once per page.
+    /// chunk order (the first worker's run is the base buffer), so the
+    /// staged relation is byte-identical for every thread count; workers
+    /// observe the shared cancellation token once per page.
     ///
-    /// On the vectorized tier the batch is one heap page's packed record
-    /// area, filled under the same pin guard the scalar loop scans under:
-    /// the fused filter narrows a selection vector and the projection sweeps
-    /// the survivors column-major.  Page boundaries are invariant across
-    /// `chunk_ranges` splits, so `vm_batches` is deterministic per thread
-    /// count.
+    /// The fragments are resolved once per call, then swept over pages
+    /// ([`sweep_pages`], the loop the compiled provider runs): the
+    /// projection's verified `Copy` list becomes the compiled kernels' copy
+    /// plan, and on the vectorized tier each test of the fused filter becomes
+    /// a page sweep narrowing a selection vector.  The scalar tier — the
+    /// reference interpreter — selects rows by running the filter fragment
+    /// row at a time; everything around the selection is shared.  The batch
+    /// is one heap page's packed record area, and page boundaries are
+    /// invariant across `chunk_ranges` splits, so `vm_batches` is
+    /// deterministic per thread count.
     fn stage(&self, t: usize, heap: &TableHeap, run: &mut Run<'_>) -> Result<StagedInput> {
         let program = self.program;
         let (desc, frags) = (&run.plan.staged[t], &program.tables[t]);
-        let vec_filter = program.vec.filters.get(t).and_then(|f| f.as_deref());
         let (tier, code, consts) = (self.tier, &program.code[..], &program.pool);
         let (stats, pool, cancel) = (&mut run.stats, &run.pool, run.cancel);
+        // A fragment without a vectorized lowering falls back to the scalar
+        // filter loop per fragment, never per row.
+        let sweeps = match (tier, program.vec.filters.get(t)) {
+            (Tier::Vectorized, Some(Some(steps))) => Some(resolve_filter(steps, consts)),
+            _ => None,
+        };
+        let copies = copy_plan(frags.project.ops(code));
         let base_ts = heap.schema().tuple_size();
         let out_width = desc.schema.tuple_size();
         let chunks = chunk_ranges(heap.num_pages(), pool.threads());
@@ -177,98 +188,54 @@ impl Kernels for Interpreter<'_> {
         let worker_outputs: Vec<Result<(Vec<u8>, ExecStats)>> =
             pool.map_items(&chunks, |_, pages| {
                 let mut local = ExecStats::new();
-                let mut out: Vec<u8> = Vec::new();
-                if tier == Tier::Vectorized {
-                    let mut sel: Vec<u32> = Vec::new();
-                    for p in pages.clone() {
-                        cancel.check()?;
-                        let page = heap.page_guard(p)?;
-                        let data = page.data();
-                        // The verifier proved every fragment access in-bounds for
-                        // the base schema; the page must really hold records of
-                        // that width.
-                        debug_assert_eq!(
-                            data.len() % base_ts.max(1),
-                            0,
-                            "heap page width differs from the verified schema"
-                        );
-                        let batch = Batch::Packed {
-                            data,
-                            width: base_ts,
-                        };
-                        let n = batch.len();
+                let mut out: Vec<u8> = Vec::with_capacity(staged_capacity(
+                    heap,
+                    pages,
+                    desc.estimated_rows,
+                    out_width,
+                ));
+                let mut sel = Selection::new();
+                // The verifier proved every fragment access in-bounds for the
+                // base schema; `sweep_pages` asserts the pages really hold
+                // records of that width.
+                sweep_pages(heap, pages.clone(), cancel, &mut local, |data, local| {
+                    if tier == Tier::Vectorized {
                         local.vm_batches += 1;
-                        local.tuples_processed += n as u64;
-                        local.bytes_touched += (n * base_ts) as u64;
-                        match vec_filter {
-                            Some(steps) => run_filter_batch(
-                                steps,
-                                consts,
-                                &batch,
-                                &mut sel,
-                                &mut local.comparisons,
-                                &mut local.vm_fused_ops,
-                            ),
-                            None => {
-                                // Per-fragment scalar fallback: same selection,
-                                // row-at-a-time filter.
-                                sel.clear();
-                                for r in 0..n {
-                                    if run_filter(
-                                        frags.filter.ops(code),
-                                        consts,
-                                        batch.rec(r),
-                                        &mut local.comparisons,
-                                    ) {
-                                        sel.push(r as u32);
-                                    }
+                    }
+                    match &sweeps {
+                        Some(sweeps) => run_filter_batch(
+                            sweeps,
+                            data,
+                            base_ts,
+                            &mut sel,
+                            &mut local.comparisons,
+                            &mut local.vm_fused_ops,
+                        ),
+                        None => {
+                            sel.clear();
+                            for (r, record) in data.chunks_exact(base_ts).enumerate() {
+                                if run_filter(
+                                    frags.filter.ops(code),
+                                    consts,
+                                    record,
+                                    &mut local.comparisons,
+                                ) {
+                                    sel.push(r as u32);
                                 }
                             }
                         }
-                        run_project_batch(
-                            frags.project.ops(code),
-                            &batch,
-                            &sel,
-                            out_width,
-                            &mut out,
-                        );
                     }
-                } else {
-                    let mut buf = vec![0u8; out_width];
-                    for p in pages.clone() {
-                        cancel.check()?;
-                        let page = heap.page_guard(p)?;
-                        for record in page.records() {
-                            // The verifier proved every fragment access in-bounds for
-                            // the base schema; the record must really have that width.
-                            debug_assert_eq!(
-                                record.len(),
-                                base_ts,
-                                "heap record width differs from the verified schema"
-                            );
-                            local.add_tuple(base_ts);
-                            if !run_filter(
-                                frags.filter.ops(code),
-                                consts,
-                                record,
-                                &mut local.comparisons,
-                            ) {
-                                continue;
-                            }
-                            run_project(frags.project.ops(code), record, &mut buf);
-                            out.extend_from_slice(&buf);
-                        }
-                    }
-                }
+                    copies.append(data, base_ts, sel.rows(), &mut out);
+                })?;
                 Ok((out, local))
             });
-        let mut data: Vec<u8> = Vec::new();
-        for r in worker_outputs {
-            let (chunk, local) = r?;
-            data.extend_from_slice(&chunk);
-            stats.merge(&local);
-        }
-        let rel = StagedRelation::from_partitions(desc.schema.clone(), vec![data]);
+        let (runs, worker_stats): (Vec<Vec<u8>>, Vec<ExecStats>) = worker_outputs
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        stats.merge(&worker_stats.into_iter().sum());
+        let rel = StagedRelation::from_partitions(desc.schema.clone(), vec![concat_runs(runs)]);
         stats.add_materialized(rel.data_bytes());
         Ok(StagedInput::unpartitioned(rel))
     }
@@ -566,4 +533,141 @@ fn hash_join(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hique_holistic::staging::stage_table;
+    use hique_par::ScopedPool;
+    use hique_plan::{plan_query, CatalogProvider, PlannerConfig, StagedTable, StagingStrategy};
+    use hique_types::{Column, DataType, Schema};
+
+    /// One table with a column of every type a test op exists for, values
+    /// drawn (seeded) from small domains that include the extremes.
+    fn catalog(paged: bool) -> Catalog {
+        let mut cat = Catalog::new();
+        cat.create_table(
+            "t",
+            Schema::new(vec![
+                Column::new("i", DataType::Int32),
+                Column::new("l", DataType::Int64),
+                Column::new("d", DataType::Date),
+                Column::new("f", DataType::Float64),
+                Column::new("c1", DataType::Char(1)),
+                Column::new("c12", DataType::Char(12)),
+                Column::new("pad", DataType::Char(30)),
+            ]),
+        )
+        .unwrap();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut pick = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize % n
+        };
+        let heap = &mut cat.table_mut("t").unwrap().heap;
+        for _ in 0..700 {
+            heap.append_row(&Row::new(vec![
+                Value::Int32([i32::MIN, -3, 0, 4, i32::MAX][pick(5)]),
+                Value::Int64([i64::MIN, -1, 0, 1 << 40, i64::MAX][pick(5)]),
+                Value::Date([8000, 9000, 9001, 9500][pick(4)]),
+                Value::Float64([-2.5, -0.0, 0.0, 1e300][pick(4)]),
+                Value::Str(["A", "N", "R"][pick(3)].into()),
+                Value::Str(["prefix01", "prefix01AAAA", "prefix01AAAB", ""][pick(4)].into()),
+                Value::Str("x".into()),
+            ]))
+            .unwrap();
+        }
+        cat.analyze_table("t").unwrap();
+        if paged {
+            // Two frames: guards come back pinned, evicted and bypassed.
+            cat.spill_to_disk(2).unwrap();
+        }
+        cat
+    }
+
+    /// The `stage` hook on both tiers and every pool width stages exactly
+    /// what the compiled provider's scan stages — bytes and work counters —
+    /// which `core::staging`'s tests hold to the tuple-at-a-time reference.
+    #[test]
+    fn both_tiers_stage_what_the_compiled_scan_stages() {
+        let predicates = [
+            "",
+            "where i < 4",
+            "where l >= 0 and d <> date '1994-08-23'",
+            "where f <= 0.0",
+            "where c1 = 'R'",
+            "where c1 <> 'N' and i > -3 and f > -1.0",
+            "where c12 > 'prefix01AAAA'",
+            "where c12 = 'prefix01' and l < 0",
+            "where d >= date '1994-08-23' and d < date '1994-08-24' and c1 = 'A' and i = 0",
+            "where i > 2147483646 and l = 5",
+        ];
+        let selects = [
+            "select f, c1, c12 from t",
+            "select l, i from t",
+            "select c12, d, i, l from t",
+        ];
+        for paged in [false, true] {
+            let cat = catalog(paged);
+            let heap = &cat.table("t").unwrap().heap;
+            for (select, predicate) in selects.iter().flat_map(|s| predicates.map(|p| (*s, p))) {
+                let sql = format!("{select} {predicate}");
+                let parsed = hique_sql::parse_query(&sql).unwrap();
+                let bound = hique_sql::analyze(&parsed, &CatalogProvider::new(&cat)).unwrap();
+                let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+                let generated = hique_holistic::generate(&plan).unwrap();
+                let desc = StagedTable {
+                    strategy: StagingStrategy::None,
+                    ..plan.staged[0].clone()
+                };
+                assert_eq!(desc.filters.is_empty(), predicate.is_empty(), "{sql}");
+                let cancel = CancelToken::disabled();
+                let mut expected_stats = ExecStats::new();
+                let expected = stage_table(
+                    heap,
+                    &desc,
+                    &mut expected_stats,
+                    &ScopedPool::serial(),
+                    &cancel,
+                )
+                .unwrap();
+                for mode in [crate::CompileMode::Specialized, crate::CompileMode::Pooled] {
+                    let program = crate::compile(&generated, &cat, mode).unwrap();
+                    for tier in [Tier::Scalar, Tier::Vectorized] {
+                        for threads in [1, 2, 3, 4, 16] {
+                            let mut run = Run {
+                                plan: &plan,
+                                stats: ExecStats::new(),
+                                pool: ScopedPool::new(threads),
+                                cancel: &cancel,
+                                spill: None,
+                            };
+                            let interpreter = Interpreter {
+                                program: &program,
+                                tier,
+                            };
+                            let staged = interpreter.stage(0, heap, &mut run).unwrap();
+                            let context =
+                                format!("{sql} paged={paged} {mode:?} {tier:?} x{threads}");
+                            assert_eq!(
+                                staged.relation.partition(0),
+                                expected.relation.partition(0),
+                                "{context}: bytes"
+                            );
+                            // The tiers differ only in their own telemetry.
+                            let mut stats = run.stats;
+                            if tier == Tier::Vectorized {
+                                assert_eq!(stats.vm_batches, heap.num_pages() as u64, "{context}");
+                            }
+                            (stats.vm_batches, stats.vm_fused_ops) = (0, 0);
+                            assert_eq!(stats, expected_stats, "{context}: stats");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

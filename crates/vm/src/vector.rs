@@ -9,9 +9,12 @@
 //! * **Batch interpretation** (MonetDB/X100-style): each op is dispatched
 //!   once per batch of up to [`BATCH`] tuples and then runs a tight loop
 //!   over the batch.  Filters narrow a *selection vector* instead of
-//!   branching per row; expression fragments evaluate over columnar
-//!   register lanes (`Vec<f64>` per register); key images fill an `i64`
-//!   lane.
+//!   branching per row — staging resolves each test, once per `stage`
+//!   call, into the page sweep the compiled kernels run
+//!   ([`resolve_filter`]), and the projection's `Copy` list into their
+//!   copy plan ([`copy_plan`]); expression fragments evaluate over
+//!   columnar register lanes (`Vec<f64>` per register); key images fill an
+//!   `i64` lane.
 //! * **Superinstruction fusion** (Ertl & Gregg): a peephole pass over each
 //!   fragment rewrites hot adjacent pairs — two predicate tests into a
 //!   fused conjunction, an operand load feeding an arithmetic op into a
@@ -25,11 +28,12 @@
 //! fragments (operand contracts plus un-fuse equality), keeping the
 //! mutation-rejection gate closed over the fused ISA.
 
+use hique_holistic::kernel::{CompiledFilter, CompiledKey, CompiledProjection, Selection};
 use hique_sql::ast::BinOp;
 use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at};
-use hique_types::Result;
+use hique_types::{DataType, Result};
 
-use crate::bytecode::{rhs_f, rhs_i, test_op, ConstPool, Op};
+use crate::bytecode::{rhs_f, rhs_i, ConstPool, Op};
 use crate::program::{AggFrags, TableFrags};
 
 /// Maximum tuples per batch for gathered-reference batches (join build and
@@ -45,8 +49,8 @@ pub(crate) const BATCH: usize = 1024;
 pub(crate) enum VecStep {
     /// A single op, batch-dispatched.
     Op(Op),
-    /// Fused conjunction of two adjacent predicate tests: one pass over
-    /// the selection vector evaluates both, preserving the scalar
+    /// Fused conjunction of two adjacent predicate tests: one step narrows
+    /// the selection vector through both, preserving the scalar
     /// short-circuit (the second test only runs where the first passed).
     TestTest(Op, Op),
     /// Fused operand load + arithmetic combine — the canonical lowering's
@@ -239,112 +243,102 @@ pub(crate) fn for_each_ref_batch<'a>(
     Ok(())
 }
 
-/// Run a fused filter over one batch, narrowing `sel` (reset to the
-/// identity selection first).  `comparisons` reproduces the scalar loop's
-/// short-circuit totals exactly; `fused_ops` counts one per fused step per
-/// batch.
-pub(crate) fn run_filter_batch(
-    steps: &[VecStep],
-    pool: &ConstPool,
-    batch: &Batch<'_>,
-    sel: &mut Vec<u32>,
-    comparisons: &mut u64,
-    fused_ops: &mut u64,
-) {
-    sel.clear();
-    sel.extend(0..batch.len() as u32);
-    for step in steps {
-        if sel.is_empty() {
-            break;
-        }
-        match step {
-            VecStep::Op(op) => {
-                // Every surviving row runs (and is charged for) this test.
-                *comparisons += sel.len() as u64;
-                retain_pass(op, pool, batch, sel);
-            }
-            VecStep::TestTest(a, b) => {
-                *fused_ops += 1;
-                let mut cmp = 0u64;
-                sel.retain(|&i| {
-                    let rec = batch.rec(i as usize);
-                    cmp += 1;
-                    if !test_op(a, pool, rec) {
-                        return false;
-                    }
-                    cmp += 1;
-                    test_op(b, pool, rec)
-                });
-                *comparisons += cmp;
-            }
-            VecStep::LoadArith(..) => unreachable!("expression step in filter fragment"),
-        }
-    }
+/// One step of a filter fragment resolved for a `stage` call: operands read
+/// from the constant pool and every test turned into the page sweep the
+/// compiled kernels use ([`CompiledFilter::narrow`]), so nothing about a
+/// test is dispatched per row.
+pub(crate) enum FilterSweep {
+    /// A single test.
+    One(CompiledFilter),
+    /// A fused conjunction ([`VecStep::TestTest`]).
+    Pair(CompiledFilter, CompiledFilter),
 }
 
-/// One test op over the whole selection, dispatching once: the operand is
-/// resolved outside the row loop and the loop retains passing rows.
-fn retain_pass(op: &Op, pool: &ConstPool, batch: &Batch<'_>, sel: &mut Vec<u32>) {
+/// The page sweep of one predicate-test op.
+fn sweep_of(op: &Op, pool: &ConstPool) -> CompiledFilter {
+    let key = |offset: u32, width: u32, dtype| CompiledKey {
+        offset: offset as usize,
+        width: width as usize,
+        dtype,
+    };
     match *op {
         Op::TestI32 { offset, op, rhs } => {
-            let rhs = rhs_i(rhs, pool);
-            sel.retain(|&i| {
-                op.matches((read_i32_at(batch.rec(i as usize), offset as usize) as i64).cmp(&rhs))
-            });
+            CompiledFilter::on_int(key(offset, 4, DataType::Int32), op, rhs_i(rhs, pool))
         }
         Op::TestI64 { offset, op, rhs } => {
-            let rhs = rhs_i(rhs, pool);
-            sel.retain(|&i| {
-                op.matches(read_i64_at(batch.rec(i as usize), offset as usize).cmp(&rhs))
-            });
+            CompiledFilter::on_int(key(offset, 8, DataType::Int64), op, rhs_i(rhs, pool))
         }
         Op::TestF64 { offset, op, rhs } => {
-            let rhs = rhs_f(rhs, pool);
-            sel.retain(|&i| {
-                op.matches(read_f64_at(batch.rec(i as usize), offset as usize).total_cmp(&rhs))
-            });
+            CompiledFilter::on_float(key(offset, 8, DataType::Float64), op, rhs_f(rhs, pool))
         }
         Op::TestBytes {
             offset,
             width,
             op,
             pool: slot,
-        } => {
-            let needle = pool.bytes[slot as usize].as_slice();
-            sel.retain(|&i| {
-                let rec = batch.rec(i as usize);
-                op.matches(rec[offset as usize..(offset + width) as usize].cmp(needle))
-            });
-        }
+        } => CompiledFilter::on_bytes(
+            key(offset, width, DataType::Char(width as u16)),
+            op,
+            pool.bytes[slot as usize].clone(),
+        ),
         _ => unreachable!("non-test op in filter fragment"),
     }
 }
 
-/// Run a projection fragment over the selected rows of one batch,
-/// appending `sel.len()` projected records to `out`.  Column-major: each
-/// `Copy` is dispatched once and sweeps the selection.
-pub(crate) fn run_project_batch(
-    ops: &[Op],
-    batch: &Batch<'_>,
-    sel: &[u32],
-    out_width: usize,
-    out: &mut Vec<u8>,
+/// Resolve a fused filter plan against the program's constant pool, once
+/// per `stage` call.
+pub(crate) fn resolve_filter(steps: &[VecStep], pool: &ConstPool) -> Vec<FilterSweep> {
+    steps
+        .iter()
+        .map(|step| match step {
+            VecStep::Op(op) => FilterSweep::One(sweep_of(op, pool)),
+            VecStep::TestTest(a, b) => FilterSweep::Pair(sweep_of(a, pool), sweep_of(b, pool)),
+            VecStep::LoadArith(..) => unreachable!("expression step in filter fragment"),
+        })
+        .collect()
+}
+
+/// Run a resolved filter over one packed page (`data`, records of `width`
+/// bytes), narrowing `sel` (reset to the identity selection first).
+/// `comparisons` reproduces the scalar loop's short-circuit totals exactly —
+/// each test is charged the selection length entering it; `fused_ops`
+/// counts one per fused step per batch.
+pub(crate) fn run_filter_batch(
+    sweeps: &[FilterSweep],
+    data: &[u8],
+    width: usize,
+    sel: &mut Selection,
+    comparisons: &mut u64,
+    fused_ops: &mut u64,
 ) {
-    let base = out.len();
-    out.resize(base + sel.len() * out_width, 0);
-    for op in ops {
-        match *op {
-            Op::Copy { src, width, dst } => {
-                let (src, width, dst) = (src as usize, width as usize, dst as usize);
-                for (j, &i) in sel.iter().enumerate() {
-                    let rec = batch.rec(i as usize);
-                    let at = base + j * out_width + dst;
-                    out[at..at + width].copy_from_slice(&rec[src..src + width]);
-                }
+    sel.select_all(data.len() / width.max(1));
+    let mut test = |f: &CompiledFilter, sel: &mut Selection| {
+        *comparisons += sel.len() as u64;
+        f.narrow(data, width, sel);
+    };
+    for sweep in sweeps {
+        if sel.is_empty() {
+            break;
+        }
+        match sweep {
+            FilterSweep::One(f) => test(f, sel),
+            FilterSweep::Pair(a, b) => {
+                *fused_ops += 1;
+                test(a, sel);
+                test(b, sel);
             }
-            _ => unreachable!("non-copy op in projection fragment"),
         }
     }
+}
+
+/// The copy plan of a projection fragment: the same coalesced,
+/// constant-width copies the compiled kernels run
+/// ([`CompiledProjection::append`]), built from the verified `Copy` list.
+pub(crate) fn copy_plan(ops: &[Op]) -> CompiledProjection {
+    CompiledProjection::from_copies(ops.iter().map(|op| match *op {
+        Op::Copy { src, width, dst } => (src as usize, width as usize, dst as usize),
+        _ => unreachable!("non-copy op in projection fragment"),
+    }))
 }
 
 /// Run a key-image fragment over every row of one batch, filling `out`
@@ -554,18 +548,31 @@ mod tests {
         (ops, pool)
     }
 
+    /// Run `ops` as a resolved, fused filter over packed `recs`.
+    fn filter_packed(ops: &[Op], pool: &ConstPool, recs: &[Vec<u8>]) -> (Vec<u32>, u64, u64) {
+        let sweeps = resolve_filter(&fuse_filter(ops).unwrap(), pool);
+        let width = schema().tuple_size();
+        let (mut sel, mut cmp, mut fused) = (Selection::new(), 0u64, 0u64);
+        sel.push(9);
+        run_filter_batch(
+            &sweeps,
+            &recs.concat(),
+            width,
+            &mut sel,
+            &mut cmp,
+            &mut fused,
+        );
+        (sel.rows().to_vec(), cmp, fused)
+    }
+
     #[test]
     fn empty_batch_yields_empty_selection() {
         let (ops, pool) = filter_ops();
-        let steps = fuse_filter(&ops).unwrap();
-        let refs: Vec<&[u8]> = Vec::new();
-        let batch = Batch::Refs(&refs);
-        let (mut sel, mut cmp, mut fused) = (vec![9, 9], 0u64, 0u64);
-        run_filter_batch(&steps, &pool, &batch, &mut sel, &mut cmp, &mut fused);
+        let (sel, cmp, fused) = filter_packed(&ops, &pool, &[]);
         assert!(sel.is_empty());
-        assert_eq!(cmp, 0);
+        assert_eq!((cmp, fused), (0, 0));
         let mut out = Vec::new();
-        run_project_batch(&[], &batch, &sel, 8, &mut out);
+        copy_plan(&[]).append(&[], schema().tuple_size(), &sel, &mut out);
         assert!(out.is_empty());
     }
 
@@ -573,28 +580,18 @@ mod tests {
     fn all_pass_and_last_row_only_selections() {
         let s = schema();
         let recs = records(6);
-        let refs: Vec<&[u8]> = recs.iter().map(|r| r.as_slice()).collect();
-        let batch = Batch::Refs(&refs);
         let pool = ConstPool::default();
         // All pass.
-        let steps = fuse_filter(&[Op::TestI64 {
+        let test = |op, v| Op::TestI64 {
             offset: s.offset(3) as u32,
-            op: CmpOp::GtEq,
-            rhs: RhsI::Imm(0),
-        }])
-        .unwrap();
-        let (mut sel, mut cmp, mut fused) = (Vec::new(), 0u64, 0u64);
-        run_filter_batch(&steps, &pool, &batch, &mut sel, &mut cmp, &mut fused);
+            op,
+            rhs: RhsI::Imm(v),
+        };
+        let (sel, cmp, _) = filter_packed(&[test(CmpOp::GtEq, 0)], &pool, &recs);
         assert_eq!(sel, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(cmp, 6);
         // Only the last row survives.
-        let steps = fuse_filter(&[Op::TestI64 {
-            offset: s.offset(3) as u32,
-            op: CmpOp::Eq,
-            rhs: RhsI::Imm(5),
-        }])
-        .unwrap();
-        run_filter_batch(&steps, &pool, &batch, &mut sel, &mut cmp, &mut fused);
+        let (sel, _, _) = filter_packed(&[test(CmpOp::Eq, 5)], &pool, &recs);
         assert_eq!(sel, vec![5]);
     }
 
@@ -671,14 +668,10 @@ mod tests {
     #[test]
     fn batched_filter_matches_scalar_selection_and_comparisons() {
         let (ops, pool) = filter_ops();
-        let steps = fuse_filter(&ops).unwrap();
         let recs = records(100);
-        let refs: Vec<&[u8]> = recs.iter().map(|r| r.as_slice()).collect();
-        let batch = Batch::Refs(&refs);
-        let (mut sel, mut cmp, mut fused) = (Vec::new(), 0u64, 0u64);
-        run_filter_batch(&steps, &pool, &batch, &mut sel, &mut cmp, &mut fused);
+        let (sel, cmp, fused) = filter_packed(&ops, &pool, &recs);
         let mut scalar_cmp = 0u64;
-        let survivors: Vec<u32> = refs
+        let survivors: Vec<u32> = recs
             .iter()
             .enumerate()
             .filter(|(_, r)| run_filter(&ops, &pool, r, &mut scalar_cmp))
@@ -686,11 +679,11 @@ mod tests {
             .collect();
         assert_eq!(sel, survivors);
         assert_eq!(cmp, scalar_cmp, "short-circuit accounting must agree");
-        assert!(fused >= 1);
+        assert_eq!(fused, 1, "one fused pair, reached once");
     }
 
     #[test]
-    fn batched_projection_and_images_match_scalar() {
+    fn copy_plan_and_batched_images_match_scalar() {
         let s = schema();
         let recs = records(50);
         let refs: Vec<&[u8]> = recs.iter().map(|r| r.as_slice()).collect();
@@ -709,7 +702,7 @@ mod tests {
         ];
         let sel: Vec<u32> = (0..refs.len() as u32).step_by(3).collect();
         let mut out = Vec::new();
-        run_project_batch(&proj, &batch, &sel, 12, &mut out);
+        copy_plan(&proj).append(&recs.concat(), s.tuple_size(), &sel, &mut out);
         let mut scalar = Vec::new();
         let mut buf = vec![0u8; 12];
         for &i in &sel {

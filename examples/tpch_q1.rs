@@ -2,7 +2,8 @@
 //! (Figure 8(a)) at a laptop-friendly scale factor.
 //!
 //! ```bash
-//! cargo run --release --example tpch_q1
+//! cargo run --release --example tpch_q1            # SF 0.02
+//! cargo run --release --example tpch_q1 -- 0.1     # scale factor as the argument
 //! ```
 
 use std::time::Instant;
@@ -13,10 +14,12 @@ use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
 use hique::tpch;
 
 fn main() -> hique::types::Result<()> {
-    let sf = std::env::var("HIQUE_TPCH_SF")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.02);
+    let sf: f64 = match std::env::args().nth(1) {
+        None => 0.02,
+        Some(arg) => arg
+            .parse()
+            .map_err(|_| hique::types::HiqueError::Parse(format!("scale factor {arg:?}")))?,
+    };
     println!("generating TPC-H data at SF={sf} ...");
     let catalog = tpch::generate_into_catalog(sf)?;
     println!(
