@@ -9,12 +9,14 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_series_table, run_engine, Engine};
+use hique_bench::cli::Args;
+use hique_bench::runner::{render_series_table, run_engine, Engine};
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
 
 fn main() {
-    let rows = (20_000.0 * bench_scale()) as usize;
+    let args = Args::from_env();
+    let rows = args.scaled(20_000);
 
     let catalog = join_workload(rows, rows, 10).expect("workload");
     let mut fanout = Vec::new();
@@ -23,7 +25,8 @@ fn main() {
             PlannerConfig::default().with_join_algorithm(JoinAlgorithm::HybridHashSortMerge);
         config.l2_cache_bytes = l2_kb * 1024;
         let plan = plan_sql(join_query_sql(), &catalog, &config).expect("plan");
-        let m = run_engine(Engine::Holistic, &plan, &catalog, None, false).expect("run");
+        let m =
+            run_engine(Engine::Holistic, &plan, &catalog, None, false, args.repeats).expect("run");
         fanout.push((format!("{l2_kb} KiB"), vec![m.elapsed]));
     }
     println!(
@@ -46,7 +49,8 @@ fn main() {
     ] {
         let config = PlannerConfig::default().with_join_algorithm(algo);
         let plan = plan_sql(join_query_sql(), &catalog, &config).expect("plan");
-        let m = run_engine(Engine::Holistic, &plan, &catalog, None, false).expect("run");
+        let m =
+            run_engine(Engine::Holistic, &plan, &catalog, None, false, args.repeats).expect("run");
         times.push(m.elapsed);
     }
     println!(

@@ -7,64 +7,67 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
+use hique_bench::cli::Args;
 use hique_bench::handcoded::{aggregate, HandVariant};
-use hique_bench::runner::{
-    bench_scale, plan_sql, render_profile_table, run_engine, Engine, Measurement,
-};
+use hique_bench::runner::{render_profile_table, run_engine, run_handcoded, Engine};
 use hique_bench::workload::{agg_query_sql, agg_workload};
-use hique_plan::{AggAlgorithm, PlannerConfig};
-use hique_types::ExecStats;
+use hique_plan::{plan_sql, AggAlgorithm, PlannerConfig};
 
 fn main() {
-    let s = bench_scale();
-    let rows = (100_000.0 * s) as usize;
+    let args = Args::from_env();
+    let rows = args.scaled(100_000);
+    let many_groups = (rows / 10).max(1);
 
     run_query(
+        args.repeats,
         &format!(
-            "Figure 6(a)/(c) Aggregation Query #1 (hybrid hash-sort, {rows} rows, {} groups)",
-            rows / 10
+            "Figure 6(a)/(c) Aggregation Query #1 (hybrid hash-sort, {rows} rows, {many_groups} groups)"
         ),
         rows,
-        rows / 10,
+        many_groups,
         AggAlgorithm::HybridHashSort,
         false,
     );
+    let few_groups = rows.min(10);
     run_query(
-        &format!("Figure 6(b)/(d) Aggregation Query #2 (map aggregation, {rows} rows, 10 groups)"),
+        args.repeats,
+        &format!(
+            "Figure 6(b)/(d) Aggregation Query #2 (map aggregation, {rows} rows, {few_groups} groups)"
+        ),
         rows,
-        10,
+        few_groups,
         AggAlgorithm::Map,
         true,
     );
 }
 
-fn run_query(title: &str, rows: usize, groups: usize, algo: AggAlgorithm, use_map: bool) {
+fn run_query(
+    repeats: usize,
+    title: &str,
+    rows: usize,
+    groups: usize,
+    algo: AggAlgorithm,
+    use_map: bool,
+) {
     let catalog = agg_workload(rows, groups).expect("workload");
     let config = PlannerConfig::default().with_agg_algorithm(algo);
     let plan = plan_sql(agg_query_sql(), &catalog, &config).expect("plan");
 
     let mut measurements = Vec::new();
     for engine in [Engine::IterGeneric, Engine::IterOptimized] {
-        measurements.push(run_engine(engine, &plan, &catalog, None, true).expect("run"));
+        measurements.push(run_engine(engine, &plan, &catalog, None, true, repeats).expect("run"));
     }
     let heap = &catalog.table("agg_t").unwrap().heap;
     for (label, variant) in [
         ("Generic hard-coded", HandVariant::Generic),
         ("Optimized hard-coded", HandVariant::Optimized),
     ] {
-        let mut stats = ExecStats::new();
-        let start = Instant::now();
-        let (count, _checksum) = aggregate(heap, groups, use_map, variant, &mut stats);
-        measurements.push(Measurement {
-            engine: label.to_string(),
-            elapsed: start.elapsed(),
-            stats,
-            rows: count as u64,
-        });
+        measurements.push(run_handcoded(label, repeats, |stats| {
+            aggregate(heap, groups, use_map, variant, stats).0 as u64
+        }));
     }
-    measurements.push(run_engine(Engine::Holistic, &plan, &catalog, None, true).expect("run"));
+    measurements
+        .push(run_engine(Engine::Holistic, &plan, &catalog, None, true, repeats).expect("run"));
 
     let expected = measurements[0].rows;
     assert!(

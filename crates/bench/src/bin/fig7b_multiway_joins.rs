@@ -7,14 +7,15 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_series_table, run_engine, Engine};
+use hique_bench::cli::Args;
+use hique_bench::runner::{render_series_table, run_engine, Engine};
 use hique_bench::workload::{multiway_query_sql, multiway_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
 
 fn main() {
-    let s = bench_scale();
-    let fact = (50_000.0 * s) as usize;
-    let dim = (5_000.0 * s) as usize;
+    let args = Args::from_env();
+    let fact = args.scaled(50_000);
+    let dim = args.scaled(5_000);
     let columns = [
         "Merge - Iterators",
         "Merge - HIQUE (binary)",
@@ -32,14 +33,28 @@ fn main() {
             .with_join_teams(false);
         let cascade_plan = plan_sql(&sql, &catalog, &cascade_cfg).expect("plan");
         times.push(
-            run_engine(Engine::IterOptimized, &cascade_plan, &catalog, None, false)
-                .expect("run")
-                .elapsed,
+            run_engine(
+                Engine::IterOptimized,
+                &cascade_plan,
+                &catalog,
+                None,
+                false,
+                args.repeats,
+            )
+            .expect("run")
+            .elapsed,
         );
         times.push(
-            run_engine(Engine::Holistic, &cascade_plan, &catalog, None, false)
-                .expect("run")
-                .elapsed,
+            run_engine(
+                Engine::Holistic,
+                &cascade_plan,
+                &catalog,
+                None,
+                false,
+                args.repeats,
+            )
+            .expect("run")
+            .elapsed,
         );
         // Join teams.
         for algo in [JoinAlgorithm::Merge, JoinAlgorithm::HybridHashSortMerge] {
@@ -52,7 +67,7 @@ fn main() {
                 "team expected for {num_dims} dims"
             );
             times.push(
-                run_engine(Engine::Holistic, &plan, &catalog, None, false)
+                run_engine(Engine::Holistic, &plan, &catalog, None, false, args.repeats)
                     .expect("run")
                     .elapsed,
             );

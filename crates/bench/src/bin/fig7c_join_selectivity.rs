@@ -6,13 +6,14 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_series_table, run_engine, Engine};
+use hique_bench::cli::Args;
+use hique_bench::runner::{render_series_table, run_engine, Engine};
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
 
 fn main() {
-    let s = bench_scale();
-    let rows = (20_000.0 * s) as usize;
+    let args = Args::from_env();
+    let rows = args.scaled(20_000);
     let columns = [
         "Merge - Iterators",
         "Hybrid - Iterators",
@@ -31,7 +32,7 @@ fn main() {
         ] {
             let config = PlannerConfig::default().with_join_algorithm(algo);
             let plan = plan_sql(join_query_sql(), &catalog, &config).expect("plan");
-            let m = run_engine(engine, &plan, &catalog, None, false).expect("run");
+            let m = run_engine(engine, &plan, &catalog, None, false, args.repeats).expect("run");
             times.push(m.elapsed);
         }
         table.push((format!("{matches} matches/outer"), times));

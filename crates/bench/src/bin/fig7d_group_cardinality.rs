@@ -9,13 +9,14 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_series_table, run_engine, Engine};
+use hique_bench::cli::Args;
+use hique_bench::runner::{render_series_table, run_engine, Engine};
 use hique_bench::workload::{agg_query_sql, agg_workload};
-use hique_plan::{AggAlgorithm, PlannerConfig};
+use hique_plan::{plan_sql, AggAlgorithm, PlannerConfig};
 
 fn main() {
-    let s = bench_scale();
-    let rows = (100_000.0 * s) as usize;
+    let args = Args::from_env();
+    let rows = args.scaled(100_000);
     let columns = [
         "Sort - Iterators",
         "Hybrid - Iterators",
@@ -37,7 +38,7 @@ fn main() {
             ] {
                 let config = PlannerConfig::default().with_agg_algorithm(algo);
                 let plan = plan_sql(agg_query_sql(), &catalog, &config).expect("plan");
-                let m = run_engine(engine, &plan, &catalog, None, true).expect("run");
+                let m = run_engine(engine, &plan, &catalog, None, true, args.repeats).expect("run");
                 assert_eq!(m.rows, groups as u64, "{engine:?} {algo:?}");
                 times.push(m.elapsed);
             }

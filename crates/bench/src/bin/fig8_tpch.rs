@@ -10,19 +10,21 @@
 //! * *DSM column engine* — stands in for MonetDB.
 //! * *HIQUE* — holistic generated code.
 //!
-//! The TPC-H scale factor is the first argument; it defaults to 0.02 so the
-//! harness finishes quickly (`fig8_tpch 1.0` — several GiB of RAM and a few
-//! minutes — is the paper's scale factor).
+//! `--sf` is the TPC-H scale factor; it defaults to 0.02 so the harness
+//! finishes quickly (`--sf 1.0` — several GiB of RAM and a few minutes — is
+//! the paper's scale factor).
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{plan_sql, run_engine, tpch_scale_factor_arg, Engine};
+use hique_bench::cli::Args;
+use hique_bench::runner::{run_engine, Engine};
 use hique_dsm::DsmDatabase;
-use hique_plan::PlannerConfig;
+use hique_plan::{plan_sql, PlannerConfig};
 use hique_tpch::queries::all_queries;
 
 fn main() {
-    let sf = tpch_scale_factor_arg(0.02);
+    let args = Args::from_env();
+    let sf = args.sf.unwrap_or(0.02);
     eprintln!("generating TPC-H data at SF={sf} ...");
     let catalog = hique_tpch::generate_into_catalog(sf).expect("tpch generation");
     let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
@@ -44,7 +46,8 @@ fn main() {
             (Engine::Dsm, "MonetDB-class (DSM)"),
             (Engine::Holistic, "HIQUE"),
         ] {
-            let m = run_engine(engine, &plan, &catalog, Some(&dsm), true).expect("run");
+            let m =
+                run_engine(engine, &plan, &catalog, Some(&dsm), true, args.repeats).expect("run");
             println!(
                 "{:<8} {:<28} {:>12.2} {:>10}",
                 name,

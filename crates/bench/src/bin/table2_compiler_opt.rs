@@ -11,9 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_profile_table, run_engine, Engine};
+use hique_bench::cli::Args;
+use hique_bench::runner::{render_profile_table, run_engine, Engine};
 use hique_bench::workload::{agg_query_sql, agg_workload, join_query_sql, join_workload};
-use hique_plan::{AggAlgorithm, JoinAlgorithm, PlannerConfig};
+use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig};
 
 fn main() {
     let profile = if cfg!(debug_assertions) {
@@ -23,14 +24,14 @@ fn main() {
     };
     println!("Table II — effect of compiler optimization; this run: {profile}\n");
 
-    let s = bench_scale();
+    let args = Args::from_env();
     let engines = [Engine::IterGeneric, Engine::IterOptimized, Engine::Holistic];
 
     // The four micro-benchmark queries of Figures 5 and 6, at reduced size.
-    let join1 = join_workload((1_000.0 * s) as usize, (1_000.0 * s) as usize, 100).unwrap();
-    let join2 = join_workload((20_000.0 * s) as usize, (20_000.0 * s) as usize, 10).unwrap();
-    let agg1 = agg_workload((50_000.0 * s) as usize, (5_000.0 * s) as usize).unwrap();
-    let agg2 = agg_workload((50_000.0 * s) as usize, 10).unwrap();
+    let join1 = join_workload(args.scaled(1_000), args.scaled(1_000), 100).unwrap();
+    let join2 = join_workload(args.scaled(20_000), args.scaled(20_000), 10).unwrap();
+    let agg1 = agg_workload(args.scaled(50_000), args.scaled(5_000)).unwrap();
+    let agg2 = agg_workload(args.scaled(50_000), 10).unwrap();
 
     let cases = [
         (
@@ -67,7 +68,7 @@ fn main() {
         let plan = plan_sql(sql, catalog, &config).expect("plan");
         let measurements: Vec<_> = engines
             .iter()
-            .map(|&e| run_engine(e, &plan, catalog, None, materialize).expect("run"))
+            .map(|&e| run_engine(e, &plan, catalog, None, materialize, args.repeats).expect("run"))
             .collect();
         println!(
             "{}",

@@ -4,8 +4,9 @@
 //! generating query-specific code, and reports the size of the generated
 //! source artifact.  (The paper additionally reports `gcc` compile times and
 //! shared-library sizes; this reproduction executes specialized kernels
-//! in-process, so those two columns do not apply — see `DESIGN.md`.)  The
-//! TPC-H scale factor is the first argument (default 0.01).
+//! in-process, so those two columns do not apply — see `DESIGN.md`.)
+//! `--sf` is the TPC-H scale factor (default 0.01); each query is prepared
+//! once, cold, so `--repeats` is not read.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +16,7 @@ use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
 use hique_tpch::queries::all_queries;
 
 fn main() {
-    let sf = hique_bench::runner::tpch_scale_factor_arg(0.01);
+    let sf = hique_bench::cli::Args::from_env().sf.unwrap_or(0.01);
     let catalog = hique_tpch::generate_into_catalog(sf).expect("tpch generation");
 
     println!("== Table III: query preparation cost (SF = {sf}) ==");

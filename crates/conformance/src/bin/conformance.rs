@@ -12,9 +12,8 @@
 
 use hique_conformance::genquery::{replay_seed, scan_query_for_seed};
 use hique_conformance::planquality::{measure_actuals, QualityReport};
-use hique_conformance::runner::plan_sql;
 use hique_conformance::{run_chaos_suite, run_suite_with_budget, Fixture};
-use hique_plan::{explain_with_actuals, explain_with_stats, PlanActuals, PlannerConfig};
+use hique_plan::{explain_with_actuals, explain_with_stats, plan_sql, PlanActuals, PlannerConfig};
 
 struct Args {
     queries: usize,

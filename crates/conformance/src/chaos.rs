@@ -30,13 +30,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hique_holistic::ExecOptions;
+use hique_plan::plan_sql;
 use hique_server::run_plan;
 use hique_storage::FaultPlan;
 use hique_types::{CancelToken, HiqueError};
 
 use crate::canon::{canonicalize, compare, CanonicalResult};
 use crate::genquery::QueryGenerator;
-use crate::runner::{plan_sql, run_engine, Engine, Fixture};
+use crate::runner::{run_engine, Engine, Fixture};
 
 /// Spill budget (in pool pages) forced onto every chaos query's planner
 /// config, so spill paths (the fault surface for writes and allocations) are

@@ -20,10 +20,11 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use hique_plan::plan_sql;
 use hique_vm::CompileMode;
 
 use crate::genquery::QueryGenerator;
-use crate::runner::{plan_sql, Fixture};
+use crate::runner::Fixture;
 
 /// The verifier's gate: at least this share of seeded mutants must be
 /// rejected statically (the remainder must still fail typed at runtime).

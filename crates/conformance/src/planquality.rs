@@ -204,8 +204,7 @@ impl QualityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::plan_sql;
-    use hique_plan::PlannerConfig;
+    use hique_plan::{plan_sql, PlannerConfig};
     use hique_types::{Column, DataType, Row, Schema};
 
     fn catalog() -> Catalog {

@@ -11,7 +11,7 @@ use std::fmt;
 
 use hique_dsm::DsmDatabase;
 use hique_holistic::ExecOptions;
-use hique_plan::{plan_query, CatalogProvider, PhysicalPlan, PlannerConfig};
+use hique_plan::{plan_sql, PhysicalPlan};
 use hique_server::run_plan;
 pub use hique_server::Engine;
 use hique_storage::Catalog;
@@ -19,18 +19,6 @@ use hique_types::{HiqueError, QueryResult};
 
 use crate::canon::{canonicalize, compare, CanonicalResult, Mismatch};
 use crate::genquery::{QueryGenerator, RandomQuery};
-
-/// Parse, analyze and optimize `sql` into the single shared physical plan
-/// all engines will execute.
-pub fn plan_sql(
-    sql: &str,
-    catalog: &Catalog,
-    config: &PlannerConfig,
-) -> Result<PhysicalPlan, HiqueError> {
-    let parsed = hique_sql::parse_query(sql)?;
-    let bound = hique_sql::analyze(&parsed, &CatalogProvider::new(catalog))?;
-    plan_query(&bound, catalog, config)
-}
 
 /// Execute a shared plan on one engine, preparing from scratch.
 pub fn run_engine(

@@ -11,9 +11,9 @@
 
 use std::path::PathBuf;
 
-use hique_conformance::runner::{plan_sql, run_engine, Engine, Fixture};
+use hique_conformance::runner::{run_engine, Engine, Fixture};
 use hique_conformance::{canonicalize, compare};
-use hique_plan::PlannerConfig;
+use hique_plan::{plan_sql, PlannerConfig};
 use hique_types::ExecStats;
 
 const SF: f64 = 0.004;

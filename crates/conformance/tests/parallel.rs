@@ -9,7 +9,8 @@
 //! exercises the parallel staging, join and aggregation paths for real.
 
 use hique_conformance::{canonicalize, compare, Engine, Fixture};
-use hique_conformance::{runner::plan_sql, runner::run_engine, QueryGenerator};
+use hique_conformance::{runner::run_engine, QueryGenerator};
+use hique_plan::plan_sql;
 
 const SF: f64 = 0.002;
 const SUITE_SEED: u64 = 0x9A_11E1; // fixed so failures are reproducible

@@ -20,8 +20,7 @@ use hique_conformance::genquery::scan_query_for_seed;
 use hique_conformance::planquality::{
     measure_actuals, QualityReport, GATE_MEDIAN_Q_ERROR, GATE_P95_Q_ERROR,
 };
-use hique_conformance::runner::plan_sql;
-use hique_plan::{explain_with_actuals, PlannerConfig};
+use hique_plan::{explain_with_actuals, plan_sql, PlannerConfig};
 use hique_storage::Catalog;
 
 const SF: f64 = 0.1;

@@ -14,8 +14,8 @@
 //! pool's frame budget long before these queries finished).
 
 use hique_conformance::{canonicalize, compare, Engine, Fixture};
-use hique_conformance::{runner::plan_sql, runner::run_engine, QueryGenerator};
-use hique_plan::PlannerConfig;
+use hique_conformance::{runner::run_engine, QueryGenerator};
+use hique_plan::{plan_sql, PlannerConfig};
 
 const SF: f64 = 0.01;
 /// Frames in the pool — the SF 0.01 working set is thousands of pages.

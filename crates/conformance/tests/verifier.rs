@@ -13,9 +13,8 @@
 //!    execution time (nested-loops degradation), the staging work it did
 //!    before refusing must release every spill claim and pinned frame.
 
-use hique_conformance::runner::plan_sql;
 use hique_conformance::{run_mutation_suite, Fixture, QueryGenerator, MIN_REJECTION_RATE};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
 use hique_types::HiqueError;
 use hique_vm::CompileMode;
 

@@ -7,8 +7,8 @@
 //! Failure messages carry the per-query seed; reproduce one with
 //! `cargo run --release -p hique-conformance --bin conformance -- --replay <seed>`.
 
-use hique_conformance::runner::plan_sql;
 use hique_conformance::{canonicalize, compare, Fixture, QueryGenerator};
+use hique_plan::plan_sql;
 use hique_types::HiqueError;
 use hique_vm::{CompileMode, Tier};
 

@@ -324,7 +324,7 @@ pub fn run<K: Kernels>(
 mod tests {
     use super::*;
     use crate::generator::generate;
-    use hique_plan::{plan_query, AggAlgorithm, CatalogProvider, JoinAlgorithm, PlannerConfig};
+    use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig};
     use hique_types::{Column, DataType, Schema, Value};
     use std::sync::Arc;
 
@@ -387,9 +387,7 @@ mod tests {
     }
 
     fn plan(sql: &str, cat: &Catalog, config: &PlannerConfig) -> PhysicalPlan {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        plan_query(&bound, cat, config).unwrap()
+        plan_sql(sql, cat, config).unwrap()
     }
 
     fn run(sql: &str, cat: &Catalog, config: &PlannerConfig) -> QueryResult {

@@ -37,7 +37,7 @@ pub mod stats;
 
 pub use config::PlannerConfig;
 pub use explain::{explain, explain_with_actuals, explain_with_stats, PlanActuals};
-pub use optimizer::plan_query;
+pub use optimizer::{plan_query, plan_sql};
 pub use physical::{
     AggAlgorithm, AggregateSpec, JoinAlgorithm, JoinStep, JoinTeam, PhysicalPlan, StagedTable,
     StagingStrategy,

@@ -21,9 +21,18 @@ use crate::physical::{
     AggAlgorithm, AggregateSpec, JoinAlgorithm, JoinStep, JoinTeam, PhysicalPlan, StagedTable,
     StagingStrategy,
 };
+use crate::provider::CatalogProvider;
 use crate::stats::{
     correlated_range_clamp, estimate_filtered_rows, estimate_join_rows_dist, TableStats,
 };
+
+/// Parse, analyze and optimize `sql` against `catalog`: the front half of
+/// every preparation, and the one plan all engines then execute.
+pub fn plan_sql(sql: &str, catalog: &Catalog, config: &PlannerConfig) -> Result<PhysicalPlan> {
+    let parsed = hique_sql::parse_query(sql)?;
+    let bound = hique_sql::analyze(&parsed, &CatalogProvider::new(catalog))?;
+    plan_query(&bound, catalog, config)
+}
 
 /// Optimize a bound query into a physical plan.
 pub fn plan_query(
@@ -535,8 +544,6 @@ pub fn rebind_scalar_expr(expr: &ScalarExpr, from: &Schema, to: &Schema) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provider::CatalogProvider;
-    use hique_sql::{analyze, parse_query};
     use hique_types::{Column, DataType, Row, Value};
 
     /// Catalog with orders (1k rows), lineitem (10k rows), customer (100).
@@ -614,16 +621,10 @@ mod tests {
         cat
     }
 
-    fn plan(sql: &str, cat: &Catalog, config: &PlannerConfig) -> Result<PhysicalPlan> {
-        let q = parse_query(sql)?;
-        let bound = analyze(&q, &CatalogProvider::new(cat))?;
-        plan_query(&bound, cat, config)
-    }
-
     #[test]
     fn single_table_aggregate_uses_map_for_small_domains() {
         let cat = catalog();
-        let p = plan(
+        let p = plan_sql(
             "select l_returnflag, l_linestatus, sum(l_quantity) as q, count(*) as n \
              from lineitem where l_shipdate <= '1998-12-01' \
              group by l_returnflag, l_linestatus order by l_returnflag, l_linestatus",
@@ -652,7 +653,7 @@ mod tests {
             l2_cache_bytes: 16 * 1024,
             ..PlannerConfig::default()
         };
-        let p = plan(
+        let p = plan_sql(
             "select l_orderkey, sum(l_quantity) as q from lineitem group by l_orderkey",
             &cat,
             &config,
@@ -669,7 +670,7 @@ mod tests {
     #[test]
     fn join_plan_orders_by_size_and_stages_inputs() {
         let cat = catalog();
-        let p = plan(
+        let p = plan_sql(
             "select o.o_orderkey, l.l_extendedprice from orders o, lineitem l \
              where o.o_orderkey = l.l_orderkey and o.o_orderdate < '1995-01-01'",
             &cat,
@@ -700,7 +701,7 @@ mod tests {
             JoinAlgorithm::Partition,
             JoinAlgorithm::HybridHashSortMerge,
         ] {
-            let p = plan(
+            let p = plan_sql(
                 "select o.o_orderkey from orders o, lineitem l where o.o_orderkey = l.l_orderkey",
                 &cat,
                 &PlannerConfig::default().with_join_algorithm(algo),
@@ -713,7 +714,7 @@ mod tests {
     #[test]
     fn three_way_join_on_different_keys_is_a_cascade() {
         let cat = catalog();
-        let p = plan(
+        let p = plan_sql(
             "select c.c_custkey, sum(l.l_extendedprice * (1 - l.l_discount)) as revenue \
              from customer c, orders o, lineitem l \
              where c.c_custkey = o.o_custkey and o.o_orderkey = l.l_orderkey \
@@ -754,7 +755,7 @@ mod tests {
             }
             cat.analyze_table(name).unwrap();
         }
-        let p = plan(
+        let p = plan_sql(
             "select fact.v from fact, d1, d2, d3 \
              where fact.k = d1.k and fact.k = d2.k and fact.k = d3.k",
             &cat,
@@ -768,7 +769,7 @@ mod tests {
         assert_eq!(p.staged[p.join_order[0]].table_name, "fact");
 
         // Disabling teams falls back to a cascade.
-        let p2 = plan(
+        let p2 = plan_sql(
             "select fact.v from fact, d1, d2, d3 \
              where fact.k = d1.k and fact.k = d2.k and fact.k = d3.k",
             &cat,
@@ -782,7 +783,7 @@ mod tests {
     #[test]
     fn cross_product_is_rejected() {
         let cat = catalog();
-        let err = plan(
+        let err = plan_sql(
             "select o.o_orderkey from orders o, customer c",
             &cat,
             &PlannerConfig::default(),
@@ -794,7 +795,7 @@ mod tests {
     #[test]
     fn count_star_only_query_keeps_one_column() {
         let cat = catalog();
-        let p = plan(
+        let p = plan_sql(
             "select count(*) as n from orders",
             &cat,
             &PlannerConfig::default(),

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use hique_dsm::DsmDatabase;
 use hique_holistic::{ExecOptions, GeneratedQuery};
-use hique_plan::{plan_query, shape_class_and_consts, shape_key, CatalogProvider, PlannerConfig};
+use hique_plan::{plan_sql, shape_class_and_consts, shape_key, PlannerConfig};
 use hique_storage::Catalog;
 use hique_types::{CancelToken, HiqueError, QueryResult, Result};
 use hique_vm::VmProgram;
@@ -234,9 +234,7 @@ impl Session {
             Lookup::Template(prepared) => Some(prepared),
             Lookup::Miss => None,
         };
-        let query = hique_sql::parse_query(sql)?;
-        let bound = hique_sql::analyze(&query, &CatalogProvider::new(&self.shared.catalog))?;
-        let plan = plan_query(&bound, &self.shared.catalog, &self.shared.planner)?;
+        let plan = plan_sql(sql, &self.shared.catalog, &self.shared.planner)?;
         let generated = hique_holistic::generate(&plan)?;
         let (vm, vm_template) = compile_vm(
             &generated,

@@ -5,7 +5,7 @@
 
 use hique_holistic::{generate, GeneratedQuery};
 use hique_iter::ExecMode;
-use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
+use hique_plan::{plan_sql, PlannerConfig};
 use hique_storage::Catalog;
 use hique_types::{Column, DataType, HiqueError, Row, Schema, Value};
 use hique_vm::{compile, CompileMode, VmProgram};
@@ -57,10 +57,7 @@ fn catalog() -> Catalog {
 }
 
 fn prepare(sql: &str, cat: &Catalog) -> GeneratedQuery {
-    let q = hique_sql::parse_query(sql).unwrap();
-    let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-    let plan = plan_query(&bound, cat, &PlannerConfig::default()).unwrap();
-    generate(&plan).unwrap()
+    generate(&plan_sql(sql, cat, &PlannerConfig::default()).unwrap()).unwrap()
 }
 
 fn run_vm(generated: &GeneratedQuery, cat: &Catalog, mode: CompileMode) -> Vec<Row> {

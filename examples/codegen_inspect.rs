@@ -7,7 +7,7 @@
 //! cargo run --example codegen_inspect -- q10    # Q3 / Q10
 //! ```
 
-use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
+use hique::plan::{plan_sql, PlannerConfig};
 use hique::tpch;
 
 fn main() -> hique::types::Result<()> {
@@ -20,9 +20,7 @@ fn main() -> hique::types::Result<()> {
     // A tiny data-set is enough: the generated code depends on schemas and
     // statistics, not on data volume.
     let catalog = tpch::generate_into_catalog(0.001)?;
-    let parsed = hique::sql::parse_query(sql)?;
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog))?;
-    let plan = plan_query(&bound, &catalog, &PlannerConfig::default())?;
+    let plan = plan_sql(sql, &catalog, &PlannerConfig::default())?;
 
     println!("-- physical plan ------------------------------------------------");
     println!("{}", hique::plan::explain::explain(&plan));

@@ -6,7 +6,7 @@
 //! ```
 
 use hique::holistic;
-use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
+use hique::plan::{plan_sql, PlannerConfig};
 use hique::storage::Catalog;
 use hique::types::{Column, DataType, Row, Schema, Value};
 
@@ -36,9 +36,7 @@ fn main() -> hique::types::Result<()> {
     // 2. Parse, analyze and optimize a query.
     let sql = "select region, sum(amount) as total, count(*) as n \
                from sales where product < 25 group by region order by total desc";
-    let parsed = hique::sql::parse_query(sql)?;
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog))?;
-    let plan = plan_query(&bound, &catalog, &PlannerConfig::default())?;
+    let plan = plan_sql(sql, &catalog, &PlannerConfig::default())?;
     println!("{}", hique::plan::explain::explain(&plan));
 
     // 3. Generate query-specific code and execute it.

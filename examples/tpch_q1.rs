@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use hique::dsm::DsmDatabase;
 use hique::iter::ExecMode;
-use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
+use hique::plan::{plan_sql, PlannerConfig};
 use hique::tpch;
 
 fn main() -> hique::types::Result<()> {
@@ -27,9 +27,7 @@ fn main() -> hique::types::Result<()> {
         catalog.table("lineitem")?.row_count()
     );
 
-    let parsed = hique::sql::parse_query(tpch::Q1_SQL)?;
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog))?;
-    let plan = plan_query(&bound, &catalog, &PlannerConfig::default())?;
+    let plan = plan_sql(tpch::Q1_SQL, &catalog, &PlannerConfig::default())?;
 
     // Iterator engine (PostgreSQL-class baseline).
     let t = Instant::now();

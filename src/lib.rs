@@ -13,8 +13,8 @@
 //! * [`holistic`] — the paper's contribution: template-based code generation
 //!   and specialized kernel execution, plus the evaluate-query driver every
 //!   kernel provider plugs into.
-//! * [`vm`] — query-time compilation to register bytecode: the fastest
-//!   engine, a second kernel provider for the same driver.
+//! * [`vm`] — query-time compilation to register bytecode: a second kernel
+//!   provider for the same driver.
 //! * [`server`] — sessions over one shared catalog, the prepared-plan cache,
 //!   the engine modes ([`server::Engine`], [`server::run_plan`]) and the
 //!   line protocol.
