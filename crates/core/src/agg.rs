@@ -4,17 +4,26 @@
 //! The kernels are instantiated with compiled group-key accessors and the
 //! query's aggregate program ([`AggProgram`]: every aggregate's argument in
 //! one shared-subexpression register DAG, plus function-specialised
-//! accumulator slots), so the per-tuple work is a few primitive reads,
-//! arithmetic operations and accumulator updates — no function calls, no
-//! boxed values (those appear only when the handful of result groups is
+//! accumulator slots), resolved once per kernel call into page sweeps
+//! ([`PageFold`]).  Every form — resident or streamed, serial or chunked
+//! across a pool — walks its input one packed page at a time: the page's
+//! argument registers are filled by one loop per DAG node, one boundary
+//! sweep per grouping attribute cuts it into runs of rows of one group,
+//! each run finds its group once (a directory probe per attribute for map
+//! aggregation, the next group number for sorted input), and the rows are
+//! added to their groups' slots.  No per-tuple dispatch, no function calls,
+//! no boxed values (those appear only when the handful of result groups is
 //! converted to output rows).
 
 use hique_par::{chunk_ranges, ScopedPool};
 use hique_pipeline::PartitionSet;
 use hique_plan::AggregateSpec;
-use hique_types::{ExecStats, Result, Row, Schema, Value};
+use hique_storage::records_per_page;
+use hique_types::{ExecStats, HiqueError, Result, Row, Schema, Value};
 
-pub use crate::agg_program::{Accum, AccumLayout, AccumSlot, AggNode, AggProgram};
+pub use crate::agg_program::{
+    AccumLayout, AccumSlot, AggNode, AggProgram, GroupAccums, KeyRuns, PageFold,
+};
 use crate::kernel::{compare_keys, CompiledKey};
 use crate::relation::StagedRelation;
 
@@ -24,50 +33,67 @@ use crate::relation::StagedRelation;
 pub struct CompiledAgg {
     group_keys: Vec<CompiledKey>,
     program: AggProgram,
+    /// Width of an input record.
+    tuple_size: usize,
+}
+
+/// A packed buffer as the page-shaped batches a spill of it would yield.
+fn pages(buf: &[u8], ts: usize) -> impl Iterator<Item = &[u8]> {
+    buf.chunks(records_per_page(ts).max(1) * ts)
+}
+
+/// Visit the pages of every stream of `set`, in partition order, until `f`
+/// fails.
+fn try_for_each_page(set: &PartitionSet<'_>, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+    let mut outcome = Ok(());
+    for stream in set.streams() {
+        stream.for_each_page(|page| {
+            if outcome.is_ok() {
+                outcome = f(page);
+            }
+        })?;
+    }
+    outcome
 }
 
 /// The single group of a global aggregate (no grouping columns): one
-/// accumulator set plus the tuples and bytes it has seen.  Empty input
-/// yields no group, the convention shared by the iterator and DSM engines.
+/// accumulator set plus the tuples it has seen.  Empty input yields no
+/// group, the convention shared by the iterator and DSM engines.
 struct GlobalGroup {
-    accums: Vec<Accum>,
-    regs: Vec<f64>,
+    fold: PageFold,
+    accums: GroupAccums,
     tuples: u64,
-    bytes: u64,
 }
 
 impl GlobalGroup {
     fn new(agg: &CompiledAgg) -> Self {
+        let mut accums = agg.fresh_accums();
+        accums.push_group();
         GlobalGroup {
-            accums: agg.fresh_accums(),
-            regs: agg.program.frame(),
+            fold: agg.page_fold(),
+            accums,
             tuples: 0,
-            bytes: 0,
         }
     }
 
-    #[inline(always)]
-    fn update(&mut self, agg: &CompiledAgg, record: &[u8]) {
-        self.tuples += 1;
-        self.bytes += record.len() as u64;
-        agg.update_all(&mut self.regs, &mut self.accums, record);
+    fn fold_page(&mut self, page: &[u8]) {
+        let n = self.fold.fill(page);
+        self.fold.fold_range(0..n, 0, &mut self.accums);
+        self.tuples += n as u64;
     }
 
     fn combine(&mut self, other: &GlobalGroup) {
         self.tuples += other.tuples;
-        self.bytes += other.bytes;
-        for (a, o) in self.accums.iter_mut().zip(&other.accums) {
-            a.combine(o);
-        }
+        self.accums.combine(0, &other.accums, 0);
     }
 
     fn finish(self, agg: &CompiledAgg, stats: &mut ExecStats) -> Vec<Row> {
         stats.tuples_processed += self.tuples;
-        stats.bytes_touched += self.bytes;
+        stats.bytes_touched += self.tuples * agg.tuple_size as u64;
         if self.tuples == 0 {
             return Vec::new();
         }
-        vec![agg.finish_row(Vec::new(), &self.accums)]
+        vec![agg.finish_row(Vec::new(), &self.accums, 0)]
     }
 }
 
@@ -97,6 +123,26 @@ const MEMO: usize = 64;
 /// No directory hands this id out, so it marks an empty memo entry.
 const NO_ID: u32 = u32::MAX;
 
+/// The id of image `v` in directory `d`, entering it when unseen.
+#[inline(always)]
+fn directory_id(d: &mut Vec<(i64, u32)>, memo: &mut [(i64, u32); MEMO], v: i64) -> u32 {
+    // Fibonacci hashing: the top bits of the product.
+    let slot = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.ilog2());
+    let memo = &mut memo[slot as usize];
+    if memo.0 != v || memo.1 == NO_ID {
+        let id = match d.binary_search_by_key(&v, |&(value, _)| value) {
+            Ok(pos) => d[pos].1,
+            Err(pos) => {
+                let id = d.len() as u32;
+                d.insert(pos, (v, id));
+                id
+            }
+        };
+        *memo = (v, id);
+    }
+    memo.1
+}
+
 impl MapDirectory {
     fn new(group_keys: usize) -> Self {
         MapDirectory {
@@ -108,64 +154,83 @@ impl MapDirectory {
         }
     }
 
-    /// The offset of the tuple whose `i`-th key image is `image(i)`,
-    /// entering unseen values — and, when that makes a directory outgrow
-    /// its capacity, laying the cell array out again for `groups` (one
-    /// image per attribute per group seen so far, in group order).
-    #[inline(always)]
-    fn offset(&mut self, image: impl Fn(usize) -> i64, groups: &[i64]) -> usize {
-        match self.probe(&image) {
-            (offset, true) => offset,
-            _ => {
-                self.grow(groups);
-                self.probe(&image).0
-            }
+    /// One probe sweep per attribute over the key images of a page's key
+    /// runs (`images[i][r]` is the image of attribute `i` in row `r`, `rows`
+    /// the first row of every run), entering unseen values: `offsets[j]`
+    /// becomes run `j`'s offset in the cell array.  When an entered value
+    /// makes a directory outgrow its capacity, the cell array is laid out
+    /// again for `groups` (one image per attribute per group seen so far,
+    /// in group order) and the sweeps repeat as pure lookups.
+    fn offsets(
+        &mut self,
+        images: &[Vec<i64>],
+        rows: &[u32],
+        groups: &[i64],
+        offsets: &mut Vec<usize>,
+    ) -> Result<()> {
+        if !self.probe(images, rows, offsets) {
+            self.grow(groups)?;
+            self.probe(images, rows, offsets);
         }
+        Ok(())
     }
 
-    /// One look at every directory: the offset under the current layout,
-    /// and whether every directory still fits its capacity (when not, the
-    /// offset is meaningless until [`MapDirectory::grow`] ran).
-    #[inline(always)]
-    fn probe(&mut self, image: impl Fn(usize) -> i64) -> (usize, bool) {
-        let (mut offset, mut fits) = (0usize, true);
-        for (i, d) in self.values.iter_mut().enumerate() {
-            let v = image(i);
-            // Fibonacci hashing: the top bits of the product.
-            let slot = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.ilog2());
-            let memo = &mut self.memo[i][slot as usize];
-            if memo.0 != v || memo.1 == NO_ID {
-                let id = match d.binary_search_by_key(&v, |&(value, _)| value) {
-                    Ok(pos) => d[pos].1,
-                    Err(pos) => {
-                        let id = d.len() as u32;
-                        d.insert(pos, (v, id));
-                        fits &= d.len() <= self.capacity[i];
-                        id
-                    }
-                };
-                *memo = (v, id);
+    /// The sweeps of [`MapDirectory::offsets`] under the current layout;
+    /// whether every directory still fits its capacity (when not, the
+    /// offsets are meaningless until [`MapDirectory::grow`] ran).
+    fn probe(&mut self, images: &[Vec<i64>], rows: &[u32], offsets: &mut Vec<usize>) -> bool {
+        offsets.clear();
+        offsets.resize(rows.len(), 0);
+        let mut fits = true;
+        for (i, (d, lane)) in self.values.iter_mut().zip(images).enumerate() {
+            let (memo, multiplier) = (&mut self.memo[i], self.multipliers[i]);
+            for (offset, &row) in offsets.iter_mut().zip(rows) {
+                *offset += directory_id(d, memo, lane[row as usize]) as usize * multiplier;
             }
-            offset += memo.1 as usize * self.multipliers[i];
+            fits &= d.len() <= self.capacity[i];
         }
-        (offset, fits)
+        fits
     }
 
     /// Size the cell array for the grown directories and re-enter `groups`.
+    /// A layout the address space (or the allocator) cannot hold is a typed
+    /// error: map aggregation was planned for domains the data has
+    /// outgrown.
     #[cold]
-    fn grow(&mut self, groups: &[i64]) {
+    fn grow(&mut self, groups: &[i64]) -> Result<()> {
         for (cap, d) in self.capacity.iter_mut().zip(&self.values) {
             *cap = d.len().next_power_of_two();
         }
+        let too_large = || {
+            HiqueError::Execution(format!(
+                "map aggregation cannot lay out its cell array: the value directories hold {:?} \
+                 distinct values per grouping attribute",
+                self.values.iter().map(Vec::len).collect::<Vec<_>>()
+            ))
+        };
         let n = self.values.len();
+        let cells = self
+            .capacity
+            .iter()
+            .try_fold(1usize, |cells, &cap| cells.checked_mul(cap))
+            .ok_or_else(too_large)?;
+        let mut laid_out: Vec<u32> = Vec::new();
+        laid_out.try_reserve_exact(cells).map_err(|_| too_large())?;
+        laid_out.resize(cells, 0);
         for i in (0..n.saturating_sub(1)).rev() {
             self.multipliers[i] = self.multipliers[i + 1] * self.capacity[i + 1];
         }
-        self.cells = vec![0; self.capacity.iter().product()];
+        self.cells = laid_out;
         for (g, group) in groups.chunks_exact(n).enumerate() {
-            let (offset, _) = self.probe(|i| group[i]);
+            let offset: usize = (0..n)
+                .map(|i| {
+                    directory_id(&mut self.values[i], &mut self.memo[i], group[i]) as usize
+                        * self.multipliers[i]
+                })
+                .sum();
             self.cells[offset] = g as u32 + 1;
         }
+        Ok(())
     }
 
     /// Directory searches one tuple costs: Σ⌈log₂|dᵢ|⌉, a one-value
@@ -181,92 +246,188 @@ impl MapDirectory {
 /// The groups of map aggregation in discovery order: per group its key
 /// images, its accumulator slots and a copy of its first record (to decode
 /// the group's attribute values for the output).
-struct MapGroups {
+struct MapGroups<'a> {
+    agg: &'a CompiledAgg,
+    fold: PageFold,
     dir: MapDirectory,
     images: Vec<i64>,
-    accums: Vec<Accum>,
+    accums: GroupAccums,
     representatives: Vec<u8>,
-    /// Record width (known once a group exists).
-    width: usize,
-    regs: Vec<f64>,
     tuples: u64,
+    // Scratch of one page: per attribute the rows' key images, then the
+    // key runs and each run's cell offset and group number.
+    lanes: Vec<Vec<i64>>,
+    runs: KeyRuns,
+    offsets: Vec<usize>,
+    groups: Vec<u32>,
 }
 
-impl MapGroups {
-    fn new(agg: &CompiledAgg) -> Self {
+impl<'a> MapGroups<'a> {
+    fn new(agg: &'a CompiledAgg) -> Self {
         MapGroups {
+            agg,
+            fold: agg.page_fold(),
             dir: MapDirectory::new(agg.group_keys.len()),
             images: Vec::new(),
-            accums: Vec::new(),
+            accums: agg.fresh_accums(),
             representatives: Vec::new(),
-            width: 0,
-            regs: agg.program.frame(),
             tuples: 0,
+            lanes: vec![Vec::new(); agg.group_keys.len()],
+            runs: KeyRuns::new(),
+            offsets: Vec::new(),
+            groups: Vec::new(),
         }
     }
 
-    /// The group of the tuple with key images `image(i)`, entered with
-    /// `record` as its representative when it is the group's first.
-    #[inline(always)]
-    fn group(&mut self, agg: &CompiledAgg, image: impl Fn(usize) -> i64, record: &[u8]) -> usize {
-        let offset = self.dir.offset(&image, &self.images);
-        match self.dir.cells[offset] {
-            0 => {
-                let k = agg.group_keys.len();
-                let g = self.images.len() / k;
-                self.images.extend((0..k).map(image));
-                self.accums.extend(agg.fresh_accums());
-                self.representatives.extend_from_slice(record);
-                self.width = record.len();
-                self.dir.cells[offset] = g as u32 + 1;
-                g
+    /// Number the groups of the key `runs` of the image `lanes`, in row
+    /// order; a run that is its group's first enters the group with
+    /// `record(row)` as its representative.
+    fn assign<'r>(&mut self, record: impl Fn(usize) -> &'r [u8]) -> Result<()> {
+        let starts = self.runs.starts();
+        self.dir
+            .offsets(&self.lanes, starts, &self.images, &mut self.offsets)?;
+        self.groups.clear();
+        for (&offset, &row) in self.offsets.iter().zip(starts) {
+            let cell = &mut self.dir.cells[offset];
+            if *cell == 0 {
+                let row = row as usize;
+                self.images.extend(self.lanes.iter().map(|lane| lane[row]));
+                self.representatives.extend_from_slice(record(row));
+                *cell = self.accums.push_group() as u32 + 1;
             }
-            cell => cell as usize - 1,
+            self.groups.push(*cell - 1);
         }
+        Ok(())
     }
 
-    #[inline(always)]
-    fn update(&mut self, agg: &CompiledAgg, record: &[u8]) {
-        self.tuples += 1;
-        let g = self.group(agg, |i| agg.group_keys[i].as_i64(record), record);
-        let s = agg.slots();
-        agg.update_all(&mut self.regs, &mut self.accums[g * s..(g + 1) * s], record);
+    fn fold_page(&mut self, page: &[u8]) -> Result<()> {
+        let ts = self.agg.tuple_size;
+        for (key, lane) in self.agg.group_keys.iter().zip(&mut self.lanes) {
+            lane.clear();
+            key.images_into(page, ts, lane);
+        }
+        let rows = self.fold.fill(page);
+        self.runs.cut(&self.lanes, rows);
+        self.assign(|row| &page[row * ts..(row + 1) * ts])?;
+        self.tuples += rows as u64;
+        self.fold.fold(&self.runs, &self.groups, &mut self.accums);
+        Ok(())
     }
 
     /// Fold a later chunk's groups in; the earlier representative wins.
-    fn combine(&mut self, agg: &CompiledAgg, other: &MapGroups) {
+    fn combine(&mut self, other: &MapGroups) -> Result<()> {
         self.tuples += other.tuples;
-        let (k, s, ts) = (agg.group_keys.len(), agg.slots(), other.width);
-        for (g, images) in other.images.chunks_exact(k).enumerate() {
-            let rep = &other.representatives[g * ts..(g + 1) * ts];
-            let merged = self.group(agg, |i| images[i], rep);
-            let local = &other.accums[g * s..(g + 1) * s];
-            for (a, l) in self.accums[merged * s..(merged + 1) * s]
-                .iter_mut()
-                .zip(local)
-            {
-                a.combine(l);
-            }
+        let (k, ts) = (self.lanes.len(), self.agg.tuple_size);
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            lane.clear();
+            lane.extend(other.images.iter().skip(i).step_by(k));
         }
+        self.runs.cut(&self.lanes, other.accums.groups());
+        self.assign(|g| &other.representatives[g * ts..(g + 1) * ts])?;
+        for (from, &g) in self.groups.iter().enumerate() {
+            self.accums.combine(g as usize, &other.accums, from);
+        }
+        Ok(())
     }
 
     /// One output row per group, in offset order of the sorted directories
     /// (= lexicographic order of the groups' key images), charging the
     /// scan's work to `stats`: every tuple searched every final directory.
-    fn emit(&self, agg: &CompiledAgg, stats: &mut ExecStats) -> Vec<Row> {
+    fn emit(&self, stats: &mut ExecStats) -> Vec<Row> {
+        let (agg, k, ts) = (self.agg, self.lanes.len(), self.agg.tuple_size);
         stats.tuples_processed += self.tuples;
-        stats.bytes_touched += self.tuples * self.width as u64;
+        stats.bytes_touched += self.tuples * ts as u64;
         stats.comparisons += self.tuples * self.dir.comparisons_per_tuple();
-        let (k, s, ts) = (agg.group_keys.len(), agg.slots(), self.width);
-        let mut order: Vec<usize> = (0..self.images.len() / k).collect();
+        let mut order: Vec<usize> = (0..self.accums.groups()).collect();
         order.sort_unstable_by_key(|&g| &self.images[g * k..(g + 1) * k]);
         order
             .into_iter()
             .map(|g| {
                 let rep = &self.representatives[g * ts..(g + 1) * ts];
-                agg.finish_row(agg.group_values(rep), &self.accums[g * s..(g + 1) * s])
+                agg.finish_row(agg.group_values(rep), &self.accums, g)
             })
             .collect()
+    }
+}
+
+/// The linear group-boundary scan of sort aggregation over one sorted
+/// partition, a page at a time: one boundary sweep per grouping attribute
+/// cuts the page into its groups' runs, the groups that end inside the page
+/// become output rows, and the last one is carried — its slots and one
+/// record — into the next page.
+struct SortScan<'a> {
+    agg: &'a CompiledAgg,
+    fold: PageFold,
+    /// The groups of the page being scanned; group 0 is the carried one.
+    accums: GroupAccums,
+    /// The last record scanned (empty before the first).
+    last: Vec<u8>,
+    // Scratch of one page: its runs and their groups.
+    runs: KeyRuns,
+    groups: Vec<u32>,
+}
+
+impl<'a> SortScan<'a> {
+    fn new(agg: &'a CompiledAgg) -> Self {
+        SortScan {
+            agg,
+            fold: agg.page_fold(),
+            accums: agg.fresh_accums(),
+            last: Vec::new(),
+            runs: KeyRuns::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    fn scan_page(&mut self, page: &[u8], stats: &mut ExecStats, out: &mut Vec<Row>) {
+        let (agg, ts) = (self.agg, self.agg.tuple_size);
+        let rows = self.fold.fill(page);
+        if rows == 0 {
+            return;
+        }
+        let record = |row: usize| &page[row * ts..(row + 1) * ts];
+        // Every record but the partition's first is compared with its
+        // predecessor.
+        let carried = !self.last.is_empty();
+        stats.tuples_processed += rows as u64;
+        stats.bytes_touched += (rows * ts) as u64;
+        stats.comparisons += ((rows - 1 + carried as usize) * agg.group_keys.len()) as u64;
+        self.runs.begin(rows);
+        for key in &agg.group_keys {
+            key.mark_changes(page, ts, self.runs.boundaries_mut());
+        }
+        self.runs.finish();
+        // Run `i` is group `i` of the page, after the carried group unless
+        // the first run continues it.
+        let continues = carried && compare_keys(&agg.group_keys, &self.last, record(0)).is_eq();
+        let ended_before = carried as usize - continues as usize;
+        self.groups.clear();
+        for g in ended_before..ended_before + self.runs.starts().len() {
+            if g == self.accums.groups() {
+                self.accums.push_group();
+            }
+            self.groups.push(g as u32);
+        }
+        self.fold.fold(&self.runs, &self.groups, &mut self.accums);
+        // Every group but the last has ended.
+        for g in 0..self.accums.groups() - 1 {
+            let rep = match g.checked_sub(ended_before) {
+                Some(run) => record(self.runs.starts()[run] as usize),
+                None => &self.last[..],
+            };
+            out.push(agg.finish_row(agg.group_values(rep), &self.accums, g));
+        }
+        self.accums.retain_last();
+        self.last.clear();
+        self.last.extend_from_slice(record(rows - 1));
+    }
+
+    /// The partition ended: its last group becomes a row.
+    fn finish(self, out: &mut Vec<Row>) {
+        if !self.last.is_empty() {
+            let values = self.agg.group_values(&self.last);
+            out.push(self.agg.finish_row(values, &self.accums, 0));
+        }
     }
 }
 
@@ -280,6 +441,7 @@ impl CompiledAgg {
                 .map(|&c| CompiledKey::compile(input_schema, c))
                 .collect(),
             program: AggProgram::compile(spec, input_schema)?,
+            tuple_size: input_schema.tuple_size(),
         })
     }
 
@@ -295,33 +457,23 @@ impl CompiledAgg {
         &self.program
     }
 
-    /// Accumulator slots per group.
-    fn slots(&self) -> usize {
-        self.program.layout().slots().len()
+    /// The program's page sweeps, resolved for one kernel call (or one
+    /// worker of it).
+    fn page_fold(&self) -> PageFold {
+        PageFold::new(self.program.nodes(), self.program.layout(), self.tuple_size)
     }
 
-    fn fresh_accums(&self) -> Vec<Accum> {
-        vec![Accum::new(); self.slots()]
-    }
-
-    /// Fold `record` into its group's slots: the one place aggregate
-    /// arguments are evaluated, once per distinct DAG node.
-    #[inline(always)]
-    fn update_all(&self, regs: &mut [f64], accums: &mut [Accum], record: &[u8]) {
-        self.program.eval(record, regs);
-        self.program
-            .layout()
-            .accumulate(accums, |r| regs[r as usize]);
+    fn fresh_accums(&self) -> GroupAccums {
+        GroupAccums::new(self.program.layout())
     }
 
     fn group_values(&self, record: &[u8]) -> Vec<Value> {
         self.group_keys.iter().map(|k| k.value(record)).collect()
     }
 
-    fn finish_row(&self, group: Vec<Value>, accums: &[Accum]) -> Row {
+    fn finish_row(&self, group: Vec<Value>, accums: &GroupAccums, g: usize) -> Row {
         let mut values = group;
-        let layout = self.program.layout();
-        values.extend((0..layout.num_aggregates()).map(|i| layout.finish(i, accums)));
+        values.extend((0..self.num_aggregates()).map(|i| accums.finish(i, g)));
         Row::new(values)
     }
 
@@ -347,18 +499,25 @@ impl CompiledAgg {
         stats: &mut ExecStats,
     ) -> Vec<Row> {
         stats.add_calls(1);
+        let ts = self.tuple_size;
         if self.group_keys.is_empty() {
             let mut group = GlobalGroup::new(self);
-            for rec in input.records() {
-                group.update(self, rec);
+            for p in 0..input.num_partitions() {
+                pages(input.partition(p), ts).for_each(|page| group.fold_page(page));
             }
             return group.finish(self, stats);
         }
-        let ts = input.tuple_size();
+        // Groups never span partitions (hash or fine partitioning is on a
+        // grouping attribute), so partitions aggregate independently — the
+        // unit of work of the partition-parallel mode.
         let results: Vec<(Vec<Row>, ExecStats)> = pool.map(input.num_partitions(), |p| {
             let mut local = ExecStats::new();
             let mut rows = Vec::new();
-            self.sort_aggregate_partition(input.partition(p), ts, &mut local, &mut rows);
+            let mut scan = SortScan::new(self);
+            for page in pages(input.partition(p), ts) {
+                scan.scan_page(page, &mut local, &mut rows);
+            }
+            scan.finish(&mut rows);
             (rows, local)
         });
         let mut out = Vec::new();
@@ -367,43 +526,6 @@ impl CompiledAgg {
             out.extend(rows);
         }
         out
-    }
-
-    /// Linear group-boundary scan over one sorted partition, appending one
-    /// output row per group.  Groups never span partitions (hash or fine
-    /// partitioning is on a grouping attribute), so partitions aggregate
-    /// independently — the unit of work of the partition-parallel mode.
-    fn sort_aggregate_partition(
-        &self,
-        buf: &[u8],
-        ts: usize,
-        stats: &mut ExecStats,
-        out: &mut Vec<Row>,
-    ) {
-        let n = buf.len() / ts;
-        if n == 0 {
-            return;
-        }
-        let mut regs = self.program.frame();
-        let mut accums = self.fresh_accums();
-        let mut group_start = 0usize;
-        for i in 0..n {
-            let rec = &buf[i * ts..(i + 1) * ts];
-            stats.tuples_processed += 1;
-            stats.bytes_touched += ts as u64;
-            if i > group_start {
-                let prev = &buf[(i - 1) * ts..i * ts];
-                stats.comparisons += self.group_keys.len() as u64;
-                if compare_keys(&self.group_keys, prev, rec) != std::cmp::Ordering::Equal {
-                    out.push(self.finish_row(self.group_values(prev), &accums));
-                    accums.fill(Accum::new());
-                    group_start = i;
-                }
-            }
-            self.update_all(&mut regs, &mut accums, rec);
-        }
-        let last = &buf[(n - 1) * ts..n * ts];
-        out.push(self.finish_row(self.group_values(last), &accums));
     }
 
     /// Hybrid hash-sort aggregation: partition on the first grouping column,
@@ -447,57 +569,55 @@ impl CompiledAgg {
     /// (paper §V-B, Figure 4).  The directories grow on first occurrence
     /// during that scan ([`MapDirectory`]) — the paper assumes the domains
     /// are known from the catalogue; here they are discovered as they
-    /// appear, without a second look at the input.
+    /// appear, without a second look at the input.  Domains the cell array
+    /// cannot be laid out for (the plan's statistics have gone stale, or
+    /// the algorithm was forced) are a typed error.
     ///
     /// The scan divides across `pool`: workers process contiguous record
     /// chunks (deterministic chunking) into thread-local directories and
     /// groups, merged in chunk order — the union of the directories,
-    /// [`Accum::combine`] of the slots, the lowest-index representative —
-    /// so groups, representatives and integer aggregates are the same for
-    /// every pool width, while SUM/AVG re-associate floating-point addition
-    /// deterministically per width (DESIGN.md §7).
+    /// [`GroupAccums::combine`] of the slots, the lowest-index
+    /// representative — so groups, representatives and integer aggregates
+    /// are the same for every pool width, while SUM/AVG re-associate
+    /// floating-point addition deterministically per width (DESIGN.md §7).
     pub fn map_aggregate(
         &self,
         input: &StagedRelation,
         pool: &ScopedPool,
         stats: &mut ExecStats,
-    ) -> Vec<Row> {
+    ) -> Result<Vec<Row>> {
         stats.add_calls(1);
-        let ts = input.tuple_size();
+        let ts = self.tuple_size;
         let ranges = chunk_ranges(input.num_records(), pool.threads());
+        let chunk_pages = |range: &std::ops::Range<usize>| {
+            input
+                .packed_runs(range.clone())
+                .flat_map(move |run| pages(run, ts))
+        };
 
         if self.group_keys.is_empty() {
             let chunks: Vec<GlobalGroup> = pool.map_items(&ranges, |_, range| {
                 let mut group = GlobalGroup::new(self);
-                for run in input.packed_runs(range.clone()) {
-                    for rec in run.chunks_exact(ts) {
-                        group.update(self, rec);
-                    }
-                }
+                chunk_pages(range).for_each(|page| group.fold_page(page));
                 group
             });
-            let mut group = GlobalGroup::new(self);
-            for chunk in &chunks {
-                group.combine(chunk);
-            }
-            return group.finish(self, stats);
+            let mut chunks = chunks.into_iter();
+            let mut group = chunks.next().unwrap_or_else(|| GlobalGroup::new(self));
+            chunks.for_each(|chunk| group.combine(&chunk));
+            return Ok(group.finish(self, stats));
         }
 
-        let chunks: Vec<MapGroups> = pool.map_items(&ranges, |_, range| {
+        let chunks: Vec<Result<MapGroups>> = pool.map_items(&ranges, |_, range| {
             let mut groups = MapGroups::new(self);
-            for run in input.packed_runs(range.clone()) {
-                for rec in run.chunks_exact(ts) {
-                    groups.update(self, rec);
-                }
-            }
-            groups
+            chunk_pages(range).try_for_each(|page| groups.fold_page(page))?;
+            Ok(groups)
         });
         let mut chunks = chunks.into_iter();
-        let mut groups = chunks.next().unwrap_or_else(|| MapGroups::new(self));
+        let mut groups = chunks.next().unwrap_or_else(|| Ok(MapGroups::new(self)))?;
         for chunk in chunks {
-            groups.combine(self, &chunk);
+            groups.combine(&chunk?)?;
         }
-        groups.emit(self, stats)
+        Ok(groups.emit(stats))
     }
 
     // ---- Page-at-a-time stream kernels -----------------------------------
@@ -511,8 +631,8 @@ impl CompiledAgg {
     // parallel map path).
 
     /// [`CompiledAgg::sort_aggregate`] over a partition-sorted stream: the
-    /// linear group-boundary scan, keeping only the previous record (not
-    /// the partition) resident.
+    /// linear group-boundary scan, keeping only the pinned page and the
+    /// previous record (not the partition) resident.
     pub fn sort_aggregate_stream(
         &self,
         set: &PartitionSet<'_>,
@@ -524,29 +644,9 @@ impl CompiledAgg {
         }
         let mut out = Vec::new();
         for stream in set.streams() {
-            let ts = stream.tuple_size();
-            let mut prev: Vec<u8> = Vec::new();
-            let mut regs = self.program.frame();
-            let mut accums = self.fresh_accums();
-            let mut in_group = false;
-            stream.for_each_record(|rec| {
-                stats.tuples_processed += 1;
-                stats.bytes_touched += ts as u64;
-                if in_group {
-                    stats.comparisons += self.group_keys.len() as u64;
-                    if compare_keys(&self.group_keys, &prev, rec) != std::cmp::Ordering::Equal {
-                        out.push(self.finish_row(self.group_values(&prev), &accums));
-                        accums.fill(Accum::new());
-                    }
-                }
-                self.update_all(&mut regs, &mut accums, rec);
-                prev.clear();
-                prev.extend_from_slice(rec);
-                in_group = true;
-            })?;
-            if in_group {
-                out.push(self.finish_row(self.group_values(&prev), &accums));
-            }
+            let mut scan = SortScan::new(self);
+            stream.for_each_page(|page| scan.scan_page(page, stats, &mut out))?;
+            scan.finish(&mut out);
         }
         Ok(out)
     }
@@ -564,8 +664,8 @@ impl CompiledAgg {
             return self.global_aggregate_stream(set, stats);
         }
         let mut groups = MapGroups::new(self);
-        set.for_each_record(|rec| groups.update(self, rec))?;
-        Ok(groups.emit(self, stats))
+        try_for_each_page(set, |page| groups.fold_page(page))?;
+        Ok(groups.emit(stats))
     }
 
     /// [`CompiledAgg::hybrid_aggregate`] over a stream: one streaming
@@ -607,7 +707,10 @@ impl CompiledAgg {
         stats: &mut ExecStats,
     ) -> Result<Vec<Row>> {
         let mut group = GlobalGroup::new(self);
-        set.for_each_record(|rec| group.update(self, rec))?;
+        try_for_each_page(set, |page| {
+            group.fold_page(page);
+            Ok(())
+        })?;
         Ok(group.finish(self, stats))
     }
 }
@@ -763,7 +866,7 @@ mod tests {
         let hybrid_res = normalized(compiled.hybrid_aggregate(&input, 16, &pool, &mut s2));
 
         let mut s3 = ExecStats::new();
-        let map_res = normalized(compiled.map_aggregate(&input, &pool, &mut s3));
+        let map_res = normalized(compiled.map_aggregate(&input, &pool, &mut s3).unwrap());
 
         assert_eq!(sort_res.len(), 10);
         assert_eq!(sort_res, hybrid_res);
@@ -793,7 +896,7 @@ mod tests {
         let pool = ScopedPool::serial();
         let mut stats = ExecStats::new();
         for rows in [
-            compiled.map_aggregate(&input, &pool, &mut stats),
+            compiled.map_aggregate(&input, &pool, &mut stats).unwrap(),
             compiled.sort_aggregate(&input, &pool, &mut stats),
             compiled.hybrid_aggregate(&input, 4, &pool, &mut stats),
         ] {
@@ -818,13 +921,18 @@ mod tests {
                 assert!(compiled
                     .hybrid_aggregate(&input, 4, &pool, &mut stats)
                     .is_empty());
-                assert!(compiled.map_aggregate(&input, &pool, &mut stats).is_empty());
+                assert!(compiled
+                    .map_aggregate(&input, &pool, &mut stats)
+                    .unwrap()
+                    .is_empty());
             }
         }
         // And a non-empty global aggregate still yields exactly one row.
         let filled = relation(100);
         let compiled = CompiledAgg::compile(&global_spec(), filled.schema()).unwrap();
-        let rows = compiled.map_aggregate(&filled, &ScopedPool::new(4), &mut ExecStats::new());
+        let rows = compiled
+            .map_aggregate(&filled, &ScopedPool::new(4), &mut ExecStats::new())
+            .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(1), &Value::Int64(100));
     }
@@ -852,7 +960,7 @@ mod tests {
             // Map: thread-local arrays merged with the combine logic.  The
             // test values are integer-valued floats, so even the SUM/AVG
             // accumulators match exactly here.
-            let map = compiled.map_aggregate(&input, &pool, &mut m);
+            let map = compiled.map_aggregate(&input, &pool, &mut m).unwrap();
             ((sort, s), (hybrid, h), (map, m))
         };
         let serial = run(1);
@@ -874,9 +982,9 @@ mod tests {
         let compiled = CompiledAgg::compile(&s, input.schema()).unwrap();
         let (serial, wide) = (ScopedPool::serial(), ScopedPool::new(16));
         let mut st = ExecStats::new();
-        let expected = normalized(compiled.map_aggregate(&input, &serial, &mut st));
+        let expected = normalized(compiled.map_aggregate(&input, &serial, &mut st).unwrap());
         assert_eq!(expected.len(), 2);
-        let map = normalized(compiled.map_aggregate(&input, &wide, &mut st));
+        let map = normalized(compiled.map_aggregate(&input, &wide, &mut st).unwrap());
         assert_eq!(map, expected);
         let hybrid = normalized(compiled.hybrid_aggregate(&input, 8, &wide, &mut st));
         assert_eq!(hybrid, expected);
@@ -898,10 +1006,14 @@ mod tests {
         let input = StagedRelation::from_rows(schema(), &rows).unwrap();
         let compiled = CompiledAgg::compile(&spec(), input.schema()).unwrap();
         let (serial, wide) = (ScopedPool::serial(), ScopedPool::new(4));
-        let expected = compiled.map_aggregate(&input, &serial, &mut ExecStats::new());
+        let expected = compiled
+            .map_aggregate(&input, &serial, &mut ExecStats::new())
+            .unwrap();
         assert_eq!(expected.len(), 1);
         assert_eq!(expected[0].get(3), &Value::Int64(600));
-        let map = compiled.map_aggregate(&input, &wide, &mut ExecStats::new());
+        let map = compiled
+            .map_aggregate(&input, &wide, &mut ExecStats::new())
+            .unwrap();
         assert_eq!(map, expected);
         let hybrid = compiled.hybrid_aggregate(&input, 8, &wide, &mut ExecStats::new());
         assert_eq!(hybrid, expected);
@@ -1146,7 +1258,9 @@ mod tests {
         for threads in [1, 2, 3, 4, 16] {
             let (rows, stats) = two_pass_map_aggregate(spec, input, threads);
             let mut got_stats = ExecStats::new();
-            let got = compiled.map_aggregate(input, &ScopedPool::new(threads), &mut got_stats);
+            let got = compiled
+                .map_aggregate(input, &ScopedPool::new(threads), &mut got_stats)
+                .unwrap();
             // Rows, their order, and (through `g2`'s spelling) which record
             // represents each group.
             assert_eq!(exact(&got), exact(&rows), "rows, threads={threads}");
@@ -1236,5 +1350,358 @@ mod tests {
         assert_eq!(ctx.meter().peak(), 1);
         drop(slot);
         std::fs::remove_file(&path).ok();
+    }
+
+    // ---- The page fold ≡ the row-at-a-time fold ---------------------------
+
+    /// Sort aggregation as every kernel ran it before the page fold — the
+    /// linear boundary scan, one `eval` and one `accumulate_row` per record
+    /// — kept as the reference over per-partition record lists.
+    fn row_at_a_time_sort_scan(agg: &CompiledAgg, partitions: &[Vec<&[u8]>]) -> Vec<Row> {
+        let mut out = Vec::new();
+        for records in partitions {
+            let mut accums = agg.fresh_accums();
+            for (i, rec) in records.iter().enumerate() {
+                if i == 0 || compare_keys(&agg.group_keys, records[i - 1], rec).is_ne() {
+                    if let Some(prev) = i.checked_sub(1) {
+                        let values = agg.group_values(records[prev]);
+                        out.push(agg.finish_row(values, &accums, accums.groups() - 1));
+                    }
+                    accums.push_group();
+                }
+                let regs = agg.program.eval(rec);
+                accums.accumulate_row(accums.groups() - 1, |r| regs[r as usize]);
+            }
+            if let Some(last) = records.last() {
+                out.push(agg.finish_row(agg.group_values(last), &accums, accums.groups() - 1));
+            }
+        }
+        out
+    }
+
+    /// Map (and, without group keys, global) aggregation row at a time:
+    /// chunks of the record sequence fold into groups found through an
+    /// ordered map, merged in chunk order, one row per group in image order.
+    fn row_at_a_time_map(agg: &CompiledAgg, records: &[&[u8]], threads: usize) -> Vec<Row> {
+        use std::collections::BTreeMap;
+        let mut merged: BTreeMap<Vec<i64>, (usize, usize)> = BTreeMap::new();
+        let mut accums = agg.fresh_accums();
+        for range in chunk_ranges(records.len(), threads) {
+            let mut groups: BTreeMap<Vec<i64>, (usize, usize)> = BTreeMap::new();
+            let mut local = agg.fresh_accums();
+            for i in range {
+                let images: Vec<i64> = agg
+                    .group_keys
+                    .iter()
+                    .map(|k| k.as_i64(records[i]))
+                    .collect();
+                let (g, _) = *groups
+                    .entry(images)
+                    .or_insert_with(|| (local.push_group(), i));
+                let regs = agg.program.eval(records[i]);
+                local.accumulate_row(g, |r| regs[r as usize]);
+            }
+            for (images, (from, rep)) in groups {
+                let (g, _) = *merged
+                    .entry(images)
+                    .or_insert_with(|| (accums.push_group(), rep));
+                accums.combine(g, &local, from);
+            }
+        }
+        merged
+            .values()
+            .map(|&(g, rep)| agg.finish_row(agg.group_values(records[rep]), &accums, g))
+            .collect()
+    }
+
+    /// `(g1 Int32, g2 Char(10), v Float64, d Date, n Int32)`: 30-byte
+    /// records, 136 to a page.
+    fn fold_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("g1", DataType::Int32),
+            Column::new("g2", DataType::Char(10)),
+            Column::new("v", DataType::Float64),
+            Column::new("d", DataType::Date),
+            Column::new("n", DataType::Int32),
+        ])
+    }
+
+    /// Rows with the given keys; values cycle through the floats a fold can
+    /// get wrong — sums that cancel differently in another order, signed
+    /// zeros and, in the groups whose `g1` is a multiple of four (they would
+    /// drown every other group's sums), NaN and the infinities — dates and
+    /// ints through both signs.  `g2` spells the row number after its
+    /// eight-byte image, so representatives are visible in the output.
+    fn fold_relation(keys: impl Iterator<Item = (i32, char)>) -> StagedRelation {
+        let floats = [0.1, -0.0, 0.0, 1e16, -1e16, 2.5, -7.25, 1.0, 3e-9];
+        let specials = [f64::NAN, f64::INFINITY, 0.5, f64::NEG_INFINITY, -0.0];
+        let rows: Vec<Row> = keys
+            .enumerate()
+            .map(|(i, (g1, g2))| {
+                let at = i * 7 + i / 13;
+                Row::new(vec![
+                    Value::Int32(g1),
+                    Value::Str(format!("{}{:02}", g2.to_string().repeat(8), i % 100)),
+                    Value::Float64(if g1 % 4 == 0 && i % 3 == 0 {
+                        specials[at % specials.len()]
+                    } else {
+                        floats[at % floats.len()]
+                    }),
+                    Value::Date(8000 + (i as i32 * 37) % 2000 - 1000),
+                    Value::Int32((i as i32 * 7919) % 1000 - 500),
+                ])
+            })
+            .collect();
+        StagedRelation::from_rows(fold_schema(), &rows).unwrap()
+    }
+
+    /// SUMs over shared nodes, AVG, COUNT, MIN/MAX on `Int32`, `Date` and
+    /// an arithmetic node.
+    fn fold_spec(group_columns: Vec<usize>) -> AggregateSpec {
+        let col = |index: usize| ScalarExpr::Column {
+            index,
+            dtype: fold_schema().column(index).dtype,
+        };
+        let bin = |op, l: ScalarExpr, r: ScalarExpr| ScalarExpr::Binary {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+            dtype: DataType::Float64,
+        };
+        let one = || ScalarExpr::Literal(Value::Int32(1));
+        let scaled = || bin(BinOp::Mul, col(2), bin(BinOp::Sub, one(), col(4)));
+        let agg = |func, arg: Option<ScalarExpr>, dtype| BoundAggregate { func, arg, dtype };
+        AggregateSpec {
+            group_domain_sizes: vec![0; group_columns.len()],
+            group_columns,
+            aggregates: vec![
+                agg(AggFunc::Sum, Some(col(2)), DataType::Float64),
+                agg(AggFunc::Sum, Some(scaled()), DataType::Float64),
+                agg(
+                    AggFunc::Sum,
+                    Some(bin(BinOp::Div, scaled(), col(3))),
+                    DataType::Float64,
+                ),
+                agg(AggFunc::Avg, Some(col(2)), DataType::Float64),
+                agg(AggFunc::Count, None, DataType::Int64),
+                agg(AggFunc::Min, Some(col(4)), DataType::Int32),
+                agg(AggFunc::Max, Some(col(3)), DataType::Date),
+                agg(AggFunc::Min, Some(col(2)), DataType::Float64),
+                agg(AggFunc::Max, Some(scaled()), DataType::Float64),
+                agg(AggFunc::Sum, Some(col(4)), DataType::Int64),
+            ],
+            algorithm: AggAlgorithm::Map,
+        }
+    }
+
+    /// `rel` spilled through a two-frame pool, handed to `consume` as the
+    /// partition set a budgeted execution streams; the consumer may never
+    /// hold more than the pinned page.
+    fn with_spilled<T>(rel: &StagedRelation, consume: impl FnOnce(&PartitionSet<'_>) -> T) -> T {
+        use hique_pipeline::SpillContext;
+        use hique_storage::{BufferPool, TempSpace};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "hique_agg_fold_{}_{}.spill",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let pool = Arc::new(BufferPool::new(2).unwrap());
+        let temp = Arc::new(TempSpace::create(Arc::clone(&pool), &path).unwrap());
+        let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
+        let input = crate::staging::StagedInput::unpartitioned(rel.clone());
+        let slot = crate::spill::StagedSlot::stage(input, Some(&ctx)).unwrap();
+        // (A relation of a few records stays resident and streams as one
+        // memory page.)
+        assert_eq!(slot.is_spilled(), ctx.should_spill(rel.data_bytes()));
+        let out = consume(&slot.partitions(Some(&ctx)).unwrap());
+        assert_eq!(
+            ctx.meter().peak(),
+            slot.is_spilled() as usize,
+            "one pinned page at a time"
+        );
+        drop(slot);
+        std::fs::remove_file(&path).ok();
+        out
+    }
+
+    #[test]
+    fn every_form_folds_bit_identically_to_the_row_at_a_time_fold() {
+        let mut rng = XorShift(0xF01D_A6E5);
+        let per_page = records_per_page(fold_schema().tuple_size());
+        // One group; every row its own group; more groups than a page has
+        // rows, revisited at random; sorted runs of every length up to two
+        // pages, so runs cross page boundaries; the small cases.
+        let one_group = fold_relation((0..600).map(|_| (1, 'A')));
+        let one_special_group = fold_relation((0..600).map(|_| (4, 'A')));
+        let all_distinct = fold_relation((0..700).map(|i| (i, 'A')));
+        let many_groups = fold_relation((0..3000).map(|_| {
+            let r = rng.next();
+            ((r % 200) as i32 - 100, (b'A' + (r >> 16) as u8 % 3) as char)
+        }));
+        assert!(600 > 3 * per_page);
+        let crossing = fold_relation(
+            (1..=2 * per_page as i32 + 3)
+                .step_by(17)
+                .flat_map(|len| (0..len).map(move |_| (len, 'R'))),
+        );
+        let tiny = fold_relation([(5, 'B'), (5, 'A'), (4, 'B')].into_iter());
+        let empty = StagedRelation::new(fold_schema());
+        assert!(with_spilled(&one_group, |set| {
+            set.for_each_record(|_| {}).unwrap();
+            set.streams()[0].is_spilled()
+        }));
+        let inputs = [
+            &one_group,
+            &one_special_group,
+            &all_distinct,
+            &many_groups,
+            &crossing,
+            &tiny,
+            &empty,
+        ];
+
+        for (input, group_columns) in inputs
+            .into_iter()
+            .flat_map(|input| [vec![0, 1], vec![1], vec![]].map(|g| (input, g)))
+        {
+            let spec = fold_spec(group_columns.clone());
+            let agg = CompiledAgg::compile(&spec, input.schema()).unwrap();
+            let records: Vec<&[u8]> = input.records().collect();
+            let context = format!("{} records by {group_columns:?}", records.len());
+            let spillable = !records.is_empty();
+
+            // Map (and global) aggregation: chunked scans and their combine.
+            for threads in [1, 2, 4] {
+                let want = exact(&row_at_a_time_map(&agg, &records, threads));
+                let pool = ScopedPool::new(threads);
+                let got = agg.map_aggregate(input, &pool, &mut ExecStats::new());
+                assert_eq!(exact(&got.unwrap()), want, "map x{threads}, {context}");
+            }
+            let want_map = exact(&row_at_a_time_map(&agg, &records, 1));
+            if spillable {
+                let got = with_spilled(input, |set| {
+                    agg.map_aggregate_stream(set, &mut ExecStats::new())
+                });
+                assert_eq!(exact(&got.unwrap()), want_map, "map stream, {context}");
+            }
+
+            // Sort aggregation over the sorted input (global: any order).
+            let mut sorted = input.clone();
+            sorted.sort_all(&agg.group_keys, &ScopedPool::serial());
+            let sorted_records = vec![sorted.records().collect::<Vec<_>>()];
+            let want_sort = exact(&if group_columns.is_empty() {
+                row_at_a_time_map(&agg, &sorted_records[0], 1)
+            } else {
+                row_at_a_time_sort_scan(&agg, &sorted_records)
+            });
+            for threads in [1, 2, 4] {
+                let pool = ScopedPool::new(threads);
+                let got = agg.sort_aggregate(&sorted, &pool, &mut ExecStats::new());
+                assert_eq!(exact(&got), want_sort, "sort x{threads}, {context}");
+            }
+            if spillable {
+                let got = with_spilled(&sorted, |set| {
+                    agg.sort_aggregate_stream(set, &mut ExecStats::new())
+                });
+                assert_eq!(exact(&got.unwrap()), want_sort, "sort stream, {context}");
+            }
+
+            // Hybrid: the scatter and the sorts are not under test, so the
+            // reference scans the partitions they produce.
+            let want_hybrid = exact(&if group_columns.is_empty() {
+                row_at_a_time_map(&agg, &records, 1)
+            } else {
+                let mut stats = ExecStats::new();
+                let parts = par_scatter(
+                    input,
+                    agg.group_keys[0],
+                    8,
+                    &ScopedPool::serial(),
+                    &mut stats,
+                );
+                let mut staged = StagedRelation::from_partitions(input.schema().clone(), parts);
+                staged.sort_all(&agg.group_keys, &ScopedPool::serial());
+                let partitions: Vec<Vec<&[u8]>> = (0..staged.num_partitions())
+                    .map(|p| staged.partition_records(p).collect())
+                    .collect();
+                row_at_a_time_sort_scan(&agg, &partitions)
+            });
+            for threads in [1, 2, 4] {
+                let pool = ScopedPool::new(threads);
+                let got = agg.hybrid_aggregate(input, 8, &pool, &mut ExecStats::new());
+                assert_eq!(exact(&got), want_hybrid, "hybrid x{threads}, {context}");
+                if spillable {
+                    let got = with_spilled(input, |set| {
+                        agg.hybrid_aggregate_stream(
+                            set,
+                            input.schema(),
+                            8,
+                            &pool,
+                            &mut ExecStats::new(),
+                        )
+                    });
+                    assert_eq!(
+                        exact(&got.unwrap()),
+                        want_hybrid,
+                        "hybrid stream x{threads}, {context}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_array_that_cannot_be_laid_out_is_a_typed_error() {
+        // Map aggregation planned for small domains the data has outgrown:
+        // every attribute all-distinct, so the first page already asks for
+        // 128 cells per attribute — 2^56 cells over eight attributes (more
+        // than the address space: the reservation fails), 2^70 over ten
+        // (the product overflows).
+        for attributes in [8usize, 10] {
+            let mut columns: Vec<Column> = (0..attributes)
+                .map(|a| Column::new(format!("g{a}"), DataType::Int32))
+                .collect();
+            columns.push(Column::new("v", DataType::Float64));
+            let schema = Schema::new(columns);
+            let rows: Vec<Row> = (0..200)
+                .map(|i| {
+                    let mut values = vec![Value::Int32(i); attributes];
+                    values.push(Value::Float64(i as f64));
+                    Row::new(values)
+                })
+                .collect();
+            let input = StagedRelation::from_rows(schema, &rows).unwrap();
+            let spec = AggregateSpec {
+                group_columns: (0..attributes).collect(),
+                aggregates: vec![BoundAggregate {
+                    func: AggFunc::Count,
+                    arg: None,
+                    dtype: DataType::Int64,
+                }],
+                algorithm: AggAlgorithm::Map,
+                group_domain_sizes: vec![2; attributes],
+            };
+            let compiled = CompiledAgg::compile(&spec, input.schema()).unwrap();
+            for threads in [1, 4] {
+                let pool = ScopedPool::new(threads);
+                let err = compiled
+                    .map_aggregate(&input, &pool, &mut ExecStats::new())
+                    .unwrap_err();
+                let HiqueError::Execution(message) = &err else {
+                    panic!("{attributes} attributes: {err}");
+                };
+                assert!(message.contains("map aggregation"), "{message}");
+                // The directory sizes, one per attribute.
+                assert_eq!(message.matches(", ").count(), attributes - 1, "{message}");
+            }
+            // The other algorithms answer the same input.
+            let sorted =
+                compiled.hybrid_aggregate(&input, 4, &ScopedPool::serial(), &mut ExecStats::new());
+            assert_eq!(sorted.len(), 200);
+        }
     }
 }

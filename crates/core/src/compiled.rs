@@ -131,7 +131,7 @@ impl Kernels for GeneratedQuery {
         } else {
             let mut rel = slot.into_input(run.spill)?.relation;
             match spec.algorithm {
-                AggAlgorithm::Map => compiled.map_aggregate(&rel, pool, stats),
+                AggAlgorithm::Map => compiled.map_aggregate(&rel, pool, stats)?,
                 AggAlgorithm::HybridHashSort => {
                     let partitions = hybrid_partitions(rel.num_partitions(), rel.data_bytes());
                     compiled.hybrid_aggregate(&rel, partitions, pool, stats)

@@ -63,6 +63,43 @@ macro_rules! with_order_image {
     }};
 }
 
+/// Evaluate `$body` with `$image` bound to a closure computing
+/// [`CompiledKey::as_i64`] for `$key`, resolved on the key's type once.
+macro_rules! with_i64_image {
+    ($key:expr, |$image:ident| $body:expr) => {{
+        let off = $key.offset;
+        match $key.dtype {
+            DataType::Int32 | DataType::Date => {
+                let $image = move |r: &[u8]| read_i32_at(r, off) as i64;
+                $body
+            }
+            DataType::Int64 => {
+                let $image = move |r: &[u8]| read_i64_at(r, off);
+                $body
+            }
+            DataType::Float64 => {
+                // Order-preserving mapping of f64 to i64.
+                let $image = move |r: &[u8]| {
+                    let bits = read_f64_at(r, off).to_bits() as i64;
+                    bits ^ (((bits >> 63) as u64) >> 1) as i64
+                };
+                $body
+            }
+            // First `min(width, 8)` bytes, big-endian, zero-padded; flags
+            // are one byte wide.
+            DataType::Char(1) => {
+                let $image = move |r: &[u8]| ((r[off] as u64) << 56) as i64;
+                $body
+            }
+            DataType::Char(_) => {
+                let end = off + $key.width.min(8);
+                let $image = move |r: &[u8]| image_bytes(&r[off..end]) as i64;
+                $body
+            }
+        }
+    }};
+}
+
 /// The rows of one packed page still in play: every row — not written out
 /// until a filter narrows it — or an ascending list of row indexes.
 #[derive(Debug, Default)]
@@ -475,17 +512,43 @@ impl CompiledKey {
     /// partitioning and exact for the workloads' integer join keys).
     #[inline(always)]
     pub fn as_i64(&self, record: &[u8]) -> i64 {
-        match self.dtype {
-            DataType::Int32 | DataType::Date => read_i32_at(record, self.offset) as i64,
-            DataType::Int64 => read_i64_at(record, self.offset) as i64,
-            DataType::Float64 => {
-                // Order-preserving mapping of f64 to i64.
-                let bits = read_f64_at(record, self.offset).to_bits() as i64;
-                bits ^ (((bits >> 63) as u64) >> 1) as i64
+        with_i64_image!(self, |image| image(record))
+    }
+
+    /// Append [`CompiledKey::as_i64`] of every record of a packed buffer to
+    /// `out`, the key's type resolved once for the whole sweep.
+    pub fn images_into(&self, buf: &[u8], ts: usize, out: &mut Vec<i64>) {
+        with_i64_image!(self, |image| out.extend(buf.chunks_exact(ts).map(image)))
+    }
+
+    /// Set `changed[i]` for every record `i > 0` of a packed buffer that
+    /// differs in the key field from record `i - 1`: exactly where
+    /// [`CompiledKey::compare`] is not `Equal`, which for every key type is
+    /// byte inequality of the field.
+    pub(crate) fn mark_changes(&self, buf: &[u8], ts: usize, changed: &mut [bool]) {
+        let (off, end) = (self.offset, self.offset + self.width);
+        let records = buf.chunks_exact(ts);
+        let pairs = changed
+            .iter_mut()
+            .skip(1)
+            .zip(records.clone().zip(records.skip(1)));
+        match self.width {
+            4 => {
+                for (c, (a, b)) in pairs {
+                    *c |= read_i32_at(a, off) != read_i32_at(b, off);
+                }
             }
-            // First `min(width, 8)` bytes, big-endian, zero-padded.
-            DataType::Char(_) => {
-                image_bytes(&record[self.offset..self.offset + self.width.min(8)]) as i64
+            8 => {
+                for (c, (a, b)) in pairs {
+                    *c |= read_i64_at(a, off) != read_i64_at(b, off);
+                }
+            }
+            // A slice comparison is worth skipping where an earlier
+            // attribute already split the rows.
+            _ => {
+                for (c, (a, b)) in pairs {
+                    *c = *c || a[off..end] != b[off..end];
+                }
             }
         }
     }

@@ -14,6 +14,7 @@
 //! never double-insert a frame and lose a pin count.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use hique_types::{HiqueError, IoStats, Result};
@@ -45,6 +46,31 @@ impl PageId {
     }
 }
 
+/// Multiply-shift hasher of the page table and the file table: their keys
+/// are the pool's own small integers (a file id and a page number, both
+/// `u32`), hashed on every fetch and every unpin, so SipHash's protection
+/// against chosen keys buys nothing here.  Each word is folded in with a
+/// rotate and an odd multiplier; the product's low bits (the table's bucket)
+/// follow the page number, its high bits (the table's tag) mix both words.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b as u32));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(32) ^ word as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 struct Frame {
     page: Page,
     pin_count: usize,
@@ -54,8 +80,8 @@ struct Frame {
 }
 
 struct PoolState {
-    frames: HashMap<PageId, Frame>,
-    files: HashMap<FileId, Arc<DiskManager>>,
+    frames: IdMap<PageId, Frame>,
+    files: IdMap<FileId, Arc<DiskManager>>,
     next_file: FileId,
     clock: u64,
     stats: BufferPoolStats,
@@ -134,8 +160,8 @@ impl BufferPool {
         Ok(BufferPool {
             capacity,
             state: Mutex::new(PoolState {
-                frames: HashMap::new(),
-                files: HashMap::new(),
+                frames: IdMap::default(),
+                files: IdMap::default(),
                 next_file: 0,
                 clock: 0,
                 stats: BufferPoolStats::default(),

@@ -851,8 +851,8 @@ pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u
 mod tests {
     use super::*;
     use crate::bytecode::run_expr;
-    use crate::vector::{fuse_expr, run_expr_batch, Batch};
-    use hique_holistic::agg::AccumSlot;
+    use crate::vector::{fuse_expr, resolve_agg_dag};
+    use hique_holistic::agg::{AccumSlot, PageFold};
     use hique_plan::{AggAlgorithm, AggregateSpec};
     use hique_sql::analyze::{BoundAggregate, ScalarExpr};
     use hique_sql::ast::{AggFunc, BinOp};
@@ -952,14 +952,14 @@ mod tests {
     }
 
     /// Aggregate program ≡ tree evaluation, bit for bit, on the compiled
-    /// provider (`AggProgram::eval`), the scalar tier (`run_expr` over the
-    /// lowered DAG, pooled and folded) and the vectorized tier
-    /// (`run_expr_batch` over the fused DAG).
+    /// provider (the page fold's lanes over the program's nodes), the scalar
+    /// tier (`run_expr` over the lowered DAG, pooled and folded) and the
+    /// vectorized tier (the page fold's lanes over the nodes resolved from
+    /// the fused DAG, pooled and folded).
     #[test]
     fn aggregate_program_matches_tree_evaluation_bit_for_bit() {
         let s = schema();
         let records = edge_records();
-        let refs: Vec<&[u8]> = records.iter().map(|r| r.as_slice()).collect();
         let mut shared_somewhere = false;
         for seed in 1..=40u64 {
             let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -1001,22 +1001,33 @@ mod tests {
             fold_constants(&mut folded, &b.pool);
             assert!(folded.iter().all(|op| !matches!(op, Op::PoolF { .. })));
 
-            let mut frame = program.frame();
             let mut regs = vec![0.0; program.nodes().len().max(1)];
-            let mut lanes = vec![Vec::new(); program.nodes().len().max(1)];
-            let steps = fuse_expr(dag.ops(&folded)).unwrap();
-            run_expr_batch(&steps, &b.pool, &Batch::Refs(&refs), &mut lanes, &mut 0);
-            for (r, rec) in refs.iter().enumerate() {
-                program.eval(rec, &mut frame);
+            let packed = records.concat();
+            let fill = |nodes: &[AggNode]| {
+                let mut fold = PageFold::new(nodes, program.layout(), s.tuple_size());
+                assert_eq!(fold.fill(&packed), records.len());
+                fold
+            };
+            let compiled = fill(program.nodes());
+            let vectorized = [&pooled, &folded].map(|code| {
+                let (nodes, _) = resolve_agg_dag(&fuse_expr(dag.ops(code)).unwrap(), &b.pool);
+                assert_eq!(nodes.len(), program.nodes().len());
+                fill(&nodes)
+            });
+            for (r, rec) in records.iter().enumerate() {
                 for (a, tree) in trees.iter().enumerate() {
                     let want = tree.eval(rec).to_bits();
                     let reg = arg_reg(a);
-                    assert_eq!(frame[reg].to_bits(), want, "compiled, seed {seed}");
+                    let got = compiled.lane(reg as u16)[r].to_bits();
+                    assert_eq!(got, want, "compiled, seed {seed}");
                     for code in [&pooled, &folded] {
                         run_expr(dag.ops(code), &b.pool, rec, &mut regs);
                         assert_eq!(regs[reg].to_bits(), want, "scalar tier, seed {seed}");
                     }
-                    assert_eq!(lanes[reg][r].to_bits(), want, "vectorized, seed {seed}");
+                    for fold in &vectorized {
+                        let got = fold.lane(reg as u16)[r].to_bits();
+                        assert_eq!(got, want, "vectorized, seed {seed}");
+                    }
                 }
             }
         }

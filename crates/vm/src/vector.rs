@@ -12,9 +12,10 @@
 //!   branching per row — staging resolves each test, once per `stage`
 //!   call, into the page sweep the compiled kernels run
 //!   ([`resolve_filter`]), and the projection's `Copy` list into their
-//!   copy plan ([`copy_plan`]); expression fragments evaluate over
-//!   columnar register lanes (`Vec<f64>` per register); key images fill an
-//!   `i64` lane.
+//!   copy plan ([`copy_plan`]); the aggregate DAG fragment into the nodes
+//!   of their page fold ([`resolve_agg_dag`]), which fills one `f64` lane
+//!   per register; key images fill an `i64` lane through the compiled key
+//!   accessor's sweep ([`run_image_batch`]).
 //! * **Superinstruction fusion** (Ertl & Gregg): a peephole pass over each
 //!   fragment rewrites hot adjacent pairs — two predicate tests into a
 //!   fused conjunction, an operand load feeding an arithmetic op into a
@@ -28,16 +29,15 @@
 //! fragments (operand contracts plus un-fuse equality), keeping the
 //! mutation-rejection gate closed over the fused ISA.
 
+use hique_holistic::agg::AggNode;
 use hique_holistic::kernel::{CompiledFilter, CompiledKey, CompiledProjection, Selection};
-use hique_sql::ast::BinOp;
-use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at};
-use hique_types::{DataType, Result};
+use hique_types::DataType;
 
 use crate::bytecode::{rhs_f, rhs_i, ConstPool, Op};
 use crate::program::{AggFrags, TableFrags};
 
-/// Maximum tuples per batch for gathered-reference batches (join build and
-/// probe sides).  Staged scans and spilled aggregation inputs batch by
+/// Maximum tuples per batch of a join's build and probe sides (packed runs
+/// of the staged relations).  Staged scans and aggregation inputs batch by
 /// page instead — the page *is* the batch, which keeps `vm_batches`
 /// independent of the thread count and keeps spilled consumption at one
 /// pinned page at a time.
@@ -191,58 +191,6 @@ pub(crate) fn unfuse(steps: &[VecStep]) -> Vec<Op> {
     ops
 }
 
-/// A batch of records the kernels index by row: either the packed record
-/// area of one (pinned) page, or gathered record references.
-#[derive(Clone, Copy)]
-pub(crate) enum Batch<'a> {
-    /// Packed fixed-width rows (`data.len()` is a multiple of `width`).
-    Packed { data: &'a [u8], width: usize },
-    /// Gathered record references.
-    Refs(&'a [&'a [u8]]),
-}
-
-impl<'a> Batch<'a> {
-    /// Rows in the batch.
-    #[inline(always)]
-    pub(crate) fn len(&self) -> usize {
-        match *self {
-            Batch::Packed { data, width } => data.len() / width.max(1),
-            Batch::Refs(recs) => recs.len(),
-        }
-    }
-
-    /// Row `i`.
-    #[inline(always)]
-    pub(crate) fn rec(&self, i: usize) -> &'a [u8] {
-        match *self {
-            Batch::Packed { data, width } => &data[i * width..(i + 1) * width],
-            Batch::Refs(recs) => recs[i],
-        }
-    }
-}
-
-/// Visit `iter`'s records as reference batches of at most [`BATCH`] rows
-/// (the last batch may be short).  `scratch` is reused across batches.
-pub(crate) fn for_each_ref_batch<'a>(
-    iter: impl Iterator<Item = &'a [u8]>,
-    scratch: &mut Vec<&'a [u8]>,
-    mut f: impl FnMut(&[&'a [u8]]) -> Result<()>,
-) -> Result<()> {
-    scratch.clear();
-    for rec in iter {
-        scratch.push(rec);
-        if scratch.len() == BATCH {
-            f(scratch)?;
-            scratch.clear();
-        }
-    }
-    if !scratch.is_empty() {
-        f(scratch)?;
-        scratch.clear();
-    }
-    Ok(())
-}
-
 /// One step of a filter fragment resolved for a `stage` call: operands read
 /// from the constant pool and every test turned into the page sweep the
 /// compiled kernels use ([`CompiledFilter::narrow`]), so nothing about a
@@ -341,150 +289,64 @@ pub(crate) fn copy_plan(ops: &[Op]) -> CompiledProjection {
     }))
 }
 
-/// Run a key-image fragment over every row of one batch, filling `out`
-/// with the same order-preserving `i64` images [`crate::bytecode::run_image`]
-/// produces row-at-a-time.
-pub(crate) fn run_image_batch(ops: &[Op], batch: &Batch<'_>, out: &mut Vec<i64>) {
-    out.clear();
-    out.resize(batch.len(), 0);
-    for op in ops {
-        match *op {
-            Op::ImageI32 { offset } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = read_i32_at(batch.rec(i), offset as usize) as i64;
-                }
-            }
-            Op::ImageI64 { offset } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = read_i64_at(batch.rec(i), offset as usize);
-                }
-            }
-            Op::ImageF64 { offset } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    let bits = read_f64_at(batch.rec(i), offset as usize).to_bits() as i64;
-                    *o = bits ^ (((bits >> 63) as u64) >> 1) as i64;
-                }
-            }
-            Op::ImageChar { offset, width } => {
-                let take = (width as usize).min(8);
-                for (i, o) in out.iter_mut().enumerate() {
-                    let rec = batch.rec(i);
-                    let mut buf = [0u8; 8];
-                    buf[..take].copy_from_slice(&rec[offset as usize..offset as usize + take]);
-                    *o = i64::from_be_bytes(buf);
-                }
-            }
-            _ => unreachable!("non-image op in image fragment"),
-        }
-    }
+/// Run a key-image fragment over every record of one packed batch
+/// (`data`, records of `width` bytes), appending to `out` the same
+/// order-preserving `i64` images [`crate::bytecode::run_image`] produces
+/// row-at-a-time: the fragment's one op (the verifier's contract) is the
+/// compiled kernels' key accessor, whose sweep resolves the type once.
+pub(crate) fn run_image_batch(ops: &[Op], data: &[u8], width: usize, out: &mut Vec<i64>) {
+    let key = |offset: u32, width: u32, dtype| CompiledKey {
+        offset: offset as usize,
+        width: width as usize,
+        dtype,
+    };
+    let key = match ops {
+        [Op::ImageI32 { offset }] => key(*offset, 4, DataType::Int32),
+        [Op::ImageI64 { offset }] => key(*offset, 8, DataType::Int64),
+        [Op::ImageF64 { offset }] => key(*offset, 8, DataType::Float64),
+        [Op::ImageChar { offset, width }] => key(*offset, *width, DataType::Char(*width as u16)),
+        _ => unreachable!("a key-image fragment is one image op"),
+    };
+    key.images_into(data, width, out);
 }
 
-#[inline(always)]
-fn apply(op: BinOp, l: f64, r: f64) -> f64 {
-    match op {
-        BinOp::Add => l + r,
-        BinOp::Sub => l - r,
-        BinOp::Mul => l * r,
-        BinOp::Div => l / r,
-    }
-}
-
-/// The value an operand-load op produces for one record.
-#[inline(always)]
-fn load_value(op: &Op, pool: &ConstPool, rec: &[u8]) -> f64 {
-    match *op {
-        Op::LoadF { offset, .. } => read_f64_at(rec, offset as usize),
-        Op::LoadI32F { offset, .. } => read_i32_at(rec, offset as usize) as f64,
-        Op::LoadI64F { offset, .. } => read_i64_at(rec, offset as usize) as f64,
-        Op::ConstF { value, .. } => value,
-        Op::PoolF { idx, .. } => pool.floats[idx as usize],
-        _ => unreachable!("non-load op in fused load slot"),
-    }
-}
-
-/// One expression op over every row of the batch, operating on the
-/// columnar register lanes.
-fn step_expr_op(op: &Op, pool: &ConstPool, batch: &Batch<'_>, lanes: &mut [Vec<f64>]) {
-    let n = batch.len();
-    match *op {
-        Op::LoadF { dst, offset } => {
-            for (r, lane) in lanes[dst as usize][..n].iter_mut().enumerate() {
-                *lane = read_f64_at(batch.rec(r), offset as usize);
-            }
-        }
-        Op::LoadI32F { dst, offset } => {
-            for (r, lane) in lanes[dst as usize][..n].iter_mut().enumerate() {
-                *lane = read_i32_at(batch.rec(r), offset as usize) as f64;
-            }
-        }
-        Op::LoadI64F { dst, offset } => {
-            for (r, lane) in lanes[dst as usize][..n].iter_mut().enumerate() {
-                *lane = read_i64_at(batch.rec(r), offset as usize) as f64;
-            }
-        }
-        Op::ConstF { dst, value } => lanes[dst as usize][..n].fill(value),
-        Op::PoolF { dst, idx } => lanes[dst as usize][..n].fill(pool.floats[idx as usize]),
-        Op::Arith { op, dst, a, b } => {
-            let (d, a, b) = (dst as usize, a as usize, b as usize);
-            // The destination may alias either operand lane (the canonical
-            // lowering reuses registers), so the lanes cannot be split into
-            // disjoint iterator borrows.
-            #[allow(clippy::needless_range_loop)]
-            for r in 0..n {
-                let (l, rr) = (lanes[a][r], lanes[b][r]);
-                lanes[d][r] = apply(op, l, rr);
-            }
-        }
-        _ => unreachable!("non-expression op in expression fragment"),
-    }
-}
-
-/// Run a fused expression fragment over one batch: every step is
-/// dispatched once; rows are evaluated with the exact per-row operation
-/// order of the scalar interpreter (each row's lanes are independent), so
-/// the results are bit-identical.  Register `r`'s per-row values are left
-/// in `lanes[r][..batch.len()]`; lanes no step defines keep stale rows.
-pub(crate) fn run_expr_batch(
-    steps: &[VecStep],
-    pool: &ConstPool,
-    batch: &Batch<'_>,
-    lanes: &mut [Vec<f64>],
-    fused_ops: &mut u64,
-) {
-    let n = batch.len();
-    for lane in lanes.iter_mut() {
-        lane.resize(n, 0.0);
-    }
-    for step in steps {
-        match step {
-            VecStep::Op(op) => step_expr_op(op, pool, batch, lanes),
-            VecStep::LoadArith(load, arith) => {
-                *fused_ops += 1;
-                let (aop, adst, aa, ab) = match *arith {
-                    Op::Arith { op, dst, a, b } => (op, dst as usize, a as usize, b as usize),
-                    _ => unreachable!("fused arith slot holds a non-arith op"),
-                };
-                let ld = expr_dst(load);
-                // The arith's destination and operands may alias the load's
-                // lane, so the lanes cannot be split into disjoint iterator
-                // borrows.
-                #[allow(clippy::needless_range_loop)]
-                for r in 0..n {
-                    lanes[ld][r] = load_value(load, pool, batch.rec(r));
-                    let (l, rr) = (lanes[aa][r], lanes[ab][r]);
-                    lanes[adst][r] = apply(aop, l, rr);
-                }
-            }
-            VecStep::TestTest(..) => unreachable!("filter step in expression fragment"),
-        }
-    }
+/// Resolve the fused aggregate-DAG plan against the program's constant
+/// pool, once per `aggregate` call, into the nodes of the page fold both
+/// kernel providers run ([`hique_holistic::agg::PageFold`]): op `i` of the
+/// fragment defines register `i` (the verifier holds the fragment to the
+/// aggregate program node for node), so the ops *are* the program's nodes.
+/// Also returns the fused steps of the plan — what one batch adds to
+/// `vm_fused_ops`.
+pub(crate) fn resolve_agg_dag(steps: &[VecStep], pool: &ConstPool) -> (Vec<AggNode>, u64) {
+    let fused = steps
+        .iter()
+        .filter(|s| matches!(s, VecStep::LoadArith(..)))
+        .count();
+    let nodes = unfuse(steps)
+        .iter()
+        .map(|op| match *op {
+            Op::LoadF { offset, .. } => AggNode::ColF64(offset as usize),
+            Op::LoadI32F { offset, .. } => AggNode::ColI32(offset as usize),
+            Op::LoadI64F { offset, .. } => AggNode::ColI64(offset as usize),
+            Op::ConstF { value, .. } => AggNode::Const(value),
+            Op::PoolF { idx, .. } => AggNode::Const(pool.floats[idx as usize]),
+            Op::Arith { op, a, b, .. } => AggNode::Bin {
+                op,
+                left: a as u16,
+                right: b as u16,
+            },
+            _ => unreachable!("non-expression op in expression fragment"),
+        })
+        .collect();
+    (nodes, fused as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytecode::{run_expr, run_filter, run_image, run_project, RhsF, RhsI};
-    use hique_sql::ast::CmpOp;
+    use hique_holistic::agg::{AccumLayout, AggProgram, PageFold};
+    use hique_sql::ast::{BinOp, CmpOp};
     use hique_types::tuple::encode_record;
     use hique_types::{Column, DataType, Schema, Value};
 
@@ -596,26 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn ref_batches_split_at_the_batch_boundary() {
-        for (n, expected) in [
-            (BATCH - 1, vec![BATCH - 1]),
-            (BATCH, vec![BATCH]),
-            (BATCH + 1, vec![BATCH, 1]),
-        ] {
-            let rec = record(1, 1.0, "aa", 1);
-            let recs: Vec<&[u8]> = (0..n).map(|_| rec.as_slice()).collect();
-            let mut scratch = Vec::new();
-            let mut sizes = Vec::new();
-            for_each_ref_batch(recs.iter().copied(), &mut scratch, |batch| {
-                sizes.push(batch.len());
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(sizes, expected, "n={n}");
-        }
-    }
-
-    #[test]
     fn fusion_pairs_adjacent_tests_and_load_arith() {
         let (ops, _) = filter_ops();
         let steps = fuse_filter(&ops).unwrap();
@@ -687,7 +529,6 @@ mod tests {
         let s = schema();
         let recs = records(50);
         let refs: Vec<&[u8]> = recs.iter().map(|r| r.as_slice()).collect();
-        let batch = Batch::Refs(&refs);
         let proj = [
             Op::Copy {
                 src: s.offset(3) as u32,
@@ -726,84 +567,86 @@ mod tests {
                 offset: s.offset(3) as u32,
             },
         ] {
-            let mut lane = Vec::new();
-            run_image_batch(&[image], &batch, &mut lane);
+            let mut lane = vec![7];
+            run_image_batch(&[image], &recs.concat(), s.tuple_size(), &mut lane);
+            assert_eq!(lane.remove(0), 7, "appended to the lane");
             let scalar: Vec<i64> = refs.iter().map(|r| run_image(&[image], r)).collect();
             assert_eq!(lane, scalar);
         }
     }
 
     #[test]
-    fn batched_expression_is_bit_identical_to_scalar() {
+    fn resolved_dag_fills_lanes_bit_identical_to_scalar() {
         let s = schema();
         let recs = records(64);
-        let refs: Vec<&[u8]> = recs.iter().map(|r| r.as_slice()).collect();
-        let batch = Batch::Refs(&refs);
-        let pool = ConstPool::default();
-        // f * (1 - i) + l, lowered canonically.
+        let mut pool = ConstPool::default();
+        let one = pool.push_float(1.0);
+        // f * (1 - i) + l as an aggregate DAG: op `i` defines register `i`.
         let ops = [
+            Op::PoolF { dst: 0, idx: one },
             Op::LoadF {
-                dst: 0,
+                dst: 1,
                 offset: s.offset(1) as u32,
             },
-            Op::ConstF { dst: 1, value: 1.0 },
             Op::LoadI32F {
                 dst: 2,
                 offset: s.offset(0) as u32,
             },
             Op::Arith {
                 op: BinOp::Sub,
-                dst: 1,
-                a: 1,
+                dst: 3,
+                a: 0,
                 b: 2,
             },
             Op::Arith {
                 op: BinOp::Mul,
-                dst: 0,
-                a: 0,
-                b: 1,
+                dst: 4,
+                a: 1,
+                b: 3,
             },
             Op::LoadI64F {
-                dst: 1,
+                dst: 5,
                 offset: s.offset(3) as u32,
             },
             Op::Arith {
                 op: BinOp::Add,
-                dst: 0,
-                a: 0,
-                b: 1,
+                dst: 6,
+                a: 4,
+                b: 5,
             },
         ];
         let steps = fuse_expr(&ops).unwrap();
-        assert!(
-            steps.iter().any(|s| matches!(s, VecStep::LoadArith(..))),
-            "canonical lowering must fuse at least one pair"
-        );
-        let mut lanes = vec![Vec::new(); 3];
-        let mut fused = 0u64;
-        run_expr_batch(&steps, &pool, &batch, &mut lanes, &mut fused);
-        assert!(fused >= 1);
-        let mut regs = [0.0f64; 3];
-        for (i, rec) in refs.iter().enumerate() {
+        let (nodes, fused) = resolve_agg_dag(&steps, &pool);
+        assert_eq!(fused, 2, "both column loads feed the next op's `b`");
+        assert_eq!(nodes.len(), ops.len());
+        let layout: AccumLayout = no_slots();
+        let mut fold = PageFold::new(&nodes, &layout, s.tuple_size());
+        assert_eq!(fold.fill(&recs.concat()), recs.len());
+        let mut regs = [0.0f64; 7];
+        for (i, rec) in recs.iter().enumerate() {
             let scalar = run_expr(&ops, &pool, rec, &mut regs);
-            assert_eq!(lanes[0][i].to_bits(), scalar.to_bits(), "row {i}");
+            assert_eq!(fold.lane(6)[i].to_bits(), scalar.to_bits(), "row {i}");
+            for (r, reg) in regs.iter().enumerate() {
+                assert_eq!(
+                    fold.lane(r as u16)[i].to_bits(),
+                    reg.to_bits(),
+                    "r{r} row {i}"
+                );
+            }
         }
     }
 
-    #[test]
-    fn packed_and_ref_batches_agree() {
-        let recs = records(10);
-        let width = recs[0].len();
-        let packed: Vec<u8> = recs.concat();
-        let refs: Vec<&[u8]> = recs.iter().map(|r| r.as_slice()).collect();
-        let a = Batch::Packed {
-            data: &packed,
-            width,
+    /// The layout of an aggregate list without aggregates.
+    fn no_slots() -> AccumLayout {
+        let spec = hique_plan::AggregateSpec {
+            group_columns: vec![],
+            aggregates: vec![],
+            algorithm: hique_plan::AggAlgorithm::Map,
+            group_domain_sizes: vec![],
         };
-        let b = Batch::Refs(&refs);
-        assert_eq!(a.len(), b.len());
-        for i in 0..a.len() {
-            assert_eq!(a.rec(i), b.rec(i));
-        }
+        AggProgram::compile(&spec, &schema())
+            .unwrap()
+            .layout()
+            .clone()
     }
 }
