@@ -13,6 +13,8 @@
 //! * zero outstanding spill claims ([`TempSpace::active_claims`]) after
 //!   every run, successful or failed;
 //! * zero pinned buffer-pool frames ([`BufferPool::pinned_frames`]);
+//! * no page image lost by the pool ([`BufferPool::images`] no lower than
+//!   before the run);
 //! * zero orphaned `*.spill` files in the storage runtime directory;
 //! * a follow-up fault-free query on the same pool still matches the
 //!   baseline (the pool survived the failure usable).
@@ -24,6 +26,7 @@
 //!
 //! [`TempSpace::active_claims`]: hique_storage::TempSpace::active_claims
 //! [`BufferPool::pinned_frames`]: hique_storage::BufferPool::pinned_frames
+//! [`BufferPool::images`]: hique_storage::BufferPool::images
 
 use std::fmt;
 use std::sync::Arc;
@@ -140,18 +143,24 @@ fn orphan_spill_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 }
 
 /// Post-run leak audit: claims, pins and spill files must all be back to
-/// zero whether the run succeeded, faulted or was cancelled.
-fn leak_detail(fixture: &Fixture) -> Option<String> {
+/// zero whether the run succeeded, faulted or was cancelled, and the pool
+/// must own at least as many page images as before the run
+/// (`images_before`): an image leaves the pool only with a reader still
+/// holding it, and none is left once the run has returned.  The count may
+/// grow while the pool is not yet full; on the chaos fixtures the first
+/// scan fills it, so there it stays exactly the same.
+fn leak_detail(fixture: &Fixture, images_before: usize) -> Option<String> {
     let storage = fixture.catalog.storage()?;
     let claims = storage.temp().active_claims();
     let pins = storage.pool().pinned_frames();
+    let images = storage.pool().images();
     let orphans = orphan_spill_files(storage.dir());
-    if claims == 0 && pins == 0 && orphans.is_empty() {
+    if claims == 0 && pins == 0 && images >= images_before && orphans.is_empty() {
         return None;
     }
     Some(format!(
         "leaked state after run: {claims} spill claim(s), {pins} pinned frame(s), \
-         {} orphan spill file(s) {:?}",
+         {images} of {images_before} page image(s), {} orphan spill file(s) {:?}",
         orphans.len(),
         orphans
     ))
@@ -257,6 +266,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 let run_seed = mix(query.seed ^ ((engine_idx as u64) << 32) ^ threads as u64);
 
                 // Schedule 1: a seeded storage fault under the pool.
+                let images = storage.pool().images();
                 let fault_plan = Arc::new(FaultPlan::from_seed(run_seed));
                 storage.install_fault_plan(Some(Arc::clone(&fault_plan)));
                 let result = run_engine(engine, &plan, &fixture.catalog, &fixture.dsm);
@@ -276,7 +286,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                         sql: query.sql.clone(),
                     }),
                 }
-                if let Some(detail) = leak_detail(fixture) {
+                if let Some(detail) = leak_detail(fixture, images) {
                     report.failures.push(ChaosFailure {
                         seed: query.seed,
                         engine: engine.name(),
@@ -290,6 +300,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 // Schedule 2: a seeded cancellation deadline (0–2ms; zero
                 // always fires, the rest race the query, and both outcomes
                 // are legal).
+                let images = storage.pool().images();
                 let deadline = Duration::from_millis((run_seed >> 16) % 3);
                 let cancel = CancelToken::with_deadline(deadline);
                 let options = ExecOptions {
@@ -317,7 +328,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                         sql: query.sql.clone(),
                     }),
                 }
-                if let Some(detail) = leak_detail(fixture) {
+                if let Some(detail) = leak_detail(fixture, images) {
                     report.failures.push(ChaosFailure {
                         seed: query.seed,
                         engine: engine.name(),

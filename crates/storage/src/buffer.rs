@@ -8,12 +8,21 @@
 //! global knob.  The least-recently-used unpinned frame is evicted when the
 //! pool is full; dirty frames are written back on eviction and on flush.
 //!
+//! The pool owns its page images.  An image no frame holds waits in a free
+//! set ordered by address, and a miss reads into the lowest-addressed one,
+//! so a scan that fills the pool lays its pages out as one ascending run of
+//! memory — the order the hardware prefetchers follow when staging walks
+//! those pages again (DESIGN §9).  Eviction returns the victim's image to
+//! the set unless a reader still holds it (then the image leaves with the
+//! reader); a new image is allocated only when the set is empty, so the
+//! pool never owns more than `capacity` of them.
+//!
 //! Pin/unpin is safe under the `crates/par` scoped pool: all state
 //! transitions (including the disk read that fills a missing frame) happen
 //! under one mutex, so two workers fetching the same non-resident page can
 //! never double-insert a frame and lose a pin count.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -71,16 +80,31 @@ impl Hasher for IdHasher {
 
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// End marker of the LRU list.
+const NIL: usize = usize::MAX;
+
 struct Frame {
+    id: PageId,
     page: Page,
     pin_count: usize,
     dirty: bool,
-    /// Logical clock of the last access, for LRU victim selection.
+    /// Logical clock of the last fetch or write, for LRU victim selection.
     last_used: u64,
+    /// Neighbours in the LRU list; meaningful only while unpinned.
+    prev: usize,
+    next: usize,
 }
 
 struct PoolState {
-    frames: IdMap<PageId, Frame>,
+    /// Page table: the index in `frames` of every resident page.
+    table: IdMap<PageId, usize>,
+    frames: Vec<Frame>,
+    /// The unpinned frames in ascending `last_used` order, as a list linked
+    /// through `Frame::{prev, next}`: the head is the eviction victim.
+    lru_head: usize,
+    lru_tail: usize,
+    /// Images no frame holds, keyed by address; no handle shares them.
+    free: BTreeMap<usize, Page>,
     files: IdMap<FileId, Arc<DiskManager>>,
     next_file: FileId,
     clock: u64,
@@ -160,7 +184,11 @@ impl BufferPool {
         Ok(BufferPool {
             capacity,
             state: Mutex::new(PoolState {
-                frames: IdMap::default(),
+                table: IdMap::default(),
+                frames: Vec::new(),
+                lru_head: NIL,
+                lru_tail: NIL,
+                free: BTreeMap::new(),
                 files: IdMap::default(),
                 next_file: 0,
                 clock: 0,
@@ -171,6 +199,23 @@ impl BufferPool {
                 fault_plan: None,
             }),
         })
+    }
+
+    /// Grow the pool's image set to `images` (at most the capacity) in one
+    /// pass of allocations, sorted by address in the free set.  The catalog
+    /// calls this once, for the pages it is about to serve, so the frames
+    /// of the first scans come from one contiguous run of the heap.
+    pub(crate) fn reserve(&self, images: usize) {
+        let mut s = self.state.lock();
+        let held = s.frames.len() + s.free.len();
+        // Allocated before any of them enters the set, so no set node lands
+        // between two images.
+        let fresh: Vec<Page> = (held..images.min(self.capacity))
+            .map(|_| Page::blank())
+            .collect();
+        for page in fresh {
+            s.release(page);
+        }
     }
 
     /// Register a disk file with the pool, returning the handle used in
@@ -225,9 +270,19 @@ impl BufferPool {
         self.state
             .lock()
             .frames
-            .values()
+            .iter()
             .filter(|f| f.pin_count > 0)
             .count()
+    }
+
+    /// Page images the pool owns: one per resident frame plus the free set.
+    /// Never exceeds [`BufferPool::capacity`]; it drops only when an
+    /// evicted or unregistered frame's image leaves with a reader still
+    /// holding it, so the chaos harness asserts that no faulted or
+    /// cancelled execution lowers it.
+    pub fn images(&self) -> usize {
+        let s = self.state.lock();
+        s.frames.len() + s.free.len()
     }
 
     /// Lifetime high-water mark of resident frames (since pool creation).
@@ -260,18 +315,27 @@ impl BufferPool {
     /// is dead once the claim ends, so dirty frames must not be flushed to a
     /// file that is about to be deleted.  Pinned frames of the file are a
     /// caller bug (a page guard outliving its namespace) and surface as a
-    /// typed error with nothing removed.
+    /// typed error with nothing removed.  The frames' images return to the
+    /// free set.
     pub fn unregister_file(&self, file: FileId) -> Result<()> {
         let mut s = self.state.lock();
         if s.frames
             .iter()
-            .any(|(id, f)| id.file == file && f.pin_count > 0)
+            .any(|f| f.id.file == file && f.pin_count > 0)
         {
             return Err(HiqueError::Storage(format!(
                 "cannot unregister file {file}: pinned frames outstanding"
             )));
         }
-        s.frames.retain(|id, _| id.file != file);
+        let mut i = 0;
+        while i < s.frames.len() {
+            if s.frames[i].id.file == file {
+                let page = s.remove_frame(i);
+                s.release(page);
+            } else {
+                i += 1;
+            }
+        }
         s.files.remove(&file);
         Ok(())
     }
@@ -289,8 +353,7 @@ impl BufferPool {
     /// typed [`HiqueError::Storage`] when every frame is pinned at capacity
     /// (see [`BufferPool::fetch_or_bypass`] for the non-failing scan path).
     pub fn fetch(&self, id: PageId) -> Result<Page> {
-        let mut s = self.state.lock();
-        match Self::fetch_locked(&mut s, self.capacity, id, false)? {
+        match self.state.lock().fetch(self.capacity, id, false)? {
             Fetched::Pinned(page) => Ok(page),
             Fetched::Bypassed(_) => unreachable!("strict fetch errors instead of bypassing"),
         }
@@ -301,82 +364,18 @@ impl BufferPool {
     /// instead of failing — scans always make progress, even with a
     /// capacity-1 pool shared by several workers.
     pub fn fetch_or_bypass(&self, id: PageId) -> Result<Fetched> {
-        let mut s = self.state.lock();
-        Self::fetch_locked(&mut s, self.capacity, id, true)
-    }
-
-    fn fetch_locked(
-        s: &mut PoolState,
-        capacity: usize,
-        id: PageId,
-        allow_bypass: bool,
-    ) -> Result<Fetched> {
-        s.clock += 1;
-        let clock = s.clock;
-        if let Some(frame) = s.frames.get_mut(&id) {
-            frame.pin_count += 1;
-            frame.last_used = clock;
-            let page = frame.page.clone();
-            s.stats.hits += 1;
-            return Ok(Fetched::Pinned(page));
-        }
-        // Resolve the file before evicting anything: a request for an
-        // unregistered file must fail without churning a victim out of the
-        // pool or skewing the miss counters as a side effect.
-        let disk = s
-            .files
-            .get(&id.file)
-            .cloned()
-            .ok_or_else(|| HiqueError::Storage(format!("unregistered file {}", id.file)))?;
-        // Need to bring the page in; make room first.  A full pool with
-        // every frame pinned either errors (strict fetch, before touching
-        // the disk or the miss counters) or degrades to a bypass read.
-        let mut bypass = false;
-        if s.frames.len() >= capacity && !Self::evict_one(s)? {
-            if !allow_bypass {
-                return Err(HiqueError::Storage(
-                    "buffer pool exhausted: every frame is pinned".into(),
-                ));
-            }
-            bypass = true;
-        }
-        s.stats.misses += 1;
-        // The read happens under the pool lock on purpose: it serializes
-        // fills of the same page, so concurrent workers can never insert two
-        // frames for one PageId (which would silently drop a pin count).
-        let page = disk.read_page(id.page as usize)?;
-        s.stats.pages_read += 1;
-        if bypass {
-            return Ok(Fetched::Bypassed(page));
-        }
-        s.frames.insert(
-            id,
-            Frame {
-                page: page.clone(),
-                pin_count: 1,
-                dirty: false,
-                last_used: clock,
-            },
-        );
-        Self::note_resident(s);
-        Ok(Fetched::Pinned(page))
-    }
-
-    /// Record the current resident count in the lifetime watermark and in
-    /// every open peak window.  Called after each `frames.insert`.
-    fn note_resident(s: &mut PoolState) {
-        let now = s.frames.len();
-        s.peak_resident = s.peak_resident.max(now);
-        for peak in s.windows.values_mut() {
-            if *peak < now {
-                *peak = now;
-            }
-        }
+        self.state.lock().fetch(self.capacity, id, true)
     }
 
     /// Install new contents for `id`, marking the frame dirty.  A frame that
     /// is currently pinned keeps its pin count.  When the pool is full of
     /// pinned frames the page is written straight to disk instead.
+    ///
+    /// The contents are copied into a pool image: a resident frame's own
+    /// image is overwritten in place (copied first if a reader still holds
+    /// it, like any [`Page`] mutation), and a new frame takes the
+    /// lowest-addressed free image — or `page` itself when the free set is
+    /// empty.
     pub fn write(&self, id: PageId, page: Page) -> Result<()> {
         let mut s = self.state.lock();
         // Validate the file before touching any state: installing a dirty
@@ -389,28 +388,39 @@ impl BufferPool {
             .ok_or_else(|| HiqueError::Storage(format!("unregistered file {}", id.file)))?;
         s.clock += 1;
         let clock = s.clock;
-        if let Some(frame) = s.frames.get_mut(&id) {
-            frame.page = page;
+        if let Some(&i) = s.table.get(&id) {
+            let frame = &mut s.frames[i];
+            frame.page.bytes_mut().copy_from_slice(page.as_bytes());
             frame.dirty = true;
             frame.last_used = clock;
+            if frame.pin_count == 0 {
+                s.unlink(i);
+                s.link(i);
+            }
             return Ok(());
         }
-        if s.frames.len() >= self.capacity && !Self::evict_one(&mut s)? {
+        if s.frames.len() >= self.capacity && !s.evict_one()? {
             // Fully pinned pool: write through to disk, bypassing the pool.
             disk.write_page(id.page as usize, &page)?;
             s.stats.pages_written += 1;
             return Ok(());
         }
-        s.frames.insert(
+        let page = match s.free.pop_first() {
+            Some((_, mut image)) => {
+                image.bytes_mut().copy_from_slice(page.as_bytes());
+                image
+            }
+            None => page,
+        };
+        s.insert(Frame {
             id,
-            Frame {
-                page,
-                pin_count: 0,
-                dirty: true,
-                last_used: clock,
-            },
-        );
-        Self::note_resident(&mut s);
+            page,
+            pin_count: 0,
+            dirty: true,
+            last_used: clock,
+            prev: NIL,
+            next: NIL,
+        });
         Ok(())
     }
 
@@ -421,12 +431,13 @@ impl BufferPool {
     /// panicking or wrapping around.
     pub fn unpin(&self, id: PageId) -> Result<()> {
         let mut s = self.state.lock();
-        let frame = s.frames.get_mut(&id).ok_or_else(|| {
-            HiqueError::Storage(format!(
+        let Some(&i) = s.table.get(&id) else {
+            return Err(HiqueError::Storage(format!(
                 "unpin of non-resident page {}:{}",
                 id.file, id.page
-            ))
-        })?;
+            )));
+        };
+        let frame = &mut s.frames[i];
         if frame.pin_count == 0 {
             return Err(HiqueError::Storage(format!(
                 "unpin of unpinned page {}:{}",
@@ -434,67 +445,202 @@ impl BufferPool {
             )));
         }
         frame.pin_count -= 1;
+        if frame.pin_count == 0 {
+            s.link(i);
+        }
         Ok(())
     }
 
     /// Write every dirty frame back to disk.
     pub fn flush_all(&self) -> Result<()> {
-        let mut s = self.state.lock();
-        let dirty: Vec<PageId> = s
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in dirty {
-            let disk = s
-                .files
-                .get(&id.file)
-                .cloned()
-                .ok_or_else(|| HiqueError::Storage(format!("unregistered file {}", id.file)))?;
-            let page = s.frames[&id].page.clone();
-            disk.write_page(id.page as usize, &page)?;
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
+        for frame in s.frames.iter_mut().filter(|f| f.dirty) {
+            let disk = s.files.get(&frame.id.file).ok_or_else(|| {
+                HiqueError::Storage(format!("unregistered file {}", frame.id.file))
+            })?;
+            disk.write_page(frame.id.page as usize, &frame.page)?;
             s.stats.pages_written += 1;
-            // Deliberately infallible: `id` came from iterating `frames`
-            // under the same lock, so the entry cannot have vanished.
-            s.frames.get_mut(&id).expect("frame exists").dirty = false;
+            frame.dirty = false;
         }
         Ok(())
     }
+}
 
-    /// Evict the least-recently-used unpinned frame, writing it back if
-    /// dirty.  Returns `Ok(false)` when every frame is pinned (the caller
-    /// decides whether that is an error or a bypass); a failed dirty
-    /// write-back re-inserts the frame and surfaces the typed error — a
-    /// dirty page is never silently dropped.
-    fn evict_one(s: &mut PoolState) -> Result<bool> {
-        let Some(victim) = s
-            .frames
-            .iter()
-            .filter(|(_, f)| f.pin_count == 0)
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(&id, _)| id)
-        else {
-            return Ok(false);
-        };
-        // Deliberately infallible: `victim` was selected from `frames`
-        // under the same lock held across both statements.
-        let frame = s.frames.remove(&victim).expect("victim exists");
-        if frame.dirty {
-            let Some(disk) = s.files.get(&victim.file).cloned() else {
-                s.frames.insert(victim, frame);
-                return Err(HiqueError::Storage(format!(
-                    "dirty frame {}:{} has no registered file to write back to",
-                    victim.file, victim.page
-                )));
-            };
-            if let Err(e) = disk.write_page(victim.page as usize, &frame.page) {
-                s.frames.insert(victim, frame);
-                return Err(e);
+impl PoolState {
+    fn fetch(&mut self, capacity: usize, id: PageId, allow_bypass: bool) -> Result<Fetched> {
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some(&i) = self.table.get(&id) {
+            if self.frames[i].pin_count == 0 {
+                self.unlink(i);
             }
-            s.stats.pages_written += 1;
+            let frame = &mut self.frames[i];
+            frame.pin_count += 1;
+            frame.last_used = clock;
+            self.stats.hits += 1;
+            return Ok(Fetched::Pinned(frame.page.clone()));
         }
-        s.stats.evictions += 1;
+        // Resolve the file before evicting anything: a request for an
+        // unregistered file must fail without churning a victim out of the
+        // pool or skewing the miss counters as a side effect.
+        let disk = self
+            .files
+            .get(&id.file)
+            .cloned()
+            .ok_or_else(|| HiqueError::Storage(format!("unregistered file {}", id.file)))?;
+        // Need to bring the page in; make room first.  A full pool with
+        // every frame pinned either errors (strict fetch, before touching
+        // the disk or the miss counters) or degrades to a bypass read into
+        // an image of its own (the free set is empty when every frame is
+        // resident), which leaves with the caller.
+        if self.frames.len() >= capacity && !self.evict_one()? {
+            if !allow_bypass {
+                return Err(HiqueError::Storage(
+                    "buffer pool exhausted: every frame is pinned".into(),
+                ));
+            }
+            self.stats.misses += 1;
+            let page = disk.read_page(id.page as usize)?;
+            self.stats.pages_read += 1;
+            return Ok(Fetched::Bypassed(page));
+        }
+        self.stats.misses += 1;
+        // The read happens under the pool lock on purpose: it serializes
+        // fills of the same page, so concurrent workers can never insert two
+        // frames for one PageId (which would silently drop a pin count).
+        let mut page = self
+            .free
+            .pop_first()
+            .map_or_else(Page::blank, |(_, image)| image);
+        if let Err(e) = disk.read_into(id.page as usize, &mut page) {
+            self.release(page);
+            return Err(e);
+        }
+        self.stats.pages_read += 1;
+        self.insert(Frame {
+            id,
+            page: page.clone(),
+            pin_count: 1,
+            dirty: false,
+            last_used: clock,
+            prev: NIL,
+            next: NIL,
+        });
+        Ok(Fetched::Pinned(page))
+    }
+
+    /// Install a frame (an unpinned one joins the LRU list) and record the
+    /// resident count in the lifetime watermark and every open peak window.
+    fn insert(&mut self, frame: Frame) {
+        let i = self.frames.len();
+        self.table.insert(frame.id, i);
+        let unpinned = frame.pin_count == 0;
+        self.frames.push(frame);
+        if unpinned {
+            self.link(i);
+        }
+        let now = self.frames.len();
+        self.peak_resident = self.peak_resident.max(now);
+        for peak in self.windows.values_mut() {
+            if *peak < now {
+                *peak = now;
+            }
+        }
+    }
+
+    /// Remove unpinned frame `i` and return its page; the last frame moves
+    /// into slot `i`.
+    fn remove_frame(&mut self, i: usize) -> Page {
+        self.unlink(i);
+        let frame = self.frames.swap_remove(i);
+        self.table.remove(&frame.id);
+        if let Some(moved) = self.frames.get(i) {
+            let (id, linked, prev, next) = (moved.id, moved.pin_count == 0, moved.prev, moved.next);
+            self.table.insert(id, i);
+            if linked {
+                self.splice(prev, next, i);
+            }
+        }
+        frame.page
+    }
+
+    /// Take back an image no frame holds: into the free set, unless a
+    /// reader still holds it — then it leaves with the reader.
+    fn release(&mut self, page: Page) {
+        if !page.is_shared() {
+            self.free.insert(page.addr(), page);
+        }
+    }
+
+    /// Put unpinned frame `i` into the LRU list at its `last_used` rank.
+    /// The walk back from the tail stops at once unless pages fetched after
+    /// this one were unpinned before it.
+    fn link(&mut self, i: usize) {
+        let key = self.frames[i].last_used;
+        let mut prev = self.lru_tail;
+        while prev != NIL && self.frames[prev].last_used > key {
+            prev = self.frames[prev].prev;
+        }
+        let next = match prev {
+            NIL => self.lru_head,
+            p => self.frames[p].next,
+        };
+        self.splice(prev, next, i);
+    }
+
+    /// Make `i` the list node between `prev` and `next`.
+    fn splice(&mut self, prev: usize, next: usize, i: usize) {
+        self.frames[i].prev = prev;
+        self.frames[i].next = next;
+        match prev {
+            NIL => self.lru_head = i,
+            p => self.frames[p].next = i,
+        }
+        match next {
+            NIL => self.lru_tail = i,
+            n => self.frames[n].prev = i,
+        }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.frames[i].prev, self.frames[i].next);
+        match prev {
+            NIL => self.lru_head = next,
+            p => self.frames[p].next = next,
+        }
+        match next {
+            NIL => self.lru_tail = prev,
+            n => self.frames[n].prev = prev,
+        }
+    }
+
+    /// Evict the least-recently-used unpinned frame (the head of the LRU
+    /// list), writing it back if dirty, and return its image to the free
+    /// set.  Returns `Ok(false)` when every frame is pinned (the caller
+    /// decides whether that is an error or a bypass); a failed dirty
+    /// write-back leaves the frame in place and surfaces the typed error — a
+    /// dirty page is never silently dropped.
+    fn evict_one(&mut self) -> Result<bool> {
+        let victim = self.lru_head;
+        if victim == NIL {
+            return Ok(false);
+        }
+        let frame = &self.frames[victim];
+        if frame.dirty {
+            let id = frame.id;
+            let disk = self.files.get(&id.file).ok_or_else(|| {
+                HiqueError::Storage(format!(
+                    "dirty frame {}:{} has no registered file to write back to",
+                    id.file, id.page
+                ))
+            })?;
+            disk.write_page(id.page as usize, &frame.page)?;
+            self.stats.pages_written += 1;
+        }
+        let page = self.remove_frame(victim);
+        self.release(page);
+        self.stats.evictions += 1;
         Ok(true)
     }
 }
@@ -566,6 +712,53 @@ mod tests {
         p
     }
 
+    impl BufferPool {
+        /// Every structural invariant of the frame set: the page table and
+        /// the frames agree, the LRU list holds exactly the unpinned frames
+        /// in ascending `last_used` order, free images are unshared and
+        /// keyed by their address, and the pool owns at most `capacity`
+        /// images.
+        fn audit(&self) {
+            let s = self.state.lock();
+            assert!(
+                s.frames.len() + s.free.len() <= self.capacity,
+                "images over capacity"
+            );
+            assert_eq!(s.table.len(), s.frames.len());
+            for (i, frame) in s.frames.iter().enumerate() {
+                assert_eq!(s.table[&frame.id], i);
+                assert!(!s.free.contains_key(&frame.page.addr()));
+            }
+            for (&addr, image) in &s.free {
+                assert_eq!(addr, image.addr());
+                assert!(!image.is_shared());
+            }
+            let (mut prev, mut at, mut linked) = (NIL, s.lru_head, 0);
+            while at != NIL {
+                let frame = &s.frames[at];
+                assert_eq!(frame.prev, prev);
+                assert_eq!(frame.pin_count, 0, "a pinned frame is in the LRU list");
+                if prev != NIL {
+                    assert!(
+                        s.frames[prev].last_used < frame.last_used,
+                        "LRU list out of order"
+                    );
+                }
+                (prev, at, linked) = (at, frame.next, linked + 1);
+            }
+            assert_eq!(s.lru_tail, prev);
+            assert_eq!(linked, s.frames.iter().filter(|f| f.pin_count == 0).count());
+        }
+    }
+
+    /// xorshift64*: the seeded stream of the property tests.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
     /// A pool over one freshly written file of `pages` pages.
     fn setup(name: &str, pages: usize, capacity: usize) -> (BufferPool, FileId, PathBuf) {
         let path = temp_path(name);
@@ -597,7 +790,7 @@ mod tests {
 
     #[test]
     fn a_write_never_alters_a_page_already_handed_out() {
-        let (pool, f, path) = setup("cow", 2, 2);
+        let (pool, f, path) = setup("cow", 3, 2);
         let id = PageId::new(f, 0);
         // A reader pins page 0, then the page is rewritten under it.
         let held = pool.fetch(id).unwrap();
@@ -623,6 +816,209 @@ mod tests {
         }
         assert!(pool.unpin(id).is_err());
         assert_eq!(pool.pinned_frames(), 0);
+        // With no reader left, a write lands in the frame's own image: the
+        // pool keeps its images and a page fetched afterwards sits where
+        // the one before it did.
+        drop((held, fresh, scribbled));
+        let addr = pool.fetch(id).unwrap().addr();
+        pool.unpin(id).unwrap();
+        pool.write(id, page_with(78)).unwrap();
+        let after = pool.fetch(id).unwrap();
+        assert_eq!(after.record(0), &78u64.to_le_bytes());
+        assert_eq!(after.addr(), addr);
+        pool.unpin(id).unwrap();
+        // A guard taken before a write keeps the old image: the frame copies
+        // the write into a fresh image, and evicting the frame returns that
+        // one to the free set while the guard's image stays with the guard.
+        let held = pool.fetch(id).unwrap();
+        pool.unpin(id).unwrap();
+        pool.write(id, page_with(79)).unwrap();
+        for p in [1, 2] {
+            pool.fetch(PageId::new(f, p)).unwrap();
+            pool.unpin(PageId::new(f, p)).unwrap();
+        }
+        assert_eq!(held.record(0), &78u64.to_le_bytes());
+        assert_eq!(pool.images(), pool.capacity());
+        pool.audit();
+        let reread = pool.fetch(id).unwrap();
+        assert_eq!(reread.record(0), &79u64.to_le_bytes());
+        assert_ne!(reread.addr(), held.addr());
+        pool.unpin(id).unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lru_victim_is_the_least_recently_fetched_whatever_the_unpin_order() {
+        let (pool, f, path) = setup("lru_order", 4, 3);
+        let id = |p: usize| PageId::new(f, p);
+        for p in 0..3 {
+            pool.fetch(id(p)).unwrap();
+        }
+        // Unpinned newest first: the list still ranks them by fetch time.
+        for p in [2, 1, 0] {
+            pool.unpin(id(p)).unwrap();
+            pool.audit();
+        }
+        pool.fetch(id(3)).unwrap();
+        pool.unpin(id(3)).unwrap();
+        let misses = pool.stats().misses;
+        for p in [1, 2, 3] {
+            pool.fetch(id(p)).unwrap();
+            pool.unpin(id(p)).unwrap();
+        }
+        assert_eq!(pool.stats().misses, misses, "page 0 was the victim");
+        pool.fetch(id(0)).unwrap();
+        pool.unpin(id(0)).unwrap();
+        assert_eq!(pool.stats().misses, misses + 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn frame_accounting_holds_under_seeded_operation_mixes() {
+        const PAGES: usize = 10;
+        const CAPACITY: usize = 4;
+        for seed in 1..=24u64 {
+            let (pool, f, path) = setup(&format!("mix_{seed}"), PAGES, CAPACITY);
+            // A partial reserve: the rest of the images come on demand.
+            pool.reserve(2);
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            // Latest contents of every page of `f`, and of the pages written
+            // to the current spill-like file `g` since it was registered.
+            let mut want: Vec<u64> = (0..PAGES as u64).collect();
+            let mut spill: Vec<u64> = Vec::new();
+            let spill_path = |n: u64| temp_path(&format!("mix_{seed}_spill_{n}"));
+            let mut registrations = 0u64;
+            let mut g = pool.register_file(Arc::new(DiskManager::open(spill_path(0)).unwrap()));
+            // Pages handed out and still held: (id, page, contents at hand-out, pinned).
+            let mut held: Vec<(PageId, Page, u64, bool)> = Vec::new();
+            for _ in 0..300 {
+                let r = next(&mut rng);
+                let (file, p, value) = if !spill.is_empty() && r.is_multiple_of(3) {
+                    let p = (r >> 8) as usize % spill.len();
+                    (g, p, spill[p])
+                } else {
+                    let p = (r >> 8) as usize % PAGES;
+                    (f, p, want[p])
+                };
+                let id = PageId::new(file, p);
+                match r % 7 {
+                    0 => match pool.fetch(id) {
+                        Ok(page) => held.push((id, page, value, true)),
+                        Err(e) => assert!(e.message().contains("every frame is pinned"), "{e}"),
+                    },
+                    1 => match pool.fetch_or_bypass(id).unwrap() {
+                        Fetched::Pinned(page) => held.push((id, page, value, true)),
+                        Fetched::Bypassed(page) => held.push((id, page, value, false)),
+                    },
+                    2 if !held.is_empty() => {
+                        // Unpin a held page; the reader may keep its image.
+                        let k = (r >> 8) as usize % held.len();
+                        if held[k].3 {
+                            pool.unpin(held[k].0).unwrap();
+                            held[k].3 = false;
+                        }
+                        if r & (1 << 40) != 0 {
+                            held.swap_remove(k);
+                        }
+                    }
+                    3 => {
+                        let v = r >> 16;
+                        if file == f {
+                            pool.write(id, page_with(v)).unwrap();
+                            want[p] = v;
+                        } else {
+                            // Spill-like: append the next page of `g`.
+                            let id = PageId::new(g, spill.len());
+                            pool.write(id, page_with(v)).unwrap();
+                            spill.push(v);
+                        }
+                    }
+                    4 => {
+                        let plan = Arc::new(FaultPlan::new().fail_nth_read(1));
+                        pool.set_fault_plan(Some(Arc::clone(&plan)));
+                        let fetched = pool.fetch_or_bypass(id);
+                        pool.set_fault_plan(None);
+                        match fetched {
+                            Err(e) => assert!(e.message().contains("injected fault"), "{e}"),
+                            Ok(Fetched::Pinned(page)) => held.push((id, page, value, true)),
+                            Ok(Fetched::Bypassed(page)) => held.push((id, page, value, false)),
+                        }
+                    }
+                    5 => {
+                        let pinned = held.iter().any(|h| h.3 && h.0.file == g);
+                        match pool.unregister_file(g) {
+                            Ok(()) => {
+                                assert!(!pinned);
+                                registrations += 1;
+                                let disk = DiskManager::open(spill_path(registrations)).unwrap();
+                                g = pool.register_file(Arc::new(disk));
+                                spill.clear();
+                            }
+                            Err(_) => assert!(pinned),
+                        }
+                    }
+                    _ => {
+                        // A reader lets go of its image.
+                        held.retain(|h| h.3);
+                    }
+                }
+                pool.audit();
+                assert!(pool.resident() <= CAPACITY);
+                for (id, page, value, _) in &held {
+                    assert_eq!(
+                        page.record(0),
+                        &value.to_le_bytes(),
+                        "{id:?} changed while held"
+                    );
+                }
+            }
+            for (id, _, _, pinned) in held.drain(..) {
+                if pinned {
+                    pool.unpin(id).unwrap();
+                }
+            }
+            pool.audit();
+            assert_eq!(pool.pinned_frames(), 0);
+            // Every page of `f` reads back its latest contents.
+            for (p, value) in want.iter().enumerate() {
+                let page = pool.fetch(PageId::new(f, p)).unwrap();
+                assert_eq!(page.record(0), &value.to_le_bytes());
+                pool.unpin(PageId::new(f, p)).unwrap();
+            }
+            std::fs::remove_file(&path).ok();
+            for n in 0..=registrations {
+                std::fs::remove_file(spill_path(n)).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_misses_leave_the_free_set_unchanged() {
+        let (pool, f, path) = setup("faulted_misses", 8, 4);
+        pool.reserve(4);
+        for p in 0..2 {
+            pool.fetch(PageId::new(f, p)).unwrap();
+            pool.unpin(PageId::new(f, p)).unwrap();
+        }
+        let free = pool.state.lock().free.len();
+        let before = pool.stats();
+        assert_eq!((free, pool.images()), (2, 4));
+        for n in 0..1000 {
+            let plan = match n % 2 {
+                0 => FaultPlan::new().fail_nth_read(1),
+                _ => FaultPlan::new().short_nth_read(1),
+            };
+            pool.set_fault_plan(Some(Arc::new(plan)));
+            let err = pool.fetch(PageId::new(f, 2 + n % 6)).unwrap_err();
+            assert!(err.message().contains("injected fault"), "{err}");
+        }
+        pool.set_fault_plan(None);
+        assert_eq!(pool.state.lock().free.len(), free);
+        assert_eq!((pool.images(), pool.resident()), (4, 2));
+        let after = pool.stats();
+        assert_eq!(after.misses, before.misses + 1000);
+        assert_eq!(after.pages_read, before.pages_read);
+        pool.audit();
         std::fs::remove_file(&path).ok();
     }
 

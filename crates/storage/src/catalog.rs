@@ -273,6 +273,13 @@ impl Catalog {
             }
         };
 
+        // The pool's frames are allocated now, while the memory-resident
+        // pages are still alive: the images then come from one fresh,
+        // ascending run of the heap instead of the holes those pages leave,
+        // and whatever runs before the first scan (the DSM decomposition)
+        // cannot interleave its allocations with them.
+        pool.reserve(self.tables.values().map(|t| t.heap.num_pages()).sum());
+
         // Phase two (infallible swaps): adopt the files written above.
         for (name, disk) in disks {
             // Deliberately infallible: `disks` was built by iterating this

@@ -7,7 +7,7 @@
 //! experiments run on memory-resident heaps, as in the paper.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use std::sync::Arc;
@@ -18,10 +18,12 @@ use parking_lot::Mutex;
 use crate::fault::FaultPlan;
 use crate::page::{Page, PAGE_SIZE};
 
-/// Reads and writes 4 KiB pages of a single file.
+/// Reads and writes 4 KiB pages of a single file.  Every transfer is one
+/// positioned `pread`/`pwrite` of a whole page, so concurrent readers share
+/// the file without a lock or a seek.
 pub struct DiskManager {
     path: PathBuf,
-    file: Mutex<File>,
+    file: File,
     /// Optional fault-injection schedule; checked before every page read and
     /// write so scheduled failures surface exactly where real ones would.
     faults: Mutex<Option<Arc<FaultPlan>>>,
@@ -40,7 +42,7 @@ impl DiskManager {
             .map_err(|e| HiqueError::Storage(format!("open {}: {e}", path.display())))?;
         Ok(DiskManager {
             path,
-            file: Mutex::new(file),
+            file,
             faults: Mutex::new(None),
         })
     }
@@ -59,8 +61,8 @@ impl DiskManager {
 
     /// Number of whole pages currently stored in the file.
     pub fn num_pages(&self) -> Result<usize> {
-        let file = self.file.lock();
-        let len = file
+        let len = self
+            .file
             .metadata()
             .map_err(|e| HiqueError::Storage(format!("stat: {e}")))?
             .len() as usize;
@@ -72,32 +74,33 @@ impl DiskManager {
         if let Some(plan) = self.faults.lock().clone() {
             plan.before_write(&self.path, page_no)?;
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start((page_no * PAGE_SIZE) as u64))
-            .map_err(|e| HiqueError::Storage(format!("seek: {e}")))?;
-        file.write_all(page.as_bytes())
-            .map_err(|e| HiqueError::Storage(format!("write: {e}")))?;
-        Ok(())
+        self.file
+            .write_all_at(page.as_bytes(), (page_no * PAGE_SIZE) as u64)
+            .map_err(|e| HiqueError::Storage(format!("write page {page_no}: {e}")))
     }
 
-    /// Read page number `page_no`.
+    /// Read page number `page_no` into a fresh image.
     pub fn read_page(&self, page_no: usize) -> Result<Page> {
+        let mut page = Page::blank();
+        self.read_into(page_no, &mut page)?;
+        Ok(page)
+    }
+
+    /// Read page number `page_no` over `page`'s image — the buffer pool's
+    /// miss path, which passes a free frame image nothing else holds.
+    pub(crate) fn read_into(&self, page_no: usize, page: &mut Page) -> Result<()> {
         if let Some(plan) = self.faults.lock().clone() {
             plan.before_read(&self.path, page_no)?;
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start((page_no * PAGE_SIZE) as u64))
-            .map_err(|e| HiqueError::Storage(format!("seek: {e}")))?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        file.read_exact(&mut buf)
+        self.file
+            .read_exact_at(page.bytes_mut(), (page_no * PAGE_SIZE) as u64)
             .map_err(|e| HiqueError::Storage(format!("read page {page_no}: {e}")))?;
-        Page::from_bytes(&buf)
+        page.validate()
     }
 
     /// Flush OS buffers to stable storage.
     pub fn sync(&self) -> Result<()> {
         self.file
-            .lock()
             .sync_all()
             .map_err(|e| HiqueError::Storage(format!("sync: {e}")))
     }

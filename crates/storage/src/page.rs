@@ -55,21 +55,37 @@ impl Page {
         Ok(Page { buf })
     }
 
-    /// Reconstruct a page from raw bytes (e.g. read back from disk).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        // One allocation, one copy: the slice is copied into its counted
-        // allocation and the length check is the conversion to the array.
-        let buf: Arc<[u8; PAGE_SIZE]> = Arc::<[u8]>::from(bytes).try_into().map_err(|_| {
-            HiqueError::Storage(format!(
-                "page image must be {PAGE_SIZE} bytes, got {}",
-                bytes.len()
-            ))
-        })?;
-        let page = Page { buf };
-        if page.tuple_size() == 0 {
+    /// A zeroed image for the buffer pool's frame set.  It is not a valid
+    /// page until a disk read or a copy fills it ([`Page::validate`]).
+    pub(crate) fn blank() -> Self {
+        Page {
+            buf: Arc::new([0u8; PAGE_SIZE]),
+        }
+    }
+
+    /// Address of the image: the buffer pool hands out its free images
+    /// lowest address first.
+    pub(crate) fn addr(&self) -> usize {
+        self.buf.as_ptr() as usize
+    }
+
+    /// True while another handle shares the image.
+    pub(crate) fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.buf) > 1
+    }
+
+    /// The whole image for overwriting (a disk read, a copy into a pool
+    /// image); copies it first when it is shared, like the mutators.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        Arc::make_mut(&mut self.buf)
+    }
+
+    /// Check the header of an image filled from raw bytes.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.tuple_size() == 0 {
             return Err(HiqueError::Storage("page image has zero tuple size".into()));
         }
-        Ok(page)
+        Ok(())
     }
 
     /// The raw page image.
@@ -238,11 +254,18 @@ mod tests {
     fn round_trip_through_bytes() {
         let mut p = Page::new(16).unwrap();
         p.push_record(&[9u8; 16]).unwrap();
-        let copy = Page::from_bytes(p.as_bytes()).unwrap();
+        let mut copy = Page::blank();
+        assert!(copy.validate().is_err(), "a blank image is not a page");
+        copy.bytes_mut().copy_from_slice(p.as_bytes());
+        copy.validate().unwrap();
         assert_eq!(copy.num_tuples(), 1);
         assert_eq!(copy.record(0), &[9u8; 16]);
-        assert!(Page::from_bytes(&[0u8; 10]).is_err());
-        assert!(Page::from_bytes(&[0u8; PAGE_SIZE]).is_err());
+        // Overwriting a shared image copies it first.
+        let held = copy.clone();
+        assert!(copy.is_shared());
+        copy.bytes_mut()[PAGE_HEADER_SIZE] = 1;
+        assert_ne!(copy.addr(), held.addr());
+        assert_eq!(held.record(0), &[9u8; 16]);
     }
 
     #[test]
