@@ -25,7 +25,7 @@ const SF: f64 = 0.004;
 fn work_counters(s: &ExecStats) -> String {
     format!(
         "calls={} tuples={} bytes_touched={} bytes_materialized={} comparisons={} hash_ops={} \
-         sort_passes={} partition_passes={} vm_batches={} vm_fused_ops={} rows_out={}",
+         sort_passes={} partition_passes={} vm_batches={} rows_out={}",
         s.function_calls,
         s.tuples_processed,
         s.bytes_touched,
@@ -35,7 +35,6 @@ fn work_counters(s: &ExecStats) -> String {
         s.sort_passes,
         s.partition_passes,
         s.vm_batches,
-        s.vm_fused_ops,
         s.rows_out,
     )
 }

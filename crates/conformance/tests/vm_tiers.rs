@@ -1,8 +1,9 @@
-//! Tier differential: the vectorized VM interpreter must be bit-identical
-//! to the scalar interpreter over the conformance corpus — canonical rows
-//! AND every [`hique_types::ExecStats`] counter.  The only permitted
-//! difference is the vectorized tier's own telemetry (`vm_batches`,
-//! `vm_fused_ops`), which the scalar tier leaves at zero.
+//! Tier differential: the vectorized tier — the verified fragments resolved
+//! into the compiled kernels' objects and run through core's loops — must
+//! be bit-identical to the scalar reference interpreter over the
+//! conformance corpus: canonical rows AND every [`hique_types::ExecStats`]
+//! counter.  The only permitted difference is the vectorized tier's own
+//! telemetry (`vm_batches`), which the scalar tier leaves at zero.
 //!
 //! Failure messages carry the per-query seed; reproduce one with
 //! `cargo run --release -p hique-conformance --bin conformance -- --replay <seed>`.
@@ -55,8 +56,7 @@ fn vectorized_tier_is_bit_identical_to_scalar_over_the_corpus() {
 
         // The scalar tier must not report batch telemetry...
         assert_eq!(
-            (scalar.stats.vm_batches, scalar.stats.vm_fused_ops),
-            (0, 0),
+            scalar.stats.vm_batches, 0,
             "seed {:#x}: scalar tier reported batch telemetry",
             query.seed
         );
@@ -77,7 +77,6 @@ fn vectorized_tier_is_bit_identical_to_scalar_over_the_corpus() {
         // telemetry is zeroed out.
         let mut masked = vectorized.stats;
         masked.vm_batches = 0;
-        masked.vm_fused_ops = 0;
         assert_eq!(
             masked, scalar.stats,
             "seed {:#x}: counters diverge between tiers\n  sql: {}",

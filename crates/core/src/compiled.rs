@@ -20,14 +20,15 @@ use crate::join::{
 use crate::kernel::CompiledKey;
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
-use crate::staging::{stage_table, StagedInput};
+use crate::staging::{stage_table, ScanKernels, StagedInput};
 
 impl Kernels for GeneratedQuery {
     const FUSES_JOIN_TEAMS: bool = true;
 
     fn stage(&self, t: usize, heap: &TableHeap, run: &mut Run<'_>) -> Result<StagedInput> {
         let desc = &run.plan.staged[t];
-        stage_table(heap, desc, &mut run.stats, &run.pool, run.cancel)
+        let scan = ScanKernels::compile(desc, heap.schema())?;
+        stage_table(heap, &scan, desc, &mut run.stats, &run.pool, run.cancel)
     }
 
     fn join(

@@ -14,7 +14,7 @@ use std::ops::Range;
 use hique_par::{chunk_ranges, ScopedPool};
 use hique_plan::{StagedTable, StagingStrategy};
 use hique_storage::TableHeap;
-use hique_types::{CancelToken, ExecStats, Result};
+use hique_types::{CancelToken, ExecStats, Result, Schema};
 
 use crate::kernel::{CompiledFilter, CompiledKey, CompiledProjection, Selection};
 use crate::relation::{merge_sorted_runs, StagedRelation};
@@ -77,7 +77,7 @@ pub fn sweep_pages(
 /// Bytes to reserve for the staged output of `pages` of `heap`: its share of
 /// `min(estimated_rows, heap tuples)` records of `width` bytes — never more
 /// than the scan can produce.
-pub fn staged_capacity(
+fn staged_capacity(
     heap: &TableHeap,
     pages: &Range<usize>,
     estimated_rows: usize,
@@ -90,24 +90,42 @@ pub fn staged_capacity(
 /// Concatenate per-worker runs in worker order.  The first run is the base
 /// buffer, so a serial scan's single run is staged without a second copy of
 /// the relation.
-pub fn concat_runs(runs: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
+fn concat_runs(runs: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
     let mut runs = runs.into_iter();
     let mut data = runs.next().unwrap_or_default();
     runs.for_each(|run| data.extend_from_slice(&run));
     data
 }
 
-/// The compiled scan/filter/project kernels shared by every worker:
-/// resolved once per scan, then swept over pages.
-struct ScanKernels<'a> {
-    heap: &'a TableHeap,
-    filters: Vec<CompiledFilter>,
-    projection: CompiledProjection,
-    estimated_rows: usize,
-    cancel: &'a CancelToken,
+/// A resolved scan: the instantiated filter and projection kernels of the
+/// paper's Listing 1 for one input table, built once per staging call and
+/// swept over pages by every worker.
+///
+/// Both kernel providers stage through [`stage_table`] with one of these:
+/// the compiled provider builds it from the plan ([`ScanKernels::compile`]),
+/// the bytecode VM from its verified filter and projection fragments.
+pub struct ScanKernels {
+    /// Conjunctive filters over the base record, applied in order.
+    pub filters: Vec<CompiledFilter>,
+    /// The copy plan building the staged record from a base record.
+    pub projection: CompiledProjection,
 }
 
-impl ScanKernels<'_> {
+impl ScanKernels {
+    /// Instantiate the scan of `staged` over base records of `base`: its
+    /// filters with baked-in offsets and constants, its kept columns as a
+    /// list of constant-width byte-range copies.
+    pub fn compile(staged: &StagedTable, base: &Schema) -> Result<Self> {
+        Ok(ScanKernels {
+            filters: staged
+                .filters
+                .iter()
+                .map(|f| CompiledFilter::compile(f, base))
+                .collect::<Result<_>>()?,
+            projection: CompiledProjection::compile(base, &staged.keep),
+        })
+    }
+
     /// Run the instantiated Listing 1 loop over `pages`: each page's
     /// survivors are projected once, straight onto the tail of `out`, then
     /// `after_page` sees `out` (the partitioning strategies scatter and
@@ -119,14 +137,16 @@ impl ScanKernels<'_> {
     /// short-circuiting tuple-at-a-time loop counts.
     fn scan_chunk(
         &self,
+        heap: &TableHeap,
         pages: Range<usize>,
+        cancel: &CancelToken,
         stats: &mut ExecStats,
         out: &mut Vec<u8>,
         mut after_page: impl FnMut(&mut Vec<u8>, &mut ExecStats),
     ) -> Result<()> {
-        let ts = self.heap.schema().tuple_size();
+        let ts = heap.schema().tuple_size();
         let mut sel = Selection::new();
-        sweep_pages(self.heap, pages, self.cancel, stats, |data, stats| {
+        sweep_pages(heap, pages, cancel, stats, |data, stats| {
             sel.select_all(data.len() / ts);
             for f in &self.filters {
                 if sel.is_empty() {
@@ -138,17 +158,6 @@ impl ScanKernels<'_> {
             self.projection.append(data, ts, sel.rows(), out);
             after_page(out, stats);
         })
-    }
-
-    /// Output bytes to reserve for the run (or, divided by the partition
-    /// count, the partition buffers) of the worker scanning `pages`.
-    fn capacity(&self, pages: &Range<usize>) -> usize {
-        staged_capacity(
-            self.heap,
-            pages,
-            self.estimated_rows,
-            self.projection.output_width(),
-        )
     }
 }
 
@@ -162,14 +171,15 @@ struct FineChunk {
     stats: ExecStats,
 }
 
-/// Stage one base table according to its plan descriptor, dividing the scan
-/// across `pool`.
+/// Stage one base table through a resolved `scan`, dividing the pages
+/// across `pool`: the one staging entry point of both kernel providers.
 ///
-/// The scan/filter/project loop is the instantiated Listing 1 template: the
-/// filters are [`CompiledFilter`]s with baked-in offsets and constants, the
-/// projection is a list of constant-width byte-range copies, and
-/// partitioning/sorting are interleaved with the scan exactly as the
-/// generated code would do.
+/// `staged` supplies the output schema, the row estimate the output buffers
+/// are reserved from, and the pre-processing strategy; what runs over each
+/// page is `scan` — the instantiated Listing 1 template, whose filters carry
+/// baked-in offsets and constants and whose projection is a list of
+/// constant-width byte-range copies.  Partitioning and sorting are
+/// interleaved with the scan exactly as the generated code would do.
 ///
 /// The parallel decomposition is the paper's partitioning pre-processing
 /// read backwards: pages are divided into contiguous per-worker chunks
@@ -183,25 +193,18 @@ struct FineChunk {
 /// width.  Every scan worker checks `cancel` once per heap page.
 pub fn stage_table(
     heap: &TableHeap,
+    scan: &ScanKernels,
     staged: &StagedTable,
     stats: &mut ExecStats,
     pool: &ScopedPool,
     cancel: &CancelToken,
 ) -> Result<StagedInput> {
-    let base_schema = heap.schema();
-    let kernels = ScanKernels {
-        heap,
-        filters: staged
-            .filters
-            .iter()
-            .map(|f| CompiledFilter::compile(f, base_schema))
-            .collect::<Result<_>>()?,
-        projection: CompiledProjection::compile(base_schema, &staged.keep),
-        estimated_rows: staged.estimated_rows,
-        cancel,
-    };
     let out_schema = staged.schema.clone();
-    let out_width = kernels.projection.output_width();
+    let out_width = scan.projection.output_width();
+    // Output bytes to reserve for the run (or, divided by the partition
+    // count, the partition buffers) of the worker scanning `pages`.
+    let capacity =
+        |pages: &Range<usize>| staged_capacity(heap, pages, staged.estimated_rows, out_width);
     let chunks = chunk_ranges(heap.num_pages(), pool.threads());
 
     // One operator invocation: the generated staging function is one call.
@@ -221,8 +224,8 @@ pub fn stage_table(
             let worker_outputs: Vec<Result<(Vec<u8>, ExecStats)>> =
                 pool.map_items(&chunks, |_, pages| {
                     let mut local = ExecStats::new();
-                    let mut out: Vec<u8> = Vec::with_capacity(kernels.capacity(pages));
-                    kernels.scan_chunk(pages.clone(), &mut local, &mut out, |_, _| {})?;
+                    let mut out: Vec<u8> = Vec::with_capacity(capacity(pages));
+                    scan.scan_chunk(heap, pages.clone(), cancel, &mut local, &mut out, |_, _| {})?;
                     // Sorting interleaved with the scan: each worker sorts its
                     // chunk (stable) so the merge below only has to interleave
                     // sorted runs.
@@ -274,12 +277,14 @@ pub fn stage_table(
             let worker_outputs: Vec<(Vec<Vec<u8>>, ExecStats)> = pool
                 .map_items(&chunks, |_, pages| {
                     let mut local = ExecStats::new();
-                    let reserve = kernels.capacity(pages) / m;
+                    let reserve = capacity(pages) / m;
                     let mut parts: Vec<Vec<u8>> =
                         (0..m).map(|_| Vec::with_capacity(reserve)).collect();
                     let mut page_out: Vec<u8> = Vec::new();
-                    kernels.scan_chunk(
+                    scan.scan_chunk(
+                        heap,
                         pages.clone(),
+                        cancel,
                         &mut local,
                         &mut page_out,
                         |out, local| {
@@ -332,8 +337,10 @@ pub fn stage_table(
                     let (directory, order, parts) =
                         (&mut chunk.directory, &mut chunk.order, &mut chunk.parts);
                     let mut page_out: Vec<u8> = Vec::new();
-                    kernels.scan_chunk(
+                    scan.scan_chunk(
+                        heap,
                         pages.clone(),
+                        cancel,
                         &mut chunk.stats,
                         &mut page_out,
                         |out, local| {
@@ -411,8 +418,9 @@ mod tests {
         stats: &mut ExecStats,
         threads: usize,
     ) -> Result<StagedInput> {
+        let scan = ScanKernels::compile(desc, heap.schema())?;
         let pool = ScopedPool::new(threads);
-        stage_table(heap, desc, stats, &pool, &CancelToken::disabled())
+        stage_table(heap, &scan, desc, stats, &pool, &CancelToken::disabled())
     }
 
     fn heap() -> TableHeap {

@@ -137,8 +137,8 @@ pub struct ExecStats {
     /// row-at-a-time interpreter ran — which tier executed is visible in
     /// EXPLAIN through this counter.
     pub vm_batches: u64,
-    /// Fused superinstruction dispatches executed by the vectorized tier
-    /// (one per fused step per batch, not per tuple).
+    /// Retired: the vectorized tier no longer fuses ops, so this reads 0.
+    /// The field stays only while the benchmark's trace still reports it.
     pub vm_fused_ops: u64,
     /// Buffer-pool and disk I/O of the execution (zero for memory-resident
     /// catalogs; see [`IoStats`] for the interleaving caveat under

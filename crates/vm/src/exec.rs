@@ -18,20 +18,17 @@
 
 use hique_holistic::agg::{AccumLayout, GroupAccums, KeyRuns, PageFold};
 use hique_holistic::exec::{self, Kernels, RecordSink, Run};
-use hique_holistic::kernel::{CompiledKey, Selection};
+use hique_holistic::kernel::CompiledKey;
 use hique_holistic::spill::StagedSlot;
-use hique_holistic::staging::{concat_runs, staged_capacity, sweep_pages, StagedInput};
+use hique_holistic::staging::{stage_table, sweep_pages, StagedInput};
 use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
-use hique_par::chunk_ranges;
-use hique_plan::{AggregateSpec, JoinAlgorithm};
+use hique_plan::{AggregateSpec, JoinAlgorithm, StagedTable, StagingStrategy};
 use hique_storage::{Catalog, TableHeap};
 use hique_types::{CancelToken, ExecStats, HiqueError, QueryResult, Result, Row, Value};
 
-use crate::bytecode::{run_expr, run_filter, run_image, Op};
+use crate::bytecode::{run_expr, run_filter, run_image, run_project, Op};
 use crate::program::{OutputOp, VmProgram};
-use crate::vector::{
-    copy_plan, resolve_agg_dag, resolve_filter, run_filter_batch, run_image_batch, BATCH,
-};
+use crate::vector::{resolve_agg_dag, resolve_scan, run_image_batch, BATCH};
 
 /// Probe-side records between cancellation checks in a scalar hash join.
 const CANCEL_BATCH: usize = 4096;
@@ -46,18 +43,17 @@ fn mix(hash: u64, image: i64) -> u64 {
     (hash.rotate_left(5) ^ image as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// Which interpreter dispatches the bytecode (DESIGN.md §15).
+/// Which interpreter runs the bytecode (DESIGN.md §15).
 ///
 /// Both tiers produce bit-identical results and [`hique_types::ExecStats`]
 /// work counters; they differ only in dispatch cost (and in the
-/// `vm_batches`/`vm_fused_ops` counters recording which tier ran).
+/// `vm_batches` counter recording which tier ran).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// Batch interpretation: each op dispatched once per batch of tuples,
-    /// filters narrowing a selection vector, fused superinstructions
-    /// covering hot op pairs.  Fragments without a vectorized lowering
-    /// fall back to the scalar loops per fragment, never per row.  The
-    /// default tier.
+    /// The verified fragments resolved, once per hook call, into the
+    /// compiled kernels' objects — filter sweeps and copy plan staged
+    /// through core's scan loop, the page fold, key-image sweeps — and run
+    /// a page or batch at a time.  The default tier.
     #[default]
     Vectorized,
     /// The original row-at-a-time reference interpreter.
@@ -111,91 +107,57 @@ struct Interpreter<'a> {
 impl Kernels for Interpreter<'_> {
     const FUSES_JOIN_TEAMS: bool = false;
 
-    /// Scan one base table through its bytecode filter/projection fragments,
-    /// dividing the heap pages across the pool.  Page chunks are merged in
-    /// chunk order (the first worker's run is the base buffer), so the
-    /// staged relation is byte-identical for every thread count; workers
-    /// observe the shared cancellation token once per page.
+    /// Scan one base table through its filter and projection fragments.
     ///
-    /// The fragments are resolved once per call, then swept over pages
-    /// ([`sweep_pages`], the loop the compiled provider runs): the
-    /// projection's verified `Copy` list becomes the compiled kernels' copy
-    /// plan, and on the vectorized tier each test of the fused filter becomes
-    /// a page sweep narrowing a selection vector.  The scalar tier — the
-    /// reference interpreter — selects rows by running the filter fragment
-    /// row at a time; everything around the selection is shared.  The batch
-    /// is one heap page's packed record area, and page boundaries are
-    /// invariant across `chunk_ranges` splits, so `vm_batches` is
-    /// deterministic per thread count.
+    /// The vectorized tier resolves the fragments into a scan
+    /// ([`resolve_scan`]: one page sweep per test, the `Copy` list as a copy
+    /// plan) and stages through core's one staging function, unpartitioned —
+    /// the hash join needs no pre-processing.  Core divides the pages across
+    /// the pool and merges in chunk order, so the staged relation is
+    /// byte-identical for every thread count; the page is the batch, so
+    /// `vm_batches` is the table's page count.  The scalar tier — the
+    /// reference interpreter — is one serial page loop selecting rows by
+    /// `run_filter` and building them by `run_project`, one record at a
+    /// time.  Staged bytes and counters are the same on both tiers and at
+    /// every pool width.
     fn stage(&self, t: usize, heap: &TableHeap, run: &mut Run<'_>) -> Result<StagedInput> {
         let program = self.program;
         let (desc, frags) = (&run.plan.staged[t], &program.tables[t]);
-        let (tier, code, consts) = (self.tier, &program.code[..], &program.pool);
-        let (stats, pool, cancel) = (&mut run.stats, &run.pool, run.cancel);
-        // A fragment without a vectorized lowering falls back to the scalar
-        // filter loop per fragment, never per row.
-        let sweeps = match (tier, program.vec.filters.get(t)) {
-            (Tier::Vectorized, Some(Some(steps))) => Some(resolve_filter(steps, consts)),
-            _ => None,
-        };
-        let copies = copy_plan(frags.project.ops(code));
-        let base_ts = heap.schema().tuple_size();
-        let out_width = desc.schema.tuple_size();
-        let chunks = chunk_ranges(heap.num_pages(), pool.threads());
+        let (code, consts) = (&program.code[..], &program.pool);
+        if self.tier == Tier::Vectorized {
+            let scan = resolve_scan(frags, code, consts);
+            let desc = StagedTable {
+                strategy: StagingStrategy::None,
+                ..desc.clone()
+            };
+            let staged = stage_table(heap, &scan, &desc, &mut run.stats, &run.pool, run.cancel)?;
+            run.stats.vm_batches += heap.num_pages() as u64;
+            return Ok(staged);
+        }
         // One operator invocation: the compiled staging fragment is one call.
-        stats.add_calls(1);
-        let worker_outputs: Vec<Result<(Vec<u8>, ExecStats)>> =
-            pool.map_items(&chunks, |_, pages| {
-                let mut local = ExecStats::new();
-                let mut out: Vec<u8> = Vec::with_capacity(staged_capacity(
-                    heap,
-                    pages,
-                    desc.estimated_rows,
-                    out_width,
-                ));
-                let mut sel = Selection::new();
-                // The verifier proved every fragment access in-bounds for the
-                // base schema; `sweep_pages` asserts the pages really hold
-                // records of that width.
-                sweep_pages(heap, pages.clone(), cancel, &mut local, |data, local| {
-                    if tier == Tier::Vectorized {
-                        local.vm_batches += 1;
+        run.stats.add_calls(1);
+        let (filter, project) = (frags.filter.ops(code), frags.project.ops(code));
+        let base_ts = heap.schema().tuple_size();
+        let (mut out, mut record) = (Vec::new(), vec![0u8; desc.schema.tuple_size()]);
+        // The verifier proved every fragment access in-bounds for the base
+        // schema; `sweep_pages` asserts the pages really hold records of
+        // that width.
+        sweep_pages(
+            heap,
+            0..heap.num_pages(),
+            run.cancel,
+            &mut run.stats,
+            |data, stats| {
+                for base in data.chunks_exact(base_ts) {
+                    if run_filter(filter, consts, base, &mut stats.comparisons) {
+                        run_project(project, base, &mut record);
+                        out.extend_from_slice(&record);
                     }
-                    match &sweeps {
-                        Some(sweeps) => run_filter_batch(
-                            sweeps,
-                            data,
-                            base_ts,
-                            &mut sel,
-                            &mut local.comparisons,
-                            &mut local.vm_fused_ops,
-                        ),
-                        None => {
-                            sel.clear();
-                            for (r, record) in data.chunks_exact(base_ts).enumerate() {
-                                if run_filter(
-                                    frags.filter.ops(code),
-                                    consts,
-                                    record,
-                                    &mut local.comparisons,
-                                ) {
-                                    sel.push(r as u32);
-                                }
-                            }
-                        }
-                    }
-                    copies.append(data, base_ts, sel.rows(), &mut out);
-                })?;
-                Ok((out, local))
-            });
-        let (runs, worker_stats): (Vec<Vec<u8>>, Vec<ExecStats>) = worker_outputs
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .unzip();
-        stats.merge(&worker_stats.into_iter().sum());
-        let rel = StagedRelation::from_partitions(desc.schema.clone(), vec![concat_runs(runs)]);
-        stats.add_materialized(rel.data_bytes());
+                }
+            },
+        )?;
+        let rel = StagedRelation::from_partitions(desc.schema.clone(), vec![out]);
+        run.stats.add_materialized(rel.data_bytes());
         Ok(StagedInput::unpartitioned(rel))
     }
 
@@ -203,7 +165,7 @@ impl Kernels for Interpreter<'_> {
         &self,
         step: usize,
         left: StagedInput,
-        rights: Vec<StagedInput>,
+        mut rights: Vec<StagedInput>,
         run: &mut Run<'_>,
         sink: &mut RecordSink<'_, impl FnMut(&[u8]) -> Row>,
     ) -> Result<()> {
@@ -231,10 +193,11 @@ impl Kernels for Interpreter<'_> {
                 "nested-loops cross products are not generated".into(),
             ));
         }
-        let (left, right) = (&left.relation, &rights[0].relation);
+        // A cascade step has exactly one right input.
+        let (left, right) = (left.relation, rights.swap_remove(0).relation);
         let mut buf = vec![0u8; left.tuple_size() + right.tuple_size()];
         hash_join(
-            left,
+            &left,
             right,
             left_image.ops(&program.code),
             right_image.ops(&program.code),
@@ -264,10 +227,11 @@ impl Kernels for Interpreter<'_> {
         let program = self.program;
         let (plan, spill, stats) = (run.plan, run.spill, &mut run.stats);
         let (code, consts) = (&program.code[..], &program.pool);
-        let frags = program
-            .agg
-            .as_ref()
-            .expect("aggregation fragments compiled");
+        let Some(frags) = &program.agg else {
+            return Err(HiqueError::Execution(
+                "aggregate plan without generated aggregation kernels".into(),
+            ));
+        };
         let tuple_size = plan.joined_schema.tuple_size();
         let mut groups = Groups::new(
             spec.group_columns
@@ -277,8 +241,8 @@ impl Kernels for Interpreter<'_> {
             &frags.layout,
         );
         let set = slot.partitions(spill)?;
-        match (self.tier, &program.vec.agg_dag) {
-            (Tier::Vectorized, Some(steps)) => {
+        match self.tier {
+            Tier::Vectorized => {
                 // Page-batched aggregation: the batch is one page's packed
                 // record area — for spilled inputs one *pinned* page at a time
                 // (through the same guard the scalar consumer uses, so
@@ -287,7 +251,7 @@ impl Kernels for Interpreter<'_> {
                 // per grouping attribute, each run of rows with equal images
                 // finds its group (in input order), and the fold adds the
                 // page's rows to their groups.
-                let (nodes, fused) = resolve_agg_dag(steps, consts);
+                let nodes = resolve_agg_dag(frags.dag.ops(code), consts);
                 let mut fold = PageFold::new(&nodes, &frags.layout, tuple_size);
                 let mut images: Vec<Vec<i64>> = vec![Vec::new(); frags.group_images.len()];
                 let (mut runs, mut ids) = (KeyRuns::new(), Vec::new());
@@ -295,7 +259,6 @@ impl Kernels for Interpreter<'_> {
                     stream.for_each_page(|data| {
                         let n = fold.fill(data);
                         stats.vm_batches += 1;
-                        stats.vm_fused_ops += fused;
                         stats.tuples_processed += n as u64;
                         stats.bytes_touched += (n * tuple_size) as u64;
                         stats.add_hashes(n as u64);
@@ -314,10 +277,9 @@ impl Kernels for Interpreter<'_> {
                     })?;
                 }
             }
-            // The scalar tier, and the vectorized tier's fallback for a DAG
-            // fragment without a batch lowering: page-at-a-time for either
-            // source, a spilled input aggregates straight off pinned pages.
-            _ => {
+            // The scalar tier: record-at-a-time for either source, a
+            // spilled input aggregates straight off pinned pages.
+            Tier::Scalar => {
                 let dag = frags.dag.ops(code);
                 let mut key: Vec<i64> = vec![0; frags.group_images.len()];
                 let mut regs = vec![0.0f64; program.float_registers];
@@ -511,7 +473,7 @@ impl JoinTable {
 /// at most [`BATCH`] records straight off the staged relations.
 fn hash_join(
     left: &StagedRelation,
-    right: &StagedRelation,
+    mut right: StagedRelation,
     left_image: &[Op],
     right_image: &[Op],
     tier: Tier,
@@ -523,19 +485,10 @@ fn hash_join(
     stats.add_calls(1);
     let (lts, rts) = (left.tuple_size(), right.tuple_size());
     // Emission reads build rows at random, so the build side is one packed
-    // buffer — which it already is: this provider stages every input and the
-    // driver every intermediate unpartitioned.
-    let gathered;
-    let build: &[u8] = if right.num_partitions() == 1 {
-        right.partition(0)
-    } else {
-        gathered = {
-            let mut flat = right.clone();
-            flat.flatten();
-            flat
-        };
-        gathered.partition(0)
-    };
+    // buffer — which it already is (a no-op flatten): this provider stages
+    // every input and the driver every intermediate unpartitioned.
+    right.flatten();
+    let build = right.partition(0);
     let (build_rows, probe_rows) = (build.len() / rts, left.num_records());
     for (rows, ts) in [(build_rows, rts), (probe_rows, lts)] {
         stats.tuples_processed += rows as u64;
@@ -598,9 +551,9 @@ fn hash_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_holistic::staging::stage_table;
+    use hique_holistic::staging::ScanKernels;
     use hique_par::ScopedPool;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig, StagedTable, StagingStrategy};
+    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
     use hique_types::{Column, DataType, Schema};
 
     /// One table with a column of every type a test op exists for, values
@@ -688,6 +641,7 @@ mod tests {
                 let mut expected_stats = ExecStats::new();
                 let expected = stage_table(
                     heap,
+                    &ScanKernels::compile(&desc, heap.schema()).unwrap(),
                     &desc,
                     &mut expected_stats,
                     &ScopedPool::serial(),
@@ -722,7 +676,7 @@ mod tests {
                             if tier == Tier::Vectorized {
                                 assert_eq!(stats.vm_batches, heap.num_pages() as u64, "{context}");
                             }
-                            (stats.vm_batches, stats.vm_fused_ops) = (0, 0);
+                            stats.vm_batches = 0;
                             assert_eq!(stats, expected_stats, "{context}: stats");
                         }
                     }
@@ -783,7 +737,7 @@ mod tests {
             let mut emitted: Vec<(i32, i32)> = Vec::new();
             hash_join(
                 left,
-                right,
+                right.clone(),
                 &[image],
                 &[image],
                 tier,

@@ -20,15 +20,15 @@
 //! and literal-varying classmates a cheap [`VmProgram::bind`] (signature
 //! checked, pool swapped, constants folded) instead of a full prepare.
 //!
-//! Execution has two tiers ([`exec::Tier`]): the original row-at-a-time
-//! scalar interpreter, and a vectorized tier (`vector` module,
-//! DESIGN.md §15)
-//! that dispatches each op once per batch of tuples over selection
-//! vectors and columnar register lanes, with a peephole fusion pass
-//! rewriting hot op pairs into superinstructions.  Tier selection is
-//! automatic per fragment at prepare time; results and [`ExecStats`]
-//! are bit-identical across tiers, with `vm_batches`/`vm_fused_ops`
-//! recording which tier ran.
+//! Execution has two tiers ([`exec::Tier`]).  The default vectorized tier
+//! is a front end to the compiled kernels (`vector` module, DESIGN.md
+//! §15): once per hook call it resolves the verified fragments into the
+//! objects the generator builds — filter sweeps and a copy plan staged
+//! through core's one scan loop, the aggregation's page fold, key-image
+//! sweeps — so what runs is exactly what was verified.  The scalar tier
+//! is the row-at-a-time reference interpreter it is tested against.
+//! Results and [`ExecStats`] are bit-identical across tiers, with
+//! `vm_batches` recording which tier ran.
 //!
 //! Every compiled or rebound program passes a static verifier
 //! ([`verify::verify`]) before it can reach the interpreter: abstract

@@ -72,7 +72,7 @@ const FAR_OFFSET: u32 = 1 << 20;
 const FAR_REGISTER: u8 = 200;
 const _: () = assert!(FAR_REGISTER as usize >= MAX_REGISTERS);
 
-const KINDS: usize = 17;
+const KINDS: usize = 14;
 
 /// Generate up to `count` single-mutation corruptions of `template`,
 /// deterministically from `seed`.  Kinds that do not apply to the program
@@ -114,10 +114,7 @@ fn apply(p: &mut VmProgram, kind: usize, rng: &mut Rng) -> Option<String> {
         10 => frag_out_of_range(p, rng),
         11 => corrupt_outputs(p, rng),
         12 => truncate_code(p),
-        13 => fused_wrong_operand_type(p, rng),
-        14 => fused_register_out_of_lattice(p, rng),
-        15 => fused_pool_oob(p, rng),
-        16 => redirect_aggregate_register(p, rng),
+        13 => redirect_aggregate_register(p, rng),
         _ => None,
     }
 }
@@ -676,192 +673,6 @@ fn truncate_code(p: &mut VmProgram) -> Option<String> {
     Some("code array: dropped the final op out from under its fragment".into())
 }
 
-/// Vectorized filter step slots, as `(table, step)` indices.
-fn vec_filter_steps(p: &VmProgram) -> Vec<(usize, usize)> {
-    p.vec
-        .filters
-        .iter()
-        .enumerate()
-        .flat_map(|(t, steps)| steps.iter().flatten().enumerate().map(move |(s, _)| (t, s)))
-        .collect()
-}
-
-/// Re-tag a test inside a fused filter step with a foreign operand type,
-/// leaving the scalar fragment intact: statically a `TypeMismatch` (or
-/// `FusedDivergence`) on the vectorized plan.
-fn fused_wrong_operand_type(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
-    let targets = vec_filter_steps(p);
-    let &(t, s) = rng.pick(&targets)?;
-    let steps = p.vec.filters[t].as_mut()?;
-    let retag = |target: &mut Op| -> Option<&'static str> {
-        let (old, new) = match *target {
-            Op::TestI32 { offset, op, rhs } => ("test-i32", Op::TestI64 { offset, op, rhs }),
-            Op::TestI64 { offset, op, rhs } => ("test-i64", Op::TestI32 { offset, op, rhs }),
-            Op::TestF64 { offset, op, .. } => (
-                "test-f64",
-                Op::TestI64 {
-                    offset,
-                    op,
-                    rhs: RhsI::Imm(0),
-                },
-            ),
-            Op::TestBytes { offset, op, .. } => (
-                "test-bytes",
-                Op::TestI32 {
-                    offset,
-                    op,
-                    rhs: RhsI::Imm(0),
-                },
-            ),
-            _ => return None,
-        };
-        *target = new;
-        Some(old)
-    };
-    let old = match &mut steps[s] {
-        crate::vector::VecStep::Op(a) | crate::vector::VecStep::TestTest(a, _) => retag(a)?,
-        crate::vector::VecStep::LoadArith(..) => return None,
-    };
-    Some(format!(
-        "vectorized staged[{t}] filter step {s}: re-tagged a {old} test with a foreign type"
-    ))
-}
-
-/// Point a register inside a fused aggregate-DAG step outside the float
-/// bank, leaving the scalar fragment intact: statically a
-/// `RegisterOutOfRange` on the vectorized plan.
-fn fused_register_out_of_lattice(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
-    let bank = p.float_registers;
-    let steps = p.vec.agg_dag.as_mut()?;
-    if steps.is_empty() {
-        return None;
-    }
-    let s = rng.below(steps.len());
-    let which = rng.below(3);
-    let mutate_reg = |r: &mut u8| {
-        let old = *r;
-        *r = FAR_REGISTER;
-        old
-    };
-    let old = match &mut steps[s] {
-        crate::vector::VecStep::Op(op) => match op {
-            Op::LoadF { dst, .. }
-            | Op::LoadI32F { dst, .. }
-            | Op::LoadI64F { dst, .. }
-            | Op::ConstF { dst, .. }
-            | Op::PoolF { dst, .. } => mutate_reg(dst),
-            Op::Arith { dst, a, b, .. } => mutate_reg(match which {
-                0 => dst,
-                1 => a,
-                _ => b,
-            }),
-            _ => return None,
-        },
-        crate::vector::VecStep::LoadArith(load, arith) => {
-            if which == 0 {
-                match load {
-                    Op::LoadF { dst, .. }
-                    | Op::LoadI32F { dst, .. }
-                    | Op::LoadI64F { dst, .. }
-                    | Op::ConstF { dst, .. }
-                    | Op::PoolF { dst, .. } => mutate_reg(dst),
-                    _ => return None,
-                }
-            } else {
-                match arith {
-                    Op::Arith { dst, a, .. } => mutate_reg(if which == 1 { a } else { dst }),
-                    _ => return None,
-                }
-            }
-        }
-        crate::vector::VecStep::TestTest(..) => return None,
-    };
-    Some(format!(
-        "vectorized aggregate DAG step {s}: register r{old} -> r{FAR_REGISTER} \
-         (bank is {bank})"
-    ))
-}
-
-/// Point a pool reference inside a fused step past its section, leaving
-/// the scalar fragment and the pool intact: statically a
-/// `PoolIndexOutOfRange` on the vectorized plan.
-fn fused_pool_oob(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
-    use crate::vector::VecStep;
-    let (ints, floats, bytes) = (
-        p.pool.ints.len() as u32,
-        p.pool.floats.len() as u32,
-        p.pool.bytes.len() as u32,
-    );
-    let has_pool = |op: &Op| {
-        matches!(
-            op,
-            Op::TestI32 {
-                rhs: RhsI::Pool(_),
-                ..
-            } | Op::TestI64 {
-                rhs: RhsI::Pool(_),
-                ..
-            } | Op::TestF64 {
-                rhs: RhsF::Pool(_),
-                ..
-            } | Op::TestBytes { .. }
-                | Op::PoolF { .. }
-        )
-    };
-    let step_has_pool = |step: &VecStep| match step {
-        VecStep::Op(x) => has_pool(x),
-        VecStep::TestTest(x, y) | VecStep::LoadArith(x, y) => has_pool(x) || has_pool(y),
-    };
-    let mut targets: Vec<(usize, usize, usize)> = Vec::new();
-    for (t, steps) in p.vec.filters.iter().enumerate() {
-        for (s, step) in steps.iter().flatten().enumerate() {
-            if step_has_pool(step) {
-                targets.push((0, t, s));
-            }
-        }
-    }
-    for (s, step) in p.vec.agg_dag.iter().flatten().enumerate() {
-        if step_has_pool(step) {
-            targets.push((1, 0, s));
-        }
-    }
-    let &(kind, fi, si) = rng.pick(&targets)?;
-    let corrupt = |op: &mut Op| -> Option<&'static str> {
-        match op {
-            Op::TestI32 { rhs, .. } | Op::TestI64 { rhs, .. } if matches!(rhs, RhsI::Pool(_)) => {
-                *rhs = RhsI::Pool(ints + 7);
-                Some("int")
-            }
-            Op::TestF64 { rhs, .. } if matches!(rhs, RhsF::Pool(_)) => {
-                *rhs = RhsF::Pool(floats + 7);
-                Some("float")
-            }
-            Op::TestBytes { pool, .. } => {
-                *pool = bytes + 7;
-                Some("bytes")
-            }
-            Op::PoolF { idx, .. } => {
-                *idx = floats + 7;
-                Some("float")
-            }
-            _ => None,
-        }
-    };
-    let step = if kind == 0 {
-        &mut p.vec.filters[fi].as_mut()?[si]
-    } else {
-        &mut p.vec.agg_dag.as_mut()?[si]
-    };
-    let section = match step {
-        VecStep::Op(x) => corrupt(x),
-        VecStep::TestTest(x, y) | VecStep::LoadArith(x, y) => corrupt(x).or_else(|| corrupt(y)),
-    }?;
-    let frag = if kind == 0 { "filter" } else { "aggregate DAG" };
-    Some(format!(
-        "vectorized {frag} {fi} step {si}: {section} pool reference pushed past its section"
-    ))
-}
-
 /// Point one accumulator slot at a sibling node of the aggregate DAG: a
 /// defined, in-bank register holding another expression's value —
 /// statically a `PlanMismatch` against the generator's aggregate program.
@@ -943,22 +754,30 @@ mod tests {
         cat
     }
 
+    /// A filtered scan, a join, and a grouped aggregate with an argument
+    /// expression: between them every fragment kind and pool section.
+    const FIXTURE_QUERIES: [&str; 3] = [
+        "select k, v from r where v < 12.5 and tag = 'AAA' order by v",
+        "select r.k, s.w from r, s where r.k = s.k and s.w < 4 order by r.k, s.w",
+        "select k, count(*) as n, sum(v * 2.5 + 1) as adj from r \
+         where k < 4 group by k order by k",
+    ];
+
+    fn prepare(sql: &str, cat: &Catalog) -> hique_holistic::GeneratedQuery {
+        let q = hique_sql::parse_query(sql).unwrap();
+        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
+        let plan = plan_query(&bound, cat, &PlannerConfig::default()).unwrap();
+        hique_holistic::generate(&plan).unwrap()
+    }
+
     /// Every mutation kind produces a definitely-wrong program, so the
     /// verifier must reject every single mutant — across query shapes,
     /// compile modes and seeds.
     #[test]
     fn every_mutant_is_rejected_by_the_verifier() {
         let cat = catalog();
-        for sql in [
-            "select k, v from r where v < 12.5 and tag = 'AAA' order by v",
-            "select r.k, s.w from r, s where r.k = s.k and s.w < 4 order by r.k, s.w",
-            "select k, count(*) as n, sum(v * 2.5 + 1) as adj from r \
-             where k < 4 group by k order by k",
-        ] {
-            let q = hique_sql::parse_query(sql).unwrap();
-            let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-            let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
-            let generated = hique_holistic::generate(&plan).unwrap();
+        for sql in FIXTURE_QUERIES {
+            let generated = prepare(sql, &cat);
             for mode in [CompileMode::Specialized, CompileMode::Pooled] {
                 let template = compile(&generated, &cat, mode).unwrap();
                 for seed in [1u64, 0x41_1CDE, u64::MAX] {
@@ -977,14 +796,37 @@ mod tests {
         }
     }
 
+    /// Every kind still has a target: over the fixture queries in both
+    /// compile modes, each kind corrupts at least one program.  A kind that
+    /// never applies would sit in the lane unexercised.
+    #[test]
+    fn every_kind_produces_a_mutant() {
+        let cat = catalog();
+        let mut produced = [0usize; KINDS];
+        for sql in FIXTURE_QUERIES {
+            let generated = prepare(sql, &cat);
+            for mode in [CompileMode::Specialized, CompileMode::Pooled] {
+                let template = compile(&generated, &cat, mode).unwrap();
+                for (kind, count) in produced.iter_mut().enumerate() {
+                    for seed in 1..=8u64 {
+                        let mut program = template.clone();
+                        if apply(&mut program, kind, &mut Rng::new(seed)).is_some() {
+                            *count += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for (kind, count) in produced.iter().enumerate() {
+            assert!(*count > 0, "mutation kind {kind} found no target");
+        }
+    }
+
     /// The stream is deterministic: one seed, one mutant sequence.
     #[test]
     fn mutant_stream_is_deterministic_per_seed() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select k from r where k < 3 order by k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
-        let generated = hique_holistic::generate(&plan).unwrap();
+        let generated = prepare("select k from r where k < 3 order by k", &cat);
         let template = compile(&generated, &cat, CompileMode::Pooled).unwrap();
         let a: Vec<String> = mutants(&template, 7, 32)
             .into_iter()

@@ -115,11 +115,6 @@ pub struct VmProgram {
     pub(crate) structure: Vec<String>,
     pub(crate) compile_cost: Duration,
     pub(crate) verify_cost: Duration,
-    /// The vectorized tier's fused lowering of the filter and aggregate-DAG
-    /// fragments, built *after* constant folding (the steps copy
-    /// the folded ops) in both [`compile`] and [`VmProgram::bind`] and
-    /// checked by the verifier against the scalar fragments.
-    pub(crate) vec: crate::vector::VecPlan,
 }
 
 impl VmProgram {
@@ -218,11 +213,6 @@ impl VmProgram {
         rebound.mode = CompileMode::Specialized;
         rebound.pool = pool;
         fold_constants(&mut rebound.code, &rebound.pool);
-        // The fused steps hold copies of the ops; rebuild them from the
-        // freshly folded code so the vectorized tier runs the rebound
-        // constants, not the template's.
-        rebound.vec =
-            crate::vector::build_vec_plan(&rebound.code, &rebound.tables, rebound.agg.as_ref());
         let verify_started = Instant::now();
         crate::verify::verify(&rebound, generated, catalog)?;
         rebound.verify_cost = verify_started.elapsed();
@@ -337,15 +327,10 @@ pub fn compile(
         structure: plan_structure(generated, catalog)?,
         compile_cost: Duration::ZERO,
         verify_cost: Duration::ZERO,
-        vec: crate::vector::VecPlan::default(),
     };
     if mode == CompileMode::Specialized {
         fold_constants(&mut program.code, &program.pool);
     }
-    // Peephole-fuse after folding so the vectorized steps carry the final
-    // (specialized) ops.
-    program.vec =
-        crate::vector::build_vec_plan(&program.code, &program.tables, program.agg.as_ref());
     let verify_started = Instant::now();
     crate::verify::verify(&program, generated, catalog)?;
     program.verify_cost = verify_started.elapsed();
@@ -851,7 +836,7 @@ pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u
 mod tests {
     use super::*;
     use crate::bytecode::run_expr;
-    use crate::vector::{fuse_expr, resolve_agg_dag};
+    use crate::vector::resolve_agg_dag;
     use hique_holistic::agg::{AccumSlot, PageFold};
     use hique_plan::{AggAlgorithm, AggregateSpec};
     use hique_sql::analyze::{BoundAggregate, ScalarExpr};
@@ -955,7 +940,7 @@ mod tests {
     /// provider (the page fold's lanes over the program's nodes), the scalar
     /// tier (`run_expr` over the lowered DAG, pooled and folded) and the
     /// vectorized tier (the page fold's lanes over the nodes resolved from
-    /// the fused DAG, pooled and folded).
+    /// the lowered DAG, pooled and folded).
     #[test]
     fn aggregate_program_matches_tree_evaluation_bit_for_bit() {
         let s = schema();
@@ -1010,7 +995,7 @@ mod tests {
             };
             let compiled = fill(program.nodes());
             let vectorized = [&pooled, &folded].map(|code| {
-                let (nodes, _) = resolve_agg_dag(&fuse_expr(dag.ops(code)).unwrap(), &b.pool);
+                let nodes = resolve_agg_dag(dag.ops(code), &b.pool);
                 assert_eq!(nodes.len(), program.nodes().len());
                 fill(&nodes)
             });
@@ -1032,5 +1017,181 @@ mod tests {
             }
         }
         assert!(shared_somewhere, "the generator must force shared nodes");
+    }
+
+    // ---- Template-cache soundness ------------------------------------------
+
+    fn soundness_catalog() -> Catalog {
+        use hique_types::Row;
+        let mut cat = Catalog::new();
+        cat.create_table(
+            "r",
+            Schema::new(vec![
+                Column::new("k", DataType::Int32),
+                Column::new("tag", DataType::Char(4)),
+                Column::new("v", DataType::Float64),
+            ]),
+        )
+        .unwrap();
+        cat.create_table(
+            "s",
+            Schema::new(vec![
+                Column::new("k", DataType::Int32),
+                Column::new("w", DataType::Int64),
+            ]),
+        )
+        .unwrap();
+        let tags = ["", "A", "ABCD", "AAA"];
+        let floats = [0.5, -0.0, 0.0, 3.5, -2.25, 1e300, f64::INFINITY, f64::NAN];
+        for i in 0..300i32 {
+            let row = Row::new(vec![
+                Value::Int32([i32::MIN, -3, 0, 3, i32::MAX][i as usize % 5] / 7 + i % 11),
+                Value::Str(tags[i as usize % tags.len()].into()),
+                Value::Float64(floats[(i * 7) as usize % floats.len()] + (i % 3) as f64),
+            ]);
+            cat.table_mut("r").unwrap().heap.append_row(&row).unwrap();
+        }
+        for i in 0..40i64 {
+            let w = [i64::MIN, -1, 0, 150, i64::MAX][i as usize % 5];
+            let row = Row::new(vec![Value::Int32(i as i32 % 11), Value::Int64(w)]);
+            cat.table_mut("s").unwrap().heap.append_row(&row).unwrap();
+        }
+        cat.analyze_table("r").unwrap();
+        cat.analyze_table("s").unwrap();
+        cat
+    }
+
+    /// A float literal of 10^200: its square folds to +∞, and ∞ − ∞ to NaN.
+    fn big() -> String {
+        format!("1{}.0", "0".repeat(200))
+    }
+
+    /// Template hit + `bind()` ≡ cold prepare, or a named refusal: for
+    /// seeded literal vectors of several shape classes, binding one
+    /// vector's pooled template to another vector's query either refuses
+    /// with a typed `Unsupported` naming the diverging component, or yields
+    /// exactly the program a specialized compile of that query produces and
+    /// executes to the same rows (floats by bit pattern) and `ExecStats`.
+    #[test]
+    fn a_rebound_template_is_the_cold_compile_or_a_named_refusal() {
+        let cat = soundness_catalog();
+        let (inf, nan) = (
+            format!("({0} * {0})", big()),
+            format!("({0} * {0} - {0} * {0})", big()),
+        );
+        let neg_inf = format!("(0 - {inf})");
+        // Integer slots hold the extremes; float slots mix integer and float
+        // literals (int↔float in one slot), signed zero, ±∞ and NaN.
+        let ints = ["2147483647", "-2147483648", "0", "3", "-7"];
+        let longs = [
+            "-9223372036854775807 - 1",
+            "9223372036854775807",
+            "0",
+            "150",
+            "-1",
+        ];
+        let floats: Vec<&str> = vec!["3", "3.5", "-0.0", "1", &inf, &neg_inf, &nan];
+        // Empty, short, full-width and wider than the `Char(4)` column.
+        let strings = ["", "A", "ABCD", "AAA", "ABCDE"];
+        type Class<'a> = (Vec<&'a [&'a str]>, fn(&[&str]) -> String);
+        let classes: Vec<Class> = vec![
+            (vec![&ints, &floats, &strings], |l| {
+                format!(
+                    "select k, v, tag from r where k < {} and v >= {} and tag <> '{}' \
+                     order by k, v, tag",
+                    l[0], l[1], l[2]
+                )
+            }),
+            (vec![&longs, &floats], |l| {
+                format!(
+                    "select r.k, s.w from r, s where r.k = s.k and s.w > {} and r.v < {} \
+                     order by r.k, s.w",
+                    l[0], l[1]
+                )
+            }),
+            // Equal literals intern to one DAG node, different ones to two.
+            (vec![&floats, &floats, &floats, &ints], |l| {
+                format!(
+                    "select k, sum(v * {}) as x, avg(v * {} + 1) as y, max(v / {}) as z, \
+                     count(*) as n from r where k < {} group by k order by k",
+                    l[0], l[1], l[2], l[3]
+                )
+            }),
+            (vec![&floats, &floats, &strings], |l| {
+                format!(
+                    "select k, v * {} - {} as e from r where tag = '{}' order by k, e",
+                    l[0], l[1], l[2]
+                )
+            }),
+        ];
+        let prepare = |sql: &str| {
+            let plan = hique_plan::plan_sql(sql, &cat, &hique_plan::PlannerConfig::default());
+            hique_holistic::generate(&plan.unwrap_or_else(|e| panic!("{sql}: {e}"))).unwrap()
+        };
+        let program_parts = |p: &VmProgram| {
+            format!(
+                "{:?}",
+                (
+                    &p.code,
+                    &p.pool,
+                    &p.tables,
+                    &p.joins,
+                    &p.team_images,
+                    &p.agg,
+                    &p.outputs,
+                    p.float_registers,
+                )
+            )
+        };
+        let options = hique_holistic::ExecOptions::default();
+        let (mut hits, mut refusals) = (0, 0);
+        let mut rng = XorShift(0x5EED_CAFE_F00D_1234);
+        for (slots, sql) in &classes {
+            let queries: Vec<String> = (0..6)
+                .map(|_| {
+                    let literals: Vec<&str> = slots.iter().map(|s| s[rng.below(s.len())]).collect();
+                    sql(&literals)
+                })
+                .collect();
+            for template_sql in &queries {
+                let template = compile(&prepare(template_sql), &cat, CompileMode::Pooled).unwrap();
+                for sql in &queries {
+                    let query = prepare(sql);
+                    let context = format!("template [{template_sql}] bound to [{sql}]");
+                    let rebound = match template.bind(&query, &cat) {
+                        Ok(rebound) => rebound,
+                        Err(HiqueError::Unsupported(msg)) => {
+                            assert!(msg.contains("component"), "{context}: {msg}");
+                            refusals += 1;
+                            continue;
+                        }
+                        Err(e) => panic!("{context}: untyped refusal {e}"),
+                    };
+                    let cold = compile(&query, &cat, CompileMode::Specialized).unwrap();
+                    assert_eq!(rebound.mode, CompileMode::Specialized, "{context}");
+                    assert_eq!(program_parts(&rebound), program_parts(&cold), "{context}");
+                    let (a, b) = (
+                        rebound.execute(&query, &cat, &options).unwrap(),
+                        cold.execute(&query, &cat, &options).unwrap(),
+                    );
+                    let exact = |rows: &[hique_types::Row]| -> Vec<String> {
+                        let value = |v: &Value| match v {
+                            Value::Float64(f) => format!("f64:{:016x}", f.to_bits()),
+                            other => format!("{other:?}"),
+                        };
+                        rows.iter()
+                            .map(|r| r.values().iter().map(value).collect::<Vec<_>>().join("|"))
+                            .collect()
+                    };
+                    assert_eq!(exact(&a.rows), exact(&b.rows), "{context}: rows");
+                    assert_eq!(a.stats, b.stats, "{context}: stats");
+                    hits += 1;
+                }
+            }
+        }
+        assert!(
+            hits > 40 && refusals > 10,
+            "{hits} hits, {refusals} refusals"
+        );
     }
 }

@@ -1,40 +1,31 @@
-//! The vectorized dispatch tier: batch interpretation + superinstruction
-//! fusion.
+//! The vectorized tier's resolvers: verified bytecode fragments → the
+//! kernel objects of the paper's instantiated templates.
 //!
 //! The scalar interpreter in [`crate::bytecode`] pays one dispatch per op
 //! per tuple — exactly the per-tuple overhead the paper's compiled kernels
-//! eliminate.  With no offline compiler available at query time, this
-//! module takes the two classic interpreter routes around it:
+//! eliminate.  The vectorized tier does not interpret the fragments at all:
+//! once per hook call it resolves them, with their operands read from the
+//! constant pool, into the objects the compiled provider builds from the
+//! plan, and runs those through core's loops.  A staged table's filter and
+//! projection fragments become a [`ScanKernels`] ([`resolve_scan`]) that
+//! stages through core's one scan loop; the aggregate DAG fragment becomes
+//! the nodes of the page fold ([`resolve_agg_dag`]); a key-image fragment
+//! fills an `i64` lane through the compiled key accessor's sweep
+//! ([`run_image_batch`]).
 //!
-//! * **Batch interpretation** (MonetDB/X100-style): each op is dispatched
-//!   once per batch of up to [`BATCH`] tuples and then runs a tight loop
-//!   over the batch.  Filters narrow a *selection vector* instead of
-//!   branching per row — staging resolves each test, once per `stage`
-//!   call, into the page sweep the compiled kernels run
-//!   ([`resolve_filter`]), and the projection's `Copy` list into their
-//!   copy plan ([`copy_plan`]); the aggregate DAG fragment into the nodes
-//!   of their page fold ([`resolve_agg_dag`]), which fills one `f64` lane
-//!   per register; key images fill an `i64` lane through the compiled key
-//!   accessor's sweep ([`run_image_batch`]).
-//! * **Superinstruction fusion** (Ertl & Gregg): a peephole pass over each
-//!   fragment rewrites hot adjacent pairs — two predicate tests into a
-//!   fused conjunction, an operand load feeding an arithmetic op into a
-//!   fused load-arith — so one dispatch covers both ops.
-//!
-//! Semantics are bit-identical to the scalar tier by construction: every
-//! batch loop performs the same per-row operations in the same order the
-//! scalar loop would, including the filter's short-circuit `comparisons`
-//! accounting (test `j` is only charged for rows that survived tests
-//! `0..j`).  The verifier checks each fused plan against its scalar
-//! fragments (operand contracts plus un-fuse equality), keeping the
-//! mutation-rejection gate closed over the fused ISA.
+//! What runs is what the verifier checked: every resolver reads the scalar
+//! fragments themselves and maps them op for op (a test to a filter sweep,
+//! the `Copy` list to the copy plan, DAG op `i` to node `i`), so results
+//! and every shared [`hique_types::ExecStats`] counter equal the scalar
+//! tier's by construction.
 
 use hique_holistic::agg::AggNode;
-use hique_holistic::kernel::{CompiledFilter, CompiledKey, CompiledProjection, Selection};
+use hique_holistic::kernel::{CompiledFilter, CompiledKey, CompiledProjection};
+use hique_holistic::staging::ScanKernels;
 use hique_types::DataType;
 
 use crate::bytecode::{rhs_f, rhs_i, ConstPool, Op};
-use crate::program::{AggFrags, TableFrags};
+use crate::program::TableFrags;
 
 /// Maximum tuples per batch of a join's build and probe sides (packed runs
 /// of the staged relations).  Staged scans and aggregation inputs batch by
@@ -42,165 +33,6 @@ use crate::program::{AggFrags, TableFrags};
 /// independent of the thread count and keeps spilled consumption at one
 /// pinned page at a time.
 pub(crate) const BATCH: usize = 1024;
-
-/// One step of a vectorized fragment: a scalar op dispatched once per
-/// batch, or a fused superinstruction covering an adjacent pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum VecStep {
-    /// A single op, batch-dispatched.
-    Op(Op),
-    /// Fused conjunction of two adjacent predicate tests: one step narrows
-    /// the selection vector through both, preserving the scalar
-    /// short-circuit (the second test only runs where the first passed).
-    TestTest(Op, Op),
-    /// Fused operand load + arithmetic combine — the canonical lowering's
-    /// `Load*/ConstF/PoolF {dst: b}` immediately followed by
-    /// `Arith {.., b}` pair.
-    LoadArith(Op, Op),
-}
-
-/// The vectorized lowering of a whole program.  Built by
-/// [`build_vec_plan`] after constant folding (the steps hold copies of the
-/// *folded* ops); fragments that decline to lower (`None`) fall back to
-/// the scalar loops per fragment, never per row.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct VecPlan {
-    /// One entry per staged table, parallel to `VmProgram::tables`.
-    pub(crate) filters: Vec<Option<Vec<VecStep>>>,
-    /// The aggregate DAG fragment (`AggFrags::dag`); `None` without an
-    /// aggregation or for a scalar-fallback fragment.
-    pub(crate) agg_dag: Option<Vec<VecStep>>,
-}
-
-/// True for predicate-test ops (the only ops filter fragments contain).
-fn is_test(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::TestI32 { .. } | Op::TestI64 { .. } | Op::TestF64 { .. } | Op::TestBytes { .. }
-    )
-}
-
-/// True for register-defining operand loads (including constants).
-pub(crate) fn is_load(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::LoadF { .. }
-            | Op::LoadI32F { .. }
-            | Op::LoadI64F { .. }
-            | Op::ConstF { .. }
-            | Op::PoolF { .. }
-    )
-}
-
-/// Destination register of an expression op.
-pub(crate) fn expr_dst(op: &Op) -> usize {
-    match *op {
-        Op::LoadF { dst, .. }
-        | Op::LoadI32F { dst, .. }
-        | Op::LoadI64F { dst, .. }
-        | Op::ConstF { dst, .. }
-        | Op::PoolF { dst, .. }
-        | Op::Arith { dst, .. } => dst as usize,
-        _ => unreachable!("op has no destination register"),
-    }
-}
-
-/// Peephole-fuse a filter fragment: adjacent test pairs become
-/// [`VecStep::TestTest`] conjunctions, an odd trailing test stays scalar-
-/// dispatched.  `None` when the fragment contains a non-test op (it then
-/// runs through the scalar filter loop).
-pub(crate) fn fuse_filter(ops: &[Op]) -> Option<Vec<VecStep>> {
-    if !ops.iter().all(is_test) {
-        return None;
-    }
-    let mut steps = Vec::with_capacity(ops.len().div_ceil(2));
-    let mut i = 0;
-    while i < ops.len() {
-        if i + 1 < ops.len() {
-            steps.push(VecStep::TestTest(ops[i], ops[i + 1]));
-            i += 2;
-        } else {
-            steps.push(VecStep::Op(ops[i]));
-            i += 1;
-        }
-    }
-    Some(steps)
-}
-
-/// Peephole-fuse an expression fragment: a load whose destination is the
-/// `b` operand of the immediately following `Arith` becomes one
-/// [`VecStep::LoadArith`] — the exact adjacency the canonical expression
-/// lowering produces for every `Binary` node with a leaf right operand.
-/// `None` when the fragment contains a non-expression op.
-pub(crate) fn fuse_expr(ops: &[Op]) -> Option<Vec<VecStep>> {
-    if !ops
-        .iter()
-        .all(|op| is_load(op) || matches!(op, Op::Arith { .. }))
-    {
-        return None;
-    }
-    let mut steps = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        if i + 1 < ops.len() && is_load(&ops[i]) {
-            if let Op::Arith { b, .. } = ops[i + 1] {
-                if expr_dst(&ops[i]) == b as usize {
-                    steps.push(VecStep::LoadArith(ops[i], ops[i + 1]));
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-        steps.push(VecStep::Op(ops[i]));
-        i += 1;
-    }
-    Some(steps)
-}
-
-/// Build the vectorized plan of a compiled program.  Runs after constant
-/// folding in both `compile()` and `bind()` — the steps carry copies of
-/// the folded ops, and the verifier holds them to un-fuse equality with
-/// the scalar fragments.
-pub(crate) fn build_vec_plan(
-    code: &[Op],
-    tables: &[TableFrags],
-    agg: Option<&AggFrags>,
-) -> VecPlan {
-    VecPlan {
-        filters: tables
-            .iter()
-            .map(|t| fuse_filter(t.filter.ops(code)))
-            .collect(),
-        agg_dag: agg.and_then(|a| fuse_expr(a.dag.ops(code))),
-    }
-}
-
-/// Flatten fused steps back into the scalar op sequence they claim to
-/// batch (the verifier compares this against the scalar fragment).
-pub(crate) fn unfuse(steps: &[VecStep]) -> Vec<Op> {
-    let mut ops = Vec::with_capacity(steps.len() * 2);
-    for s in steps {
-        match s {
-            VecStep::Op(op) => ops.push(*op),
-            VecStep::TestTest(a, b) | VecStep::LoadArith(a, b) => {
-                ops.push(*a);
-                ops.push(*b);
-            }
-        }
-    }
-    ops
-}
-
-/// One step of a filter fragment resolved for a `stage` call: operands read
-/// from the constant pool and every test turned into the page sweep the
-/// compiled kernels use ([`CompiledFilter::narrow`]), so nothing about a
-/// test is dispatched per row.
-pub(crate) enum FilterSweep {
-    /// A single test.
-    One(CompiledFilter),
-    /// A fused conjunction ([`VecStep::TestTest`]).
-    Pair(CompiledFilter, CompiledFilter),
-}
 
 /// The page sweep of one predicate-test op.
 fn sweep_of(op: &Op, pool: &ConstPool) -> CompiledFilter {
@@ -233,50 +65,11 @@ fn sweep_of(op: &Op, pool: &ConstPool) -> CompiledFilter {
     }
 }
 
-/// Resolve a fused filter plan against the program's constant pool, once
-/// per `stage` call.
-pub(crate) fn resolve_filter(steps: &[VecStep], pool: &ConstPool) -> Vec<FilterSweep> {
-    steps
-        .iter()
-        .map(|step| match step {
-            VecStep::Op(op) => FilterSweep::One(sweep_of(op, pool)),
-            VecStep::TestTest(a, b) => FilterSweep::Pair(sweep_of(a, pool), sweep_of(b, pool)),
-            VecStep::LoadArith(..) => unreachable!("expression step in filter fragment"),
-        })
-        .collect()
-}
-
-/// Run a resolved filter over one packed page (`data`, records of `width`
-/// bytes), narrowing `sel` (reset to the identity selection first).
-/// `comparisons` reproduces the scalar loop's short-circuit totals exactly —
-/// each test is charged the selection length entering it; `fused_ops`
-/// counts one per fused step per batch.
-pub(crate) fn run_filter_batch(
-    sweeps: &[FilterSweep],
-    data: &[u8],
-    width: usize,
-    sel: &mut Selection,
-    comparisons: &mut u64,
-    fused_ops: &mut u64,
-) {
-    sel.select_all(data.len() / width.max(1));
-    let mut test = |f: &CompiledFilter, sel: &mut Selection| {
-        *comparisons += sel.len() as u64;
-        f.narrow(data, width, sel);
-    };
-    for sweep in sweeps {
-        if sel.is_empty() {
-            break;
-        }
-        match sweep {
-            FilterSweep::One(f) => test(f, sel),
-            FilterSweep::Pair(a, b) => {
-                *fused_ops += 1;
-                test(a, sel);
-                test(b, sel);
-            }
-        }
-    }
+/// Resolve a filter fragment against the program's constant pool: one
+/// page sweep ([`CompiledFilter::narrow`]) per test, in fragment order, so
+/// nothing about a test is dispatched per row.
+pub(crate) fn resolve_filter(ops: &[Op], pool: &ConstPool) -> Vec<CompiledFilter> {
+    ops.iter().map(|op| sweep_of(op, pool)).collect()
 }
 
 /// The copy plan of a projection fragment: the same coalesced,
@@ -287,6 +80,15 @@ pub(crate) fn copy_plan(ops: &[Op]) -> CompiledProjection {
         Op::Copy { src, width, dst } => (src as usize, width as usize, dst as usize),
         _ => unreachable!("non-copy op in projection fragment"),
     }))
+}
+
+/// The scan of one staged table, resolved from its filter and projection
+/// fragments: what core's staging loop sweeps over the table's pages.
+pub(crate) fn resolve_scan(frags: &TableFrags, code: &[Op], pool: &ConstPool) -> ScanKernels {
+    ScanKernels {
+        filters: resolve_filter(frags.filter.ops(code), pool),
+        projection: copy_plan(frags.project.ops(code)),
+    }
 }
 
 /// Run a key-image fragment over every record of one packed batch
@@ -310,20 +112,13 @@ pub(crate) fn run_image_batch(ops: &[Op], data: &[u8], width: usize, out: &mut V
     key.images_into(data, width, out);
 }
 
-/// Resolve the fused aggregate-DAG plan against the program's constant
-/// pool, once per `aggregate` call, into the nodes of the page fold both
-/// kernel providers run ([`hique_holistic::agg::PageFold`]): op `i` of the
+/// Resolve the aggregate DAG fragment against the program's constant pool,
+/// once per `aggregate` call, into the nodes of the page fold both kernel
+/// providers run ([`hique_holistic::agg::PageFold`]): op `i` of the
 /// fragment defines register `i` (the verifier holds the fragment to the
 /// aggregate program node for node), so the ops *are* the program's nodes.
-/// Also returns the fused steps of the plan — what one batch adds to
-/// `vm_fused_ops`.
-pub(crate) fn resolve_agg_dag(steps: &[VecStep], pool: &ConstPool) -> (Vec<AggNode>, u64) {
-    let fused = steps
-        .iter()
-        .filter(|s| matches!(s, VecStep::LoadArith(..)))
-        .count();
-    let nodes = unfuse(steps)
-        .iter()
+pub(crate) fn resolve_agg_dag(ops: &[Op], pool: &ConstPool) -> Vec<AggNode> {
+    ops.iter()
         .map(|op| match *op {
             Op::LoadF { offset, .. } => AggNode::ColF64(offset as usize),
             Op::LoadI32F { offset, .. } => AggNode::ColI32(offset as usize),
@@ -337,8 +132,7 @@ pub(crate) fn resolve_agg_dag(steps: &[VecStep], pool: &ConstPool) -> (Vec<AggNo
             },
             _ => unreachable!("non-expression op in expression fragment"),
         })
-        .collect();
-    (nodes, fused as u64)
+        .collect()
 }
 
 #[cfg(test)]
@@ -346,6 +140,7 @@ mod tests {
     use super::*;
     use crate::bytecode::{run_expr, run_filter, run_image, run_project, RhsF, RhsI};
     use hique_holistic::agg::{AccumLayout, AggProgram, PageFold};
+    use hique_holistic::kernel::Selection;
     use hique_sql::ast::{BinOp, CmpOp};
     use hique_types::tuple::encode_record;
     use hique_types::{Column, DataType, Schema, Value};
@@ -410,29 +205,26 @@ mod tests {
         (ops, pool)
     }
 
-    /// Run `ops` as a resolved, fused filter over packed `recs`.
-    fn filter_packed(ops: &[Op], pool: &ConstPool, recs: &[Vec<u8>]) -> (Vec<u32>, u64, u64) {
-        let sweeps = resolve_filter(&fuse_filter(ops).unwrap(), pool);
-        let width = schema().tuple_size();
-        let (mut sel, mut cmp, mut fused) = (Selection::new(), 0u64, 0u64);
-        sel.push(9);
-        run_filter_batch(
-            &sweeps,
-            &recs.concat(),
-            width,
-            &mut sel,
-            &mut cmp,
-            &mut fused,
-        );
-        (sel.rows().to_vec(), cmp, fused)
+    /// Narrow the identity selection over packed `recs` by the filters
+    /// resolved from `ops`, charging each the selection entering it — what
+    /// core's scan loop does per page.
+    fn filter_packed(ops: &[Op], pool: &ConstPool, recs: &[Vec<u8>]) -> (Vec<u32>, u64) {
+        let (data, width) = (recs.concat(), schema().tuple_size());
+        let (mut sel, mut cmp) = (Selection::new(), 0u64);
+        sel.select_all(recs.len());
+        for filter in resolve_filter(ops, pool) {
+            cmp += sel.len() as u64;
+            filter.narrow(&data, width, &mut sel);
+        }
+        (sel.rows().to_vec(), cmp)
     }
 
     #[test]
     fn empty_batch_yields_empty_selection() {
         let (ops, pool) = filter_ops();
-        let (sel, cmp, fused) = filter_packed(&ops, &pool, &[]);
+        let (sel, cmp) = filter_packed(&ops, &pool, &[]);
         assert!(sel.is_empty());
-        assert_eq!((cmp, fused), (0, 0));
+        assert_eq!(cmp, 0);
         let mut out = Vec::new();
         copy_plan(&[]).append(&[], schema().tuple_size(), &sel, &mut out);
         assert!(out.is_empty());
@@ -449,69 +241,19 @@ mod tests {
             op,
             rhs: RhsI::Imm(v),
         };
-        let (sel, cmp, _) = filter_packed(&[test(CmpOp::GtEq, 0)], &pool, &recs);
+        let (sel, cmp) = filter_packed(&[test(CmpOp::GtEq, 0)], &pool, &recs);
         assert_eq!(sel, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(cmp, 6);
         // Only the last row survives.
-        let (sel, _, _) = filter_packed(&[test(CmpOp::Eq, 5)], &pool, &recs);
+        let (sel, _) = filter_packed(&[test(CmpOp::Eq, 5)], &pool, &recs);
         assert_eq!(sel, vec![5]);
-    }
-
-    #[test]
-    fn fusion_pairs_adjacent_tests_and_load_arith() {
-        let (ops, _) = filter_ops();
-        let steps = fuse_filter(&ops).unwrap();
-        assert_eq!(steps.len(), 2);
-        assert!(matches!(steps[0], VecStep::TestTest(..)));
-        assert!(matches!(steps[1], VecStep::Op(Op::TestBytes { .. })));
-        // Copy ops are not tests: the fragment declines to lower.
-        assert!(fuse_filter(&[Op::Copy {
-            src: 0,
-            width: 4,
-            dst: 0
-        }])
-        .is_none());
-
-        // Canonical Binary lowering: load of r1 immediately feeding an
-        // arith reading r1 as `b` fuses; an arith whose `b` was defined
-        // earlier does not.
-        let s = schema();
-        let load0 = Op::LoadF {
-            dst: 0,
-            offset: s.offset(1) as u32,
-        };
-        let load1 = Op::LoadI32F {
-            dst: 1,
-            offset: s.offset(0) as u32,
-        };
-        let arith = Op::Arith {
-            op: BinOp::Mul,
-            dst: 0,
-            a: 0,
-            b: 1,
-        };
-        let steps = fuse_expr(&[load0, load1, arith]).unwrap();
-        assert_eq!(
-            steps,
-            vec![VecStep::Op(load0), VecStep::LoadArith(load1, arith)]
-        );
-        // `b` does not match the preceding load's destination: no fusion.
-        let steps = fuse_expr(&[load1, load0, arith]).unwrap();
-        assert_eq!(
-            steps,
-            vec![VecStep::Op(load1), VecStep::Op(load0), VecStep::Op(arith)]
-        );
-        assert_eq!(
-            unfuse(&fuse_expr(&[load0, load1, arith]).unwrap()),
-            vec![load0, load1, arith]
-        );
     }
 
     #[test]
     fn batched_filter_matches_scalar_selection_and_comparisons() {
         let (ops, pool) = filter_ops();
         let recs = records(100);
-        let (sel, cmp, fused) = filter_packed(&ops, &pool, &recs);
+        let (sel, cmp) = filter_packed(&ops, &pool, &recs);
         let mut scalar_cmp = 0u64;
         let survivors: Vec<u32> = recs
             .iter()
@@ -521,7 +263,6 @@ mod tests {
             .collect();
         assert_eq!(sel, survivors);
         assert_eq!(cmp, scalar_cmp, "short-circuit accounting must agree");
-        assert_eq!(fused, 1, "one fused pair, reached once");
     }
 
     #[test]
@@ -615,9 +356,7 @@ mod tests {
                 b: 5,
             },
         ];
-        let steps = fuse_expr(&ops).unwrap();
-        let (nodes, fused) = resolve_agg_dag(&steps, &pool);
-        assert_eq!(fused, 2, "both column loads feed the next op's `b`");
+        let nodes = resolve_agg_dag(&ops, &pool);
         assert_eq!(nodes.len(), ops.len());
         let layout: AccumLayout = no_slots();
         let mut fold = PageFold::new(&nodes, &layout, s.tuple_size());

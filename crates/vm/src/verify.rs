@@ -61,7 +61,6 @@ use hique_types::{DataType, HiqueError, Schema, Value};
 
 use crate::bytecode::{ConstPool, Frag, Op, RhsF, RhsI};
 use crate::program::{OutputOp, VmProgram};
-use crate::vector::{expr_dst, is_load, unfuse, VecStep};
 
 /// A static fault found in a compiled bytecode program.
 ///
@@ -153,14 +152,6 @@ pub enum VerifyError {
     /// A fragment that must produce a value (expression, key image) is
     /// empty.
     EmptyFragment { context: String },
-    /// The vectorized plan diverges from the scalar fragment it claims to
-    /// batch: a fused superinstruction pairs the wrong ops, or the
-    /// un-fused step sequence does not reproduce the verified scalar ops.
-    FusedDivergence {
-        context: String,
-        step: usize,
-        detail: String,
-    },
 }
 
 impl fmt::Display for VerifyError {
@@ -254,14 +245,6 @@ impl fmt::Display for VerifyError {
             VerifyError::EmptyFragment { context } => {
                 write!(f, "{context}: value-producing fragment is empty")
             }
-            VerifyError::FusedDivergence {
-                context,
-                step,
-                detail,
-            } => write!(
-                f,
-                "{context}: fused step {step} diverges from the scalar fragment: {detail}"
-            ),
         }
     }
 }
@@ -909,325 +892,6 @@ fn verify_agg_program(
     Ok(())
 }
 
-/// Verify the vectorized (fused) plan against the scalar fragments it
-/// claims to batch (DESIGN.md §15).
-///
-/// Two layers.  First, *operand contracts* per fused step: every slot
-/// holds the op kind its batch loop dispatches (tests in filters, loads
-/// and arithmetic in expressions, a load feeding the arith's `b` operand
-/// inside a fused load-arith), registers address the bank, column reads
-/// land on typed field boundaries and pool references stay in bounds —
-/// the scalar checks' error vocabulary over the fused ISA.  Second,
-/// *un-fuse equality*: flattening the steps must reproduce the verified
-/// scalar fragment op-for-op, so a fused plan can never compute anything
-/// its scalar fragment would not.  Runs after every scalar check so a
-/// corruption of shared state (code array, pool, fragment table) keeps
-/// its scalar-side diagnosis.
-fn verify_vec_plan(
-    program: &VmProgram,
-    plan: &hique_plan::PhysicalPlan,
-    catalog: &Catalog,
-    joined: &FieldMap,
-) -> Result<(), VerifyError> {
-    let vec = &program.vec;
-    let code = &program.code[..];
-    let pool = &program.pool;
-    let bank = program.float_registers;
-    if vec.filters.len() != program.tables.len() {
-        return Err(VerifyError::ArityMismatch {
-            context: "vectorized filter table".into(),
-            expected: program.tables.len(),
-            found: vec.filters.len(),
-        });
-    }
-    for (t, (steps, frags)) in vec.filters.iter().zip(&program.tables).enumerate() {
-        let Some(steps) = steps else { continue };
-        let context = format!("vectorized staged[{t}] filter");
-        let staged = &plan.staged[t];
-        let info = catalog
-            .table(&staged.table_name)
-            .map_err(|e| VerifyError::PlanMismatch {
-                context: context.clone(),
-                op: frags.filter.start,
-                detail: format!("base table {} unavailable: {e}", staged.table_name),
-            })?;
-        let base_schema = info.heap.schema().clone();
-        let base = FieldMap::new(&base_schema);
-        for (s, step) in steps.iter().enumerate() {
-            match step {
-                VecStep::Op(op) => check_fused_test(&context, s, op, pool, &base)?,
-                VecStep::TestTest(a, b) => {
-                    check_fused_test(&context, s, a, pool, &base)?;
-                    check_fused_test(&context, s, b, pool, &base)?;
-                }
-                VecStep::LoadArith(a, _) => {
-                    return Err(VerifyError::WrongOpKind {
-                        context: context.clone(),
-                        op: s as u32,
-                        expected: "test",
-                        found: op_kind(a),
-                    })
-                }
-            }
-        }
-        check_unfused_equality(&context, steps, frags.filter.ops(code))?;
-    }
-    if let Some(steps) = &vec.agg_dag {
-        let context = "vectorized aggregate DAG".to_string();
-        let Some(frags) = &program.agg else {
-            return Err(VerifyError::FusedDivergence {
-                context,
-                step: 0,
-                detail: "vectorized aggregate DAG for a query without aggregation".into(),
-            });
-        };
-        for (s, step) in steps.iter().enumerate() {
-            match step {
-                VecStep::Op(op) => check_fused_expr_op(&context, s, op, pool, joined, bank)?,
-                VecStep::LoadArith(load, arith) => {
-                    if !is_load(load) {
-                        return Err(VerifyError::WrongOpKind {
-                            context: context.clone(),
-                            op: s as u32,
-                            expected: "load",
-                            found: op_kind(load),
-                        });
-                    }
-                    check_fused_expr_op(&context, s, load, pool, joined, bank)?;
-                    let b = match arith {
-                        Op::Arith { b, .. } => *b,
-                        other => {
-                            return Err(VerifyError::WrongOpKind {
-                                context: context.clone(),
-                                op: s as u32,
-                                expected: "arith",
-                                found: op_kind(other),
-                            })
-                        }
-                    };
-                    check_fused_expr_op(&context, s, arith, pool, joined, bank)?;
-                    if expr_dst(load) != b as usize {
-                        return Err(VerifyError::FusedDivergence {
-                            context: context.clone(),
-                            step: s,
-                            detail: format!(
-                                "fused load defines r{}, the arith reads r{b}",
-                                expr_dst(load)
-                            ),
-                        });
-                    }
-                }
-                VecStep::TestTest(op, _) => {
-                    return Err(VerifyError::WrongOpKind {
-                        context: context.clone(),
-                        op: s as u32,
-                        expected: "expression",
-                        found: op_kind(op),
-                    })
-                }
-            }
-        }
-        check_unfused_equality(&context, steps, frags.dag.ops(code))?;
-    }
-    Ok(())
-}
-
-/// Operand contracts of one fused predicate test: type lattice, pool
-/// bounds and byte widths.  Plan agreement (declared column, operator,
-/// constant) is covered by un-fuse equality with the already-verified
-/// scalar fragment.
-fn check_fused_test(
-    context: &str,
-    step: usize,
-    op: &Op,
-    pool: &ConstPool,
-    base: &FieldMap,
-) -> Result<(), VerifyError> {
-    let pc = step as u32;
-    match *op {
-        Op::TestI32 { offset, rhs, .. } => {
-            base.check_read(context, pc, offset, "i32", |d| {
-                matches!(d, DataType::Int32 | DataType::Date)
-            })?;
-            resolve_rhs_i(context, pc, rhs, pool)?;
-        }
-        Op::TestI64 { offset, rhs, .. } => {
-            base.check_read(context, pc, offset, "i64", |d| matches!(d, DataType::Int64))?;
-            resolve_rhs_i(context, pc, rhs, pool)?;
-        }
-        Op::TestF64 { offset, rhs, .. } => {
-            base.check_read(context, pc, offset, "f64", |d| {
-                matches!(d, DataType::Float64)
-            })?;
-            resolve_rhs_f(context, pc, rhs, pool)?;
-        }
-        Op::TestBytes {
-            offset,
-            width,
-            pool: slot,
-            ..
-        } => {
-            let dtype = base.check_read(context, pc, offset, "bytes", |d| {
-                matches!(d, DataType::Char(_))
-            })?;
-            let field_width = match dtype {
-                DataType::Char(w) => w as u32,
-                _ => unreachable!("check_read only accepted Char"),
-            };
-            if width != field_width {
-                return Err(VerifyError::WidthMismatch {
-                    context: context.to_string(),
-                    op: pc,
-                    expected: field_width,
-                    found: width,
-                });
-            }
-            let bytes =
-                pool.bytes
-                    .get(slot as usize)
-                    .ok_or_else(|| VerifyError::PoolIndexOutOfRange {
-                        context: context.to_string(),
-                        op: pc,
-                        section: "bytes",
-                        index: slot,
-                        len: pool.bytes.len(),
-                    })?;
-            if bytes.len() != width as usize {
-                return Err(VerifyError::WidthMismatch {
-                    context: context.to_string(),
-                    op: pc,
-                    expected: width,
-                    found: bytes.len() as u32,
-                });
-            }
-        }
-        ref other => {
-            return Err(VerifyError::WrongOpKind {
-                context: context.to_string(),
-                op: pc,
-                expected: "test",
-                found: op_kind(other),
-            })
-        }
-    }
-    Ok(())
-}
-
-/// Operand contracts of one fused expression op: register lattice, typed
-/// field reads, pool bounds.  Def-before-use order is covered by un-fuse
-/// equality with the already-verified scalar fragment.
-fn check_fused_expr_op(
-    context: &str,
-    step: usize,
-    op: &Op,
-    pool: &ConstPool,
-    map: &FieldMap,
-    bank: usize,
-) -> Result<(), VerifyError> {
-    let pc = step as u32;
-    let check_reg = |reg: u8| -> Result<(), VerifyError> {
-        if reg as usize >= bank {
-            return Err(VerifyError::RegisterOutOfRange {
-                context: context.to_string(),
-                op: pc,
-                reg,
-                bank,
-            });
-        }
-        Ok(())
-    };
-    match *op {
-        Op::LoadF { dst, offset } => {
-            map.check_read(context, pc, offset, "f64", |d| {
-                matches!(d, DataType::Float64)
-            })?;
-            check_reg(dst)?;
-        }
-        Op::LoadI32F { dst, offset } => {
-            map.check_read(context, pc, offset, "i32", |d| {
-                matches!(d, DataType::Int32 | DataType::Date)
-            })?;
-            check_reg(dst)?;
-        }
-        Op::LoadI64F { dst, offset } => {
-            map.check_read(context, pc, offset, "i64", |d| matches!(d, DataType::Int64))?;
-            check_reg(dst)?;
-        }
-        Op::ConstF { dst, .. } => check_reg(dst)?,
-        Op::PoolF { dst, idx } => {
-            if idx as usize >= pool.floats.len() {
-                return Err(VerifyError::PoolIndexOutOfRange {
-                    context: context.to_string(),
-                    op: pc,
-                    section: "float",
-                    index: idx,
-                    len: pool.floats.len(),
-                });
-            }
-            check_reg(dst)?;
-        }
-        Op::Arith { dst, a, b, .. } => {
-            check_reg(a)?;
-            check_reg(b)?;
-            check_reg(dst)?;
-        }
-        ref other => {
-            return Err(VerifyError::WrongOpKind {
-                context: context.to_string(),
-                op: pc,
-                expected: "expression",
-                found: op_kind(other),
-            })
-        }
-    }
-    Ok(())
-}
-
-/// Flattening the fused steps must reproduce the scalar fragment
-/// op-for-op; the first diverging op is reported with the fused step it
-/// came from.
-fn check_unfused_equality(
-    context: &str,
-    steps: &[VecStep],
-    scalar: &[Op],
-) -> Result<(), VerifyError> {
-    let flat = unfuse(steps);
-    if flat.len() != scalar.len() {
-        return Err(VerifyError::FusedDivergence {
-            context: context.to_string(),
-            step: steps.len(),
-            detail: format!(
-                "fused steps flatten to {} ops, the scalar fragment has {}",
-                flat.len(),
-                scalar.len()
-            ),
-        });
-    }
-    if let Some(i) = (0..flat.len()).find(|&i| flat[i] != scalar[i]) {
-        let mut consumed = 0usize;
-        let mut at = 0usize;
-        for (s, step) in steps.iter().enumerate() {
-            consumed += match step {
-                VecStep::Op(_) => 1,
-                _ => 2,
-            };
-            if i < consumed {
-                at = s;
-                break;
-            }
-        }
-        return Err(VerifyError::FusedDivergence {
-            context: context.to_string(),
-            step: at,
-            detail: format!(
-                "op {i} un-fuses to {:?}, the scalar fragment has {:?}",
-                flat[i], scalar[i]
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// Verify a compiled program against the query it claims to implement.
 ///
 /// Runs unconditionally inside [`crate::compile`] and
@@ -1477,11 +1141,6 @@ pub fn verify(
             }
         }
     }
-
-    // ---- Vectorized (fused) plan against the scalar fragments ----------
-    // Last, so corruption of state shared with the scalar interpreter
-    // (code array, pool, fragment tables) keeps its scalar diagnosis.
-    verify_vec_plan(program, plan, catalog, &joined)?;
     Ok(())
 }
 
