@@ -10,7 +10,7 @@
 //!
 //! * the verifier rejects it (the expected outcome — the gate requires
 //!   ≥ 95% of mutants caught statically), or
-//! * execution fails with a typed [`HiqueError`] — never a panic, never a
+//! * execution fails with a typed [`hique_types::HiqueError`] — never a panic, never a
 //!   silently wrong answer.
 //!
 //! The unmutated template is also re-verified per query, so the same lane

@@ -81,7 +81,6 @@ fn concurrent_sessions_match_serial_replay_bit_for_bit() {
             threads: 1,
             memory_budget_pages: BUDGET_PAGES,
             plan_cache_capacity: 256,
-            ..ServerConfig::default()
         },
     )
     .unwrap();

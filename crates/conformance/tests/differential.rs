@@ -6,7 +6,8 @@
 //! Every failure message carries the per-query seed; reproduce one with
 //! `cargo run --release -p hique-conformance --bin conformance -- --replay <seed>`.
 
-use hique_conformance::{run_suite, Fixture};
+use hique_conformance::{run_suite, Fixture, QueryGenerator};
+use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, StagingStrategy};
 
 const SF: f64 = 0.002;
 const SUITE_SEED: u64 = 0x41_1CDE; // fixed so failures are reproducible
@@ -29,6 +30,63 @@ fn random_queries_agree_across_all_engines() {
         report.queries
     );
     assert!(report.total_rows > 1000, "suspiciously few baseline rows");
+}
+
+/// The plan vocabulary is what the optimizer produces: planning the corpus
+/// (each query under its own generated config, which forces every join and
+/// aggregation algorithm the figures force and toggles join teams) names
+/// every join algorithm, staging strategy and aggregation algorithm at
+/// least once.  The matches are exhaustive, so a new variant does not
+/// compile here until it is given a label — which the corpus must then
+/// produce.
+#[test]
+fn the_corpus_plans_every_algorithm_and_staging_strategy() {
+    let fixture = Fixture::generate(SF).unwrap();
+    let mut generator = QueryGenerator::new(SUITE_SEED, SF);
+    let mut missing = vec![
+        "merge join",
+        "partition join",
+        "hybrid hash-sort-merge join",
+        "scan",
+        "sort",
+        "fine partition",
+        "partition then sort",
+        "sort aggregation",
+        "hybrid hash-sort aggregation",
+        "map aggregation",
+    ];
+    let mut produced = |label: &str| missing.retain(|&m| m != label);
+    for _ in 0..SUITE_QUERIES {
+        let query = generator.next_query();
+        let plan = plan_sql(&query.sql, &fixture.catalog, &query.config)
+            .unwrap_or_else(|e| panic!("planning failed (seed {:#x}): {e}", query.seed));
+        for step in plan.binary_steps() {
+            produced(match step.algorithm {
+                a @ (JoinAlgorithm::Merge
+                | JoinAlgorithm::Partition
+                | JoinAlgorithm::HybridHashSortMerge) => a.name(),
+            });
+        }
+        for staged in &plan.staged {
+            produced(match staged.strategy {
+                StagingStrategy::None => "scan",
+                StagingStrategy::Sort { .. } => "sort",
+                StagingStrategy::PartitionFine { .. } => "fine partition",
+                StagingStrategy::PartitionThenSort { .. } => "partition then sort",
+            });
+        }
+        if let Some(spec) = &plan.aggregate {
+            produced(match spec.algorithm {
+                a @ (AggAlgorithm::Sort | AggAlgorithm::HybridHashSort | AggAlgorithm::Map) => {
+                    a.name()
+                }
+            });
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "plan vocabulary the optimizer never produced over the corpus: {missing:?}"
+    );
 }
 
 #[test]

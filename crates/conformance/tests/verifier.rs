@@ -9,13 +9,15 @@
 //! 2. **The mutation gate** — seeded single-op corruptions of those same
 //!    programs are caught statically (≥ 95%) or fail typed at runtime;
 //!    none panics, none returns rows.
-//! 3. **Degradation leaks nothing** — when the VM refuses a plan at
-//!    execution time (nested-loops degradation), the staging work it did
-//!    before refusing must release every spill claim and pinned frame.
+//! 3. **Failure leaks nothing** — when a VM run fails after its staging
+//!    has spilled (a scheduled storage fault, the chaos lane's mechanism),
+//!    every spill claim, pinned frame and spill file it made is released.
+
+use std::sync::Arc;
 
 use hique_conformance::{run_mutation_suite, Fixture, QueryGenerator, MIN_REJECTION_RATE};
-use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
-use hique_types::HiqueError;
+use hique_plan::{plan_sql, PlannerConfig};
+use hique_storage::FaultPlan;
 use hique_vm::CompileMode;
 
 const SF: f64 = 0.002;
@@ -87,76 +89,68 @@ fn mutation_gate_holds_on_the_corpus() {
 }
 
 #[test]
-fn nested_loops_degradation_releases_spills_and_pins() {
+fn a_fault_after_staging_spilled_releases_spills_and_pins() {
     // A paged fixture with a plan budget far below the join's staging
-    // footprint: the VM stages (and spills) both inputs before discovering
-    // the nested-loops step it cannot run.  The refusal must be typed and
-    // must leave the temp space and buffer pool exactly as it found them.
+    // footprint, so the VM's staged inputs spill.  A fault scheduled on the
+    // run's last spill allocation then fails it after the earlier spills
+    // succeeded: the error must be typed and must leave the temp space,
+    // buffer pool and spill directory exactly as it found them.
     const POOL_PAGES: usize = 64;
     const PLAN_BUDGET_PAGES: usize = 16;
     let fixture = Fixture::generate_paged(0.01, POOL_PAGES).unwrap();
     let sql = "select o.o_orderkey, c.c_name from customer c, orders o \
                where c.c_custkey = o.o_custkey and o.o_totalprice < 100000";
-
-    // Non-vacuity: the same query under the same budget with the default
-    // join algorithm runs to completion *and spills* — so the degraded run
-    // below really did have claims at stake when it bailed out.
-    let hash_config = PlannerConfig::default().with_memory_budget_pages(PLAN_BUDGET_PAGES);
-    let hash_plan = plan_sql(sql, &fixture.catalog, &hash_config).unwrap();
-    let generated = hique_holistic::generate(&hash_plan).unwrap();
+    let config = PlannerConfig::default().with_memory_budget_pages(PLAN_BUDGET_PAGES);
+    let plan = plan_sql(sql, &fixture.catalog, &config).unwrap();
+    let generated = hique_holistic::generate(&plan).unwrap();
     let program =
         hique_vm::compile(&generated, &fixture.catalog, CompileMode::Specialized).unwrap();
-    let result = program
-        .execute(&generated, &fixture.catalog, &Default::default())
-        .unwrap();
+    let storage = fixture.catalog.storage().unwrap();
+    let run = |faults: FaultPlan| {
+        let faults = Arc::new(faults);
+        storage.install_fault_plan(Some(Arc::clone(&faults)));
+        let result = program.execute(&generated, &fixture.catalog, &Default::default());
+        storage.install_fault_plan(None);
+        (result, faults)
+    };
+    let temp = storage.temp().clone();
+    let pool = fixture.catalog.buffer_pool().unwrap().clone();
+    let assert_released = |context: &str| {
+        assert_eq!(temp.active_claims(), 0, "{context} leaked spill claims");
+        assert_eq!(pool.pinned_frames(), 0, "{context} leaked pinned frames");
+        let orphans = std::fs::read_dir(storage.dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "spill"))
+            .count();
+        assert_eq!(orphans, 0, "{context} leaked spill files");
+    };
+
+    // Non-vacuity: fault-free, the run completes *and spills*, through
+    // more than one allocation — so the faulted run below still has the
+    // earlier spills' claims at stake when it fails.
+    let (result, counted) = run(FaultPlan::new());
+    let result = result.unwrap();
     assert!(
         result.stats.spilled_temporaries > 0,
         "the {PLAN_BUDGET_PAGES}-page budget did not force staging spills; \
          the leak assertions below would be vacuous"
     );
-
-    let temp = fixture.catalog.storage().unwrap().temp().clone();
-    let pool = fixture.catalog.buffer_pool().unwrap().clone();
-    assert_eq!(temp.active_claims(), 0, "hash-join run leaked spill claims");
-    assert_eq!(
-        pool.pinned_frames(),
-        0,
-        "hash-join run leaked pinned frames"
-    );
-
-    // The degraded plan: same query, nested loops forced.  Compilation and
-    // verification succeed (the bytecode is well-formed; the *executor*
-    // refuses the algorithm), so the error surfaces mid-execution, after
-    // staging has spilled.
-    let nl_config = PlannerConfig::default()
-        .with_join_algorithm(JoinAlgorithm::NestedLoops)
-        .with_memory_budget_pages(PLAN_BUDGET_PAGES);
-    let nl_plan = plan_sql(sql, &fixture.catalog, &nl_config).unwrap();
-    assert_eq!(nl_plan.joins[0].algorithm, JoinAlgorithm::NestedLoops);
-    let nl_generated = hique_holistic::generate(&nl_plan).unwrap();
-    let nl_program =
-        hique_vm::compile(&nl_generated, &fixture.catalog, CompileMode::Specialized).unwrap();
-    let err = nl_program
-        .execute(&nl_generated, &fixture.catalog, &Default::default())
-        .expect_err("the VM must refuse nested-loops joins");
+    let (_, _, allocations) = counted.ops_seen();
     assert!(
-        matches!(err, HiqueError::Unsupported(_)),
-        "degradation must be a typed Unsupported error, got: {err}"
+        allocations >= 2,
+        "{allocations} spill allocation(s): no spill precedes the last one"
     );
-    assert_eq!(
-        temp.active_claims(),
-        0,
-        "nested-loops degradation leaked spill claims"
+    assert_released("the fault-free run");
+
+    // Spill allocations depend only on the plan and the budget, not on
+    // what the pool holds, so the same schedule fires on the same one.
+    let (result, faults) = run(FaultPlan::new().disk_full_on_alloc(allocations));
+    assert_eq!(faults.injected(), 1, "the scheduled fault did not fire");
+    let err = result.expect_err("a failed spill allocation must fail the run");
+    assert!(
+        err.is_retryable() && err.to_string().contains("injected fault:"),
+        "the failure must be the typed injected fault, got: {err}"
     );
-    assert_eq!(
-        pool.pinned_frames(),
-        0,
-        "nested-loops degradation leaked pinned frames"
-    );
-    let orphans = std::fs::read_dir(fixture.catalog.storage().unwrap().dir())
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "spill"))
-        .count();
-    assert_eq!(orphans, 0, "nested-loops degradation leaked spill files");
+    assert_released("the faulted run");
 }

@@ -567,7 +567,7 @@ impl CompiledAgg {
     /// Map aggregation: one value directory per grouping attribute maps each
     /// tuple to an offset in a dense array; a single scan, no staging
     /// (paper §V-B, Figure 4).  The directories grow on first occurrence
-    /// during that scan ([`MapDirectory`]) — the paper assumes the domains
+    /// during that scan (`MapDirectory`) — the paper assumes the domains
     /// are known from the catalogue; here they are discovered as they
     /// appear, without a second look at the input.  Domains the cell array
     /// cannot be laid out for (the plan's statistics have gone stale, or
@@ -835,7 +835,6 @@ mod tests {
                 },
             ],
             algorithm: AggAlgorithm::Map,
-            group_domain_sizes: vec![5, 2],
         }
     }
 
@@ -885,7 +884,6 @@ mod tests {
     fn global_spec() -> AggregateSpec {
         let mut s = spec();
         s.group_columns = vec![];
-        s.group_domain_sizes = vec![];
         s
     }
 
@@ -978,7 +976,6 @@ mod tests {
         let input = relation(500);
         let mut s = spec();
         s.group_columns = vec![1];
-        s.group_domain_sizes = vec![2];
         let compiled = CompiledAgg::compile(&s, input.schema()).unwrap();
         let (serial, wide) = (ScopedPool::serial(), ScopedPool::new(16));
         let mut st = ExecStats::new();
@@ -1233,7 +1230,6 @@ mod tests {
         let disc = || bin(BinOp::Mul, v(), bin(BinOp::Sub, one(), g1()));
         let agg = |func, arg: Option<ScalarExpr>, dtype| BoundAggregate { func, arg, dtype };
         AggregateSpec {
-            group_domain_sizes: vec![0; group_columns.len()],
             group_columns,
             aggregates: vec![
                 agg(AggFunc::Sum, Some(v()), DataType::Float64),
@@ -1472,7 +1468,6 @@ mod tests {
         let scaled = || bin(BinOp::Mul, col(2), bin(BinOp::Sub, one(), col(4)));
         let agg = |func, arg: Option<ScalarExpr>, dtype| BoundAggregate { func, arg, dtype };
         AggregateSpec {
-            group_domain_sizes: vec![0; group_columns.len()],
             group_columns,
             aggregates: vec![
                 agg(AggFunc::Sum, Some(col(2)), DataType::Float64),
@@ -1683,7 +1678,6 @@ mod tests {
                     dtype: DataType::Int64,
                 }],
                 algorithm: AggAlgorithm::Map,
-                group_domain_sizes: vec![2; attributes],
             };
             let compiled = CompiledAgg::compile(&spec, input.schema()).unwrap();
             for threads in [1, 4] {

@@ -777,7 +777,6 @@ mod tests {
                 .map(|(func, arg, dtype)| BoundAggregate { func, arg, dtype })
                 .collect(),
             algorithm: AggAlgorithm::Map,
-            group_domain_sizes: vec![],
         }
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Staging is the instantiated scan/filter/project template with the
 //! plan's pre-processing interleaved; a join step is the plan's algorithm
-//! (merge, fine partition, hybrid hash-sort-merge, forced nested loops) or
-//! the whole join team's deeply nested loops in one call; aggregation is
+//! (merge, fine partition, hybrid hash-sort-merge) or the whole join
+//! team's deeply nested loops in one call; aggregation is
 //! the plan's algorithm over a resident input, or its page-at-a-time stream
 //! form when the input sits in the spill space.
 
@@ -14,9 +14,7 @@ use hique_types::{HiqueError, Result, Row, Value};
 
 use crate::exec::{Kernels, RecordSink, Run};
 use crate::generator::{GeneratedQuery, OutputKernel};
-use crate::join::{
-    fine_partition_join, hybrid_join, merge_join, nested_loops_join, team_join, JoinSink,
-};
+use crate::join::{fine_partition_join, hybrid_join, merge_join, team_join, JoinSink};
 use crate::kernel::CompiledKey;
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
@@ -241,8 +239,7 @@ impl GeneratedQuery {
             }
             JoinAlgorithm::HybridHashSortMerge => {
                 let partitions = match &right_desc.strategy {
-                    StagingStrategy::PartitionThenSort { partitions, .. }
-                    | StagingStrategy::PartitionCoarse { partitions, .. } => *partitions,
+                    StagingStrategy::PartitionThenSort { partitions, .. } => *partitions,
                     _ => 64,
                 };
                 let (mut left_rel, mut right_rel) = (left.relation, right.relation);
@@ -253,19 +250,6 @@ impl GeneratedQuery {
                     right_key,
                     partitions,
                     pool,
-                    stats,
-                    sink,
-                );
-            }
-            // Forced degradation only (the optimizer never picks it):
-            // serial blocked nested loops, matching the kernel text
-            // source.rs renders for it.
-            JoinAlgorithm::NestedLoops => {
-                nested_loops_join(
-                    &left.relation,
-                    &right.relation,
-                    left_key,
-                    right_key,
                     stats,
                     sink,
                 );

@@ -113,8 +113,9 @@ impl<D: FnMut(&[u8]) -> Row> RecordSink<'_, D> {
 /// width: same records in the same order, same counters.
 pub trait Kernels: Sync {
     /// Whether [`Kernels::join`] evaluates a whole join team in one call
-    /// (all members at once).  Otherwise the driver walks the team as a
-    /// cascade of binary steps over the shared key.
+    /// (all members at once).  Otherwise the driver walks the team as its
+    /// cascade of binary steps over the shared key
+    /// ([`PhysicalPlan::binary_steps`], whose positions `step` indexes).
     const FUSES_JOIN_TEAMS: bool;
 
     /// Scan, filter, project and pre-organize base table `t` of the plan.
@@ -213,11 +214,10 @@ pub fn run<K: Kernels>(
     let mut counted: u64 = 0;
     let mut take = |t: usize| staged[t].take().expect("every input is staged once");
     // The right-hand inputs of each cascade step, in join order.
+    let binary = plan.binary_steps();
     let steps: Vec<&[usize]> = match &plan.join_team {
         Some(team) if K::FUSES_JOIN_TEAMS => vec![&team.members[1..]],
-        Some(team) => team.members[1..].chunks(1).collect(),
-        None => plan
-            .joins
+        _ => binary
             .iter()
             .map(|j| std::slice::from_ref(&j.right))
             .collect(),

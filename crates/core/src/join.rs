@@ -214,45 +214,6 @@ fn merge_buffers(
     stats.bytes_touched += (lbuf.len() + rbuf.len()) as u64;
 }
 
-/// Blocked nested loops (the paper's Listing 2 template with no staging
-/// help at all): every outer record scans every inner record, keys
-/// compared per pair.  The optimizer never chooses this — it exists for
-/// forced-degradation experiments (`force_join_algorithm`) — so the
-/// kernel is serial and unapologetically O(|L|·|R|); the quadratic cost
-/// shows up in `comparisons`, while tuples/bytes count each input once
-/// like the staged kernels.
-pub fn nested_loops_join(
-    left: &StagedRelation,
-    right: &StagedRelation,
-    left_key: CompiledKey,
-    right_key: CompiledKey,
-    stats: &mut ExecStats,
-    sink: &mut JoinSink,
-) {
-    stats.add_calls(1);
-    let (lts, rts) = (left.tuple_size(), right.tuple_size());
-    let serial = ScopedPool::serial();
-    run_join_tasks(1, lts, rts, &serial, stats, sink, |_, emit, stats| {
-        let mut comparisons: u64 = 0;
-        for lp in 0..left.num_partitions() {
-            for lrec in left.partition(lp).chunks_exact(lts) {
-                let lkey = left_key.as_i64(lrec);
-                for rp in 0..right.num_partitions() {
-                    for rrec in right.partition(rp).chunks_exact(rts) {
-                        comparisons += 1;
-                        if right_key.as_i64(rrec) == lkey {
-                            emit(lrec, rrec);
-                        }
-                    }
-                }
-            }
-        }
-        stats.add_comparisons(comparisons);
-        stats.tuples_processed += (left.num_records() + right.num_records()) as u64;
-        stats.bytes_touched += (left.data_bytes() + right.data_bytes()) as u64;
-    });
-}
-
 /// Hybrid hash-sort-merge join (paper §V-B): both inputs coarsely
 /// partitioned with the same hash function and partition count, each pair of
 /// corresponding partitions sorted just before being merge-joined, with the
@@ -641,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn fine_partition_join_matches_nested_loops() {
+    fn fine_partition_join_matches_merge_join_on_grouped_input() {
         let lkeys = vec![1, 1, 2, 3, 3, 3];
         let rkeys = vec![1, 3, 3, 4];
         let left = StagedInput::unpartitioned(relation("l", &lkeys));
@@ -652,12 +613,20 @@ mod tests {
         let mut stats = ExecStats::new();
         let fine = pair_trace(|s| fine_partition_join(&left, &right, lk, rk, &pool, &mut stats, s));
         assert_eq!(fine.len(), expected_pairs(&lkeys, &rkeys));
-        // Nested loops emits outer-major; on inputs already grouped by key
+        // Merge join emits outer-major; on inputs already sorted by key
         // that is the fine join's key order.
-        let nested = pair_trace(|s| {
-            nested_loops_join(&left.relation, &right.relation, lk, rk, &mut stats, s)
+        let merged = pair_trace(|s| {
+            merge_join(
+                &left.relation,
+                &right.relation,
+                lk,
+                rk,
+                &pool,
+                &mut stats,
+                s,
+            )
         });
-        assert_eq!(nested, fine);
+        assert_eq!(merged, fine);
     }
 
     #[test]

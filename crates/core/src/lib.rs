@@ -3,7 +3,7 @@
 //! The paper's contribution: **holistic query evaluation through
 //! template-based code generation**.
 //!
-//! Given a [`hique_plan::PhysicalPlan`], the [`generator::CodeGenerator`]
+//! Given a [`hique_plan::PhysicalPlan`], [`generate`]
 //! instantiates per-operator code templates into a [`GeneratedQuery`]:
 //!
 //! * a **source artifact** ([`source::GeneratedSource`]) — the query-specific

@@ -90,10 +90,6 @@ fn emit_staging_function(plan: &PhysicalPlan, order_pos: usize, t: usize) -> Str
                 key_column,
                 partitions,
             } => format!(", fine-partition on column {key_column} into {partitions} partitions"),
-            StagingStrategy::PartitionCoarse {
-                key_column,
-                partitions,
-            } => format!(", hash-partition on column {key_column} into {partitions} partitions"),
             StagingStrategy::PartitionThenSort {
                 key_column,
                 partitions,
@@ -161,11 +157,7 @@ fn emit_staging_function(plan: &PhysicalPlan, order_pos: usize, t: usize) -> Str
                 "            temp_table_append(out->partition[part], out_tuple);"
             );
         }
-        StagingStrategy::PartitionCoarse {
-            key_column,
-            partitions,
-        }
-        | StagingStrategy::PartitionThenSort {
+        StagingStrategy::PartitionThenSort {
             key_column,
             partitions,
         } => {
@@ -238,9 +230,6 @@ fn emit_join_function(plan: &PhysicalPlan, i: usize, step: &hique_plan::JoinStep
                 "    /* hybrid hash-sort-merge: sort partition pairs, then merge */"
             );
             let _ = writeln!(s, "    for (int k = 0; k < M; k++) {{ quicksort(left->partition[k]); quicksort(right->partition[k]); }}");
-        }
-        JoinAlgorithm::NestedLoops => {
-            let _ = writeln!(s, "    /* blocked nested loops */");
         }
     }
     let _ = writeln!(s, "    for (int k = 0; k < M; k++) {{");
@@ -348,8 +337,7 @@ fn emit_agg_function(plan: &PhysicalPlan) -> String {
         hique_plan::AggAlgorithm::Map => {
             let _ = writeln!(
                 s,
-                "    /* value directories sized {:?}; offset = sum(M_i[v_i] * prod |M_j|) */",
-                spec.group_domain_sizes
+                "    /* value directories grown on first occurrence; offset = sum(M_i[v_i] * prod |M_j|) */"
             );
         }
         hique_plan::AggAlgorithm::Sort => {

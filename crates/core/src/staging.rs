@@ -260,11 +260,7 @@ pub fn stage_table(
             }
             StagedInput::unpartitioned(rel)
         }
-        StagingStrategy::PartitionCoarse {
-            key_column,
-            partitions,
-        }
-        | StagingStrategy::PartitionThenSort {
+        StagingStrategy::PartitionThenSort {
             key_column,
             partitions,
         } => {
@@ -317,10 +313,8 @@ pub fn stage_table(
             }
             let mut rel = StagedRelation::from_partitions(out_schema.clone(), parts);
             stats.add_materialized(rel.data_bytes());
-            if matches!(staged.strategy, StagingStrategy::PartitionThenSort { .. }) {
-                stats.sort_passes += rel.num_partitions() as u64;
-                rel.sort_all(&[key], pool);
-            }
+            stats.sort_passes += rel.num_partitions() as u64;
+            rel.sort_all(&[key], pool);
             StagedInput::unpartitioned(rel)
         }
         StagingStrategy::PartitionFine { key_column, .. } => {
@@ -584,10 +578,6 @@ mod tests {
             StagingStrategy::Sort {
                 key_columns: vec![0, 1],
             },
-            StagingStrategy::PartitionCoarse {
-                key_column: 0,
-                partitions: 8,
-            },
             StagingStrategy::PartitionThenSort {
                 key_column: 0,
                 partitions: 8,
@@ -793,11 +783,7 @@ mod tests {
                     }
                     vec![sorted(&out, ts, &keys)]
                 }
-                StagingStrategy::PartitionCoarse {
-                    key_column,
-                    partitions,
-                }
-                | StagingStrategy::PartitionThenSort {
+                StagingStrategy::PartitionThenSort {
                     key_column,
                     partitions,
                 } => {
@@ -809,11 +795,8 @@ mod tests {
                         parts[(key.hash(rec) as usize) % m].extend_from_slice(rec);
                     });
                     stats.add_materialized(parts.iter().map(Vec::len).sum());
-                    if matches!(desc.strategy, StagingStrategy::PartitionThenSort { .. }) {
-                        stats.sort_passes += m as u64;
-                        parts = parts.iter().map(|p| sorted(p, ts, &[key])).collect();
-                    }
-                    parts
+                    stats.sort_passes += m as u64;
+                    parts.iter().map(|p| sorted(p, ts, &[key])).collect()
                 }
                 StagingStrategy::PartitionFine { key_column, .. } => {
                     let key = key(*key_column);
@@ -948,10 +931,6 @@ mod tests {
             StagingStrategy::None,
             StagingStrategy::Sort {
                 key_columns: (0..kept.min(2)).collect(),
-            },
-            StagingStrategy::PartitionCoarse {
-                key_column: 0,
-                partitions: 4,
             },
             StagingStrategy::PartitionThenSort {
                 key_column: kept - 1,

@@ -470,7 +470,6 @@ mod tests {
                 },
             ],
             algorithm: AggAlgorithm::Map,
-            group_domain_sizes: vec![10],
         }
     }
 
@@ -514,7 +513,6 @@ mod tests {
         let ctx = ExecContext::new(ExecMode::Generic);
         let mut s = spec();
         s.group_columns = vec![];
-        s.group_domain_sizes = vec![];
         let mut agg = AggregateIterator::new(scan(&heap, &ctx), s, AggStrategy::Map, ctx.clone());
         let rows = drain(&mut agg, &ctx).unwrap();
         assert_eq!(rows.len(), 1);

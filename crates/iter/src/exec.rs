@@ -6,9 +6,7 @@ use hique_par::ScopedPool;
 use hique_pipeline::RunEnvelope;
 use hique_plan::{AggAlgorithm, JoinAlgorithm, PhysicalPlan, StagingStrategy};
 use hique_storage::Catalog;
-use hique_types::{
-    result::finalize_rows, CancelToken, HiqueError, PhaseTimings, QueryResult, Result,
-};
+use hique_types::{result::finalize_rows, CancelToken, PhaseTimings, QueryResult, Result};
 
 use crate::agg::{AggStrategy, AggregateIterator};
 use crate::iterator::{ExecContext, ExecMode, QueryIterator};
@@ -122,8 +120,7 @@ pub fn execute_plan_cancellable(
             )),
             JoinAlgorithm::HybridHashSortMerge => {
                 let partitions = match &plan.staged[step.right].strategy {
-                    StagingStrategy::PartitionThenSort { partitions, .. }
-                    | StagingStrategy::PartitionCoarse { partitions, .. } => *partitions,
+                    StagingStrategy::PartitionThenSort { partitions, .. } => *partitions,
                     _ => 64,
                 };
                 Box::new(HybridJoinIterator::new(
@@ -133,11 +130,6 @@ pub fn execute_plan_cancellable(
                     step.right_key,
                     partitions,
                     ctx.clone(),
-                ))
-            }
-            JoinAlgorithm::NestedLoops => {
-                return Err(HiqueError::Unsupported(
-                    "nested-loops cross products are not supported by the iterator engine".into(),
                 ))
             }
         };
@@ -209,7 +201,7 @@ pub fn execute_plan_cancellable(
 mod tests {
     use super::*;
     use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
-    use hique_types::{Column, DataType, Row, Schema, Value};
+    use hique_types::{Column, DataType, HiqueError, Row, Schema, Value};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();

@@ -538,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_join_matches_nested_loops_semantics() {
+    fn merge_join_matches_the_naive_pair_count() {
         let lkeys = vec![1, 2, 2, 3, 5, 7, 7, 7];
         let rkeys = vec![2, 2, 3, 3, 4, 7];
         let lheap = heap_from(&lkeys, 100);

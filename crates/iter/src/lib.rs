@@ -7,7 +7,7 @@
 //! * operators communicate through a generic `open()/next()/close()`
 //!   interface behind dynamic dispatch — every in-flight tuple costs at
 //!   least two function calls;
-//! * tuples travel as materialized [`Row`]s of boxed [`hique_types::Value`]s
+//! * tuples travel as materialized [`hique_types::Row`]s of boxed [`hique_types::Value`]s
 //!   rather than raw records;
 //! * predicate evaluation and field access are generic: in
 //!   [`ExecMode::Generic`] they are counted as separate accessor/comparator

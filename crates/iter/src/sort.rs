@@ -85,7 +85,7 @@ enum SortedRun {
 /// `ORDER BY`.
 ///
 /// The sort itself runs chunk-parallel across the context's pool
-/// (deterministically — see [`par_sort_rows`]); under a memory budget a run
+/// (deterministically — see `par_sort_rows`); under a memory budget a run
 /// larger than the spill threshold is encoded into buffer-pool pages after
 /// sorting and decoded back **page-at-a-time** while the parent consumes
 /// it, so the emit phase holds one page of rows instead of the whole run.

@@ -1,18 +1,16 @@
 //! Planner configuration: hardware parameters and algorithm overrides.
 //!
 //! The paper's generated code is customized to the host's cache hierarchy
-//! (Table I: 32 KiB D1, 2 MiB L2).  The planner carries those parameters and
-//! uses them to size staging partitions and to decide between map
-//! aggregation and staged aggregation.  Benchmarks can force particular
-//! algorithms to reproduce individual curves of Figures 5–7.
+//! (Table I: 2 MiB L2).  The planner carries that parameter and uses it to
+//! size staging partitions and to decide between map aggregation and
+//! staged aggregation.  Benchmarks can force particular algorithms to
+//! reproduce individual curves of Figures 5–7.
 
 use crate::physical::{AggAlgorithm, JoinAlgorithm};
 
 /// Tunables for plan generation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
-    /// Size of the first-level data cache in bytes (paper's testbed: 32 KiB).
-    pub d1_cache_bytes: usize,
     /// Size of the second-level cache in bytes (paper's testbed: 2 MiB).
     pub l2_cache_bytes: usize,
     /// Force every join to use this algorithm (benchmarks only).
@@ -22,9 +20,6 @@ pub struct PlannerConfig {
     /// Allow multi-way joins over a common key to be fused into a join team
     /// (paper §V-B, Figure 7(b)).
     pub enable_join_teams: bool,
-    /// Maximum number of distinct values for which fine-grained partitioning
-    /// (a value→partition map) is preferred over coarse hashing.
-    pub fine_partition_limit: usize,
     /// Worker threads for partition-parallel execution (1 = serial).  The
     /// generated program divides staging scans, join partition pairs and
     /// aggregation across this many workers with deterministic chunking and
@@ -43,12 +38,10 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            d1_cache_bytes: 32 * 1024,
             l2_cache_bytes: 2 * 1024 * 1024,
             force_join_algorithm: None,
             force_agg_algorithm: None,
             enable_join_teams: true,
-            fine_partition_limit: 1024,
             threads: 1,
             memory_budget_pages: 0,
         }
@@ -56,11 +49,6 @@ impl Default for PlannerConfig {
 }
 
 impl PlannerConfig {
-    /// Configuration matching the paper's Intel Core 2 Duo 6300 testbed.
-    pub fn paper_testbed() -> Self {
-        Self::default()
-    }
-
     /// Builder-style override of the forced join algorithm.
     pub fn with_join_algorithm(mut self, algorithm: JoinAlgorithm) -> Self {
         self.force_join_algorithm = Some(algorithm);
@@ -108,15 +96,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_match_paper_testbed() {
+    fn defaults_match_the_testbed_of_table_i() {
         let c = PlannerConfig::default();
-        assert_eq!(c.d1_cache_bytes, 32 * 1024);
         assert_eq!(c.l2_cache_bytes, 2 * 1024 * 1024);
         assert!(c.enable_join_teams);
         assert!(c.force_join_algorithm.is_none());
         assert_eq!(c.threads, 1);
         assert_eq!(c.memory_budget_pages, 0);
-        assert_eq!(c, PlannerConfig::paper_testbed());
     }
 
     #[test]

@@ -94,12 +94,6 @@ pub fn explain_with_actuals(plan: &PhysicalPlan, actuals: &PlanActuals) -> Strin
             } => {
                 format!("scan + fine partition on #{key_column} into {partitions}")
             }
-            StagingStrategy::PartitionCoarse {
-                key_column,
-                partitions,
-            } => {
-                format!("scan + coarse partition on #{key_column} into {partitions}")
-            }
             StagingStrategy::PartitionThenSort {
                 key_column,
                 partitions,

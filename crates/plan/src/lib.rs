@@ -12,7 +12,7 @@
 //! * one [`physical::StagedTable`] per base table — which filters to apply,
 //!   which columns to keep (projection during staging, the paper's trick for
 //!   shrinking tuples before joins), and how to stage (sort / fine
-//!   partition / coarse partition / hybrid);
+//!   partition / hash partition then sort);
 //! * a join order with a [`physical::JoinStep`] per join and the chosen
 //!   [`physical::JoinAlgorithm`], or a [`physical::JoinTeam`] when every
 //!   join shares a common key;

@@ -26,6 +26,10 @@ use crate::stats::{
     correlated_range_clamp, estimate_filtered_rows, estimate_join_rows_dist, TableStats,
 };
 
+/// Maximum number of distinct join-key values for which fine-grained
+/// partitioning (a value→partition map) is preferred over coarse hashing.
+const FINE_PARTITION_LIMIT: usize = 1024;
+
 /// Parse, analyze and optimize `sql` against `catalog`: the front half of
 /// every preparation, and the one plan all engines then execute.
 pub fn plan_sql(sql: &str, catalog: &Catalog, config: &PlannerConfig) -> Result<PhysicalPlan> {
@@ -194,7 +198,7 @@ pub fn plan_query(
             let algorithm = match config.force_join_algorithm {
                 Some(a) => a,
                 None => {
-                    if key_distinct <= config.fine_partition_limit {
+                    if key_distinct <= FINE_PARTITION_LIMIT {
                         JoinAlgorithm::Partition
                     } else if left_bytes <= config.l2_cache_bytes
                         && right_bytes <= config.l2_cache_bytes
@@ -292,7 +296,7 @@ pub fn plan_query(
 
         // Distinct-count estimates of the grouping columns: map back to the
         // base tables' statistics through the combined schema.
-        let group_domain_sizes: Vec<usize> = bound
+        let domain_estimates: Vec<usize> = bound
             .group_by
             .iter()
             .map(|&g| {
@@ -300,7 +304,7 @@ pub fn plan_query(
                 stats[t].distinct_or(c, 0)
             })
             .collect();
-        let total_groups: Option<usize> = group_domain_sizes.iter().try_fold(1usize, |acc, &d| {
+        let total_groups: Option<usize> = domain_estimates.iter().try_fold(1usize, |acc, &d| {
             if d == 0 {
                 None
             } else {
@@ -331,7 +335,6 @@ pub fn plan_query(
             group_columns: group_columns.clone(),
             aggregates,
             algorithm,
-            group_domain_sizes,
         })
     } else {
         None
@@ -515,7 +518,6 @@ fn staging_for_join(
             key_column,
             partitions,
         },
-        JoinAlgorithm::NestedLoops => StagingStrategy::None,
     }
 }
 
@@ -636,7 +638,6 @@ mod tests {
         assert!(!p.has_joins());
         let agg = p.aggregate.as_ref().unwrap();
         assert_eq!(agg.algorithm, AggAlgorithm::Map);
-        assert_eq!(agg.group_domain_sizes, vec![2, 2]);
         assert_eq!(p.staged[0].strategy, StagingStrategy::None);
         // Projection keeps only referenced columns: returnflag, linestatus,
         // quantity (+ nothing else; shipdate is filter-only).

@@ -26,13 +26,6 @@ pub enum StagingStrategy {
         /// Number of partitions (= number of distinct key values).
         partitions: usize,
     },
-    /// Coarse-grained partitioning: hash & modulo on the key.
-    PartitionCoarse {
-        /// Staged-schema column index of the partitioning key.
-        key_column: usize,
-        /// Number of partitions.
-        partitions: usize,
-    },
     /// Coarse partitioning followed by sorting each partition on the key —
     /// the staging of the paper's *hybrid hash-sort* algorithms.
     PartitionThenSort {
@@ -60,8 +53,6 @@ pub enum JoinAlgorithm {
     /// Inputs coarsely partitioned, each partition pair sorted just before
     /// joining, then merge-joined: the paper's *hybrid hash-sort-merge*.
     HybridHashSortMerge,
-    /// Plain blocked nested loops (fallback when no equi-join key exists).
-    NestedLoops,
 }
 
 impl JoinAlgorithm {
@@ -71,7 +62,6 @@ impl JoinAlgorithm {
             JoinAlgorithm::Merge => "merge join",
             JoinAlgorithm::Partition => "partition join",
             JoinAlgorithm::HybridHashSortMerge => "hybrid hash-sort-merge join",
-            JoinAlgorithm::NestedLoops => "nested-loops join",
         }
     }
 }
@@ -157,9 +147,6 @@ pub struct AggregateSpec {
     pub aggregates: Vec<BoundAggregate>,
     /// Chosen algorithm.
     pub algorithm: AggAlgorithm,
-    /// For map aggregation: the per-grouping-column distinct counts the
-    /// planner believes (sizes of the value directories).
-    pub group_domain_sizes: Vec<usize>,
 }
 
 /// The optimizer's output for one query.
@@ -246,7 +233,6 @@ mod tests {
             "hybrid hash-sort-merge join"
         );
         assert_eq!(JoinAlgorithm::Partition.name(), "partition join");
-        assert_eq!(JoinAlgorithm::NestedLoops.name(), "nested-loops join");
         assert_eq!(AggAlgorithm::Map.name(), "map aggregation");
         assert_eq!(AggAlgorithm::Sort.name(), "sort aggregation");
         assert_eq!(
@@ -271,7 +257,7 @@ mod tests {
                 key_column: 0,
                 partitions: 4
             },
-            StagingStrategy::PartitionCoarse {
+            StagingStrategy::PartitionThenSort {
                 key_column: 0,
                 partitions: 4
             }

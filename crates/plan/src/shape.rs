@@ -2,25 +2,25 @@
 //!
 //! The paper's Table III economics — generation, compilation and
 //! preparation cost per query — only pay off when a prepared plan (and its
-//! instantiated kernel program) is reused across requests.  The cache key
-//! must therefore identify "the same query" robustly against the
-//! formatting noise real clients produce: case of keywords and
-//! identifiers, and whitespace.  [`shape_key`] normalizes exactly those
-//! (preserving string literals byte-for-byte, since `'A'` and `'a'` are
-//! different queries), so two spellings of one query share a cache entry
-//! while queries differing in any constant do not — cached plans stay
-//! exact, including their literal-dependent cardinality estimates.
+//! instantiated kernel program) is reused across requests.  The cache must
+//! therefore identify "the same query" robustly against the formatting
+//! noise real clients produce: case of keywords and identifiers, and
+//! whitespace.  [`shape_key`] normalizes exactly those, preserving string
+//! literals byte-for-byte (`'A'` and `'a'` are different queries).
 //!
-//! [`shape_class`] goes one step further and masks literals with `?`.
-//! That is deliberately *not* the cache key (two queries of one class can
-//! deserve different plans); it is the observability label a server uses
-//! to group cache statistics by query template.
+//! [`shape_class_and_consts`] splits that normalized text losslessly into
+//! its *shape class* — literals masked with `?` — and the vector of masked
+//! literal texts.  The cache keys on the class plus the constant vector: a
+//! query with the entry's constants reuses its plan outright (cached plans
+//! stay exact, including their literal-dependent cardinality estimates),
+//! while a classmate with other constants re-plans and rebinds the entry's
+//! pooled bytecode template.
 
-/// Normalize a SQL string into its cache key: whitespace collapsed to
+/// Normalize a SQL string: whitespace collapsed to
 /// single spaces, everything outside single-quoted string literals folded
 /// to lowercase, trailing semicolons and padding trimmed.  Literals are
-/// preserved exactly (including `''` escapes), so the key never conflates
-/// queries with different constants.
+/// preserved exactly (including `''` escapes), so the normalized text never
+/// conflates queries with different constants.
 pub fn shape_key(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len());
     let mut chars = sql.chars().peekable();

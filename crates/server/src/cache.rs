@@ -31,13 +31,12 @@ use parking_lot::Mutex;
 /// preparation cost, paid once per shape and amortized by every reuse.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    /// Normalized query text ([`hique_plan::shape_key`]), literals intact.
-    pub shape: String,
     /// Literal-masked template ([`hique_plan::shape_class`]) — the cache
     /// key.
     pub class: String,
     /// The literal texts masked out of `class`, in left-to-right order;
-    /// `(class, consts)` is a lossless split of `shape`.
+    /// `(class, consts)` is a lossless split of the normalized query text
+    /// ([`hique_plan::shape_key`]).
     pub consts: Vec<String>,
     /// The generated kernel program (carries the physical plan).
     pub generated: GeneratedQuery,
@@ -187,9 +186,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_plan::{
-        plan_query, shape_class_and_consts, shape_key, CatalogProvider, PlannerConfig,
-    };
+    use hique_plan::{plan_query, shape_class_and_consts, CatalogProvider, PlannerConfig};
     use hique_storage::Catalog;
     use hique_types::{Column, DataType, Row, Schema, Value};
 
@@ -202,7 +199,6 @@ mod tests {
         let vm = template.bind(&generated, cat).unwrap();
         let (class, consts) = shape_class_and_consts(sql);
         Arc::new(PreparedQuery {
-            shape: shape_key(sql),
             class,
             consts,
             generated,

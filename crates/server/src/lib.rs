@@ -10,8 +10,8 @@
 //!
 //! * [`Server`] owns the catalog, its paged storage runtime, the DSM
 //!   decomposition, and a [`PlanCache`] of prepared plans + instantiated
-//!   kernel programs keyed on normalized query shape
-//!   ([`hique_plan::shape_key`]);
+//!   kernel programs keyed on the query's shape class and constants
+//!   ([`hique_plan::shape_class_and_consts`]);
 //! * [`Session`] is one client's handle: it prepares through the shared
 //!   cache (first request of a shape pays the Table III cost, every repeat
 //!   is a cache hit) and executes on any of the five engine modes;

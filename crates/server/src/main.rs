@@ -97,7 +97,6 @@ fn build_server(args: &Args) -> Result<Server, String> {
             threads: args.threads,
             memory_budget_pages: 0,
             plan_cache_capacity: 256,
-            ..ServerConfig::default()
         },
     )
     .map_err(|e| format!("server startup failed: {e}"))

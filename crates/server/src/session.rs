@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use hique_dsm::DsmDatabase;
 use hique_holistic::{ExecOptions, GeneratedQuery};
-use hique_plan::{plan_sql, shape_class_and_consts, shape_key, PlannerConfig};
+use hique_plan::{plan_sql, shape_class_and_consts, PlannerConfig};
 use hique_storage::Catalog;
 use hique_types::{CancelToken, HiqueError, QueryResult, Result};
 use hique_vm::VmProgram;
@@ -33,10 +33,6 @@ pub struct ServerConfig {
     pub memory_budget_pages: usize,
     /// Prepared-plan cache entries.
     pub plan_cache_capacity: usize,
-    /// Force every join to this algorithm (benchmarks and tests only —
-    /// e.g. `NestedLoops`, which the bytecode VM refuses with a typed
-    /// `Unsupported`, exercises the vm engine's holistic fallback).
-    pub force_join_algorithm: Option<hique_plan::JoinAlgorithm>,
 }
 
 impl Default for ServerConfig {
@@ -46,7 +42,6 @@ impl Default for ServerConfig {
             threads: 1,
             memory_budget_pages: 0,
             plan_cache_capacity: 256,
-            force_join_algorithm: None,
         }
     }
 }
@@ -61,9 +56,9 @@ pub(crate) struct Shared {
     queries_served: AtomicU64,
     queries_cancelled: AtomicU64,
     /// `engine=vm` statements that transparently executed on the holistic
-    /// engine because the plan has no bytecode lowering (or the VM refused
-    /// it at runtime).  The reply is identical either way; this counter is
-    /// the only externally visible trace of the degradation.
+    /// engine because the plan has no bytecode lowering.  The reply is
+    /// identical either way; this counter is the only externally visible
+    /// trace of the degradation.
     vm_fallbacks: AtomicU64,
     /// Cancellation tokens of queries currently executing, keyed by session
     /// id (one in-flight statement per session).  [`Server::cancel_all`]
@@ -108,10 +103,9 @@ impl Server {
             runtime.temp().set_max_claims(config.max_sessions.max(1));
         }
         let dsm = DsmDatabase::from_catalog(&catalog)?;
-        let mut planner = PlannerConfig::default()
+        let planner = PlannerConfig::default()
             .with_threads(config.threads.max(1))
             .with_memory_budget_pages(budget);
-        planner.force_join_algorithm = config.force_join_algorithm;
         Ok(Server {
             shared: Arc::new(Shared {
                 catalog,
@@ -243,7 +237,6 @@ impl Session {
         );
         let hit = template.is_some();
         let prepared = Arc::new(PreparedQuery {
-            shape: shape_key(sql),
             class,
             consts,
             generated,
@@ -296,27 +289,19 @@ impl Session {
                 Some(&self.shared.dsm),
                 &options,
             ),
-            // Bytecode when the plan lowered; otherwise degrade gracefully
-            // to the holistic engine the bytecode was rendered from — the
-            // reply is identical (the differential harness proves it), and
-            // the degradation is visible only as `vm_fallbacks` in `.stats`.
-            Engine::Vm => {
-                let fallback = |e: HiqueError| match e {
-                    HiqueError::Unsupported(_) => {
-                        self.shared.vm_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        prepared.generated.execute_with(catalog, &options)
-                    }
-                    other => Err(other),
-                };
-                match prepared.vm.as_ref() {
-                    Some(program) => program
-                        .execute(&prepared.generated, catalog, &options)
-                        .or_else(fallback),
-                    None => fallback(HiqueError::Unsupported(
-                        "query has no bytecode lowering (vm engine)".into(),
-                    )),
+            // Bytecode when the plan lowered.  When `compile` refused it —
+            // an aggregate DAG wider than the register bank — degrade
+            // gracefully to the holistic engine the bytecode was rendered
+            // from: the reply is identical (the differential harness proves
+            // it), and the degradation is visible only as `vm_fallbacks` in
+            // `.stats`.
+            Engine::Vm => match prepared.vm.as_ref() {
+                Some(program) => program.execute(&prepared.generated, catalog, &options),
+                None => {
+                    self.shared.vm_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    prepared.generated.execute_with(catalog, &options)
                 }
-            }
+            },
         };
         match result {
             Ok(result) => {
@@ -456,34 +441,24 @@ mod tests {
         assert_eq!(b.rows, reference.rows);
     }
 
+    /// An aggregate whose DAG needs more registers than the bytecode bank
+    /// holds: 1 load + 100 constants + 100 adds = 201 > 192.  `compile`
+    /// refuses it, so it is the plan `engine=vm` must degrade on.
+    fn wider_than_the_register_bank() -> String {
+        let sums: Vec<String> = (1..=100).map(|i| format!("sum(v + {i}) as a{i}")).collect();
+        format!("select k, {} from r group by k order by k", sums.join(", "))
+    }
+
     #[test]
     fn vm_engine_degrades_to_holistic_when_bytecode_cannot_lower() {
-        // The VM refuses forced nested-loops joins with a typed
-        // `Unsupported`, so `engine=vm` must transparently answer through
-        // the holistic engine and count the degradation.
-        let mut cat = catalog(60);
-        cat.create_table("s", Schema::new(vec![Column::new("k", DataType::Int32)]))
-            .unwrap();
-        for i in 0..6 {
-            cat.table_mut("s")
-                .unwrap()
-                .heap
-                .append_row(&Row::new(vec![Value::Int32(i)]))
-                .unwrap();
-        }
-        cat.analyze_table("s").unwrap();
-        let config = ServerConfig {
-            force_join_algorithm: Some(hique_plan::JoinAlgorithm::NestedLoops),
-            ..ServerConfig::default()
-        };
-        let server = Server::new(cat, config).unwrap();
-        let sql = "select r.k, count(*) as n from r, s where r.k = s.k \
-                   group by r.k order by r.k";
+        let server = Server::new(catalog(60), ServerConfig::default()).unwrap();
+        let sql = wider_than_the_register_bank();
         let mut vm = server.session();
         vm.set_engine(Engine::Vm);
-        let degraded = vm.execute(sql).unwrap();
+        let degraded = vm.execute(&sql).unwrap();
         let mut reference = server.session();
-        let reference = reference.execute_on(sql, Engine::Holistic).unwrap();
+        let reference = reference.execute_on(&sql, Engine::Holistic).unwrap();
+        assert_eq!(degraded.rows.len(), 10);
         assert_eq!(degraded.rows, reference.rows);
         assert_eq!(server.vm_fallbacks(), 1);
         assert_eq!(server.queries_served(), 2);

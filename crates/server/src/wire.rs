@@ -25,7 +25,7 @@
 //!
 //! Errors are `ERR <layer>: <message>` followed by `.`.  The protocol is
 //! deliberately `nc`-compatible: no framing beyond newlines, values
-//! tab-separated using the engine's canonical [`Value`] rendering.
+//! tab-separated using the engine's canonical [`hique_types::Value`] rendering.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -470,39 +470,25 @@ mod tests {
         assert_eq!(server.queries_served(), 3);
     }
 
-    /// `engine=vm` on a plan with no bytecode lowering (forced nested
-    /// loops) transparently executes via holistic: the wire reply is
-    /// byte-identical to `engine=holistic`, and the degradation is visible
-    /// only as `vm_fallbacks` in `.stats`.
+    /// `engine=vm` on a plan with no bytecode lowering (an aggregate DAG
+    /// wider than the register bank) transparently executes via holistic:
+    /// the wire reply is byte-identical to `engine=holistic`, and the
+    /// degradation is visible only as `vm_fallbacks` in `.stats`.
     #[test]
     fn vm_fallback_reply_is_identical_to_holistic_over_the_wire() {
-        let mut cat = catalog();
-        cat.create_table("s", Schema::new(vec![Column::new("k", DataType::Int32)]))
-            .unwrap();
-        for i in 0..5 {
-            cat.table_mut("s")
-                .unwrap()
-                .heap
-                .append_row(&Row::new(vec![Value::Int32(i)]))
-                .unwrap();
-        }
-        cat.analyze_table("s").unwrap();
-        let config = ServerConfig {
-            force_join_algorithm: Some(hique_plan::JoinAlgorithm::NestedLoops),
-            ..ServerConfig::default()
-        };
-        let server = Server::new(cat, config).unwrap();
+        let server = Server::new(catalog(), ServerConfig::default()).unwrap();
         let (addr, stop, serve_handle) = start(&server);
 
         let mut client = WireClient::connect(addr).unwrap();
-        let sql = "select r.k, count(*) as n from r, s where r.k = s.k \
-                   group by r.k order by r.k";
-        let holistic = client.query(sql).unwrap();
+        // 1 load + 100 constants + 100 adds = 201 registers > 192.
+        let sums: Vec<String> = (1..=100).map(|i| format!("sum(v + {i}) as a{i}")).collect();
+        let sql = format!("select k, {} from r group by k order by k", sums.join(", "));
+        let holistic = client.query(&sql).unwrap();
         assert!(holistic.is_ok(), "{}", holistic.status);
         assert!(!holistic.rows().is_empty());
 
         client.request(".engine vm").unwrap();
-        let vm = client.query(sql).unwrap();
+        let vm = client.query(&sql).unwrap();
         assert_eq!(vm.status, holistic.status);
         assert_eq!(vm.lines, holistic.lines);
 

@@ -8,7 +8,7 @@
 //! unsupported, as in the paper.
 //!
 //! Pipeline: [`lexer`] turns SQL text into [`token::Token`]s, [`parser`]
-//! builds the [`ast::Query`], and [`analyze`] binds it against a schema
+//! builds the [`ast::Query`], and [`analyze`](mod@analyze) binds it against a schema
 //! provider (the catalog), classifying predicates into per-table filters and
 //! equi-join conditions and type-checking every expression.
 

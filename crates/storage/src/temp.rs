@@ -174,7 +174,7 @@ impl TempSpace {
 
     /// Like [`TempSpace::claim`], but a queued wait polls `cancel` between
     /// condvar slices: a query blocked in spill admission observes its
-    /// deadline (or an explicit cancel) within [`CANCEL_POLL`] instead of
+    /// deadline (or an explicit cancel) within `CANCEL_POLL` instead of
     /// holding its queue position for the full claim timeout.
     pub fn claim_cancellable(
         self: &Arc<Self>,

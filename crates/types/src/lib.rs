@@ -10,7 +10,7 @@
 //! that generated code can address fields with plain pointer arithmetic
 //! (`tuple + predicate_offset`).  This crate provides exactly that layout:
 //! every [`Schema`] knows the byte offset of each of its columns and the
-//! total record width, and [`tuple`] reads/writes typed fields at those
+//! total record width, and [`tuple`](mod@tuple) reads/writes typed fields at those
 //! offsets over `&[u8]`/`&mut [u8]` without any per-field dispatch.
 
 #![forbid(unsafe_code)]

@@ -22,7 +22,7 @@ use hique_holistic::kernel::CompiledKey;
 use hique_holistic::spill::StagedSlot;
 use hique_holistic::staging::{stage_table, sweep_pages, StagedInput};
 use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
-use hique_plan::{AggregateSpec, JoinAlgorithm, StagedTable, StagingStrategy};
+use hique_plan::{AggregateSpec, StagedTable, StagingStrategy};
 use hique_storage::{Catalog, TableHeap};
 use hique_types::{CancelToken, ExecStats, HiqueError, QueryResult, Result, Row, Value};
 
@@ -169,38 +169,15 @@ impl Kernels for Interpreter<'_> {
         run: &mut Run<'_>,
         sink: &mut RecordSink<'_, impl FnMut(&[u8]) -> Row>,
     ) -> Result<()> {
-        let (program, plan) = (self.program, run.plan);
-        // A team over a shared key is a cascade of hash joins whose left
-        // key is always member 0's key column (its offset is stable —
-        // member 0 stays the record prefix as the intermediate grows).
-        let (left_image, right_image, algorithm) = match &plan.join_team {
-            Some(team) => (
-                program.team_images[0],
-                program.team_images[step + 1],
-                team.algorithm,
-            ),
-            None => {
-                let frags = &program.joins[step];
-                (
-                    frags.left_image,
-                    frags.right_image,
-                    plan.joins[step].algorithm,
-                )
-            }
-        };
-        if algorithm == JoinAlgorithm::NestedLoops {
-            return Err(HiqueError::Unsupported(
-                "nested-loops cross products are not generated".into(),
-            ));
-        }
+        let (program, frags) = (self.program, self.program.joins[step]);
         // A cascade step has exactly one right input.
         let (left, right) = (left.relation, rights.swap_remove(0).relation);
         let mut buf = vec![0u8; left.tuple_size() + right.tuple_size()];
         hash_join(
             &left,
             right,
-            left_image.ops(&program.code),
-            right_image.ops(&program.code),
+            frags.left_image.ops(&program.code),
+            frags.right_image.ops(&program.code),
             self.tier,
             &mut run.stats,
             run.cancel,
@@ -834,7 +811,6 @@ mod tests {
             group_columns: vec![0, 1],
             aggregates: vec![],
             algorithm: AggAlgorithm::Map,
-            group_domain_sizes: vec![0, 0],
         };
         let layout = AggProgram::compile(&spec, &schema)
             .unwrap()

@@ -611,9 +611,6 @@ fn frag_out_of_range(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
         frags.push(("join left image", &mut j.left_image));
         frags.push(("join right image", &mut j.right_image));
     }
-    for f in &mut p.team_images {
-        frags.push(("team image", f));
-    }
     if let Some(agg) = &mut p.agg {
         for f in &mut agg.group_images {
             frags.push(("group image", f));

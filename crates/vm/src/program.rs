@@ -2,7 +2,7 @@
 //!
 //! [`compile`] walks the rendered program ([`GeneratedQuery`]) exactly the
 //! way the executor will run it — staging filters and projections per
-//! table, key images per join step and team member, argument expressions
+//! table, key images per binary join step, argument expressions
 //! per aggregate, decode kernels per output column — and emits one flat
 //! code array with a fragment table over it.  The walk is canonical: the
 //! same plan shape always produces the same instruction sequence and the
@@ -101,10 +101,8 @@ pub struct VmProgram {
     pub(crate) pool: ConstPool,
     /// Indexed by staged-table position in the plan.
     pub(crate) tables: Vec<TableFrags>,
-    /// Indexed by join-step position.
+    /// Indexed by position in [`hique_plan::PhysicalPlan::binary_steps`].
     pub(crate) joins: Vec<JoinFrags>,
-    /// One image fragment per join-team member (empty without a team).
-    pub(crate) team_images: Vec<Frag>,
     pub(crate) agg: Option<AggFrags>,
     pub(crate) outputs: Vec<OutputOp>,
     pub(crate) float_registers: usize,
@@ -259,28 +257,25 @@ pub fn compile(
         tables.push(TableFrags { filter, project });
     }
 
-    // Join-step key images over the accumulating intermediate schema.
-    let mut joins = Vec::with_capacity(plan.joins.len());
-    if !plan.joins.is_empty() {
+    // Key images per binary step over the accumulating intermediate
+    // schema.  A team's steps all key on member 0's column, which stays the
+    // record prefix, so one left image serves every step.
+    let steps = plan.binary_steps();
+    let mut joins: Vec<JoinFrags> = Vec::with_capacity(steps.len());
+    if !steps.is_empty() {
         let mut current = plan.staged[plan.join_order[0]].schema.clone();
-        for step in &plan.joins {
+        for step in &steps {
             let right = &plan.staged[step.right].schema;
-            let left_image = b.emit_image(&current, step.left_key);
+            let left_image = match joins.last() {
+                Some(prev) if plan.join_team.is_some() => prev.left_image,
+                _ => b.emit_image(&current, step.left_key),
+            };
             let right_image = b.emit_image(right, step.right_key);
             joins.push(JoinFrags {
                 left_image,
                 right_image,
             });
             current = current.join(right);
-        }
-    }
-
-    // Team-member key images (the executor synthesizes the team as a
-    // cascade of hash joins on the shared key).
-    let mut team_images = Vec::new();
-    if let Some(team) = &plan.join_team {
-        for (&m, &kc) in team.members.iter().zip(&team.key_columns) {
-            team_images.push(b.emit_image(&plan.staged[m].schema, kc));
         }
     }
 
@@ -319,7 +314,6 @@ pub fn compile(
         pool: b.pool,
         tables,
         joins,
-        team_images,
         agg,
         outputs,
         float_registers: b.max_regs.max(1),
@@ -963,7 +957,6 @@ mod tests {
                     })
                     .collect(),
                 algorithm: AggAlgorithm::Map,
-                group_domain_sizes: vec![],
             };
             let program = AggProgram::compile(&spec, &s).unwrap();
             shared_somewhere |= program.nodes().len() < exprs.iter().map(tree_size).sum::<usize>();
@@ -1066,6 +1059,30 @@ mod tests {
         format!("1{}.0", "0".repeat(200))
     }
 
+    /// The one plan `compile` refuses: an aggregate DAG wider than the
+    /// register bank (1 load + 100 constants + 100 adds = 201 nodes) is a
+    /// typed `Unsupported` naming the register count, in both modes.
+    #[test]
+    fn an_aggregate_wider_than_the_register_bank_is_a_typed_refusal() {
+        let cat = soundness_catalog();
+        let sums: Vec<String> = (1..=100).map(|i| format!("sum(v + {i}) as a{i}")).collect();
+        let sql = format!("select k, {} from r group by k", sums.join(", "));
+        let plan = hique_plan::plan_sql(&sql, &cat, &hique_plan::PlannerConfig::default());
+        let generated = hique_holistic::generate(&plan.unwrap()).unwrap();
+        for mode in [CompileMode::Specialized, CompileMode::Pooled] {
+            match compile(&generated, &cat, mode) {
+                Err(HiqueError::Unsupported(msg)) => assert_eq!(
+                    msg,
+                    format!(
+                        "aggregate program needs 201 registers, the bytecode bank holds \
+                         {MAX_REGISTERS}"
+                    )
+                ),
+                other => panic!("{mode:?}: expected the register-bank refusal, got {other:?}"),
+            }
+        }
+    }
+
     /// Template hit + `bind()` ≡ cold prepare, or a named refusal: for
     /// seeded literal vectors of several shape classes, binding one
     /// vector's pooled template to another vector's query either refuses
@@ -1136,7 +1153,6 @@ mod tests {
                     &p.pool,
                     &p.tables,
                     &p.joins,
-                    &p.team_images,
                     &p.agg,
                     &p.outputs,
                     p.float_registers,

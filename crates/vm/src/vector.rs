@@ -381,7 +381,6 @@ mod tests {
             group_columns: vec![],
             aggregates: vec![],
             algorithm: hique_plan::AggAlgorithm::Map,
-            group_domain_sizes: vec![],
         };
         AggProgram::compile(&spec, &schema())
             .unwrap()

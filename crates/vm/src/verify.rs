@@ -916,32 +916,13 @@ pub fn verify(
             found: program.tables.len(),
         });
     }
-    if program.joins.len() != plan.joins.len() {
+    let steps = plan.binary_steps();
+    if program.joins.len() != steps.len() {
         return Err(VerifyError::ArityMismatch {
             context: "join fragment table".into(),
-            expected: plan.joins.len(),
+            expected: steps.len(),
             found: program.joins.len(),
         });
-    }
-    match &plan.join_team {
-        Some(team) => {
-            if program.team_images.len() != team.members.len() {
-                return Err(VerifyError::ArityMismatch {
-                    context: "team image table".into(),
-                    expected: team.members.len(),
-                    found: program.team_images.len(),
-                });
-            }
-        }
-        None => {
-            if !program.team_images.is_empty() {
-                return Err(VerifyError::ArityMismatch {
-                    context: "team image table (plan has no team)".into(),
-                    expected: 0,
-                    found: program.team_images.len(),
-                });
-            }
-        }
     }
     if plan.aggregate.is_some() != program.agg.is_some() {
         return Err(VerifyError::ArityMismatch {
@@ -981,9 +962,9 @@ pub fn verify(
     }
 
     // ---- Join-step key images over the evolving intermediate -----------
-    if !plan.joins.is_empty() {
+    if !steps.is_empty() {
         let mut current = plan.staged[plan.join_order[0]].schema.clone();
-        for (i, (step, frags)) in plan.joins.iter().zip(&program.joins).enumerate() {
+        for (i, (step, frags)) in steps.iter().zip(&program.joins).enumerate() {
             let right = &plan.staged[step.right].schema;
             verify_image(
                 &format!("join[{i}] left image"),
@@ -1000,25 +981,6 @@ pub fn verify(
                 step.right_key,
             )?;
             current = current.join(right);
-        }
-    }
-
-    // ---- Team-member key images ----------------------------------------
-    if let Some(team) = &plan.join_team {
-        for (i, ((&m, &kc), frag)) in team
-            .members
-            .iter()
-            .zip(&team.key_columns)
-            .zip(&program.team_images)
-            .enumerate()
-        {
-            verify_image(
-                &format!("team image {i} (member {m})"),
-                *frag,
-                code,
-                &FieldMap::new(&plan.staged[m].schema),
-                kc,
-            )?;
         }
     }
 
