@@ -128,17 +128,14 @@ mod tests {
         assert_eq!(outer.row_count(), 100);
         assert_eq!(inner.row_count(), 1000);
         // key domain = 1000 / 10 = 100 distinct keys.
-        assert_eq!(outer.column_stats[0].distinct(), 100);
-        assert_eq!(inner.column_stats[0].distinct(), 100);
+        assert_eq!(outer.column_stats[0].distinct, 100);
+        assert_eq!(inner.column_stats[0].distinct, 100);
     }
 
     #[test]
     fn agg_workload_group_domain() {
         let catalog = agg_workload(1000, 10).unwrap();
-        assert_eq!(
-            catalog.table("agg_t").unwrap().column_stats[0].distinct(),
-            10
-        );
+        assert_eq!(catalog.table("agg_t").unwrap().column_stats[0].distinct, 10);
     }
 
     #[test]

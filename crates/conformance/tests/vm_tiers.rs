@@ -32,8 +32,9 @@ fn vectorized_tier_is_bit_identical_to_scalar_over_the_corpus() {
         let program =
             match hique_vm::compile(&generated, &fixture.catalog, CompileMode::Specialized) {
                 Ok(program) => program,
-                // Plans without a bytecode lowering (forced nested loops)
-                // are out of scope for the tier comparison by construction.
+                // Plans without a bytecode lowering (an aggregate DAG wider
+                // than the register bank) are out of scope for the tier
+                // comparison by construction.
                 Err(HiqueError::Unsupported(_)) => continue,
                 Err(e) => panic!("seed {:#x}: vm compile failed: {e}", query.seed),
             };

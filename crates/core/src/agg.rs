@@ -1,24 +1,25 @@
 //! Aggregation kernels: sort, hybrid hash-sort and map aggregation over
-//! packed record buffers (paper §V-B).
+//! the pages of a partition set (paper §V-B).
 //!
 //! The kernels are instantiated with compiled group-key accessors and the
 //! query's aggregate program ([`AggProgram`]: every aggregate's argument in
 //! one shared-subexpression register DAG, plus function-specialised
 //! accumulator slots), resolved once per kernel call into page sweeps
-//! ([`PageFold`]).  Every form — resident or streamed, serial or chunked
-//! across a pool — walks its input one packed page at a time: the page's
-//! argument registers are filled by one loop per DAG node, one boundary
-//! sweep per grouping attribute cuts it into runs of rows of one group,
-//! each run finds its group once (a directory probe per attribute for map
-//! aggregation, the next group number for sorted input), and the rows are
-//! added to their groups' slots.  No per-tuple dispatch, no function calls,
-//! no boxed values (those appear only when the handful of result groups is
-//! converted to output rows).
+//! ([`PageFold`]).  There is one kernel per algorithm: it reads a
+//! [`PartitionSet`], whether the input is resident or spilled, and the set
+//! decides how many workers read it ([`PartitionSet::readers`]).  Every
+//! kernel — serial or chunked across a pool — walks its input one packed
+//! page at a time: the page's argument registers are filled by one loop
+//! per DAG node, one boundary sweep per grouping attribute cuts it into
+//! runs of rows of one group, each run finds its group once (a directory
+//! probe per attribute for map aggregation, the next group number for
+//! sorted input), and the rows are added to their groups' slots.  No
+//! per-tuple dispatch, no function calls, no boxed values (those appear
+//! only when the handful of result groups is converted to output rows).
 
-use hique_par::{chunk_ranges, ScopedPool};
-use hique_pipeline::PartitionSet;
+use hique_par::ScopedPool;
+use hique_pipeline::{PartitionSet, SpillContext};
 use hique_plan::AggregateSpec;
-use hique_storage::records_per_page;
 use hique_types::{ExecStats, HiqueError, Result, Row, Schema, Value};
 
 pub use crate::agg_program::{
@@ -26,6 +27,7 @@ pub use crate::agg_program::{
 };
 use crate::kernel::{compare_keys, CompiledKey};
 use crate::relation::StagedRelation;
+use crate::spill::StagedSlot;
 
 /// A compiled aggregation: group-key accessors plus the query's aggregate
 /// program, instantiated against the input relation's schema.
@@ -35,25 +37,6 @@ pub struct CompiledAgg {
     program: AggProgram,
     /// Width of an input record.
     tuple_size: usize,
-}
-
-/// A packed buffer as the page-shaped batches a spill of it would yield.
-fn pages(buf: &[u8], ts: usize) -> impl Iterator<Item = &[u8]> {
-    buf.chunks(records_per_page(ts).max(1) * ts)
-}
-
-/// Visit the pages of every stream of `set`, in partition order, until `f`
-/// fails.
-fn try_for_each_page(set: &PartitionSet<'_>, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
-    let mut outcome = Ok(());
-    for stream in set.streams() {
-        stream.for_each_page(|page| {
-            if outcome.is_ok() {
-                outcome = f(page);
-            }
-        })?;
-    }
-    outcome
 }
 
 /// The single group of a global aggregate (no grouping columns): one
@@ -477,10 +460,12 @@ impl CompiledAgg {
         Row::new(values)
     }
 
-    // ---- Resident-input kernels ------------------------------------------
+    // ---- The kernels -----------------------------------------------------
     //
-    // Each divides its work across `pool`; a serial pool runs the same code
-    // inline, which is the serial form.
+    // Each reads its input through a `PartitionSet`, resident or spilled
+    // alike, and divides the work among the set's readers out of `pool`
+    // (`PartitionSet::readers`); one reader runs the same code inline,
+    // which is the serial form.
 
     /// Sort aggregation: the input must already be ordered on the grouping
     /// columns (each partition independently); a single linear scan per
@@ -494,74 +479,86 @@ impl CompiledAgg {
     /// serially.
     pub fn sort_aggregate(
         &self,
-        input: &StagedRelation,
+        input: &PartitionSet<'_>,
         pool: &ScopedPool,
         stats: &mut ExecStats,
-    ) -> Vec<Row> {
+    ) -> Result<Vec<Row>> {
         stats.add_calls(1);
-        let ts = self.tuple_size;
         if self.group_keys.is_empty() {
             let mut group = GlobalGroup::new(self);
-            for p in 0..input.num_partitions() {
-                pages(input.partition(p), ts).for_each(|page| group.fold_page(page));
-            }
-            return group.finish(self, stats);
+            input.for_each_page(|page| {
+                group.fold_page(page);
+                Ok(())
+            })?;
+            return Ok(group.finish(self, stats));
         }
         // Groups never span partitions (hash or fine partitioning is on a
         // grouping attribute), so partitions aggregate independently — the
         // unit of work of the partition-parallel mode.
-        let results: Vec<(Vec<Row>, ExecStats)> = pool.map(input.num_partitions(), |p| {
-            let mut local = ExecStats::new();
-            let mut rows = Vec::new();
-            let mut scan = SortScan::new(self);
-            for page in pages(input.partition(p), ts) {
-                scan.scan_page(page, &mut local, &mut rows);
-            }
-            scan.finish(&mut rows);
-            (rows, local)
-        });
+        let pool = ScopedPool::new(input.readers(pool.threads()));
+        let results: Vec<Result<(Vec<Row>, ExecStats)>> =
+            pool.map_items(input.streams(), |_, partition| {
+                let mut local = ExecStats::new();
+                let mut rows = Vec::new();
+                let mut scan = SortScan::new(self);
+                partition.for_each_page(|page| {
+                    scan.scan_page(page, &mut local, &mut rows);
+                    Ok(())
+                })?;
+                scan.finish(&mut rows);
+                Ok((rows, local))
+            });
         let mut out = Vec::new();
-        for (rows, local) in results {
+        for result in results {
+            let (rows, local) = result?;
             stats.merge(&local);
             out.extend(rows);
         }
-        out
+        Ok(out)
     }
 
     /// Hybrid hash-sort aggregation: partition on the first grouping column,
     /// sort each partition on all grouping columns, then scan (paper §V-B),
     /// with the scatter, the per-partition sorts and the per-partition scans
-    /// divided across `pool`.
+    /// divided across `pool`.  An input that already has `partitions`
+    /// partitions is taken as it is; sorting needs random access, so a
+    /// spilled one is gathered first.
     ///
-    /// The scatter chunks each source partition's records in scan order and
-    /// concatenates the per-chunk buckets in chunk order, so every staged
-    /// partition holds its records in exactly the serial scatter order; the
-    /// sorts are stable and the scans partition-local, making the result
-    /// (including float accumulation) the same for every pool width.
+    /// The scatter reads the input's shares in order and concatenates the
+    /// per-share buckets in that order, so every staged partition holds its
+    /// records in exactly the serial scatter order; the sorts are stable
+    /// and the scans partition-local, making the result (including float
+    /// accumulation) the same for every pool width.
     pub fn hybrid_aggregate(
         &self,
-        input: &StagedRelation,
+        input: StagedSlot,
         partitions: usize,
+        spill: Option<&SpillContext>,
         pool: &ScopedPool,
         stats: &mut ExecStats,
-    ) -> Vec<Row> {
+    ) -> Result<Vec<Row>> {
         stats.add_calls(1);
         if self.group_keys.is_empty() {
-            return self.sort_aggregate(input, pool, stats);
+            return self.sort_aggregate(&input.partitions(spill)?, pool, stats);
         }
-        let first = self.group_keys[0];
         let m = partitions.max(1);
         let mut staged = if input.num_partitions() == m {
-            input.clone()
+            input.into_input(spill)?.relation
         } else {
             stats.partition_passes += 1;
-            let parts = par_scatter(input, first, m, pool, stats);
-            stats.add_materialized(parts.iter().map(|p| p.len()).sum());
+            let parts = scatter(
+                &input.partitions(spill)?,
+                self.group_keys[0],
+                m,
+                pool,
+                stats,
+            )?;
+            stats.add_materialized(parts.iter().map(Vec::len).sum());
             StagedRelation::from_partitions(input.schema().clone(), parts)
         };
-        stats.sort_passes += staged.num_partitions() as u64;
+        stats.sort_passes += m as u64;
         staged.sort_all(&self.group_keys, pool);
-        self.sort_aggregate(&staged, pool, stats)
+        self.sort_aggregate(&staged.partitions(), pool, stats)
     }
 
     /// Map aggregation: one value directory per grouping attribute maps each
@@ -573,43 +570,44 @@ impl CompiledAgg {
     /// cannot be laid out for (the plan's statistics have gone stale, or
     /// the algorithm was forced) are a typed error.
     ///
-    /// The scan divides across `pool`: workers process contiguous record
-    /// chunks (deterministic chunking) into thread-local directories and
-    /// groups, merged in chunk order — the union of the directories,
-    /// [`GroupAccums::combine`] of the slots, the lowest-index
+    /// The scan divides across the input's shares
+    /// ([`PartitionSet::shares`]): each is folded into thread-local
+    /// directories and groups, merged in share order — the union of the
+    /// directories, [`GroupAccums::combine`] of the slots, the lowest-index
     /// representative — so groups, representatives and integer aggregates
     /// are the same for every pool width, while SUM/AVG re-associate
     /// floating-point addition deterministically per width (DESIGN.md §7).
     pub fn map_aggregate(
         &self,
-        input: &StagedRelation,
+        input: &PartitionSet<'_>,
         pool: &ScopedPool,
         stats: &mut ExecStats,
     ) -> Result<Vec<Row>> {
         stats.add_calls(1);
-        let ts = self.tuple_size;
-        let ranges = chunk_ranges(input.num_records(), pool.threads());
-        let chunk_pages = |range: &std::ops::Range<usize>| {
-            input
-                .packed_runs(range.clone())
-                .flat_map(move |run| pages(run, ts))
-        };
+        let shares = input.shares(pool.threads());
 
         if self.group_keys.is_empty() {
-            let chunks: Vec<GlobalGroup> = pool.map_items(&ranges, |_, range| {
+            let chunks: Vec<Result<GlobalGroup>> = pool.map_items(&shares, |_, share| {
                 let mut group = GlobalGroup::new(self);
-                chunk_pages(range).for_each(|page| group.fold_page(page));
-                group
+                share.for_each_page(|page| {
+                    group.fold_page(page);
+                    Ok(())
+                })?;
+                Ok(group)
             });
             let mut chunks = chunks.into_iter();
-            let mut group = chunks.next().unwrap_or_else(|| GlobalGroup::new(self));
-            chunks.for_each(|chunk| group.combine(&chunk));
+            let mut group = chunks
+                .next()
+                .unwrap_or_else(|| Ok(GlobalGroup::new(self)))?;
+            for chunk in chunks {
+                group.combine(&chunk?);
+            }
             return Ok(group.finish(self, stats));
         }
 
-        let chunks: Vec<Result<MapGroups>> = pool.map_items(&ranges, |_, range| {
+        let chunks: Vec<Result<MapGroups>> = pool.map_items(&shares, |_, share| {
             let mut groups = MapGroups::new(self);
-            chunk_pages(range).try_for_each(|page| groups.fold_page(page))?;
+            share.for_each_page(|page| groups.fold_page(page))?;
             Ok(groups)
         });
         let mut chunks = chunks.into_iter();
@@ -619,148 +617,45 @@ impl CompiledAgg {
         }
         Ok(groups.emit(stats))
     }
-
-    // ---- Page-at-a-time stream kernels -----------------------------------
-    //
-    // The stream entry points consume a spilled (or memory) relation through
-    // the pipeline substrate's `PartitionSet`: records arrive one pinned
-    // pool page at a time and are never re-materialized as a whole
-    // partition.  They run the *serial* accumulation order, so a budgeted
-    // execution is identical for every thread count (and agrees with the
-    // unbudgeted kernels up to the documented SUM/AVG re-association of the
-    // parallel map path).
-
-    /// [`CompiledAgg::sort_aggregate`] over a partition-sorted stream: the
-    /// linear group-boundary scan, keeping only the pinned page and the
-    /// previous record (not the partition) resident.
-    pub fn sort_aggregate_stream(
-        &self,
-        set: &PartitionSet<'_>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Row>> {
-        stats.add_calls(1);
-        if self.group_keys.is_empty() {
-            return self.global_aggregate_stream(set, stats);
-        }
-        let mut out = Vec::new();
-        for stream in set.streams() {
-            let mut scan = SortScan::new(self);
-            stream.for_each_page(|page| scan.scan_page(page, stats, &mut out))?;
-            scan.finish(&mut out);
-        }
-        Ok(out)
-    }
-
-    /// [`CompiledAgg::map_aggregate`] over a stream: the same single scan,
-    /// walking the pages once; only the directories, the groups' slots and
-    /// one representative record per group stay resident.
-    pub fn map_aggregate_stream(
-        &self,
-        set: &PartitionSet<'_>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Row>> {
-        stats.add_calls(1);
-        if self.group_keys.is_empty() {
-            return self.global_aggregate_stream(set, stats);
-        }
-        let mut groups = MapGroups::new(self);
-        try_for_each_page(set, |page| groups.fold_page(page))?;
-        Ok(groups.emit(stats))
-    }
-
-    /// [`CompiledAgg::hybrid_aggregate`] over a stream: one streaming
-    /// scatter pass hash-partitions the records on the first grouping
-    /// column, then the partitions sort and scan as resident input
-    /// (deterministic for any pool width).
-    pub fn hybrid_aggregate_stream(
-        &self,
-        set: &PartitionSet<'_>,
-        schema: &Schema,
-        partitions: usize,
-        pool: &ScopedPool,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Row>> {
-        stats.add_calls(1);
-        if self.group_keys.is_empty() {
-            return self.global_aggregate_stream(set, stats);
-        }
-        let first = self.group_keys[0];
-        let m = partitions.max(1);
-        stats.partition_passes += 1;
-        let mut parts: Vec<Vec<u8>> = vec![Vec::new(); m];
-        set.for_each_record(|rec| {
-            stats.hash_ops += 1;
-            parts[(first.hash(rec) as usize) % m].extend_from_slice(rec);
-        })?;
-        stats.add_materialized(parts.iter().map(|p| p.len()).sum());
-        let mut staged = StagedRelation::from_partitions(schema.clone(), parts);
-        stats.sort_passes += staged.num_partitions() as u64;
-        staged.sort_all(&self.group_keys, pool);
-        Ok(self.sort_aggregate(&staged, pool, stats))
-    }
-
-    /// Global aggregate (no grouping columns) over a stream: one pass, one
-    /// accumulator set.
-    fn global_aggregate_stream(
-        &self,
-        set: &PartitionSet<'_>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Row>> {
-        let mut group = GlobalGroup::new(self);
-        try_for_each_page(set, |page| {
-            group.fold_page(page);
-            Ok(())
-        })?;
-        Ok(group.finish(self, stats))
-    }
 }
 
-/// Hash-scatter `rel`'s records into `m` buckets across `pool`,
-/// reproducing the serial scatter order: tasks are (partition, record
-/// range) chunks in partition-major scan order and each bucket
-/// concatenates the per-task buckets in that order.
-fn par_scatter(
-    rel: &StagedRelation,
+/// Hash-scatter `input`'s records into `m` buckets, one task per share of
+/// the input ([`PartitionSet::shares`]): each bucket concatenates the
+/// per-share buckets in share order, which is the serial scatter order.
+fn scatter(
+    input: &PartitionSet<'_>,
     key: CompiledKey,
     m: usize,
     pool: &ScopedPool,
     stats: &mut ExecStats,
-) -> Vec<Vec<u8>> {
-    let ts = rel.tuple_size();
-    let mut tasks: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    for p in 0..rel.num_partitions() {
-        for range in chunk_ranges(rel.partition_len(p), pool.threads()) {
-            tasks.push((p, range));
-        }
-    }
-    let locals: Vec<(Vec<Vec<u8>>, u64)> = pool.map_items(&tasks, |_, (p, range)| {
-        let buf = &rel.partition(*p)[range.start * ts..range.end * ts];
+) -> Result<Vec<Vec<u8>>> {
+    let shares = input.shares(pool.threads());
+    let locals: Vec<Result<Vec<Vec<u8>>>> = pool.map_items(&shares, |_, share| {
         let mut parts: Vec<Vec<u8>> = vec![Vec::new(); m];
-        let mut hashes = 0u64;
-        for rec in buf.chunks_exact(ts) {
-            hashes += 1;
+        share.for_each_record(|rec| {
             parts[(key.hash(rec) as usize) % m].extend_from_slice(rec);
-        }
-        (parts, hashes)
+        })?;
+        Ok(parts)
     });
-    // The first task's buckets become the result (a serial pool over an
-    // unpartitioned input has no other task, so nothing is copied twice).
+    stats.add_hashes(input.num_records() as u64);
+    // The first share's buckets become the result (one reader has no other
+    // share, so nothing is copied twice).
     let mut locals = locals.into_iter();
-    let (mut parts, hashes) = locals.next().unwrap_or_else(|| (vec![Vec::new(); m], 0));
-    stats.add_hashes(hashes);
-    for (local_parts, hashes) in locals {
-        stats.add_hashes(hashes);
-        for (bucket, local) in parts.iter_mut().zip(&local_parts) {
+    let mut parts = locals.next().unwrap_or_else(|| Ok(vec![Vec::new(); m]))?;
+    for local in locals {
+        for (bucket, local) in parts.iter_mut().zip(&local?) {
             bucket.extend_from_slice(local);
         }
     }
-    parts
+    Ok(parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::CompiledExpr;
+    use crate::staging::StagedInput;
+    use hique_par::chunk_ranges;
     use hique_plan::AggAlgorithm;
     use hique_sql::analyze::{BoundAggregate, ScalarExpr};
     use hique_sql::ast::{AggFunc, BinOp};
@@ -838,6 +733,11 @@ mod tests {
         }
     }
 
+    /// `rel` as the resident slot the hybrid kernel takes.
+    fn resident(rel: &StagedRelation) -> StagedSlot {
+        StagedSlot::Mem(StagedInput::unpartitioned(rel.clone()))
+    }
+
     fn normalized(mut rows: Vec<Row>) -> Vec<Row> {
         sort_rows(&mut rows, &[(0, true), (1, true)]);
         rows
@@ -859,13 +759,25 @@ mod tests {
             ],
             &pool,
         );
-        let sort_res = normalized(compiled.sort_aggregate(&sorted_input, &pool, &mut s1));
+        let sort_res = normalized(
+            compiled
+                .sort_aggregate(&sorted_input.partitions(), &pool, &mut s1)
+                .unwrap(),
+        );
 
         let mut s2 = ExecStats::new();
-        let hybrid_res = normalized(compiled.hybrid_aggregate(&input, 16, &pool, &mut s2));
+        let hybrid_res = normalized(
+            compiled
+                .hybrid_aggregate(resident(&input), 16, None, &pool, &mut s2)
+                .unwrap(),
+        );
 
         let mut s3 = ExecStats::new();
-        let map_res = normalized(compiled.map_aggregate(&input, &pool, &mut s3).unwrap());
+        let map_res = normalized(
+            compiled
+                .map_aggregate(&input.partitions(), &pool, &mut s3)
+                .unwrap(),
+        );
 
         assert_eq!(sort_res.len(), 10);
         assert_eq!(sort_res, hybrid_res);
@@ -894,9 +806,15 @@ mod tests {
         let pool = ScopedPool::serial();
         let mut stats = ExecStats::new();
         for rows in [
-            compiled.map_aggregate(&input, &pool, &mut stats).unwrap(),
-            compiled.sort_aggregate(&input, &pool, &mut stats),
-            compiled.hybrid_aggregate(&input, 4, &pool, &mut stats),
+            compiled
+                .map_aggregate(&input.partitions(), &pool, &mut stats)
+                .unwrap(),
+            compiled
+                .sort_aggregate(&input.partitions(), &pool, &mut stats)
+                .unwrap(),
+            compiled
+                .hybrid_aggregate(resident(&input), 4, None, &pool, &mut stats)
+                .unwrap(),
         ] {
             assert_eq!(rows.len(), 1);
             assert_eq!(rows[0].get(1), &Value::Int64(100));
@@ -914,13 +832,15 @@ mod tests {
                 let pool = ScopedPool::new(threads);
                 let mut stats = ExecStats::new();
                 assert!(compiled
-                    .sort_aggregate(&input, &pool, &mut stats)
+                    .sort_aggregate(&input.partitions(), &pool, &mut stats)
+                    .unwrap()
                     .is_empty());
                 assert!(compiled
-                    .hybrid_aggregate(&input, 4, &pool, &mut stats)
+                    .hybrid_aggregate(resident(&input), 4, None, &pool, &mut stats)
+                    .unwrap()
                     .is_empty());
                 assert!(compiled
-                    .map_aggregate(&input, &pool, &mut stats)
+                    .map_aggregate(&input.partitions(), &pool, &mut stats)
                     .unwrap()
                     .is_empty());
             }
@@ -929,7 +849,11 @@ mod tests {
         let filled = relation(100);
         let compiled = CompiledAgg::compile(&global_spec(), filled.schema()).unwrap();
         let rows = compiled
-            .map_aggregate(&filled, &ScopedPool::new(4), &mut ExecStats::new())
+            .map_aggregate(
+                &filled.partitions(),
+                &ScopedPool::new(4),
+                &mut ExecStats::new(),
+            )
             .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(1), &Value::Int64(100));
@@ -946,19 +870,32 @@ mod tests {
         // Sort aggregation over a partitioned, per-partition-sorted input.
         let mut staged = {
             let mut s = ExecStats::new();
-            let parts = super::par_scatter(&input, group_keys[0], 8, &ScopedPool::serial(), &mut s);
+            let parts = super::scatter(
+                &input.partitions(),
+                group_keys[0],
+                8,
+                &ScopedPool::serial(),
+                &mut s,
+            )
+            .unwrap();
             StagedRelation::from_partitions(input.schema().clone(), parts)
         };
         staged.sort_all(&group_keys, &ScopedPool::serial());
         let run = |threads: usize| {
             let pool = ScopedPool::new(threads);
             let (mut s, mut h, mut m) = (ExecStats::new(), ExecStats::new(), ExecStats::new());
-            let sort = compiled.sort_aggregate(&staged, &pool, &mut s);
-            let hybrid = compiled.hybrid_aggregate(&input, 16, &pool, &mut h);
+            let sort = compiled
+                .sort_aggregate(&staged.partitions(), &pool, &mut s)
+                .unwrap();
+            let hybrid = compiled
+                .hybrid_aggregate(resident(&input), 16, None, &pool, &mut h)
+                .unwrap();
             // Map: thread-local arrays merged with the combine logic.  The
             // test values are integer-valued floats, so even the SUM/AVG
             // accumulators match exactly here.
-            let map = compiled.map_aggregate(&input, &pool, &mut m).unwrap();
+            let map = compiled
+                .map_aggregate(&input.partitions(), &pool, &mut m)
+                .unwrap();
             ((sort, s), (hybrid, h), (map, m))
         };
         let serial = run(1);
@@ -979,11 +916,23 @@ mod tests {
         let compiled = CompiledAgg::compile(&s, input.schema()).unwrap();
         let (serial, wide) = (ScopedPool::serial(), ScopedPool::new(16));
         let mut st = ExecStats::new();
-        let expected = normalized(compiled.map_aggregate(&input, &serial, &mut st).unwrap());
+        let expected = normalized(
+            compiled
+                .map_aggregate(&input.partitions(), &serial, &mut st)
+                .unwrap(),
+        );
         assert_eq!(expected.len(), 2);
-        let map = normalized(compiled.map_aggregate(&input, &wide, &mut st).unwrap());
+        let map = normalized(
+            compiled
+                .map_aggregate(&input.partitions(), &wide, &mut st)
+                .unwrap(),
+        );
         assert_eq!(map, expected);
-        let hybrid = normalized(compiled.hybrid_aggregate(&input, 8, &wide, &mut st));
+        let hybrid = normalized(
+            compiled
+                .hybrid_aggregate(resident(&input), 8, None, &wide, &mut st)
+                .unwrap(),
+        );
         assert_eq!(hybrid, expected);
     }
 
@@ -1004,15 +953,17 @@ mod tests {
         let compiled = CompiledAgg::compile(&spec(), input.schema()).unwrap();
         let (serial, wide) = (ScopedPool::serial(), ScopedPool::new(4));
         let expected = compiled
-            .map_aggregate(&input, &serial, &mut ExecStats::new())
+            .map_aggregate(&input.partitions(), &serial, &mut ExecStats::new())
             .unwrap();
         assert_eq!(expected.len(), 1);
         assert_eq!(expected[0].get(3), &Value::Int64(600));
         let map = compiled
-            .map_aggregate(&input, &wide, &mut ExecStats::new())
+            .map_aggregate(&input.partitions(), &wide, &mut ExecStats::new())
             .unwrap();
         assert_eq!(map, expected);
-        let hybrid = compiled.hybrid_aggregate(&input, 8, &wide, &mut ExecStats::new());
+        let hybrid = compiled
+            .hybrid_aggregate(resident(&input), 8, None, &wide, &mut ExecStats::new())
+            .unwrap();
         assert_eq!(hybrid, expected);
     }
 
@@ -1255,7 +1206,11 @@ mod tests {
             let (rows, stats) = two_pass_map_aggregate(spec, input, threads);
             let mut got_stats = ExecStats::new();
             let got = compiled
-                .map_aggregate(input, &ScopedPool::new(threads), &mut got_stats)
+                .map_aggregate(
+                    &input.partitions(),
+                    &ScopedPool::new(threads),
+                    &mut got_stats,
+                )
                 .unwrap();
             // Rows, their order, and (through `g2`'s spelling) which record
             // represents each group.
@@ -1290,8 +1245,9 @@ mod tests {
 
     #[test]
     fn multi_partition_input_chunks_like_the_flat_record_sequence() {
-        // `packed_runs` must cut exactly the ranges a flat record vector
-        // would: partitions of uneven size, chunk boundaries inside them.
+        // `PartitionSet::shares` must cut exactly the ranges a flat record
+        // vector would: partitions of uneven size, chunk boundaries inside
+        // them.
         let flat = relation_of((0..1000).map(|i| (i % 11, (b'A' + (i % 3) as u8) as char)));
         let ts = flat.tuple_size();
         let buf = flat.partition(0);
@@ -1321,29 +1277,33 @@ mod tests {
         let pool = Arc::new(BufferPool::new(2).unwrap());
         let temp = Arc::new(TempSpace::create(Arc::clone(&pool), &path).unwrap());
         let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
-        let slot = crate::spill::StagedSlot::stage(
-            crate::staging::StagedInput::unpartitioned(input.clone()),
-            Some(&ctx),
-        )
-        .unwrap();
+        let input_slot = StagedInput::unpartitioned(input.clone());
+        let slot = StagedSlot::stage(input_slot, Some(&ctx)).unwrap();
         assert!(slot.is_spilled());
         let pages = slot
             .data_bytes()
             .div_ceil(hique_pipeline::page_data_bytes() / input.tuple_size() * input.tuple_size());
 
-        let before = pool.stats();
-        let mut got_stats = ExecStats::new();
-        let got = compiled
-            .map_aggregate_stream(&slot.partitions(Some(&ctx)).unwrap(), &mut got_stats)
-            .unwrap();
-        let io = pool.stats().since(&before);
-        assert_eq!(exact(&got), exact(&rows));
-        assert_eq!(got_stats, stats);
-        assert_eq!(
-            io.pages_read, pages as u64,
-            "one pass over the spilled pages"
-        );
-        assert_eq!(ctx.meter().peak(), 1);
+        // One reader whatever the pool width: the serial fold, one pass.
+        for threads in [1, 4] {
+            let before = pool.stats();
+            let mut got_stats = ExecStats::new();
+            let got = compiled
+                .map_aggregate(
+                    &slot.partitions(Some(&ctx)).unwrap(),
+                    &ScopedPool::new(threads),
+                    &mut got_stats,
+                )
+                .unwrap();
+            let io = pool.stats().since(&before);
+            assert_eq!(exact(&got), exact(&rows), "x{threads}");
+            assert_eq!(got_stats, stats, "x{threads}");
+            assert_eq!(
+                io.pages_read, pages as u64,
+                "x{threads}: one pass over the spilled pages"
+            );
+            assert_eq!(ctx.meter().peak(), 1);
+        }
         drop(slot);
         std::fs::remove_file(&path).ok();
     }
@@ -1490,10 +1450,12 @@ mod tests {
     }
 
     /// `rel` spilled through a two-frame pool, handed to `consume` as the
-    /// partition set a budgeted execution streams; the consumer may never
-    /// hold more than the pinned page.
-    fn with_spilled<T>(rel: &StagedRelation, consume: impl FnOnce(&PartitionSet<'_>) -> T) -> T {
-        use hique_pipeline::SpillContext;
+    /// slot a budgeted execution aggregates; the consumer may never hold
+    /// more than the pinned page.
+    fn with_spilled<T>(
+        rel: &StagedRelation,
+        consume: impl FnOnce(StagedSlot, &SpillContext) -> T,
+    ) -> T {
         use hique_storage::{BufferPool, TempSpace};
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
@@ -1507,18 +1469,17 @@ mod tests {
         let pool = Arc::new(BufferPool::new(2).unwrap());
         let temp = Arc::new(TempSpace::create(Arc::clone(&pool), &path).unwrap());
         let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
-        let input = crate::staging::StagedInput::unpartitioned(rel.clone());
-        let slot = crate::spill::StagedSlot::stage(input, Some(&ctx)).unwrap();
+        let slot = StagedSlot::stage(StagedInput::unpartitioned(rel.clone()), Some(&ctx)).unwrap();
         // (A relation of a few records stays resident and streams as one
         // memory page.)
-        assert_eq!(slot.is_spilled(), ctx.should_spill(rel.data_bytes()));
-        let out = consume(&slot.partitions(Some(&ctx)).unwrap());
+        let spilled = slot.is_spilled();
+        assert_eq!(spilled, ctx.should_spill(rel.data_bytes()));
+        let out = consume(slot, &ctx);
         assert_eq!(
             ctx.meter().peak(),
-            slot.is_spilled() as usize,
+            spilled as usize,
             "one pinned page at a time"
         );
-        drop(slot);
         std::fs::remove_file(&path).ok();
         out
     }
@@ -1526,7 +1487,7 @@ mod tests {
     #[test]
     fn every_form_folds_bit_identically_to_the_row_at_a_time_fold() {
         let mut rng = XorShift(0xF01D_A6E5);
-        let per_page = records_per_page(fold_schema().tuple_size());
+        let per_page = hique_storage::records_per_page(fold_schema().tuple_size());
         // One group; every row its own group; more groups than a page has
         // rows, revisited at random; sorted runs of every length up to two
         // pages, so runs cross page boundaries; the small cases.
@@ -1545,9 +1506,10 @@ mod tests {
         );
         let tiny = fold_relation([(5, 'B'), (5, 'A'), (4, 'B')].into_iter());
         let empty = StagedRelation::new(fold_schema());
-        assert!(with_spilled(&one_group, |set| {
+        assert!(with_spilled(&one_group, |slot, ctx| {
+            let set = slot.partitions(Some(ctx)).unwrap();
             set.for_each_record(|_| {}).unwrap();
-            set.streams()[0].is_spilled()
+            slot.is_spilled()
         }));
         let inputs = [
             &one_group,
@@ -1569,19 +1531,26 @@ mod tests {
             let context = format!("{} records by {group_columns:?}", records.len());
             let spillable = !records.is_empty();
 
-            // Map (and global) aggregation: chunked scans and their combine.
+            // Map (and global) aggregation: chunked scans and their combine;
+            // a spilled input has one reader, so it folds as one chunk at
+            // every pool width.
+            let want_map = exact(&row_at_a_time_map(&agg, &records, 1));
             for threads in [1, 2, 4] {
                 let want = exact(&row_at_a_time_map(&agg, &records, threads));
                 let pool = ScopedPool::new(threads);
-                let got = agg.map_aggregate(input, &pool, &mut ExecStats::new());
+                let got = agg.map_aggregate(&input.partitions(), &pool, &mut ExecStats::new());
                 assert_eq!(exact(&got.unwrap()), want, "map x{threads}, {context}");
-            }
-            let want_map = exact(&row_at_a_time_map(&agg, &records, 1));
-            if spillable {
-                let got = with_spilled(input, |set| {
-                    agg.map_aggregate_stream(set, &mut ExecStats::new())
-                });
-                assert_eq!(exact(&got.unwrap()), want_map, "map stream, {context}");
+                if spillable {
+                    let got = with_spilled(input, |slot, ctx| {
+                        let set = slot.partitions(Some(ctx))?;
+                        agg.map_aggregate(&set, &pool, &mut ExecStats::new())
+                    });
+                    assert_eq!(
+                        exact(&got.unwrap()),
+                        want_map,
+                        "spilled map x{threads}, {context}"
+                    );
+                }
             }
 
             // Sort aggregation over the sorted input (global: any order).
@@ -1595,14 +1564,23 @@ mod tests {
             });
             for threads in [1, 2, 4] {
                 let pool = ScopedPool::new(threads);
-                let got = agg.sort_aggregate(&sorted, &pool, &mut ExecStats::new());
-                assert_eq!(exact(&got), want_sort, "sort x{threads}, {context}");
-            }
-            if spillable {
-                let got = with_spilled(&sorted, |set| {
-                    agg.sort_aggregate_stream(set, &mut ExecStats::new())
-                });
-                assert_eq!(exact(&got.unwrap()), want_sort, "sort stream, {context}");
+                let got = agg.sort_aggregate(&sorted.partitions(), &pool, &mut ExecStats::new());
+                assert_eq!(
+                    exact(&got.unwrap()),
+                    want_sort,
+                    "sort x{threads}, {context}"
+                );
+                if spillable {
+                    let got = with_spilled(&sorted, |slot, ctx| {
+                        let set = slot.partitions(Some(ctx))?;
+                        agg.sort_aggregate(&set, &pool, &mut ExecStats::new())
+                    });
+                    assert_eq!(
+                        exact(&got.unwrap()),
+                        want_sort,
+                        "spilled sort x{threads}, {context}"
+                    );
+                }
             }
 
             // Hybrid: the scatter and the sorts are not under test, so the
@@ -1611,13 +1589,14 @@ mod tests {
                 row_at_a_time_map(&agg, &records, 1)
             } else {
                 let mut stats = ExecStats::new();
-                let parts = par_scatter(
-                    input,
+                let parts = scatter(
+                    &input.partitions(),
                     agg.group_keys[0],
                     8,
                     &ScopedPool::serial(),
                     &mut stats,
-                );
+                )
+                .unwrap();
                 let mut staged = StagedRelation::from_partitions(input.schema().clone(), parts);
                 staged.sort_all(&agg.group_keys, &ScopedPool::serial());
                 let partitions: Vec<Vec<&[u8]>> = (0..staged.num_partitions())
@@ -1627,22 +1606,21 @@ mod tests {
             });
             for threads in [1, 2, 4] {
                 let pool = ScopedPool::new(threads);
-                let got = agg.hybrid_aggregate(input, 8, &pool, &mut ExecStats::new());
-                assert_eq!(exact(&got), want_hybrid, "hybrid x{threads}, {context}");
+                let got =
+                    agg.hybrid_aggregate(resident(input), 8, None, &pool, &mut ExecStats::new());
+                assert_eq!(
+                    exact(&got.unwrap()),
+                    want_hybrid,
+                    "hybrid x{threads}, {context}"
+                );
                 if spillable {
-                    let got = with_spilled(input, |set| {
-                        agg.hybrid_aggregate_stream(
-                            set,
-                            input.schema(),
-                            8,
-                            &pool,
-                            &mut ExecStats::new(),
-                        )
+                    let got = with_spilled(input, |slot, ctx| {
+                        agg.hybrid_aggregate(slot, 8, Some(ctx), &pool, &mut ExecStats::new())
                     });
                     assert_eq!(
                         exact(&got.unwrap()),
                         want_hybrid,
-                        "hybrid stream x{threads}, {context}"
+                        "spilled hybrid x{threads}, {context}"
                     );
                 }
             }
@@ -1683,7 +1661,7 @@ mod tests {
             for threads in [1, 4] {
                 let pool = ScopedPool::new(threads);
                 let err = compiled
-                    .map_aggregate(&input, &pool, &mut ExecStats::new())
+                    .map_aggregate(&input.partitions(), &pool, &mut ExecStats::new())
                     .unwrap_err();
                 let HiqueError::Execution(message) = &err else {
                     panic!("{attributes} attributes: {err}");
@@ -1693,8 +1671,15 @@ mod tests {
                 assert_eq!(message.matches(", ").count(), attributes - 1, "{message}");
             }
             // The other algorithms answer the same input.
-            let sorted =
-                compiled.hybrid_aggregate(&input, 4, &ScopedPool::serial(), &mut ExecStats::new());
+            let sorted = compiled
+                .hybrid_aggregate(
+                    resident(&input),
+                    4,
+                    None,
+                    &ScopedPool::serial(),
+                    &mut ExecStats::new(),
+                )
+                .unwrap();
             assert_eq!(sorted.len(), 200);
         }
     }

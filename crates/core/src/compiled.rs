@@ -5,8 +5,10 @@
 //! plan's pre-processing interleaved; a join step is the plan's algorithm
 //! (merge, fine partition, hybrid hash-sort-merge) or the whole join
 //! team's deeply nested loops in one call; aggregation is
-//! the plan's algorithm over a resident input, or its page-at-a-time stream
-//! form when the input sits in the spill space.
+//! the plan's algorithm over the input's partition set, one kernel whether
+//! the input is resident or sits in the spill space (sort aggregation over
+//! unsorted input, and hybrid aggregation over input it need not
+//! re-partition, gather it first: their sorts need random access).
 
 use hique_plan::{AggAlgorithm, AggregateSpec, JoinAlgorithm, StagingStrategy};
 use hique_storage::TableHeap;
@@ -95,7 +97,7 @@ impl Kernels for GeneratedQuery {
                 "aggregate plan without generated aggregation kernels".into(),
             ));
         };
-        let (pool, stats) = (&run.pool, &mut run.stats);
+        let (pool, spill, stats) = (&run.pool, run.spill, &mut run.stats);
         // Did staging already produce exactly the interesting order sort
         // aggregation needs?
         let already_sorted = plan.staged.len() == 1
@@ -103,51 +105,29 @@ impl Kernels for GeneratedQuery {
                 &plan.staged[plan.join_order[0]].strategy,
                 StagingStrategy::Sort { key_columns } if *key_columns == spec.group_columns
             );
-        let hybrid_partitions = |partitions: usize, data_bytes: usize| {
-            partitions.max((data_bytes / (1 << 20)).next_power_of_two())
-        };
-        // A spilled aggregation input is consumed page-at-a-time through
-        // the pipeline substrate — except when sort aggregation must first
-        // sort it, which requires random access and therefore an explicit
-        // gather.
-        let stream = slot.is_spilled() && (spec.algorithm != AggAlgorithm::Sort || already_sorted);
-        let group_rows = if stream {
-            let set = slot.partitions(run.spill)?;
-            match spec.algorithm {
-                AggAlgorithm::Map => compiled.map_aggregate_stream(&set, stats)?,
-                AggAlgorithm::HybridHashSort => {
-                    let partitions = hybrid_partitions(slot.num_partitions(), slot.data_bytes());
-                    compiled.hybrid_aggregate_stream(
-                        &set,
-                        slot.schema(),
-                        partitions,
-                        pool,
-                        stats,
-                    )?
-                }
-                AggAlgorithm::Sort => compiled.sort_aggregate_stream(&set, stats)?,
+        let group_rows = match spec.algorithm {
+            AggAlgorithm::Map => compiled.map_aggregate(&slot.partitions(spill)?, pool, stats)?,
+            AggAlgorithm::HybridHashSort => {
+                let partitions = slot
+                    .num_partitions()
+                    .max((slot.data_bytes() / (1 << 20)).next_power_of_two());
+                compiled.hybrid_aggregate(slot, partitions, spill, pool, stats)?
             }
-        } else {
-            let mut rel = slot.into_input(run.spill)?.relation;
-            match spec.algorithm {
-                AggAlgorithm::Map => compiled.map_aggregate(&rel, pool, stats)?,
-                AggAlgorithm::HybridHashSort => {
-                    let partitions = hybrid_partitions(rel.num_partitions(), rel.data_bytes());
-                    compiled.hybrid_aggregate(&rel, partitions, pool, stats)
-                }
-                AggAlgorithm::Sort => {
-                    if !already_sorted {
-                        let group_keys: Vec<CompiledKey> = spec
-                            .group_columns
-                            .iter()
-                            .map(|&c| CompiledKey::compile(&plan.joined_schema, c))
-                            .collect();
-                        rel.flatten();
-                        stats.sort_passes += 1;
-                        rel.sort_all(&group_keys, pool);
-                    }
-                    compiled.sort_aggregate(&rel, pool, stats)
-                }
+            AggAlgorithm::Sort if already_sorted => {
+                compiled.sort_aggregate(&slot.partitions(spill)?, pool, stats)?
+            }
+            AggAlgorithm::Sort => {
+                // Sorting needs random access: a spilled input is gathered.
+                let mut rel = slot.into_input(spill)?.relation;
+                let group_keys: Vec<CompiledKey> = spec
+                    .group_columns
+                    .iter()
+                    .map(|&c| CompiledKey::compile(&plan.joined_schema, c))
+                    .collect();
+                rel.flatten();
+                stats.sort_passes += 1;
+                rel.sort_all(&group_keys, pool);
+                compiled.sort_aggregate(&rel.partitions(), pool, stats)?
             }
         };
         // Map aggregation rows to output columns.

@@ -9,14 +9,15 @@
 //! whose hooks sit at phase granularity; the statically compiled kernels of
 //! a [`crate::GeneratedQuery`] and the bytecode interpreter of `hique-vm`
 //! are its two implementations.  Everything an execution shares regardless
-//! of provider lives here: option resolution, the
-//! [`hique_pipeline::RunEnvelope`], staged-slot spilling between phases,
-//! the streaming-or-materializing record sink, cancellation checks between
-//! steps, the four [`PhaseTimings`] phases and result finalization.
+//! of provider lives here: the [`hique_pipeline::RunEnvelope`], staged-slot
+//! spilling between phases, the streaming-or-materializing record sink, the
+//! one worker rule of the output phase ([`hique_pipeline::PartitionSet::shares`]),
+//! cancellation checks between steps, the four [`PhaseTimings`] phases and
+//! result finalization.
 
 use std::time::Instant;
 
-use hique_par::{chunk_ranges, ScopedPool};
+use hique_par::ScopedPool;
 use hique_pipeline::{RunEnvelope, SpillContext};
 use hique_plan::{AggregateSpec, PhysicalPlan};
 use hique_storage::{Catalog, TableHeap};
@@ -38,17 +39,6 @@ pub struct ExecOptions {
     /// micro-benchmarks.  Aggregate results (a handful of groups) are always
     /// materialized.
     pub collect_rows: bool,
-    /// Worker threads for partition-parallel execution; `0` inherits the
-    /// plan's configured count ([`hique_plan::PlannerConfig::threads`]).
-    /// Every thread count produces the same result for every query
-    /// (DESIGN.md §7).
-    pub threads: usize,
-    /// Memory budget in buffer-pool pages; `0` inherits the plan's
-    /// configured budget ([`hique_plan::PlannerConfig::memory_budget_pages`]).
-    /// Effective only on a catalog running in paged mode: staged inputs and
-    /// join temporaries above a fraction of the budget are written through
-    /// the catalog's buffer pool and reloaded on use (DESIGN.md §9).
-    pub memory_budget_pages: usize,
     /// Cooperative cancellation token, polled at page-granularity points
     /// (heap-scan pages, join steps, partition-stream pulls, spill-admission
     /// waits).  The default disabled token never fires (DESIGN.md §12).
@@ -59,8 +49,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             collect_rows: true,
-            threads: 0,
-            memory_budget_pages: 0,
             cancel: CancelToken::disabled(),
         }
     }
@@ -73,7 +61,7 @@ pub struct Run<'a> {
     /// The run's work counters; parallel kernels merge their per-worker
     /// sets into it in task order.
     pub stats: ExecStats,
-    /// Worker pool (`ExecOptions::threads`, else the plan's).
+    /// Worker pool of the plan's width.
     pub pool: ScopedPool,
     /// The statement's cancellation token.
     pub cancel: &'a CancelToken,
@@ -147,29 +135,6 @@ pub trait Kernels: Sync {
     fn decoder(&self) -> impl FnMut(&[u8]) -> Row;
 }
 
-/// An [`ExecOptions`] override, or the plan's value when it is `0`.
-fn or_plan(option: usize, plan: usize) -> usize {
-    if option == 0 {
-        plan
-    } else {
-        option
-    }
-}
-
-/// The sink of records that leave the join cascade for the result.
-fn output_sink<'a, D>(
-    collect_rows: bool,
-    decode: &'a mut D,
-    rows: &'a mut Vec<Row>,
-    counted: &'a mut u64,
-) -> RecordSink<'a, D> {
-    if collect_rows {
-        RecordSink::Rows { decode, rows }
-    } else {
-        RecordSink::Count(counted)
-    }
-}
-
 /// Evaluate `plan` over `catalog` with the given kernels.
 pub fn run<K: Kernels>(
     kernels: &K,
@@ -182,13 +147,13 @@ pub fn run<K: Kernels>(
     let envelope = RunEnvelope::begin(
         catalog.buffer_pool(),
         catalog.storage().map(|s| s.temp()),
-        or_plan(options.memory_budget_pages, plan.memory_budget_pages),
+        plan.memory_budget_pages,
         &options.cancel,
     )?;
     let mut run = Run {
         plan,
         stats: ExecStats::new(),
-        pool: ScopedPool::new(or_plan(options.threads, plan.threads)),
+        pool: ScopedPool::new(plan.threads),
         cancel: &options.cancel,
         spill: envelope.spill(),
     };
@@ -247,10 +212,13 @@ pub fn run<K: Kernels>(
             });
         let mut out = StagedRelation::new(out_schema);
         let stream_this = streams_to_sink && i == steps.len() - 1;
-        let mut sink = if stream_this {
-            output_sink(options.collect_rows, &mut decode, &mut rows, &mut counted)
-        } else {
-            RecordSink::Relation(&mut out)
+        let mut sink = match (stream_this, options.collect_rows) {
+            (false, _) => RecordSink::Relation(&mut out),
+            (true, true) => RecordSink::Rows {
+                decode: &mut decode,
+                rows: &mut rows,
+            },
+            (true, false) => RecordSink::Count(&mut counted),
         };
         kernels.join(i, left, rights, &mut run, &mut sink)?;
         if !stream_this {
@@ -274,28 +242,25 @@ pub fn run<K: Kernels>(
         // output decoder over every record.
         let t3 = Instant::now();
         cancel.check()?;
-        if options.collect_rows && !run.pool.is_serial() && !slot.is_spilled() {
-            // Decode record chunks in parallel, appended in chunk order
-            // (= serial record order).
-            let input = slot.into_input(spill)?;
-            let records: Vec<&[u8]> = input.relation.records().collect();
-            let ranges = chunk_ranges(records.len(), run.pool.threads());
-            for chunk in run.pool.map_items(&ranges, |_, range| {
-                let mut decode = kernels.decoder();
-                records[range.clone()]
-                    .iter()
-                    .map(|rec| decode(rec))
-                    .collect::<Vec<Row>>()
-            }) {
-                rows.extend(chunk);
+        let set = slot.partitions(spill)?;
+        if options.collect_rows {
+            // One decoder per share of the set, rows appended in share
+            // order (= serial record order); a spilled relation's one
+            // reader decodes straight off pinned pool pages, one page
+            // resident at a time, never re-materialized on its way out.
+            for chunk in run
+                .pool
+                .map_items(&set.shares(run.pool.threads()), |_, share| {
+                    let mut decode = kernels.decoder();
+                    let mut rows = Vec::with_capacity(share.num_records());
+                    share.for_each_record(|rec| rows.push(decode(rec)))?;
+                    Ok::<_, HiqueError>(rows)
+                })
+            {
+                rows.extend(chunk?);
             }
         } else {
-            // Page-at-a-time for either source: a spilled relation decodes
-            // straight off pinned pool pages, one page resident at a time,
-            // never re-materialized on its way to the sink.
-            let mut sink = output_sink(options.collect_rows, &mut decode, &mut rows, &mut counted);
-            slot.partitions(spill)?
-                .for_each_record(|rec| sink.push(rec))?;
+            set.for_each_record(|_| counted += 1)?;
         }
         timings.record("output", t3.elapsed());
     }
@@ -535,34 +500,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exec_options_threads_override_the_plan() {
-        let cat = catalog();
-        let plan = plan(JOIN_SQL, &cat, &PlannerConfig::default().with_threads(4));
-        assert_eq!(plan.threads, 4);
-        let generated = generate(&plan).unwrap();
-        // Inherit the plan's 4 workers, then override back down to 1: both
-        // must agree with each other.
-        let inherited = generated.execute(&cat).unwrap();
-        let overridden = generated
-            .execute_with(
-                &cat,
-                &ExecOptions {
-                    threads: 1,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(inherited.rows, overridden.rows);
-        assert_eq!(inherited.stats, overridden.stats);
+    /// The work counters `conformance/tests/golden.rs` pins: tuples,
+    /// bytes, comparisons, hashes, calls and passes — not the pool's I/O,
+    /// the spill and peak fields or the timings.
+    fn work_counters(s: &ExecStats) -> [(&'static str, u64); 10] {
+        [
+            ("calls", s.function_calls),
+            ("tuples", s.tuples_processed),
+            ("bytes_touched", s.bytes_touched),
+            ("bytes_materialized", s.bytes_materialized),
+            ("comparisons", s.comparisons),
+            ("hash_ops", s.hash_ops),
+            ("sort_passes", s.sort_passes),
+            ("partition_passes", s.partition_passes),
+            ("vm_batches", s.vm_batches),
+            ("rows_out", s.rows_out),
+        ]
     }
 
     #[test]
     fn budgeted_execution_streams_spilled_temporaries_and_matches_unbounded() {
         // A paged catalog under a tiny budget: staged inputs and join
         // temporaries spill, their consumers stream them back
-        // page-at-a-time, and results match the unbudgeted execution for
-        // every thread count.
+        // page-at-a-time, and results and work counters match the
+        // unbudgeted serial execution for every thread count — the budget
+        // decides where a temporary lives, never which kernel runs.
         const BUDGET: usize = 4;
         let queries = [
             // Single staged input feeding the output kernels (streamed).
@@ -597,6 +559,11 @@ mod tests {
                             .with_memory_budget_pages(BUDGET),
                     );
                     assert_eq!(budgeted.rows, unbounded.rows, "{sql} {algo:?} x{threads}");
+                    assert_eq!(
+                        work_counters(&budgeted.stats),
+                        work_counters(&unbounded.stats),
+                        "{sql} {algo:?} x{threads}: the budget moved a work counter"
+                    );
                     assert!(
                         budgeted.stats.spilled_temporaries > 0,
                         "{sql} {algo:?} x{threads}: nothing spilled under an {BUDGET}-page budget"

@@ -8,6 +8,7 @@
 //! resident processing.
 
 use hique_par::{chunk_ranges, ScopedPool};
+use hique_pipeline::{PartitionSet, PartitionStream};
 use hique_types::{HiqueError, Result, Row, Schema};
 
 use crate::kernel::{compare_keys, CompiledKey};
@@ -194,6 +195,18 @@ impl StagedRelation {
     pub fn records(&self) -> impl Iterator<Item = &[u8]> {
         let ts = self.tuple_size;
         self.partitions.iter().flat_map(move |p| p.chunks_exact(ts))
+    }
+
+    /// Page-at-a-time read views of every partition, in partition order —
+    /// the input every aggregation kernel reads.
+    pub fn partitions(&self) -> PartitionSet<'_> {
+        let ts = self.tuple_size;
+        PartitionSet::new(
+            self.partitions
+                .iter()
+                .map(|p| PartitionStream::mem(p, ts))
+                .collect(),
+        )
     }
 
     /// Records `range` of the partition-order record sequence

@@ -13,7 +13,6 @@
 use std::fmt::Write as _;
 
 use hique_plan::{JoinAlgorithm, PhysicalPlan, StagingStrategy};
-use hique_sql::analyze::OutputExpr;
 use hique_sql::ast::AggFunc;
 
 /// The generated source file: an ordered list of named functions.
@@ -508,20 +507,6 @@ fn c_constant(v: &hique_types::Value) -> String {
     }
 }
 
-/// Render the outputs section (used for documentation and debugging).
-pub fn describe_outputs(plan: &PhysicalPlan) -> String {
-    plan.output
-        .iter()
-        .zip(plan.output_schema.columns())
-        .map(|(o, c)| match o {
-            OutputExpr::GroupColumn(i) => format!("{} = group column {i}", c.name),
-            OutputExpr::Scalar(_) => format!("{} = scalar expression", c.name),
-            OutputExpr::Aggregate(i) => format!("{} = aggregate {i}", c.name),
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,7 +578,6 @@ mod tests {
         assert!(text.contains("if (!(*v_1 > 10"));
         assert!(src.size_bytes() > 1000);
         assert!(src.functions().len() >= 6);
-        assert!(!describe_outputs(&plan).is_empty());
     }
 
     #[test]

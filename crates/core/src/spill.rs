@@ -9,16 +9,19 @@
 //! the LRU policy evicts to disk under pressure).
 //!
 //! Consumption goes through the pipeline substrate instead of a
-//! whole-relation reload: a [`StagedSlot`] hands out
-//! [`PartitionStream`]s that yield records **page-at-a-time through pool
-//! pin guards**, so streaming consumers (aggregation scans, output
-//! decoding, scatter passes) never re-materialize a spilled partition.
-//! Consumers that genuinely need random access (the join kernels' merge
-//! cursors and sorts) materialize explicitly with
-//! [`StagedSlot::into_input`], which gathers one partition at a time
-//! through the same guards.  The spill decision depends only on the
-//! relation's byte size, so `threads = N` spills exactly what `threads = 1`
-//! spills and results stay bit-identical for every budget.
+//! whole-relation reload: [`StagedSlot::partitions`] hands out the same
+//! [`PartitionSet`] a resident relation gives its consumers, whose
+//! [`PartitionStream`]s yield records **page-at-a-time through pool pin
+//! guards**, so the aggregation kernels, the output decoding and the
+//! scatter passes run one code path for both and never re-materialize a
+//! spilled partition; the set reads a spilled input with one worker
+//! ([`PartitionSet::readers`]).  Consumers that genuinely need random
+//! access (the join kernels' merge cursors and sorts) materialize
+//! explicitly with [`StagedSlot::into_input`], which gathers one partition
+//! at a time through the same guards.  The spill decision depends only on
+//! the relation's byte size, so `threads = N` spills exactly what
+//! `threads = 1` spills, and results and work counters stay identical for
+//! every budget.
 
 use std::collections::BTreeMap;
 
@@ -112,14 +115,7 @@ impl StagedSlot {
     /// behaves identically for both — no whole-partition reload anywhere.
     pub fn partitions<'a>(&'a self, ctx: Option<&'a SpillContext>) -> Result<PartitionSet<'a>> {
         match self {
-            StagedSlot::Mem(input) => {
-                let ts = input.relation.tuple_size();
-                Ok(PartitionSet::new(
-                    (0..input.relation.num_partitions())
-                        .map(|p| PartitionStream::mem(input.relation.partition(p), ts))
-                        .collect(),
-                ))
-            }
+            StagedSlot::Mem(input) => Ok(input.relation.partitions()),
             StagedSlot::Spilled(s) => {
                 let ctx = ctx.ok_or_else(no_spill_context)?;
                 Ok(PartitionSet::new(

@@ -59,11 +59,6 @@ impl ScopedPool {
         ScopedPool { threads: 1 }
     }
 
-    /// A pool as wide as the machine (`std::thread::available_parallelism`).
-    pub fn machine_wide() -> Self {
-        ScopedPool::new(available_threads())
-    }
-
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -268,7 +263,6 @@ mod tests {
         assert_eq!(ScopedPool::new(0).threads(), 1);
         assert!(ScopedPool::new(0).is_serial());
         assert!(available_threads() >= 1);
-        assert!(ScopedPool::machine_wide().threads() >= 1);
     }
 
     #[test]

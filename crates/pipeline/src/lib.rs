@@ -31,6 +31,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use hique_par::chunk_ranges;
 use hique_storage::{
     records_per_page, BufferPool, BufferPoolStats, PeakWindow, SpillHandle, SpillNamespace,
     TempSpace, PAGE_HEADER_SIZE, PAGE_SIZE,
@@ -294,6 +295,7 @@ impl<'a> RunEnvelope<'a> {
 // ---------------------------------------------------------------------------
 
 /// Where one partition's records live.
+#[derive(Clone, Copy)]
 enum Source<'a> {
     /// A memory-resident packed buffer.
     Mem(&'a [u8]),
@@ -311,6 +313,7 @@ enum Source<'a> {
 /// `records_per_page` grouping a spill would have produced), so a consumer
 /// written against `for_each_page` behaves identically — byte-for-byte, in
 /// the same order — for both sources and therefore for every memory budget.
+#[derive(Clone, Copy)]
 pub struct PartitionStream<'a> {
     source: Source<'a>,
     tuple_size: usize,
@@ -358,16 +361,16 @@ impl<'a> PartitionStream<'a> {
     }
 
     /// Visit the partition's records as page-shaped packed slices, in
-    /// record order.  Spilled pages are pinned one at a time (and counted on
-    /// the context's [`ResidencyMeter`]); memory buffers are sliced into the
-    /// same page-shaped chunks.
-    pub fn for_each_page(&self, mut f: impl FnMut(&[u8])) -> Result<()> {
+    /// record order, until `f` fails.  Spilled pages are pinned one at a
+    /// time (and counted on the context's [`ResidencyMeter`]); memory
+    /// buffers are sliced into the same page-shaped chunks.
+    pub fn for_each_page(&self, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
         let ts = self.tuple_size.max(1);
         match &self.source {
             Source::Mem(buf) => {
                 let per_page = records_per_page(ts).max(1);
                 for chunk in buf.chunks(per_page * ts) {
-                    f(chunk);
+                    f(chunk)?;
                 }
                 Ok(())
             }
@@ -376,7 +379,7 @@ impl<'a> PartitionStream<'a> {
                     ctx.cancel.check()?;
                     let guard = ctx.space.page_guard(handle, i)?;
                     let _resident = ctx.meter.track(1);
-                    f(guard.data());
+                    f(guard.data())?;
                 }
                 Ok(())
             }
@@ -390,6 +393,7 @@ impl<'a> PartitionStream<'a> {
             for rec in page.chunks_exact(ts) {
                 f(rec);
             }
+            Ok(())
         })
     }
 
@@ -435,6 +439,7 @@ impl<'a> PartitionStream<'a> {
 // ---------------------------------------------------------------------------
 
 /// The partition streams of one relation, in partition order.
+#[derive(Clone)]
 pub struct PartitionSet<'a> {
     streams: Vec<PartitionStream<'a>>,
 }
@@ -465,9 +470,13 @@ impl<'a> PartitionSet<'a> {
         self.streams.iter().map(|s| s.num_records()).sum()
     }
 
-    /// Total bytes of record data across partitions.
-    pub fn data_bytes(&self) -> usize {
-        self.streams.iter().map(|s| s.data_bytes()).sum()
+    /// Visit the pages of every partition, in partition order, until `f`
+    /// fails.
+    pub fn for_each_page(&self, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        for s in &self.streams {
+            s.for_each_page(&mut f)?;
+        }
+        Ok(())
     }
 
     /// Visit every record across partitions, in partition order.
@@ -476,6 +485,61 @@ impl<'a> PartitionSet<'a> {
             s.for_each_record(&mut f)?;
         }
         Ok(())
+    }
+
+    /// The partitions' packed buffers, when every one is memory-resident.
+    fn resident(&self) -> Option<Vec<&'a [u8]>> {
+        self.streams
+            .iter()
+            .map(|s| match s.source {
+                Source::Mem(buf) => Some(buf),
+                Source::Spilled { .. } => None,
+            })
+            .collect()
+    }
+
+    /// How many of `threads` workers read the set at once — the one worker
+    /// rule of every consumer: all of them for a resident set, one for a
+    /// set with a spilled partition, whose reader keeps one pinned pool
+    /// page resident at a time whatever the pool width.
+    pub fn readers(&self, threads: usize) -> usize {
+        match self.resident() {
+            Some(_) => threads.max(1),
+            None => 1,
+        }
+    }
+
+    /// The set divided among its [`PartitionSet::readers`], each share a
+    /// set of its own; the shares in order visit every record once, in
+    /// partition order.  One reader takes the whole set.  Several divide
+    /// the record sequence by [`chunk_ranges`], a share holding each
+    /// partition's slice of its range (empty where the range misses the
+    /// partition), so its pages are cut from the start of every slice.
+    pub fn shares(&self, threads: usize) -> Vec<PartitionSet<'a>> {
+        let readers = self.readers(threads);
+        let bufs = match self.resident() {
+            Some(bufs) if readers > 1 => bufs,
+            _ => return vec![self.clone()],
+        };
+        chunk_ranges(self.num_records(), readers)
+            .into_iter()
+            .map(|range| {
+                let (mut skip, mut take) = (range.start, range.len());
+                let streams = bufs
+                    .iter()
+                    .zip(&self.streams)
+                    .map(|(buf, s)| {
+                        let ts = s.tuple_size;
+                        let start = skip.min(buf.len() / ts);
+                        skip -= start;
+                        let end = (start + take).min(buf.len() / ts);
+                        take -= end - start;
+                        PartitionStream::mem(&buf[start * ts..end * ts], ts)
+                    })
+                    .collect();
+                PartitionSet::new(streams)
+            })
+            .collect()
     }
 }
 
@@ -517,10 +581,17 @@ mod tests {
         assert!(!mem.is_spilled() && spilled.is_spilled());
 
         let mut mem_pages: Vec<Vec<u8>> = Vec::new();
-        mem.for_each_page(|p| mem_pages.push(p.to_vec())).unwrap();
+        mem.for_each_page(|p| {
+            mem_pages.push(p.to_vec());
+            Ok(())
+        })
+        .unwrap();
         let mut sp_pages: Vec<Vec<u8>> = Vec::new();
         spilled
-            .for_each_page(|p| sp_pages.push(p.to_vec()))
+            .for_each_page(|p| {
+                sp_pages.push(p.to_vec());
+                Ok(())
+            })
             .unwrap();
         // Identical page chunking, identical contents: a consumer written
         // against the stream cannot tell the sources apart.
@@ -610,6 +681,50 @@ mod tests {
     }
 
     #[test]
+    fn shares_divide_a_resident_set_by_record_ranges_and_keep_a_spilled_one_whole() {
+        let bufs: Vec<Vec<u8>> = [0, 13, 387, 600].map(|n| packed(n, 8)).into();
+        let set = PartitionSet::new(bufs.iter().map(|b| PartitionStream::mem(b, 8)).collect());
+        let concat: Vec<u8> = bufs.iter().flatten().copied().collect();
+        for threads in [1, 2, 3, 4, 2000] {
+            let shares = set.shares(threads);
+            assert_eq!(set.readers(threads), threads);
+            assert_eq!(shares.len(), chunk_ranges(1000, threads).len());
+            let mut all = Vec::new();
+            for (share, range) in shares.iter().zip(chunk_ranges(1000, threads)) {
+                // One stream per partition, empty where the range misses it.
+                assert_eq!(share.len(), 4);
+                let mut pages = Vec::new();
+                share
+                    .for_each_page(|page| {
+                        pages.extend_from_slice(page);
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(pages, concat[range.start * 8..range.end * 8]);
+                all.extend(pages);
+            }
+            assert_eq!(all, concat, "x{threads}");
+        }
+
+        let (temp, _pool, path) = temp_space("shares", 2);
+        let ctx = SpillContext::acquire(&temp, 1).expect("space free");
+        let handle = ctx.spill(&bufs[3], 8).unwrap();
+        let spilled = PartitionSet::new(vec![
+            PartitionStream::mem(&bufs[2], 8),
+            PartitionStream::spilled(&ctx, handle),
+        ]);
+        assert_eq!(spilled.readers(4), 1);
+        let shares = spilled.shares(4);
+        assert_eq!(shares.len(), 1);
+        assert!(shares[0].streams()[1].is_spilled());
+        let mut n = 0;
+        shares[0].for_each_record(|_| n += 1).unwrap();
+        assert_eq!(n, 987);
+        assert_eq!(ctx.meter().peak(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn cancelled_context_stops_spilled_pulls_at_a_page_boundary() {
         let (temp, _pool, path) = temp_space("cancel", 4);
         let cancel = CancelToken::new();
@@ -629,6 +744,7 @@ mod tests {
                 if pages_seen == 2 {
                     cancel.cancel();
                 }
+                Ok(())
             })
             .unwrap_err();
         assert!(matches!(err, HiqueError::Cancelled(_)), "{err}");
@@ -766,7 +882,10 @@ mod tests {
             let handle = ctx.spill(&packed(2000, 16), 16)?;
             assert_eq!((temp.active_claims(), spill_files()), (1, 1));
             let mut pages = 0usize;
-            PartitionStream::spilled(ctx, handle).for_each_page(|_| pages += 1)?;
+            PartitionStream::spilled(ctx, handle).for_each_page(|_| {
+                pages += 1;
+                Ok(())
+            })?;
             Err(HiqueError::Unsupported(format!(
                 "gave up after {pages} pages"
             )))
@@ -789,7 +908,11 @@ mod tests {
         assert_eq!(n, 0);
         assert!(stream.gather().unwrap().is_empty());
         let mem = PartitionStream::mem(&[], 8);
-        mem.for_each_page(|_| n += 1).unwrap();
+        mem.for_each_page(|_| {
+            n += 1;
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(n, 0);
         std::fs::remove_file(&path).ok();
     }

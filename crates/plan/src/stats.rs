@@ -40,10 +40,8 @@ impl TableStats {
     pub fn from_table(info: &TableInfo) -> Self {
         let n = info.schema.len();
         let analyzed = !info.column_stats.is_empty();
-        let mut cols = vec![ColumnDistribution::default(); n];
-        for (i, cs) in info.column_stats.iter().enumerate().take(n) {
-            cols[i] = cs.distribution.clone();
-        }
+        let mut cols = info.column_stats.clone();
+        cols.resize(n, ColumnDistribution::default());
         TableStats {
             rows: info.row_count(),
             analyzed,

@@ -19,32 +19,6 @@ use crate::disk::DiskManager;
 use crate::heap::TableHeap;
 use crate::temp::TempSpace;
 
-/// Per-column statistics gathered by [`Catalog::analyze_table`]: the
-/// collected value distribution (MCV list + equi-depth histogram), from
-/// which the scalar summaries (distinct count, bounds) derive.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColumnStats {
-    /// Most-common-value list and equi-depth histogram over the column.
-    pub distribution: ColumnDistribution,
-}
-
-impl ColumnStats {
-    /// Number of distinct values observed.
-    pub fn distinct(&self) -> usize {
-        self.distribution.distinct
-    }
-
-    /// Minimum value observed (None for an empty table).
-    pub fn min(&self) -> Option<&Value> {
-        self.distribution.min()
-    }
-
-    /// Maximum value observed (None for an empty table).
-    pub fn max(&self) -> Option<&Value> {
-        self.distribution.max()
-    }
-}
-
 /// A table registered in the catalog.
 #[derive(Debug)]
 pub struct TableInfo {
@@ -54,9 +28,10 @@ pub struct TableInfo {
     pub schema: Schema,
     /// The table's data.
     pub heap: TableHeap,
-    /// Per-column statistics, aligned with `schema.columns()`; empty until
-    /// [`Catalog::analyze_table`] runs.
-    pub column_stats: Vec<ColumnStats>,
+    /// Per-column value distributions (MCV list + equi-depth histogram,
+    /// from which distinct counts and bounds derive), aligned with
+    /// `schema.columns()`; empty until [`Catalog::analyze_table`] runs.
+    pub column_stats: Vec<ColumnDistribution>,
 }
 
 impl TableInfo {
@@ -321,7 +296,7 @@ impl Catalog {
     /// Gather per-column statistics — distinct counts, min/max bounds, a
     /// most-common-values list and an equi-depth histogram — replacing any
     /// previous statistics.  A table analyzed while empty still gets one
-    /// (empty) [`ColumnStats`] per column, which is how the optimizer tells
+    /// (empty) [`ColumnDistribution`] per column, which is how the optimizer tells
     /// "known to be empty" apart from "never analyzed".
     ///
     /// Columns are processed one at a time: each pass materializes and sorts
@@ -336,9 +311,7 @@ impl Catalog {
             info.heap
                 .for_each_record(|record| values.push(read_value(record, &schema, c)))?;
             values.sort_unstable_by(|a, b| a.total_cmp(b));
-            stats.push(ColumnStats {
-                distribution: ColumnDistribution::from_sorted(&values),
-            });
+            stats.push(ColumnDistribution::from_sorted(&values));
         }
         info.column_stats = stats;
         Ok(())
@@ -413,9 +386,9 @@ mod tests {
         populate(&mut cat, 30);
         cat.analyze_table("t").unwrap();
         let info = cat.table("t").unwrap();
-        assert_eq!(info.column_stats[0].distinct(), 30);
-        assert_eq!(info.column_stats[1].distinct(), 3);
-        assert_eq!(info.column_stats[2].distinct(), 2);
+        assert_eq!(info.column_stats[0].distinct, 30);
+        assert_eq!(info.column_stats[1].distinct, 3);
+        assert_eq!(info.column_stats[2].distinct, 2);
         assert_eq!(info.column_stats[0].min(), Some(&Value::Int32(0)));
         assert_eq!(info.column_stats[0].max(), Some(&Value::Int32(29)));
     }
@@ -427,7 +400,7 @@ mod tests {
         cat.analyze_table("t").unwrap();
         let info = cat.table("t").unwrap();
         // Wide unique column: histogram form, no MCVs (uniform).
-        let id = &info.column_stats[0].distribution;
+        let id = &info.column_stats[0];
         assert_eq!(id.rows, 3000);
         assert_eq!(id.distinct, 3000);
         assert!(id.mcv.is_empty());
@@ -435,12 +408,12 @@ mod tests {
         let rows_covered: usize = id.buckets.iter().map(|b| b.rows).sum();
         assert_eq!(rows_covered, 3000);
         // Low-cardinality columns: exact MCV lists, no histogram.
-        let grp = &info.column_stats[1].distribution;
+        let grp = &info.column_stats[1];
         assert_eq!(grp.distinct, 3);
         assert_eq!(grp.mcv.len(), 3);
         assert!(grp.buckets.is_empty());
         assert_eq!(grp.eq_fraction(&Value::Int32(0)), 1000.0 / 3000.0);
-        let name = &info.column_stats[2].distribution;
+        let name = &info.column_stats[2];
         assert_eq!(name.mcv.len(), 2);
         assert_eq!(name.eq_fraction(&Value::Str("n0".into())), 0.5);
     }
@@ -453,9 +426,9 @@ mod tests {
         let info = cat.table("t").unwrap();
         assert_eq!(info.column_stats.len(), 3);
         for cs in &info.column_stats {
-            assert_eq!(cs.distinct(), 0);
+            assert_eq!(cs.distinct, 0);
             assert!(cs.min().is_none() && cs.max().is_none());
-            assert_eq!(cs.distribution.rows, 0);
+            assert_eq!(cs.rows, 0);
         }
     }
 
@@ -464,11 +437,8 @@ mod tests {
         let mut cat = Catalog::new();
         populate(&mut cat, 10);
         cat.analyze_table("t").unwrap();
-        assert_eq!(cat.table("t").unwrap().column_stats[0].distinct(), 10);
-        assert!(cat.table("t").unwrap().column_stats[0]
-            .distribution
-            .buckets
-            .is_empty());
+        assert_eq!(cat.table("t").unwrap().column_stats[0].distinct, 10);
+        assert!(cat.table("t").unwrap().column_stats[0].buckets.is_empty());
         // Grow the table past the MCV limit and re-analyze: the column
         // switches to histogram form and the bounds move.
         let info = cat.table_mut("t").unwrap();
@@ -483,9 +453,9 @@ mod tests {
         }
         cat.analyze_table("t").unwrap();
         let cs = &cat.table("t").unwrap().column_stats[0];
-        assert_eq!(cs.distinct(), 2000);
+        assert_eq!(cs.distinct, 2000);
         assert_eq!(cs.max(), Some(&Value::Int32(1999)));
-        assert!(!cs.distribution.buckets.is_empty());
+        assert!(!cs.buckets.is_empty());
     }
 
     #[test]
@@ -506,7 +476,7 @@ mod tests {
         // Re-analyze through the pool: identical statistics, and
         // the tiny budget forces evictions.
         cat.analyze_table("t").unwrap();
-        assert_eq!(cat.table("t").unwrap().column_stats[0].distinct(), 300);
+        assert_eq!(cat.table("t").unwrap().column_stats[0].distinct, 300);
         let stats = cat.pool_stats();
         assert!(stats.evictions > 0, "{stats:?}");
         assert!(stats.misses > 0, "{stats:?}");

@@ -23,7 +23,6 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use hique_types::tuple::encode_record;
 use hique_types::{HiqueError, Result, Row, Schema};
 
 use crate::buffer::{BufferPool, Fetched, FileId, PageId};
@@ -330,12 +329,6 @@ impl TableHeap {
         self.append_record(&record)
     }
 
-    /// Encode and append a slice of values.
-    pub fn append_values(&mut self, values: &[hique_types::Value]) -> Result<()> {
-        let record = encode_record(&self.schema, values)?;
-        self.append_record(&record)
-    }
-
     /// Iterate over every record in page/slot order (memory-resident heaps
     /// only; paged heaps scan via [`TableHeap::for_each_record`]).
     pub fn records(&self) -> impl Iterator<Item = &[u8]> {
@@ -456,16 +449,6 @@ mod tests {
         let heap = TableHeap::from_rows(schema(), rows.clone()).unwrap();
         assert_eq!(heap.all_rows(), rows);
         assert_eq!(heap.num_tuples(), 10);
-    }
-
-    #[test]
-    fn append_values_matches_append_row() {
-        let mut a = TableHeap::new(schema()).unwrap();
-        let mut b = TableHeap::new(schema()).unwrap();
-        a.append_row(&row(3)).unwrap();
-        b.append_values(&[Value::Int32(3), Value::Str("x".into())])
-            .unwrap();
-        assert_eq!(a.all_rows(), b.all_rows());
     }
 
     /// Spill a 200-row heap into a pool of `budget` frames.

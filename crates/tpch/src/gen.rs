@@ -351,8 +351,8 @@ mod tests {
         // Statistics were gathered.
         let stats = &lineitem.column_stats;
         assert!(!stats.is_empty());
-        assert!(stats[lschema.index_of("l_returnflag").unwrap()].distinct() <= 3);
-        assert!(stats[lschema.index_of("l_linestatus").unwrap()].distinct() <= 2);
+        assert!(stats[lschema.index_of("l_returnflag").unwrap()].distinct <= 3);
+        assert!(stats[lschema.index_of("l_linestatus").unwrap()].distinct <= 2);
     }
 
     #[test]

@@ -38,12 +38,6 @@ pub fn read_f64_at(record: &[u8], offset: usize) -> f64 {
     f64::from_le_bytes(bytes)
 }
 
-/// Borrow the fixed-width byte field at `offset`.
-#[inline(always)]
-pub fn read_bytes_at(record: &[u8], offset: usize, width: usize) -> &[u8] {
-    &record[offset..offset + width]
-}
-
 /// Write an `i32` at `offset`.
 #[inline(always)]
 pub fn write_i32_at(record: &mut [u8], offset: usize, v: i32) {
@@ -146,27 +140,6 @@ pub fn decode_record(schema: &Schema, record: &[u8]) -> Vec<Value> {
         .collect()
 }
 
-/// Copy a set of source columns (by index) from `src` into `dst` laid out by
-/// `dst_schema` starting at destination column `dst_start`.
-///
-/// This is the staging projection primitive: the holistic data-staging
-/// templates drop unneeded fields by copying only the required byte ranges.
-pub fn copy_columns(
-    src: &[u8],
-    src_schema: &Schema,
-    src_cols: &[usize],
-    dst: &mut [u8],
-    dst_schema: &Schema,
-    dst_start: usize,
-) {
-    for (k, &ci) in src_cols.iter().enumerate() {
-        let w = src_schema.column(ci).dtype.width();
-        let so = src_schema.offset(ci);
-        let d_off = dst_schema.offset(dst_start + k);
-        dst[d_off..d_off + w].copy_from_slice(&src[so..so + w]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,28 +217,5 @@ mod tests {
     fn wrong_arity_is_rejected() {
         let s = schema();
         assert!(encode_record(&s, &[Value::Int32(1)]).is_err());
-    }
-
-    #[test]
-    fn copy_columns_projects_bytes() {
-        let src_schema = schema();
-        let rec = encode_record(
-            &src_schema,
-            &[
-                Value::Int32(1),
-                Value::Int64(2),
-                Value::Float64(3.0),
-                Value::Str("zz".into()),
-                Value::Date(4),
-            ],
-        )
-        .unwrap();
-        let dst_schema = src_schema.project(&[4, 0]);
-        let mut dst = vec![0u8; dst_schema.tuple_size()];
-        copy_columns(&rec, &src_schema, &[4, 0], &mut dst, &dst_schema, 0);
-        assert_eq!(
-            decode_record(&dst_schema, &dst),
-            vec![Value::Date(4), Value::Int32(1)]
-        );
     }
 }

@@ -232,27 +232,26 @@ impl Kernels for Interpreter<'_> {
                 let mut fold = PageFold::new(&nodes, &frags.layout, tuple_size);
                 let mut images: Vec<Vec<i64>> = vec![Vec::new(); frags.group_images.len()];
                 let (mut runs, mut ids) = (KeyRuns::new(), Vec::new());
-                for stream in set.streams() {
-                    stream.for_each_page(|data| {
-                        let n = fold.fill(data);
-                        stats.vm_batches += 1;
-                        stats.tuples_processed += n as u64;
-                        stats.bytes_touched += (n * tuple_size) as u64;
-                        stats.add_hashes(n as u64);
-                        for (lane, f) in images.iter_mut().zip(&frags.group_images) {
-                            lane.clear();
-                            run_image_batch(f.ops(code), data, tuple_size, lane);
-                        }
-                        runs.cut(&images, n);
-                        ids.clear();
-                        for &row in runs.starts() {
-                            let row = row as usize;
-                            let rec = &data[row * tuple_size..(row + 1) * tuple_size];
-                            ids.push(groups.group(|i| images[i][row], rec));
-                        }
-                        fold.fold(&runs, &ids, &mut groups.accums);
-                    })?;
-                }
+                set.for_each_page(|data| {
+                    let n = fold.fill(data);
+                    stats.vm_batches += 1;
+                    stats.tuples_processed += n as u64;
+                    stats.bytes_touched += (n * tuple_size) as u64;
+                    stats.add_hashes(n as u64);
+                    for (lane, f) in images.iter_mut().zip(&frags.group_images) {
+                        lane.clear();
+                        run_image_batch(f.ops(code), data, tuple_size, lane);
+                    }
+                    runs.cut(&images, n);
+                    ids.clear();
+                    for &row in runs.starts() {
+                        let row = row as usize;
+                        let rec = &data[row * tuple_size..(row + 1) * tuple_size];
+                        ids.push(groups.group(|i| images[i][row], rec));
+                    }
+                    fold.fold(&runs, &ids, &mut groups.accums);
+                    Ok(())
+                })?;
             }
             // The scalar tier: record-at-a-time for either source, a
             // spilled input aggregates straight off pinned pages.
@@ -944,17 +943,15 @@ mod tests {
                  where t.g = o.k and o.ck = c.k and c.nk = nat.k group by nat.name, c.k"
             ),
         ];
+        let options = ExecOptions::default();
         for sql in &statements {
-            let plan = hique_plan::plan_sql(sql, &cat, &PlannerConfig::default()).unwrap();
-            let generated = hique_holistic::generate(&plan).unwrap();
-            let program =
-                crate::compile(&generated, &cat, crate::CompileMode::Specialized).unwrap();
             // Resident, and with every temporary spilled (a one-page budget).
             for budget in [0, 1] {
-                let options = ExecOptions {
-                    memory_budget_pages: budget,
-                    ..ExecOptions::default()
-                };
+                let config = PlannerConfig::default().with_memory_budget_pages(budget);
+                let plan = hique_plan::plan_sql(sql, &cat, &config).unwrap();
+                let generated = hique_holistic::generate(&plan).unwrap();
+                let program =
+                    crate::compile(&generated, &cat, crate::CompileMode::Specialized).unwrap();
                 let run = |tier| {
                     program
                         .execute_with_tier(&generated, &cat, &options, tier)
