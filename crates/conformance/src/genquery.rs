@@ -265,8 +265,10 @@ const PROJ_COLS: [(&str, &str); 18] = [
     ("region", "r_name"),
 ];
 
-/// Low-cardinality columns usable as GROUP BY keys.
-const GROUP_COLS: [(&str, &str); 11] = [
+/// Low-cardinality columns usable as GROUP BY keys.  `p_mfgr` and
+/// `p_type` are strings wider than eight bytes whose values share their
+/// first eight, so their key images alone do not tell them apart.
+const GROUP_COLS: [(&str, &str); 13] = [
     ("lineitem", "l_returnflag"),
     ("lineitem", "l_linestatus"),
     ("lineitem", "l_shipmode"),
@@ -276,6 +278,8 @@ const GROUP_COLS: [(&str, &str); 11] = [
     ("customer", "c_nationkey"),
     ("supplier", "s_nationkey"),
     ("part", "p_size"),
+    ("part", "p_mfgr"),
+    ("part", "p_type"),
     ("nation", "n_name"),
     ("region", "r_name"),
 ];
@@ -568,13 +572,17 @@ fn aggregate_exprs(rng: &mut SmallRng, tables: &[&'static str]) -> Vec<String> {
     exprs
 }
 
-/// (table, key column) pairs usable for self-joins via aliases.
-const SELF_JOIN_KEYS: [(&str, &str); 5] = [
+/// (table, key column) pairs usable for self-joins via aliases.  `s_name`
+/// and `c_name` are strings wider than eight bytes whose values share
+/// their first eight (`Supplier#…`, `Customer#…`).
+const SELF_JOIN_KEYS: [(&str, &str); 7] = [
     ("lineitem", "l_orderkey"),
     ("orders", "o_orderkey"),
     ("customer", "c_custkey"),
     ("nation", "n_nationkey"),
     ("part", "p_partkey"),
+    ("supplier", "s_name"),
+    ("customer", "c_name"),
 ];
 
 /// A self-join of one table with itself through two aliases, projecting

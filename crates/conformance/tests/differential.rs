@@ -6,8 +6,8 @@
 //! Every failure message carries the per-query seed; reproduce one with
 //! `cargo run --release -p hique-conformance --bin conformance -- --replay <seed>`.
 
-use hique_conformance::{run_suite, Fixture, QueryGenerator};
-use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, StagingStrategy};
+use hique_conformance::{run_suite, Fixture, QueryGenerator, RandomQuery};
+use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig, StagingStrategy};
 
 const SF: f64 = 0.002;
 const SUITE_SEED: u64 = 0x41_1CDE; // fixed so failures are reproducible
@@ -87,6 +87,77 @@ fn the_corpus_plans_every_algorithm_and_staging_strategy() {
         missing.is_empty(),
         "plan vocabulary the optimizer never produced over the corpus: {missing:?}"
     );
+}
+
+/// String keys wider than eight bytes whose values share their first
+/// eight (`Manufacturer#…`, `Clerk#…`, `Customer#…`, `Supplier#…`, part
+/// types), grouped and joined under the default plan, every forced join
+/// and aggregation algorithm and with join teams off, at threads 1 and 4,
+/// from a resident catalog and from a paged one with the budget forced into
+/// every plan: every engine returns what `iter-generic` does.  A key's
+/// eight-byte image is a prefix here, so an engine that matched or grouped
+/// by image alone would fold these keys together.
+#[test]
+fn wide_char_keys_agree_across_all_engines() {
+    const STATEMENTS: [&str; 6] = [
+        "select p_mfgr, count(*) as n from part group by p_mfgr",
+        "select p_type, count(*) as n, sum(p_retailprice) as s from part group by p_type",
+        "select o_clerk, count(*) as n from orders group by o_clerk",
+        "select c.c_name, count(*) as n from customer c, orders o \
+         where c.c_custkey = o.o_custkey group by c.c_name",
+        "select count(*) as n from supplier a, supplier b where a.s_name = b.s_name",
+        "select a.c_name, c.c_acctbal from customer a, customer b, customer c \
+         where a.c_name = b.c_name and b.c_name = c.c_name",
+    ];
+    let mut configs = vec![
+        PlannerConfig::default(),
+        PlannerConfig::default().with_join_teams(false),
+    ];
+    for join in [
+        JoinAlgorithm::Merge,
+        JoinAlgorithm::Partition,
+        JoinAlgorithm::HybridHashSortMerge,
+    ] {
+        configs.push(PlannerConfig::default().with_join_algorithm(join));
+    }
+    for agg in [
+        AggAlgorithm::Sort,
+        AggAlgorithm::HybridHashSort,
+        AggAlgorithm::Map,
+    ] {
+        configs.push(PlannerConfig::default().with_agg_algorithm(agg));
+    }
+    const BUDGET_PAGES: usize = 64;
+    for (fixture, budget) in [
+        (Fixture::generate(SF).unwrap(), 0),
+        (
+            Fixture::generate_paged(SF, BUDGET_PAGES).unwrap(),
+            BUDGET_PAGES,
+        ),
+    ] {
+        for (i, sql) in STATEMENTS.iter().enumerate() {
+            for config in &configs {
+                for threads in [1, 4] {
+                    let query = RandomQuery {
+                        sql: sql.to_string(),
+                        config: config
+                            .clone()
+                            .with_threads(threads)
+                            .with_memory_budget_pages(budget),
+                        seed: i as u64,
+                    };
+                    let outcome = fixture.check(&query);
+                    assert!(
+                        outcome.divergences.is_empty(),
+                        "budget {budget}, {:?}:\n{}",
+                        query.config,
+                        outcome.divergences[0]
+                    );
+                    assert!(outcome.baseline.num_rows() > 0, "{sql}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

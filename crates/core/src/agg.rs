@@ -83,18 +83,21 @@ impl GlobalGroup {
 /// The value directories of map aggregation (paper Figure 4), grown on
 /// first occurrence during the one scan: per grouping attribute the
 /// distinct key images seen so far, sorted, each with the id it was given
-/// on discovery.  A tuple's ids, weighted by the |M_i| products of Figure
-/// 4(b), are its offset in the dense cell array, which names its group.
+/// on discovery.  An image stands for its value because map aggregation is
+/// planned only over keys whose image is exact
+/// ([`CompiledKey::image_is_exact`]).  A tuple's ids, weighted by the |M_i|
+/// products of Figure 4(b), are its offset in the dense cell array, which
+/// names its group.
 ///
 /// The products are taken over per-attribute *capacities* (powers of two)
 /// rather than the current directory sizes, so the array is laid out again
 /// only when a directory outgrows its capacity — a handful of times per
 /// attribute — and accumulators never move.
 struct MapDirectory {
-    values: Vec<Vec<(i64, u32)>>,
+    values: Vec<Vec<(u64, u32)>>,
     /// Per attribute, a direct-mapped memo of recent `(image, id)` pairs in
     /// front of the directory's binary search.
-    memo: Vec<[(i64, u32); MEMO]>,
+    memo: Vec<[(u64, u32); MEMO]>,
     capacity: Vec<usize>,
     multipliers: Vec<usize>,
     /// Group number + 1 per offset; 0 = no tuple seen yet.
@@ -108,9 +111,9 @@ const NO_ID: u32 = u32::MAX;
 
 /// The id of image `v` in directory `d`, entering it when unseen.
 #[inline(always)]
-fn directory_id(d: &mut Vec<(i64, u32)>, memo: &mut [(i64, u32); MEMO], v: i64) -> u32 {
+fn directory_id(d: &mut Vec<(u64, u32)>, memo: &mut [(u64, u32); MEMO], v: u64) -> u32 {
     // Fibonacci hashing: the top bits of the product.
-    let slot = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.ilog2());
+    let slot = v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO.ilog2());
     let memo = &mut memo[slot as usize];
     if memo.0 != v || memo.1 == NO_ID {
         let id = match d.binary_search_by_key(&v, |&(value, _)| value) {
@@ -146,9 +149,9 @@ impl MapDirectory {
     /// in group order) and the sweeps repeat as pure lookups.
     fn offsets(
         &mut self,
-        images: &[Vec<i64>],
+        images: &[Vec<u64>],
         rows: &[u32],
-        groups: &[i64],
+        groups: &[u64],
         offsets: &mut Vec<usize>,
     ) -> Result<()> {
         if !self.probe(images, rows, offsets) {
@@ -161,7 +164,7 @@ impl MapDirectory {
     /// The sweeps of [`MapDirectory::offsets`] under the current layout;
     /// whether every directory still fits its capacity (when not, the
     /// offsets are meaningless until [`MapDirectory::grow`] ran).
-    fn probe(&mut self, images: &[Vec<i64>], rows: &[u32], offsets: &mut Vec<usize>) -> bool {
+    fn probe(&mut self, images: &[Vec<u64>], rows: &[u32], offsets: &mut Vec<usize>) -> bool {
         offsets.clear();
         offsets.resize(rows.len(), 0);
         let mut fits = true;
@@ -180,7 +183,7 @@ impl MapDirectory {
     /// error: map aggregation was planned for domains the data has
     /// outgrown.
     #[cold]
-    fn grow(&mut self, groups: &[i64]) -> Result<()> {
+    fn grow(&mut self, groups: &[u64]) -> Result<()> {
         for (cap, d) in self.capacity.iter_mut().zip(&self.values) {
             *cap = d.len().next_power_of_two();
         }
@@ -233,13 +236,13 @@ struct MapGroups<'a> {
     agg: &'a CompiledAgg,
     fold: PageFold,
     dir: MapDirectory,
-    images: Vec<i64>,
+    images: Vec<u64>,
     accums: GroupAccums,
     representatives: Vec<u8>,
     tuples: u64,
     // Scratch of one page: per attribute the rows' key images, then the
     // key runs and each run's cell offset and group number.
-    lanes: Vec<Vec<i64>>,
+    lanes: Vec<Vec<u64>>,
     runs: KeyRuns,
     offsets: Vec<usize>,
     groups: Vec<u32>,
@@ -375,11 +378,7 @@ impl<'a> SortScan<'a> {
         stats.tuples_processed += rows as u64;
         stats.bytes_touched += (rows * ts) as u64;
         stats.comparisons += ((rows - 1 + carried as usize) * agg.group_keys.len()) as u64;
-        self.runs.begin(rows);
-        for key in &agg.group_keys {
-            key.mark_changes(page, ts, self.runs.boundaries_mut());
-        }
-        self.runs.finish();
+        self.runs.cut_records(&agg.group_keys, page, ts);
         // Run `i` is group `i` of the page, after the carried group unless
         // the first run continues it.
         let continues = carried && compare_keys(&agg.group_keys, &self.last, record(0)).is_eq();
@@ -1024,11 +1023,11 @@ mod tests {
         let mut stats = ExecStats::new();
         stats.add_calls(1);
 
-        let mut dirs: Vec<Vec<i64>> = vec![Vec::new(); keys.len()];
+        let mut dirs: Vec<Vec<u64>> = vec![Vec::new(); keys.len()];
         for rec in &records {
             for (d, k) in dirs.iter_mut().zip(&keys) {
-                if let Err(pos) = d.binary_search(&k.as_i64(rec)) {
-                    d.insert(pos, k.as_i64(rec));
+                if let Err(pos) = d.binary_search(&k.order_image(rec)) {
+                    d.insert(pos, k.order_image(rec));
                 }
             }
         }
@@ -1049,7 +1048,7 @@ mod tests {
                 let mut offset = 0usize;
                 for ((d, k), m) in dirs.iter().zip(&keys).zip(&multipliers) {
                     stats.comparisons += (d.len().max(2) as f64).log2().ceil() as u64;
-                    offset += d.binary_search(&k.as_i64(rec)).unwrap() * m;
+                    offset += d.binary_search(&k.order_image(rec)).unwrap() * m;
                 }
                 for (acc, arg) in local[offset].iter_mut().zip(&args) {
                     match arg {
@@ -1340,16 +1339,16 @@ mod tests {
     /// ordered map, merged in chunk order, one row per group in image order.
     fn row_at_a_time_map(agg: &CompiledAgg, records: &[&[u8]], threads: usize) -> Vec<Row> {
         use std::collections::BTreeMap;
-        let mut merged: BTreeMap<Vec<i64>, (usize, usize)> = BTreeMap::new();
+        let mut merged: BTreeMap<Vec<u64>, (usize, usize)> = BTreeMap::new();
         let mut accums = agg.fresh_accums();
         for range in chunk_ranges(records.len(), threads) {
-            let mut groups: BTreeMap<Vec<i64>, (usize, usize)> = BTreeMap::new();
+            let mut groups: BTreeMap<Vec<u64>, (usize, usize)> = BTreeMap::new();
             let mut local = agg.fresh_accums();
             for i in range {
-                let images: Vec<i64> = agg
+                let images: Vec<u64> = agg
                     .group_keys
                     .iter()
-                    .map(|k| k.as_i64(records[i]))
+                    .map(|k| k.order_image(records[i]))
                     .collect();
                 let (g, _) = *groups
                     .entry(images)

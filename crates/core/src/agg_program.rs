@@ -46,6 +46,8 @@ use hique_sql::ast::{AggFunc, BinOp};
 use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at};
 use hique_types::{DataType, HiqueError, Result, Schema, Value};
 
+use crate::kernel::CompiledKey;
+
 /// One node of the register DAG; node `i` defines register `i`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggNode {
@@ -298,8 +300,8 @@ macro_rules! with_sum_lanes {
 /// The rows of one page cut into **key runs**: maximal stretches of
 /// consecutive rows that agree on every grouping attribute — rows of one
 /// group, which therefore looks its group up once.  A cut is one boundary
-/// sweep per attribute: over its key images ([`KeyRuns::cut`]), or a
-/// kernel's own sweeps between [`KeyRuns::begin`] and [`KeyRuns::finish`].
+/// sweep per attribute: over its key images where they are the whole keys
+/// ([`KeyRuns::cut`]), or over its key bytes ([`KeyRuns::cut_records`]).
 #[derive(Debug, Clone, Default)]
 pub struct KeyRuns {
     /// Per row, whether a run starts there.
@@ -318,7 +320,7 @@ impl KeyRuns {
 
     /// Cut a page of `rows` rows by its key images: `images[i][r]` is row
     /// `r`'s image of grouping attribute `i`.
-    pub fn cut(&mut self, images: &[Vec<i64>], rows: usize) {
+    pub fn cut(&mut self, images: &[Vec<u64>], rows: usize) {
         self.begin(rows);
         for lane in images {
             let pairs = lane[..rows].windows(2);
@@ -329,8 +331,18 @@ impl KeyRuns {
         self.finish();
     }
 
+    /// Cut a packed page (`page`, records of `ts` bytes) by the key bytes of
+    /// `keys`: a run ends where any key field differs from the row before.
+    pub fn cut_records(&mut self, keys: &[CompiledKey], page: &[u8], ts: usize) {
+        self.begin(page.len() / ts);
+        for key in keys {
+            key.mark_changes(page, ts, &mut self.boundaries);
+        }
+        self.finish();
+    }
+
     /// Start cutting a page of `rows` rows: one run so far.
-    pub fn begin(&mut self, rows: usize) {
+    fn begin(&mut self, rows: usize) {
         self.boundaries.clear();
         self.boundaries.resize(rows, false);
         if let Some(first) = self.boundaries.first_mut() {
@@ -338,15 +350,9 @@ impl KeyRuns {
         }
     }
 
-    /// Per row, whether a run starts there; a sweep sets the flag of every
-    /// row after the first that differs from its predecessor.
-    pub fn boundaries_mut(&mut self) -> &mut [bool] {
-        &mut self.boundaries
-    }
-
     /// Number the runs.  Branch-free: every row is written as the start of
     /// a run and kept by advancing the cursor.
-    pub fn finish(&mut self) {
+    fn finish(&mut self) {
         let rows = self.boundaries.len();
         self.starts.clear();
         self.starts.resize(rows, 0);
@@ -951,7 +957,7 @@ mod tests {
                 assert_eq!(fold.fill(&records[at..at + len].concat()), len);
                 // The group number itself as the one key image.
                 let images = [(at..at + len)
-                    .map(|i| group_of(i) as i64)
+                    .map(|i| group_of(i) as u64)
                     .collect::<Vec<_>>()];
                 runs.cut(&images, len);
                 let ids: Vec<u32> = runs

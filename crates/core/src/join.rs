@@ -167,29 +167,30 @@ fn merge_buffers(
     let mut li = 0usize;
     let mut rj = 0usize;
     let mut comparisons: u64 = 0;
+    let lrec = |i: usize| &lbuf[i * lts..(i + 1) * lts];
+    let rrec = |j: usize| &rbuf[j * rts..(j + 1) * rts];
     while li < nl && rj < nr {
-        let lrec = &lbuf[li * lts..(li + 1) * lts];
-        let rrec = &rbuf[rj * rts..(rj + 1) * rts];
         comparisons += 1;
-        match left_key.as_i64(lrec).cmp(&right_key.as_i64(rrec)) {
+        match left_key.compare_across(lrec(li), &right_key, rrec(rj)) {
             std::cmp::Ordering::Less => li += 1,
             std::cmp::Ordering::Greater => rj += 1,
             std::cmp::Ordering::Equal => {
                 // Found a group of matching inner tuples: scan it for this
                 // outer tuple, then backtrack for the following outer tuples
-                // with the same key.
+                // with the same key (that of `head`).
                 let group_start = rj;
-                let lkey = left_key.as_i64(lrec);
+                let head = lrec(li);
+                let in_group = |key: &CompiledKey, rec: &[u8]| {
+                    key.compare_across(rec, &left_key, head).is_eq()
+                };
                 loop {
-                    let lrec = &lbuf[li * lts..(li + 1) * lts];
                     let mut k = group_start;
                     while k < nr {
-                        let rrec = &rbuf[k * rts..(k + 1) * rts];
                         comparisons += 1;
-                        if right_key.as_i64(rrec) != lkey {
+                        if !in_group(&right_key, rrec(k)) {
                             break;
                         }
-                        consumer(lrec, rrec);
+                        consumer(lrec(li), rrec(k));
                         k += 1;
                     }
                     li += 1;
@@ -197,13 +198,13 @@ fn merge_buffers(
                         break;
                     }
                     comparisons += 1;
-                    if left_key.as_i64(&lbuf[li * lts..(li + 1) * lts]) != lkey {
+                    if !in_group(&left_key, lrec(li)) {
                         break;
                     }
                 }
                 rj = group_start;
                 // Skip the exhausted inner group.
-                while rj < nr && right_key.as_i64(&rbuf[rj * rts..(rj + 1) * rts]) == lkey {
+                while rj < nr && in_group(&right_key, rrec(rj)) {
                     rj += 1;
                 }
             }
@@ -338,16 +339,16 @@ fn fine_directory_of(
     input: &StagedInput,
     key: CompiledKey,
     stats: &mut ExecStats,
-) -> (BTreeMap<i64, usize>, Option<Vec<Vec<u8>>>) {
+) -> (BTreeMap<u64, usize>, Option<Vec<Vec<u8>>>) {
     if let Some(dir) = &input.fine_directory {
         return (dir.clone(), None);
     }
     stats.partition_passes += 1;
-    let mut dir: BTreeMap<i64, usize> = BTreeMap::new();
+    let mut dir: BTreeMap<u64, usize> = BTreeMap::new();
     let mut parts: Vec<Vec<u8>> = Vec::new();
     for rec in input.relation.records() {
         stats.add_hashes(1);
-        let k = key.as_i64(rec);
+        let k = key.order_image(rec);
         let next = parts.len();
         let p = *dir.entry(k).or_insert_with(|| {
             parts.push(Vec::new());
@@ -418,15 +419,22 @@ fn team_join_partition(
                 break 'outer;
             }
         }
-        // Target key: the maximum of the current keys; advance every input
-        // up to it.
-        let mut target = keys[0].as_i64(rec(0, pos[0]));
+        // Target key: the maximum of the current keys, input `t`'s; advance
+        // every input up to it.
+        let mut t = 0;
         for i in 1..k {
-            target = target.max(keys[i].as_i64(rec(i, pos[i])));
+            if keys[i]
+                .compare_across(rec(i, pos[i]), &keys[t], rec(t, pos[t]))
+                .is_gt()
+            {
+                t = i;
+            }
         }
+        let target = rec(t, pos[t]);
+        let to_target = |i: usize, idx| keys[i].compare_across(rec(i, idx), &keys[t], target);
         let mut all_match = true;
         for i in 0..k {
-            while pos[i] < counts[i] && keys[i].as_i64(rec(i, pos[i])) < target {
+            while pos[i] < counts[i] && to_target(i, pos[i]).is_lt() {
                 stats.comparisons += 1;
                 pos[i] += 1;
             }
@@ -434,7 +442,7 @@ fn team_join_partition(
                 break 'outer;
             }
             stats.comparisons += 1;
-            if keys[i].as_i64(rec(i, pos[i])) != target {
+            if to_target(i, pos[i]).is_ne() {
                 all_match = false;
             }
         }
@@ -445,7 +453,7 @@ fn team_join_partition(
         let mut ends = vec![0usize; k];
         for i in 0..k {
             let mut e = pos[i];
-            while e < counts[i] && keys[i].as_i64(rec(i, e)) == target {
+            while e < counts[i] && to_target(i, e).is_eq() {
                 e += 1;
             }
             ends[i] = e;

@@ -54,46 +54,14 @@ macro_rules! with_order_image {
                 let $image = move |r: &[u8]| image_f64(read_f64_at(r, off));
                 $body
             }
+            // Flags are one byte wide.
+            DataType::Char(1) => {
+                let $image = move |r: &[u8]| (r[off] as u64) << 56;
+                $body
+            }
             DataType::Char(_) => {
                 let end = off + $key.width.min(8);
                 let $image = move |r: &[u8]| image_bytes(&r[off..end]);
-                $body
-            }
-        }
-    }};
-}
-
-/// Evaluate `$body` with `$image` bound to a closure computing
-/// [`CompiledKey::as_i64`] for `$key`, resolved on the key's type once.
-macro_rules! with_i64_image {
-    ($key:expr, |$image:ident| $body:expr) => {{
-        let off = $key.offset;
-        match $key.dtype {
-            DataType::Int32 | DataType::Date => {
-                let $image = move |r: &[u8]| read_i32_at(r, off) as i64;
-                $body
-            }
-            DataType::Int64 => {
-                let $image = move |r: &[u8]| read_i64_at(r, off);
-                $body
-            }
-            DataType::Float64 => {
-                // Order-preserving mapping of f64 to i64.
-                let $image = move |r: &[u8]| {
-                    let bits = read_f64_at(r, off).to_bits() as i64;
-                    bits ^ (((bits >> 63) as u64) >> 1) as i64
-                };
-                $body
-            }
-            // First `min(width, 8)` bytes, big-endian, zero-padded; flags
-            // are one byte wide.
-            DataType::Char(1) => {
-                let $image = move |r: &[u8]| ((r[off] as u64) << 56) as i64;
-                $body
-            }
-            DataType::Char(_) => {
-                let end = off + $key.width.min(8);
-                let $image = move |r: &[u8]| image_bytes(&r[off..end]) as i64;
                 $body
             }
         }
@@ -498,27 +466,25 @@ pub struct CompiledKey {
 }
 
 impl CompiledKey {
-    /// Key accessor for column `column` of `schema`.
-    pub fn compile(schema: &Schema, column: usize) -> Self {
+    /// Key accessor for a `dtype` field at byte `offset` of a record.
+    pub fn at(offset: usize, dtype: DataType) -> Self {
+        let width = dtype.width();
         CompiledKey {
-            offset: schema.offset(column),
-            width: schema.column(column).dtype.width(),
-            dtype: schema.column(column).dtype,
+            offset,
+            width,
+            dtype,
         }
     }
 
-    /// Key as `i64` (integers and dates; float keys are ordered by their
-    /// IEEE total order, strings by their first 8 bytes — sufficient for
-    /// partitioning and exact for the workloads' integer join keys).
-    #[inline(always)]
-    pub fn as_i64(&self, record: &[u8]) -> i64 {
-        with_i64_image!(self, |image| image(record))
+    /// Key accessor for column `column` of `schema`.
+    pub fn compile(schema: &Schema, column: usize) -> Self {
+        Self::at(schema.offset(column), schema.column(column).dtype)
     }
 
-    /// Append [`CompiledKey::as_i64`] of every record of a packed buffer to
-    /// `out`, the key's type resolved once for the whole sweep.
-    pub fn images_into(&self, buf: &[u8], ts: usize, out: &mut Vec<i64>) {
-        with_i64_image!(self, |image| out.extend(buf.chunks_exact(ts).map(image)))
+    /// Append [`CompiledKey::order_image`] of every record of a packed
+    /// buffer to `out`, the key's type resolved once for the whole sweep.
+    pub fn images_into(&self, buf: &[u8], ts: usize, out: &mut Vec<u64>) {
+        with_order_image!(self, |image| out.extend(buf.chunks_exact(ts).map(image)))
     }
 
     /// Set `changed[i]` for every record `i > 0` of a packed buffer that
@@ -553,10 +519,11 @@ impl CompiledKey {
         }
     }
 
-    /// Order-preserving `u64` image of the key: unsigned order of the
-    /// images agrees with [`CompiledKey::compare`], and equals it when
-    /// [`CompiledKey::image_is_exact`].  (Unlike [`CompiledKey::as_i64`],
-    /// whose string images order bytes ≥ 0x80 first.)
+    /// Order-preserving `u64` image of the key — the one image every
+    /// kernel orders, hashes, partitions and indexes by: unsigned order of
+    /// the images never contradicts [`CompiledKey::compare`], and equals it
+    /// when [`CompiledKey::image_is_exact`].  Equal images are equal keys
+    /// only then.
     #[inline(always)]
     pub fn order_image(&self, record: &[u8]) -> u64 {
         with_order_image!(self, |image| image(record))
@@ -572,11 +539,12 @@ impl CompiledKey {
             .collect())
     }
 
-    /// Whether [`CompiledKey::order_image`] is the whole key: false only
-    /// for strings wider than eight bytes, whose image is a prefix and
-    /// whose ties must fall back to [`CompiledKey::compare`].
+    /// Whether [`CompiledKey::order_image`] is the whole key
+    /// ([`DataType::has_exact_key_image`]): false only for strings wider
+    /// than eight bytes, whose image is a prefix and whose ties must fall
+    /// back to the key bytes.
     pub fn image_is_exact(&self) -> bool {
-        self.width <= 8
+        self.dtype.has_exact_key_image()
     }
 
     /// Compare the key field of two records.
@@ -595,17 +563,26 @@ impl CompiledKey {
         }
     }
 
-    /// Whether the key fields of two records are equal.
+    /// Compare this key of `a` with `other`'s key of `b`, where the two
+    /// records may have different layouts (the two sides of a join): by
+    /// order image, with a tie broken on the key bytes when either image
+    /// is not the whole key.
     #[inline(always)]
-    pub fn equals(&self, a: &[u8], b: &[u8]) -> bool {
-        self.compare(a, b) == std::cmp::Ordering::Equal
+    pub fn compare_across(&self, a: &[u8], other: &CompiledKey, b: &[u8]) -> std::cmp::Ordering {
+        let ord = self.order_image(a).cmp(&other.order_image(b));
+        if ord.is_ne() || (self.image_is_exact() && other.image_is_exact()) {
+            return ord;
+        }
+        let (x, y) = (self.offset, other.offset);
+        a[x..x + self.width].cmp(&b[y..y + other.width])
     }
 
-    /// Multiplicative hash of the key (for coarse partitioning).
+    /// Multiplicative hash of the key (for coarse partitioning): equal keys
+    /// hash equally.
     #[inline(always)]
     pub fn hash(&self, record: &[u8]) -> u64 {
-        // Fibonacci hashing over the integer image of the key.
-        (self.as_i64(record) as u64).wrapping_mul(0x9E3779B97F4A7C15)
+        // Fibonacci hashing over the order image of the key.
+        self.order_image(record).wrapping_mul(0x9E3779B97F4A7C15)
     }
 
     /// Decode the key field into a boxed [`Value`] (used only when building
@@ -855,18 +832,109 @@ mod tests {
         assert_eq!(ki.compare(&a, &b), std::cmp::Ordering::Less);
         assert_eq!(kf.compare(&a, &b), std::cmp::Ordering::Greater);
         assert_eq!(ks.compare(&a, &b), std::cmp::Ordering::Less);
-        assert!(kd.equals(&a, &b));
-        assert_eq!(ki.as_i64(&a), 1);
-        assert_eq!(kd.as_i64(&b), 10);
+        assert!(kd.compare(&a, &b).is_eq());
+        assert_eq!(ki.order_image(&a), 1 ^ (1 << 63));
+        assert_eq!(kd.order_image(&b), 10 ^ (1 << 63));
         assert_ne!(ki.hash(&a), ki.hash(&b));
         assert_eq!(kd.hash(&a), kd.hash(&b));
         assert_eq!(ki.value(&a), Value::Int32(1));
         assert_eq!(ks.value(&b), Value::Str("ab".into()));
         assert_eq!(kd.value(&a), Value::Date(10));
-        // Float ordering through the i64 image is consistent with compare.
-        assert!(kf.as_i64(&b) < kf.as_i64(&a));
+        // Float ordering through the image is consistent with compare.
+        assert!(kf.order_image(&b) < kf.order_image(&a));
         // Multi-key comparison falls through equal prefixes.
         assert_eq!(compare_keys(&[kd, ki], &a, &b), std::cmp::Ordering::Less);
         assert_eq!(compare_keys(&[kd], &a, &b), std::cmp::Ordering::Equal);
+    }
+
+    /// Every key type — integers at their extremes, dates, floats with
+    /// signed zeros, infinities and NaN, and `Char(1)`, `Char(8)` and
+    /// `Char(12)` strings sharing prefixes and holding bytes ≥ 0x80 — against
+    /// every other: the image order never contradicts `compare` and equals
+    /// it when the image is exact, equal keys hash equally, the cross-record
+    /// comparator is `compare`, and the page sweep is the record image.
+    #[test]
+    fn key_images_order_hash_and_compare_like_the_keys() {
+        let s = Schema::new(vec![
+            Column::new("i", DataType::Int32),
+            Column::new("l", DataType::Int64),
+            Column::new("f", DataType::Float64),
+            Column::new("d", DataType::Date),
+            Column::new("c1", DataType::Char(1)),
+            Column::new("c8", DataType::Char(8)),
+            Column::new("c12", DataType::Char(12)),
+        ]);
+        let ints = [i32::MIN, -7, -1, 0, 1, 7, i32::MAX];
+        let longs = [i64::MIN, -(1 << 40), -1, 0, 1, 1 << 40, i64::MAX];
+        let floats = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let tail = [b' ', b'a', b'z', 0x80, 0xff];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let records: Vec<Vec<u8>> = (0..200)
+            .map(|_| {
+                let mut rec = encode_record(
+                    &s,
+                    &[
+                        Value::Int32(ints[next(ints.len())]),
+                        Value::Int64(longs[next(longs.len())]),
+                        Value::Float64(floats[next(floats.len())]),
+                        Value::Date(ints[next(ints.len())]),
+                        Value::Str(String::new()),
+                        Value::Str(String::new()),
+                        Value::Str(String::new()),
+                    ],
+                )
+                .unwrap();
+                // "Manufacturer" cut to the column, one byte (or none)
+                // replaced: twelve-byte keys often differ only past their
+                // eight-byte image.
+                for c in 4..7 {
+                    let (off, w) = (s.offset(c), s.column(c).dtype.width());
+                    rec[off..off + w].copy_from_slice(&b"Manufacturer"[..w]);
+                    if next(4) > 0 {
+                        rec[off + next(w)] = tail[next(tail.len())];
+                    }
+                }
+                rec
+            })
+            .collect();
+        let page = records.concat();
+        for column in 0..s.len() {
+            let key = CompiledKey::compile(&s, column);
+            assert_eq!(key.image_is_exact(), column != 6, "column {column}");
+            let mut lane = Vec::new();
+            key.images_into(&page, s.tuple_size(), &mut lane);
+            for (a, &image) in records.iter().zip(&lane) {
+                assert_eq!(image, key.order_image(a), "column {column}: sweep");
+                for b in &records {
+                    let (by_key, by_image) = (
+                        key.compare(a, b),
+                        key.order_image(a).cmp(&key.order_image(b)),
+                    );
+                    if key.image_is_exact() {
+                        assert_eq!(by_image, by_key, "column {column}: exact image");
+                    } else {
+                        assert!(by_image.is_eq() || by_image == by_key, "column {column}");
+                    }
+                    if by_key.is_eq() {
+                        assert_eq!(key.hash(a), key.hash(b), "column {column}: hash");
+                    }
+                    assert_eq!(key.compare_across(a, &key, b), by_key, "column {column}");
+                }
+            }
+        }
     }
 }

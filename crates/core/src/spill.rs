@@ -37,7 +37,7 @@ use crate::staging::StagedInput;
 pub struct SpilledInput {
     schema: Schema,
     parts: Vec<SpillHandle>,
-    fine_directory: Option<BTreeMap<i64, usize>>,
+    fine_directory: Option<BTreeMap<u64, usize>>,
 }
 
 /// A staged input that is either memory-resident or spilled to the pool.
@@ -181,7 +181,7 @@ mod tests {
         }
         StagedInput {
             relation: rel,
-            fine_directory: Some((0..3i64).map(|k| (k, k as usize)).collect()),
+            fine_directory: Some((0..3u64).map(|k| (k, k as usize)).collect()),
         }
     }
 

@@ -26,8 +26,9 @@ use crate::relation::{merge_sorted_runs, StagedRelation};
 pub struct StagedInput {
     /// The staged records (partitioned according to the strategy).
     pub relation: StagedRelation,
-    /// Fine-partitioning directory: key value (as `i64` image) → partition.
-    pub fine_directory: Option<BTreeMap<i64, usize>>,
+    /// Fine-partitioning directory: key value (as its order image, exact
+    /// for every key fine partitioning is planned over) → partition.
+    pub fine_directory: Option<BTreeMap<u64, usize>>,
 }
 
 impl StagedInput {
@@ -165,8 +166,8 @@ impl ScanKernels {
 /// value→partition directory, the key values in first-occurrence order, and
 /// the local partition buffers.
 struct FineChunk {
-    directory: BTreeMap<i64, usize>,
-    order: Vec<i64>,
+    directory: BTreeMap<u64, usize>,
+    order: Vec<u64>,
     parts: Vec<Vec<u8>>,
     stats: ExecStats,
 }
@@ -342,7 +343,7 @@ pub fn stage_table(
                             // binary search of the paper, realised as an ordered map).
                             local.add_hashes((out.len() / out_width) as u64);
                             for rec in out.chunks_exact(out_width) {
-                                let k = key.as_i64(rec);
+                                let k = key.order_image(rec);
                                 let next = parts.len();
                                 let p = *directory.entry(k).or_insert_with(|| {
                                     parts.push(Vec::new());
@@ -563,12 +564,13 @@ mod tests {
         assert_eq!(dir.len(), 25);
         assert_eq!(staged.relation.num_partitions(), 25);
         // Every partition holds exactly the rows of its key value.
+        let key = CompiledKey::compile(staged.relation.schema(), 0);
         for (&k, &p) in dir {
             assert_eq!(staged.relation.partition_len(p), 20, "key {k}");
             assert!(staged
                 .relation
                 .partition_records(p)
-                .all(|r| hique_types::tuple::read_i32_at(r, 0) as i64 == k));
+                .all(|r| key.order_image(r) == k));
         }
     }
 
@@ -801,12 +803,12 @@ mod tests {
                 StagingStrategy::PartitionFine { key_column, .. } => {
                     let key = key(*key_column);
                     stats.partition_passes += 1;
-                    let mut dir: BTreeMap<i64, usize> = BTreeMap::new();
+                    let mut dir: BTreeMap<u64, usize> = BTreeMap::new();
                     let mut parts: Vec<Vec<u8>> = Vec::new();
                     scan(heap, desc, stats, |rec, stats| {
                         stats.add_hashes(1);
                         let next = parts.len();
-                        let p = *dir.entry(key.as_i64(rec)).or_insert_with(|| {
+                        let p = *dir.entry(key.order_image(rec)).or_insert_with(|| {
                             parts.push(Vec::new());
                             next
                         });

@@ -58,20 +58,15 @@ impl ColumnData {
         }
     }
 
-    /// Value at position `i` as an `i64` key image (strings hash by prefix).
+    /// The join or grouping key at position `i`: the whole value, a float's
+    /// by its bits (`-0.0` and `0.0` are two keys, a NaN is itself).
     #[inline]
-    pub fn key_at(&self, i: usize) -> i64 {
+    pub fn key_at(&self, i: usize) -> Key<'_> {
         match self {
-            ColumnData::I32(v) => v[i] as i64,
-            ColumnData::I64(v) => v[i],
-            ColumnData::F64(v) => v[i].to_bits() as i64,
-            ColumnData::Str(v) => {
-                let bytes = v[i].as_bytes();
-                let mut buf = [0u8; 8];
-                let n = bytes.len().min(8);
-                buf[..n].copy_from_slice(&bytes[..n]);
-                i64::from_be_bytes(buf)
-            }
+            ColumnData::I32(v) => Key::Int(v[i] as i64),
+            ColumnData::I64(v) => Key::Int(v[i]),
+            ColumnData::F64(v) => Key::Int(v[i].to_bits() as i64),
+            ColumnData::Str(v) => Key::Str(&v[i]),
         }
     }
 
@@ -108,6 +103,15 @@ impl ColumnData {
             }
         }
     }
+}
+
+/// A key read from a column ([`ColumnData::key_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Key<'a> {
+    /// An integer or date, or a float's bits.
+    Int(i64),
+    /// A string.
+    Str(&'a str),
 }
 
 /// A vertically decomposed table.
@@ -264,7 +268,7 @@ mod tests {
         assert_eq!(g, ColumnData::I32(vec![3, 5, 7]));
         let gs = store.columns[2].gather(&sel);
         assert_eq!(gs.len(), 3);
-        assert_eq!(store.columns[0].key_at(42), 42);
+        assert_eq!(store.columns[0].key_at(42), Key::Int(42));
         assert_ne!(store.columns[2].key_at(0), store.columns[2].key_at(1));
         assert_eq!(store.columns[2].key_at(0), store.columns[2].key_at(3));
     }

@@ -28,7 +28,7 @@ use hique_types::{
     Result, Row, Value,
 };
 
-use crate::column::{ColumnData, ColumnStore, DsmDatabase};
+use crate::column::{ColumnData, ColumnStore, DsmDatabase, Key};
 
 /// A `u32` intermediate vector (selection or alignment) that is either
 /// memory-resident or spilled through the buffer pool.
@@ -166,7 +166,7 @@ pub fn execute_plan_cancellable(
 
         // Build a hash table over the right side's selected rows.
         let right_col = &stores[right_table].columns[right_base_col];
-        let mut table: HashMap<i64, Vec<u32>> = HashMap::new();
+        let mut table: HashMap<Key<'_>, Vec<u32>> = HashMap::new();
         for &rid in &selections[right_table] {
             stats.add_hashes(1);
             table
@@ -291,10 +291,10 @@ pub fn execute_plan_cancellable(
             min: f64,
             max: f64,
         }
-        let mut groups: HashMap<Vec<i64>, (Vec<Value>, Vec<Acc>)> = HashMap::new();
+        let mut groups: HashMap<Vec<Key<'_>>, (Vec<Value>, Vec<Acc>)> = HashMap::new();
         for i in 0..output_len {
             stats.tuples_processed += 1;
-            let key: Vec<i64> = group_cols.iter().map(|(c, _)| c.key_at(i)).collect();
+            let key: Vec<Key<'_>> = group_cols.iter().map(|(c, _)| c.key_at(i)).collect();
             stats.add_hashes(1);
             let entry = groups.entry(key).or_insert_with(|| {
                 (

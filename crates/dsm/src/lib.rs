@@ -21,5 +21,5 @@
 pub mod column;
 pub mod exec;
 
-pub use column::{ColumnData, ColumnStore, DsmDatabase};
+pub use column::{ColumnData, ColumnStore, DsmDatabase, Key};
 pub use exec::{execute_plan, execute_plan_cancellable};

@@ -13,9 +13,15 @@ use crate::physical::{AggAlgorithm, JoinAlgorithm};
 pub struct PlannerConfig {
     /// Size of the second-level cache in bytes (paper's testbed: 2 MiB).
     pub l2_cache_bytes: usize,
-    /// Force every join to use this algorithm (benchmarks only).
+    /// Force every join to use this algorithm (benchmarks only).  A forced
+    /// `Partition` over a key whose order image is not the whole key (a
+    /// string wider than eight bytes,
+    /// [`hique_types::DataType::has_exact_key_image`]) and over a join team
+    /// plans `HybridHashSortMerge` instead.
     pub force_join_algorithm: Option<JoinAlgorithm>,
-    /// Force aggregation to use this algorithm (benchmarks only).
+    /// Force aggregation to use this algorithm (benchmarks only).  A forced
+    /// `Map` over a grouping key whose order image is not the whole key
+    /// plans `HybridHashSort` instead: value directories index by image.
     pub force_agg_algorithm: Option<AggAlgorithm>,
     /// Allow multi-way joins over a common key to be fused into a join team
     /// (paper §V-B, Figure 7(b)).

@@ -195,10 +195,16 @@ pub fn plan_query(
             let left_bytes = current_est.saturating_mul(staged_width(left_table));
             let right_bytes = estimated_rows[table].saturating_mul(staged_width(table));
             let key_distinct = stats[table].distinct_or(right_col_base, usize::MAX);
+            // Fine partitioning indexes its value directories by key image,
+            // which stands for the key only when it is the whole key.
+            let exact = [(table, right_col_base), (left_table, left_col_base)]
+                .iter()
+                .all(|&(t, c)| bound.tables[t].schema.column(c).dtype.has_exact_key_image());
             let algorithm = match config.force_join_algorithm {
+                Some(JoinAlgorithm::Partition) if !exact => JoinAlgorithm::HybridHashSortMerge,
                 Some(a) => a,
                 None => {
-                    if key_distinct <= FINE_PARTITION_LIMIT {
+                    if exact && key_distinct <= FINE_PARTITION_LIMIT {
                         JoinAlgorithm::Partition
                     } else if left_bytes <= config.l2_cache_bytes
                         && right_bytes <= config.l2_cache_bytes
@@ -312,23 +318,24 @@ pub fn plan_query(
             }
         });
 
+        // Map aggregation's value directories index by key image, which
+        // stands for the key only when it is the whole key.
+        let exact = bound
+            .group_by
+            .iter()
+            .all(|&g| bound.combined_schema.column(g).dtype.has_exact_key_image());
         let algorithm = match config.force_agg_algorithm {
+            Some(AggAlgorithm::Map) if !exact => AggAlgorithm::HybridHashSort,
             Some(a) => a,
-            None => {
-                if group_columns.is_empty() {
-                    // A single global group: map aggregation degenerates to a
-                    // handful of accumulators.
+            None => match total_groups {
+                // A single global group: map aggregation degenerates to a
+                // handful of accumulators.
+                _ if group_columns.is_empty() => AggAlgorithm::Map,
+                Some(groups) if exact && groups <= config.map_agg_group_limit(aggregates.len()) => {
                     AggAlgorithm::Map
-                } else if let Some(groups) = total_groups {
-                    if groups <= config.map_agg_group_limit(aggregates.len()) {
-                        AggAlgorithm::Map
-                    } else {
-                        AggAlgorithm::HybridHashSort
-                    }
-                } else {
-                    AggAlgorithm::HybridHashSort
                 }
-            }
+                _ => AggAlgorithm::HybridHashSort,
+            },
         };
 
         Some(AggregateSpec {
@@ -709,6 +716,45 @@ mod tests {
             )
             .unwrap();
             assert_eq!(p.joins[0].algorithm, algo);
+        }
+    }
+
+    #[test]
+    fn value_directories_are_never_planned_over_a_wide_string_key() {
+        let cat = catalog();
+        let fine = |p: &PhysicalPlan| {
+            p.joins
+                .iter()
+                .any(|j| j.algorithm == JoinAlgorithm::Partition)
+                || p.staged
+                    .iter()
+                    .any(|st| matches!(st.strategy, StagingStrategy::PartitionFine { .. }))
+        };
+        let join = |key: &str| {
+            format!("select a.c_custkey from customer a, customer b where a.{key} = b.{key}")
+        };
+        let group = "select c_mktsegment, count(*) as n from customer group by c_mktsegment";
+        for (config, join_algorithm) in [
+            // Both sides fit the cache: merge instead of fine partitioning.
+            (PlannerConfig::default(), JoinAlgorithm::Merge),
+            (
+                PlannerConfig::default()
+                    .with_join_algorithm(JoinAlgorithm::Partition)
+                    .with_agg_algorithm(AggAlgorithm::Map),
+                JoinAlgorithm::HybridHashSortMerge,
+            ),
+        ] {
+            // `c_mktsegment` is a Char(10) of two values: a small domain,
+            // but its eight-byte image is not the whole key.
+            let p = plan_sql(&join("c_mktsegment"), &cat, &config).unwrap();
+            assert!(!fine(&p), "{config:?}");
+            assert_eq!(p.joins[0].algorithm, join_algorithm);
+            let p = plan_sql(group, &cat, &config).unwrap();
+            let agg = p.aggregate.as_ref().unwrap();
+            assert_eq!(agg.algorithm, AggAlgorithm::HybridHashSort, "{config:?}");
+            // An integer key of a small domain keeps its directories.
+            let p = plan_sql(&join("c_custkey"), &cat, &config).unwrap();
+            assert!(fine(&p), "{config:?}");
         }
     }
 

@@ -12,8 +12,9 @@
 //! closing the pipe from a supervisor).
 //!
 //! `--smoke` is the CI entry point: it binds an ephemeral port, runs a
-//! battery of real-TCP queries (including repeated shapes, an engine
-//! switch, and a deliberate error), verifies the responses and the plan
+//! battery of real-TCP queries (including repeated shapes, engine
+//! switches, a wide string key grouped on three engines, and a deliberate
+//! error), verifies the responses and the plan
 //! cache counters, shuts the server down cleanly, and exits nonzero on
 //! any failure.
 
@@ -219,6 +220,33 @@ fn run_smoke() -> Result<(), String> {
         }
         if stats.hits < 6 {
             return Err(format!("expected >= 6 cache hits, got {}", stats.hits));
+        }
+        // A string key wider than its eight-byte image, whose five values
+        // share those eight bytes (`Manufacturer#1` … `#5`): the compiled
+        // engine, the VM and the generic iterators return the same five
+        // groups.
+        let wide = "select p_mfgr, count(*) as n from part group by p_mfgr order by p_mfgr";
+        let mut wide_replies = Vec::new();
+        for engine in ["holistic", "vm", "iter-generic"] {
+            let resp = client
+                .request(&format!(".engine {engine}"))
+                .map_err(|e| e.to_string())?;
+            if !resp.is_ok() {
+                return Err(format!("engine switch to {engine} failed: {}", resp.status));
+            }
+            let resp = client
+                .query(wide)
+                .map_err(|e| format!("p_mfgr groups ({engine}): {e}"))?;
+            if resp.rows().len() != 5 {
+                return Err(format!(
+                    "p_mfgr groups ({engine}): {} rows, expected 5",
+                    resp.rows().len()
+                ));
+            }
+            wide_replies.push(resp.rows().to_vec());
+        }
+        if wide_replies.iter().any(|rows| *rows != wide_replies[0]) {
+            return Err("p_mfgr groups differ across engines".to_string());
         }
         // A bad query must produce a typed error and leave the connection
         // usable.

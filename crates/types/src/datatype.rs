@@ -49,6 +49,15 @@ impl DataType {
         !matches!(self, DataType::Char(_))
     }
 
+    /// Whether a key of this type is wholly captured by its 64-bit order
+    /// image, so that equal images mean equal keys: every type but a string
+    /// wider than eight bytes.  Value directories (map aggregation, fine
+    /// partitioning) index by the image and are planned only over such keys.
+    #[inline]
+    pub const fn has_exact_key_image(&self) -> bool {
+        self.width() <= 8
+    }
+
     /// True if the type is numeric (valid input for SUM/AVG/MIN/MAX
     /// arithmetic aggregates).
     #[inline]

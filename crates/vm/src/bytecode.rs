@@ -3,11 +3,12 @@
 //! The instruction set is shaped by the kernels the generator emits
 //! (DESIGN.md §2): predicate *tests* with baked-in offsets and constants,
 //! byte-range *copies* for staging projections, a small register machine
-//! for arithmetic expressions, and key-*image* loads producing the same
-//! order-preserving `i64` images the statically compiled kernels use for
-//! hashing and partitioning.  A program is one flat `Vec<Op>`; the
-//! compiler hands out [`Frag`] ranges (filter fragment, projection
-//! fragment, the aggregation's one shared expression fragment, …) into it.
+//! for arithmetic expressions, and key-*image* loads naming the key whose
+//! order-preserving `u64` image ([`CompiledKey::order_image`]) the
+//! statically compiled kernels hash, partition and index by.  A program is
+//! one flat `Vec<Op>`; the compiler hands out [`Frag`] ranges (filter
+//! fragment, projection fragment, the aggregation's one shared expression
+//! fragment, …) into it.
 //!
 //! Constants appear in two forms.  In [`CompileMode::Specialized`]
 //! programs numeric constants are immediates folded into the instruction —
@@ -21,8 +22,10 @@
 //! [`CompileMode::Specialized`]: crate::CompileMode::Specialized
 //! [`CompileMode::Pooled`]: crate::CompileMode::Pooled
 
+use hique_holistic::kernel::CompiledKey;
 use hique_sql::ast::{BinOp, CmpOp};
 use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at};
+use hique_types::DataType;
 
 /// Integer right-hand operand: an immediate (specialized) or a constant
 /// pool slot (shared template).
@@ -90,11 +93,13 @@ pub enum Op {
     ImageI32 { offset: u32 },
     /// Key image of the `i64` column at `offset`.
     ImageI64 { offset: u32 },
-    /// Key image of the `f64` column at `offset` (order-preserving map of
-    /// the IEEE bits, identical to the static kernels').
+    /// Key image of the `f64` column at `offset`.
     ImageF64 { offset: u32 },
-    /// Key image of the fixed-width string at `offset`: first
-    /// `min(width, 8)` bytes, big-endian.
+    /// Key image of the `width`-byte string at `offset`.  Every image op
+    /// names a [`CompiledKey`] and computes its
+    /// [`CompiledKey::order_image`]; equal images are equal keys only when
+    /// [`CompiledKey::image_is_exact`] (not for strings wider than eight
+    /// bytes, whose image hits are confirmed on the key bytes).
     ImageChar { offset: u32, width: u32 },
 }
 
@@ -355,39 +360,28 @@ pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) -
     result
 }
 
-/// Run a (single-instruction) key-image fragment, returning the key's
-/// `i64` image — bit-compatible with the static kernels'
-/// `CompiledKey::as_i64`, so hash placement agrees across engine modes.
-#[inline]
-pub fn run_image(ops: &[Op], record: &[u8]) -> i64 {
-    let mut image = 0i64;
-    for op in ops {
-        image = match *op {
-            Op::ImageI32 { offset } => {
-                debug_check_read(record, offset, 4);
-                read_i32_at(record, offset as usize) as i64
-            }
-            Op::ImageI64 { offset } => {
-                debug_check_read(record, offset, 8);
-                read_i64_at(record, offset as usize)
-            }
-            Op::ImageF64 { offset } => {
-                debug_check_read(record, offset, 8);
-                let bits = read_f64_at(record, offset as usize).to_bits() as i64;
-                bits ^ (((bits >> 63) as u64) >> 1) as i64
-            }
-            Op::ImageChar { offset, width } => {
-                let take = (width as usize).min(8);
-                debug_check_read(record, offset, take as u32);
-                let bytes = &record[offset as usize..offset as usize + take];
-                let mut buf = [0u8; 8];
-                buf[..take].copy_from_slice(bytes);
-                i64::from_be_bytes(buf)
-            }
-            _ => unreachable!("non-image op in image fragment"),
-        };
+/// The compiled key accessor a (single-instruction) key-image fragment
+/// names — its offset, width and type.  The one place an image op becomes a
+/// key: both tiers image, and confirm image hits, through it.
+pub(crate) fn image_key(ops: &[Op]) -> CompiledKey {
+    let key = |offset: u32, dtype| CompiledKey::at(offset as usize, dtype);
+    match *ops {
+        [Op::ImageI32 { offset }] => key(offset, DataType::Int32),
+        [Op::ImageI64 { offset }] => key(offset, DataType::Int64),
+        [Op::ImageF64 { offset }] => key(offset, DataType::Float64),
+        [Op::ImageChar { offset, width }] => key(offset, DataType::Char(width as u16)),
+        _ => unreachable!("a key-image fragment is one image op"),
     }
-    image
+}
+
+/// Run a key-image fragment, returning the key's order image
+/// ([`CompiledKey::order_image`]), so hash placement agrees across engine
+/// modes.
+#[inline]
+pub fn run_image(ops: &[Op], record: &[u8]) -> u64 {
+    let key = image_key(ops);
+    debug_check_read(record, key.offset as u32, key.width as u32);
+    key.order_image(record)
 }
 
 #[cfg(test)]
@@ -520,7 +514,6 @@ mod tests {
 
     #[test]
     fn key_images_match_static_kernels() {
-        use hique_holistic::kernel::CompiledKey;
         let s = schema();
         let recs = [
             record(-3, -0.0, "ab", i64::MIN + 1),
@@ -555,7 +548,7 @@ mod tests {
         ] {
             let key = CompiledKey::compile(&s, col);
             for rec in &recs {
-                assert_eq!(run_image(&[op], rec), key.as_i64(rec), "column {col}");
+                assert_eq!(run_image(&[op], rec), key.order_image(rec), "column {col}");
             }
         }
     }

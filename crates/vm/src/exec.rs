@@ -9,16 +9,17 @@
 //! projection, key image, argument expression, output decode — is
 //! interpreted bytecode from the program instead of a statically compiled
 //! Rust kernel, and join steps and aggregation run as deterministic hash
-//! algorithms over the same order-preserving `i64` key images the static
-//! kernels use: build the right input in staging order, probe the left
-//! input in staging order, emit left-major — one fixed order for every
+//! algorithms over the static kernels' key images, a hit confirmed on the
+//! key bytes where the image is not the whole key: build the right input
+//! in staging order, probe the left input in staging order, emit
+//! left-major — one fixed order for every
 //! thread count and budget, which is what keeps results bit-identical
 //! across the conformance matrix.  A join team is walked as a cascade of
 //! such hash joins over the shared key.
 
 use hique_holistic::agg::{AccumLayout, GroupAccums, KeyRuns, PageFold};
 use hique_holistic::exec::{self, Kernels, RecordSink, Run};
-use hique_holistic::kernel::CompiledKey;
+use hique_holistic::kernel::{compare_keys, CompiledKey};
 use hique_holistic::spill::StagedSlot;
 use hique_holistic::staging::{stage_table, sweep_pages, StagedInput};
 use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
@@ -26,7 +27,7 @@ use hique_plan::{AggregateSpec, StagedTable, StagingStrategy};
 use hique_storage::{Catalog, TableHeap};
 use hique_types::{CancelToken, ExecStats, HiqueError, QueryResult, Result, Row, Value};
 
-use crate::bytecode::{run_expr, run_filter, run_image, run_project, Op};
+use crate::bytecode::{image_key, run_expr, run_filter, run_image, run_project, Op};
 use crate::program::{OutputOp, VmProgram};
 use crate::vector::{resolve_agg_dag, resolve_scan, run_image_batch, BATCH};
 
@@ -39,8 +40,8 @@ const CANCEL_BATCH: usize = 4096;
 /// rotate-xor-multiply per image is enough; the well-mixed bits of the
 /// product are its top ones, which is where the tables take their index.
 #[inline(always)]
-fn mix(hash: u64, image: i64) -> u64 {
-    (hash.rotate_left(5) ^ image as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+fn mix(hash: u64, image: u64) -> u64 {
+    (hash.rotate_left(5) ^ image).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 /// Which interpreter runs the bytecode (DESIGN.md §15).
@@ -189,12 +190,12 @@ impl Kernels for Interpreter<'_> {
         )
     }
 
-    /// Hash aggregation in first-occurrence order: group identity is the tuple
-    /// of key images (the same identity the static kernels use for directories
-    /// and sort grouping).  On the vectorized tier the aggregate DAG fragment
-    /// and the program's accumulator slots resolve, once per call, into the
-    /// page fold the compiled kernels run ([`PageFold`]); the scalar tier
-    /// evaluates the fragment and folds its registers row at a time.
+    /// Hash aggregation in first-occurrence order: group identity is the
+    /// tuple of keys, found by images (`Groups::group`).  On the
+    /// vectorized tier the aggregate DAG fragment and the program's
+    /// accumulator slots resolve, once per call, into the page fold the
+    /// compiled kernels run ([`PageFold`]); the scalar tier evaluates the
+    /// fragment and folds its registers row at a time.
     fn aggregate(
         &self,
         spec: &AggregateSpec,
@@ -225,12 +226,14 @@ impl Kernels for Interpreter<'_> {
                 // (through the same guard the scalar consumer uses, so
                 // `spill_consumer_peak_pages` stays 1), for in-memory inputs
                 // the same page-shaped chunks.  Group-key images fill one lane
-                // per grouping attribute, each run of rows with equal images
-                // finds its group (in input order), and the fold adds the
-                // page's rows to their groups.
+                // per grouping attribute, the page is cut into runs of equal
+                // keys — on the lanes where every image is exact, on the key
+                // bytes otherwise — each run finds its group (in input
+                // order), and the fold adds the page's rows to their groups.
+                let exact = groups.firsts.is_none();
                 let nodes = resolve_agg_dag(frags.dag.ops(code), consts);
                 let mut fold = PageFold::new(&nodes, &frags.layout, tuple_size);
-                let mut images: Vec<Vec<i64>> = vec![Vec::new(); frags.group_images.len()];
+                let mut images: Vec<Vec<u64>> = vec![Vec::new(); frags.group_images.len()];
                 let (mut runs, mut ids) = (KeyRuns::new(), Vec::new());
                 set.for_each_page(|data| {
                     let n = fold.fill(data);
@@ -242,7 +245,11 @@ impl Kernels for Interpreter<'_> {
                         lane.clear();
                         run_image_batch(f.ops(code), data, tuple_size, lane);
                     }
-                    runs.cut(&images, n);
+                    if exact {
+                        runs.cut(&images, n);
+                    } else {
+                        runs.cut_records(&groups.keys, data, tuple_size);
+                    }
                     ids.clear();
                     for &row in runs.starts() {
                         let row = row as usize;
@@ -257,7 +264,7 @@ impl Kernels for Interpreter<'_> {
             // spilled input aggregates straight off pinned pages.
             Tier::Scalar => {
                 let dag = frags.dag.ops(code);
-                let mut key: Vec<i64> = vec![0; frags.group_images.len()];
+                let mut key: Vec<u64> = vec![0; frags.group_images.len()];
                 let mut regs = vec![0.0f64; program.float_registers];
                 set.for_each_record(|rec| {
                     stats.add_tuple(tuple_size);
@@ -325,17 +332,22 @@ struct Groups {
     /// most half of them taken, probed linearly.
     table: Vec<u32>,
     /// One image per grouping attribute per group.
-    images: Vec<i64>,
+    images: Vec<u64>,
+    /// Where some image is not the whole key: every group's first record,
+    /// on whose key bytes an image hit is confirmed.
+    firsts: Option<Vec<u8>>,
     values: Vec<Vec<Value>>,
     accums: GroupAccums,
 }
 
 impl Groups {
     fn new(keys: Vec<CompiledKey>, layout: &AccumLayout) -> Self {
+        let exact = keys.iter().all(CompiledKey::image_is_exact);
         Groups {
             keys,
             table: vec![0; 16],
             images: Vec::new(),
+            firsts: (!exact).then(Vec::new),
             values: Vec::new(),
             accums: GroupAccums::new(layout),
         }
@@ -343,23 +355,29 @@ impl Groups {
 
     /// The table slot probing for an image tuple starts at.
     #[inline(always)]
-    fn home(&self, image: impl Fn(usize) -> i64) -> usize {
+    fn home(&self, image: impl Fn(usize) -> u64) -> usize {
         let hash = (0..self.keys.len()).fold(0, |hash, i| mix(hash, image(i)));
         (hash >> (64 - self.table.len().ilog2())) as usize
     }
 
-    /// The number of the group whose key images are `image(0..)`, entering
-    /// the group (decoded from `rec`, its first tuple) when it is new.  Two
-    /// tuples that meet in the table are told apart by comparing every
-    /// image.
+    /// The number of the group of `rec`, whose key images are
+    /// `image(0..)`, entering the group (decoded from `rec`, its first
+    /// tuple) when it is new.  Two tuples that meet in the table are told
+    /// apart by comparing every image, and where an image is not the whole
+    /// key, the keys.
     #[inline]
-    fn group(&mut self, image: impl Fn(usize) -> i64, rec: &[u8]) -> u32 {
+    fn group(&mut self, image: impl Fn(usize) -> u64, rec: &[u8]) -> u32 {
         let k = self.keys.len();
         let mask = self.table.len() - 1;
         let mut slot = self.home(&image);
         while let Some(g) = self.table[slot].checked_sub(1) {
-            let known = &self.images[g as usize * k..(g as usize + 1) * k];
-            if known.iter().enumerate().all(|(i, &v)| v == image(i)) {
+            let (g_at, ts) = (g as usize, rec.len());
+            let known = &self.images[g_at * k..(g_at + 1) * k];
+            if known.iter().enumerate().all(|(i, &v)| v == image(i))
+                && self.firsts.as_ref().is_none_or(|firsts| {
+                    compare_keys(&self.keys, &firsts[g_at * ts..][..ts], rec).is_eq()
+                })
+            {
                 return g;
             }
             slot = (slot + 1) & mask;
@@ -367,6 +385,9 @@ impl Groups {
         let g = self.accums.push_group() as u32;
         self.table[slot] = g + 1;
         self.images.extend((0..k).map(&image));
+        if let Some(firsts) = &mut self.firsts {
+            firsts.extend_from_slice(rec);
+        }
         self.values
             .push(self.keys.iter().map(|key| key.value(rec)).collect());
         if self.values.len() * 2 > self.table.len() {
@@ -401,11 +422,11 @@ const NIL: u32 = u32::MAX;
 struct JoinTable {
     heads: Vec<u32>,
     next: Vec<u32>,
-    keys: Vec<i64>,
+    keys: Vec<u64>,
 }
 
 impl JoinTable {
-    fn build(keys: Vec<i64>) -> Self {
+    fn build(keys: Vec<u64>) -> Self {
         let mut table = JoinTable {
             heads: vec![NIL; keys.len().next_power_of_two().max(2)],
             next: vec![NIL; keys.len()],
@@ -419,13 +440,13 @@ impl JoinTable {
     }
 
     #[inline(always)]
-    fn bucket(&self, key: i64) -> usize {
+    fn bucket(&self, key: u64) -> usize {
         (mix(0, key) >> (64 - self.heads.len().ilog2())) as usize
     }
 
     /// The build rows whose key image is `key`, in build order.
     #[inline(always)]
-    fn matches(&self, key: i64) -> impl Iterator<Item = usize> + '_ {
+    fn matches(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
         let mut row = self.heads[self.bucket(key)];
         std::iter::from_fn(move || {
             while row != NIL {
@@ -472,9 +493,9 @@ fn hash_join(
         stats.add_hashes(rows as u64);
     }
 
-    let mut keys: Vec<i64> = Vec::with_capacity(build_rows);
+    let mut keys: Vec<u64> = Vec::with_capacity(build_rows);
     match tier {
-        // Key images evaluate into an `i64` lane once per batch; inserts,
+        // Key images evaluate into a `u64` lane once per batch; inserts,
         // probes and emission then run row-major in the exact build/probe
         // order of the scalar loops, so the emitted stream is identical.
         Tier::Vectorized => {
@@ -490,15 +511,22 @@ fn hash_join(
         ),
     }
     let table = JoinTable::build(keys);
-    let mut probe = |key: i64, lrec: &[u8], stats: &mut ExecStats| {
+    // An image hit is a match where the images are the whole keys, and is
+    // confirmed on the key bytes where they are not.
+    let (lkey, rkey) = (image_key(left_image), image_key(right_image));
+    let exact = lkey.image_is_exact() && rkey.image_is_exact();
+    let mut probe = |key: u64, lrec: &[u8], stats: &mut ExecStats| {
         for row in table.matches(key) {
-            stats.add_comparisons(1);
-            emit(lrec, &build[row * rts..(row + 1) * rts]);
+            let rrec = &build[row * rts..(row + 1) * rts];
+            if exact || lkey.compare_across(lrec, &rkey, rrec).is_eq() {
+                stats.add_comparisons(1);
+                emit(lrec, rrec);
+            }
         }
     };
     match tier {
         Tier::Vectorized => {
-            let mut keys: Vec<i64> = Vec::with_capacity(BATCH);
+            let mut keys: Vec<u64> = Vec::with_capacity(BATCH);
             for start in (0..probe_rows).step_by(BATCH) {
                 cancel.check()?;
                 stats.vm_batches += 1;
@@ -697,7 +725,7 @@ mod tests {
     /// same work.
     fn assert_joins_like_the_reference(left: &StagedRelation, right: &StagedRelation, image: Op) {
         use std::collections::BTreeMap;
-        let mut table: BTreeMap<i64, Vec<&[u8]>> = BTreeMap::new();
+        let mut table: BTreeMap<u64, Vec<&[u8]>> = BTreeMap::new();
         for rec in right.records() {
             table.entry(run_image(&[image], rec)).or_default().push(rec);
         }
@@ -837,7 +865,7 @@ mod tests {
             let record = Row::new(vec![Value::Int64(a), Value::Int32(b as i32)])
                 .to_record(&schema)
                 .unwrap();
-            let image = |i: usize| [a, b][i];
+            let image = |i: usize| [a, b][i] as u64;
             let entered = reference.len() as u32;
             let want = *reference.entry((a, b)).or_insert(entered);
             assert_eq!(groups.group(image, &record), want, "({a}, {b})");

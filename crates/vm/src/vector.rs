@@ -10,7 +10,7 @@
 //! projection fragments become a [`ScanKernels`] ([`resolve_scan`]) that
 //! stages through core's one scan loop; the aggregate DAG fragment becomes
 //! the nodes of the page fold ([`resolve_agg_dag`]); a key-image fragment
-//! fills an `i64` lane through the compiled key accessor's sweep
+//! fills a `u64` lane through the compiled key accessor's sweep
 //! ([`run_image_batch`]).
 //!
 //! What runs is what the verifier checked: every resolver reads the scalar
@@ -24,7 +24,7 @@ use hique_holistic::kernel::{CompiledFilter, CompiledKey, CompiledProjection};
 use hique_holistic::staging::ScanKernels;
 use hique_types::DataType;
 
-use crate::bytecode::{rhs_f, rhs_i, ConstPool, Op};
+use crate::bytecode::{image_key, rhs_f, rhs_i, ConstPool, Op};
 use crate::program::TableFrags;
 
 /// Maximum tuples per batch of a join's build and probe sides (packed runs
@@ -36,20 +36,16 @@ pub(crate) const BATCH: usize = 1024;
 
 /// The page sweep of one predicate-test op.
 fn sweep_of(op: &Op, pool: &ConstPool) -> CompiledFilter {
-    let key = |offset: u32, width: u32, dtype| CompiledKey {
-        offset: offset as usize,
-        width: width as usize,
-        dtype,
-    };
+    let key = |offset: u32, dtype| CompiledKey::at(offset as usize, dtype);
     match *op {
         Op::TestI32 { offset, op, rhs } => {
-            CompiledFilter::on_int(key(offset, 4, DataType::Int32), op, rhs_i(rhs, pool))
+            CompiledFilter::on_int(key(offset, DataType::Int32), op, rhs_i(rhs, pool))
         }
         Op::TestI64 { offset, op, rhs } => {
-            CompiledFilter::on_int(key(offset, 8, DataType::Int64), op, rhs_i(rhs, pool))
+            CompiledFilter::on_int(key(offset, DataType::Int64), op, rhs_i(rhs, pool))
         }
         Op::TestF64 { offset, op, rhs } => {
-            CompiledFilter::on_float(key(offset, 8, DataType::Float64), op, rhs_f(rhs, pool))
+            CompiledFilter::on_float(key(offset, DataType::Float64), op, rhs_f(rhs, pool))
         }
         Op::TestBytes {
             offset,
@@ -57,7 +53,7 @@ fn sweep_of(op: &Op, pool: &ConstPool) -> CompiledFilter {
             op,
             pool: slot,
         } => CompiledFilter::on_bytes(
-            key(offset, width, DataType::Char(width as u16)),
+            key(offset, DataType::Char(width as u16)),
             op,
             pool.bytes[slot as usize].clone(),
         ),
@@ -92,24 +88,11 @@ pub(crate) fn resolve_scan(frags: &TableFrags, code: &[Op], pool: &ConstPool) ->
 }
 
 /// Run a key-image fragment over every record of one packed batch
-/// (`data`, records of `width` bytes), appending to `out` the same
-/// order-preserving `i64` images [`crate::bytecode::run_image`] produces
-/// row-at-a-time: the fragment's one op (the verifier's contract) is the
-/// compiled kernels' key accessor, whose sweep resolves the type once.
-pub(crate) fn run_image_batch(ops: &[Op], data: &[u8], width: usize, out: &mut Vec<i64>) {
-    let key = |offset: u32, width: u32, dtype| CompiledKey {
-        offset: offset as usize,
-        width: width as usize,
-        dtype,
-    };
-    let key = match ops {
-        [Op::ImageI32 { offset }] => key(*offset, 4, DataType::Int32),
-        [Op::ImageI64 { offset }] => key(*offset, 8, DataType::Int64),
-        [Op::ImageF64 { offset }] => key(*offset, 8, DataType::Float64),
-        [Op::ImageChar { offset, width }] => key(*offset, *width, DataType::Char(*width as u16)),
-        _ => unreachable!("a key-image fragment is one image op"),
-    };
-    key.images_into(data, width, out);
+/// (`data`, records of `width` bytes), appending to `out` the images
+/// [`crate::bytecode::run_image`] produces row-at-a-time: the sweep of the
+/// key the fragment names ([`image_key`]), its type resolved once.
+pub(crate) fn run_image_batch(ops: &[Op], data: &[u8], width: usize, out: &mut Vec<u64>) {
+    image_key(ops).images_into(data, width, out);
 }
 
 /// Resolve the aggregate DAG fragment against the program's constant pool,
@@ -311,7 +294,7 @@ mod tests {
             let mut lane = vec![7];
             run_image_batch(&[image], &recs.concat(), s.tuple_size(), &mut lane);
             assert_eq!(lane.remove(0), 7, "appended to the lane");
-            let scalar: Vec<i64> = refs.iter().map(|r| run_image(&[image], r)).collect();
+            let scalar: Vec<u64> = refs.iter().map(|r| run_image(&[image], r)).collect();
             assert_eq!(lane, scalar);
         }
     }
