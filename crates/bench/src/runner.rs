@@ -6,12 +6,11 @@ use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use hique_dsm::DsmDatabase;
-use hique_holistic::ExecOptions;
 use hique_plan::PhysicalPlan;
 use hique_server::run_plan;
 pub use hique_server::Engine;
 use hique_storage::Catalog;
-use hique_types::{ExecStats, Result};
+use hique_types::{ExecOptions, ExecStats, Result};
 
 /// Display label of an engine mode matching the paper's figures.
 pub fn paper_label(engine: Engine) -> &'static str {

@@ -32,11 +32,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hique_holistic::ExecOptions;
 use hique_plan::plan_sql;
 use hique_server::run_plan;
 use hique_storage::FaultPlan;
-use hique_types::{CancelToken, HiqueError};
+use hique_types::{CancelToken, ExecOptions, HiqueError};
 
 use crate::canon::{canonicalize, compare, CanonicalResult};
 use crate::genquery::QueryGenerator;

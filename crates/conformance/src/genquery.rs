@@ -3,11 +3,11 @@
 //! Queries are drawn from the dialect every engine supports (paper §IV):
 //! conjunctive filters, equi-joins along the TPC-H foreign-key graph (up to
 //! four tables), grouped aggregates (`SUM`/`AVG`/`MIN`/`MAX`/`COUNT`),
-//! ORDER BY and LIMIT. Every generated query is fully deterministic in its
-//! seed, and its ordering is chosen so that the result set is a well-defined
-//! multiset: projection queries order by every selected column and grouped
-//! queries order by their (unique) group keys, which makes LIMIT safe to
-//! apply before canonical comparison.
+//! arithmetic output columns, ORDER BY and LIMIT. Every generated query is
+//! fully deterministic in its seed, and its ordering is chosen so that the
+//! result set is a well-defined multiset: projection queries order by every
+//! selected column and grouped queries order by their (unique) group keys,
+//! which makes LIMIT safe to apply before canonical comparison.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -263,6 +263,20 @@ const PROJ_COLS: [(&str, &str); 18] = [
     ("part", "p_size"),
     ("nation", "n_name"),
     ("region", "r_name"),
+];
+
+/// Arithmetic output columns of the projection shape, by the table they
+/// read (every one `Float64`, like the paper's revenue expressions).
+const PROJ_EXPRS: [(&str, &str); 6] = [
+    (
+        "lineitem",
+        "lineitem.l_extendedprice * (1 - lineitem.l_discount)",
+    ),
+    ("lineitem", "lineitem.l_quantity * 2 + lineitem.l_tax"),
+    ("orders", "orders.o_totalprice / 2"),
+    ("customer", "customer.c_acctbal - 100"),
+    ("supplier", "supplier.s_acctbal + supplier.s_acctbal"),
+    ("part", "part.p_retailprice * 1.5"),
 ];
 
 /// Low-cardinality columns usable as GROUP BY keys.  `p_mfgr` and
@@ -712,6 +726,21 @@ fn generate_sql(rng: &mut SmallRng, sf: f64) -> String {
                 cols.push(col);
             }
         }
+        // Sometimes one or two arithmetic columns too, ordered by alias.
+        let mut select = cols.clone();
+        let exprs: Vec<&str> = PROJ_EXPRS
+            .iter()
+            .filter(|(t, _)| tables.contains(t))
+            .map(|(_, e)| *e)
+            .collect();
+        if !exprs.is_empty() && rng.gen_bool(0.4) {
+            let first = rng.gen_range(0..exprs.len());
+            let count = rng.gen_range(1..=exprs.len().min(2));
+            for (i, expr) in exprs.iter().cycle().skip(first).take(count).enumerate() {
+                select.push(format!("{expr} as e{i}"));
+                cols.push(format!("e{i}"));
+            }
+        }
         // Ordering by every projected column makes ties identical rows, so
         // the (ordered, limited) result is engine-independent regardless of
         // per-key direction.
@@ -719,7 +748,7 @@ fn generate_sql(rng: &mut SmallRng, sf: f64) -> String {
         let limit = random_limit(rng, 0.35, 200);
         format!(
             "select {} from {from_clause}{where_clause} order by {order}{limit}",
-            cols.join(", ")
+            select.join(", ")
         )
     }
 }
@@ -809,6 +838,11 @@ mod tests {
         let sqls: Vec<String> = (0..200).map(|_| g.next_query().sql).collect();
         assert!(sqls.iter().any(|s| s.contains("group by")));
         assert!(sqls.iter().any(|s| !s.contains("group by")));
+        // Projections carry arithmetic output columns, ordered by alias.
+        assert!(sqls.iter().any(|s| s.contains(" as e0")
+            && s.split(" order by ")
+                .nth(1)
+                .is_some_and(|o| o.contains("e0"))));
         assert!(sqls.iter().any(|s| s.contains(" = ") && s.contains(", ")));
         assert!(sqls.iter().any(|s| s.contains("limit")));
         assert!(sqls.iter().any(|s| s.matches(',').count() >= 1));

@@ -10,12 +10,11 @@
 use std::fmt;
 
 use hique_dsm::DsmDatabase;
-use hique_holistic::ExecOptions;
 use hique_plan::{plan_sql, PhysicalPlan};
 use hique_server::run_plan;
 pub use hique_server::Engine;
 use hique_storage::Catalog;
-use hique_types::{HiqueError, QueryResult};
+use hique_types::{ExecOptions, HiqueError, QueryResult};
 
 use crate::canon::{canonicalize, compare, CanonicalResult, Mismatch};
 use crate::genquery::{QueryGenerator, RandomQuery};

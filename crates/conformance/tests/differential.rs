@@ -6,8 +6,11 @@
 //! Every failure message carries the per-query seed; reproduce one with
 //! `cargo run --release -p hique-conformance --bin conformance -- --replay <seed>`.
 
-use hique_conformance::{run_suite, Fixture, QueryGenerator, RandomQuery};
+use hique_conformance::{
+    canonicalize, compare, run_suite, Engine, Fixture, QueryGenerator, RandomQuery,
+};
 use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig, StagingStrategy};
+use hique_server::{Server, ServerConfig};
 
 const SF: f64 = 0.002;
 const SUITE_SEED: u64 = 0x41_1CDE; // fixed so failures are reproducible
@@ -156,6 +159,78 @@ fn wide_char_keys_agree_across_all_engines() {
                     assert!(outcome.baseline.num_rows() > 0, "{sql}");
                 }
             }
+        }
+    }
+}
+
+/// Register programs wider and deeper than a one-byte register file:
+/// right-nested output expressions of 255, 256 and 300 levels with and
+/// without a filter, a left-nested 300-term sum, and 100 aggregates over
+/// one column (a 201-node aggregate program).  On all five engines at
+/// threads 1 and 4, and through a server session on `engine=vm` (the
+/// server's pooled compile + rebind path), every result equals
+/// `iter-generic`'s.
+#[test]
+fn deep_and_wide_expressions_agree_across_all_engines() {
+    let nested = |levels: usize| {
+        (0..levels).fold("o_totalprice".to_string(), |e, _| {
+            format!("o_totalprice + ({e})")
+        })
+    };
+    let mut statements = Vec::new();
+    for levels in [255, 256, 300] {
+        let deep = nested(levels);
+        statements.push(format!(
+            "select o_orderkey, {deep} as x from orders order by o_orderkey"
+        ));
+        statements.push(format!(
+            "select o_orderkey, {deep} as x from orders where o_orderkey < 500 \
+             order by o_orderkey"
+        ));
+    }
+    let terms: Vec<String> = (1..300).map(|i| i.to_string()).collect();
+    statements.push(format!(
+        "select o_orderkey, o_totalprice + {} as x from orders order by o_orderkey",
+        terms.join(" + ")
+    ));
+    let sums: Vec<String> = (1..=100)
+        .map(|i| format!("sum(o_totalprice + {i}) as a{i}"))
+        .collect();
+    statements.push(format!(
+        "select o_orderstatus, {} from orders group by o_orderstatus order by o_orderstatus",
+        sums.join(", ")
+    ));
+
+    let fixture = Fixture::generate(SF).unwrap();
+    let server = Server::new(
+        hique_tpch::generate_into_catalog(SF).unwrap(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut session = server.session();
+    session.set_engine(Engine::Vm);
+    for (i, sql) in statements.iter().enumerate() {
+        let mut baseline = None;
+        for threads in [1, 4] {
+            let query = RandomQuery {
+                sql: sql.clone(),
+                config: PlannerConfig::default().with_threads(threads),
+                seed: i as u64,
+            };
+            let outcome = fixture.check(&query);
+            assert!(
+                outcome.divergences.is_empty(),
+                "statement {i}, threads {threads}:\n{}",
+                outcome.divergences[0]
+            );
+            assert!(outcome.baseline.num_rows() > 0, "statement {i}");
+            baseline = Some(outcome.baseline);
+        }
+        let served = session
+            .execute(sql)
+            .unwrap_or_else(|e| panic!("statement {i} on a vm session: {e}"));
+        if let Err(mismatch) = compare(&canonicalize(&served), &baseline.unwrap()) {
+            panic!("statement {i} on a vm session vs iter-generic: {mismatch}");
         }
     }
 }

@@ -10,7 +10,6 @@
 
 use hique_conformance::{canonicalize, compare, Fixture, QueryGenerator};
 use hique_plan::plan_sql;
-use hique_types::HiqueError;
 use hique_vm::{CompileMode, Tier};
 
 const SF: f64 = 0.002;
@@ -21,7 +20,6 @@ const SUITE_QUERIES: usize = 120;
 fn vectorized_tier_is_bit_identical_to_scalar_over_the_corpus() {
     let fixture = Fixture::generate(SF).unwrap();
     let mut generator = QueryGenerator::new(SUITE_SEED, SF);
-    let mut lowered = 0usize;
     let mut batched = 0usize;
     for _ in 0..SUITE_QUERIES {
         let query = generator.next_query();
@@ -29,18 +27,11 @@ fn vectorized_tier_is_bit_identical_to_scalar_over_the_corpus() {
             .unwrap_or_else(|e| panic!("seed {:#x}: planning failed: {e}", query.seed));
         let generated = hique_holistic::generate(&plan)
             .unwrap_or_else(|e| panic!("seed {:#x}: codegen failed: {e}", query.seed));
-        let program =
-            match hique_vm::compile(&generated, &fixture.catalog, CompileMode::Specialized) {
-                Ok(program) => program,
-                // Plans without a bytecode lowering (an aggregate DAG wider
-                // than the register bank) are out of scope for the tier
-                // comparison by construction.
-                Err(HiqueError::Unsupported(_)) => continue,
-                Err(e) => panic!("seed {:#x}: vm compile failed: {e}", query.seed),
-            };
-        lowered += 1;
+        // Every plan the generator accepts lowers to bytecode.
+        let program = hique_vm::compile(&generated, &fixture.catalog, CompileMode::Specialized)
+            .unwrap_or_else(|e| panic!("seed {:#x}: vm compile failed: {e}", query.seed));
 
-        let options = hique_holistic::ExecOptions::default();
+        let options = hique_types::ExecOptions::default();
         let scalar = program
             .execute_with_tier(&generated, &fixture.catalog, &options, Tier::Scalar)
             .unwrap_or_else(|e| panic!("seed {:#x}: scalar tier failed: {e}", query.seed));
@@ -84,14 +75,10 @@ fn vectorized_tier_is_bit_identical_to_scalar_over_the_corpus() {
             query.seed, query.sql
         );
     }
-    // The corpus must genuinely exercise the comparison: most queries lower
-    // to bytecode, and most of those move tuples through batches.
+    // The corpus must genuinely exercise the comparison: most queries move
+    // tuples through batches.
     assert!(
-        lowered >= SUITE_QUERIES / 2,
-        "only {lowered}/{SUITE_QUERIES} queries lowered to bytecode"
-    );
-    assert!(
-        batched >= lowered / 2,
-        "only {batched}/{lowered} lowered queries moved tuples through batches"
+        batched >= SUITE_QUERIES / 2,
+        "only {batched}/{SUITE_QUERIES} queries moved tuples through batches"
     );
 }

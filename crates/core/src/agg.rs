@@ -23,7 +23,7 @@ use hique_plan::AggregateSpec;
 use hique_types::{ExecStats, HiqueError, Result, Row, Schema, Value};
 
 pub use crate::agg_program::{
-    AccumLayout, AccumSlot, AggNode, AggProgram, GroupAccums, KeyRuns, PageFold,
+    eval_registers, AccumLayout, AccumSlot, AggNode, AggProgram, GroupAccums, KeyRuns, PageFold,
 };
 use crate::kernel::{compare_keys, CompiledKey};
 use crate::relation::StagedRelation;
@@ -652,13 +652,12 @@ fn scatter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::CompiledExpr;
     use crate::staging::StagedInput;
     use hique_par::chunk_ranges;
     use hique_plan::AggAlgorithm;
     use hique_sql::analyze::{BoundAggregate, ScalarExpr};
     use hique_sql::ast::{AggFunc, BinOp};
-    use hique_types::{result::sort_rows, Column, DataType};
+    use hique_types::{result::sort_rows, CancelToken, Column, DataType};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1010,15 +1009,8 @@ mod tests {
             .iter()
             .map(|&c| CompiledKey::compile(input.schema(), c))
             .collect();
-        let args: Vec<Option<CompiledExpr>> = spec
-            .aggregates
-            .iter()
-            .map(|a| {
-                a.arg
-                    .as_ref()
-                    .map(|e| CompiledExpr::compile(e, input.schema()).unwrap())
-            })
-            .collect();
+        let args: Vec<Option<&ScalarExpr>> =
+            spec.aggregates.iter().map(|a| a.arg.as_ref()).collect();
         let records: Vec<&[u8]> = input.records().collect();
         let mut stats = ExecStats::new();
         stats.add_calls(1);
@@ -1053,7 +1045,7 @@ mod tests {
                 for (acc, arg) in local[offset].iter_mut().zip(&args) {
                     match arg {
                         Some(expr) => {
-                            let v = expr.eval(rec);
+                            let v = expr.eval_f64_record(rec, input.schema());
                             acc.sum += v;
                             acc.count += 1;
                             if v < acc.min {
@@ -1275,7 +1267,7 @@ mod tests {
         // Two frames: no page of the first pass could survive to a second.
         let pool = Arc::new(BufferPool::new(2).unwrap());
         let temp = Arc::new(TempSpace::create(Arc::clone(&pool), &path).unwrap());
-        let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
+        let ctx = SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space is free");
         let input_slot = StagedInput::unpartitioned(input.clone());
         let slot = StagedSlot::stage(input_slot, Some(&ctx)).unwrap();
         assert!(slot.is_spilled());
@@ -1324,7 +1316,7 @@ mod tests {
                     }
                     accums.push_group();
                 }
-                let regs = agg.program.eval(rec);
+                let regs = registers(agg, rec);
                 accums.accumulate_row(accums.groups() - 1, |r| regs[r as usize]);
             }
             if let Some(last) = records.last() {
@@ -1332,6 +1324,13 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Every register of `agg`'s program for one record.
+    fn registers(agg: &CompiledAgg, record: &[u8]) -> Vec<f64> {
+        let mut regs = vec![0.0; agg.program.nodes().len()];
+        eval_registers(agg.program.nodes(), record, &mut regs);
+        regs
     }
 
     /// Map (and, without group keys, global) aggregation row at a time:
@@ -1353,7 +1352,7 @@ mod tests {
                 let (g, _) = *groups
                     .entry(images)
                     .or_insert_with(|| (local.push_group(), i));
-                let regs = agg.program.eval(records[i]);
+                let regs = registers(agg, records[i]);
                 local.accumulate_row(g, |r| regs[r as usize]);
             }
             for (images, (from, rep)) in groups {
@@ -1467,7 +1466,7 @@ mod tests {
         ));
         let pool = Arc::new(BufferPool::new(2).unwrap());
         let temp = Arc::new(TempSpace::create(Arc::clone(&pool), &path).unwrap());
-        let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
+        let ctx = SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space is free");
         let slot = StagedSlot::stage(StagedInput::unpartitioned(rel.clone()), Some(&ctx)).unwrap();
         // (A relation of a few records stays resident and streams as one
         // memory page.)

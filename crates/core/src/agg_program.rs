@@ -37,6 +37,11 @@
 //! resolve their [`AggProgram`], the bytecode VM resolves its verified DAG
 //! fragment (which its verifier holds to this program node for node) and
 //! pool constants into the same nodes.
+//!
+//! The register DAG is the one form of every arithmetic expression a query
+//! evaluates: the generator interns a non-aggregate query's scalar output
+//! expressions with the same [`intern`] into an output program, which the
+//! output decoder runs once per record ([`eval_registers`]).
 
 use std::ops::Range;
 
@@ -665,24 +670,29 @@ impl AggProgram {
     pub fn layout(&self) -> &AccumLayout {
         &self.layout
     }
+}
 
-    /// Every register's value for one record, row at a time — the
-    /// definition [`PageFold::fill`] is tested against.
-    #[cfg(test)]
-    pub(crate) fn eval(&self, record: &[u8]) -> Vec<f64> {
-        let mut regs = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            regs.push(match *node {
-                AggNode::Const(c) => c,
-                AggNode::ColI32(off) => read_i32_at(record, off) as f64,
-                AggNode::ColI64(off) => read_i64_at(record, off) as f64,
-                AggNode::ColF64(off) => read_f64_at(record, off),
-                AggNode::Bin { op, left, right } => {
-                    crate::kernel::apply(op, regs[left as usize], regs[right as usize])
+/// Every register's value for one record, row at a time: `regs[i]` is
+/// node `i`'s value (`regs` holds one entry per node).  The output
+/// decoder's loop, and the definition [`PageFold::fill`] is tested against.
+#[inline]
+pub fn eval_registers(nodes: &[AggNode], record: &[u8], regs: &mut [f64]) {
+    for (i, node) in nodes.iter().enumerate() {
+        regs[i] = match *node {
+            AggNode::Const(c) => c,
+            AggNode::ColI32(off) => read_i32_at(record, off) as f64,
+            AggNode::ColI64(off) => read_i64_at(record, off) as f64,
+            AggNode::ColF64(off) => read_f64_at(record, off),
+            AggNode::Bin { op, left, right } => {
+                let (l, r) = (regs[left as usize], regs[right as usize]);
+                match op {
+                    BinOp::Add => l + r,
+                    BinOp::Sub => l - r,
+                    BinOp::Mul => l * r,
+                    BinOp::Div => l / r,
                 }
-            });
-        }
-        regs
+            }
+        };
     }
 }
 
@@ -693,7 +703,7 @@ fn intern_node(node: AggNode, nodes: &mut Vec<AggNode>) -> Result<u16> {
     }
     if nodes.len() > u16::MAX as usize {
         return Err(HiqueError::Codegen(
-            "aggregate program exceeds the register file".into(),
+            "register program exceeds the register file".into(),
         ));
     }
     nodes.push(node);
@@ -714,7 +724,10 @@ fn intern_literals(expr: &ScalarExpr, nodes: &mut Vec<AggNode>) -> Result<()> {
     Ok(())
 }
 
-fn intern(expr: &ScalarExpr, schema: &Schema, nodes: &mut Vec<AggNode>) -> Result<u16> {
+/// Intern `expr` over records of `schema` into `nodes`, returning the
+/// register holding its value: each distinct load, constant and arithmetic
+/// node exists once.
+pub(crate) fn intern(expr: &ScalarExpr, schema: &Schema, nodes: &mut Vec<AggNode>) -> Result<u16> {
     let node = match expr {
         ScalarExpr::Column { index, dtype } => {
             let off = schema.offset(*index);
@@ -821,6 +834,53 @@ mod tests {
         assert_eq!(slot(0), slot(4));
         assert_eq!(slot(1), slot(5));
         assert_ne!(slot(2), slot(3));
+    }
+
+    #[test]
+    fn registers_evaluate_like_the_expression_tree() {
+        use hique_types::tuple::encode_record;
+        let s = Schema::new(vec![
+            Column::new("i", DataType::Int32),
+            Column::new("f", DataType::Float64),
+            Column::new("s", DataType::Char(6)),
+            Column::new("l", DataType::Int64),
+        ]);
+        let values = [
+            Value::Int32(4),
+            Value::Float64(0.25),
+            Value::Str("zz".into()),
+            Value::Int64(8),
+        ];
+        let rec = encode_record(&s, &values).unwrap();
+        let column = |index: usize| ScalarExpr::Column {
+            index,
+            dtype: s.column(index).dtype,
+        };
+        let lit = |v: i32| ScalarExpr::Literal(Value::Int32(v));
+        // f * (1 - i) + l, and l / 2 over the same program.
+        let tree = bin(
+            BinOp::Add,
+            bin(BinOp::Mul, column(1), bin(BinOp::Sub, lit(1), column(0))),
+            column(3),
+        );
+        let half = bin(BinOp::Div, column(3), lit(2));
+        let mut nodes = Vec::new();
+        let (a, b) = (
+            intern(&tree, &s, &mut nodes).unwrap(),
+            intern(&half, &s, &mut nodes).unwrap(),
+        );
+        let mut regs = vec![0.0; nodes.len()];
+        eval_registers(&nodes, &rec, &mut regs);
+        assert_eq!(regs[a as usize], 0.25 * (1.0 - 4.0) + 8.0);
+        assert_eq!(
+            regs[a as usize].to_bits(),
+            tree.eval_f64_record(&rec, &s).to_bits()
+        );
+        assert_eq!(regs[b as usize], 4.0);
+        // `l` is loaded once for both expressions.
+        assert_eq!(nodes.len(), 9);
+        // A string column is no arithmetic operand.
+        assert!(intern(&column(2), &s, &mut nodes).is_err());
     }
 
     #[test]
@@ -945,8 +1005,9 @@ mod tests {
                 by_row.push_group();
                 by_page.push_group();
             }
+            let mut regs = vec![0.0; program.nodes().len()];
             for (i, rec) in records.iter().enumerate() {
-                let regs = program.eval(rec);
+                eval_registers(program.nodes(), rec, &mut regs);
                 by_row.accumulate_row(group_of(i) as usize, |r| regs[r as usize]);
             }
             // Pages of uneven size, so runs cross page boundaries.

@@ -14,6 +14,7 @@ use hique_plan::{AggAlgorithm, AggregateSpec, JoinAlgorithm, StagingStrategy};
 use hique_storage::TableHeap;
 use hique_types::{HiqueError, Result, Row, Value};
 
+use crate::agg::eval_registers;
 use crate::exec::{Kernels, RecordSink, Run};
 use crate::generator::{GeneratedQuery, OutputKernel};
 use crate::join::{fine_partition_join, hybrid_join, merge_join, team_join, JoinSink};
@@ -150,13 +151,15 @@ impl Kernels for GeneratedQuery {
     }
 
     fn decoder(&self) -> impl FnMut(&[u8]) -> Row {
-        |record| {
+        let mut regs = vec![0.0; self.output_program.len()];
+        move |record| {
+            eval_registers(&self.output_program, record, &mut regs);
             let values: Vec<Value> = self
                 .outputs
                 .iter()
                 .map(|k| match k {
                     OutputKernel::Column(key) => key.value(record),
-                    OutputKernel::Expr(expr, dtype) => Value::from_f64(expr.eval(record), *dtype),
+                    OutputKernel::Expr(reg, dtype) => Value::from_f64(regs[*reg as usize], *dtype),
                     OutputKernel::GroupPosition(_) | OutputKernel::AggregatePosition(_) => {
                         unreachable!("aggregate kernels in a non-aggregate sink")
                     }

@@ -22,37 +22,13 @@ use hique_pipeline::{RunEnvelope, SpillContext};
 use hique_plan::{AggregateSpec, PhysicalPlan};
 use hique_storage::{Catalog, TableHeap};
 use hique_types::{
-    result::finalize_rows, CancelToken, ExecStats, HiqueError, PhaseTimings, QueryResult, Result,
-    Row,
+    result::finalize_rows, CancelToken, ExecOptions, ExecStats, HiqueError, PhaseTimings,
+    QueryResult, Result, Row,
 };
 
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
 use crate::staging::StagedInput;
-
-/// Execution options.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// When `false`, the final result rows are not materialized — the
-    /// executor only counts them (`stats.rows_out`), mirroring the paper's
-    /// methodology of not materializing query output in the
-    /// micro-benchmarks.  Aggregate results (a handful of groups) are always
-    /// materialized.
-    pub collect_rows: bool,
-    /// Cooperative cancellation token, polled at page-granularity points
-    /// (heap-scan pages, join steps, partition-stream pulls, spill-admission
-    /// waits).  The default disabled token never fires (DESIGN.md §12).
-    pub cancel: CancelToken,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            collect_rows: true,
-            cancel: CancelToken::disabled(),
-        }
-    }
-}
 
 /// What every kernel hook works against for the length of one execution.
 pub struct Run<'a> {
@@ -367,6 +343,7 @@ mod tests {
             &plan(sql, cat, config),
             cat,
             hique_iter::ExecMode::Optimized,
+            &ExecOptions::default(),
         )
         .unwrap()
     }
@@ -623,7 +600,8 @@ mod tests {
 
         // Interleaved: another budgeted execution's claim (stood in for by a
         // directly acquired SpillContext) holds the only slot.
-        let blocker = SpillContext::acquire(&temp, BUDGET).expect("first claim");
+        let blocker =
+            SpillContext::acquire(&temp, BUDGET, CancelToken::disabled()).expect("first claim");
         assert_eq!(blocker.claim_denied(), 0);
         let second = std::thread::scope(|s| {
             let handle = s.spawn(|| run(sql, &paged, &config));

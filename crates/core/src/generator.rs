@@ -13,11 +13,12 @@ use std::time::{Duration, Instant};
 use hique_plan::PhysicalPlan;
 use hique_sql::analyze::OutputExpr;
 use hique_storage::Catalog;
-use hique_types::{DataType, HiqueError, QueryResult, Result};
+use hique_types::{DataType, ExecOptions, HiqueError, QueryResult, Result};
 
-use crate::agg::CompiledAgg;
-use crate::exec::{self, ExecOptions};
-use crate::kernel::{CompiledExpr, CompiledKey};
+use crate::agg::{AggNode, CompiledAgg};
+use crate::agg_program::intern;
+use crate::exec;
+use crate::kernel::CompiledKey;
 use crate::source::{emit_source, GeneratedSource};
 
 /// Preparation cost of a generated query (Table III's per-query columns,
@@ -35,8 +36,9 @@ pub struct PreparationCost {
 pub enum OutputKernel {
     /// Decode the column at the compiled key's offset (any type).
     Column(CompiledKey),
-    /// Evaluate a compiled arithmetic expression (numeric).
-    Expr(CompiledExpr, DataType),
+    /// Register of the output program holding an arithmetic expression's
+    /// value, cast to the output type.
+    Expr(u16, DataType),
     /// The `i`-th grouping column of the aggregation output.
     GroupPosition(usize),
     /// The `i`-th aggregate of the aggregation output.
@@ -51,6 +53,9 @@ pub struct GeneratedQuery {
     pub(crate) prep: PreparationCost,
     pub(crate) aggregation: Option<CompiledAgg>,
     pub(crate) outputs: Vec<OutputKernel>,
+    /// The register program of the scalar output expressions over the
+    /// joined record (empty when no output is arithmetic).
+    pub(crate) output_program: Vec<AggNode>,
 }
 
 impl GeneratedQuery {
@@ -74,6 +79,12 @@ impl GeneratedQuery {
     /// instantiated kernels instead of re-deriving them from the plan.
     pub fn outputs(&self) -> &[OutputKernel] {
         &self.outputs
+    }
+
+    /// The register program the [`OutputKernel::Expr`] registers name: node
+    /// `i` defines register `i`, evaluated once per output record.
+    pub fn output_program(&self) -> &[AggNode] {
+        &self.output_program
     }
 
     /// The compiled aggregation (group keys + aggregate program) of an
@@ -106,8 +117,9 @@ pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
         .map(|spec| CompiledAgg::compile(spec, &plan.joined_schema))
         .transpose()?;
 
-    // Output kernels.
+    // Output kernels; arithmetic outputs intern into one register program.
     let mut outputs = Vec::with_capacity(plan.output.len());
+    let mut output_program = Vec::new();
     for (o, col) in plan.output.iter().zip(plan.output_schema.columns()) {
         let kernel = match o {
             OutputExpr::GroupColumn(ci) => {
@@ -132,7 +144,7 @@ pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
                     OutputKernel::Column(CompiledKey::compile(&plan.joined_schema, *index))
                 }
                 other => OutputKernel::Expr(
-                    CompiledExpr::compile(other, &plan.joined_schema)?,
+                    intern(other, &plan.joined_schema, &mut output_program)?,
                     col.dtype,
                 ),
             },
@@ -153,6 +165,7 @@ pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
         prep,
         aggregation,
         outputs,
+        output_program,
     })
 }
 
@@ -219,7 +232,12 @@ mod tests {
         let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let generated = generate(&plan).unwrap();
         assert!(matches!(generated.outputs[0], OutputKernel::Column(_)));
-        assert!(matches!(generated.outputs[1], OutputKernel::Expr(_, _)));
+        // `v * 2` is register 2 of the output program: load, constant, product.
+        assert!(matches!(
+            generated.outputs[1],
+            OutputKernel::Expr(2, DataType::Float64)
+        ));
+        assert_eq!(generated.output_program().len(), 3);
         assert!(generated.aggregation.is_none());
     }
 }

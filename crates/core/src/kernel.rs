@@ -6,8 +6,8 @@
 //! the Rust analogue of the generated C code's
 //! `int *value = tuple + predicate_offset; if (*value != constant) continue;`.
 
-use hique_sql::analyze::{ColumnFilter, ScalarExpr};
-use hique_sql::ast::{BinOp, CmpOp};
+use hique_sql::analyze::ColumnFilter;
+use hique_sql::ast::CmpOp;
 use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at, read_str_at};
 use hique_types::{DataType, HiqueError, Result, Schema, Value};
 
@@ -374,85 +374,6 @@ fn copy_piece<const W: usize>(
     }
 }
 
-/// An arithmetic expression compiled to record offsets (all numeric
-/// expressions evaluate as `f64`, which covers the paper's aggregate
-/// workloads).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompiledExpr {
-    /// `i32`/date column at a fixed offset.
-    ColI32(usize),
-    /// `i64` column at a fixed offset.
-    ColI64(usize),
-    /// `f64` column at a fixed offset.
-    ColF64(usize),
-    /// Constant.
-    Const(f64),
-    /// Binary arithmetic node.
-    Bin {
-        /// Operator.
-        op: BinOp,
-        /// Left operand.
-        left: Box<CompiledExpr>,
-        /// Right operand.
-        right: Box<CompiledExpr>,
-    },
-}
-
-impl CompiledExpr {
-    /// Instantiate an expression template over `schema`.
-    pub fn compile(expr: &ScalarExpr, schema: &Schema) -> Result<Self> {
-        Ok(match expr {
-            ScalarExpr::Column { index, dtype } => {
-                let off = schema.offset(*index);
-                match dtype {
-                    DataType::Int32 | DataType::Date => CompiledExpr::ColI32(off),
-                    DataType::Int64 => CompiledExpr::ColI64(off),
-                    DataType::Float64 => CompiledExpr::ColF64(off),
-                    DataType::Char(_) => {
-                        return Err(HiqueError::Codegen(
-                            "string column in arithmetic expression".into(),
-                        ))
-                    }
-                }
-            }
-            ScalarExpr::Literal(v) => CompiledExpr::Const(v.as_f64()?),
-            ScalarExpr::Binary {
-                op, left, right, ..
-            } => CompiledExpr::Bin {
-                op: *op,
-                left: Box::new(Self::compile(left, schema)?),
-                right: Box::new(Self::compile(right, schema)?),
-            },
-        })
-    }
-
-    /// Evaluate over a raw record.
-    #[inline]
-    pub fn eval(&self, record: &[u8]) -> f64 {
-        match self {
-            CompiledExpr::ColI32(off) => read_i32_at(record, *off) as f64,
-            CompiledExpr::ColI64(off) => read_i64_at(record, *off) as f64,
-            CompiledExpr::ColF64(off) => read_f64_at(record, *off),
-            CompiledExpr::Const(c) => *c,
-            CompiledExpr::Bin { op, left, right } => {
-                apply(*op, left.eval(record), right.eval(record))
-            }
-        }
-    }
-}
-
-/// `l <op> r` in `f64` — the one arithmetic every compiled expression
-/// form (output trees, the aggregate program) evaluates with.
-#[inline(always)]
-pub(crate) fn apply(op: BinOp, l: f64, r: f64) -> f64 {
-    match op {
-        BinOp::Add => l + r,
-        BinOp::Sub => l - r,
-        BinOp::Mul => l * r,
-        BinOp::Div => l / r,
-    }
-}
-
 /// A single-column key accessor specialized on type and offset, used by the
 /// sort, partition and join kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -766,58 +687,6 @@ mod tests {
                 assert_eq!(sel.rows(), even, "{op:?} on column {column}, even rows");
             }
         }
-    }
-
-    #[test]
-    fn compiled_expr_matches_interpreted() {
-        let s = schema();
-        let rec = record(4, 0.25, "zz", 0, 8);
-        // f * (1 - i) + l
-        let expr = ScalarExpr::Binary {
-            op: BinOp::Add,
-            left: Box::new(ScalarExpr::Binary {
-                op: BinOp::Mul,
-                left: Box::new(ScalarExpr::Column {
-                    index: 1,
-                    dtype: DataType::Float64,
-                }),
-                right: Box::new(ScalarExpr::Binary {
-                    op: BinOp::Sub,
-                    left: Box::new(ScalarExpr::Literal(Value::Int32(1))),
-                    right: Box::new(ScalarExpr::Column {
-                        index: 0,
-                        dtype: DataType::Int32,
-                    }),
-                    dtype: DataType::Float64,
-                }),
-                dtype: DataType::Float64,
-            }),
-            right: Box::new(ScalarExpr::Column {
-                index: 4,
-                dtype: DataType::Int64,
-            }),
-            dtype: DataType::Float64,
-        };
-        let compiled = CompiledExpr::compile(&expr, &s).unwrap();
-        let expected = expr.eval_f64_record(&rec, &s);
-        assert!((compiled.eval(&rec) - expected).abs() < 1e-12);
-        assert!((compiled.eval(&rec) - (0.25 * (1.0 - 4.0) + 8.0)).abs() < 1e-12);
-        // Division and string rejection.
-        let div = ScalarExpr::Binary {
-            op: BinOp::Div,
-            left: Box::new(ScalarExpr::Column {
-                index: 4,
-                dtype: DataType::Int64,
-            }),
-            right: Box::new(ScalarExpr::Literal(Value::Int32(2))),
-            dtype: DataType::Float64,
-        };
-        assert_eq!(CompiledExpr::compile(&div, &s).unwrap().eval(&rec), 4.0);
-        let bad = ScalarExpr::Column {
-            index: 2,
-            dtype: DataType::Char(6),
-        };
-        assert!(CompiledExpr::compile(&bad, &s).is_err());
     }
 
     #[test]

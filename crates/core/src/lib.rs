@@ -15,7 +15,7 @@
 //! * an **executable kernel program** — the same templates instantiated as
 //!   fully specialized Rust kernels ([`kernel`]): predicates become fixed
 //!   offset/constant comparisons, projections become byte-range copies,
-//!   arithmetic becomes a pre-compiled expression over record offsets, and
+//!   arithmetic becomes one register program over record offsets, and
 //!   every operator runs as a tight loop over packed NSM records with no
 //!   per-tuple function calls or `Value` boxing.
 //!
@@ -39,7 +39,6 @@ pub mod source;
 pub mod spill;
 pub mod staging;
 
-pub use exec::ExecOptions;
 pub use generator::{generate, GeneratedQuery, OutputKernel, PreparationCost};
 pub use relation::StagedRelation;
 pub use source::GeneratedSource;

@@ -161,7 +161,7 @@ impl StagedSlot {
 mod tests {
     use super::*;
     use hique_storage::{BufferPool, TempSpace};
-    use hique_types::{Column, DataType, Row, Schema, Value};
+    use hique_types::{CancelToken, Column, DataType, Row, Schema, Value};
     use std::sync::Arc;
 
     fn schema() -> Schema {
@@ -199,7 +199,7 @@ mod tests {
     fn spill_and_materialize_preserve_partitions_and_directory() {
         let (temp, path) = temp_space("roundtrip", 2);
         // Tiny budget: everything spills.
-        let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
+        let ctx = SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space is free");
         let input = staged(3, 500);
         let original = input.relation.clone();
         let slot = StagedSlot::stage(input, Some(&ctx)).unwrap();
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn spilled_slot_streams_page_at_a_time_under_budget() {
         let (temp, path) = temp_space("stream", 2);
-        let ctx = SpillContext::acquire(&temp, 1).expect("space is free");
+        let ctx = SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space is free");
         let input = staged(2, 2000);
         let original = input.relation.clone();
         let slot = StagedSlot::stage(input, Some(&ctx)).unwrap();
@@ -252,7 +252,8 @@ mod tests {
     fn small_relations_stay_resident_and_no_context_means_no_spill() {
         let (temp, path) = temp_space("resident", 4);
         // Large budget: the 500-row relation is below a quarter of it.
-        let ctx = SpillContext::acquire(&temp, 4096).expect("space is free");
+        let ctx =
+            SpillContext::acquire(&temp, 4096, CancelToken::disabled()).expect("space is free");
         assert!(ctx.threshold_bytes() > 500 * 12);
         let slot = StagedSlot::stage(staged(1, 500), Some(&ctx)).unwrap();
         assert!(!slot.is_spilled());

@@ -24,7 +24,7 @@ use hique_sql::analyze::{ColumnFilter, OutputExpr, ScalarExpr};
 use hique_sql::ast::{AggFunc, BinOp};
 use hique_storage::SpillHandle;
 use hique_types::{
-    result::finalize_rows, CancelToken, DataType, ExecStats, HiqueError, PhaseTimings, QueryResult,
+    result::finalize_rows, DataType, ExecOptions, ExecStats, HiqueError, PhaseTimings, QueryResult,
     Result, Row, Value,
 };
 
@@ -89,24 +89,22 @@ impl U32Slot {
     }
 }
 
-/// Execute a physical plan with the DSM engine.
-pub fn execute_plan(plan: &PhysicalPlan, db: &DsmDatabase) -> Result<QueryResult> {
-    execute_plan_cancellable(plan, db, CancelToken::disabled())
-}
-
-/// [`execute_plan`] under a cancellation token, polled between column
-/// operators (filter applications, join steps, gathers) and at every
-/// spilled-vector page pull.
-pub fn execute_plan_cancellable(
+/// Execute a physical plan with the DSM engine.  `options.cancel` is polled
+/// between column operators (filter applications, join steps, gathers) and
+/// at every spilled-vector page pull; when `options.collect_rows` is `false`
+/// a non-aggregate result is only counted (`stats.rows_out`), never
+/// gathered into rows.
+pub fn execute_plan(
     plan: &PhysicalPlan,
     db: &DsmDatabase,
-    cancel: CancelToken,
+    options: &ExecOptions,
 ) -> Result<QueryResult> {
+    let cancel = &options.cancel;
     let mut stats = ExecStats::new();
     let mut timings = PhaseTimings::new();
     let started = Instant::now();
     let pool = ScopedPool::new(plan.threads);
-    let envelope = RunEnvelope::begin(db.pool(), db.temp(), plan.memory_budget_pages, &cancel)?;
+    let envelope = RunEnvelope::begin(db.pool(), db.temp(), plan.memory_budget_pages, cancel)?;
     let spill = envelope.spill();
 
     // Resolve the decomposed tables in FROM order.
@@ -266,6 +264,8 @@ pub fn execute_plan_cancellable(
     // ---- Aggregation ------------------------------------------------------------
     let t2 = Instant::now();
     let mut rows: Vec<Row> = Vec::new();
+    // The row count of a count-only output.
+    let mut counted = None;
     if let Some(spec) = &plan.aggregate {
         stats.add_calls(1);
         cancel.check()?;
@@ -359,6 +359,9 @@ pub fn execute_plan_cancellable(
             rows.push(Row::new(values));
         }
         timings.record("aggregation", t2.elapsed());
+    } else if !options.collect_rows {
+        // Count-only output: nothing is gathered or decoded.
+        counted = Some(output_len as u64);
     } else {
         // Non-aggregate output: materialize each output column, then zip.
         stats.add_calls(1);
@@ -387,7 +390,7 @@ pub fn execute_plan_cancellable(
     }
 
     finalize_rows(&mut rows, &plan.order_by, plan.limit);
-    stats.rows_out = rows.len() as u64;
+    stats.rows_out = counted.unwrap_or(rows.len() as u64);
     timings.record("total", started.elapsed());
     envelope.finish(&mut stats);
     Ok(QueryResult {
@@ -491,7 +494,7 @@ mod tests {
     use super::*;
     use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
     use hique_storage::Catalog;
-    use hique_types::{Column, Schema};
+    use hique_types::{CancelToken, Column, Schema};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -548,8 +551,10 @@ mod tests {
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
         let plan = plan_query(&bound, cat, config).unwrap();
         let db = DsmDatabase::from_catalog(cat).unwrap();
-        let dsm = execute_plan(&plan, &db).unwrap();
-        let iter = hique_iter::execute_plan(&plan, cat, hique_iter::ExecMode::Optimized).unwrap();
+        let options = ExecOptions::default();
+        let dsm = execute_plan(&plan, &db, &options).unwrap();
+        let iter = hique_iter::execute_plan(&plan, cat, hique_iter::ExecMode::Optimized, &options)
+            .unwrap();
         (dsm, iter)
     }
 
@@ -659,14 +664,14 @@ mod tests {
         let db = DsmDatabase::from_catalog(&cat).unwrap();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = execute_plan_cancellable(&plan, &db, cancel).unwrap_err();
+        let options = |cancel| ExecOptions {
+            cancel,
+            ..ExecOptions::default()
+        };
+        let err = execute_plan(&plan, &db, &options(cancel)).unwrap_err();
         assert!(matches!(err, HiqueError::Cancelled(_)), "{err}");
-        let ok = execute_plan_cancellable(
-            &plan,
-            &db,
-            CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
-        )
-        .unwrap();
+        let generous = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
+        let ok = execute_plan(&plan, &db, &options(generous)).unwrap();
         assert_eq!(ok.stats.cancelled, 0);
         assert_eq!(ok.stats.faults_injected, 0);
     }

@@ -22,4 +22,4 @@ pub mod column;
 pub mod exec;
 
 pub use column::{ColumnData, ColumnStore, DsmDatabase, Key};
-pub use exec::{execute_plan, execute_plan_cancellable};
+pub use exec::execute_plan;

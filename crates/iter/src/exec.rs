@@ -6,7 +6,7 @@ use hique_par::ScopedPool;
 use hique_pipeline::RunEnvelope;
 use hique_plan::{AggAlgorithm, JoinAlgorithm, PhysicalPlan, StagingStrategy};
 use hique_storage::Catalog;
-use hique_types::{result::finalize_rows, CancelToken, PhaseTimings, QueryResult, Result};
+use hique_types::{result::finalize_rows, ExecOptions, PhaseTimings, QueryResult, Result};
 
 use crate::agg::{AggStrategy, AggregateIterator};
 use crate::iterator::{ExecContext, ExecMode, QueryIterator};
@@ -19,25 +19,20 @@ use crate::BoxedIterator;
 /// Execute a physical plan with the iterator engine.
 ///
 /// `mode` selects between the paper's "generic iterators" and "optimized
-/// iterators" implementations.
-pub fn execute_plan(plan: &PhysicalPlan, catalog: &Catalog, mode: ExecMode) -> Result<QueryResult> {
-    execute_plan_cancellable(plan, catalog, mode, true, CancelToken::disabled())
-}
-
-/// [`execute_plan`] with an output mode and a cancellation token.  When
-/// `collect_rows` is `false` the final result rows are only counted
-/// (`stats.rows_out`), not materialized — matching the paper's
-/// micro-benchmark methodology of never materializing query output;
-/// aggregate results are always collected.  `cancel` is polled at the engine's
-/// page-granularity points (scan page fetches, spilled partition pulls,
-/// spill-admission waits, output batches).
-pub fn execute_plan_cancellable(
+/// iterators" implementations.  When `options.collect_rows` is `false` the
+/// final result rows are only counted (`stats.rows_out`), not materialized
+/// — matching the paper's micro-benchmark methodology of never
+/// materializing query output; aggregate results are always collected.
+/// `options.cancel` is polled at the engine's page-granularity points
+/// (scan page fetches, spilled partition pulls, spill-admission waits,
+/// output batches).
+pub fn execute_plan(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     mode: ExecMode,
-    collect_rows: bool,
-    cancel: CancelToken,
+    options: &ExecOptions,
 ) -> Result<QueryResult> {
+    let cancel = &options.cancel;
     // The blocking operators (sort runs, partition scatters) honor the
     // plan's worker count through the shared substrate's deterministic
     // fan-out, so `threads = 1 ≡ threads = N` holds for this engine too.
@@ -49,7 +44,7 @@ pub fn execute_plan_cancellable(
         catalog.buffer_pool(),
         catalog.storage().map(|s| s.temp()),
         plan.memory_budget_pages,
-        &cancel,
+        cancel,
     )?;
     let ctx = ExecContext::new(mode)
         .with_pool(pool)
@@ -165,7 +160,7 @@ pub fn execute_plan_cancellable(
     output.open()?;
     let mut rows = Vec::new();
     let mut counted: u64 = 0;
-    let keep_rows = collect_rows || plan.aggregate.is_some();
+    let keep_rows = options.collect_rows || plan.aggregate.is_some();
     while let Some(row) = output.next()? {
         // One check per page-sized batch of output rows keeps deadline
         // tokens (which read the clock) off the per-tuple path.
@@ -201,7 +196,7 @@ pub fn execute_plan_cancellable(
 mod tests {
     use super::*;
     use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
-    use hique_types::{Column, DataType, HiqueError, Row, Schema, Value};
+    use hique_types::{CancelToken, Column, DataType, HiqueError, Row, Schema, Value};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -265,7 +260,7 @@ mod tests {
         let q = hique_sql::parse_query(sql).unwrap();
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
         let plan = plan_query(&bound, cat, config).unwrap();
-        execute_plan(&plan, cat, mode).unwrap()
+        execute_plan(&plan, cat, mode, &ExecOptions::default()).unwrap()
     }
 
     #[test]
@@ -463,16 +458,14 @@ mod tests {
         for mode in [ExecMode::Generic, ExecMode::Optimized] {
             let cancel = CancelToken::new();
             cancel.cancel();
-            let err = execute_plan_cancellable(&plan, &cat, mode, true, cancel).unwrap_err();
+            let options = |cancel| ExecOptions {
+                cancel,
+                ..ExecOptions::default()
+            };
+            let err = execute_plan(&plan, &cat, mode, &options(cancel)).unwrap_err();
             assert!(matches!(err, HiqueError::Cancelled(_)), "{mode:?}: {err}");
-            let ok = execute_plan_cancellable(
-                &plan,
-                &cat,
-                mode,
-                true,
-                CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
-            )
-            .unwrap();
+            let generous = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
+            let ok = execute_plan(&plan, &cat, mode, &options(generous)).unwrap();
             assert_eq!(ok.stats.cancelled, 0, "{mode:?}");
         }
     }

@@ -31,7 +31,7 @@ pub mod scan;
 pub mod sort;
 pub mod spill;
 
-pub use exec::{execute_plan, execute_plan_cancellable};
+pub use exec::execute_plan;
 pub use iterator::{ExecContext, ExecMode, QueryIterator};
 
 /// Convenience alias for boxed operators in a pipeline borrowing the catalog

@@ -185,7 +185,7 @@ mod tests {
     use hique_pipeline::SpillContext;
     use hique_plan::{StagedTable, StagingStrategy};
     use hique_storage::{BufferPool, TableHeap, TempSpace};
-    use hique_types::{Column, DataType, Value};
+    use hique_types::{CancelToken, Column, DataType, Value};
 
     fn make_scan<'a>(heap: &'a TableHeap, ctx: &ExecContext) -> BoxedIterator<'a> {
         let staged = StagedTable {
@@ -297,7 +297,9 @@ mod tests {
 
         for threads in [1, 4] {
             // Budget 1 page: every run spills.
-            let spill = Arc::new(SpillContext::acquire(&temp, 1).expect("space free"));
+            let spill = Arc::new(
+                SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space free"),
+            );
             let ctx = ExecContext::new(ExecMode::Optimized)
                 .with_pool(ScopedPool::new(threads))
                 .with_spill(Some(Arc::clone(&spill)));

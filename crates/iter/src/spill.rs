@@ -124,7 +124,7 @@ impl RowCursor {
 mod tests {
     use super::*;
     use hique_storage::{BufferPool, TempSpace};
-    use hique_types::{Column, DataType, Value};
+    use hique_types::{CancelToken, Column, DataType, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -155,7 +155,7 @@ mod tests {
         let pool = Arc::new(BufferPool::new(budget).unwrap());
         let temp = Arc::new(TempSpace::create(pool, &path).unwrap());
         (
-            Arc::new(SpillContext::acquire(&temp, 1).expect("space free")),
+            Arc::new(SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space free")),
             path,
         )
     }

@@ -129,22 +129,18 @@ impl SpillContext {
     /// Claim a spill namespace for one budgeted execution, spilling
     /// temporaries larger than a quarter of the page budget's data capacity
     /// — big enough that small queries stay memory-resident, small enough
-    /// that anything actually pressuring the budget goes to the pool.
-    pub fn acquire(temp: &Arc<TempSpace>, budget_pages: usize) -> Result<Self> {
-        Self::acquire_cancellable(temp, budget_pages, CancelToken::disabled())
-    }
-
-    /// [`SpillContext::acquire`] under a cancellation token.  The admission
-    /// wait observes the token (a query queued for a spill slot cancels
-    /// within its deadline instead of blocking out the 30 s claim timeout),
-    /// and every spilled page pull through this context re-checks it, so a
-    /// cancelled execution stops at the next page boundary.
-    pub fn acquire_cancellable(
+    /// that anything actually pressuring the budget goes to the pool.  The
+    /// admission wait observes `cancel` (a query queued for a spill slot
+    /// cancels within its deadline instead of blocking out the 30 s claim
+    /// timeout), and every spilled page pull through this context
+    /// re-checks it, so a cancelled execution stops at the next page
+    /// boundary.
+    pub fn acquire(
         temp: &Arc<TempSpace>,
         budget_pages: usize,
         cancel: CancelToken,
     ) -> Result<Self> {
-        let (space, denied) = temp.claim_cancellable(&cancel)?;
+        let (space, denied) = temp.claim(&cancel)?;
         Ok(SpillContext {
             space,
             threshold_bytes: budget_pages.saturating_mul(page_data_bytes()) / 4,
@@ -241,13 +237,14 @@ impl<'a> RunEnvelope<'a> {
         budget_pages: usize,
         cancel: &CancelToken,
     ) -> Result<Self> {
-        let spill =
-            match temp {
-                Some(temp) if budget_pages > 0 => Some(Arc::new(
-                    SpillContext::acquire_cancellable(temp, budget_pages, cancel.clone())?,
-                )),
-                _ => None,
-            };
+        let spill = match temp {
+            Some(temp) if budget_pages > 0 => Some(Arc::new(SpillContext::acquire(
+                temp,
+                budget_pages,
+                cancel.clone(),
+            )?)),
+            _ => None,
+        };
         let pool = pool.map(|p| &**p);
         Ok(RunEnvelope {
             spill,
@@ -569,7 +566,7 @@ mod tests {
     #[test]
     fn mem_and_spilled_streams_yield_identical_pages_and_records() {
         let (temp, _pool, path) = temp_space("equiv", 4);
-        let ctx = SpillContext::acquire(&temp, 1).expect("space free");
+        let ctx = SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space free");
         let buf = packed(700, 24);
         let handle = ctx.spill(&buf, 24).unwrap();
         assert_eq!(ctx.spill_count(), 1);
@@ -618,7 +615,7 @@ mod tests {
         // consumer's equals the whole range — the observable difference the
         // page-at-a-time substrate exists to create.
         let (temp, pool, path) = temp_space("meter", 2);
-        let ctx = SpillContext::acquire(&temp, 2).expect("space free");
+        let ctx = SpillContext::acquire(&temp, 2, CancelToken::disabled()).expect("space free");
         let buf = packed(2000, 16);
         let handle = ctx.spill(&buf, 16).unwrap();
         assert!(handle.pages > 4, "partition must dwarf the pool budget");
@@ -642,14 +639,15 @@ mod tests {
     #[test]
     fn spill_decision_is_size_only_and_contexts_coexist() {
         let (temp, _pool, path) = temp_space("policy", 4);
-        let ctx = SpillContext::acquire(&temp, 64).expect("claim granted");
+        let ctx = SpillContext::acquire(&temp, 64, CancelToken::disabled()).expect("claim granted");
         let threshold = ctx.threshold_bytes();
         assert_eq!(threshold, 64 * page_data_bytes() / 4);
         assert!(!ctx.should_spill(threshold - 1));
         assert!(ctx.should_spill(threshold));
         // Multi-tenant: a second context claims its own namespace without
         // waiting, and both spill without interfering.
-        let other = SpillContext::acquire(&temp, 64).expect("second claim granted");
+        let other = SpillContext::acquire(&temp, 64, CancelToken::disabled())
+            .expect("second claim granted");
         assert_eq!(ctx.claim_denied() + other.claim_denied(), 0);
         let buf = packed(100, 16);
         let ha = ctx.spill(&buf, 16).unwrap();
@@ -658,7 +656,7 @@ mod tests {
         assert_eq!(PartitionStream::spilled(&other, hb).gather().unwrap(), buf);
         drop(other);
         drop(ctx);
-        let again = SpillContext::acquire(&temp, 0).expect("released");
+        let again = SpillContext::acquire(&temp, 0, CancelToken::disabled()).expect("released");
         // Zero budget: everything spills (threshold clamps to 1 byte).
         assert!(again.should_spill(1));
         std::fs::remove_file(&path).ok();
@@ -707,7 +705,7 @@ mod tests {
         }
 
         let (temp, _pool, path) = temp_space("shares", 2);
-        let ctx = SpillContext::acquire(&temp, 1).expect("space free");
+        let ctx = SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space free");
         let handle = ctx.spill(&bufs[3], 8).unwrap();
         let spilled = PartitionSet::new(vec![
             PartitionStream::mem(&bufs[2], 8),
@@ -728,7 +726,7 @@ mod tests {
     fn cancelled_context_stops_spilled_pulls_at_a_page_boundary() {
         let (temp, _pool, path) = temp_space("cancel", 4);
         let cancel = CancelToken::new();
-        let ctx = SpillContext::acquire_cancellable(&temp, 1, cancel.clone()).expect("space free");
+        let ctx = SpillContext::acquire(&temp, 1, cancel.clone()).expect("space free");
         let buf = packed(2000, 16);
         let handle = ctx.spill(&buf, 16).unwrap();
         assert!(handle.pages > 2);
@@ -755,7 +753,7 @@ mod tests {
             HiqueError::Cancelled(_)
         ));
         // Memory streams of an un-cancelled context are unaffected.
-        let free = SpillContext::acquire(&temp, 1).unwrap();
+        let free = SpillContext::acquire(&temp, 1, CancelToken::disabled()).unwrap();
         assert!(free.cancel().check().is_ok());
         std::fs::remove_file(&path).ok();
     }
@@ -899,7 +897,7 @@ mod tests {
     #[test]
     fn empty_partitions_stream_nothing() {
         let (temp, _pool, path) = temp_space("empty", 2);
-        let ctx = SpillContext::acquire(&temp, 1).expect("space free");
+        let ctx = SpillContext::acquire(&temp, 1, CancelToken::disabled()).expect("space free");
         let handle = ctx.spill(&[], 8).unwrap();
         let stream = PartitionStream::spilled(&ctx, handle);
         assert_eq!(stream.num_records(), 0);

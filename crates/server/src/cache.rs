@@ -41,11 +41,11 @@ pub struct PreparedQuery {
     /// The generated kernel program (carries the physical plan).
     pub generated: GeneratedQuery,
     /// Bytecode with this query's constants folded to immediates, for the
-    /// `vm` engine.  `None` when the plan has no bytecode lowering.
-    pub vm: Option<VmProgram>,
+    /// `vm` engine.
+    pub vm: VmProgram,
     /// The pooled (constant-free) bytecode template, shared across
     /// literal-varying classmates via [`VmProgram::bind`].
-    pub vm_template: Option<Arc<VmProgram>>,
+    pub vm_template: Arc<VmProgram>,
 }
 
 impl PreparedQuery {
@@ -202,8 +202,8 @@ mod tests {
             class,
             consts,
             generated,
-            vm: Some(vm),
-            vm_template: Some(Arc::new(template)),
+            vm,
+            vm_template: Arc::new(template),
         })
     }
 
@@ -249,8 +249,7 @@ mod tests {
         // pooled program the new query can rebind.
         match lookup_sql(&cache, "select k from r where v > 25") {
             Lookup::Template(entry) => {
-                let template = entry.vm_template.as_ref().expect("pooled template");
-                assert!(template.has_pool_refs());
+                assert!(entry.vm_template.has_pool_refs());
             }
             _ => panic!("expected a template hit"),
         }

@@ -1,11 +1,10 @@
 //! The engine modes, and running a plan on one of them from scratch.
 
 use hique_dsm::DsmDatabase;
-use hique_holistic::ExecOptions;
 use hique_iter::ExecMode;
 use hique_plan::PhysicalPlan;
 use hique_storage::Catalog;
-use hique_types::{HiqueError, QueryResult, Result};
+use hique_types::{ExecOptions, HiqueError, QueryResult, Result};
 
 /// Which engine mode a session executes on.  All five share the catalog,
 /// the cached plan and the spill/peak-window contracts; the differential
@@ -63,12 +62,13 @@ impl Engine {
 
 /// Execute a physical plan on one engine mode, paying that engine's whole
 /// preparation (the holistic generator; for `vm` also the lowering to
-/// bytecode with constants specialized to immediates) — what the
-/// differential harness, the figure binaries and an uncached session do.
+/// bytecode with constants specialized to immediates, which every plan the
+/// generator accepts has) — what the differential harness, the figure
+/// binaries and an uncached session do.
 ///
-/// `options.cancel` and `options.collect_rows` reach every engine; the
-/// iterator and DSM engines take threads and budget from the plan.  `dsm`
-/// is the catalog's column decomposition, needed by [`Engine::Dsm`] only.
+/// Every engine takes the one `options`, so `cancel` and `collect_rows`
+/// reach all five; threads and budget come from the plan.  `dsm` is the
+/// catalog's column decomposition, needed by [`Engine::Dsm`] only.
 pub fn run_plan(
     engine: Engine,
     plan: &PhysicalPlan,
@@ -76,15 +76,7 @@ pub fn run_plan(
     dsm: Option<&DsmDatabase>,
     options: &ExecOptions,
 ) -> Result<QueryResult> {
-    let iter = |mode| {
-        hique_iter::execute_plan_cancellable(
-            plan,
-            catalog,
-            mode,
-            options.collect_rows,
-            options.cancel.clone(),
-        )
-    };
+    let iter = |mode| hique_iter::execute_plan(plan, catalog, mode, options);
     match engine {
         Engine::IterGeneric => iter(ExecMode::Generic),
         Engine::IterOptimized => iter(ExecMode::Optimized),
@@ -92,13 +84,57 @@ pub fn run_plan(
             let dsm = dsm.ok_or_else(|| {
                 HiqueError::Execution("the dsm engine needs the decomposed database".into())
             })?;
-            hique_dsm::execute_plan_cancellable(plan, dsm, options.cancel.clone())
+            hique_dsm::execute_plan(plan, dsm, options)
         }
         Engine::Holistic => hique_holistic::generate(plan)?.execute_with(catalog, options),
         Engine::Vm => {
             let generated = hique_holistic::generate(plan)?;
             hique_vm::compile(&generated, catalog, hique_vm::CompileMode::Specialized)?
                 .execute(&generated, catalog, options)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hique_plan::{plan_sql, PlannerConfig};
+    use hique_types::{Column, DataType, Row, Schema, Value};
+
+    /// Count-only execution reaches every engine: a non-aggregate query
+    /// without LIMIT returns no rows and counts exactly the rows a
+    /// collecting run returns.
+    #[test]
+    fn count_only_runs_count_every_row_and_return_none_on_every_engine() {
+        let mut catalog = Catalog::new();
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int32),
+            Column::new("v", DataType::Float64),
+        ]);
+        catalog.create_table("r", schema).unwrap();
+        for i in 0..300 {
+            let row = Row::new(vec![Value::Int32(i % 7), Value::Float64(i as f64)]);
+            catalog
+                .table_mut("r")
+                .unwrap()
+                .heap
+                .append_row(&row)
+                .unwrap();
+        }
+        catalog.analyze_table("r").unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
+        let sql = "select k, v * 2 as d from r where v < 250 order by k, d";
+        let plan = plan_sql(sql, &catalog, &PlannerConfig::default()).unwrap();
+        let count_only = ExecOptions {
+            collect_rows: false,
+            ..ExecOptions::default()
+        };
+        for engine in Engine::ALL {
+            let run = |options| run_plan(engine, &plan, &catalog, Some(&dsm), options).unwrap();
+            let (collected, counted) = (run(&ExecOptions::default()), run(&count_only));
+            assert_eq!(collected.rows.len(), 250, "{}", engine.name());
+            assert!(counted.rows.is_empty(), "{}", engine.name());
+            assert_eq!(counted.stats.rows_out, 250, "{}", engine.name());
         }
     }
 }

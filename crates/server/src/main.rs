@@ -13,8 +13,9 @@
 //!
 //! `--smoke` is the CI entry point: it binds an ephemeral port, runs a
 //! battery of real-TCP queries (including repeated shapes, engine
-//! switches, a wide string key grouped on three engines, and a deliberate
-//! error), verifies the responses and the plan
+//! switches, a wide string key, a 100-aggregate statement and a 300-level
+//! output expression each answered identically by three engines, and a
+//! deliberate error), verifies the responses and the plan
 //! cache counters, shuts the server down cleanly, and exits nonzero on
 //! any failure.
 
@@ -221,32 +222,63 @@ fn run_smoke() -> Result<(), String> {
         if stats.hits < 6 {
             return Err(format!("expected >= 6 cache hits, got {}", stats.hits));
         }
-        // A string key wider than its eight-byte image, whose five values
-        // share those eight bytes (`Manufacturer#1` … `#5`): the compiled
-        // engine, the VM and the generic iterators return the same five
-        // groups.
-        let wide = "select p_mfgr, count(*) as n from part group by p_mfgr order by p_mfgr";
-        let mut wide_replies = Vec::new();
-        for engine in ["holistic", "vm", "iter-generic"] {
-            let resp = client
-                .request(&format!(".engine {engine}"))
-                .map_err(|e| e.to_string())?;
-            if !resp.is_ok() {
-                return Err(format!("engine switch to {engine} failed: {}", resp.status));
+        // Statements the three engines must answer identically: a string
+        // key wider than its eight-byte image, whose five values share those
+        // eight bytes (`Manufacturer#1` … `#5`); an aggregate whose register
+        // program has 201 nodes; an output expression 300 levels deep.
+        let sums: Vec<String> = (1..=100)
+            .map(|i| format!("sum(o_totalprice + {i}) as a{i}"))
+            .collect();
+        let deep = (0..300).fold("o_totalprice".to_string(), |e, _| {
+            format!("o_totalprice + ({e})")
+        });
+        let statements = [
+            (
+                "p_mfgr groups",
+                "select p_mfgr, count(*) as n from part group by p_mfgr order by p_mfgr"
+                    .to_string(),
+                Some(5),
+            ),
+            (
+                "100 sums",
+                format!(
+                    "select o_orderstatus, {} from orders group by o_orderstatus \
+                     order by o_orderstatus",
+                    sums.join(", ")
+                ),
+                None,
+            ),
+            (
+                "300-level expression",
+                format!(
+                    "select o_orderkey, {deep} as x from orders where o_orderkey < 2000 \
+                     order by o_orderkey"
+                ),
+                None,
+            ),
+        ];
+        for (name, sql, expected_rows) in &statements {
+            let mut replies = Vec::new();
+            for engine in ["holistic", "vm", "iter-generic"] {
+                let resp = client
+                    .request(&format!(".engine {engine}"))
+                    .map_err(|e| e.to_string())?;
+                if !resp.is_ok() {
+                    return Err(format!("engine switch to {engine} failed: {}", resp.status));
+                }
+                let resp = client
+                    .query(sql)
+                    .map_err(|e| format!("{name} ({engine}): {e}"))?;
+                let rows = resp.rows().len();
+                if rows == 0 || expected_rows.is_some_and(|n| n != rows) {
+                    return Err(format!("{name} ({engine}): {rows} rows"));
+                }
+                replies.push(resp.lines);
             }
-            let resp = client
-                .query(wide)
-                .map_err(|e| format!("p_mfgr groups ({engine}): {e}"))?;
-            if resp.rows().len() != 5 {
-                return Err(format!(
-                    "p_mfgr groups ({engine}): {} rows, expected 5",
-                    resp.rows().len()
-                ));
+            if replies.iter().any(|reply| *reply != replies[0]) {
+                return Err(format!("{name}: replies differ across engines"));
             }
-            wide_replies.push(resp.rows().to_vec());
-        }
-        if wide_replies.iter().any(|rows| *rows != wide_replies[0]) {
-            return Err("p_mfgr groups differ across engines".to_string());
+            eprintln!("smoke: {name}: identical on holistic, vm and iter-generic");
         }
         // A bad query must produce a typed error and leave the connection
         // usable.

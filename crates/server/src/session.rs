@@ -6,10 +6,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hique_dsm::DsmDatabase;
-use hique_holistic::{ExecOptions, GeneratedQuery};
+use hique_holistic::GeneratedQuery;
 use hique_plan::{plan_sql, shape_class_and_consts, PlannerConfig};
 use hique_storage::Catalog;
-use hique_types::{CancelToken, HiqueError, QueryResult, Result};
+use hique_types::{CancelToken, ExecOptions, HiqueError, QueryResult, Result};
 use hique_vm::VmProgram;
 use parking_lot::Mutex;
 
@@ -55,11 +55,6 @@ pub(crate) struct Shared {
     session_seq: AtomicU64,
     queries_served: AtomicU64,
     queries_cancelled: AtomicU64,
-    /// `engine=vm` statements that transparently executed on the holistic
-    /// engine because the plan has no bytecode lowering.  The reply is
-    /// identical either way; this counter is the only externally visible
-    /// trace of the degradation.
-    vm_fallbacks: AtomicU64,
     /// Cancellation tokens of queries currently executing, keyed by session
     /// id (one in-flight statement per session).  [`Server::cancel_all`]
     /// fires every one of them, which is how drain-on-shutdown stops
@@ -116,7 +111,6 @@ impl Server {
                 session_seq: AtomicU64::new(0),
                 queries_served: AtomicU64::new(0),
                 queries_cancelled: AtomicU64::new(0),
-                vm_fallbacks: AtomicU64::new(0),
                 inflight: Mutex::new(HashMap::new()),
             }),
         })
@@ -166,12 +160,6 @@ impl Server {
     pub fn queries_served(&self) -> u64 {
         self.shared.queries_served.load(Ordering::Relaxed)
     }
-
-    /// `engine=vm` statements that transparently degraded to the holistic
-    /// engine (no bytecode lowering for the plan).
-    pub fn vm_fallbacks(&self) -> u64 {
-        self.shared.vm_fallbacks.load(Ordering::Relaxed)
-    }
 }
 
 /// One client's handle on a [`Server`]: prepares through the shared plan
@@ -220,7 +208,8 @@ impl Session {
     /// constants but rebinds the cached pooled bytecode template instead
     /// of lowering from scratch.  A miss pays the full parse → analyze →
     /// plan → generate → compile cost (the paper's Table III preparation)
-    /// and publishes the result for every other session.
+    /// and publishes the result for every other session.  A generator or
+    /// lowering error is returned as the typed error it is.
     pub fn prepare(&self, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
         let (class, consts) = shape_class_and_consts(sql);
         let template = match self.shared.cache.lookup(&class, &consts) {
@@ -233,8 +222,8 @@ impl Session {
         let (vm, vm_template) = compile_vm(
             &generated,
             &self.shared.catalog,
-            template.as_ref().and_then(|t| t.vm_template.as_ref()),
-        );
+            template.as_ref().map(|t| &t.vm_template),
+        )?;
         let hit = template.is_some();
         let prepared = Arc::new(PreparedQuery {
             class,
@@ -289,19 +278,7 @@ impl Session {
                 Some(&self.shared.dsm),
                 &options,
             ),
-            // Bytecode when the plan lowered.  When `compile` refused it —
-            // an aggregate DAG wider than the register bank — degrade
-            // gracefully to the holistic engine the bytecode was rendered
-            // from: the reply is identical (the differential harness proves
-            // it), and the degradation is visible only as `vm_fallbacks` in
-            // `.stats`.
-            Engine::Vm => match prepared.vm.as_ref() {
-                Some(program) => program.execute(&prepared.generated, catalog, &options),
-                None => {
-                    self.shared.vm_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    prepared.generated.execute_with(catalog, &options)
-                }
-            },
+            Engine::Vm => prepared.vm.execute(&prepared.generated, catalog, &options),
         };
         match result {
             Ok(result) => {
@@ -322,28 +299,21 @@ impl Session {
 
 /// Lower `generated` to bytecode for the `vm` engine.  When a classmate's
 /// pooled template is available, rebinding it (swap the constant pool,
-/// fold to immediates) replaces the full lowering; if the rebind reports a
-/// shape mismatch — a literal shifted the chosen join order — we fall back
-/// to a fresh compile.  Bytecode is an engine mode, not a prerequisite:
-/// a plan without a lowering still prepares (`vm: None`) and executes on
-/// the other four engines.
+/// fold to immediates) replaces the full lowering; a template that refuses
+/// the rebind — a literal shifted the chosen join order — is not reused,
+/// and the query compiles afresh.
 fn compile_vm(
     generated: &GeneratedQuery,
     catalog: &Catalog,
     template: Option<&Arc<VmProgram>>,
-) -> (Option<VmProgram>, Option<Arc<VmProgram>>) {
+) -> Result<(VmProgram, Arc<VmProgram>)> {
     if let Some(template) = template {
         if let Ok(vm) = template.bind(generated, catalog) {
-            return (Some(vm), Some(Arc::clone(template)));
+            return Ok((vm, Arc::clone(template)));
         }
     }
-    match hique_vm::compile(generated, catalog, hique_vm::CompileMode::Pooled) {
-        Ok(pooled) => {
-            let vm = pooled.bind(generated, catalog).ok();
-            (vm, Some(Arc::new(pooled)))
-        }
-        Err(_) => (None, None),
-    }
+    let pooled = hique_vm::compile(generated, catalog, hique_vm::CompileMode::Pooled)?;
+    Ok((pooled.bind(generated, catalog)?, Arc::new(pooled)))
 }
 
 // Sessions are handed to client threads; the whole stack under them
@@ -441,27 +411,33 @@ mod tests {
         assert_eq!(b.rows, reference.rows);
     }
 
-    /// An aggregate whose DAG needs more registers than the bytecode bank
-    /// holds: 1 load + 100 constants + 100 adds = 201 > 192.  `compile`
-    /// refuses it, so it is the plan `engine=vm` must degrade on.
-    fn wider_than_the_register_bank() -> String {
+    /// An aggregate whose DAG has 201 nodes (1 load + 100 constants + 100
+    /// adds) and an output expression 300 levels deep: both register
+    /// programs wider than any one-byte register file.
+    fn wide_and_deep() -> [String; 2] {
         let sums: Vec<String> = (1..=100).map(|i| format!("sum(v + {i}) as a{i}")).collect();
-        format!("select k, {} from r group by k order by k", sums.join(", "))
+        let deep = (0..300).fold("v".to_string(), |e, _| format!("v + ({e})"));
+        [
+            format!("select k, {} from r group by k order by k", sums.join(", ")),
+            format!("select k, {deep} as x from r order by k, x"),
+        ]
     }
 
     #[test]
-    fn vm_engine_degrades_to_holistic_when_bytecode_cannot_lower() {
+    fn the_vm_engine_runs_wide_and_deep_programs_as_bytecode() {
         let server = Server::new(catalog(60), ServerConfig::default()).unwrap();
-        let sql = wider_than_the_register_bank();
-        let mut vm = server.session();
-        vm.set_engine(Engine::Vm);
-        let degraded = vm.execute(&sql).unwrap();
-        let mut reference = server.session();
-        let reference = reference.execute_on(&sql, Engine::Holistic).unwrap();
-        assert_eq!(degraded.rows.len(), 10);
-        assert_eq!(degraded.rows, reference.rows);
-        assert_eq!(server.vm_fallbacks(), 1);
-        assert_eq!(server.queries_served(), 2);
+        for sql in wide_and_deep() {
+            let mut vm = server.session();
+            vm.set_engine(Engine::Vm);
+            let vm = vm.execute(&sql).unwrap();
+            let mut reference = server.session();
+            let reference = reference.execute_on(&sql, Engine::Holistic).unwrap();
+            assert!(!vm.rows.is_empty());
+            assert_eq!(vm.rows, reference.rows);
+            // The VM ran its own kernels: the batch tier counts its pages.
+            assert!(vm.stats.vm_batches > 0);
+        }
+        assert_eq!(server.queries_served(), 4);
     }
 
     #[test]

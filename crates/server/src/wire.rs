@@ -258,13 +258,12 @@ fn handle_connection(
                     let cache = server.cache_stats();
                     writeln!(
                         writer,
-                        "OK stats\ncache_hits={}\ncache_misses={}\ncache_entries={}\nqueries={}\nqueries_cancelled={}\nvm_fallbacks={}\nengine={}\n.",
+                        "OK stats\ncache_hits={}\ncache_misses={}\ncache_entries={}\nqueries={}\nqueries_cancelled={}\nengine={}\n.",
                         cache.hits,
                         cache.misses,
                         cache.entries,
                         server.queries_served(),
                         server.queries_cancelled(),
-                        server.vm_fallbacks(),
                         session.engine().name()
                     )
                     .map_err(io_err)
@@ -470,38 +469,34 @@ mod tests {
         assert_eq!(server.queries_served(), 3);
     }
 
-    /// `engine=vm` on a plan with no bytecode lowering (an aggregate DAG
-    /// wider than the register bank) transparently executes via holistic:
-    /// the wire reply is byte-identical to `engine=holistic`, and the
-    /// degradation is visible only as `vm_fallbacks` in `.stats`.
+    /// `engine=vm` on an aggregate whose register program has 201 nodes (1
+    /// load + 100 constants + 100 adds) and on an output expression 300
+    /// levels deep: the wire reply is byte-identical to `engine=holistic`.
     #[test]
-    fn vm_fallback_reply_is_identical_to_holistic_over_the_wire() {
+    fn wide_and_deep_vm_replies_are_identical_to_holistic_over_the_wire() {
         let server = Server::new(catalog(), ServerConfig::default()).unwrap();
         let (addr, stop, serve_handle) = start(&server);
 
         let mut client = WireClient::connect(addr).unwrap();
-        // 1 load + 100 constants + 100 adds = 201 registers > 192.
         let sums: Vec<String> = (1..=100).map(|i| format!("sum(v + {i}) as a{i}")).collect();
-        let sql = format!("select k, {} from r group by k order by k", sums.join(", "));
-        let holistic = client.query(&sql).unwrap();
-        assert!(holistic.is_ok(), "{}", holistic.status);
-        assert!(!holistic.rows().is_empty());
+        let deep = (0..300).fold("v".to_string(), |e, _| format!("v + ({e})"));
+        for sql in [
+            format!("select k, {} from r group by k order by k", sums.join(", ")),
+            format!("select k, {deep} as x from r order by k, x"),
+        ] {
+            client.request(".engine holistic").unwrap();
+            let holistic = client.query(&sql).unwrap();
+            assert!(holistic.is_ok(), "{}", holistic.status);
+            assert!(!holistic.rows().is_empty());
 
-        client.request(".engine vm").unwrap();
-        let vm = client.query(&sql).unwrap();
-        assert_eq!(vm.status, holistic.status);
-        assert_eq!(vm.lines, holistic.lines);
-
-        let stats = client.request(".stats").unwrap();
-        assert!(
-            stats.lines.iter().any(|l| l == "vm_fallbacks=1"),
-            "{:?}",
-            stats.lines
-        );
+            client.request(".engine vm").unwrap();
+            let vm = client.query(&sql).unwrap();
+            assert_eq!(vm.status, holistic.status);
+            assert_eq!(vm.lines, holistic.lines);
+        }
 
         stop.store(true, Ordering::Release);
         serve_handle.join().unwrap().unwrap();
-        assert_eq!(server.vm_fallbacks(), 1);
     }
 
     /// Satellite 3: the server survives hostile input — oversized lines,

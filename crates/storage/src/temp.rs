@@ -167,19 +167,11 @@ impl TempSpace {
     /// timeout) when the admission cap is reached.  Returns the namespace
     /// and whether the claim was initially denied and had to wait — the
     /// executor surfaces that as `ExecStats::spill_claim_denied` instead of
-    /// silently running unbounded, which is the bug this replaces.
-    pub fn claim(self: &Arc<Self>) -> Result<(SpillNamespace, bool)> {
-        self.claim_cancellable(&CancelToken::disabled())
-    }
-
-    /// Like [`TempSpace::claim`], but a queued wait polls `cancel` between
+    /// silently running unbounded.  A queued wait polls `cancel` between
     /// condvar slices: a query blocked in spill admission observes its
     /// deadline (or an explicit cancel) within `CANCEL_POLL` instead of
     /// holding its queue position for the full claim timeout.
-    pub fn claim_cancellable(
-        self: &Arc<Self>,
-        cancel: &CancelToken,
-    ) -> Result<(SpillNamespace, bool)> {
+    pub fn claim(self: &Arc<Self>, cancel: &CancelToken) -> Result<(SpillNamespace, bool)> {
         cancel.check()?;
         let (id, denied) = {
             let mut s = self.lock_state();
@@ -447,7 +439,7 @@ mod tests {
     #[test]
     fn spill_and_reload_round_trips() {
         let (temp, _pool) = setup("roundtrip", 64);
-        let (space, denied) = temp.claim().unwrap();
+        let (space, denied) = temp.claim(&CancelToken::disabled()).unwrap();
         assert!(!denied);
         let buf = packed(1000, 24);
         let handle = space.spill_records(&buf, 24).unwrap();
@@ -465,7 +457,7 @@ mod tests {
     #[test]
     fn tight_budget_forces_evictions_yet_reloads_identically() {
         let (temp, pool) = setup("tight", 2);
-        let (space, _) = temp.claim().unwrap();
+        let (space, _) = temp.claim(&CancelToken::disabled()).unwrap();
         let a = packed(500, 40);
         let b = packed(300, 16);
         let ha = space.spill_records(&a, 40).unwrap();
@@ -485,7 +477,7 @@ mod tests {
     #[test]
     fn page_guards_walk_a_spilled_range_one_pin_at_a_time() {
         let (temp, pool) = setup("guards", 2);
-        let (space, _) = temp.claim().unwrap();
+        let (space, _) = temp.claim(&CancelToken::disabled()).unwrap();
         let buf = packed(600, 32);
         let handle = space.spill_records(&buf, 32).unwrap();
         assert!(handle.pages > 2, "range must exceed the pool budget");
@@ -511,7 +503,7 @@ mod tests {
     #[test]
     fn empty_and_invalid_spills() {
         let (temp, _pool) = setup("invalid", 4);
-        let (space, _) = temp.claim().unwrap();
+        let (space, _) = temp.claim(&CancelToken::disabled()).unwrap();
         // Empty buffer: a zero-page handle reloads to an empty buffer.
         let h = space.spill_records(&[], 8).unwrap();
         assert_eq!(h.pages, 0);
@@ -538,8 +530,8 @@ mod tests {
         // reload their own data intact — the multi-tenant property the old
         // single-claim TempSpace could not provide.
         let (temp, _pool) = setup("tenants", 4);
-        let (a, da) = temp.claim().unwrap();
-        let (b, db) = temp.claim().unwrap();
+        let (a, da) = temp.claim(&CancelToken::disabled()).unwrap();
+        let (b, db) = temp.claim(&CancelToken::disabled()).unwrap();
         assert!(!da && !db, "cap is unlimited by default");
         assert_ne!(a.path(), b.path());
         assert_eq!(temp.active_claims(), 2);
@@ -557,14 +549,14 @@ mod tests {
     fn admission_cap_queues_claims_and_reports_denial() {
         let (temp, _pool) = setup("admission", 4);
         temp.set_max_claims(1);
-        let (a, denied_a) = temp.claim().unwrap();
+        let (a, denied_a) = temp.claim(&CancelToken::disabled()).unwrap();
         assert!(!denied_a);
         // A queued claim blocks until the holder drops, and reports that it
         // was initially denied.
         let t = {
             let temp = Arc::clone(&temp);
             std::thread::spawn(move || {
-                let (ns, denied) = temp.claim().unwrap();
+                let (ns, denied) = temp.claim(&CancelToken::disabled()).unwrap();
                 let buf = packed(10, 8);
                 let h = ns.spill_records(&buf, 8).unwrap();
                 assert_eq!(ns.reload(&h).unwrap(), buf);
@@ -593,7 +585,7 @@ mod tests {
             })
         };
         assert!(t.join().is_err(), "the poisoning thread must panic");
-        let (ns, denied) = temp.claim().unwrap();
+        let (ns, denied) = temp.claim(&CancelToken::disabled()).unwrap();
         assert!(!denied);
         let buf = packed(10, 8);
         let h = ns.spill_records(&buf, 8).unwrap();
@@ -607,12 +599,12 @@ mod tests {
     fn queued_claim_cancels_within_its_deadline() {
         let (temp, _pool) = setup("cancel_claim", 4);
         temp.set_max_claims(1);
-        let (_hold, _) = temp.claim().unwrap();
+        let (_hold, _) = temp.claim(&CancelToken::disabled()).unwrap();
         // A claim queued behind the held slot must observe its deadline in
         // one poll slice, far inside the 30s admission timeout.
         let cancel = CancelToken::with_deadline(Duration::from_millis(100));
         let started = Instant::now();
-        let err = temp.claim_cancellable(&cancel).unwrap_err();
+        let err = temp.claim(&cancel).unwrap_err();
         assert!(matches!(err, HiqueError::Cancelled(_)), "{err}");
         assert!(started.elapsed() < Duration::from_secs(5));
         assert_eq!(temp.active_claims(), 1, "the cancelled claim took no slot");
@@ -623,10 +615,7 @@ mod tests {
         let (temp, _pool) = setup("cancel_pre", 4);
         let cancel = CancelToken::new();
         cancel.cancel();
-        assert!(matches!(
-            temp.claim_cancellable(&cancel),
-            Err(HiqueError::Cancelled(_))
-        ));
+        assert!(matches!(temp.claim(&cancel), Err(HiqueError::Cancelled(_))));
         assert_eq!(temp.active_claims(), 0);
     }
 
@@ -634,7 +623,7 @@ mod tests {
     fn injected_disk_full_fails_spill_and_releases_cleanly() {
         let (temp, pool) = setup("disk_full", 8);
         pool.set_fault_plan(Some(Arc::new(FaultPlan::new().disk_full_on_alloc(2))));
-        let (space, _) = temp.claim().unwrap();
+        let (space, _) = temp.claim(&CancelToken::disabled()).unwrap();
         let buf = packed(100, 16);
         let h = space.spill_records(&buf, 16).unwrap();
         let err = space.spill_records(&buf, 16).unwrap_err();
@@ -654,7 +643,7 @@ mod tests {
     fn reset_refuses_while_claims_or_guards_outstanding() {
         let (temp, _pool) = setup("reset", 4);
         assert!(temp.reset().is_ok());
-        let (space, _) = temp.claim().unwrap();
+        let (space, _) = temp.claim(&CancelToken::disabled()).unwrap();
         // Factory-level reset refuses while any claim is outstanding.
         assert!(matches!(temp.reset(), Err(HiqueError::Storage(_))));
         let buf = packed(100, 16);

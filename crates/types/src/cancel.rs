@@ -99,6 +99,30 @@ impl CancelToken {
     }
 }
 
+/// Execution options every engine takes.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// When `false`, the final result rows are not materialized — the
+    /// executor only counts them (`stats.rows_out`), mirroring the paper's
+    /// methodology of not materializing query output in the
+    /// micro-benchmarks.  Aggregate results (a handful of groups) are always
+    /// materialized.
+    pub collect_rows: bool,
+    /// Cooperative cancellation token, polled at page-granularity points
+    /// (heap-scan pages, join steps, partition-stream pulls, spill-admission
+    /// waits).  The default disabled token never fires (DESIGN.md §12).
+    pub cancel: CancelToken,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            collect_rows: true,
+            cancel: CancelToken::disabled(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

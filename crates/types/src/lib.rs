@@ -26,7 +26,7 @@ pub mod stats;
 pub mod tuple;
 pub mod value;
 
-pub use cancel::CancelToken;
+pub use cancel::{CancelToken, ExecOptions};
 pub use datatype::DataType;
 pub use error::{HiqueError, Result};
 pub use histogram::{Bucket, CmpKind, ColumnDistribution};

@@ -46,17 +46,15 @@ pub enum RhsF {
     Pool(u32),
 }
 
-/// Largest float bank a program may declare.  Register operands are `u8`;
-/// staying well below 256 leaves the mutation lane register indexes that
-/// are out of every bank.
-pub(crate) const MAX_REGISTERS: usize = 192;
-
 /// One bytecode instruction.
 ///
-/// Register indexes address the per-thread `f64` bank sized by
-/// [`crate::VmProgram::float_registers`]; key images and test results do
-/// not use registers (tests short-circuit the fragment, images return
-/// their value directly).
+/// Register indexes are `u16`, the register type of the generator's register
+/// program ([`hique_holistic::agg::AggNode`]): an expression fragment is
+/// that program lowered op for op, op `i` defining register `i`, so every
+/// program the generator accepts has a bank.  They address the per-thread
+/// `f64` bank sized by [`crate::VmProgram::float_registers`]; key images
+/// and test results do not use registers (tests short-circuit the
+/// fragment, images return their value directly).  An `Op` stays 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Predicate: `i32` column at `offset` compared with `rhs` (also used
@@ -78,17 +76,17 @@ pub enum Op {
     /// Projection: copy `width` record bytes from `src` to output `dst`.
     Copy { src: u32, width: u32, dst: u32 },
     /// Load the `f64` column at `offset` into register `dst`.
-    LoadF { dst: u8, offset: u32 },
+    LoadF { dst: u16, offset: u32 },
     /// Load the `i32`/date column at `offset` into register `dst` as `f64`.
-    LoadI32F { dst: u8, offset: u32 },
+    LoadI32F { dst: u16, offset: u32 },
     /// Load the `i64` column at `offset` into register `dst` as `f64`.
-    LoadI64F { dst: u8, offset: u32 },
+    LoadI64F { dst: u16, offset: u32 },
     /// Load an immediate into register `dst`.
-    ConstF { dst: u8, value: f64 },
+    ConstF { dst: u16, value: f64 },
     /// Load [`ConstPool::floats`] slot `idx` into register `dst`.
-    PoolF { dst: u8, idx: u32 },
+    PoolF { dst: u16, idx: u32 },
     /// `dst = a <op> b` over the float bank.
-    Arith { op: BinOp, dst: u8, a: u8, b: u8 },
+    Arith { op: BinOp, dst: u16, a: u16, b: u16 },
     /// Key image of the `i32`/date column at `offset`.
     ImageI32 { offset: u32 },
     /// Key image of the `i64` column at `offset`.
@@ -290,11 +288,10 @@ pub fn run_project(ops: &[Op], record: &[u8], out: &mut [u8]) {
     }
 }
 
-/// Run an expression fragment; the result is the value of the last
-/// instruction's destination register.
+/// Run an expression fragment over one record: every op writes its
+/// destination register.
 #[inline]
-pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) -> f64 {
-    let mut result = 0.0;
+pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) {
     for op in ops {
         #[cfg(debug_assertions)]
         if let Op::LoadF { dst, .. }
@@ -310,26 +307,20 @@ pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) -
                 regs.len()
             );
         }
-        result = match *op {
+        match *op {
             Op::LoadF { dst, offset } => {
                 debug_check_read(record, offset, 8);
                 regs[dst as usize] = read_f64_at(record, offset as usize);
-                regs[dst as usize]
             }
             Op::LoadI32F { dst, offset } => {
                 debug_check_read(record, offset, 4);
                 regs[dst as usize] = read_i32_at(record, offset as usize) as f64;
-                regs[dst as usize]
             }
             Op::LoadI64F { dst, offset } => {
                 debug_check_read(record, offset, 8);
                 regs[dst as usize] = read_i64_at(record, offset as usize) as f64;
-                regs[dst as usize]
             }
-            Op::ConstF { dst, value } => {
-                regs[dst as usize] = value;
-                regs[dst as usize]
-            }
+            Op::ConstF { dst, value } => regs[dst as usize] = value,
             Op::PoolF { dst, idx } => {
                 debug_assert!(
                     (idx as usize) < pool.floats.len(),
@@ -337,7 +328,6 @@ pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) -
                     pool.floats.len()
                 );
                 regs[dst as usize] = pool.floats[idx as usize];
-                regs[dst as usize]
             }
             Op::Arith { op, dst, a, b } => {
                 debug_assert!(
@@ -352,12 +342,10 @@ pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) -
                     BinOp::Mul => l * r,
                     BinOp::Div => l / r,
                 };
-                regs[dst as usize]
             }
             _ => unreachable!("non-expression op in expression fragment"),
-        };
+        }
     }
-    result
 }
 
 /// The compiled key accessor a (single-instruction) key-image fragment
@@ -509,7 +497,15 @@ mod tests {
             },
         ];
         let mut regs = [0.0; 4];
-        assert!((run_expr(&ops, &pool, &rec, &mut regs) - 7.25).abs() < 1e-12);
+        run_expr(&ops, &pool, &rec, &mut regs);
+        assert!((regs[0] - 7.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_op_is_24_bytes() {
+        // `u16` register operands fit beside the widest operand sets (a
+        // test's offset, operator and 16-byte right-hand side).
+        assert_eq!(std::mem::size_of::<Op>(), 24);
     }
 
     #[test]

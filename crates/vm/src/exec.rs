@@ -22,10 +22,12 @@ use hique_holistic::exec::{self, Kernels, RecordSink, Run};
 use hique_holistic::kernel::{compare_keys, CompiledKey};
 use hique_holistic::spill::StagedSlot;
 use hique_holistic::staging::{stage_table, sweep_pages, StagedInput};
-use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
+use hique_holistic::{GeneratedQuery, StagedRelation};
 use hique_plan::{AggregateSpec, StagedTable, StagingStrategy};
 use hique_storage::{Catalog, TableHeap};
-use hique_types::{CancelToken, ExecStats, HiqueError, QueryResult, Result, Row, Value};
+use hique_types::{
+    CancelToken, ExecOptions, ExecStats, HiqueError, QueryResult, Result, Row, Value,
+};
 
 use crate::bytecode::{image_key, run_expr, run_filter, run_image, run_project, Op};
 use crate::program::{OutputOp, VmProgram};
@@ -302,17 +304,16 @@ impl Kernels for Interpreter<'_> {
 
     fn decoder(&self) -> impl FnMut(&[u8]) -> Row {
         let program = self.program;
+        let dag = program.output_dag.ops(&program.code);
         let mut regs = vec![0.0f64; program.float_registers];
         move |record| {
+            run_expr(dag, &program.pool, record, &mut regs);
             let values: Vec<Value> = program
                 .outputs
                 .iter()
                 .map(|o| match o {
                     OutputOp::Column(key) => key.value(record),
-                    OutputOp::Expr(frag, dtype) => Value::from_f64(
-                        run_expr(frag.ops(&program.code), &program.pool, record, &mut regs),
-                        *dtype,
-                    ),
+                    OutputOp::Expr(reg, dtype) => Value::from_f64(regs[*reg as usize], *dtype),
                     OutputOp::Group(_) | OutputOp::Aggregate(_) => {
                         unreachable!("aggregate kernels in a non-aggregate sink")
                     }

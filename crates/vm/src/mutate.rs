@@ -20,7 +20,7 @@ use hique_sql::ast::CmpOp;
 
 use hique_holistic::agg::AccumSlot;
 
-use crate::bytecode::{Frag, Op, RhsF, RhsI, MAX_REGISTERS};
+use crate::bytecode::{Frag, Op, RhsF, RhsI};
 use crate::program::{OutputOp, VmProgram};
 
 /// One corrupted program and the human-readable description of the single
@@ -67,10 +67,6 @@ impl Rng {
 /// An offset far past any record the workspace's schemas can produce;
 /// guaranteed to land on no field boundary.
 const FAR_OFFSET: u32 = 1 << 20;
-
-/// A register index past any bank the compiler sizes.
-const FAR_REGISTER: u8 = 200;
-const _: () = assert!(FAR_REGISTER as usize >= MAX_REGISTERS);
 
 const KINDS: usize = 14;
 
@@ -160,9 +156,10 @@ fn relocate_offset(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     Some(format!("op {i}: relocated offset {old} -> {FAR_OFFSET}"))
 }
 
-/// Point a register operand outside the float bank: statically a
+/// Point a register operand past this program's float bank: statically a
 /// `RegisterOutOfRange`.
 fn register_out_of_bank(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
+    let far = u16::try_from(p.float_registers + 3).ok()?;
     let targets = indices_where(&p.code, |op| {
         matches!(
             op,
@@ -183,7 +180,7 @@ fn register_out_of_bank(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
         | Op::ConstF { dst, .. }
         | Op::PoolF { dst, .. } => {
             let old = *dst;
-            *dst = FAR_REGISTER;
+            *dst = far;
             old
         }
         Op::Arith { dst, a, b, .. } => {
@@ -193,29 +190,22 @@ fn register_out_of_bank(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
                 _ => b,
             };
             let old = *r;
-            *r = FAR_REGISTER;
+            *r = far;
             old
         }
         _ => return None,
     };
     Some(format!(
-        "op {i}: register r{old} -> r{FAR_REGISTER} (bank is {})",
+        "op {i}: register r{old} -> r{far} (bank is {})",
         p.float_registers
     ))
 }
 
-/// Expression fragments of the program (the aggregate DAG and output
-/// expressions) — the only fragments the register machine runs.
+/// Expression fragments of the program (the aggregate and the output
+/// program) — the only fragments the register machine runs.
 fn expr_frags(p: &VmProgram) -> Vec<Frag> {
-    let mut frags = Vec::new();
-    if let Some(agg) = &p.agg {
-        frags.push(agg.dag);
-    }
-    for o in &p.outputs {
-        if let OutputOp::Expr(f, _) = o {
-            frags.push(*f);
-        }
-    }
+    let mut frags: Vec<Frag> = p.agg.iter().map(|agg| agg.dag).collect();
+    frags.push(p.output_dag);
     frags.retain(|f| !f.is_empty());
     frags
 }
@@ -469,10 +459,10 @@ fn swap_cmp_op(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     }
 }
 
-/// Nudge a folded or pooled constant: statically a `PlanMismatch` (the
-/// plan's declared constant no longer matches).  Floats are bit-flipped,
-/// not incremented — `x + 1.0 == x` for large `x` would be an equivalent
-/// mutant.
+/// Nudge a folded or pooled constant of a filter or a register program:
+/// statically a `PlanMismatch` (the plan's declared constant no longer
+/// matches).  Floats are bit-flipped, not incremented — `x + 1.0 == x` for
+/// large `x` would be an equivalent mutant.
 fn tweak_constant(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let imm_targets = indices_where(&p.code, |op| {
         matches!(
@@ -486,11 +476,12 @@ fn tweak_constant(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
             } | Op::TestF64 {
                 rhs: RhsF::Imm(_),
                 ..
-            }
+            } | Op::ConstF { .. }
         )
     });
     // Three target families: immediates in code, numeric pool slots
-    // referenced by tests, byte-string pool slots referenced by tests.
+    // referenced by tests and register programs, byte-string pool slots
+    // referenced by tests.
     let mut families = Vec::new();
     if !imm_targets.is_empty() {
         families.push(0);
@@ -507,7 +498,7 @@ fn tweak_constant(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
             } | Op::TestF64 {
                 rhs: RhsF::Pool(_),
                 ..
-            }
+            } | Op::PoolF { .. }
         )
     });
     if !pool_targets.is_empty() {
@@ -531,7 +522,8 @@ fn tweak_constant(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
                 }
                 Op::TestF64 {
                     rhs: RhsF::Imm(v), ..
-                } => {
+                }
+                | Op::ConstF { value: v, .. } => {
                     *v = f64::from_bits(v.to_bits() ^ 1);
                 }
                 _ => return None,
@@ -552,7 +544,8 @@ fn tweak_constant(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
                 }
                 Op::TestF64 {
                     rhs: RhsF::Pool(s), ..
-                } => {
+                }
+                | Op::PoolF { idx: s, .. } => {
                     let v = &mut p.pool.floats[s as usize];
                     *v = f64::from_bits(v.to_bits() ^ 1);
                 }
@@ -617,14 +610,7 @@ fn frag_out_of_range(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
         }
         frags.push(("aggregate DAG", &mut agg.dag));
     }
-    for o in &mut p.outputs {
-        if let OutputOp::Expr(f, _) = o {
-            frags.push(("output expression", f));
-        }
-    }
-    if frags.is_empty() {
-        return None;
-    }
+    frags.push(("output program", &mut p.output_dag));
     let i = rng.below(frags.len());
     let (name, frag) = &mut frags[i];
     frag.end = far;
@@ -751,10 +737,11 @@ mod tests {
         cat
     }
 
-    /// A filtered scan, a join, and a grouped aggregate with an argument
-    /// expression: between them every fragment kind and pool section.
+    /// A filtered scan with an output expression, a join, and a grouped
+    /// aggregate with an argument expression: between them every fragment
+    /// kind and pool section.
     const FIXTURE_QUERIES: [&str; 3] = [
-        "select k, v from r where v < 12.5 and tag = 'AAA' order by v",
+        "select k, v, v * 2.5 - 1 as e from r where v < 12.5 and tag = 'AAA' order by v",
         "select r.k, s.w from r, s where r.k = s.k and s.w < 4 order by r.k, s.w",
         "select k, count(*) as n, sum(v * 2.5 + 1) as adj from r \
          where k < 4 group by k order by k",

@@ -2,13 +2,15 @@
 //!
 //! [`compile`] walks the rendered program ([`GeneratedQuery`]) exactly the
 //! way the executor will run it — staging filters and projections per
-//! table, key images per binary join step, argument expressions
-//! per aggregate, decode kernels per output column — and emits one flat
-//! code array with a fragment table over it.  The walk is canonical: the
-//! same plan shape always produces the same instruction sequence and the
-//! same constant-pool extraction order, which is what makes a
-//! [`CompileMode::Pooled`] program a rebindable template for its whole
-//! `shape_class`.
+//! table, key images per binary join step, the aggregate program, the
+//! output program and a decode kernel per output column — and emits one
+//! flat code array with a fragment table over it.  Both register programs
+//! lower through one routine: op `i` of the fragment defines register `i`,
+//! a `u16` like the generator's own, so every program the generator
+//! accepts lowers.  The walk is canonical: the same plan shape always
+//! produces the same instruction sequence and the same constant-pool
+//! extraction order, which is what makes a [`CompileMode::Pooled`] program
+//! a rebindable template for its whole `shape_class`.
 //!
 //! Rebinding ([`VmProgram::bind`]) is guarded by a *plan-shape signature*:
 //! a structural hash of everything the bytecode's offsets and fragment
@@ -23,13 +25,13 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
-use hique_holistic::agg::{AccumLayout, AggNode, AggProgram};
-use hique_holistic::kernel::{CompiledExpr, CompiledKey};
+use hique_holistic::agg::{AccumLayout, AggNode};
+use hique_holistic::kernel::CompiledKey;
 use hique_holistic::{GeneratedQuery, OutputKernel};
 use hique_storage::Catalog;
 use hique_types::{DataType, HiqueError, Result, Schema};
 
-use crate::bytecode::{ConstPool, Frag, Op, RhsF, RhsI, MAX_REGISTERS};
+use crate::bytecode::{ConstPool, Frag, Op, RhsF, RhsI};
 
 /// Constant-handling strategy of a compiled program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +64,8 @@ pub struct JoinFrags {
 }
 
 /// Aggregation fragments: the generator's aggregate program
-/// ([`AggProgram`]) lowered once, shared by every aggregate.
+/// ([`hique_holistic::agg::AggProgram`]) lowered once, shared by every
+/// aggregate.
 #[derive(Debug, Clone)]
 pub struct AggFrags {
     /// One image fragment per grouping column (over the joined schema).
@@ -80,8 +83,8 @@ pub struct AggFrags {
 pub enum OutputOp {
     /// Decode the column at the key's offset (any type).
     Column(CompiledKey),
-    /// Evaluate a bytecode expression and cast to the output type.
-    Expr(Frag, DataType),
+    /// Register of the output program, cast to the output type.
+    Expr(u16, DataType),
     /// The `i`-th grouping column of the aggregation output.
     Group(usize),
     /// The `i`-th aggregate of the aggregation output.
@@ -104,6 +107,10 @@ pub struct VmProgram {
     /// Indexed by position in [`hique_plan::PhysicalPlan::binary_steps`].
     pub(crate) joins: Vec<JoinFrags>,
     pub(crate) agg: Option<AggFrags>,
+    /// The generator's output program, one op per node: op `i` defines
+    /// register `i`.  Run once per output record; empty when no output is
+    /// arithmetic.
+    pub(crate) output_dag: Frag,
     pub(crate) outputs: Vec<OutputOp>,
     pub(crate) float_registers: usize,
     pub(crate) signature: u64,
@@ -281,32 +288,33 @@ pub fn compile(
 
     // Aggregation fragments over the joined schema: the group-key images
     // and the generator's aggregate program, lowered node for node.
-    let agg = match plan.aggregate.as_ref().zip(generated.aggregation()) {
-        Some((spec, compiled)) => Some(AggFrags {
+    let agg = plan
+        .aggregate
+        .as_ref()
+        .zip(generated.aggregation())
+        .map(|(spec, compiled)| AggFrags {
             group_images: spec
                 .group_columns
                 .iter()
                 .map(|&g| b.emit_image(&plan.joined_schema, g))
                 .collect(),
-            dag: b.emit_agg_program(compiled.program())?,
+            dag: b.emit_dag(compiled.program().nodes()),
             layout: compiled.program().layout().clone(),
-        }),
-        None => None,
-    };
+        });
 
-    // Output decode kernels, lowered from the generator's output kernels.
-    let mut outputs = Vec::with_capacity(generated.outputs().len());
-    for kernel in generated.outputs() {
-        outputs.push(match kernel {
+    // The output program and the decode kernels over it, lowered from the
+    // generator's output kernels.
+    let output_dag = b.emit_dag(generated.output_program());
+    let outputs = generated
+        .outputs()
+        .iter()
+        .map(|kernel| match kernel {
             OutputKernel::Column(key) => OutputOp::Column(*key),
-            OutputKernel::Expr(expr, dtype) => {
-                let frag = b.emit_compiled_expr(expr)?;
-                OutputOp::Expr(frag, *dtype)
-            }
+            OutputKernel::Expr(reg, dtype) => OutputOp::Expr(*reg, *dtype),
             OutputKernel::GroupPosition(p) => OutputOp::Group(*p),
             OutputKernel::AggregatePosition(i) => OutputOp::Aggregate(*i),
-        });
-    }
+        })
+        .collect();
 
     let mut program = VmProgram {
         mode,
@@ -315,6 +323,7 @@ pub fn compile(
         tables,
         joins,
         agg,
+        output_dag,
         outputs,
         float_registers: b.max_regs.max(1),
         signature: plan_signature(generated, catalog)?,
@@ -462,20 +471,15 @@ impl Builder {
         self.frag(start)
     }
 
-    /// Lower the aggregate program's register DAG: one op per node, node
-    /// `i` into register `i` (constants pooled, like every literal).
-    fn emit_agg_program(&mut self, program: &AggProgram) -> Result<Frag> {
+    /// Lower a register program (the aggregate or the output program): one
+    /// op per node, node `i` into register `i` (constants pooled, like
+    /// every literal).
+    fn emit_dag(&mut self, nodes: &[AggNode]) -> Frag {
         let start = self.pc();
-        let nodes = program.nodes();
-        if nodes.len() > MAX_REGISTERS {
-            return Err(HiqueError::Unsupported(format!(
-                "aggregate program needs {} registers, the bytecode bank holds {MAX_REGISTERS}",
-                nodes.len()
-            )));
-        }
         self.max_regs = self.max_regs.max(nodes.len());
         for (i, node) in nodes.iter().enumerate() {
-            let dst = i as u8;
+            // The generator's registers are `u16`: `i` fits.
+            let dst = i as u16;
             self.code.push(match *node {
                 AggNode::Const(c) => Op::PoolF {
                     dst,
@@ -496,52 +500,12 @@ impl Builder {
                 AggNode::Bin { op, left, right } => Op::Arith {
                     op,
                     dst,
-                    a: left as u8,
-                    b: right as u8,
+                    a: left,
+                    b: right,
                 },
             });
         }
-        Ok(self.frag(start))
-    }
-
-    /// Lower an already-instantiated kernel expression (output kernels).
-    fn emit_compiled_expr(&mut self, expr: &CompiledExpr) -> Result<Frag> {
-        let start = self.pc();
-        self.lower_compiled(expr, 0)?;
-        Ok(self.frag(start))
-    }
-
-    fn lower_compiled(&mut self, expr: &CompiledExpr, reg: u8) -> Result<()> {
-        self.max_regs = self.max_regs.max(reg as usize + 1);
-        match expr {
-            CompiledExpr::ColI32(off) => self.code.push(Op::LoadI32F {
-                dst: reg,
-                offset: *off as u32,
-            }),
-            CompiledExpr::ColI64(off) => self.code.push(Op::LoadI64F {
-                dst: reg,
-                offset: *off as u32,
-            }),
-            CompiledExpr::ColF64(off) => self.code.push(Op::LoadF {
-                dst: reg,
-                offset: *off as u32,
-            }),
-            CompiledExpr::Const(c) => {
-                let idx = self.pool.push_float(*c);
-                self.code.push(Op::PoolF { dst: reg, idx });
-            }
-            CompiledExpr::Bin { op, left, right } => {
-                self.lower_compiled(left, reg)?;
-                self.lower_compiled(right, reg + 1)?;
-                self.code.push(Op::Arith {
-                    op: *op,
-                    dst: reg,
-                    a: reg,
-                    b: reg + 1,
-                });
-            }
-        }
-        Ok(())
+        self.frag(start)
     }
 }
 
@@ -576,32 +540,18 @@ pub fn collect_pool(generated: &GeneratedQuery, catalog: &Catalog) -> Result<Con
             }
         }
     }
-    if let Some(compiled) = generated.aggregation() {
-        for node in compiled.program().nodes() {
-            if let AggNode::Const(c) = node {
-                pool.push_float(*c);
-            }
-        }
-    }
-    for kernel in generated.outputs() {
-        if let OutputKernel::Expr(expr, _) = kernel {
-            collect_compiled_literals(expr, &mut pool);
+    // The register programs' constants, in emission order.
+    let aggregate = generated.aggregation().map(|c| c.program().nodes());
+    for node in aggregate
+        .unwrap_or_default()
+        .iter()
+        .chain(generated.output_program())
+    {
+        if let AggNode::Const(c) = node {
+            pool.push_float(*c);
         }
     }
     Ok(pool)
-}
-
-fn collect_compiled_literals(expr: &CompiledExpr, pool: &mut ConstPool) {
-    match expr {
-        CompiledExpr::Const(c) => {
-            pool.push_float(*c);
-        }
-        CompiledExpr::Bin { left, right, .. } => {
-            collect_compiled_literals(left, pool);
-            collect_compiled_literals(right, pool);
-        }
-        _ => {}
-    }
 }
 
 fn dtype_tag(d: DataType) -> (u8, u32) {
@@ -614,12 +564,12 @@ fn dtype_tag(d: DataType) -> (u8, u32) {
     }
 }
 
-/// The structure of the aggregate program: which nodes exist and who reads
+/// The structure of a register program: which nodes exist and who reads
 /// whom (so two class-mates whose equal or unequal literals intern to
 /// different DAGs do not share a template), not what the constants are.
-fn hash_agg_program(program: &AggProgram, h: &mut DefaultHasher) {
-    program.nodes().len().hash(h);
-    for node in program.nodes() {
+fn hash_program(nodes: &[AggNode], h: &mut DefaultHasher) {
+    nodes.len().hash(h);
+    for node in nodes {
         match *node {
             AggNode::Const(_) => 0u8.hash(h),
             AggNode::ColI32(off) => (1u8, off).hash(h),
@@ -628,27 +578,11 @@ fn hash_agg_program(program: &AggProgram, h: &mut DefaultHasher) {
             AggNode::Bin { op, left, right } => (4u8, op as u8, left, right).hash(h),
         }
     }
-    program.layout().slots().hash(h);
 }
 
-fn hash_compiled_structure(expr: &CompiledExpr, h: &mut DefaultHasher) {
-    match expr {
-        CompiledExpr::ColI32(off) => (0u8, *off).hash(h),
-        CompiledExpr::ColI64(off) => (1u8, *off).hash(h),
-        CompiledExpr::ColF64(off) => (2u8, *off).hash(h),
-        CompiledExpr::Const(_) => 3u8.hash(h),
-        CompiledExpr::Bin { op, left, right } => {
-            4u8.hash(h);
-            (*op as u8).hash(h);
-            hash_compiled_structure(left, h);
-            hash_compiled_structure(right, h);
-        }
-    }
-}
-
-fn agg_program_shape(program: &AggProgram) -> String {
-    let nodes: Vec<String> = program
-        .nodes()
+/// The label of a register program's structure ([`hash_program`]).
+fn program_shape(nodes: &[AggNode]) -> String {
+    let nodes: Vec<String> = nodes
         .iter()
         .enumerate()
         .map(|(i, node)| match *node {
@@ -659,27 +593,7 @@ fn agg_program_shape(program: &AggProgram) -> String {
             AggNode::Bin { op, left, right } => format!("r{i}=(r{left} {op:?} r{right})"),
         })
         .collect();
-    format!(
-        "aggregate program: {} slots={:?}",
-        nodes.join(" "),
-        program.layout().slots()
-    )
-}
-
-fn compiled_shape(expr: &CompiledExpr) -> String {
-    match expr {
-        CompiledExpr::ColI32(off) => format!("i32@{off}"),
-        CompiledExpr::ColI64(off) => format!("i64@{off}"),
-        CompiledExpr::ColF64(off) => format!("f64@{off}"),
-        CompiledExpr::Const(_) => "const".into(),
-        CompiledExpr::Bin { op, left, right } => {
-            format!(
-                "({} {op:?} {})",
-                compiled_shape(left),
-                compiled_shape(right)
-            )
-        }
-    }
+    nodes.join(" ")
 }
 
 /// The human-readable components of the plan-shape signature, in hash
@@ -729,7 +643,11 @@ pub fn plan_structure(generated: &GeneratedQuery, catalog: &Catalog) -> Result<V
             parts.push(format!("group columns: {:?}", spec.group_columns));
             if let Some(compiled) = generated.aggregation() {
                 let program = compiled.program();
-                parts.push(agg_program_shape(program));
+                parts.push(format!(
+                    "aggregate program: {} slots={:?}",
+                    program_shape(program.nodes()),
+                    program.layout().slots()
+                ));
                 for (i, (slot, func, dtype)) in program.layout().outputs().iter().enumerate() {
                     parts.push(format!(
                         "aggregate[{i}]: {func:?}:{dtype:?} from slot {slot}"
@@ -739,15 +657,17 @@ pub fn plan_structure(generated: &GeneratedQuery, catalog: &Catalog) -> Result<V
         }
         None => parts.push("aggregate: none".into()),
     }
+    parts.push(format!(
+        "output program: {}",
+        program_shape(generated.output_program())
+    ));
     for (k, kernel) in generated.outputs().iter().enumerate() {
         parts.push(match kernel {
             OutputKernel::Column(key) => format!(
                 "output[{k}]: column {:?} at offset {} width {}",
                 key.dtype, key.offset, key.width
             ),
-            OutputKernel::Expr(expr, dtype) => {
-                format!("output[{k}]: expr {} as {dtype:?}", compiled_shape(expr))
-            }
+            OutputKernel::Expr(reg, dtype) => format!("output[{k}]: r{reg} as {dtype:?}"),
             OutputKernel::GroupPosition(p) => format!("output[{k}]: group {p}"),
             OutputKernel::AggregatePosition(i) => format!("output[{k}]: aggregate {i}"),
         });
@@ -798,7 +718,8 @@ pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u
             spec.group_columns.hash(&mut h);
             if let Some(compiled) = generated.aggregation() {
                 let program = compiled.program();
-                hash_agg_program(program, &mut h);
+                hash_program(program.nodes(), &mut h);
+                program.layout().slots().hash(&mut h);
                 for (slot, func, dtype) in program.layout().outputs() {
                     (*slot, *func as u8).hash(&mut h);
                     dtype_tag(*dtype).hash(&mut h);
@@ -807,6 +728,7 @@ pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u
         }
         None => 0u8.hash(&mut h),
     }
+    hash_program(generated.output_program(), &mut h);
     generated.outputs().len().hash(&mut h);
     for kernel in generated.outputs() {
         match kernel {
@@ -814,10 +736,9 @@ pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u
                 (0u8, key.offset, key.width).hash(&mut h);
                 dtype_tag(key.dtype).hash(&mut h);
             }
-            OutputKernel::Expr(expr, dtype) => {
-                1u8.hash(&mut h);
+            OutputKernel::Expr(reg, dtype) => {
+                (1u8, *reg).hash(&mut h);
                 dtype_tag(*dtype).hash(&mut h);
-                hash_compiled_structure(expr, &mut h);
             }
             OutputKernel::GroupPosition(p) => (2u8, *p).hash(&mut h),
             OutputKernel::AggregatePosition(i) => (3u8, *i).hash(&mut h),
@@ -831,7 +752,7 @@ mod tests {
     use super::*;
     use crate::bytecode::run_expr;
     use crate::vector::resolve_agg_dag;
-    use hique_holistic::agg::{AccumSlot, PageFold};
+    use hique_holistic::agg::{AccumSlot, AggProgram, PageFold};
     use hique_plan::{AggAlgorithm, AggregateSpec};
     use hique_sql::analyze::{BoundAggregate, ScalarExpr};
     use hique_sql::ast::{AggFunc, BinOp};
@@ -967,13 +888,8 @@ mod tests {
                 AccumSlot::Sum(reg) => reg as usize,
                 other => panic!("SUM finishes from {other:?}"),
             };
-            let trees: Vec<CompiledExpr> = exprs
-                .iter()
-                .map(|e| CompiledExpr::compile(e, &s).unwrap())
-                .collect();
-
             let mut b = Builder::default();
-            let dag = b.emit_agg_program(&program).unwrap();
+            let dag = b.emit_dag(program.nodes());
             let pooled = b.code.clone();
             let mut folded = b.code.clone();
             fold_constants(&mut folded, &b.pool);
@@ -993,8 +909,8 @@ mod tests {
                 fill(&nodes)
             });
             for (r, rec) in records.iter().enumerate() {
-                for (a, tree) in trees.iter().enumerate() {
-                    let want = tree.eval(rec).to_bits();
+                for (a, tree) in exprs.iter().enumerate() {
+                    let want = tree.eval_f64_record(rec, &s).to_bits();
                     let reg = arg_reg(a);
                     let got = compiled.lane(reg as u16)[r].to_bits();
                     assert_eq!(got, want, "compiled, seed {seed}");
@@ -1059,27 +975,32 @@ mod tests {
         format!("1{}.0", "0".repeat(200))
     }
 
-    /// The one plan `compile` refuses: an aggregate DAG wider than the
-    /// register bank (1 load + 100 constants + 100 adds = 201 nodes) is a
-    /// typed `Unsupported` naming the register count, in both modes.
+    /// An aggregate DAG of 201 nodes (1 load + 100 constants + 100 adds) —
+    /// wider than any one-byte register file — compiles in both modes,
+    /// verifies, and executes to exactly the holistic engine's rows.
     #[test]
-    fn an_aggregate_wider_than_the_register_bank_is_a_typed_refusal() {
+    fn a_201_node_aggregate_compiles_verifies_and_matches_holistic() {
         let cat = soundness_catalog();
         let sums: Vec<String> = (1..=100).map(|i| format!("sum(v + {i}) as a{i}")).collect();
-        let sql = format!("select k, {} from r group by k", sums.join(", "));
+        let sql = format!("select k, {} from r group by k order by k", sums.join(", "));
         let plan = hique_plan::plan_sql(&sql, &cat, &hique_plan::PlannerConfig::default());
         let generated = hique_holistic::generate(&plan.unwrap()).unwrap();
+        assert_eq!(
+            generated.aggregation().unwrap().program().nodes().len(),
+            201
+        );
+        let holistic = generated.execute(&cat).unwrap();
         for mode in [CompileMode::Specialized, CompileMode::Pooled] {
-            match compile(&generated, &cat, mode) {
-                Err(HiqueError::Unsupported(msg)) => assert_eq!(
-                    msg,
-                    format!(
-                        "aggregate program needs 201 registers, the bytecode bank holds \
-                         {MAX_REGISTERS}"
-                    )
-                ),
-                other => panic!("{mode:?}: expected the register-bank refusal, got {other:?}"),
-            }
+            let program = compile(&generated, &cat, mode).unwrap();
+            assert_eq!(program.float_registers(), 201, "{mode:?}");
+            program.verify(&generated, &cat).unwrap();
+            let options = hique_types::ExecOptions::default();
+            let vm = program.execute(&generated, &cat, &options).unwrap();
+            assert_eq!(
+                format!("{:?}", vm.rows),
+                format!("{:?}", holistic.rows),
+                "{mode:?}"
+            );
         }
     }
 
@@ -1154,12 +1075,13 @@ mod tests {
                     &p.tables,
                     &p.joins,
                     &p.agg,
+                    p.output_dag,
                     &p.outputs,
                     p.float_registers,
                 )
             )
         };
-        let options = hique_holistic::ExecOptions::default();
+        let options = hique_types::ExecOptions::default();
         let (mut hits, mut refusals) = (0, 0);
         let mut rng = XorShift(0x5EED_CAFE_F00D_1234);
         for (slots, sql) in &classes {

@@ -110,8 +110,8 @@ pub(crate) fn resolve_agg_dag(ops: &[Op], pool: &ConstPool) -> Vec<AggNode> {
             Op::PoolF { idx, .. } => AggNode::Const(pool.floats[idx as usize]),
             Op::Arith { op, a, b, .. } => AggNode::Bin {
                 op,
-                left: a as u16,
-                right: b as u16,
+                left: a,
+                right: b,
             },
             _ => unreachable!("non-expression op in expression fragment"),
         })
@@ -346,8 +346,7 @@ mod tests {
         assert_eq!(fold.fill(&recs.concat()), recs.len());
         let mut regs = [0.0f64; 7];
         for (i, rec) in recs.iter().enumerate() {
-            let scalar = run_expr(&ops, &pool, rec, &mut regs);
-            assert_eq!(fold.lane(6)[i].to_bits(), scalar.to_bits(), "row {i}");
+            run_expr(&ops, &pool, rec, &mut regs);
             for (r, reg) in regs.iter().enumerate() {
                 assert_eq!(
                     fold.lane(r as u16)[i].to_bits(),

@@ -32,14 +32,16 @@
 //!   column.  This is what makes structural single-op mutations (swapped
 //!   operator, nudged constant, relocated offset) statically detectable
 //!   instead of silent wrong answers;
-//! * **aggregate-program agreement** — the aggregation's one shared
-//!   expression fragment is the generator's aggregate program node for
-//!   node: op `i` defines register `i` (so no register has a second
-//!   definition a folded constant could leak through), loads read the
-//!   declared offsets, arithmetic reads the declared operand registers,
-//!   constants carry the declared values, and every accumulator slot reads
-//!   the declared node — a slot redirected to a sibling node is a static
-//!   rejection, not a plausible wrong sum;
+//! * **register-program agreement** — each expression fragment (the
+//!   aggregation's and the output decoder's) is the generator's register
+//!   program node for node: op `i` defines register `i` (so no register
+//!   has a second definition a folded constant could leak through), loads
+//!   read the declared offsets, arithmetic applies the declared operator to
+//!   the declared operand registers, and constants carry the declared
+//!   values.  Every accumulator slot reads the declared node and every
+//!   output expression names the declared register — a slot redirected to
+//!   a sibling node, an operator swapped or a constant nudged is a static
+//!   rejection, not a plausible wrong answer;
 //! * **output arity** — the output decode table matches the plan's output
 //!   schema in length, kind (scalar vs. group/aggregate) and type, and
 //!   key-image widths agree with the holistic [`CompiledKey`] encoding the
@@ -54,7 +56,7 @@
 use std::fmt;
 
 use hique_holistic::agg::{AggNode, AggProgram};
-use hique_holistic::GeneratedQuery;
+use hique_holistic::{GeneratedQuery, OutputKernel};
 use hique_sql::ast::CmpOp;
 use hique_storage::Catalog;
 use hique_types::{DataType, HiqueError, Schema, Value};
@@ -86,12 +88,12 @@ pub enum VerifyError {
     },
     /// An [`Op::Arith`] reads a register no earlier op in the fragment
     /// defined.
-    UseBeforeDef { context: String, op: u32, reg: u8 },
+    UseBeforeDef { context: String, op: u32, reg: u16 },
     /// A register operand addresses past the declared float bank.
     RegisterOutOfRange {
         context: String,
         op: u32,
-        reg: u8,
+        reg: u16,
         bank: usize,
     },
     /// A pool operand indexes past the end of its constant-pool section.
@@ -743,7 +745,7 @@ fn verify_expr(
         });
     }
     let mut defined = vec![false; bank];
-    let check_reg = |pc: u32, reg: u8| -> Result<usize, VerifyError> {
+    let check_reg = |pc: u32, reg: u16| -> Result<usize, VerifyError> {
         let idx = reg as usize;
         if idx >= bank {
             return Err(VerifyError::RegisterOutOfRange {
@@ -820,29 +822,28 @@ fn verify_expr(
     Ok(())
 }
 
-/// Hold the aggregation's shared expression fragment and slot table to
-/// the generator's aggregate program.  The generic expression checks run
-/// first (register bounds, def-before-use, typed loads, pool bounds), so a
-/// corrupted op keeps its specific diagnosis; positional agreement with
-/// the program's nodes and slots follows.
-fn verify_agg_program(
-    frags: &crate::program::AggFrags,
+/// Hold a register-program fragment to the generator's nodes.  The generic
+/// expression checks run first (register bounds, def-before-use, typed
+/// loads, pool bounds), so a corrupted op keeps its specific diagnosis;
+/// positional agreement with the program's nodes follows: op `i` is node
+/// `i` into register `i`.
+fn verify_dag(
+    context: &str,
+    frag: Frag,
     code: &[Op],
     pool: &ConstPool,
-    joined: &FieldMap,
+    map: &FieldMap,
     bank: usize,
-    program: &AggProgram,
+    nodes: &[AggNode],
 ) -> Result<(), VerifyError> {
-    let context = "aggregate DAG";
-    let nodes = program.nodes();
-    let (ops, start) = frag_ops(context, frags.dag, code)?;
-    // COUNT-only aggregations have an empty DAG.
+    let (ops, start) = frag_ops(context, frag, code)?;
+    // COUNT-only aggregations and outputs without arithmetic have none.
     if !ops.is_empty() {
-        verify_expr(context, frags.dag, code, pool, joined, bank)?;
+        verify_expr(context, frag, code, pool, map, bank)?;
     }
     if ops.len() != nodes.len() {
         return Err(VerifyError::ArityMismatch {
-            context: "aggregate DAG ops vs program nodes".into(),
+            context: format!("{context} ops vs program nodes"),
             expected: nodes.len(),
             found: ops.len(),
         });
@@ -867,17 +868,32 @@ fn verify_agg_program(
                     left,
                     right,
                 },
-            ) => dst as usize == i && op == nop && a as u16 == left && b as u16 == right,
+            ) => dst as usize == i && op == nop && a == left && b == right,
             _ => false,
         };
         if !agrees {
             return Err(VerifyError::PlanMismatch {
-                context: format!("aggregate DAG node {i}"),
+                context: format!("{context} node {i}"),
                 op: start + i as u32,
                 detail: format!("program declares {node:?} into r{i}, code has {op:?}"),
             });
         }
     }
+    Ok(())
+}
+
+/// Hold the aggregation's shared expression fragment and slot table to
+/// the generator's aggregate program.
+fn verify_agg_program(
+    frags: &crate::program::AggFrags,
+    code: &[Op],
+    pool: &ConstPool,
+    joined: &FieldMap,
+    bank: usize,
+    program: &AggProgram,
+) -> Result<(), VerifyError> {
+    let nodes = program.nodes();
+    verify_dag("aggregate DAG", frags.dag, code, pool, joined, bank, nodes)?;
     if frags.layout != *program.layout() {
         return Err(VerifyError::PlanMismatch {
             context: "aggregate slots".into(),
@@ -1012,7 +1028,16 @@ pub fn verify(
         verify_agg_program(frags, code, pool, &joined, bank, compiled.program())?;
     }
 
-    // ---- Output decode table vs the plan signature ---------------------
+    // ---- The output program and decode table -------------------------
+    verify_dag(
+        "output program",
+        program.output_dag,
+        code,
+        pool,
+        &joined,
+        bank,
+        generated.output_program(),
+    )?;
     if program.outputs.len() != plan.output_schema.len() {
         return Err(VerifyError::ArityMismatch {
             context: "output decode table vs output schema".into(),
@@ -1028,7 +1053,6 @@ pub fn verify(
         });
     }
     for (k, out) in program.outputs.iter().enumerate() {
-        let out_dtype = plan.output_schema.column(k).dtype;
         match (out, &plan.aggregate) {
             (OutputOp::Group(p), Some(spec)) => {
                 if *p >= spec.group_columns.len() {
@@ -1075,22 +1099,16 @@ pub fn verify(
                     });
                 }
             }
-            (OutputOp::Expr(frag, dtype), None) => {
-                verify_expr(
-                    &format!("output {k} (expression)"),
-                    *frag,
-                    code,
-                    pool,
-                    &joined,
-                    bank,
-                )?;
-                if *dtype != out_dtype {
-                    return Err(VerifyError::TypeMismatch {
-                        context: format!("output {k} (expression cast)"),
-                        op: frag.start,
-                        offset: 0,
-                        expected: dtype_label(out_dtype),
-                        found: dtype_label(*dtype),
+            (OutputOp::Expr(reg, dtype), None) => {
+                let declared = &generated.outputs()[k];
+                if !matches!(*declared, OutputKernel::Expr(r, d) if r == *reg && d == *dtype) {
+                    return Err(VerifyError::PlanMismatch {
+                        context: format!("output {k} (expression)"),
+                        op: program.output_dag.start,
+                        detail: format!(
+                            "program declares {declared:?}, decode table has r{reg} as {}",
+                            dtype_label(*dtype)
+                        ),
                     });
                 }
             }
@@ -1463,6 +1481,71 @@ mod tests {
         assert!(matches!(
             verify(&p, &g, &cat),
             Err(VerifyError::WidthMismatch { .. })
+        ));
+    }
+
+    /// The output program's op of kind `pick`, as a code index.
+    fn output_op(p: &VmProgram, pick: fn(&Op) -> bool) -> usize {
+        let frag = p.output_dag;
+        let i = frag.ops(&p.code).iter().position(pick);
+        frag.start as usize + i.expect("the output program has the op")
+    }
+
+    #[test]
+    fn a_rewritten_output_operator_is_rejected() {
+        let cat = catalog();
+        let (mut p, g) = program(
+            "select k, v * 2 as d from r",
+            &cat,
+            CompileMode::Specialized,
+        );
+        let i = output_op(&p, |op| matches!(op, Op::Arith { .. }));
+        match &mut p.code[i] {
+            Op::Arith { op, .. } => *op = hique_sql::ast::BinOp::Add,
+            other => unreachable!("{other:?} is not arithmetic"),
+        }
+        assert!(matches!(
+            verify(&p, &g, &cat),
+            Err(VerifyError::PlanMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn a_changed_output_constant_is_rejected() {
+        let cat = catalog();
+        let (mut p, g) = program(
+            "select k, v * 2 as d from r",
+            &cat,
+            CompileMode::Specialized,
+        );
+        let i = output_op(&p, |op| matches!(op, Op::ConstF { .. }));
+        match &mut p.code[i] {
+            Op::ConstF { value, .. } => *value = 3.0,
+            other => unreachable!("{other:?} is not a constant"),
+        }
+        assert!(matches!(
+            verify(&p, &g, &cat),
+            Err(VerifyError::PlanMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn an_output_naming_a_sibling_register_is_rejected() {
+        let cat = catalog();
+        let (mut p, g) = program(
+            "select k, v * 2 as d from r",
+            &cat,
+            CompileMode::Specialized,
+        );
+        for o in &mut p.outputs {
+            if let OutputOp::Expr(reg, _) = o {
+                // The `v` load instead of the product.
+                *reg = 0;
+            }
+        }
+        assert!(matches!(
+            verify(&p, &g, &cat),
+            Err(VerifyError::PlanMismatch { .. })
         ));
     }
 

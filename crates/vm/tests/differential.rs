@@ -72,9 +72,14 @@ fn run_vm(generated: &GeneratedQuery, cat: &Catalog, mode: CompileMode) -> Vec<R
 /// (the shared plan fixes the output order, so no canonicalization).
 fn assert_vm_matches_baseline(sql: &str, cat: &Catalog) {
     let generated = prepare(sql, cat);
-    let baseline = hique_iter::execute_plan(generated.plan(), cat, ExecMode::Generic)
-        .unwrap()
-        .rows;
+    let baseline = hique_iter::execute_plan(
+        generated.plan(),
+        cat,
+        ExecMode::Generic,
+        &Default::default(),
+    )
+    .unwrap()
+    .rows;
     assert!(!baseline.is_empty(), "vacuous differential: {sql}");
     assert_eq!(
         run_vm(&generated, cat, CompileMode::Specialized),
@@ -226,7 +231,7 @@ fn shared_dag_nodes_rebind_as_one_definition_or_refuse() {
     let rebound = template.bind(&classmate, &cat).unwrap();
     assert!(!rebound.has_pool_refs());
     let opts = Default::default();
-    let baseline = hique_iter::execute_plan(classmate.plan(), &cat, ExecMode::Generic)
+    let baseline = hique_iter::execute_plan(classmate.plan(), &cat, ExecMode::Generic, &opts)
         .unwrap()
         .rows;
     assert_eq!(

@@ -71,7 +71,7 @@ fn main() -> hique::types::Result<()> {
     let t = Instant::now();
     let team = generated.execute_with(
         &catalog,
-        &hique::holistic::ExecOptions {
+        &hique::types::ExecOptions {
             collect_rows: false,
             ..Default::default()
         },
@@ -90,7 +90,7 @@ fn main() -> hique::types::Result<()> {
     let t = Instant::now();
     let cascade = generated.execute_with(
         &catalog,
-        &hique::holistic::ExecOptions {
+        &hique::types::ExecOptions {
             collect_rows: false,
             ..Default::default()
         },

@@ -31,7 +31,8 @@ fn main() -> hique::types::Result<()> {
 
     // Iterator engine (PostgreSQL-class baseline).
     let t = Instant::now();
-    let iter_result = hique::iter::execute_plan(&plan, &catalog, ExecMode::Generic)?;
+    let iter_result =
+        hique::iter::execute_plan(&plan, &catalog, ExecMode::Generic, &Default::default())?;
     println!(
         "generic iterators : {:>10.2} ms",
         t.elapsed().as_secs_f64() * 1000.0
@@ -40,7 +41,7 @@ fn main() -> hique::types::Result<()> {
     // DSM column engine (MonetDB-class baseline).
     let db = DsmDatabase::from_catalog(&catalog).unwrap();
     let t = Instant::now();
-    let dsm_result = hique::dsm::execute_plan(&plan, &db)?;
+    let dsm_result = hique::dsm::execute_plan(&plan, &db, &Default::default())?;
     println!(
         "DSM column engine : {:>10.2} ms",
         t.elapsed().as_secs_f64() * 1000.0

@@ -51,9 +51,10 @@ fn run_all_engines(sql: &str, catalog: &Catalog, config: &PlannerConfig) -> Vec<
     let plan = plan_query(&bound, catalog, config).unwrap();
     let db = DsmDatabase::from_catalog(catalog).unwrap();
     vec![
-        hique::iter::execute_plan(&plan, catalog, ExecMode::Generic).unwrap(),
-        hique::iter::execute_plan(&plan, catalog, ExecMode::Optimized).unwrap(),
-        hique::dsm::execute_plan(&plan, &db).unwrap(),
+        hique::iter::execute_plan(&plan, catalog, ExecMode::Generic, &Default::default()).unwrap(),
+        hique::iter::execute_plan(&plan, catalog, ExecMode::Optimized, &Default::default())
+            .unwrap(),
+        hique::dsm::execute_plan(&plan, &db, &Default::default()).unwrap(),
         hique::holistic::execute_plan(&plan, catalog).unwrap(),
     ]
 }

@@ -43,8 +43,10 @@ fn all_engines_agree_on_q1_q3_q10() {
     let db = DsmDatabase::from_catalog(&catalog).unwrap();
     for (name, sql) in tpch::queries::all_queries() {
         let plan = plan_for(sql, &catalog);
-        let iter = hique::iter::execute_plan(&plan, &catalog, ExecMode::Optimized).unwrap();
-        let dsm = hique::dsm::execute_plan(&plan, &db).unwrap();
+        let iter =
+            hique::iter::execute_plan(&plan, &catalog, ExecMode::Optimized, &Default::default())
+                .unwrap();
+        let dsm = hique::dsm::execute_plan(&plan, &db, &Default::default()).unwrap();
         let hiq = hique::holistic::execute_plan(&plan, &catalog).unwrap();
         assert!(hiq.num_rows() > 0, "{name} returned no rows at SF {SF}");
         assert_same_results(&iter, &hiq, &format!("{name}: iterators vs HIQUE"));
