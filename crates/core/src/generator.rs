@@ -3,12 +3,9 @@
 //! Mirrors the paper's Figure 3: walk the topologically sorted operator
 //! descriptors, retrieve the code template of each operator's algorithm,
 //! instantiate it with the operator's parameters, and compose a main
-//! function calling everything in order.  Instantiation here produces both
-//! the C-style source artifact and the compiled kernels used for execution;
-//! the time spent is reported as the generation component of the query
-//! preparation cost (Table III).
-
-use std::time::{Duration, Instant};
+//! function calling everything in order.  Templates are instantiated once,
+//! as the kernels that run; callers that report generation cost (Table III,
+//! the benchmark's trace) time the call themselves.
 
 use hique_plan::PhysicalPlan;
 use hique_sql::analyze::OutputExpr;
@@ -19,17 +16,6 @@ use crate::agg::{AggNode, CompiledAgg};
 use crate::agg_program::intern;
 use crate::exec;
 use crate::kernel::CompiledKey;
-use crate::source::{emit_source, GeneratedSource};
-
-/// Preparation cost of a generated query (Table III's per-query columns,
-/// minus parsing/optimization which happen before the generator runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PreparationCost {
-    /// Time spent instantiating templates and emitting source.
-    pub generate: Duration,
-    /// Size of the emitted source artifact in bytes.
-    pub source_bytes: usize,
-}
 
 /// How one output column of the query is produced by the generated code.
 #[derive(Debug, Clone)]
@@ -45,12 +31,11 @@ pub enum OutputKernel {
     AggregatePosition(usize),
 }
 
-/// A query-specific generated program: source artifact + compiled kernels.
+/// A query-specific generated program: the plan's templates instantiated as
+/// compiled kernels.
 #[derive(Debug, Clone)]
 pub struct GeneratedQuery {
     pub(crate) plan: PhysicalPlan,
-    pub(crate) source: GeneratedSource,
-    pub(crate) prep: PreparationCost,
     pub(crate) aggregation: Option<CompiledAgg>,
     pub(crate) outputs: Vec<OutputKernel>,
     /// The register program of the scalar output expressions over the
@@ -62,16 +47,6 @@ impl GeneratedQuery {
     /// The physical plan this program was generated from.
     pub fn plan(&self) -> &PhysicalPlan {
         &self.plan
-    }
-
-    /// The emitted source artifact.
-    pub fn source(&self) -> &GeneratedSource {
-        &self.source
-    }
-
-    /// Generation time and source size.
-    pub fn preparation_cost(&self) -> PreparationCost {
-        self.prep
     }
 
     /// The compiled output kernels, one per output column.  Exposed so
@@ -108,8 +83,6 @@ impl GeneratedQuery {
 
 /// Generate the query-specific program for a plan.
 pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
-    let started = Instant::now();
-
     // Aggregation kernels (if any) are instantiated over the joined schema.
     let aggregation = plan
         .aggregate
@@ -152,17 +125,8 @@ pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
         outputs.push(kernel);
     }
 
-    // The source artifact.
-    let source = emit_source(plan);
-    let prep = PreparationCost {
-        generate: started.elapsed(),
-        source_bytes: source.size_bytes(),
-    };
-
     Ok(GeneratedQuery {
         plan: plan.clone(),
-        source,
-        prep,
         aggregation,
         outputs,
         output_program,
@@ -200,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn generation_produces_source_and_kernels() {
+    fn generation_produces_kernels() {
         let cat = catalog();
         let q = hique_sql::parse_query(
             "select g, sum(v) as s, count(*) as n from t group by g order by g",
@@ -209,8 +173,6 @@ mod tests {
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
         let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let generated = generate(&plan).unwrap();
-        assert!(generated.source().size_bytes() > 500);
-        assert!(generated.preparation_cost().source_bytes == generated.source().size_bytes());
         assert!(generated.aggregation.is_some());
         assert_eq!(generated.outputs.len(), 3);
         assert!(matches!(

@@ -3,21 +3,16 @@
 //! The paper's contribution: **holistic query evaluation through
 //! template-based code generation**.
 //!
-//! Given a [`hique_plan::PhysicalPlan`], [`generate`]
-//! instantiates per-operator code templates into a [`GeneratedQuery`]:
-//!
-//! * a **source artifact** ([`source::GeneratedSource`]) — the query-specific
-//!   C-style source the paper's generator would hand to `gcc` (Listing 1 and
-//!   Listing 2 templates instantiated with this query's offsets, types,
-//!   constants and partition counts), emitted so the user can inspect what
-//!   "generated code" means for their query and so Table III's
-//!   source-size/preparation-cost experiment can be reproduced; and
-//! * an **executable kernel program** — the same templates instantiated as
-//!   fully specialized Rust kernels ([`kernel`]): predicates become fixed
-//!   offset/constant comparisons, projections become byte-range copies,
-//!   arithmetic becomes one register program over record offsets, and
-//!   every operator runs as a tight loop over packed NSM records with no
-//!   per-tuple function calls or `Value` boxing.
+//! Given a [`hique_plan::PhysicalPlan`], [`generate`] instantiates the
+//! per-operator code templates (the paper's Listing 1 staging and Listing 2
+//! join/aggregation templates) once, with this query's offsets, types,
+//! constants and partition counts, into a [`GeneratedQuery`]: a program of
+//! fully specialized Rust kernels ([`kernel`]).  Predicates become fixed
+//! offset/constant comparisons, projections become byte-range copies,
+//! arithmetic becomes one register program over record offsets, and every
+//! operator runs as a tight loop over packed NSM records with no per-tuple
+//! function calls or `Value` boxing.  The bytecode VM (`hique-vm`) lowers
+//! the same instantiated kernels when a query is compiled at query time.
 //!
 //! The substitution of an in-process specialized-kernel program for the
 //! paper's `gcc`+`dlopen` pipeline is documented in `DESIGN.md`; the
@@ -35,13 +30,11 @@ pub mod generator;
 pub mod join;
 pub mod kernel;
 pub mod relation;
-pub mod source;
 pub mod spill;
 pub mod staging;
 
-pub use generator::{generate, GeneratedQuery, OutputKernel, PreparationCost};
+pub use generator::{generate, GeneratedQuery, OutputKernel};
 pub use relation::StagedRelation;
-pub use source::GeneratedSource;
 
 use hique_plan::PhysicalPlan;
 use hique_storage::Catalog;

@@ -28,9 +28,10 @@
 //!
 //! The allowlist (`lint-allow.toml` at the workspace root) is a sequence
 //! of `[[allow]]` tables, each with `rule`, `path`, `max` (finding budget
-//! for that file) and a mandatory non-empty `reason`.  Budgets ratchet:
-//! a file exceeding its budget fails the gate; an entry whose file now has
-//! zero findings is reported as stale so the list cannot rot.
+//! for that file) and a mandatory non-empty `reason`.  Budgets are exact
+//! and ratchet both ways: a file exceeding its budget fails the gate, and
+//! so does an entry whose file now has fewer findings than its `max`
+//! (*slack*) or none at all (*stale*), so the list cannot rot.
 
 #![forbid(unsafe_code)]
 
@@ -363,10 +364,6 @@ pub struct Report {
     pub violations: Vec<String>,
     /// Findings absorbed by allowlist budgets.
     pub suppressed: usize,
-    /// Allowlist entries whose file no longer has findings — prune them.
-    /// Reported but non-fatal, so a cleanup commit cannot be blocked by
-    /// its own success.
-    pub stale: Vec<String>,
 }
 
 impl Report {
@@ -380,15 +377,11 @@ impl fmt::Display for Report {
         for v in &self.violations {
             writeln!(f, "error: {v}")?;
         }
-        for s in &self.stale {
-            writeln!(f, "warning: stale allowlist entry: {s}")?;
-        }
         writeln!(
             f,
-            "hique-lint: {} violations, {} suppressed by allowlist, {} stale entries",
+            "hique-lint: {} violations, {} suppressed by allowlist",
             self.violations.len(),
-            self.suppressed,
-            self.stale.len()
+            self.suppressed
         )
     }
 }
@@ -415,13 +408,15 @@ pub fn apply_allowlist(findings: &[Finding], entries: &[AllowEntry]) -> Report {
             None => report.violations.push(finding.to_string()),
         }
     }
-    for (i, entry) in entries.iter().enumerate() {
-        if used[i] == 0 {
-            report.stale.push(format!(
-                "{} for {} (max {}) matched nothing",
-                entry.rule.name(),
-                entry.path,
-                entry.max
+    for (entry, &n) in entries.iter().zip(&used) {
+        let (rule, path, max) = (entry.rule.name(), &entry.path, entry.max);
+        if n == 0 {
+            report.violations.push(format!(
+                "stale allowlist entry: {rule} for {path} (max {max}) matched nothing; delete it"
+            ));
+        } else if n < max {
+            report.violations.push(format!(
+                "slack allowlist entry: {rule} for {path} has max {max} but matched {n}; lower it to {n}"
             ));
         }
     }
@@ -563,17 +558,27 @@ mod tests {
         let entries = vec![
             entry(Rule::UnwrapExpect, "crates/a/src/x.rs", 1),
             entry(Rule::UnwrapExpect, "crates/a/src/y.rs", 2),
+            entry(Rule::WallClock, "crates/a/src/w.rs", 3),
         ];
         let findings = vec![
             finding(Rule::UnwrapExpect, "crates/a/src/x.rs", 1),
             finding(Rule::UnwrapExpect, "crates/a/src/x.rs", 9), // over budget
             finding(Rule::UnwrapExpect, "crates/a/src/z.rs", 3), // unlisted
+            finding(Rule::WallClock, "crates/a/src/w.rs", 4),
+            finding(Rule::WallClock, "crates/a/src/w.rs", 8), // 2 of 3: slack
         ];
         let report = apply_allowlist(&findings, &entries);
-        assert_eq!(report.suppressed, 1);
-        assert_eq!(report.violations.len(), 2);
-        assert_eq!(report.stale.len(), 1, "y.rs entry matched nothing");
+        assert_eq!(report.suppressed, 3);
+        assert_eq!(report.violations.len(), 4, "{report}");
+        assert!(report.violations[2].starts_with("stale allowlist entry"));
+        assert!(report.violations[2].contains("y.rs (max 2) matched nothing"));
+        assert!(report.violations[3].starts_with("slack allowlist entry"));
+        assert!(report.violations[3].contains("w.rs has max 3 but matched 2"));
         assert!(!report.is_clean());
+
+        // Exact budgets, every one used to the last finding, are clean.
+        let exact = apply_allowlist(&findings[..1], &entries[..1]);
+        assert!(exact.is_clean(), "{exact}");
     }
 
     #[test]

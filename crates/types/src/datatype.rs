@@ -65,8 +65,8 @@ impl DataType {
         matches!(self, DataType::Int32 | DataType::Int64 | DataType::Float64)
     }
 
-    /// Short lowercase SQL-ish name, used by the plan explainer and the
-    /// source-code generator when it needs a C-style type name.
+    /// Short lowercase SQL-ish name, used by the plan explainer and by
+    /// `Display`.
     pub fn sql_name(&self) -> String {
         match self {
             DataType::Int32 => "int".to_string(),
@@ -74,18 +74,6 @@ impl DataType {
             DataType::Float64 => "double".to_string(),
             DataType::Date => "date".to_string(),
             DataType::Char(n) => format!("char({n})"),
-        }
-    }
-
-    /// C type name used in the emitted source artifact, mirroring the code
-    /// the paper's generator writes (e.g. `int *value = tuple + offset`).
-    pub fn c_name(&self) -> &'static str {
-        match self {
-            DataType::Int32 => "int32_t",
-            DataType::Int64 => "int64_t",
-            DataType::Float64 => "double",
-            DataType::Date => "int32_t",
-            DataType::Char(_) => "char",
         }
     }
 }
@@ -132,7 +120,6 @@ mod tests {
     fn names_round_trip_reasonably() {
         assert_eq!(DataType::Int32.sql_name(), "int");
         assert_eq!(DataType::Char(25).sql_name(), "char(25)");
-        assert_eq!(DataType::Float64.c_name(), "double");
         assert_eq!(format!("{}", DataType::Date), "date");
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The paper's holistic model generates C source per query and compiles it
 //! with `gcc` at prepare time; this workspace's `hique-holistic` crate
-//! *renders* that source but executes statically pre-instantiated Rust
-//! kernels (DESIGN.md §2).  This crate closes the gap with compilation
-//! that really happens at query time: [`compile`] lowers the rendered
-//! kernel program into compact register-machine bytecode
+//! instantiates the same templates as statically compiled Rust kernels
+//! (DESIGN.md §2).  This crate closes the gap with compilation that really
+//! happens at query time: [`compile`] lowers the generated kernel program
+//! into compact register-machine bytecode
 //! ([`bytecode::Op`]), and [`VmProgram::execute`] plugs it into the shared
 //! evaluate-query driver as the fifth engine mode (`vm`) — same threads,
 //! memory budget, spill namespaces, cancellation and [`ExecStats`] contract

@@ -1,6 +1,6 @@
 //! Lowering a generated kernel program to bytecode.
 //!
-//! [`compile`] walks the rendered program ([`GeneratedQuery`]) exactly the
+//! [`compile`] walks the generated program ([`GeneratedQuery`]) exactly the
 //! way the executor will run it — staging filters and projections per
 //! table, key images per binary join step, the aggregate program, the
 //! output program and a decode kernel per output column — and emits one
@@ -226,7 +226,7 @@ impl VmProgram {
     }
 }
 
-/// Compile the rendered kernel program into bytecode.
+/// Compile the generated kernel program into bytecode.
 ///
 /// The catalog supplies base-table schemas (filters run over base records,
 /// before projection, exactly like the static staging kernels).

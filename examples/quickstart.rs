@@ -1,5 +1,5 @@
-//! Quickstart: create tables, load rows, run SQL through the holistic
-//! engine and the bytecode VM, and inspect the generated code.
+//! Quickstart: create tables, load rows, and run SQL through the holistic
+//! engine and the bytecode VM compiled from the same generated program.
 //!
 //! ```bash
 //! cargo run --example quickstart
@@ -41,11 +41,6 @@ fn main() -> hique::types::Result<()> {
 
     // 3. Generate query-specific code and execute it.
     let generated = holistic::generate(&plan)?;
-    println!(
-        "generated {} bytes of query-specific source in {:?}\n",
-        generated.preparation_cost().source_bytes,
-        generated.preparation_cost().generate
-    );
     let result = generated.execute(&catalog)?;
     println!("{}", result.to_text());
     println!("counters: {}", result.stats);

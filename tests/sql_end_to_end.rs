@@ -148,24 +148,6 @@ fn date_arithmetic_in_predicates() {
 }
 
 #[test]
-fn generated_source_is_inspectable() {
-    let catalog = catalog().unwrap();
-    let parsed = hique::sql::parse_query(
-        "select dept, count(*) as n from emp where salary > 1200 group by dept order by dept",
-    )
-    .unwrap();
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog)).unwrap();
-    let plan = plan_query(&bound, &catalog, &PlannerConfig::default()).unwrap();
-    let generated = hique::holistic::generate(&plan).unwrap();
-    let src = generated.source().full_text();
-    assert!(src.contains("stage_emp"));
-    assert!(src.contains("aggregate"));
-    assert!(src.contains("evaluate_query"));
-    // The emitted filter uses the emp schema's salary offset.
-    assert!(src.contains("if (!(*v_"));
-}
-
-#[test]
 fn impossible_filters_estimate_zero_and_return_empty() {
     // The catalog is analyzed, so the planner's histogram/MCV statistics
     // know the observed domains: a constant outside them estimates zero
