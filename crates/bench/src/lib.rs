@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness reproducing every table and figure of the paper's
 //! evaluation (§VI), and nothing else: wire latency, preparation stages,
-//! the pool and the VM tiers are measured by `benchmark/`.  See `DESIGN.md`
+//! the pool and the VM front end are measured by `benchmark/`.  See `DESIGN.md`
 //! §4 for the measurement-layer index and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
 //!

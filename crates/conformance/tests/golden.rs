@@ -39,21 +39,37 @@ fn work_counters(s: &ExecStats) -> String {
     )
 }
 
-/// Pin the work counters of the two kernel-providing engines at threads 1
-/// and 4 in `<name>.stats.txt`: the tier and thread parity suites compare
+/// Pin the work counters of the two front ends of the one executor at
+/// threads 1 and 4 in `<name>.stats.txt`: the thread parity suites compare
 /// runs of one commit with each other, this compares every commit with the
-/// blessed one.
+/// blessed one.  The two front ends run one execution, so each `vm` line is
+/// its `holistic` line but for `vm_batches` (the pages the bytecode's
+/// resolved scans swept) — asserted before the file is read or blessed.
 fn check_work_counters(fixture: &Fixture, name: &str, sql: &str) {
     let mut text = String::new();
+    let mut holistic = Vec::new();
     for engine in [Engine::Holistic, Engine::Vm] {
-        for threads in [1usize, 4] {
+        for (i, threads) in [1usize, 4].into_iter().enumerate() {
             let config = PlannerConfig::default().with_threads(threads);
             let plan = plan_sql(sql, &fixture.catalog, &config).unwrap();
-            let result = run_engine(engine, &plan, &fixture.catalog, &fixture.dsm).unwrap();
+            let stats = run_engine(engine, &plan, &fixture.catalog, &fixture.dsm)
+                .unwrap()
+                .stats;
+            match engine {
+                Engine::Holistic => holistic.push(work_counters(&stats)),
+                _ => assert_eq!(
+                    work_counters(&ExecStats {
+                        vm_batches: 0,
+                        ..stats
+                    }),
+                    holistic[i],
+                    "{name}: the vm front end did other work than holistic at threads={threads}"
+                ),
+            }
             text.push_str(&format!(
                 "{} threads={threads} {}\n",
                 engine.name(),
-                work_counters(&result.stats)
+                work_counters(&stats)
             ));
         }
     }

@@ -416,15 +416,30 @@ impl<'a> SortScan<'a> {
 impl CompiledAgg {
     /// Instantiate the aggregation templates for `spec` over `input_schema`.
     pub fn compile(spec: &AggregateSpec, input_schema: &Schema) -> Result<Self> {
-        Ok(CompiledAgg {
-            group_keys: spec
-                .group_columns
+        Ok(CompiledAgg::new(
+            spec.group_columns
                 .iter()
                 .map(|&c| CompiledKey::compile(input_schema, c))
                 .collect(),
-            program: AggProgram::compile(spec, input_schema)?,
-            tuple_size: input_schema.tuple_size(),
-        })
+            AggProgram::compile(spec, input_schema)?,
+            input_schema.tuple_size(),
+        ))
+    }
+
+    /// An aggregation over input records of `tuple_size` bytes from its
+    /// resolved parts: the group-key accessors, in grouping order, and the
+    /// aggregate program.
+    pub fn new(group_keys: Vec<CompiledKey>, program: AggProgram, tuple_size: usize) -> Self {
+        CompiledAgg {
+            group_keys,
+            program,
+            tuple_size,
+        }
+    }
+
+    /// The group-key accessors, in grouping order.
+    pub fn group_keys(&self) -> &[CompiledKey] {
+        &self.group_keys
     }
 
     /// Number of aggregates.

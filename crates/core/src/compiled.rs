@@ -1,5 +1,5 @@
-//! The holistic kernel provider: a [`GeneratedQuery`]'s statically compiled
-//! kernels plugged into the evaluate-query driver ([`crate::exec::run`]).
+//! The kernel set: the query's instantiated templates, resolved once, that
+//! the evaluate-query driver ([`crate::exec::run`]) runs.
 //!
 //! Staging is the instantiated scan/filter/project template with the
 //! plan's pre-processing interleaved; a join step is the plan's algorithm
@@ -9,30 +9,65 @@
 //! the input is resident or sits in the spill space (sort aggregation over
 //! unsorted input, and hybrid aggregation over input it need not
 //! re-partition, gather it first: their sorts need random access).
+//!
+//! A set has two builders: the generator instantiates it from the plan
+//! ([`crate::generate`]), and the bytecode VM resolves it from its verified
+//! fragments and constant pool.  What runs is the same either way.
 
 use hique_plan::{AggAlgorithm, AggregateSpec, JoinAlgorithm, StagingStrategy};
-use hique_storage::TableHeap;
 use hique_types::{HiqueError, Result, Row, Value};
 
-use crate::agg::eval_registers;
-use crate::exec::{Kernels, RecordSink, Run};
-use crate::generator::{GeneratedQuery, OutputKernel};
+use crate::agg::{eval_registers, AggNode, CompiledAgg};
+use crate::exec::{RecordSink, Run};
+use crate::generator::OutputKernel;
 use crate::join::{fine_partition_join, hybrid_join, merge_join, team_join, JoinSink};
 use crate::kernel::CompiledKey;
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
-use crate::staging::{stage_table, ScanKernels, StagedInput};
+use crate::staging::{ScanKernels, StagedInput};
 
-impl Kernels for GeneratedQuery {
-    const FUSES_JOIN_TEAMS: bool = true;
+/// The per-query kernels the driver plugs into the evaluate-query skeleton,
+/// resolved once per query.
+///
+/// The driver calls into the set once per phase or step, never per record;
+/// the inner loops are the kernels' own, and every one is deterministic in
+/// the pool width: same records in the same order, same counters.
+#[derive(Debug, Clone)]
+pub struct KernelSet {
+    /// Per staged table, indexed like [`hique_plan::PhysicalPlan::staged`]:
+    /// its filters and copy plan over the base record.
+    pub scans: Vec<ScanKernels>,
+    /// Per binary step, indexed like
+    /// [`hique_plan::PhysicalPlan::binary_steps`]: the key of the running
+    /// intermediate (left) and of the staged input (right).  A join team's
+    /// steps all key on member 0's column, so its member keys are the first
+    /// left key followed by every right key ([`KernelSet::team_keys`]).
+    pub joins: Vec<(CompiledKey, CompiledKey)>,
+    /// Group keys and aggregate program of an aggregate query.
+    pub aggregation: Option<CompiledAgg>,
+    /// One output kernel per output column.
+    pub outputs: Vec<OutputKernel>,
+    /// The register program of the scalar output expressions over the
+    /// joined record: node `i` defines register `i` (empty when no output
+    /// is arithmetic).
+    pub output_program: Vec<AggNode>,
+}
 
-    fn stage(&self, t: usize, heap: &TableHeap, run: &mut Run<'_>) -> Result<StagedInput> {
-        let desc = &run.plan.staged[t];
-        let scan = ScanKernels::compile(desc, heap.schema())?;
-        stage_table(heap, &scan, desc, &mut run.stats, &run.pool, run.cancel)
+impl KernelSet {
+    /// The join team's member keys, in member order.
+    pub fn team_keys(&self) -> Vec<CompiledKey> {
+        let first = self.joins.first().map(|&(left, _)| left);
+        first
+            .into_iter()
+            .chain(self.joins.iter().map(|&(_, right)| right))
+            .collect()
     }
 
-    fn join(
+    /// Cascade step `step`: join the running intermediate with the staged
+    /// `rights` (one input, or every other member of a join team), pushing
+    /// each output record — the inputs' records concatenated, left first —
+    /// into `sink` in the one order every pool width produces.
+    pub(crate) fn join(
         &self,
         step: usize,
         left: StagedInput,
@@ -41,19 +76,14 @@ impl Kernels for GeneratedQuery {
         sink: &mut RecordSink<'_, impl FnMut(&[u8]) -> Row>,
     ) -> Result<()> {
         let plan = run.plan;
-        if let Some(team) = &plan.join_team {
+        if plan.join_team.is_some() {
             // The team's deeply nested loops cursor over every input at
             // once (random access within key groups).
             let inputs: Vec<&StagedRelation> = std::iter::once(&left)
                 .chain(&rights)
                 .map(|input| &input.relation)
                 .collect();
-            let keys: Vec<CompiledKey> = team
-                .members
-                .iter()
-                .zip(&team.key_columns)
-                .map(|(&m, &kc)| CompiledKey::compile(&plan.staged[m].schema, kc))
-                .collect();
+            let keys = self.team_keys();
             let mut buf = vec![0u8; plan.joined_schema.tuple_size()];
             team_join(&inputs, &keys, &mut run.stats, &mut |records| {
                 let mut off = 0usize;
@@ -86,7 +116,8 @@ impl Kernels for GeneratedQuery {
         Ok(())
     }
 
-    fn aggregate(
+    /// Aggregate the joined records into result rows in output-column order.
+    pub(crate) fn aggregate(
         &self,
         spec: &AggregateSpec,
         slot: StagedSlot,
@@ -120,14 +151,9 @@ impl Kernels for GeneratedQuery {
             AggAlgorithm::Sort => {
                 // Sorting needs random access: a spilled input is gathered.
                 let mut rel = slot.into_input(spill)?.relation;
-                let group_keys: Vec<CompiledKey> = spec
-                    .group_columns
-                    .iter()
-                    .map(|&c| CompiledKey::compile(&plan.joined_schema, c))
-                    .collect();
                 rel.flatten();
                 stats.sort_passes += 1;
-                rel.sort_all(&group_keys, pool);
+                rel.sort_all(compiled.group_keys(), pool);
                 compiled.sort_aggregate(&rel.partitions(), pool, stats)?
             }
         };
@@ -150,7 +176,9 @@ impl Kernels for GeneratedQuery {
             .collect())
     }
 
-    fn decoder(&self) -> impl FnMut(&[u8]) -> Row {
+    /// A decoder turning one joined record into a result row (non-aggregate
+    /// queries).  Each parallel decode worker takes its own.
+    pub(crate) fn decoder(&self) -> impl FnMut(&[u8]) -> Row + '_ {
         let mut regs = vec![0.0; self.output_program.len()];
         move |record| {
             eval_registers(&self.output_program, record, &mut regs);
@@ -168,9 +196,7 @@ impl Kernels for GeneratedQuery {
             Row::new(values)
         }
     }
-}
 
-impl GeneratedQuery {
     /// One binary step of the cascade with the plan's algorithm.
     fn join_pair(
         &self,
@@ -184,8 +210,7 @@ impl GeneratedQuery {
         let (pool, stats) = (&run.pool, &mut run.stats);
         let join = &plan.joins[step];
         let right_desc = &plan.staged[join.right];
-        let left_key = CompiledKey::compile(left.relation.schema(), join.left_key);
-        let right_key = CompiledKey::compile(&right_desc.schema, join.right_key);
+        let (left_key, right_key) = self.joins[step];
         match join.algorithm {
             JoinAlgorithm::Merge => {
                 // Which column the running intermediate is sorted on: the

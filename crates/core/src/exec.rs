@@ -5,33 +5,35 @@
 //! results as temporary relations, or streaming the final join straight
 //! into the output), aggregate, order/limit and emit.  Only the kernels
 //! plugged into that skeleton change per query.  [`run`] is the skeleton,
-//! written once and generic (static dispatch) over a [`Kernels`] provider
-//! whose hooks sit at phase granularity; the statically compiled kernels of
-//! a [`crate::GeneratedQuery`] and the bytecode interpreter of `hique-vm`
-//! are its two implementations.  Everything an execution shares regardless
-//! of provider lives here: the [`hique_pipeline::RunEnvelope`], staged-slot
-//! spilling between phases, the streaming-or-materializing record sink, the
-//! one worker rule of the output phase ([`hique_pipeline::PartitionSet::shares`]),
-//! cancellation checks between steps, the four [`PhaseTimings`] phases and
-//! result finalization.
+//! written once over one resolved [`KernelSet`] — whether the generator
+//! instantiated it from the plan or the bytecode VM resolved it from its
+//! verified fragments — and runs the plan's staging strategies, join
+//! algorithms (a join team in one call) and aggregation algorithm.
+//! Everything around the kernels lives here: the
+//! [`hique_pipeline::RunEnvelope`], staged-slot spilling between phases,
+//! the streaming-or-materializing record sink, the one worker rule of the
+//! output phase ([`hique_pipeline::PartitionSet::shares`]), cancellation
+//! checks between steps, the four [`PhaseTimings`] phases and result
+//! finalization.
 
 use std::time::Instant;
 
 use hique_par::ScopedPool;
 use hique_pipeline::{RunEnvelope, SpillContext};
-use hique_plan::{AggregateSpec, PhysicalPlan};
-use hique_storage::{Catalog, TableHeap};
+use hique_plan::PhysicalPlan;
+use hique_storage::Catalog;
 use hique_types::{
     result::finalize_rows, CancelToken, ExecOptions, ExecStats, HiqueError, PhaseTimings,
     QueryResult, Result, Row,
 };
 
+use crate::compiled::KernelSet;
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
-use crate::staging::StagedInput;
+use crate::staging::{stage_table, StagedInput};
 
-/// What every kernel hook works against for the length of one execution.
-pub struct Run<'a> {
+/// What every kernel call works against for the length of one execution.
+pub(crate) struct Run<'a> {
     /// The plan being evaluated.
     pub plan: &'a PhysicalPlan,
     /// The run's work counters; parallel kernels merge their per-worker
@@ -46,7 +48,7 @@ pub struct Run<'a> {
 }
 
 /// Where a join step (or the final output scan) sends its records.
-pub enum RecordSink<'a, D> {
+pub(crate) enum RecordSink<'a, D> {
     /// Materialize into the relation the next step consumes.
     Relation(&'a mut StagedRelation),
     /// Decode into result rows.
@@ -61,7 +63,7 @@ pub enum RecordSink<'a, D> {
 impl<D: FnMut(&[u8]) -> Row> RecordSink<'_, D> {
     /// Consume one record of the step's output layout.
     #[inline]
-    pub fn push(&mut self, record: &[u8]) {
+    pub(crate) fn push(&mut self, record: &[u8]) {
         match self {
             RecordSink::Relation(out) => out.push(record),
             RecordSink::Rows { decode, rows } => rows.push(decode(record)),
@@ -70,50 +72,9 @@ impl<D: FnMut(&[u8]) -> Row> RecordSink<'_, D> {
     }
 }
 
-/// The per-query kernels the driver plugs into the evaluate-query skeleton.
-///
-/// Hooks are called once per phase or step, never per record; a provider's
-/// inner loops are its own.  Every hook must be deterministic in the pool
-/// width: same records in the same order, same counters.
-pub trait Kernels: Sync {
-    /// Whether [`Kernels::join`] evaluates a whole join team in one call
-    /// (all members at once).  Otherwise the driver walks the team as its
-    /// cascade of binary steps over the shared key
-    /// ([`PhysicalPlan::binary_steps`], whose positions `step` indexes).
-    const FUSES_JOIN_TEAMS: bool;
-
-    /// Scan, filter, project and pre-organize base table `t` of the plan.
-    fn stage(&self, t: usize, heap: &TableHeap, run: &mut Run<'_>) -> Result<StagedInput>;
-
-    /// Cascade step `step`: join the running intermediate with the staged
-    /// `rights` (one input, or every other member of a fused team), pushing
-    /// each output record — the inputs' records concatenated, left first —
-    /// into `sink` in the one order every pool width produces.
-    fn join(
-        &self,
-        step: usize,
-        left: StagedInput,
-        rights: Vec<StagedInput>,
-        run: &mut Run<'_>,
-        sink: &mut RecordSink<'_, impl FnMut(&[u8]) -> Row>,
-    ) -> Result<()>;
-
-    /// Aggregate the joined records into result rows in output-column order.
-    fn aggregate(
-        &self,
-        spec: &AggregateSpec,
-        input: StagedSlot,
-        run: &mut Run<'_>,
-    ) -> Result<Vec<Row>>;
-
-    /// A decoder turning one joined record into a result row (non-aggregate
-    /// queries).  Each parallel decode worker takes its own.
-    fn decoder(&self) -> impl FnMut(&[u8]) -> Row;
-}
-
-/// Evaluate `plan` over `catalog` with the given kernels.
-pub fn run<K: Kernels>(
-    kernels: &K,
+/// Evaluate `plan` over `catalog` with its resolved kernel set.
+pub fn run(
+    kernels: &KernelSet,
     plan: &PhysicalPlan,
     catalog: &Catalog,
     options: &ExecOptions,
@@ -141,8 +102,9 @@ pub fn run<K: Kernels>(
     let mut staged: Vec<Option<StagedSlot>> = (0..plan.staged.len()).map(|_| None).collect();
     for &t in &plan.join_order {
         cancel.check()?;
-        let info = catalog.table(&plan.staged[t].table_name)?;
-        let input = kernels.stage(t, &info.heap, &mut run)?;
+        let (desc, scan) = (&plan.staged[t], &kernels.scans[t]);
+        let heap = &catalog.table(&desc.table_name)?.heap;
+        let input = stage_table(heap, scan, desc, &mut run.stats, &run.pool, cancel)?;
         staged[t] = Some(StagedSlot::stage(input, spill)?);
     }
     timings.record("staging", t0.elapsed());
@@ -154,11 +116,12 @@ pub fn run<K: Kernels>(
     let mut rows: Vec<Row> = Vec::new();
     let mut counted: u64 = 0;
     let mut take = |t: usize| staged[t].take().expect("every input is staged once");
-    // The right-hand inputs of each cascade step, in join order.
-    let binary = plan.binary_steps();
+    // The right-hand inputs of each cascade step, in join order: a join
+    // team is one step over all of its members.
     let steps: Vec<&[usize]> = match &plan.join_team {
-        Some(team) if K::FUSES_JOIN_TEAMS => vec![&team.members[1..]],
-        _ => binary
+        Some(team) => vec![&team.members[1..]],
+        None => plan
+            .joins
             .iter()
             .map(|j| std::slice::from_ref(&j.right))
             .collect(),

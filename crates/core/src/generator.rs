@@ -14,8 +14,10 @@ use hique_types::{DataType, ExecOptions, HiqueError, QueryResult, Result};
 
 use crate::agg::{AggNode, CompiledAgg};
 use crate::agg_program::intern;
+use crate::compiled::KernelSet;
 use crate::exec;
 use crate::kernel::CompiledKey;
+use crate::staging::ScanKernels;
 
 /// How one output column of the query is produced by the generated code.
 #[derive(Debug, Clone)]
@@ -36,11 +38,7 @@ pub enum OutputKernel {
 #[derive(Debug, Clone)]
 pub struct GeneratedQuery {
     pub(crate) plan: PhysicalPlan,
-    pub(crate) aggregation: Option<CompiledAgg>,
-    pub(crate) outputs: Vec<OutputKernel>,
-    /// The register program of the scalar output expressions over the
-    /// joined record (empty when no output is arithmetic).
-    pub(crate) output_program: Vec<AggNode>,
+    pub(crate) kernels: KernelSet,
 }
 
 impl GeneratedQuery {
@@ -53,19 +51,19 @@ impl GeneratedQuery {
     /// alternative back ends (the bytecode VM) can lower the *same*
     /// instantiated kernels instead of re-deriving them from the plan.
     pub fn outputs(&self) -> &[OutputKernel] {
-        &self.outputs
+        &self.kernels.outputs
     }
 
     /// The register program the [`OutputKernel::Expr`] registers name: node
     /// `i` defines register `i`, evaluated once per output record.
     pub fn output_program(&self) -> &[AggNode] {
-        &self.output_program
+        &self.kernels.output_program
     }
 
     /// The compiled aggregation (group keys + aggregate program) of an
     /// aggregate query, exposed for the same reason.
     pub fn aggregation(&self) -> Option<&CompiledAgg> {
-        self.aggregation.as_ref()
+        self.kernels.aggregation.as_ref()
     }
 
     /// Execute the generated program against the catalog's data.
@@ -77,12 +75,35 @@ impl GeneratedQuery {
     /// inflationary-join micro-benchmarks, matching the paper's
     /// "we did not materialize the output" methodology).
     pub fn execute_with(&self, catalog: &Catalog, options: &ExecOptions) -> Result<QueryResult> {
-        exec::run(self, &self.plan, catalog, options)
+        exec::run(&self.kernels, &self.plan, catalog, options)
     }
 }
 
 /// Generate the query-specific program for a plan.
 pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
+    // Scans over each staged table's base record, as the analyzer bound it.
+    let scans = plan
+        .staged
+        .iter()
+        .map(|staged| ScanKernels::compile(staged, &plan.query.tables[staged.table].schema))
+        .collect::<Result<_>>()?;
+
+    // Join keys per binary step, the left one over the intermediate the
+    // step extends (a team's member 0 stays its prefix).
+    let steps = plan.binary_steps();
+    let mut joins = Vec::with_capacity(steps.len());
+    if let Some(&first) = plan.join_order.first() {
+        let mut current = plan.staged[first].schema.clone();
+        for step in &steps {
+            let right = &plan.staged[step.right].schema;
+            joins.push((
+                CompiledKey::compile(&current, step.left_key),
+                CompiledKey::compile(right, step.right_key),
+            ));
+            current = current.join(right);
+        }
+    }
+
     // Aggregation kernels (if any) are instantiated over the joined schema.
     let aggregation = plan
         .aggregate
@@ -127,9 +148,13 @@ pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
 
     Ok(GeneratedQuery {
         plan: plan.clone(),
-        aggregation,
-        outputs,
-        output_program,
+        kernels: KernelSet {
+            scans,
+            joins,
+            aggregation,
+            outputs,
+            output_program,
+        },
     })
 }
 
@@ -173,14 +198,14 @@ mod tests {
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
         let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let generated = generate(&plan).unwrap();
-        assert!(generated.aggregation.is_some());
-        assert_eq!(generated.outputs.len(), 3);
+        assert!(generated.aggregation().is_some());
+        assert_eq!(generated.outputs().len(), 3);
         assert!(matches!(
-            generated.outputs[0],
+            generated.outputs()[0],
             OutputKernel::GroupPosition(0)
         ));
         assert!(matches!(
-            generated.outputs[1],
+            generated.outputs()[1],
             OutputKernel::AggregatePosition(0)
         ));
         assert_eq!(generated.plan().output_schema.names(), vec!["g", "s", "n"]);
@@ -193,13 +218,13 @@ mod tests {
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
         let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let generated = generate(&plan).unwrap();
-        assert!(matches!(generated.outputs[0], OutputKernel::Column(_)));
+        assert!(matches!(generated.outputs()[0], OutputKernel::Column(_)));
         // `v * 2` is register 2 of the output program: load, constant, product.
         assert!(matches!(
-            generated.outputs[1],
+            generated.outputs()[1],
             OutputKernel::Expr(2, DataType::Float64)
         ));
         assert_eq!(generated.output_program().len(), 3);
-        assert!(generated.aggregation.is_none());
+        assert!(generated.aggregation().is_none());
     }
 }

@@ -33,6 +33,7 @@ pub mod relation;
 pub mod spill;
 pub mod staging;
 
+pub use compiled::KernelSet;
 pub use generator::{generate, GeneratedQuery, OutputKernel};
 pub use relation::StagedRelation;
 

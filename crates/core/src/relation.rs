@@ -209,21 +209,6 @@ impl StagedRelation {
         )
     }
 
-    /// Records `range` of the partition-order record sequence
-    /// [`StagedRelation::records`] yields, as one packed run per partition
-    /// the range touches.
-    pub fn packed_runs(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &[u8]> {
-        let ts = self.tuple_size;
-        let (mut skip, mut take) = (range.start * ts, range.len() * ts);
-        self.partitions.iter().map(move |p| {
-            let start = skip.min(p.len());
-            skip -= start;
-            let end = (start + take).min(p.len());
-            take -= end - start;
-            &p[start..end]
-        })
-    }
-
     /// Append a record to partition `p`.
     #[inline(always)]
     pub fn push_to(&mut self, p: usize, record: &[u8]) {

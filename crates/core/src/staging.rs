@@ -41,7 +41,7 @@ impl StagedInput {
     }
 }
 
-/// The page loop of the paper's Listing 1, shared by both kernel providers:
+/// The page loop of the paper's Listing 1:
 /// fetch each heap page of `pages` by reference, account for its tuples
 /// from the page's count (`tuples_processed`, `bytes_touched`), and hand its
 /// packed record area to `sweep`.
@@ -51,7 +51,7 @@ impl StagedInput {
 /// frames, unpinned as each page's sweep finishes).  `cancel` is checked
 /// once per page, so a cancelled execution stops mid-scan at the next page
 /// boundary.
-pub fn sweep_pages(
+fn sweep_pages(
     heap: &TableHeap,
     pages: Range<usize>,
     cancel: &CancelToken,
@@ -102,9 +102,11 @@ fn concat_runs(runs: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
 /// paper's Listing 1 for one input table, built once per staging call and
 /// swept over pages by every worker.
 ///
-/// Both kernel providers stage through [`stage_table`] with one of these:
-/// the compiled provider builds it from the plan ([`ScanKernels::compile`]),
-/// the bytecode VM from its verified filter and projection fragments.
+/// Every staging call runs [`stage_table`] with one of these, taken from
+/// the query's [`crate::KernelSet`]: the generator builds it from the plan
+/// ([`ScanKernels::compile`]), the bytecode VM from its verified filter and
+/// projection fragments.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanKernels {
     /// Conjunctive filters over the base record, applied in order.
     pub filters: Vec<CompiledFilter>,
@@ -173,7 +175,7 @@ struct FineChunk {
 }
 
 /// Stage one base table through a resolved `scan`, dividing the pages
-/// across `pool`: the one staging entry point of both kernel providers.
+/// across `pool`: the one staging entry point of the executor.
 ///
 /// `staged` supplies the output schema, the row estimate the output buffers
 /// are reserved from, and the pre-processing strategy; what runs over each

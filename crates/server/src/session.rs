@@ -434,7 +434,7 @@ mod tests {
             let reference = reference.execute_on(&sql, Engine::Holistic).unwrap();
             assert!(!vm.rows.is_empty());
             assert_eq!(vm.rows, reference.rows);
-            // The VM ran its own kernels: the batch tier counts its pages.
+            // The kernels came from the bytecode: its scans count their pages.
             assert!(vm.stats.vm_batches > 0);
         }
         assert_eq!(server.queries_served(), 4);

@@ -131,13 +131,12 @@ pub struct ExecStats {
     /// `FaultPlan` while this execution ran (failed/short reads, failed
     /// writes, disk-full spill allocations).  Zero outside chaos testing.
     pub faults_injected: u64,
-    /// Tuple batches dispatched by the bytecode VM's vectorized tier
-    /// (one per heap page staged, per pinned spill page consumed, or per
-    /// in-memory chunk of at most the batch width).  Zero when the scalar
-    /// row-at-a-time interpreter ran — which tier executed is visible in
-    /// EXPLAIN through this counter.
+    /// Heap pages swept by scans resolved from bytecode: every staged
+    /// table's pages, once, on each `engine=vm` execution; zero on every
+    /// other engine.  The one counter in which the two front ends of the
+    /// one executor differ.
     pub vm_batches: u64,
-    /// Retired: the vectorized tier no longer fuses ops, so this reads 0.
+    /// Retired: no executor fuses bytecode ops, so this reads 0.
     /// The field stays only while the benchmark's trace still reports it.
     pub vm_fused_ops: u64,
     /// Buffer-pool and disk I/O of the execution (zero for memory-resident

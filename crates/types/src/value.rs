@@ -46,14 +46,23 @@ impl Value {
     }
 
     /// The typed value of a number computed in `f64` — the numeric cast
-    /// table every engine's expression outputs and SUM/MIN/MAX finishes go
-    /// through (`Char` has no numeric form and stays `Float64`).
+    /// table every engine's expression outputs and SUM/AVG/MIN/MAX
+    /// finishes go through (`Char` has no numeric form and stays
+    /// `Float64`).
+    ///
+    /// Every NaN leaves as [`f64::NAN`] (bits `0x7FF8_0000_0000_0000`).
+    /// IEEE 754 leaves the sign and payload of an invalid operation's NaN
+    /// unspecified: x86 produces a negative one at run time, a compiler's
+    /// constant folder a positive one, and a NaN operand propagates its
+    /// own.  So which NaN a computation yields depends on the build and on
+    /// operand order, and the engine's answer must not.
     #[inline]
     pub fn from_f64(v: f64, dtype: DataType) -> Value {
         match dtype {
             DataType::Int32 => Value::Int32(v as i32),
             DataType::Int64 => Value::Int64(v as i64),
             DataType::Date => Value::Date(v as i32),
+            DataType::Float64 | DataType::Char(_) if v.is_nan() => Value::Float64(f64::NAN),
             DataType::Float64 | DataType::Char(_) => Value::Float64(v),
         }
     }
@@ -273,6 +282,22 @@ mod tests {
             Value::Float64(3.0)
         );
         assert!(Value::Str("x".into()).coerce_to(DataType::Int32).is_err());
+    }
+
+    #[test]
+    fn every_computed_nan_leaves_as_the_canonical_one() {
+        let canonical = 0x7FF8_0000_0000_0000u64;
+        for bits in [canonical, 0xFFF8_0000_0000_0000, 0x7FF0_0000_0000_0001] {
+            let Value::Float64(v) = Value::from_f64(f64::from_bits(bits), DataType::Float64) else {
+                panic!("a float stays a float");
+            };
+            assert_eq!(v.to_bits(), canonical, "{bits:#x}");
+        }
+        // Everything else keeps its bits, signed zero included.
+        for v in [-0.0, 0.0, f64::NEG_INFINITY, 1.5] {
+            let out = Value::from_f64(v, DataType::Float64);
+            assert!(matches!(out, Value::Float64(o) if o.to_bits() == v.to_bits()));
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ fn debug_check_read(record: &[u8], offset: u32, width: u32) {
 }
 
 /// Evaluate one predicate test against one record — the definition of the
-/// test ops; the vectorized tier resolves each into a page sweep instead
+/// test ops; execution resolves each into a page sweep instead
 /// (`vector::resolve_filter`).
 #[inline(always)]
 fn test_op(op: &Op, pool: &ConstPool, record: &[u8]) -> bool {
@@ -350,7 +350,8 @@ pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) {
 
 /// The compiled key accessor a (single-instruction) key-image fragment
 /// names — its offset, width and type.  The one place an image op becomes a
-/// key: both tiers image, and confirm image hits, through it.
+/// key: the resolved join and group keys, and the reference interpreter's
+/// images, come from it.
 pub(crate) fn image_key(ops: &[Op]) -> CompiledKey {
     let key = |offset: u32, dtype| CompiledKey::at(offset as usize, dtype);
     match *ops {

@@ -6,10 +6,11 @@
 //! (DESIGN.md §2).  This crate closes the gap with compilation that really
 //! happens at query time: [`compile`] lowers the generated kernel program
 //! into compact register-machine bytecode
-//! ([`bytecode::Op`]), and [`VmProgram::execute`] plugs it into the shared
-//! evaluate-query driver as the fifth engine mode (`vm`) — same threads,
-//! memory budget, spill namespaces, cancellation and [`ExecStats`] contract
-//! as the holistic engine, because it is the same driver (DESIGN.md §13).
+//! ([`bytecode::Op`]), and [`VmProgram::execute`] resolves it back into
+//! kernels that the shared evaluate-query driver runs as the fifth engine
+//! mode (`vm`) — same threads, memory budget, spill namespaces,
+//! cancellation and [`ExecStats`] contract as the holistic engine, because
+//! it is the same driver (DESIGN.md §13).
 //!
 //! Constant specialization is the paper's headline trick and the axis this
 //! crate makes explicit: a [`CompileMode::Specialized`] program folds the
@@ -20,18 +21,20 @@
 //! and literal-varying classmates a cheap [`VmProgram::bind`] (signature
 //! checked, pool swapped, constants folded) instead of a full prepare.
 //!
-//! Execution has two tiers ([`exec::Tier`]).  The default vectorized tier
-//! is a front end to the compiled kernels (`vector` module, DESIGN.md
-//! §15): once per hook call it resolves the verified fragments into the
-//! objects the generator builds — filter sweeps and a copy plan staged
-//! through core's one scan loop, the aggregation's page fold, key-image
-//! sweeps — so what runs is exactly what was verified.  The scalar tier
-//! is the row-at-a-time reference interpreter it is tested against.
-//! Results and [`ExecStats`] are bit-identical across tiers, with
-//! `vm_batches` recording which tier ran.
+//! Bytecode is a front end, not a second executor (DESIGN.md §15): once
+//! per execution the verified fragments and the constant pool resolve into
+//! the kernel set the generator builds from the plan
+//! ([`hique_holistic::KernelSet`]: scans, join keys, the aggregation's
+//! group keys and register program, the output decoders), and the one
+//! evaluate-query driver runs the plan's algorithms over it.  So what runs
+//! is exactly what was verified, and `engine=vm` returns the holistic
+//! engine's rows and [`ExecStats`] bit for bit, `vm_batches` (the pages the
+//! resolved scans swept) aside.  The per-op interpreter
+//! ([`bytecode::run_filter`] and its siblings) defines the ops' semantics;
+//! only the resolvers' tests run it.
 //!
 //! Every compiled or rebound program passes a static verifier
-//! ([`verify::verify`]) before it can reach the interpreter: abstract
+//! ([`verify::verify`]) before it can be resolved and run: abstract
 //! interpretation proving register def-before-use, operand/field type
 //! agreement, pool and fragment bounds, plan agreement and output arity
 //! (DESIGN.md §14).  [`mutate`] generates seeded single-op corruptions of
@@ -51,7 +54,6 @@ pub(crate) mod vector;
 pub mod verify;
 
 pub use bytecode::{ConstPool, Frag, Op};
-pub use exec::Tier;
 pub use mutate::{mutants, Mutant};
 pub use program::{collect_pool, compile, plan_signature, plan_structure, CompileMode, VmProgram};
 pub use verify::{verify, VerifyError};

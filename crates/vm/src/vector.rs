@@ -1,38 +1,33 @@
-//! The vectorized tier's resolvers: verified bytecode fragments → the
-//! kernel objects of the paper's instantiated templates.
+//! The resolvers: verified bytecode fragments → the kernel objects of the
+//! paper's instantiated templates.
 //!
-//! The scalar interpreter in [`crate::bytecode`] pays one dispatch per op
-//! per tuple — exactly the per-tuple overhead the paper's compiled kernels
-//! eliminate.  The vectorized tier does not interpret the fragments at all:
-//! once per hook call it resolves them, with their operands read from the
-//! constant pool, into the objects the compiled provider builds from the
-//! plan, and runs those through core's loops.  A staged table's filter and
-//! projection fragments become a [`ScanKernels`] ([`resolve_scan`]) that
-//! stages through core's one scan loop; the aggregate DAG fragment becomes
-//! the nodes of the page fold ([`resolve_agg_dag`]); a key-image fragment
-//! fills a `u64` lane through the compiled key accessor's sweep
-//! ([`run_image_batch`]).
+//! The per-op interpreter in [`crate::bytecode`] would pay one dispatch per
+//! op per tuple — exactly the per-tuple overhead the paper's compiled
+//! kernels eliminate — so nothing executes it: it is the definition of the
+//! ops the resolvers are tested against.  Once per execution [`resolve`]
+//! reads the fragments, with their operands from the constant pool, into
+//! the [`KernelSet`] the generator builds from the plan, and the driver
+//! runs that.  A staged table's filter and projection fragments become a
+//! [`ScanKernels`] ([`resolve_scan`]); a key-image fragment names the
+//! [`CompiledKey`] whose image it computes ([`image_key`]); the aggregate
+//! and the output DAG fragments become register programs
+//! ([`resolve_agg_dag`]).
 //!
-//! What runs is what the verifier checked: every resolver reads the scalar
+//! What runs is what the verifier checked: every resolver reads the
 //! fragments themselves and maps them op for op (a test to a filter sweep,
-//! the `Copy` list to the copy plan, DAG op `i` to node `i`), so results
-//! and every shared [`hique_types::ExecStats`] counter equal the scalar
-//! tier's by construction.
+//! the `Copy` list to the copy plan, DAG op `i` to node `i`), so results and
+//! every [`hique_types::ExecStats`] work counter equal the generator's
+//! kernels' by construction.
 
-use hique_holistic::agg::AggNode;
+use hique_holistic::agg::{AggNode, AggProgram, CompiledAgg};
 use hique_holistic::kernel::{CompiledFilter, CompiledKey, CompiledProjection};
 use hique_holistic::staging::ScanKernels;
+use hique_holistic::{KernelSet, OutputKernel};
+use hique_plan::PhysicalPlan;
 use hique_types::DataType;
 
-use crate::bytecode::{image_key, rhs_f, rhs_i, ConstPool, Op};
-use crate::program::TableFrags;
-
-/// Maximum tuples per batch of a join's build and probe sides (packed runs
-/// of the staged relations).  Staged scans and aggregation inputs batch by
-/// page instead — the page *is* the batch, which keeps `vm_batches`
-/// independent of the thread count and keeps spilled consumption at one
-/// pinned page at a time.
-pub(crate) const BATCH: usize = 1024;
+use crate::bytecode::{image_key, rhs_f, rhs_i, ConstPool, Frag, Op};
+use crate::program::{OutputOp, TableFrags, VmProgram};
 
 /// The page sweep of one predicate-test op.
 fn sweep_of(op: &Op, pool: &ConstPool) -> CompiledFilter {
@@ -87,19 +82,11 @@ pub(crate) fn resolve_scan(frags: &TableFrags, code: &[Op], pool: &ConstPool) ->
     }
 }
 
-/// Run a key-image fragment over every record of one packed batch
-/// (`data`, records of `width` bytes), appending to `out` the images
-/// [`crate::bytecode::run_image`] produces row-at-a-time: the sweep of the
-/// key the fragment names ([`image_key`]), its type resolved once.
-pub(crate) fn run_image_batch(ops: &[Op], data: &[u8], width: usize, out: &mut Vec<u64>) {
-    image_key(ops).images_into(data, width, out);
-}
-
-/// Resolve the aggregate DAG fragment against the program's constant pool,
-/// once per `aggregate` call, into the nodes of the page fold both kernel
-/// providers run ([`hique_holistic::agg::PageFold`]): op `i` of the
-/// fragment defines register `i` (the verifier holds the fragment to the
-/// aggregate program node for node), so the ops *are* the program's nodes.
+/// Resolve a register-program fragment (the aggregate or the output DAG)
+/// against the program's constant pool into the generator's nodes: op `i`
+/// of the fragment defines register `i` (the verifier holds the fragment
+/// to the generator's program node for node), so the ops *are* the
+/// program's nodes.
 pub(crate) fn resolve_agg_dag(ops: &[Op], pool: &ConstPool) -> Vec<AggNode> {
     ops.iter()
         .map(|op| match *op {
@@ -116,6 +103,57 @@ pub(crate) fn resolve_agg_dag(ops: &[Op], pool: &ConstPool) -> Vec<AggNode> {
             _ => unreachable!("non-expression op in expression fragment"),
         })
         .collect()
+}
+
+/// Resolve a verified program into the kernel set the driver runs for
+/// `plan`, the plan it was compiled (or rebound) for.
+///
+/// Every kernel comes from the fragments; the plan supplies only what the
+/// bytecode does not encode and the verifier held the fragments to: the
+/// joined record's width, and the type a group value decodes to (an
+/// `i32` and a date column share one image op).
+pub(crate) fn resolve(program: &VmProgram, plan: &PhysicalPlan) -> KernelSet {
+    let (code, pool) = (&program.code[..], &program.pool);
+    let key = |frag: Frag| image_key(frag.ops(code));
+    let joined = &plan.joined_schema;
+    let aggregation = program.agg.as_ref().zip(plan.aggregate.as_ref());
+    KernelSet {
+        scans: program
+            .tables
+            .iter()
+            .map(|frags| resolve_scan(frags, code, pool))
+            .collect(),
+        joins: program
+            .joins
+            .iter()
+            .map(|j| (key(j.left_image), key(j.right_image)))
+            .collect(),
+        aggregation: aggregation.map(|(frags, spec)| {
+            let group_keys = frags
+                .group_images
+                .iter()
+                .zip(&spec.group_columns)
+                .map(|(&frag, &c)| CompiledKey {
+                    dtype: joined.column(c).dtype,
+                    ..key(frag)
+                })
+                .collect();
+            let nodes = resolve_agg_dag(frags.dag.ops(code), pool);
+            let program = AggProgram::new(nodes, frags.layout.clone());
+            CompiledAgg::new(group_keys, program, joined.tuple_size())
+        }),
+        outputs: program
+            .outputs
+            .iter()
+            .map(|output| match *output {
+                OutputOp::Column(key) => OutputKernel::Column(key),
+                OutputOp::Expr(reg, dtype) => OutputKernel::Expr(reg, dtype),
+                OutputOp::Group(p) => OutputKernel::GroupPosition(p),
+                OutputOp::Aggregate(i) => OutputKernel::AggregatePosition(i),
+            })
+            .collect(),
+        output_program: resolve_agg_dag(program.output_dag.ops(code), pool),
+    }
 }
 
 #[cfg(test)]
@@ -292,7 +330,7 @@ mod tests {
             },
         ] {
             let mut lane = vec![7];
-            run_image_batch(&[image], &recs.concat(), s.tuple_size(), &mut lane);
+            image_key(&[image]).images_into(&recs.concat(), s.tuple_size(), &mut lane);
             assert_eq!(lane.remove(0), 7, "appended to the lane");
             let scalar: Vec<u64> = refs.iter().map(|r| run_image(&[image], r)).collect();
             assert_eq!(lane, scalar);
