@@ -32,8 +32,8 @@ struct Args {
     /// on bit-identical-or-typed-error with zero leaks.
     chaos: bool,
     /// Mutation lane: apply N seeded single-op corruptions to compiled
-    /// bytecode programs, gating on ≥ 95% verifier-rejected and the rest
-    /// failing typed — never a panic or a silent wrong answer.
+    /// bytecode programs, gating on 100% verifier-rejected — never a panic,
+    /// a runtime-only rejection or a silent wrong answer.
     mutate_bytecode: Option<usize>,
 }
 
@@ -169,7 +169,7 @@ fn main() {
         print!("{report}");
         if !report.is_clean() {
             eprintln!(
-                "mutation gate FAILED (needs ≥ {:.0}% verifier-rejected, zero silent \
+                "mutation gate FAILED (needs {:.0}% verifier-rejected, zero silent \
                  survivors, zero false positives)",
                 hique_conformance::MIN_REJECTION_RATE * 100.0
             );

@@ -28,10 +28,10 @@
 //!   bit-identical to its fault-free baseline or a typed retryable error,
 //!   with zero leaked spill claims, pins or temp files afterwards;
 //! * [`mutate`] — the verifier negative-test lane: seeded single-op
-//!   corruptions of compiled bytecode programs, each of which must be
-//!   rejected by the static verifier (≥ 95%) or fail with a typed error —
-//!   never a panic, never a silently wrong answer — with the unmutated
-//!   templates doubling as the zero-false-positive check.
+//!   corruptions of compiled bytecode programs, every one of which the
+//!   static verifier must reject — never a panic, never a silently wrong
+//!   answer — with the unmutated templates doubling as the
+//!   zero-false-positive check.
 //!
 //! The `conformance` binary runs an arbitrary-size fuzz budget; the crate's
 //! integration tests run a fixed suite (100+ queries) plus golden-file

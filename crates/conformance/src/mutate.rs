@@ -8,15 +8,19 @@
 //! definitely-wrong by construction, no equivalent mutants), and holds the
 //! workspace's safety contract over each one:
 //!
-//! * the verifier rejects it (the expected outcome — the gate requires
-//!   ≥ 95% of mutants caught statically), or
-//! * execution fails with a typed [`hique_types::HiqueError`] — never a panic, never a
-//!   silently wrong answer.
+//! * the verifier rejects it — the gate requires every mutant caught
+//!   statically, since the verifier decodes the program and compares it
+//!   with the generator's kernels, and a mutant either does not decode or
+//!   decodes to other kernels; or, failing that,
+//! * execution fails with a typed [`hique_types::HiqueError`] — never a
+//!   panic, never a silently wrong answer.  Such a mutant is still counted
+//!   ([`MutationReport::typed_runtime_errors`]) and fails the gate.
 //!
 //! The unmutated template is also re-verified per query, so the same lane
 //! doubles as the zero-false-positive check over the generator's query
 //! space.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -26,9 +30,9 @@ use hique_vm::CompileMode;
 use crate::genquery::QueryGenerator;
 use crate::runner::Fixture;
 
-/// The verifier's gate: at least this share of seeded mutants must be
-/// rejected statically (the remainder must still fail typed at runtime).
-pub const MIN_REJECTION_RATE: f64 = 0.95;
+/// The verifier's gate: the share of seeded mutants it must reject
+/// statically — all of them.
+pub const MIN_REJECTION_RATE: f64 = 1.0;
 
 /// Outcome of a mutation-lane run.
 #[derive(Debug, Default)]
@@ -37,10 +41,12 @@ pub struct MutationReport {
     pub programs: usize,
     /// Mutants generated and checked.
     pub mutants: usize,
+    /// The mutation kinds drawn.
+    pub kinds: BTreeSet<&'static str>,
     /// Mutants the verifier rejected before execution.
     pub rejected: usize,
     /// Mutants that slipped past the verifier but failed with a typed
-    /// error at runtime (tolerated below the 5% budget).
+    /// error at runtime (below [`MIN_REJECTION_RATE`], so none tolerated).
     pub typed_runtime_errors: usize,
     /// Contract violations: mutants that executed to a result or panicked
     /// (descriptions with seed/SQL context).  Any entry fails the lane.
@@ -74,10 +80,11 @@ impl fmt::Display for MutationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "mutation lane: {} programs, {} mutants, {} verifier-rejected ({:.1}%), \
-             {} typed runtime errors, {} silent, {} false positives",
+            "mutation lane: {} programs, {} mutants of {} kinds, {} verifier-rejected \
+             ({:.1}%), {} typed runtime errors, {} silent, {} false positives",
             self.programs,
             self.mutants,
+            self.kinds.len(),
             self.rejected,
             self.rejection_rate() * 100.0,
             self.typed_runtime_errors,
@@ -143,7 +150,7 @@ pub fn run_mutation_suite(
                 continue;
             }
         };
-        if let Err(e) = program.verify(&generated, &fixture.catalog) {
+        if let Err(e) = program.verify(&generated) {
             report.false_positives.push(format!(
                 "seed {:#x} ({mode:?}) re-verify: {e}\n  sql: {}",
                 query.seed, query.sql
@@ -156,7 +163,8 @@ pub fn run_mutation_suite(
         let mutant_seed = base_seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         for mutant in hique_vm::mutants(&program, mutant_seed, budget) {
             report.mutants += 1;
-            if mutant.program.verify(&generated, &fixture.catalog).is_err() {
+            report.kinds.insert(mutant.kind);
+            if mutant.program.verify(&generated).is_err() {
                 report.rejected += 1;
                 continue;
             }

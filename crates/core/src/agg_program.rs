@@ -76,9 +76,10 @@ pub enum AggNode {
 }
 
 impl AggNode {
-    /// Structural identity for interning: constants compare by bit pattern
-    /// (`0.0` and `-0.0` divide differently; a NaN is itself).
-    fn same(&self, other: &AggNode) -> bool {
+    /// Structural identity, for interning and for holding a decoded program
+    /// to the generated one: constants compare by bit pattern (`0.0` and
+    /// `-0.0` divide differently; a NaN is itself).
+    pub fn same(&self, other: &AggNode) -> bool {
         match (self, other) {
             (AggNode::Const(a), AggNode::Const(b)) => a.to_bits() == b.to_bits(),
             _ => self == other,

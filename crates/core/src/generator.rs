@@ -12,7 +12,7 @@ use hique_sql::analyze::OutputExpr;
 use hique_storage::Catalog;
 use hique_types::{DataType, ExecOptions, HiqueError, QueryResult, Result};
 
-use crate::agg::{AggNode, CompiledAgg};
+use crate::agg::CompiledAgg;
 use crate::agg_program::intern;
 use crate::compiled::KernelSet;
 use crate::exec;
@@ -20,7 +20,7 @@ use crate::kernel::CompiledKey;
 use crate::staging::ScanKernels;
 
 /// How one output column of the query is produced by the generated code.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OutputKernel {
     /// Decode the column at the compiled key's offset (any type).
     Column(CompiledKey),
@@ -47,23 +47,11 @@ impl GeneratedQuery {
         &self.plan
     }
 
-    /// The compiled output kernels, one per output column.  Exposed so
-    /// alternative back ends (the bytecode VM) can lower the *same*
-    /// instantiated kernels instead of re-deriving them from the plan.
-    pub fn outputs(&self) -> &[OutputKernel] {
-        &self.kernels.outputs
-    }
-
-    /// The register program the [`OutputKernel::Expr`] registers name: node
-    /// `i` defines register `i`, evaluated once per output record.
-    pub fn output_program(&self) -> &[AggNode] {
-        &self.kernels.output_program
-    }
-
-    /// The compiled aggregation (group keys + aggregate program) of an
-    /// aggregate query, exposed for the same reason.
-    pub fn aggregation(&self) -> Option<&CompiledAgg> {
-        self.kernels.aggregation.as_ref()
+    /// The instantiated kernels.  Exposed so an alternative back end (the
+    /// bytecode VM) lowers the *same* kernels instead of re-deriving them
+    /// from the plan, and holds what it decodes to them.
+    pub fn kernels(&self) -> &KernelSet {
+        &self.kernels
     }
 
     /// Execute the generated program against the catalog's data.
@@ -198,16 +186,11 @@ mod tests {
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
         let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let generated = generate(&plan).unwrap();
-        assert!(generated.aggregation().is_some());
-        assert_eq!(generated.outputs().len(), 3);
-        assert!(matches!(
-            generated.outputs()[0],
-            OutputKernel::GroupPosition(0)
-        ));
-        assert!(matches!(
-            generated.outputs()[1],
-            OutputKernel::AggregatePosition(0)
-        ));
+        let kernels = generated.kernels();
+        assert!(kernels.aggregation.is_some());
+        assert_eq!(kernels.outputs.len(), 3);
+        assert_eq!(kernels.outputs[0], OutputKernel::GroupPosition(0));
+        assert_eq!(kernels.outputs[1], OutputKernel::AggregatePosition(0));
         assert_eq!(generated.plan().output_schema.names(), vec!["g", "s", "n"]);
     }
 
@@ -218,13 +201,11 @@ mod tests {
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
         let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let generated = generate(&plan).unwrap();
-        assert!(matches!(generated.outputs()[0], OutputKernel::Column(_)));
+        let kernels = generated.kernels();
+        assert!(matches!(kernels.outputs[0], OutputKernel::Column(_)));
         // `v * 2` is register 2 of the output program: load, constant, product.
-        assert!(matches!(
-            generated.outputs()[1],
-            OutputKernel::Expr(2, DataType::Float64)
-        ));
-        assert_eq!(generated.output_program().len(), 3);
-        assert!(generated.aggregation().is_none());
+        assert_eq!(kernels.outputs[1], OutputKernel::Expr(2, DataType::Float64));
+        assert_eq!(kernels.output_program.len(), 3);
+        assert!(kernels.aggregation.is_none());
     }
 }

@@ -239,6 +239,13 @@ impl CompiledFilter {
         CompiledFilter { key, test }
     }
 
+    /// Whether `other` is this filter: the same test on the same image of
+    /// the same field ([`CompiledKey::same_image`]).  A float constant
+    /// compares by its order image, so `-0.0` is not `0.0`.
+    pub fn same_test(&self, other: &CompiledFilter) -> bool {
+        self.key.same_image(&other.key) && self.test == other.test
+    }
+
     /// Evaluate the predicate against one raw record — the definition the
     /// page sweep is tested against; scans use [`CompiledFilter::narrow`].
     pub fn matches(&self, record: &[u8]) -> bool {
@@ -400,6 +407,19 @@ impl CompiledKey {
     /// Key accessor for column `column` of `schema`.
     pub fn compile(schema: &Schema, column: usize) -> Self {
         Self::at(schema.offset(column), schema.column(column).dtype)
+    }
+
+    /// Whether `other` reads the same field into the same image: offset,
+    /// width and image kind agree.  `Int32` and `Date` share one image; a
+    /// key's decode type is otherwise part of its image.
+    pub fn same_image(&self, other: &CompiledKey) -> bool {
+        let kind = |dtype| match dtype {
+            DataType::Date => DataType::Int32,
+            other => other,
+        };
+        self.offset == other.offset
+            && self.width == other.width
+            && kind(self.dtype) == kind(other.dtype)
     }
 
     /// Append [`CompiledKey::order_image`] of every record of a packed

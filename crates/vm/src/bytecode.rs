@@ -51,10 +51,10 @@ pub enum RhsF {
 /// Register indexes are `u16`, the register type of the generator's register
 /// program ([`hique_holistic::agg::AggNode`]): an expression fragment is
 /// that program lowered op for op, op `i` defining register `i`, so every
-/// program the generator accepts has a bank.  They address the per-thread
-/// `f64` bank sized by [`crate::VmProgram::float_registers`]; key images
-/// and test results do not use registers (tests short-circuit the
-/// fragment, images return their value directly).  An `Op` stays 24 bytes.
+/// program the generator accepts has a bank, one `f64` register per op of
+/// the fragment.  Key images and test results do not use registers (tests
+/// short-circuit the fragment, images return their value directly).  An
+/// `Op` stays 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Predicate: `i32` column at `offset` compared with `rhs` (also used
@@ -132,19 +132,6 @@ impl ConstPool {
         self.bytes.push(v);
         (self.bytes.len() - 1) as u32
     }
-
-    /// Whether `other` has the same slot counts (and byte widths) — the
-    /// precondition for rebinding a pooled template to `other`'s values.
-    pub fn same_shape(&self, other: &ConstPool) -> bool {
-        self.ints.len() == other.ints.len()
-            && self.floats.len() == other.floats.len()
-            && self.bytes.len() == other.bytes.len()
-            && self
-                .bytes
-                .iter()
-                .zip(&other.bytes)
-                .all(|(a, b)| a.len() == b.len())
-    }
 }
 
 /// A fragment: a half-open range of instructions in the shared code array.
@@ -217,7 +204,7 @@ fn debug_check_read(record: &[u8], offset: u32, width: u32) {
 
 /// Evaluate one predicate test against one record — the definition of the
 /// test ops; execution resolves each into a page sweep instead
-/// (`vector::resolve_filter`).
+/// (`vector::filters`).
 #[inline(always)]
 fn test_op(op: &Op, pool: &ConstPool, record: &[u8]) -> bool {
     match *op {
@@ -348,18 +335,18 @@ pub fn run_expr(ops: &[Op], pool: &ConstPool, record: &[u8], regs: &mut [f64]) {
     }
 }
 
-/// The compiled key accessor a (single-instruction) key-image fragment
-/// names — its offset, width and type.  The one place an image op becomes a
-/// key: the resolved join and group keys, and the reference interpreter's
-/// images, come from it.
-pub(crate) fn image_key(ops: &[Op]) -> CompiledKey {
-    let key = |offset: u32, dtype| CompiledKey::at(offset as usize, dtype);
-    match *ops {
-        [Op::ImageI32 { offset }] => key(offset, DataType::Int32),
-        [Op::ImageI64 { offset }] => key(offset, DataType::Int64),
-        [Op::ImageF64 { offset }] => key(offset, DataType::Float64),
-        [Op::ImageChar { offset, width }] => key(offset, DataType::Char(width as u16)),
-        _ => unreachable!("a key-image fragment is one image op"),
+/// The compiled key accessor an image op names — its offset, width and
+/// image type — or `None` for any other op (or a string wider than any
+/// column).  The one place an image op becomes a key: the resolved join
+/// and group keys, and the reference interpreter's images, come from it.
+pub(crate) fn image_key(op: &Op) -> Option<CompiledKey> {
+    let key = |offset: u32, dtype| Some(CompiledKey::at(offset as usize, dtype));
+    match *op {
+        Op::ImageI32 { offset } => key(offset, DataType::Int32),
+        Op::ImageI64 { offset } => key(offset, DataType::Int64),
+        Op::ImageF64 { offset } => key(offset, DataType::Float64),
+        Op::ImageChar { offset, width } => key(offset, DataType::Char(u16::try_from(width).ok()?)),
+        _ => None,
     }
 }
 
@@ -368,7 +355,13 @@ pub(crate) fn image_key(ops: &[Op]) -> CompiledKey {
 /// modes.
 #[inline]
 pub fn run_image(ops: &[Op], record: &[u8]) -> u64 {
-    let key = image_key(ops);
+    let key = match ops {
+        [op] => image_key(op),
+        _ => None,
+    };
+    let Some(key) = key else {
+        unreachable!("a key-image fragment is one image op")
+    };
     debug_check_read(record, key.offset as u32, key.width as u32);
     key.order_image(record)
 }

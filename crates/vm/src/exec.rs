@@ -8,26 +8,30 @@
 //! everything around the kernels: options, run envelope, slot spilling,
 //! sinks, timings, finalization.  What is the VM's own is where the kernels
 //! come from: once per execution the verified fragments and the constant
-//! pool resolve into the objects the generator builds from the plan
-//! (`vector::resolve`), so `engine=vm` returns the holistic engine's rows
+//! pool decode into the objects the generator builds from the plan, each
+//! held to the generator's as it is read (`vector::resolve`, the
+//! verifier's decode), so `engine=vm` returns the holistic engine's rows
 //! and counts its work, bit for bit.
 
 use hique_holistic::exec;
 use hique_holistic::GeneratedQuery;
 use hique_storage::Catalog;
-use hique_types::{ExecOptions, HiqueError, QueryResult, Result};
+use hique_types::{ExecOptions, QueryResult, Result};
 
 use crate::program::VmProgram;
 use crate::vector::resolve;
+use crate::verify::VerifyError;
 
 impl VmProgram {
     /// Execute this program.
     ///
     /// `generated` must be the query the program was compiled for (or
-    /// rebound to via [`VmProgram::bind`]): the plan-shape signature is
-    /// re-derived and checked, so executing bytecode against a foreign plan
-    /// is a typed error instead of garbage decoding.  `vm_batches` counts
-    /// the pages the resolved scans swept: every staged table's, once.
+    /// rebound to via [`VmProgram::bind`]): the program is decoded and
+    /// held to `generated`'s kernels — the verifier's decode-and-compare —
+    /// so executing bytecode against a foreign plan is a typed
+    /// [`hique_types::HiqueError::Unsupported`] naming the first diverging
+    /// component instead of garbage decoding.  `vm_batches` counts the
+    /// pages the resolved scans swept: every staged table's, once.
     pub fn execute(
         &self,
         generated: &GeneratedQuery,
@@ -35,12 +39,8 @@ impl VmProgram {
         options: &ExecOptions,
     ) -> Result<QueryResult> {
         let plan = generated.plan();
-        if crate::program::plan_signature(generated, catalog)? != self.signature {
-            return Err(HiqueError::Execution(
-                "bytecode program does not match the prepared plan shape".into(),
-            ));
-        }
-        let mut result = exec::run(&resolve(self, plan), plan, catalog, options)?;
+        let kernels = resolve(self, generated).map_err(VerifyError::refusal)?;
+        let mut result = exec::run(&kernels, plan, catalog, options)?;
         for staged in &plan.staged {
             result.stats.vm_batches += catalog.table(&staged.table_name)?.heap.num_pages() as u64;
         }
@@ -150,7 +150,7 @@ mod tests {
                 let expected = stage(&ScanKernels::compile(desc, heap.schema()).unwrap(), 1);
                 for mode in [crate::CompileMode::Specialized, crate::CompileMode::Pooled] {
                     let program = crate::compile(&generated, &cat, mode).unwrap();
-                    let resolved = resolve(&program, &plan);
+                    let resolved = resolve(&program, &generated).unwrap();
                     for threads in [1, 2, 3, 4, 16] {
                         let context = format!("{sql} paged={paged} {mode:?} x{threads}");
                         let (parts, stats) = stage(&resolved.scans[0], threads);

@@ -18,29 +18,28 @@
 //! a [`CompileMode::Pooled`] program keeps them in a [`ConstPool`] so the
 //! compiled code is a template for its entire `shape_class` — the server's
 //! plan cache stores both, serving repeat queries the specialized program
-//! and literal-varying classmates a cheap [`VmProgram::bind`] (signature
-//! checked, pool swapped, constants folded) instead of a full prepare.
+//! and literal-varying classmates a cheap [`VmProgram::bind`] (pool
+//! swapped, verified, constants folded) instead of a full prepare.
 //!
 //! Bytecode is a front end, not a second executor (DESIGN.md §15): once
-//! per execution the verified fragments and the constant pool resolve into
-//! the kernel set the generator builds from the plan
+//! per execution the fragments and the constant pool decode into the
+//! kernel set the generator builds from the plan
 //! ([`hique_holistic::KernelSet`]: scans, join keys, the aggregation's
 //! group keys and register program, the output decoders), and the one
-//! evaluate-query driver runs the plan's algorithms over it.  So what runs
-//! is exactly what was verified, and `engine=vm` returns the holistic
-//! engine's rows and [`ExecStats`] bit for bit, `vm_batches` (the pages the
-//! resolved scans swept) aside.  The per-op interpreter
-//! ([`bytecode::run_filter`] and its siblings) defines the ops' semantics;
-//! only the resolvers' tests run it.
+//! evaluate-query driver runs the plan's algorithms over it.  `engine=vm`
+//! returns the holistic engine's rows and [`ExecStats`] bit for bit,
+//! `vm_batches` (the pages the resolved scans swept) aside.  The per-op
+//! interpreter ([`bytecode::run_filter`] and its siblings) defines the
+//! ops' semantics; only the decoders' tests run it.
 //!
-//! Every compiled or rebound program passes a static verifier
-//! ([`verify::verify`]) before it can be resolved and run: abstract
-//! interpretation proving register def-before-use, operand/field type
-//! agreement, pool and fragment bounds, plan agreement and output arity
-//! (DESIGN.md §14).  [`mutate`] generates seeded single-op corruptions of
-//! verified programs for the conformance mutation lane — negative tests
-//! that the verifier (or, failing that, a typed runtime error) catches
-//! every one.
+//! The verifier is that decode (DESIGN.md §14): a program is accepted iff
+//! it decodes into exactly the generator's kernel set, every component
+//! compared as it is read ([`verify::verify`]), so what runs is what was
+//! verified.  [`compile`] and [`VmProgram::bind`] verify before they hand a
+//! program out, and [`VmProgram::execute`] runs what the same
+//! decode-and-compare yields.  [`mutate`] generates seeded single-op
+//! corruptions of verified programs for the conformance mutation lane —
+//! negative tests the verifier rejects every one of.
 //!
 //! [`ExecStats`]: hique_types::ExecStats
 
@@ -55,5 +54,5 @@ pub mod verify;
 
 pub use bytecode::{ConstPool, Frag, Op};
 pub use mutate::{mutants, Mutant};
-pub use program::{collect_pool, compile, plan_signature, plan_structure, CompileMode, VmProgram};
+pub use program::{collect_pool, compile, CompileMode, VmProgram};
 pub use verify::{verify, VerifyError};

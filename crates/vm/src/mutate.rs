@@ -3,15 +3,20 @@
 //! (`conformance --mutate-bytecode N`).
 //!
 //! Every mutation kind here produces a program that is *definitely* wrong
-//! with respect to the plan it was compiled from: a relocated offset lands
-//! outside every field, a swapped comparison operator contradicts the
-//! declared filter, a truncated pool orphans a live reference.  There are
-//! deliberately no "maybe equivalent" mutants (no ±1 offset skews that
-//! could land on a neighbouring one-byte field, no register renames that
-//! could stay live) — the lane's contract is that each mutant must be
-//! rejected by [`crate::verify::verify`] or fail typed at runtime, never
-//! panic and never return a plausible answer, and an equivalent mutant
-//! would make that gate unfalsifiable.
+//! with respect to the plan it was compiled from: a relocated offset reads
+//! another field, a swapped comparison operator contradicts the declared
+//! filter, a truncated pool orphans a live reference, a permuted output
+//! table decodes columns into the wrong positions.  There are deliberately
+//! no "maybe equivalent" mutants (no ±1 offset skews that could land on a
+//! neighbouring one-byte field, no register renames that could stay live)
+//! — the lane's contract is that [`crate::verify::verify`] rejects each
+//! mutant, as [`VerifyError::Malformed`] when it no longer decodes or
+//! [`VerifyError::Diverges`] when it decodes to other kernels than the
+//! generator's, and an equivalent mutant would make that gate
+//! unfalsifiable.
+//!
+//! [`VerifyError::Malformed`]: crate::VerifyError::Malformed
+//! [`VerifyError::Diverges`]: crate::VerifyError::Diverges
 //!
 //! The generator is deterministic: one `u64` seed drives a xorshift64*
 //! stream, so a failing mutant from CI reproduces locally from its seed.
@@ -27,6 +32,8 @@ use crate::program::{OutputOp, VmProgram};
 /// mutation applied to it.
 #[derive(Debug, Clone)]
 pub struct Mutant {
+    /// The mutation kind applied, by name.
+    pub kind: &'static str,
     /// What was corrupted (kind, code position, old → new), for replay
     /// diagnostics when a mutant slips past the verifier.
     pub description: String,
@@ -68,7 +75,24 @@ impl Rng {
 /// guaranteed to land on no field boundary.
 const FAR_OFFSET: u32 = 1 << 20;
 
-const KINDS: usize = 14;
+/// The mutation kinds, by name, in the order [`apply`] numbers them.
+const KINDS: [&str; 15] = [
+    "relocate_offset",
+    "register_out_of_bank",
+    "use_before_def",
+    "pool_index_out",
+    "truncate_pool",
+    "wrong_type_tag",
+    "wrong_op_kind",
+    "swap_cmp_op",
+    "tweak_constant",
+    "skew_copy",
+    "frag_out_of_range",
+    "corrupt_outputs",
+    "truncate_code",
+    "redirect_aggregate_register",
+    "permute_outputs",
+];
 
 /// Generate up to `count` single-mutation corruptions of `template`,
 /// deterministically from `seed`.  Kinds that do not apply to the program
@@ -82,9 +106,10 @@ pub fn mutants(template: &VmProgram, seed: u64, count: usize) -> Vec<Mutant> {
     while out.len() < count && attempts < budget {
         attempts += 1;
         let mut program = template.clone();
-        let kind = rng.below(KINDS);
+        let kind = rng.below(KINDS.len());
         if let Some(description) = apply(&mut program, kind, &mut rng) {
             out.push(Mutant {
+                kind: KINDS[kind],
                 description,
                 program,
             });
@@ -111,6 +136,7 @@ fn apply(p: &mut VmProgram, kind: usize, rng: &mut Rng) -> Option<String> {
         11 => corrupt_outputs(p, rng),
         12 => truncate_code(p),
         13 => redirect_aggregate_register(p, rng),
+        14 => permute_outputs(p, rng),
         _ => None,
     }
 }
@@ -123,8 +149,8 @@ fn indices_where(code: &[Op], pred: impl Fn(&Op) -> bool) -> Vec<usize> {
         .collect()
 }
 
-/// Relocate a column access past every record: statically a
-/// `NoFieldAtOffset`.
+/// Relocate a column access past every record: statically a `Diverges`
+/// (the decoded key, node or copy reads another offset).
 fn relocate_offset(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let targets = indices_where(&p.code, |op| {
         !matches!(op, Op::ConstF { .. } | Op::PoolF { .. } | Op::Arith { .. })
@@ -156,10 +182,11 @@ fn relocate_offset(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     Some(format!("op {i}: relocated offset {old} -> {FAR_OFFSET}"))
 }
 
-/// Point a register operand past this program's float bank: statically a
-/// `RegisterOutOfRange`.
+/// Point a register operand past every register program: op `i` no longer
+/// defines register `i`, or reads a register it does not follow —
+/// statically a `Malformed`.
 fn register_out_of_bank(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
-    let far = u16::try_from(p.float_registers + 3).ok()?;
+    let far = u16::try_from(p.code.len() + 3).ok()?;
     let targets = indices_where(&p.code, |op| {
         matches!(
             op,
@@ -196,8 +223,7 @@ fn register_out_of_bank(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
         _ => return None,
     };
     Some(format!(
-        "op {i}: register r{old} -> r{far} (bank is {})",
-        p.float_registers
+        "op {i}: register r{old} -> r{far} (past every register program)"
     ))
 }
 
@@ -211,7 +237,7 @@ fn expr_frags(p: &VmProgram) -> Vec<Frag> {
 }
 
 /// Make the first op of an expression fragment read its own undefined
-/// destination: statically a `UseBeforeDef`.
+/// destination: statically a `Malformed`.
 fn use_before_def(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let frags = expr_frags(p);
     let frag = *rng.pick(&frags)?;
@@ -228,7 +254,7 @@ fn use_before_def(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
 }
 
 /// Point a live pool reference past its section: statically a
-/// `PoolIndexOutOfRange`.
+/// `Malformed`.
 fn pool_index_out(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let targets = indices_where(&p.code, |op| {
         matches!(
@@ -273,7 +299,7 @@ fn pool_index_out(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
 }
 
 /// Pop the last slot of a pool section some op still references:
-/// statically a `PoolIndexOutOfRange` on that op.
+/// statically a `Malformed` on that op.
 fn truncate_pool(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let last_int = p.pool.ints.len().checked_sub(1).map(|s| s as u32);
     let last_float = p.pool.floats.len().checked_sub(1).map(|s| s as u32);
@@ -320,7 +346,7 @@ fn truncate_pool(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
 }
 
 /// Re-tag a typed column access with a different type: statically a
-/// `TypeMismatch` (the field at the op's offset keeps its real type).
+/// `Diverges` (the decoded key or node has another image kind).
 fn wrong_type_tag(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let targets = indices_where(&p.code, |op| {
         matches!(
@@ -380,8 +406,8 @@ fn wrong_type_tag(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     ))
 }
 
-/// Replace an op with one from a family its fragment's interpreter loop
-/// rejects: statically a `WrongOpKind`.
+/// Replace an op with one from a family its fragment does not decode:
+/// statically a `Malformed`.
 fn wrong_op_kind(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     if p.code.is_empty() {
         return None;
@@ -425,8 +451,8 @@ fn wrong_op_kind(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     ))
 }
 
-/// Swap a test's comparison operator: statically a `PlanMismatch` against
-/// the declared filter.
+/// Swap a test's comparison operator: statically a `Diverges` from the
+/// declared filter.
 fn swap_cmp_op(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let targets = indices_where(&p.code, |op| {
         matches!(
@@ -460,7 +486,7 @@ fn swap_cmp_op(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
 }
 
 /// Nudge a folded or pooled constant of a filter or a register program:
-/// statically a `PlanMismatch` (the plan's declared constant no longer
+/// statically a `Diverges` (the plan's declared constant no longer
 /// matches).  Floats are bit-flipped, not incremented — `x + 1.0 == x` for
 /// large `x` would be an equivalent mutant.
 fn tweak_constant(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
@@ -569,8 +595,8 @@ fn tweak_constant(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     }
 }
 
-/// Skew a projection copy's geometry: statically a `WidthMismatch` or
-/// `PlanMismatch` against the staged layout.
+/// Skew a projection copy's geometry: statically a `Diverges` from the
+/// generator's copy plan.
 fn skew_copy(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let targets = indices_where(&p.code, |op| matches!(op, Op::Copy { .. }));
     let &i = rng.pick(&targets)?;
@@ -591,8 +617,7 @@ fn skew_copy(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     }
 }
 
-/// Push a fragment's end past the code array: statically a
-/// `FragOutOfRange`.
+/// Push a fragment's end past the code array: statically a `Malformed`.
 fn frag_out_of_range(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let far = p.code.len() as u32 + 3;
     let mut frags: Vec<(&'static str, &mut Frag)> = Vec::new();
@@ -619,8 +644,8 @@ fn frag_out_of_range(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     ))
 }
 
-/// Corrupt the output decode table: statically an `ArityMismatch` or
-/// `OutputIndexOutOfRange`.
+/// Corrupt the output decode table: statically a `Diverges` (a position
+/// past the group or aggregate list, or a missing entry).
 fn corrupt_outputs(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     if p.outputs.is_empty() {
         return None;
@@ -647,7 +672,7 @@ fn corrupt_outputs(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
 }
 
 /// Pop the final code op: the fragment it belonged to now escapes the
-/// array — statically a `FragOutOfRange`.
+/// array — statically a `Malformed`.
 fn truncate_code(p: &mut VmProgram) -> Option<String> {
     if p.code.is_empty() {
         return None;
@@ -658,7 +683,7 @@ fn truncate_code(p: &mut VmProgram) -> Option<String> {
 
 /// Point one accumulator slot at a sibling node of the aggregate DAG: a
 /// defined, in-bank register holding another expression's value —
-/// statically a `PlanMismatch` against the generator's aggregate program.
+/// statically a `Diverges` from the generator's slot layout.
 fn redirect_aggregate_register(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
     let agg = p.agg.as_mut()?;
     let nodes = agg.dag.len();
@@ -685,6 +710,22 @@ fn redirect_aggregate_register(p: &mut VmProgram, rng: &mut Rng) -> Option<Strin
     Some(format!(
         "aggregate slot {s}: argument register r{old} -> r{reg} (a sibling DAG node)"
     ))
+}
+
+/// Swap two output decode entries that differ — two aggregates, two group
+/// positions, two scalar columns of one type: every entry still decodes,
+/// into the wrong position — statically a `Diverges` from the generator's
+/// decode table.
+fn permute_outputs(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
+    let n = p.outputs.len();
+    let outputs = &p.outputs;
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| outputs[i] != outputs[j])
+        .collect();
+    let &(i, j) = rng.pick(&pairs)?;
+    p.outputs.swap(i, j);
+    Some(format!("outputs {i} and {j}: swapped their decode entries"))
 }
 
 #[cfg(test)]
@@ -769,7 +810,7 @@ mod tests {
                     assert!(batch.len() >= 24, "mutant generation starved: {sql}");
                     for m in batch {
                         assert!(
-                            crate::verify::verify(&m.program, &generated, &cat).is_err(),
+                            crate::verify::verify(&m.program, &generated).is_err(),
                             "mutant slipped past the verifier ({sql}, {mode:?}, \
                              seed {seed}): {}",
                             m.description
@@ -786,7 +827,7 @@ mod tests {
     #[test]
     fn every_kind_produces_a_mutant() {
         let cat = catalog();
-        let mut produced = [0usize; KINDS];
+        let mut produced = [0usize; KINDS.len()];
         for sql in FIXTURE_QUERIES {
             let generated = prepare(sql, &cat);
             for mode in [CompileMode::Specialized, CompileMode::Pooled] {
@@ -801,8 +842,8 @@ mod tests {
                 }
             }
         }
-        for (kind, count) in produced.iter().enumerate() {
-            assert!(*count > 0, "mutation kind {kind} found no target");
+        for (kind, count) in KINDS.iter().zip(produced) {
+            assert!(count > 0, "mutation kind {kind} found no target");
         }
     }
 

@@ -12,26 +12,25 @@
 //! extraction order, which is what makes a [`CompileMode::Pooled`] program
 //! a rebindable template for its whole `shape_class`.
 //!
-//! Rebinding ([`VmProgram::bind`]) is guarded by a *plan-shape signature*:
-//! a structural hash of everything the bytecode's offsets and fragment
-//! layout depend on (schemas, kept columns, join order and key columns,
-//! aggregate and output structure) and nothing they do not (constant
-//! values, cardinality estimates, algorithm choices).  Two queries of one
-//! shape class that re-plan to the same structure share one compiled
-//! program; a class-mate whose constants change the join order simply
+//! Rebinding ([`VmProgram::bind`]) swaps in a class-mate's constants and
+//! verifies the result like any program: it is accepted iff it decodes to
+//! the class-mate's kernel set ([`crate::verify()`]).  Two queries of one
+//! shape class that re-plan to the same kernels share one compiled
+//! program; a class-mate whose constants change the join order or the
+//! shared nodes of a register program diverges at a named component and
 //! falls back to a fresh compile.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use hique_holistic::agg::{AccumLayout, AggNode};
 use hique_holistic::kernel::CompiledKey;
 use hique_holistic::{GeneratedQuery, OutputKernel};
+use hique_sql::analyze::ColumnFilter;
 use hique_storage::Catalog;
 use hique_types::{DataType, HiqueError, Result, Schema};
 
 use crate::bytecode::{ConstPool, Frag, Op, RhsF, RhsI};
+use crate::verify::VerifyError;
 
 /// Constant-handling strategy of a compiled program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +78,7 @@ pub struct AggFrags {
 }
 
 /// How one output column is decoded.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OutputOp {
     /// Decode the column at the key's offset (any type).
     Column(CompiledKey),
@@ -91,12 +90,24 @@ pub enum OutputOp {
     Aggregate(usize),
 }
 
+impl OutputOp {
+    /// The output kernel this entry decodes to.
+    pub(crate) fn kernel(&self) -> OutputKernel {
+        match *self {
+            OutputOp::Column(key) => OutputKernel::Column(key),
+            OutputOp::Expr(reg, dtype) => OutputKernel::Expr(reg, dtype),
+            OutputOp::Group(p) => OutputKernel::GroupPosition(p),
+            OutputOp::Aggregate(i) => OutputKernel::AggregatePosition(i),
+        }
+    }
+}
+
 /// A compiled bytecode program: code, constants and the fragment table.
 ///
 /// The program is pure code — it holds no plan. Execution takes the
-/// [`GeneratedQuery`] it was compiled from (or any shape-compatible one
-/// after [`VmProgram::bind`]); the signature check at execution time makes
-/// a mismatch a typed error instead of undefined decoding.
+/// [`GeneratedQuery`] it was compiled from (or rebound to with
+/// [`VmProgram::bind`]) and decodes the program against it, so a mismatch
+/// is a typed error instead of undefined decoding.
 #[derive(Debug, Clone)]
 pub struct VmProgram {
     pub(crate) mode: CompileMode,
@@ -112,12 +123,6 @@ pub struct VmProgram {
     /// arithmetic.
     pub(crate) output_dag: Frag,
     pub(crate) outputs: Vec<OutputOp>,
-    pub(crate) float_registers: usize,
-    pub(crate) signature: u64,
-    /// Human-readable structural components behind `signature`, in hash
-    /// order — kept so a rebind against a diverged plan can name the first
-    /// component that differs instead of reporting a bare hash mismatch.
-    pub(crate) structure: Vec<String>,
     pub(crate) compile_cost: Duration,
     pub(crate) verify_cost: Duration,
 }
@@ -126,11 +131,6 @@ impl VmProgram {
     /// The constant-handling mode this program was compiled in.
     pub fn mode(&self) -> CompileMode {
         self.mode
-    }
-
-    /// The plan-shape signature this program is bound to.
-    pub fn signature(&self) -> u64 {
-        self.signature
     }
 
     /// Wall time spent compiling (or rebinding) this program — the
@@ -153,19 +153,13 @@ impl VmProgram {
     pub fn verify(
         &self,
         generated: &GeneratedQuery,
-        catalog: &Catalog,
     ) -> std::result::Result<(), crate::verify::VerifyError> {
-        crate::verify::verify(self, generated, catalog)
+        crate::verify::verify(self, generated)
     }
 
     /// Total instructions in the code array.
     pub fn code_len(&self) -> usize {
         self.code.len()
-    }
-
-    /// Float registers one evaluation frame needs.
-    pub fn float_registers(&self) -> usize {
-        self.float_registers
     }
 
     /// Whether any instruction still references the constant pool (always
@@ -193,7 +187,9 @@ impl VmProgram {
     /// swap in `generated`'s constants and fold them to immediates.  The
     /// result is a [`CompileMode::Specialized`] program for `generated`,
     /// produced without re-lowering any code.  Typed errors when `self` is
-    /// not a template or the plan shapes diverge.
+    /// not a template, and [`HiqueError::Unsupported`] naming the first
+    /// diverging component when the template with `generated`'s constants
+    /// does not decode to `generated`'s kernels.
     pub fn bind(&self, generated: &GeneratedQuery, catalog: &Catalog) -> Result<VmProgram> {
         let started = Instant::now();
         if self.mode != CompileMode::Pooled {
@@ -201,26 +197,15 @@ impl VmProgram {
                 "only pooled templates can be rebound".into(),
             ));
         }
-        let sig = plan_signature(generated, catalog)?;
-        if sig != self.signature {
-            return Err(structure_divergence(
-                &self.structure,
-                &plan_structure(generated, catalog)?,
-            ));
-        }
-        let pool = collect_pool(generated, catalog)?;
-        if !self.pool.same_shape(&pool) {
-            return Err(HiqueError::Unsupported(
-                "constant vector shape diverged from the cached template".into(),
-            ));
-        }
         let mut rebound = self.clone();
-        rebound.mode = CompileMode::Specialized;
-        rebound.pool = pool;
-        fold_constants(&mut rebound.code, &rebound.pool);
+        rebound.pool = collect_pool(generated, catalog)?;
+        // Verified while pooled, so every slot the code names exists before
+        // it is folded.
         let verify_started = Instant::now();
-        crate::verify::verify(&rebound, generated, catalog)?;
+        crate::verify::verify(&rebound, generated).map_err(VerifyError::refusal)?;
         rebound.verify_cost = verify_started.elapsed();
+        rebound.mode = CompileMode::Specialized;
+        fold_constants(&mut rebound.code, &rebound.pool);
         rebound.compile_cost = started.elapsed();
         Ok(rebound)
     }
@@ -246,7 +231,7 @@ pub fn compile(
         let base = catalog.table(&staged.table_name)?.heap.schema().clone();
         let filter_start = b.pc();
         for f in &staged.filters {
-            b.emit_test(&base, f)?;
+            b.code.push(test_op(&base, f, &mut b.pool)?);
         }
         let filter = b.frag(filter_start);
         let project_start = b.pc();
@@ -288,10 +273,11 @@ pub fn compile(
 
     // Aggregation fragments over the joined schema: the group-key images
     // and the generator's aggregate program, lowered node for node.
+    let kernels = generated.kernels();
     let agg = plan
         .aggregate
         .as_ref()
-        .zip(generated.aggregation())
+        .zip(kernels.aggregation.as_ref())
         .map(|(spec, compiled)| AggFrags {
             group_images: spec
                 .group_columns
@@ -304,9 +290,9 @@ pub fn compile(
 
     // The output program and the decode kernels over it, lowered from the
     // generator's output kernels.
-    let output_dag = b.emit_dag(generated.output_program());
-    let outputs = generated
-        .outputs()
+    let output_dag = b.emit_dag(&kernels.output_program);
+    let outputs = kernels
+        .outputs
         .iter()
         .map(|kernel| match kernel {
             OutputKernel::Column(key) => OutputOp::Column(*key),
@@ -325,9 +311,6 @@ pub fn compile(
         agg,
         output_dag,
         outputs,
-        float_registers: b.max_regs.max(1),
-        signature: plan_signature(generated, catalog)?,
-        structure: plan_structure(generated, catalog)?,
         compile_cost: Duration::ZERO,
         verify_cost: Duration::ZERO,
     };
@@ -335,39 +318,10 @@ pub fn compile(
         fold_constants(&mut program.code, &program.pool);
     }
     let verify_started = Instant::now();
-    crate::verify::verify(&program, generated, catalog)?;
+    crate::verify::verify(&program, generated)?;
     program.verify_cost = verify_started.elapsed();
     program.compile_cost = started.elapsed();
     Ok(program)
-}
-
-/// The typed divergence error for a rebind whose plan-shape signature does
-/// not match the template: name the first structural component that
-/// differs (by hash-order index) instead of reporting a bare mismatch.
-fn structure_divergence(template: &[String], candidate: &[String]) -> HiqueError {
-    for (i, (a, b)) in template.iter().zip(candidate).enumerate() {
-        if a != b {
-            return HiqueError::Unsupported(format!(
-                "plan shape diverged from the cached template at component {i}: \
-                 template has [{a}], query has [{b}]; full compile required"
-            ));
-        }
-    }
-    if template.len() != candidate.len() {
-        let i = template.len().min(candidate.len());
-        return HiqueError::Unsupported(format!(
-            "plan shape diverged from the cached template at component {i}: \
-             template has {} components, query has {}; full compile required",
-            template.len(),
-            candidate.len()
-        ));
-    }
-    // Signatures differ but every component label agrees — the divergence
-    // is below the label granularity (e.g. a base-schema change the labels
-    // summarize); fall back to the generic message.
-    HiqueError::Unsupported(
-        "plan shape diverged from the cached template; full compile required".into(),
-    )
 }
 
 /// Rewrite pooled numeric operands into immediates (string constants stay
@@ -396,12 +350,11 @@ fn fold_constants(code: &mut [Op], pool: &ConstPool) {
     }
 }
 
-/// Emission state: the growing code array, pool, and register high-water.
+/// Emission state: the growing code array and pool.
 #[derive(Default)]
 struct Builder {
     code: Vec<Op>,
     pool: ConstPool,
-    max_regs: usize,
 }
 
 impl Builder {
@@ -414,44 +367,6 @@ impl Builder {
             start,
             end: self.pc(),
         }
-    }
-
-    /// One predicate test, typed by the base column (mirrors the static
-    /// `CompiledFilter::compile` constant conversions exactly).
-    fn emit_test(&mut self, base: &Schema, f: &hique_sql::analyze::ColumnFilter) -> Result<()> {
-        let offset = base.offset(f.column) as u32;
-        let op = match base.column(f.column).dtype {
-            DataType::Int32 | DataType::Date => Op::TestI32 {
-                offset,
-                op: f.op,
-                rhs: RhsI::Pool(self.pool.push_int(f.value.as_i64()? as i32 as i64)),
-            },
-            DataType::Int64 => Op::TestI64 {
-                offset,
-                op: f.op,
-                rhs: RhsI::Pool(self.pool.push_int(f.value.as_i64()?)),
-            },
-            DataType::Float64 => Op::TestF64 {
-                offset,
-                op: f.op,
-                rhs: RhsF::Pool(self.pool.push_float(f.value.as_f64()?)),
-            },
-            DataType::Char(w) => {
-                let s = f.value.as_str().ok_or_else(|| {
-                    HiqueError::Codegen("string filter on non-string constant".into())
-                })?;
-                let mut bytes = s.as_bytes().to_vec();
-                bytes.resize(w as usize, b' ');
-                Op::TestBytes {
-                    offset,
-                    width: w as u32,
-                    op: f.op,
-                    pool: self.pool.push_bytes(bytes),
-                }
-            }
-        };
-        self.code.push(op);
-        Ok(())
     }
 
     /// One key-image instruction for `column` of `schema`.
@@ -476,7 +391,6 @@ impl Builder {
     /// every literal).
     fn emit_dag(&mut self, nodes: &[AggNode]) -> Frag {
         let start = self.pc();
-        self.max_regs = self.max_regs.max(nodes.len());
         for (i, node) in nodes.iter().enumerate() {
             // The generator's registers are `u16`: `i` fits.
             let dst = i as u16;
@@ -509,43 +423,64 @@ impl Builder {
     }
 }
 
-/// Extract the constant pool `generated` would compile to, following the
-/// exact emission walk of [`compile`] — the canonical constant vector of
-/// the query within its shape class.
+/// The test op of one filter over the base record, its constant pushed to
+/// `pool` — the one place the VM converts a filter constant, with the
+/// conversions of `CompiledFilter::compile`: an `Int32`/`Date` column's
+/// constant narrowed to `i32`, a `Char(w)` constant space-padded (or cut)
+/// to `w` bytes.
+fn test_op(base: &Schema, f: &ColumnFilter, pool: &mut ConstPool) -> Result<Op> {
+    let (offset, op) = (base.offset(f.column) as u32, f.op);
+    Ok(match base.column(f.column).dtype {
+        DataType::Int32 | DataType::Date => Op::TestI32 {
+            offset,
+            op,
+            rhs: RhsI::Pool(pool.push_int(f.value.as_i64()? as i32 as i64)),
+        },
+        DataType::Int64 => Op::TestI64 {
+            offset,
+            op,
+            rhs: RhsI::Pool(pool.push_int(f.value.as_i64()?)),
+        },
+        DataType::Float64 => Op::TestF64 {
+            offset,
+            op,
+            rhs: RhsF::Pool(pool.push_float(f.value.as_f64()?)),
+        },
+        DataType::Char(w) => {
+            let s = f.value.as_str().ok_or_else(|| {
+                HiqueError::Codegen("string filter on non-string constant".into())
+            })?;
+            let mut bytes = s.as_bytes().to_vec();
+            bytes.resize(w as usize, b' ');
+            Op::TestBytes {
+                offset,
+                width: w as u32,
+                op,
+                pool: pool.push_bytes(bytes),
+            }
+        }
+    })
+}
+
+/// Extract the constant pool `generated` would compile to, in the emission
+/// order of [`compile`] — the canonical constant vector of the query within
+/// its shape class.
 pub fn collect_pool(generated: &GeneratedQuery, catalog: &Catalog) -> Result<ConstPool> {
     let plan = generated.plan();
     let mut pool = ConstPool::default();
     for staged in &plan.staged {
         let info = catalog.table(&staged.table_name)?;
-        let base = info.heap.schema();
         for f in &staged.filters {
-            match base.column(f.column).dtype {
-                DataType::Int32 | DataType::Date => {
-                    pool.push_int(f.value.as_i64()? as i32 as i64);
-                }
-                DataType::Int64 => {
-                    pool.push_int(f.value.as_i64()?);
-                }
-                DataType::Float64 => {
-                    pool.push_float(f.value.as_f64()?);
-                }
-                DataType::Char(w) => {
-                    let s = f.value.as_str().ok_or_else(|| {
-                        HiqueError::Codegen("string filter on non-string constant".into())
-                    })?;
-                    let mut bytes = s.as_bytes().to_vec();
-                    bytes.resize(w as usize, b' ');
-                    pool.push_bytes(bytes);
-                }
-            }
+            test_op(info.heap.schema(), f, &mut pool)?;
         }
     }
     // The register programs' constants, in emission order.
-    let aggregate = generated.aggregation().map(|c| c.program().nodes());
+    let kernels = generated.kernels();
+    let aggregate = kernels.aggregation.as_ref().map(|c| c.program().nodes());
     for node in aggregate
         .unwrap_or_default()
         .iter()
-        .chain(generated.output_program())
+        .chain(&kernels.output_program)
     {
         if let AggNode::Const(c) = node {
             pool.push_float(*c);
@@ -554,204 +489,11 @@ pub fn collect_pool(generated: &GeneratedQuery, catalog: &Catalog) -> Result<Con
     Ok(pool)
 }
 
-fn dtype_tag(d: DataType) -> (u8, u32) {
-    match d {
-        DataType::Int32 => (0, 0),
-        DataType::Int64 => (1, 0),
-        DataType::Float64 => (2, 0),
-        DataType::Date => (3, 0),
-        DataType::Char(w) => (4, w as u32),
-    }
-}
-
-/// The structure of a register program: which nodes exist and who reads
-/// whom (so two class-mates whose equal or unequal literals intern to
-/// different DAGs do not share a template), not what the constants are.
-fn hash_program(nodes: &[AggNode], h: &mut DefaultHasher) {
-    nodes.len().hash(h);
-    for node in nodes {
-        match *node {
-            AggNode::Const(_) => 0u8.hash(h),
-            AggNode::ColI32(off) => (1u8, off).hash(h),
-            AggNode::ColI64(off) => (2u8, off).hash(h),
-            AggNode::ColF64(off) => (3u8, off).hash(h),
-            AggNode::Bin { op, left, right } => (4u8, op as u8, left, right).hash(h),
-        }
-    }
-}
-
-/// The label of a register program's structure ([`hash_program`]).
-fn program_shape(nodes: &[AggNode]) -> String {
-    let nodes: Vec<String> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| match *node {
-            AggNode::Const(_) => format!("r{i}=const"),
-            AggNode::ColI32(off) => format!("r{i}=i32@{off}"),
-            AggNode::ColI64(off) => format!("r{i}=i64@{off}"),
-            AggNode::ColF64(off) => format!("r{i}=f64@{off}"),
-            AggNode::Bin { op, left, right } => format!("r{i}=(r{left} {op:?} r{right})"),
-        })
-        .collect();
-    nodes.join(" ")
-}
-
-/// The human-readable components of the plan-shape signature, in hash
-/// order — one label per structural element [`plan_signature`] hashes
-/// (and nothing it does not).  Two plans with equal signatures produce
-/// equal component lists; a diverged rebind diffs the lists to name the
-/// first mismatching component.
-pub fn plan_structure(generated: &GeneratedQuery, catalog: &Catalog) -> Result<Vec<String>> {
-    let plan = generated.plan();
-    let mut parts = Vec::new();
-    for (t, staged) in plan.staged.iter().enumerate() {
-        let base = catalog.table(&staged.table_name)?.heap.schema().clone();
-        let cols: Vec<String> = base
-            .columns()
-            .iter()
-            .map(|c| format!("{:?}", c.dtype))
-            .collect();
-        let filters: Vec<String> = staged
-            .filters
-            .iter()
-            .map(|f| format!("col{} {:?}", f.column, f.op))
-            .collect();
-        parts.push(format!(
-            "staged[{t}]: table={} keep={:?} base=[{}] filters=[{}]",
-            staged.table_name,
-            staged.keep,
-            cols.join(", "),
-            filters.join(", ")
-        ));
-    }
-    parts.push(format!("join order: {:?}", plan.join_order));
-    for (i, step) in plan.joins.iter().enumerate() {
-        parts.push(format!(
-            "join[{i}]: right={} left_key={} right_key={}",
-            step.right, step.left_key, step.right_key
-        ));
-    }
-    parts.push(match &plan.join_team {
-        Some(team) => format!(
-            "team: members={:?} keys={:?}",
-            team.members, team.key_columns
-        ),
-        None => "team: none".into(),
-    });
-    match &plan.aggregate {
-        Some(spec) => {
-            parts.push(format!("group columns: {:?}", spec.group_columns));
-            if let Some(compiled) = generated.aggregation() {
-                let program = compiled.program();
-                parts.push(format!(
-                    "aggregate program: {} slots={:?}",
-                    program_shape(program.nodes()),
-                    program.layout().slots()
-                ));
-                for (i, (slot, func, dtype)) in program.layout().outputs().iter().enumerate() {
-                    parts.push(format!(
-                        "aggregate[{i}]: {func:?}:{dtype:?} from slot {slot}"
-                    ));
-                }
-            }
-        }
-        None => parts.push("aggregate: none".into()),
-    }
-    parts.push(format!(
-        "output program: {}",
-        program_shape(generated.output_program())
-    ));
-    for (k, kernel) in generated.outputs().iter().enumerate() {
-        parts.push(match kernel {
-            OutputKernel::Column(key) => format!(
-                "output[{k}]: column {:?} at offset {} width {}",
-                key.dtype, key.offset, key.width
-            ),
-            OutputKernel::Expr(reg, dtype) => format!("output[{k}]: r{reg} as {dtype:?}"),
-            OutputKernel::GroupPosition(p) => format!("output[{k}]: group {p}"),
-            OutputKernel::AggregatePosition(i) => format!("output[{k}]: aggregate {i}"),
-        });
-    }
-    Ok(parts)
-}
-
-/// The plan-shape signature: a structural hash of everything the compiled
-/// bytecode's offsets and fragment layout depend on — base and staged
-/// schemas, kept columns, filter structure (column/operator, not values),
-/// join order and key columns, team layout, aggregate and output
-/// structure.  Deliberately excludes constant values, cardinality
-/// estimates, staging strategies and algorithm choices: those vary within
-/// a shape class without invalidating the code.
-pub fn plan_signature(generated: &GeneratedQuery, catalog: &Catalog) -> Result<u64> {
-    let plan = generated.plan();
-    let mut h = DefaultHasher::new();
-    plan.staged.len().hash(&mut h);
-    for staged in &plan.staged {
-        staged.table_name.hash(&mut h);
-        staged.keep.hash(&mut h);
-        let base = catalog.table(&staged.table_name)?.heap.schema().clone();
-        for col in base.columns() {
-            dtype_tag(col.dtype).hash(&mut h);
-        }
-        staged.filters.len().hash(&mut h);
-        for f in &staged.filters {
-            f.column.hash(&mut h);
-            (f.op as u8).hash(&mut h);
-        }
-    }
-    plan.join_order.hash(&mut h);
-    plan.joins.len().hash(&mut h);
-    for step in &plan.joins {
-        (step.right, step.left_key, step.right_key).hash(&mut h);
-    }
-    match &plan.join_team {
-        Some(team) => {
-            1u8.hash(&mut h);
-            team.members.hash(&mut h);
-            team.key_columns.hash(&mut h);
-        }
-        None => 0u8.hash(&mut h),
-    }
-    match &plan.aggregate {
-        Some(spec) => {
-            1u8.hash(&mut h);
-            spec.group_columns.hash(&mut h);
-            if let Some(compiled) = generated.aggregation() {
-                let program = compiled.program();
-                hash_program(program.nodes(), &mut h);
-                program.layout().slots().hash(&mut h);
-                for (slot, func, dtype) in program.layout().outputs() {
-                    (*slot, *func as u8).hash(&mut h);
-                    dtype_tag(*dtype).hash(&mut h);
-                }
-            }
-        }
-        None => 0u8.hash(&mut h),
-    }
-    hash_program(generated.output_program(), &mut h);
-    generated.outputs().len().hash(&mut h);
-    for kernel in generated.outputs() {
-        match kernel {
-            OutputKernel::Column(key) => {
-                (0u8, key.offset, key.width).hash(&mut h);
-                dtype_tag(key.dtype).hash(&mut h);
-            }
-            OutputKernel::Expr(reg, dtype) => {
-                (1u8, *reg).hash(&mut h);
-                dtype_tag(*dtype).hash(&mut h);
-            }
-            OutputKernel::GroupPosition(p) => (2u8, *p).hash(&mut h),
-            OutputKernel::AggregatePosition(i) => (3u8, *i).hash(&mut h),
-        }
-    }
-    Ok(h.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytecode::run_expr;
-    use crate::vector::resolve_agg_dag;
+    use crate::vector::dag;
     use hique_holistic::agg::{AccumSlot, AggProgram, PageFold};
     use hique_plan::{AggAlgorithm, AggregateSpec};
     use hique_sql::analyze::{BoundAggregate, ScalarExpr};
@@ -898,7 +640,7 @@ mod tests {
                 other => panic!("SUM finishes from {other:?}"),
             };
             let mut b = Builder::default();
-            let dag = b.emit_dag(program.nodes());
+            let frag = b.emit_dag(program.nodes());
             let pooled = b.code.clone();
             let mut folded = b.code.clone();
             fold_constants(&mut folded, &b.pool);
@@ -913,7 +655,7 @@ mod tests {
             };
             let compiled = fill(program.nodes());
             let resolved = [&pooled, &folded].map(|code| {
-                let nodes = resolve_agg_dag(dag.ops(code), &b.pool);
+                let nodes = dag(frag.ops(code), &b.pool).unwrap();
                 assert_eq!(nodes.len(), program.nodes().len());
                 fill(&nodes)
             });
@@ -931,7 +673,7 @@ mod tests {
                     };
                     check(compiled.lane(reg as u16)[r], "compiled");
                     for code in [&pooled, &folded] {
-                        run_expr(dag.ops(code), &b.pool, rec, &mut regs);
+                        run_expr(frag.ops(code), &b.pool, rec, &mut regs);
                         check(regs[reg], "reference interpreter");
                     }
                     for fold in &resolved {
@@ -1000,15 +742,13 @@ mod tests {
         let sql = format!("select k, {} from r group by k order by k", sums.join(", "));
         let plan = hique_plan::plan_sql(&sql, &cat, &hique_plan::PlannerConfig::default());
         let generated = hique_holistic::generate(&plan.unwrap()).unwrap();
-        assert_eq!(
-            generated.aggregation().unwrap().program().nodes().len(),
-            201
-        );
+        let aggregation = generated.kernels().aggregation.as_ref().unwrap();
+        assert_eq!(aggregation.program().nodes().len(), 201);
         let holistic = generated.execute(&cat).unwrap();
         for mode in [CompileMode::Specialized, CompileMode::Pooled] {
             let program = compile(&generated, &cat, mode).unwrap();
-            assert_eq!(program.float_registers(), 201, "{mode:?}");
-            program.verify(&generated, &cat).unwrap();
+            assert_eq!(program.agg.as_ref().unwrap().dag.len(), 201, "{mode:?}");
+            program.verify(&generated).unwrap();
             let options = hique_types::ExecOptions::default();
             let vm = program.execute(&generated, &cat, &options).unwrap();
             assert_eq!(
@@ -1092,7 +832,6 @@ mod tests {
                     &p.agg,
                     p.output_dag,
                     &p.outputs,
-                    p.float_registers,
                 )
             )
         };

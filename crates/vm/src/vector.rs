@@ -1,159 +1,329 @@
-//! The resolvers: verified bytecode fragments → the kernel objects of the
-//! paper's instantiated templates.
+//! The decode: bytecode fragments → the kernel objects of the paper's
+//! instantiated templates, each held to the generator's as it is read.
 //!
 //! The per-op interpreter in [`crate::bytecode`] would pay one dispatch per
 //! op per tuple — exactly the per-tuple overhead the paper's compiled
 //! kernels eliminate — so nothing executes it: it is the definition of the
-//! ops the resolvers are tested against.  Once per execution [`resolve`]
-//! reads the fragments, with their operands from the constant pool, into
-//! the [`KernelSet`] the generator builds from the plan, and the driver
-//! runs that.  A staged table's filter and projection fragments become a
-//! [`ScanKernels`] ([`resolve_scan`]); a key-image fragment names the
-//! [`CompiledKey`] whose image it computes ([`image_key`]); the aggregate
-//! and the output DAG fragments become register programs
-//! ([`resolve_agg_dag`]).
+//! ops the decoders are tested against.  [`resolve`] reads the fragments,
+//! with their operands from the constant pool, into the [`KernelSet`] the
+//! generator builds from the plan, and the driver runs that.  A staged
+//! table's filter and projection fragments become a [`ScanKernels`]
+//! ([`filters`], [`projection`]); a key-image fragment names the
+//! [`CompiledKey`] whose image it computes ([`image`]); the aggregate and
+//! the output DAG fragments become register programs ([`dag`]).
 //!
-//! What runs is what the verifier checked: every resolver reads the
-//! fragments themselves and maps them op for op (a test to a filter sweep,
-//! the `Copy` list to the copy plan, DAG op `i` to node `i`), so results and
-//! every [`hique_types::ExecStats`] work counter equal the generator's
-//! kernels' by construction.
+//! The decode is the verifier ([`crate::verify`]): an op that does not
+//! decode is [`VerifyError::Malformed`], and every decoded component is
+//! compared with the generator's before the next is read, the first that
+//! differs a [`VerifyError::Diverges`].  So what runs is the generator's
+//! kernel set, read back from the bytecode, and its results and every
+//! [`hique_types::ExecStats`] work counter equal the generator's kernels'.
+
+use std::fmt::Arguments;
 
 use hique_holistic::agg::{AggNode, AggProgram, CompiledAgg};
 use hique_holistic::kernel::{CompiledFilter, CompiledKey, CompiledProjection};
 use hique_holistic::staging::ScanKernels;
-use hique_holistic::{KernelSet, OutputKernel};
-use hique_plan::PhysicalPlan;
+use hique_holistic::{GeneratedQuery, KernelSet};
 use hique_types::DataType;
 
-use crate::bytecode::{image_key, rhs_f, rhs_i, ConstPool, Frag, Op};
-use crate::program::{OutputOp, TableFrags, VmProgram};
+use crate::bytecode::{image_key, ConstPool, Frag, Op, RhsF, RhsI};
+use crate::program::VmProgram;
+use crate::verify::{agree, agree_all, VerifyError};
+
+/// Why a fragment does not decode: the index of the offending op within
+/// it, and what is wrong with that op.
+type Fault = (usize, String);
+
+/// The value of an integer operand, if its pool slot exists.
+fn int(rhs: RhsI, pool: &ConstPool) -> Result<i64, String> {
+    match rhs {
+        RhsI::Imm(v) => Ok(v),
+        RhsI::Pool(i) => pool
+            .ints
+            .get(i as usize)
+            .copied()
+            .ok_or_else(|| format!("int pool slot {i} of {}", pool.ints.len())),
+    }
+}
+
+/// The value of a float operand, if its pool slot exists.
+fn float(rhs: RhsF, pool: &ConstPool) -> Result<f64, String> {
+    match rhs {
+        RhsF::Imm(v) => Ok(v),
+        RhsF::Pool(i) => pool
+            .floats
+            .get(i as usize)
+            .copied()
+            .ok_or_else(|| format!("float pool slot {i} of {}", pool.floats.len())),
+    }
+}
 
 /// The page sweep of one predicate-test op.
-fn sweep_of(op: &Op, pool: &ConstPool) -> CompiledFilter {
+fn sweep(op: &Op, pool: &ConstPool) -> Result<CompiledFilter, String> {
     let key = |offset: u32, dtype| CompiledKey::at(offset as usize, dtype);
-    match *op {
+    Ok(match *op {
         Op::TestI32 { offset, op, rhs } => {
-            CompiledFilter::on_int(key(offset, DataType::Int32), op, rhs_i(rhs, pool))
+            CompiledFilter::on_int(key(offset, DataType::Int32), op, int(rhs, pool)?)
         }
         Op::TestI64 { offset, op, rhs } => {
-            CompiledFilter::on_int(key(offset, DataType::Int64), op, rhs_i(rhs, pool))
+            CompiledFilter::on_int(key(offset, DataType::Int64), op, int(rhs, pool)?)
         }
         Op::TestF64 { offset, op, rhs } => {
-            CompiledFilter::on_float(key(offset, DataType::Float64), op, rhs_f(rhs, pool))
+            CompiledFilter::on_float(key(offset, DataType::Float64), op, float(rhs, pool)?)
         }
         Op::TestBytes {
             offset,
             width,
             op,
             pool: slot,
-        } => CompiledFilter::on_bytes(
-            key(offset, DataType::Char(width as u16)),
-            op,
-            pool.bytes[slot as usize].clone(),
-        ),
-        _ => unreachable!("non-test op in filter fragment"),
-    }
+        } => {
+            let value = pool
+                .bytes
+                .get(slot as usize)
+                .ok_or_else(|| format!("bytes pool slot {slot} of {}", pool.bytes.len()))?;
+            let dtype = u16::try_from(width)
+                .ok()
+                .filter(|_| value.len() == width as usize)
+                .map(DataType::Char)
+                .ok_or_else(|| format!("a {}-byte constant in a {width}-byte test", value.len()))?;
+            CompiledFilter::on_bytes(key(offset, dtype), op, value.clone())
+        }
+        ref other => return Err(format!("{other:?} in a filter fragment")),
+    })
 }
 
-/// Resolve a filter fragment against the program's constant pool: one
-/// page sweep ([`CompiledFilter::narrow`]) per test, in fragment order, so
+/// Decode a filter fragment against the program's constant pool: one page
+/// sweep ([`CompiledFilter::narrow`]) per test, in fragment order, so
 /// nothing about a test is dispatched per row.
-pub(crate) fn resolve_filter(ops: &[Op], pool: &ConstPool) -> Vec<CompiledFilter> {
-    ops.iter().map(|op| sweep_of(op, pool)).collect()
+pub(crate) fn filters(ops: &[Op], pool: &ConstPool) -> Result<Vec<CompiledFilter>, Fault> {
+    ops.iter()
+        .enumerate()
+        .map(|(i, op)| sweep(op, pool).map_err(|detail| (i, detail)))
+        .collect()
 }
 
 /// The copy plan of a projection fragment: the same coalesced,
 /// constant-width copies the compiled kernels run
-/// ([`CompiledProjection::append`]), built from the verified `Copy` list.
-pub(crate) fn copy_plan(ops: &[Op]) -> CompiledProjection {
-    CompiledProjection::from_copies(ops.iter().map(|op| match *op {
-        Op::Copy { src, width, dst } => (src as usize, width as usize, dst as usize),
-        _ => unreachable!("non-copy op in projection fragment"),
-    }))
+/// ([`CompiledProjection::append`]), built from the `Copy` list.
+pub(crate) fn projection(ops: &[Op]) -> Result<CompiledProjection, Fault> {
+    let copies = ops.iter().enumerate().map(|(i, op)| match *op {
+        Op::Copy { src, width, dst } => Ok((src as usize, width as usize, dst as usize)),
+        ref other => Err((i, format!("{other:?} in a projection fragment"))),
+    });
+    Ok(CompiledProjection::from_copies(
+        copies.collect::<Result<Vec<_>, _>>()?,
+    ))
 }
 
-/// The scan of one staged table, resolved from its filter and projection
-/// fragments: what core's staging loop sweeps over the table's pages.
-pub(crate) fn resolve_scan(frags: &TableFrags, code: &[Op], pool: &ConstPool) -> ScanKernels {
-    ScanKernels {
-        filters: resolve_filter(frags.filter.ops(code), pool),
-        projection: copy_plan(frags.project.ops(code)),
+/// The key a key-image fragment, one image op, names.
+pub(crate) fn image(ops: &[Op]) -> Result<CompiledKey, Fault> {
+    match ops {
+        [op] => image_key(op).ok_or_else(|| (0, format!("{op:?} is no key image"))),
+        [] => Err((0, "an empty key-image fragment".into())),
+        _ => Err((
+            1,
+            format!("{} ops in a one-op key-image fragment", ops.len()),
+        )),
     }
 }
 
-/// Resolve a register-program fragment (the aggregate or the output DAG)
+/// Decode a register-program fragment (the aggregate or the output DAG)
 /// against the program's constant pool into the generator's nodes: op `i`
-/// of the fragment defines register `i` (the verifier holds the fragment
-/// to the generator's program node for node), so the ops *are* the
-/// program's nodes.
-pub(crate) fn resolve_agg_dag(ops: &[Op], pool: &ConstPool) -> Vec<AggNode> {
+/// defines register `i` and reads only registers defined before it, so
+/// the ops *are* the program's nodes.
+pub(crate) fn dag(ops: &[Op], pool: &ConstPool) -> Result<Vec<AggNode>, Fault> {
+    let node = |i: usize, op: &Op| {
+        let (dst, node) = match *op {
+            Op::LoadF { dst, offset } => (dst, AggNode::ColF64(offset as usize)),
+            Op::LoadI32F { dst, offset } => (dst, AggNode::ColI32(offset as usize)),
+            Op::LoadI64F { dst, offset } => (dst, AggNode::ColI64(offset as usize)),
+            Op::ConstF { dst, value } => (dst, AggNode::Const(value)),
+            Op::PoolF { dst, idx } => (dst, AggNode::Const(float(RhsF::Pool(idx), pool)?)),
+            Op::Arith { op, dst, a, b } if (a.max(b) as usize) < i => (
+                dst,
+                AggNode::Bin {
+                    op,
+                    left: a,
+                    right: b,
+                },
+            ),
+            Op::Arith { a, b, .. } => return Err(format!("op {i} reads r{a} and r{b}")),
+            ref other => return Err(format!("{other:?} in a register program")),
+        };
+        match dst as usize == i {
+            true => Ok(node),
+            false => Err(format!("op {i} defines r{dst}")),
+        }
+    };
     ops.iter()
-        .map(|op| match *op {
-            Op::LoadF { offset, .. } => AggNode::ColF64(offset as usize),
-            Op::LoadI32F { offset, .. } => AggNode::ColI32(offset as usize),
-            Op::LoadI64F { offset, .. } => AggNode::ColI64(offset as usize),
-            Op::ConstF { value, .. } => AggNode::Const(value),
-            Op::PoolF { idx, .. } => AggNode::Const(pool.floats[idx as usize]),
-            Op::Arith { op, a, b, .. } => AggNode::Bin {
-                op,
-                left: a,
-                right: b,
-            },
-            _ => unreachable!("non-expression op in expression fragment"),
-        })
+        .enumerate()
+        .map(|(i, op)| node(i, op).map_err(|detail| (i, detail)))
         .collect()
 }
 
-/// Resolve a verified program into the kernel set the driver runs for
-/// `plan`, the plan it was compiled (or rebound) for.
+/// Decode `frag` with `decoder`, naming `component` and the offending op
+/// when it does not decode.
+fn decode<T>(
+    component: Arguments<'_>,
+    frag: Frag,
+    code: &[Op],
+    decoder: impl FnOnce(&[Op]) -> Result<T, Fault>,
+) -> Result<T, VerifyError> {
+    let malformed = |op: usize, detail| VerifyError::Malformed {
+        component: component.to_string(),
+        op,
+        detail,
+    };
+    if frag.start > frag.end || frag.end as usize > code.len() {
+        return Err(malformed(
+            frag.start as usize,
+            format!(
+                "fragment [{}, {}) lies outside the {}-op code array",
+                frag.start,
+                frag.end,
+                code.len()
+            ),
+        ));
+    }
+    decoder(frag.ops(code)).map_err(|(i, detail)| malformed(frag.start as usize + i, detail))
+}
+
+/// Decode `program` into the kernel set the driver runs for `generated`,
+/// holding each component to the generator's as it is read.
 ///
 /// Every kernel comes from the fragments; the plan supplies only what the
-/// bytecode does not encode and the verifier held the fragments to: the
-/// joined record's width, and the type a group value decodes to (an
-/// `i32` and a date column share one image op).
-pub(crate) fn resolve(program: &VmProgram, plan: &PhysicalPlan) -> KernelSet {
+/// bytecode does not encode: the joined record's width, and the type a
+/// group value decodes to (an `i32` and a date column share one image
+/// op), taken from the generator's key once the image agreed.
+pub(crate) fn resolve(
+    program: &VmProgram,
+    generated: &GeneratedQuery,
+) -> Result<KernelSet, VerifyError> {
     let (code, pool) = (&program.code[..], &program.pool);
-    let key = |frag: Frag| image_key(frag.ops(code));
-    let joined = &plan.joined_schema;
-    let aggregation = program.agg.as_ref().zip(plan.aggregate.as_ref());
-    KernelSet {
-        scans: program
-            .tables
-            .iter()
-            .map(|frags| resolve_scan(frags, code, pool))
-            .collect(),
-        joins: program
-            .joins
-            .iter()
-            .map(|j| (key(j.left_image), key(j.right_image)))
-            .collect(),
-        aggregation: aggregation.map(|(frags, spec)| {
-            let group_keys = frags
+    let want = generated.kernels();
+
+    let tables = &program.tables;
+    agree(
+        format_args!("scans"),
+        &want.scans.len(),
+        &tables.len(),
+        usize::eq,
+    )?;
+    let mut scans = Vec::with_capacity(tables.len());
+    for (t, (frags, want)) in tables.iter().zip(&want.scans).enumerate() {
+        let component = format_args!("scan[{t}].filter");
+        let filters = decode(component, frags.filter, code, |ops| filters(ops, pool))?;
+        agree_all(
+            component,
+            &want.filters,
+            &filters,
+            CompiledFilter::same_test,
+        )?;
+        let component = format_args!("scan[{t}].projection");
+        let projection = decode(component, frags.project, code, projection)?;
+        agree(
+            component,
+            &want.projection,
+            &projection,
+            CompiledProjection::eq,
+        )?;
+        scans.push(ScanKernels {
+            filters,
+            projection,
+        });
+    }
+
+    agree(
+        format_args!("joins"),
+        &want.joins.len(),
+        &program.joins.len(),
+        usize::eq,
+    )?;
+    let mut joins = Vec::with_capacity(program.joins.len());
+    for (s, (frags, (left, right))) in program.joins.iter().zip(&want.joins).enumerate() {
+        let component = format_args!("join[{s}].left");
+        let found_left = decode(component, frags.left_image, code, image)?;
+        agree(component, left, &found_left, CompiledKey::same_image)?;
+        let component = format_args!("join[{s}].right");
+        let found_right = decode(component, frags.right_image, code, image)?;
+        agree(component, right, &found_right, CompiledKey::same_image)?;
+        joins.push((found_left, found_right));
+    }
+
+    let (expected, found) = (want.aggregation.is_some(), program.agg.is_some());
+    agree(format_args!("agg"), &expected, &found, bool::eq)?;
+    let aggregation = match (&program.agg, &want.aggregation) {
+        (Some(frags), Some(want)) => {
+            let keys = frags
                 .group_images
                 .iter()
-                .zip(&spec.group_columns)
-                .map(|(&frag, &c)| CompiledKey {
-                    dtype: joined.column(c).dtype,
-                    ..key(frag)
+                .enumerate()
+                .map(|(g, &frag)| decode(format_args!("group_key[{g}]"), frag, code, image));
+            let keys = keys.collect::<Result<Vec<_>, _>>()?;
+            let want_keys = want.group_keys();
+            agree_all(
+                format_args!("group_key"),
+                want_keys,
+                &keys,
+                CompiledKey::same_image,
+            )?;
+            let nodes = decode(format_args!("agg.dag"), frags.dag, code, |ops| {
+                dag(ops, pool)
+            })?;
+            let program = want.program();
+            agree_all(
+                format_args!("agg.node"),
+                program.nodes(),
+                &nodes,
+                AggNode::same,
+            )?;
+            let layout = &frags.layout;
+            agree(
+                format_args!("agg.layout"),
+                program.layout(),
+                layout,
+                PartialEq::eq,
+            )?;
+            let group_keys = keys
+                .iter()
+                .zip(want_keys)
+                .map(|(key, want)| CompiledKey {
+                    dtype: want.dtype,
+                    ..*key
                 })
                 .collect();
-            let nodes = resolve_agg_dag(frags.dag.ops(code), pool);
-            let program = AggProgram::new(nodes, frags.layout.clone());
-            CompiledAgg::new(group_keys, program, joined.tuple_size())
-        }),
-        outputs: program
-            .outputs
-            .iter()
-            .map(|output| match *output {
-                OutputOp::Column(key) => OutputKernel::Column(key),
-                OutputOp::Expr(reg, dtype) => OutputKernel::Expr(reg, dtype),
-                OutputOp::Group(p) => OutputKernel::GroupPosition(p),
-                OutputOp::Aggregate(i) => OutputKernel::AggregatePosition(i),
-            })
-            .collect(),
-        output_program: resolve_agg_dag(program.output_dag.ops(code), pool),
-    }
+            let program = AggProgram::new(nodes, layout.clone());
+            let tuple_size = generated.plan().joined_schema.tuple_size();
+            Some(CompiledAgg::new(group_keys, program, tuple_size))
+        }
+        _ => None,
+    };
+
+    let outputs: Vec<_> = program.outputs.iter().map(|op| op.kernel()).collect();
+    agree_all(
+        format_args!("output"),
+        &want.outputs,
+        &outputs,
+        PartialEq::eq,
+    )?;
+    let component = format_args!("output.dag");
+    let output_program = decode(component, program.output_dag, code, |ops| dag(ops, pool))?;
+    let want_nodes = &want.output_program;
+    agree_all(
+        format_args!("output.node"),
+        want_nodes,
+        &output_program,
+        AggNode::same,
+    )?;
+
+    Ok(KernelSet {
+        scans,
+        joins,
+        aggregation,
+        outputs,
+        output_program,
+    })
 }
 
 #[cfg(test)]
@@ -233,7 +403,7 @@ mod tests {
         let (data, width) = (recs.concat(), schema().tuple_size());
         let (mut sel, mut cmp) = (Selection::new(), 0u64);
         sel.select_all(recs.len());
-        for filter in resolve_filter(ops, pool) {
+        for filter in filters(ops, pool).unwrap() {
             cmp += sel.len() as u64;
             filter.narrow(&data, width, &mut sel);
         }
@@ -247,7 +417,9 @@ mod tests {
         assert!(sel.is_empty());
         assert_eq!(cmp, 0);
         let mut out = Vec::new();
-        copy_plan(&[]).append(&[], schema().tuple_size(), &sel, &mut out);
+        projection(&[])
+            .unwrap()
+            .append(&[], schema().tuple_size(), &sel, &mut out);
         assert!(out.is_empty());
     }
 
@@ -305,7 +477,9 @@ mod tests {
         ];
         let sel: Vec<u32> = (0..refs.len() as u32).step_by(3).collect();
         let mut out = Vec::new();
-        copy_plan(&proj).append(&recs.concat(), s.tuple_size(), &sel, &mut out);
+        projection(&proj)
+            .unwrap()
+            .append(&recs.concat(), s.tuple_size(), &sel, &mut out);
         let mut scalar = Vec::new();
         let mut buf = vec![0u8; 12];
         for &i in &sel {
@@ -314,7 +488,7 @@ mod tests {
         }
         assert_eq!(out, scalar);
 
-        for image in [
+        for op in [
             Op::ImageI32 {
                 offset: s.offset(0) as u32,
             },
@@ -330,9 +504,11 @@ mod tests {
             },
         ] {
             let mut lane = vec![7];
-            image_key(&[image]).images_into(&recs.concat(), s.tuple_size(), &mut lane);
+            image(&[op])
+                .unwrap()
+                .images_into(&recs.concat(), s.tuple_size(), &mut lane);
             assert_eq!(lane.remove(0), 7, "appended to the lane");
-            let scalar: Vec<u64> = refs.iter().map(|r| run_image(&[image], r)).collect();
+            let scalar: Vec<u64> = refs.iter().map(|r| run_image(&[op], r)).collect();
             assert_eq!(lane, scalar);
         }
     }
@@ -377,7 +553,7 @@ mod tests {
                 b: 5,
             },
         ];
-        let nodes = resolve_agg_dag(&ops, &pool);
+        let nodes = dag(&ops, &pool).unwrap();
         assert_eq!(nodes.len(), ops.len());
         let layout: AccumLayout = no_slots();
         let mut fold = PageFold::new(&nodes, &layout, s.tuple_size());

@@ -1,252 +1,83 @@
-//! Static verification of compiled bytecode programs.
+//! Static verification of compiled bytecode programs: the verifier is the
+//! decode.
 //!
-//! The VM executes whatever [`VmProgram`] the compiler hands it, and the
-//! interpreter loops index registers, constant pools and record bytes
-//! without checking — a malformed program (a future lowering bug, a stale
-//! cached template) would surface as a panic or a silently wrong answer at
-//! execution time.  This module closes that hole with an abstract
-//! interpretation that runs at *prepare* time, inside [`crate::compile`]
-//! and [`crate::VmProgram::bind`], proving before any record is touched:
+//! A bytecode program is an encoding of the generator's kernel set
+//! ([`hique_holistic::KernelSet`]): the plan's templates instantiated once.
+//! So a program is accepted iff it decodes back into exactly that set.
+//! [`verify`] runs the one decode the executor runs (`vector::resolve`),
+//! which reads each component — a staged table's filters and copy plan,
+//! the join keys, the group keys, the aggregate program and its slots, the
+//! output decode table and the output program — and compares it with the
+//! generator's before reading the next:
 //!
-//! * **fragment integrity** — every fragment the program hands the
-//!   interpreter lies inside the code array and contains only the op kinds
-//!   that fragment's interpreter loop accepts;
-//! * **register safety** — every register operand addresses the declared
-//!   float bank, and every register an [`Op::Arith`] reads was defined
-//!   earlier in the same fragment (def-before-use; the interpreter reuses
-//!   one register frame across records, so a use-before-def read would
-//!   silently observe a stale value, never a crash);
-//! * **type consistency** — every column access (test, load, image, copy)
-//!   lands exactly on a field boundary of the record schema that fragment
-//!   runs over, with the op's operand type matching the field's type under
-//!   the lattice `{Int32, Date} → i32-repr`, `Int64 → i64-repr`,
-//!   `Float64 → f64-repr`, `Char(w) → bytes(w)` (DESIGN.md §14);
-//! * **constant-pool bounds** — every pool operand indexes inside the
-//!   pool, and byte-string constants carry exactly the width the test
-//!   compares;
-//! * **plan agreement** — filters, projections and key images agree
-//!   *positionally* with the plan they claim to implement: filter `i` of
-//!   staged table `t` tests the declared column with the declared operator
-//!   and the declared constant, projection copies reproduce the staged
-//!   schema field-for-field, and every key image reads the declared key
-//!   column.  This is what makes structural single-op mutations (swapped
-//!   operator, nudged constant, relocated offset) statically detectable
-//!   instead of silent wrong answers;
-//! * **register-program agreement** — each expression fragment (the
-//!   aggregation's and the output decoder's) is the generator's register
-//!   program node for node: op `i` defines register `i` (so no register
-//!   has a second definition a folded constant could leak through), loads
-//!   read the declared offsets, arithmetic applies the declared operator to
-//!   the declared operand registers, and constants carry the declared
-//!   values.  Every accumulator slot reads the declared node and every
-//!   output expression names the declared register — a slot redirected to
-//!   a sibling node, an operator swapped or a constant nudged is a static
-//!   rejection, not a plausible wrong answer;
-//! * **output arity** — the output decode table matches the plan's output
-//!   schema in length, kind (scalar vs. group/aggregate) and type, and
-//!   key-image widths agree with the holistic [`CompiledKey`] encoding the
-//!   join/group hash placement depends on.
+//! * an op that does not decode is [`VerifyError::Malformed`]: a fragment
+//!   outside the code array, an op of the wrong kind for its fragment, a
+//!   pool slot out of range, a string constant whose width is not its
+//!   test's, an empty key image, or a register-program op `i` that does not
+//!   define register `i` or reads a register `≥ i`;
+//! * a decoded component unequal to the generator's is
+//!   [`VerifyError::Diverges`], naming the first that differs
+//!   (`scan[t].filter[i]`, `join[s].left`, `group_key[g]`, `agg.node[i]`,
+//!   `agg.layout`, `output[k]`, `output.node[i]`, …).
 //!
-//! Verification failures are the typed [`VerifyError`], converted to
-//! [`HiqueError::Codegen`] at the `compile`/`bind` boundary — a bad
-//! program is a prepare-time error, never an interpreter panic.
+//! Equality is exact but for two rules.  Keys (filter, join and group)
+//! agree when offset, width and *image kind* agree
+//! ([`CompiledKey::same_image`]): an `Int32` and a `Date` column share one
+//! test and one image op, while an `f64` image of an `i64` column is a
+//! different key.  Float constants compare by bits, so `-0.0` is not `0.0`
+//! and a NaN is itself ([`AggNode::same`]).
 //!
-//! [`CompiledKey`]: hique_holistic::kernel::CompiledKey
+//! [`crate::compile`] and [`crate::VmProgram::bind`] verify before they
+//! hand a program out, and [`crate::VmProgram::execute`] runs the kernels
+//! the same decode-and-compare yields, so what runs is what was verified.
+//!
+//! [`CompiledKey::same_image`]: hique_holistic::kernel::CompiledKey::same_image
+//! [`AggNode::same`]: hique_holistic::agg::AggNode::same
 
-use std::fmt;
+use std::fmt::{self, Arguments, Debug};
 
-use hique_holistic::agg::{AggNode, AggProgram};
-use hique_holistic::{GeneratedQuery, OutputKernel};
-use hique_sql::ast::CmpOp;
-use hique_storage::Catalog;
-use hique_types::{DataType, HiqueError, Schema, Value};
+use hique_holistic::GeneratedQuery;
+use hique_types::HiqueError;
 
-use crate::bytecode::{ConstPool, Frag, Op, RhsF, RhsI};
-use crate::program::{OutputOp, VmProgram};
+use crate::program::VmProgram;
 
-/// A static fault found in a compiled bytecode program.
-///
-/// Every variant names the failing code position (`op` is an index into
-/// the program's flat code array) and the fragment context it was reached
-/// from, so a rejected program points at its defect instead of at the
-/// interpreter.
+/// A program that is not the generator's kernel set.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VerifyError {
-    /// A fragment's `[start, end)` range escapes the code array.
-    FragOutOfRange {
-        context: String,
-        start: u32,
-        end: u32,
-        code_len: usize,
+    /// An op of `component` does not decode; `op` indexes the program's
+    /// flat code array.
+    Malformed {
+        component: String,
+        op: usize,
+        detail: String,
     },
-    /// A fragment contains an op kind its interpreter loop rejects.
-    WrongOpKind {
-        context: String,
-        op: u32,
-        expected: &'static str,
-        found: &'static str,
-    },
-    /// An [`Op::Arith`] reads a register no earlier op in the fragment
-    /// defined.
-    UseBeforeDef { context: String, op: u32, reg: u16 },
-    /// A register operand addresses past the declared float bank.
-    RegisterOutOfRange {
-        context: String,
-        op: u32,
-        reg: u16,
-        bank: usize,
-    },
-    /// A pool operand indexes past the end of its constant-pool section.
-    PoolIndexOutOfRange {
-        context: String,
-        op: u32,
-        section: &'static str,
-        index: u32,
-        len: usize,
-    },
-    /// A column access does not land on any field boundary of the record
-    /// schema the fragment runs over.
-    NoFieldAtOffset {
-        context: String,
-        op: u32,
-        offset: u32,
-        record_width: usize,
-    },
-    /// A column access lands on a field whose type disagrees with the
-    /// op's operand contract.
-    TypeMismatch {
-        context: String,
-        op: u32,
-        offset: u32,
+    /// `component` decodes to something other than the generator's.
+    Diverges {
+        component: String,
         expected: String,
         found: String,
     },
-    /// A byte width (string test, char image, projection copy) disagrees
-    /// with the field or constant it addresses.
-    WidthMismatch {
-        context: String,
-        op: u32,
-        expected: u32,
-        found: u32,
-    },
-    /// An op disagrees with the plan component it positionally
-    /// implements (wrong column offset, comparison operator, constant
-    /// value, projection layout, key column).
-    PlanMismatch {
-        context: String,
-        op: u32,
-        detail: String,
-    },
-    /// A fragment table, argument list or output table has the wrong
-    /// number of entries for the plan.
-    ArityMismatch {
-        context: String,
-        expected: usize,
-        found: usize,
-    },
-    /// An aggregate-output reference (`Group(p)` / `Aggregate(i)`)
-    /// indexes past the plan's group or aggregate list.
-    OutputIndexOutOfRange {
-        context: String,
-        index: usize,
-        len: usize,
-    },
-    /// A fragment that must produce a value (expression, key image) is
-    /// empty.
-    EmptyFragment { context: String },
 }
 
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VerifyError::FragOutOfRange {
-                context,
-                start,
-                end,
-                code_len,
-            } => write!(
-                f,
-                "{context}: fragment [{start}, {end}) escapes the {code_len}-op code array"
-            ),
-            VerifyError::WrongOpKind {
-                context,
-                op,
-                expected,
-                found,
-            } => write!(
-                f,
-                "{context}: op {op} is a {found} op in a {expected} fragment"
-            ),
-            VerifyError::UseBeforeDef { context, op, reg } => write!(
-                f,
-                "{context}: op {op} reads register r{reg} before any definition"
-            ),
-            VerifyError::RegisterOutOfRange {
-                context,
-                op,
-                reg,
-                bank,
-            } => write!(
-                f,
-                "{context}: op {op} addresses register r{reg} outside the {bank}-register bank"
-            ),
-            VerifyError::PoolIndexOutOfRange {
-                context,
-                op,
-                section,
-                index,
-                len,
-            } => write!(
-                f,
-                "{context}: op {op} references {section} pool slot {index} of {len}"
-            ),
-            VerifyError::NoFieldAtOffset {
-                context,
-                op,
-                offset,
-                record_width,
-            } => write!(
-                f,
-                "{context}: op {op} reads offset {offset} which is no field boundary \
-                 of the {record_width}-byte record"
-            ),
-            VerifyError::TypeMismatch {
-                context,
-                op,
-                offset,
-                expected,
-                found,
-            } => write!(
-                f,
-                "{context}: op {op} reads offset {offset} as {found} but the field is {expected}"
-            ),
-            VerifyError::WidthMismatch {
-                context,
-                op,
-                expected,
-                found,
-            } => write!(
-                f,
-                "{context}: op {op} carries width {found}, the field/constant has width {expected}"
-            ),
-            VerifyError::PlanMismatch {
-                context,
+            VerifyError::Malformed {
+                component,
                 op,
                 detail,
-            } => write!(f, "{context}: op {op} diverges from the plan: {detail}"),
-            VerifyError::ArityMismatch {
-                context,
+            } => write!(
+                f,
+                "component {component}: op {op} does not decode: {detail}"
+            ),
+            VerifyError::Diverges {
+                component,
                 expected,
                 found,
-            } => write!(f, "{context}: expected {expected} entries, found {found}"),
-            VerifyError::OutputIndexOutOfRange {
-                context,
-                index,
-                len,
-            } => write!(f, "{context}: references position {index} of {len}"),
-            VerifyError::EmptyFragment { context } => {
-                write!(f, "{context}: value-producing fragment is empty")
-            }
+            } => write!(
+                f,
+                "component {component}: expected {expected}, found {found}"
+            ),
         }
     }
 }
@@ -257,881 +88,75 @@ impl From<VerifyError> for HiqueError {
     }
 }
 
-/// The op-kind label of an instruction, for diagnostics.
-fn op_kind(op: &Op) -> &'static str {
-    match op {
-        Op::TestI32 { .. } => "test-i32",
-        Op::TestI64 { .. } => "test-i64",
-        Op::TestF64 { .. } => "test-f64",
-        Op::TestBytes { .. } => "test-bytes",
-        Op::Copy { .. } => "copy",
-        Op::LoadF { .. } => "load-f64",
-        Op::LoadI32F { .. } => "load-i32",
-        Op::LoadI64F { .. } => "load-i64",
-        Op::ConstF { .. } => "const-f64",
-        Op::PoolF { .. } => "pool-f64",
-        Op::Arith { .. } => "arith",
-        Op::ImageI32 { .. } => "image-i32",
-        Op::ImageI64 { .. } => "image-i64",
-        Op::ImageF64 { .. } => "image-f64",
-        Op::ImageChar { .. } => "image-char",
+impl VerifyError {
+    /// The refusal of a program that is sound but implements another
+    /// plan: a rebind across diverged shapes, or an execution against a
+    /// foreign query.
+    pub(crate) fn refusal(self) -> HiqueError {
+        HiqueError::Unsupported(format!(
+            "bytecode program does not implement this plan: {self}; full compile required"
+        ))
     }
 }
 
-fn dtype_label(d: DataType) -> String {
-    match d {
-        DataType::Int32 => "i32".into(),
-        DataType::Int64 => "i64".into(),
-        DataType::Float64 => "f64".into(),
-        DataType::Date => "date(i32)".into(),
-        DataType::Char(w) => format!("char({w})"),
+/// Hold `found` to `expected` under `same`.
+pub(crate) fn agree<T: Debug>(
+    component: Arguments<'_>,
+    expected: &T,
+    found: &T,
+    same: impl Fn(&T, &T) -> bool,
+) -> Result<(), VerifyError> {
+    match same(expected, found) {
+        true => Ok(()),
+        false => Err(VerifyError::Diverges {
+            component: component.to_string(),
+            expected: format!("{expected:?}"),
+            found: format!("{found:?}"),
+        }),
     }
 }
 
-/// The record-layout model a fragment's column accesses are checked
-/// against: every field boundary of a schema with its declared type.
-struct FieldMap<'a> {
-    schema: &'a Schema,
-}
-
-impl<'a> FieldMap<'a> {
-    fn new(schema: &'a Schema) -> Self {
-        FieldMap { schema }
-    }
-
-    fn width(&self) -> usize {
-        self.schema.tuple_size()
-    }
-
-    /// The field starting exactly at `offset`, if any.
-    fn field_at(&self, offset: u32) -> Option<DataType> {
-        (0..self.schema.len())
-            .find(|&i| self.schema.offset(i) == offset as usize)
-            .map(|i| self.schema.column(i).dtype)
-    }
-
-    /// Check a read of `offset` with the abstract operand type the op
-    /// expects; `accepts` encodes the type lattice (e.g. an i32 read
-    /// accepts both `Int32` and `Date` fields).
-    fn check_read(
-        &self,
-        context: &str,
-        op: u32,
-        offset: u32,
-        expected: &'static str,
-        accepts: impl Fn(DataType) -> bool,
-    ) -> Result<DataType, VerifyError> {
-        let dtype = self
-            .field_at(offset)
-            .ok_or_else(|| VerifyError::NoFieldAtOffset {
-                context: context.to_string(),
-                op,
-                offset,
-                record_width: self.width(),
-            })?;
-        if !accepts(dtype) {
-            return Err(VerifyError::TypeMismatch {
-                context: context.to_string(),
-                op,
-                offset,
-                expected: dtype_label(dtype),
-                found: expected.to_string(),
+/// Hold `found` to `expected` entry for entry under `same`; a missing
+/// entry differs from any.
+pub(crate) fn agree_all<T: Debug>(
+    component: Arguments<'_>,
+    expected: &[T],
+    found: &[T],
+    same: impl Fn(&T, &T) -> bool,
+) -> Result<(), VerifyError> {
+    let describe = |entry: Option<&T>| entry.map_or("nothing".into(), |e| format!("{e:?}"));
+    for i in 0..expected.len().max(found.len()) {
+        let (e, f) = (expected.get(i), found.get(i));
+        if !matches!((e, f), (Some(e), Some(f)) if same(e, f)) {
+            return Err(VerifyError::Diverges {
+                component: format!("{component}[{i}]"),
+                expected: describe(e),
+                found: describe(f),
             });
         }
-        Ok(dtype)
-    }
-}
-
-/// Check a fragment's range against the code array and return its ops.
-fn frag_ops<'a>(context: &str, frag: Frag, code: &'a [Op]) -> Result<(&'a [Op], u32), VerifyError> {
-    if frag.start > frag.end || frag.end as usize > code.len() {
-        return Err(VerifyError::FragOutOfRange {
-            context: context.to_string(),
-            start: frag.start,
-            end: frag.end,
-            code_len: code.len(),
-        });
-    }
-    Ok((&code[frag.start as usize..frag.end as usize], frag.start))
-}
-
-fn cmp_label(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Eq => "=",
-        CmpOp::NotEq => "<>",
-        CmpOp::Lt => "<",
-        CmpOp::LtEq => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::GtEq => ">=",
-    }
-}
-
-/// Resolve an integer right-hand operand abstractly: bounds-check pool
-/// references and return the constant value either way.
-fn resolve_rhs_i(context: &str, op: u32, rhs: RhsI, pool: &ConstPool) -> Result<i64, VerifyError> {
-    match rhs {
-        RhsI::Imm(v) => Ok(v),
-        RhsI::Pool(i) => {
-            pool.ints
-                .get(i as usize)
-                .copied()
-                .ok_or_else(|| VerifyError::PoolIndexOutOfRange {
-                    context: context.to_string(),
-                    op,
-                    section: "int",
-                    index: i,
-                    len: pool.ints.len(),
-                })
-        }
-    }
-}
-
-fn resolve_rhs_f(context: &str, op: u32, rhs: RhsF, pool: &ConstPool) -> Result<f64, VerifyError> {
-    match rhs {
-        RhsF::Imm(v) => Ok(v),
-        RhsF::Pool(i) => {
-            pool.floats
-                .get(i as usize)
-                .copied()
-                .ok_or_else(|| VerifyError::PoolIndexOutOfRange {
-                    context: context.to_string(),
-                    op,
-                    section: "float",
-                    index: i,
-                    len: pool.floats.len(),
-                })
-        }
-    }
-}
-
-/// Verify one filter fragment positionally against its staged table's
-/// declared filter list: op `i` must test filter `i`'s column (exact
-/// offset and type), with filter `i`'s comparison operator and constant.
-fn verify_filter(
-    context: &str,
-    frag: Frag,
-    code: &[Op],
-    pool: &ConstPool,
-    base: &FieldMap,
-    filters: &[hique_sql::analyze::ColumnFilter],
-) -> Result<(), VerifyError> {
-    let (ops, start) = frag_ops(context, frag, code)?;
-    if ops.len() != filters.len() {
-        return Err(VerifyError::ArityMismatch {
-            context: format!("{context} (one test per declared filter)"),
-            expected: filters.len(),
-            found: ops.len(),
-        });
-    }
-    for (i, (op, filter)) in ops.iter().zip(filters).enumerate() {
-        let pc = start + i as u32;
-        let declared_offset = base.schema.offset(filter.column) as u32;
-        let declared_dtype = base.schema.column(filter.column).dtype;
-        let mismatch = |detail: String| VerifyError::PlanMismatch {
-            context: context.to_string(),
-            op: pc,
-            detail,
-        };
-        let check_position = |offset: u32, test_op: CmpOp| -> Result<(), VerifyError> {
-            if offset != declared_offset {
-                return Err(mismatch(format!(
-                    "tests offset {offset}, filter {i} declares column {} at offset \
-                     {declared_offset}",
-                    filter.column
-                )));
-            }
-            if test_op != filter.op {
-                return Err(mismatch(format!(
-                    "compares with {}, filter {i} declares {}",
-                    cmp_label(test_op),
-                    cmp_label(filter.op)
-                )));
-            }
-            Ok(())
-        };
-        match *op {
-            Op::TestI32 {
-                offset,
-                op: test_op,
-                rhs,
-            } => {
-                base.check_read(context, pc, offset, "i32", |d| {
-                    matches!(d, DataType::Int32 | DataType::Date)
-                })?;
-                check_position(offset, test_op)?;
-                let got = resolve_rhs_i(context, pc, rhs, pool)?;
-                let want =
-                    expected_int_constant(&filter.value, declared_dtype).map_err(&mismatch)?;
-                if got != want {
-                    return Err(mismatch(format!(
-                        "constant {got}, filter {i} declares {want}"
-                    )));
-                }
-            }
-            Op::TestI64 {
-                offset,
-                op: test_op,
-                rhs,
-            } => {
-                base.check_read(context, pc, offset, "i64", |d| matches!(d, DataType::Int64))?;
-                check_position(offset, test_op)?;
-                let got = resolve_rhs_i(context, pc, rhs, pool)?;
-                let want =
-                    expected_int_constant(&filter.value, declared_dtype).map_err(&mismatch)?;
-                if got != want {
-                    return Err(mismatch(format!(
-                        "constant {got}, filter {i} declares {want}"
-                    )));
-                }
-            }
-            Op::TestF64 {
-                offset,
-                op: test_op,
-                rhs,
-            } => {
-                base.check_read(context, pc, offset, "f64", |d| {
-                    matches!(d, DataType::Float64)
-                })?;
-                check_position(offset, test_op)?;
-                let got = resolve_rhs_f(context, pc, rhs, pool)?;
-                let want = filter
-                    .value
-                    .as_f64()
-                    .map_err(|_| mismatch("non-numeric constant on a float column".into()))?;
-                if got.to_bits() != want.to_bits() {
-                    return Err(mismatch(format!(
-                        "constant {got}, filter {i} declares {want}"
-                    )));
-                }
-            }
-            Op::TestBytes {
-                offset,
-                width,
-                op: test_op,
-                pool: slot,
-            } => {
-                let dtype = base.check_read(context, pc, offset, "bytes", |d| {
-                    matches!(d, DataType::Char(_))
-                })?;
-                check_position(offset, test_op)?;
-                let field_width = match dtype {
-                    DataType::Char(w) => w as u32,
-                    _ => unreachable!("check_read only accepted Char"),
-                };
-                if width != field_width {
-                    return Err(VerifyError::WidthMismatch {
-                        context: context.to_string(),
-                        op: pc,
-                        expected: field_width,
-                        found: width,
-                    });
-                }
-                let bytes = pool.bytes.get(slot as usize).ok_or_else(|| {
-                    VerifyError::PoolIndexOutOfRange {
-                        context: context.to_string(),
-                        op: pc,
-                        section: "bytes",
-                        index: slot,
-                        len: pool.bytes.len(),
-                    }
-                })?;
-                if bytes.len() != width as usize {
-                    return Err(VerifyError::WidthMismatch {
-                        context: context.to_string(),
-                        op: pc,
-                        expected: width,
-                        found: bytes.len() as u32,
-                    });
-                }
-                let s = filter
-                    .value
-                    .as_str()
-                    .ok_or_else(|| mismatch("non-string constant on a char column".into()))?;
-                let mut want = s.as_bytes().to_vec();
-                want.resize(width as usize, b' ');
-                if bytes != &want {
-                    return Err(mismatch(format!(
-                        "string constant {:?}, filter {i} declares {:?}",
-                        String::from_utf8_lossy(bytes),
-                        String::from_utf8_lossy(&want)
-                    )));
-                }
-            }
-            ref other => {
-                return Err(VerifyError::WrongOpKind {
-                    context: context.to_string(),
-                    op: pc,
-                    expected: "test",
-                    found: op_kind(other),
-                })
-            }
-        }
     }
     Ok(())
 }
 
-/// The integer constant the compiler folds for a filter on an
-/// `Int32`/`Date`/`Int64` column (mirrors `emit_test`'s conversions).
-fn expected_int_constant(value: &Value, dtype: DataType) -> Result<i64, String> {
-    let raw = value
-        .as_i64()
-        .map_err(|_| "non-numeric constant on an integer column".to_string())?;
-    Ok(match dtype {
-        DataType::Int32 | DataType::Date => raw as i32 as i64,
-        _ => raw,
-    })
-}
-
-/// Verify one projection fragment positionally against the staged table's
-/// kept columns: copy `i` must move kept column `i` from its base offset
-/// to its staged offset, full width.
-fn verify_project(
-    context: &str,
-    frag: Frag,
-    code: &[Op],
-    base: &FieldMap,
-    keep: &[usize],
-    staged: &Schema,
-) -> Result<(), VerifyError> {
-    let (ops, start) = frag_ops(context, frag, code)?;
-    if ops.len() != keep.len() {
-        return Err(VerifyError::ArityMismatch {
-            context: format!("{context} (one copy per kept column)"),
-            expected: keep.len(),
-            found: ops.len(),
-        });
-    }
-    for (i, (op, &col)) in ops.iter().zip(keep).enumerate() {
-        let pc = start + i as u32;
-        match *op {
-            Op::Copy { src, width, dst } => {
-                let want_src = base.schema.offset(col) as u32;
-                let want_width = base.schema.column(col).dtype.width() as u32;
-                let want_dst = staged.offset(i) as u32;
-                if width != want_width {
-                    return Err(VerifyError::WidthMismatch {
-                        context: context.to_string(),
-                        op: pc,
-                        expected: want_width,
-                        found: width,
-                    });
-                }
-                if src != want_src || dst != want_dst {
-                    return Err(VerifyError::PlanMismatch {
-                        context: context.to_string(),
-                        op: pc,
-                        detail: format!(
-                            "copies [{src}, {src}+{width}) to {dst}; kept column {i} \
-                             (base column {col}) is [{want_src}, {want_src}+{want_width}) \
-                             to {want_dst}"
-                        ),
-                    });
-                }
-            }
-            ref other => {
-                return Err(VerifyError::WrongOpKind {
-                    context: context.to_string(),
-                    op: pc,
-                    expected: "copy",
-                    found: op_kind(other),
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Verify a key-image fragment: exactly one image op reading the declared
-/// key column of `schema`, with the char-image width matching the column
-/// (the [`CompiledKey`] big-endian-prefix encoding takes
-/// `min(width, 8)` bytes, so a diverging width changes hash placement).
+/// Verify a compiled program against the query it claims to implement:
+/// decode it and compare it with the generator's kernel set.
 ///
-/// [`CompiledKey`]: hique_holistic::kernel::CompiledKey
-fn verify_image(
-    context: &str,
-    frag: Frag,
-    code: &[Op],
-    map: &FieldMap,
-    declared_column: usize,
-) -> Result<(), VerifyError> {
-    let (ops, start) = frag_ops(context, frag, code)?;
-    if ops.is_empty() {
-        return Err(VerifyError::EmptyFragment {
-            context: context.to_string(),
-        });
-    }
-    if ops.len() != 1 {
-        return Err(VerifyError::ArityMismatch {
-            context: format!("{context} (single-op key image)"),
-            expected: 1,
-            found: ops.len(),
-        });
-    }
-    let pc = start;
-    let declared_offset = map.schema.offset(declared_column) as u32;
-    let offset = match ops[0] {
-        Op::ImageI32 { offset } => {
-            map.check_read(context, pc, offset, "i32", |d| {
-                matches!(d, DataType::Int32 | DataType::Date)
-            })?;
-            offset
-        }
-        Op::ImageI64 { offset } => {
-            map.check_read(context, pc, offset, "i64", |d| matches!(d, DataType::Int64))?;
-            offset
-        }
-        Op::ImageF64 { offset } => {
-            map.check_read(context, pc, offset, "f64", |d| {
-                matches!(d, DataType::Float64)
-            })?;
-            offset
-        }
-        Op::ImageChar { offset, width } => {
-            let dtype = map.check_read(context, pc, offset, "bytes", |d| {
-                matches!(d, DataType::Char(_))
-            })?;
-            let field_width = match dtype {
-                DataType::Char(w) => w as u32,
-                _ => unreachable!("check_read only accepted Char"),
-            };
-            if width != field_width {
-                return Err(VerifyError::WidthMismatch {
-                    context: context.to_string(),
-                    op: pc,
-                    expected: field_width,
-                    found: width,
-                });
-            }
-            offset
-        }
-        ref other => {
-            return Err(VerifyError::WrongOpKind {
-                context: context.to_string(),
-                op: pc,
-                expected: "image",
-                found: op_kind(other),
-            })
-        }
-    };
-    if offset != declared_offset {
-        return Err(VerifyError::PlanMismatch {
-            context: context.to_string(),
-            op: pc,
-            detail: format!(
-                "images offset {offset}, the declared key column {declared_column} \
-                 sits at offset {declared_offset}"
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Verify an expression fragment by abstract interpretation: register
-/// bounds, def-before-use over the fragment-local definedness lattice,
-/// typed column loads and pool bounds.  Returns `()` — the value is the
-/// last op's destination, which every non-empty well-formed fragment has.
-fn verify_expr(
-    context: &str,
-    frag: Frag,
-    code: &[Op],
-    pool: &ConstPool,
-    map: &FieldMap,
-    bank: usize,
-) -> Result<(), VerifyError> {
-    let (ops, start) = frag_ops(context, frag, code)?;
-    if ops.is_empty() {
-        return Err(VerifyError::EmptyFragment {
-            context: context.to_string(),
-        });
-    }
-    let mut defined = vec![false; bank];
-    let check_reg = |pc: u32, reg: u16| -> Result<usize, VerifyError> {
-        let idx = reg as usize;
-        if idx >= bank {
-            return Err(VerifyError::RegisterOutOfRange {
-                context: context.to_string(),
-                op: pc,
-                reg,
-                bank,
-            });
-        }
-        Ok(idx)
-    };
-    for (i, op) in ops.iter().enumerate() {
-        let pc = start + i as u32;
-        match *op {
-            Op::LoadF { dst, offset } => {
-                map.check_read(context, pc, offset, "f64", |d| {
-                    matches!(d, DataType::Float64)
-                })?;
-                defined[check_reg(pc, dst)?] = true;
-            }
-            Op::LoadI32F { dst, offset } => {
-                map.check_read(context, pc, offset, "i32", |d| {
-                    matches!(d, DataType::Int32 | DataType::Date)
-                })?;
-                defined[check_reg(pc, dst)?] = true;
-            }
-            Op::LoadI64F { dst, offset } => {
-                map.check_read(context, pc, offset, "i64", |d| matches!(d, DataType::Int64))?;
-                defined[check_reg(pc, dst)?] = true;
-            }
-            Op::ConstF { dst, .. } => {
-                defined[check_reg(pc, dst)?] = true;
-            }
-            Op::PoolF { dst, idx } => {
-                if idx as usize >= pool.floats.len() {
-                    return Err(VerifyError::PoolIndexOutOfRange {
-                        context: context.to_string(),
-                        op: pc,
-                        section: "float",
-                        index: idx,
-                        len: pool.floats.len(),
-                    });
-                }
-                defined[check_reg(pc, dst)?] = true;
-            }
-            Op::Arith { dst, a, b, .. } => {
-                let (ai, bi) = (check_reg(pc, a)?, check_reg(pc, b)?);
-                if !defined[ai] {
-                    return Err(VerifyError::UseBeforeDef {
-                        context: context.to_string(),
-                        op: pc,
-                        reg: a,
-                    });
-                }
-                if !defined[bi] {
-                    return Err(VerifyError::UseBeforeDef {
-                        context: context.to_string(),
-                        op: pc,
-                        reg: b,
-                    });
-                }
-                defined[check_reg(pc, dst)?] = true;
-            }
-            ref other => {
-                return Err(VerifyError::WrongOpKind {
-                    context: context.to_string(),
-                    op: pc,
-                    expected: "expression",
-                    found: op_kind(other),
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Hold a register-program fragment to the generator's nodes.  The generic
-/// expression checks run first (register bounds, def-before-use, typed
-/// loads, pool bounds), so a corrupted op keeps its specific diagnosis;
-/// positional agreement with the program's nodes follows: op `i` is node
-/// `i` into register `i`.
-fn verify_dag(
-    context: &str,
-    frag: Frag,
-    code: &[Op],
-    pool: &ConstPool,
-    map: &FieldMap,
-    bank: usize,
-    nodes: &[AggNode],
-) -> Result<(), VerifyError> {
-    let (ops, start) = frag_ops(context, frag, code)?;
-    // COUNT-only aggregations and outputs without arithmetic have none.
-    if !ops.is_empty() {
-        verify_expr(context, frag, code, pool, map, bank)?;
-    }
-    if ops.len() != nodes.len() {
-        return Err(VerifyError::ArityMismatch {
-            context: format!("{context} ops vs program nodes"),
-            expected: nodes.len(),
-            found: ops.len(),
-        });
-    }
-    for (i, (op, node)) in ops.iter().zip(nodes).enumerate() {
-        let agrees = match (*op, *node) {
-            (Op::ConstF { dst, value }, AggNode::Const(c)) => {
-                dst as usize == i && value.to_bits() == c.to_bits()
-            }
-            (Op::PoolF { dst, idx }, AggNode::Const(c)) => {
-                dst as usize == i && pool.floats[idx as usize].to_bits() == c.to_bits()
-            }
-            (Op::LoadI32F { dst, offset }, AggNode::ColI32(off))
-            | (Op::LoadI64F { dst, offset }, AggNode::ColI64(off))
-            | (Op::LoadF { dst, offset }, AggNode::ColF64(off)) => {
-                dst as usize == i && offset as usize == off
-            }
-            (
-                Op::Arith { op, dst, a, b },
-                AggNode::Bin {
-                    op: nop,
-                    left,
-                    right,
-                },
-            ) => dst as usize == i && op == nop && a == left && b == right,
-            _ => false,
-        };
-        if !agrees {
-            return Err(VerifyError::PlanMismatch {
-                context: format!("{context} node {i}"),
-                op: start + i as u32,
-                detail: format!("program declares {node:?} into r{i}, code has {op:?}"),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Hold the aggregation's shared expression fragment and slot table to
-/// the generator's aggregate program.
-fn verify_agg_program(
-    frags: &crate::program::AggFrags,
-    code: &[Op],
-    pool: &ConstPool,
-    joined: &FieldMap,
-    bank: usize,
-    program: &AggProgram,
-) -> Result<(), VerifyError> {
-    let nodes = program.nodes();
-    verify_dag("aggregate DAG", frags.dag, code, pool, joined, bank, nodes)?;
-    if frags.layout != *program.layout() {
-        return Err(VerifyError::PlanMismatch {
-            context: "aggregate slots".into(),
-            op: frags.dag.start,
-            detail: format!(
-                "program declares {:?}, bytecode carries {:?}",
-                program.layout(),
-                frags.layout
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Verify a compiled program against the query it claims to implement.
-///
-/// Runs unconditionally inside [`crate::compile`] and
-/// [`crate::VmProgram::bind`]; exposed publicly so the conformance
-/// mutation lane (and any cache layer) can re-check a program without
-/// recompiling it.
-pub fn verify(
-    program: &VmProgram,
-    generated: &GeneratedQuery,
-    catalog: &Catalog,
-) -> Result<(), VerifyError> {
-    let plan = generated.plan();
-    let code = &program.code[..];
-    let pool = &program.pool;
-    let bank = program.float_registers;
-
-    // ---- Fragment-table arities against the plan -----------------------
-    if program.tables.len() != plan.staged.len() {
-        return Err(VerifyError::ArityMismatch {
-            context: "staging fragment table".into(),
-            expected: plan.staged.len(),
-            found: program.tables.len(),
-        });
-    }
-    let steps = plan.binary_steps();
-    if program.joins.len() != steps.len() {
-        return Err(VerifyError::ArityMismatch {
-            context: "join fragment table".into(),
-            expected: steps.len(),
-            found: program.joins.len(),
-        });
-    }
-    if plan.aggregate.is_some() != program.agg.is_some() {
-        return Err(VerifyError::ArityMismatch {
-            context: "aggregation fragments vs plan aggregate".into(),
-            expected: plan.aggregate.is_some() as usize,
-            found: program.agg.is_some() as usize,
-        });
-    }
-
-    // ---- Staging fragments ---------------------------------------------
-    for (t, (staged, frags)) in plan.staged.iter().zip(&program.tables).enumerate() {
-        let info = catalog
-            .table(&staged.table_name)
-            .map_err(|e| VerifyError::PlanMismatch {
-                context: format!("staged[{t}]"),
-                op: frags.filter.start,
-                detail: format!("base table {} unavailable: {e}", staged.table_name),
-            })?;
-        let base_schema = info.heap.schema().clone();
-        let base = FieldMap::new(&base_schema);
-        verify_filter(
-            &format!("staged[{t}] ({}) filter", staged.table_name),
-            frags.filter,
-            code,
-            pool,
-            &base,
-            &staged.filters,
-        )?;
-        verify_project(
-            &format!("staged[{t}] ({}) projection", staged.table_name),
-            frags.project,
-            code,
-            &base,
-            &staged.keep,
-            &staged.schema,
-        )?;
-    }
-
-    // ---- Join-step key images over the evolving intermediate -----------
-    if !steps.is_empty() {
-        let mut current = plan.staged[plan.join_order[0]].schema.clone();
-        for (i, (step, frags)) in steps.iter().zip(&program.joins).enumerate() {
-            let right = &plan.staged[step.right].schema;
-            verify_image(
-                &format!("join[{i}] left image"),
-                frags.left_image,
-                code,
-                &FieldMap::new(&current),
-                step.left_key,
-            )?;
-            verify_image(
-                &format!("join[{i}] right image"),
-                frags.right_image,
-                code,
-                &FieldMap::new(right),
-                step.right_key,
-            )?;
-            current = current.join(right);
-        }
-    }
-
-    // ---- Aggregation fragments over the joined schema ------------------
-    let joined = FieldMap::new(&plan.joined_schema);
-    if let (Some(spec), Some(frags)) = (&plan.aggregate, &program.agg) {
-        if frags.group_images.len() != spec.group_columns.len() {
-            return Err(VerifyError::ArityMismatch {
-                context: "group-image fragments".into(),
-                expected: spec.group_columns.len(),
-                found: frags.group_images.len(),
-            });
-        }
-        for (i, (&g, frag)) in spec
-            .group_columns
-            .iter()
-            .zip(&frags.group_images)
-            .enumerate()
-        {
-            verify_image(&format!("group image {i}"), *frag, code, &joined, g)?;
-        }
-        let Some(compiled) = generated.aggregation() else {
-            return Err(VerifyError::PlanMismatch {
-                context: "aggregate DAG".into(),
-                op: frags.dag.start,
-                detail: "the generated query carries no aggregate program".into(),
-            });
-        };
-        verify_agg_program(frags, code, pool, &joined, bank, compiled.program())?;
-    }
-
-    // ---- The output program and decode table -------------------------
-    verify_dag(
-        "output program",
-        program.output_dag,
-        code,
-        pool,
-        &joined,
-        bank,
-        generated.output_program(),
-    )?;
-    if program.outputs.len() != plan.output_schema.len() {
-        return Err(VerifyError::ArityMismatch {
-            context: "output decode table vs output schema".into(),
-            expected: plan.output_schema.len(),
-            found: program.outputs.len(),
-        });
-    }
-    if program.outputs.len() != generated.outputs().len() {
-        return Err(VerifyError::ArityMismatch {
-            context: "output decode table vs generated kernels".into(),
-            expected: generated.outputs().len(),
-            found: program.outputs.len(),
-        });
-    }
-    for (k, out) in program.outputs.iter().enumerate() {
-        match (out, &plan.aggregate) {
-            (OutputOp::Group(p), Some(spec)) => {
-                if *p >= spec.group_columns.len() {
-                    return Err(VerifyError::OutputIndexOutOfRange {
-                        context: format!("output {k} (group reference)"),
-                        index: *p,
-                        len: spec.group_columns.len(),
-                    });
-                }
-            }
-            (OutputOp::Aggregate(i), Some(spec)) => {
-                if *i >= spec.aggregates.len() {
-                    return Err(VerifyError::OutputIndexOutOfRange {
-                        context: format!("output {k} (aggregate reference)"),
-                        index: *i,
-                        len: spec.aggregates.len(),
-                    });
-                }
-            }
-            (OutputOp::Group(_) | OutputOp::Aggregate(_), None) => {
-                return Err(VerifyError::PlanMismatch {
-                    context: format!("output {k}"),
-                    op: 0,
-                    detail: "group/aggregate decode in a non-aggregate query".into(),
-                })
-            }
-            (OutputOp::Column(key), None) => {
-                let map = &joined;
-                let dtype = map.field_at(key.offset as u32).ok_or_else(|| {
-                    VerifyError::NoFieldAtOffset {
-                        context: format!("output {k} (column decode)"),
-                        op: 0,
-                        offset: key.offset as u32,
-                        record_width: map.width(),
-                    }
-                })?;
-                if dtype != key.dtype || key.width != dtype.width() {
-                    return Err(VerifyError::TypeMismatch {
-                        context: format!("output {k} (column decode)"),
-                        op: 0,
-                        offset: key.offset as u32,
-                        expected: dtype_label(dtype),
-                        found: dtype_label(key.dtype),
-                    });
-                }
-            }
-            (OutputOp::Expr(reg, dtype), None) => {
-                let declared = &generated.outputs()[k];
-                if !matches!(*declared, OutputKernel::Expr(r, d) if r == *reg && d == *dtype) {
-                    return Err(VerifyError::PlanMismatch {
-                        context: format!("output {k} (expression)"),
-                        op: program.output_dag.start,
-                        detail: format!(
-                            "program declares {declared:?}, decode table has r{reg} as {}",
-                            dtype_label(*dtype)
-                        ),
-                    });
-                }
-            }
-            (OutputOp::Column(_) | OutputOp::Expr(..), Some(_)) => {
-                return Err(VerifyError::PlanMismatch {
-                    context: format!("output {k}"),
-                    op: 0,
-                    detail: "scalar decode in an aggregate query".into(),
-                })
-            }
-        }
-    }
-    Ok(())
+/// Runs inside [`crate::compile`] and [`crate::VmProgram::bind`]; exposed
+/// so the conformance mutation lane (and any cache layer) can re-check a
+/// program without recompiling it.
+pub fn verify(program: &VmProgram, generated: &GeneratedQuery) -> Result<(), VerifyError> {
+    crate::vector::resolve(program, generated).map(drop)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{Op, RhsI};
+    use crate::bytecode::{Op, RhsF, RhsI};
     use crate::program::{compile, CompileMode, OutputOp};
     use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
     use hique_sql::ast::CmpOp;
-    use hique_types::{Column, Row, Value};
+    use hique_storage::Catalog;
+    use hique_types::{Column, DataType, Row, Schema, Value};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -1141,6 +166,7 @@ mod tests {
                 Column::new("k", DataType::Int32),
                 Column::new("tag", DataType::Char(4)),
                 Column::new("v", DataType::Float64),
+                Column::new("j", DataType::Int32),
             ]),
         )
         .unwrap();
@@ -1149,6 +175,7 @@ mod tests {
             Schema::new(vec![
                 Column::new("k", DataType::Int32),
                 Column::new("w", DataType::Int64),
+                Column::new("d", DataType::Date),
             ]),
         )
         .unwrap();
@@ -1160,6 +187,7 @@ mod tests {
                     Value::Int32(i % 5),
                     Value::Str("AAA".into()),
                     Value::Float64(i as f64),
+                    Value::Int32(i * 7 % 3),
                 ]))
                 .unwrap();
         }
@@ -1167,7 +195,11 @@ mod tests {
             cat.table_mut("s")
                 .unwrap()
                 .heap
-                .append_row(&Row::new(vec![Value::Int32(i), Value::Int64(i as i64)]))
+                .append_row(&Row::new(vec![
+                    Value::Int32(i),
+                    Value::Int64(i as i64),
+                    Value::Date(9000 + i % 2),
+                ]))
                 .unwrap();
         }
         cat.analyze_table("r").unwrap();
@@ -1190,22 +222,37 @@ mod tests {
         (program, generated)
     }
 
-    /// The first op index of staged table 0's filter fragment.
+    /// The component of a program that no longer decodes.
+    fn malformed(p: &VmProgram, g: &GeneratedQuery) -> String {
+        match verify(p, g) {
+            Err(VerifyError::Malformed { component, .. }) => component,
+            other => panic!("expected a malformed program, got {other:?}"),
+        }
+    }
+
+    /// The first component of a program that decodes to other kernels than
+    /// the generator's.
+    fn diverges(p: &VmProgram, g: &GeneratedQuery) -> String {
+        match verify(p, g) {
+            Err(VerifyError::Diverges { component, .. }) => component,
+            other => panic!("expected a divergence, got {other:?}"),
+        }
+    }
+
     /// Code index of the first column load of the aggregate DAG (its
     /// constants come first).
     fn first_dag_load(p: &VmProgram) -> usize {
         let frag = p.agg.as_ref().unwrap().dag;
-        let load = frag.ops(&p.code).iter().position(is_load_from_record);
+        let load = frag.ops(&p.code).iter().position(|op| {
+            matches!(
+                op,
+                Op::LoadF { .. } | Op::LoadI32F { .. } | Op::LoadI64F { .. }
+            )
+        });
         frag.start as usize + load.expect("the DAG loads a column")
     }
 
-    fn is_load_from_record(op: &Op) -> bool {
-        matches!(
-            op,
-            Op::LoadF { .. } | Op::LoadI32F { .. } | Op::LoadI64F { .. }
-        )
-    }
-
+    /// The first op index of staged table 0's filter fragment.
     fn first_test(p: &VmProgram) -> usize {
         assert!(
             !p.tables[0].filter.is_empty(),
@@ -1222,10 +269,13 @@ mod tests {
             "select k, tag from r where tag = 'AAA' and k < 3 order by k",
             "select r.k, s.w from r, s where r.k = s.k order by r.k, s.w",
             "select k, count(*) as n, sum(v * 2.5 + 1) as adj from r group by k order by k",
+            // A date filter and a date group key share the i32 test and image.
+            "select d, count(*) as n from s where d >= date '1994-08-23' group by d order by d",
+            "select r.k, s.d from r, s where r.k = s.k and s.d < date '1994-08-24'",
         ] {
             for mode in [CompileMode::Specialized, CompileMode::Pooled] {
                 let (p, g) = program(sql, &cat, mode);
-                verify(&p, &g, &cat).unwrap();
+                verify(&p, &g).unwrap();
             }
         }
     }
@@ -1245,10 +295,7 @@ mod tests {
             a: 0,
             b: 0,
         };
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::UseBeforeDef { reg: 0, .. })
-        ));
+        assert_eq!(malformed(&p, &g), "agg.dag");
     }
 
     #[test]
@@ -1266,10 +313,7 @@ mod tests {
             }
             other => unreachable!("{other:?} is not a load"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::RegisterOutOfRange { reg: 200, .. })
-        ));
+        assert_eq!(malformed(&p, &g), "agg.dag");
     }
 
     #[test]
@@ -1289,10 +333,27 @@ mod tests {
         // Read the i32 join key as if it were an f64: the image would hash
         // garbage bits into the join placement.
         p.code[i] = Op::ImageF64 { offset };
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::TypeMismatch { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "join[0].left");
+    }
+
+    /// An `f64` image of an `i64` group column has the column's width and
+    /// offset; only its image kind tells it apart, and the group key's
+    /// decode type is taken from the plan only after that check.
+    #[test]
+    fn an_f64_image_of_an_i64_group_column_is_rejected() {
+        let cat = catalog();
+        let (mut p, g) = program(
+            "select w, count(*) as n from s group by w order by w",
+            &cat,
+            CompileMode::Specialized,
+        );
+        let i = p.agg.as_ref().unwrap().group_images[0].start as usize;
+        let offset = match p.code[i] {
+            Op::ImageI64 { offset } => offset,
+            other => panic!("expected an i64 key image, got {other:?}"),
+        };
+        p.code[i] = Op::ImageF64 { offset };
+        assert_eq!(diverges(&p, &g), "group_key[0]");
     }
 
     #[test]
@@ -1309,10 +370,8 @@ mod tests {
             Op::LoadF { dst, offset } => p.code[i] = Op::LoadI32F { dst, offset },
             other => panic!("expected an f64 load, got {other:?}"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::TypeMismatch { .. })
-        ));
+        let node = i - p.agg.as_ref().unwrap().dag.start as usize;
+        assert_eq!(diverges(&p, &g), format!("agg.node[{node}]"));
     }
 
     #[test]
@@ -1328,10 +387,7 @@ mod tests {
             Op::TestI32 { rhs, .. } => *rhs = RhsI::Pool(99),
             other => panic!("expected an i32 test, got {other:?}"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::PoolIndexOutOfRange { index: 99, .. })
-        ));
+        assert_eq!(malformed(&p, &g), "scan[0].filter");
     }
 
     #[test]
@@ -1343,10 +399,7 @@ mod tests {
             CompileMode::Specialized,
         );
         p.outputs.pop();
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::ArityMismatch { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "output[1]");
     }
 
     #[test]
@@ -1361,10 +414,7 @@ mod tests {
         // silently dropped — exactly the wrong-answer shape the verifier
         // must catch.
         p.tables[0].filter.end -= 1;
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::ArityMismatch { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "scan[0].filter[1]");
     }
 
     #[test]
@@ -1376,10 +426,7 @@ mod tests {
             CompileMode::Specialized,
         );
         p.tables[0].filter.end = p.code.len() as u32 + 5;
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::FragOutOfRange { .. })
-        ));
+        assert_eq!(malformed(&p, &g), "scan[0].filter");
     }
 
     #[test]
@@ -1396,14 +443,7 @@ mod tests {
             width: 4,
             dst: 0,
         };
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::WrongOpKind {
-                expected: "test",
-                found: "copy",
-                ..
-            })
-        ));
+        assert_eq!(malformed(&p, &g), "scan[0].filter");
     }
 
     #[test]
@@ -1419,10 +459,7 @@ mod tests {
             Op::TestI32 { offset, .. } => *offset = 1 << 20,
             other => panic!("expected an i32 test, got {other:?}"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::NoFieldAtOffset { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "scan[0].filter[0]");
     }
 
     #[test]
@@ -1438,10 +475,7 @@ mod tests {
             Op::TestI32 { op, .. } => *op = CmpOp::Gt,
             other => panic!("expected an i32 test, got {other:?}"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::PlanMismatch { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "scan[0].filter[0]");
     }
 
     #[test]
@@ -1459,10 +493,36 @@ mod tests {
             } => *v += 1,
             other => panic!("expected a folded i32 test, got {other:?}"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::PlanMismatch { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "scan[0].filter[0]");
+    }
+
+    /// Float constants compare by bits: a filter's `0.0` and an output
+    /// program's `0.0` do not accept `-0.0`.
+    #[test]
+    fn a_signed_zero_is_not_zero() {
+        let cat = catalog();
+        let (p, g) = program(
+            "select k, v * 0.0 as z from r where v < 0.0",
+            &cat,
+            CompileMode::Specialized,
+        );
+        let mut filter = p.clone();
+        let i = first_test(&filter);
+        match &mut filter.code[i] {
+            Op::TestF64 {
+                rhs: RhsF::Imm(v), ..
+            } => *v = -0.0,
+            other => panic!("expected a folded f64 test, got {other:?}"),
+        }
+        assert_eq!(diverges(&filter, &g), "scan[0].filter[0]");
+        let mut output = p;
+        let i = output_op(&output, |op| matches!(op, Op::ConstF { .. }));
+        match &mut output.code[i] {
+            Op::ConstF { value, .. } => *value = -0.0,
+            other => unreachable!("{other:?} is not a constant"),
+        }
+        let node = i - output.output_dag.start as usize;
+        assert_eq!(diverges(&output, &g), format!("output.node[{node}]"));
     }
 
     #[test]
@@ -1478,10 +538,7 @@ mod tests {
             Op::Copy { width, .. } => *width += 4,
             other => panic!("expected a copy, got {other:?}"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::WidthMismatch { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "scan[0].projection");
     }
 
     /// The output program's op of kind `pick`, as a code index.
@@ -1504,10 +561,8 @@ mod tests {
             Op::Arith { op, .. } => *op = hique_sql::ast::BinOp::Add,
             other => unreachable!("{other:?} is not arithmetic"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::PlanMismatch { .. })
-        ));
+        let node = i - p.output_dag.start as usize;
+        assert_eq!(diverges(&p, &g), format!("output.node[{node}]"));
     }
 
     #[test]
@@ -1523,10 +578,8 @@ mod tests {
             Op::ConstF { value, .. } => *value = 3.0,
             other => unreachable!("{other:?} is not a constant"),
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::PlanMismatch { .. })
-        ));
+        let node = i - p.output_dag.start as usize;
+        assert_eq!(diverges(&p, &g), format!("output.node[{node}]"));
     }
 
     #[test]
@@ -1543,10 +596,7 @@ mod tests {
                 *reg = 0;
             }
         }
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::PlanMismatch { .. })
-        ));
+        assert_eq!(diverges(&p, &g), "output[1]");
     }
 
     #[test]
@@ -1566,10 +616,36 @@ mod tests {
             })
             .unwrap();
         *slot = 10;
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::OutputIndexOutOfRange { index: 10, .. })
-        ));
+        assert_eq!(diverges(&p, &g), "output[0]");
+    }
+
+    /// Two entries of the output decode table swapped — two aggregates, two
+    /// group positions, two scalar columns of one type — still decode, each
+    /// into the other's position: a wrong row, held off by the comparison
+    /// with the generator's decode table.
+    #[test]
+    fn a_permuted_output_table_is_rejected() {
+        let cat = catalog();
+        for (sql, i, j) in [
+            (
+                "select k, count(*) as n, sum(v) as s from r group by k order by k",
+                1,
+                2,
+            ),
+            (
+                "select k, j, count(*) as n from r group by k, j order by k, j",
+                0,
+                1,
+            ),
+            ("select k, j from r where v < 12.5 order by k, j", 0, 1),
+        ] {
+            for mode in [CompileMode::Specialized, CompileMode::Pooled] {
+                let (mut p, g) = program(sql, &cat, mode);
+                assert_ne!(p.outputs[i], p.outputs[j], "{sql}");
+                p.outputs.swap(i, j);
+                assert_eq!(diverges(&p, &g), format!("output[{i}]"), "{sql}");
+            }
+        }
     }
 
     #[test]
@@ -1581,22 +657,22 @@ mod tests {
             CompileMode::Specialized,
         );
         p.joins[0].left_image.end = p.joins[0].left_image.start;
-        assert!(matches!(
-            verify(&p, &g, &cat),
-            Err(VerifyError::EmptyFragment { .. })
-        ));
+        assert_eq!(malformed(&p, &g), "join[0].left");
     }
 
     #[test]
     fn verifier_errors_convert_to_typed_codegen_errors() {
-        let e: HiqueError = VerifyError::EmptyFragment {
-            context: "join[0] left image".into(),
+        let e: HiqueError = VerifyError::Malformed {
+            component: "join[0].left".into(),
+            op: 7,
+            detail: "an empty key-image fragment".into(),
         }
         .into();
         match e {
             HiqueError::Codegen(msg) => {
                 assert!(msg.contains("bytecode verifier"), "{msg}");
-                assert!(msg.contains("join[0] left image"), "{msg}");
+                assert!(msg.contains("join[0].left"), "{msg}");
+                assert!(msg.contains("op 7"), "{msg}");
             }
             other => panic!("expected Codegen, got {other:?}"),
         }
