@@ -7,7 +7,7 @@
 //! a value directory buys over hash partitions for a join whose key domain
 //! is small enough to have one.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{render_series_table, run_engine, Engine};

@@ -8,7 +8,7 @@
 //! Sizes scale with `--scale` (1.0 = quick defaults; ~5.0 approaches the
 //! paper's 10,000×10,000 / 1,000,000×1,000,000 workloads).
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::handcoded::{hybrid_join_count, merge_join_count, HandVariant};

@@ -5,7 +5,7 @@
 //! aggregation.  Aggregation Query #2: 10 distinct groups → map
 //! aggregation.  Two SUM functions over 72-byte tuples, as in the paper.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::handcoded::{aggregate, HandVariant};

@@ -4,7 +4,7 @@
 //! inner tuples.  Series: merge join and hybrid hash-sort-merge join, each
 //! on the iterator engine and on HIQUE.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{render_series_table, run_engine, Engine};

@@ -5,7 +5,7 @@
 //! joins on the iterator engine, binary merge joins on HIQUE, and HIQUE join
 //! teams (merge and hybrid staging).
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{render_series_table, run_engine, Engine};

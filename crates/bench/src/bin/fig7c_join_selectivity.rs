@@ -4,7 +4,7 @@
 //! tuple sweeps 1 → 1,000, inflating the join output.  Series: merge and
 //! hybrid joins on the iterator engine and on HIQUE.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{render_series_table, run_engine, Engine};

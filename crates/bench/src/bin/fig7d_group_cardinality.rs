@@ -7,7 +7,7 @@
 //! arrays fit in the L2 cache, staged aggregation wins beyond — should
 //! reproduce as a crossover between the map and hybrid columns.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{render_series_table, run_engine, Engine};

@@ -14,7 +14,7 @@
 //! finishes quickly (`--sf 1.0` — several GiB of RAM and a few minutes — is
 //! the paper's scale factor).
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{run_engine, Engine};

@@ -22,7 +22,7 @@
 //! cargo run --release -p hique-bench --bin fig_parallel_scaling -- --sf 0.1
 //! ```
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{run_engine, Engine, Measurement};

@@ -9,7 +9,7 @@
 //! of the `-O0`/`-O2` speedup.  The build profile in effect is printed with
 //! each table.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_bench::cli::Args;
 use hique_bench::runner::{render_profile_table, run_engine, Engine};

@@ -16,7 +16,7 @@
 //! TPC-H scale factor (default 0.01); each query is prepared once, cold, so
 //! `--repeats` is not read.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use std::time::Instant;
 
@@ -36,19 +36,23 @@ fn main() {
     );
     let mut prepared = Vec::new();
     for (name, sql) in all_queries() {
+        #[expect(clippy::disallowed_methods, reason = "Table III times each stage")]
         let t0 = Instant::now();
         let parsed = hique_sql::parse_query(sql).expect("parse");
         let parse_us = t0.elapsed().as_micros();
 
+        #[expect(clippy::disallowed_methods, reason = "Table III times each stage")]
         let t1 = Instant::now();
         let bound = hique_sql::analyze(&parsed, &CatalogProvider::new(&catalog)).expect("analyze");
         let plan = plan_query(&bound, &catalog, &PlannerConfig::default()).expect("plan");
         let optimize_us = t1.elapsed().as_micros();
 
+        #[expect(clippy::disallowed_methods, reason = "Table III times each stage")]
         let t2 = Instant::now();
         let generated = hique_holistic::generate(&plan).expect("generate");
         let generate_us = t2.elapsed().as_micros();
 
+        #[expect(clippy::disallowed_methods, reason = "Table III times each stage")]
         let t3 = Instant::now();
         let program =
             hique_vm::compile(&generated, &catalog, CompileMode::Specialized).expect("compile");

@@ -62,6 +62,10 @@ fn join_count(
         HandVariant::Generic => {
             let schema = outer.schema();
             let decode = |rec: &[u8]| Row::from_record(schema, rec);
+            #[expect(
+                clippy::expect_used,
+                reason = "hand-coded baseline kernels on known workload schemas; panic on shape drift is the desired signal"
+            )]
             let key = |row: &Row| row.get(0).as_i64().expect("integer join key");
             staged_join(outer, inner, partitions, stats, decode, key)
         }
@@ -169,6 +173,10 @@ pub fn aggregate(
     match variant {
         HandVariant::Generic => {
             let mut groups: std::collections::BTreeMap<i64, (f64, f64)> = Default::default();
+            #[expect(
+                clippy::unwrap_used,
+                reason = "hand-coded baseline kernels on known workload schemas; panic on shape drift is the desired signal"
+            )]
             for rec in table.records() {
                 stats.add_tuple(rec.len());
                 let row = Row::from_record(schema, rec);

@@ -14,8 +14,6 @@
 //!   renderers used by the `fig*`/`table*` harness binaries.
 //! * [`cli`] — the one command line all of them take.
 
-#![forbid(unsafe_code)]
-
 pub mod cli;
 pub mod handcoded;
 pub mod runner;

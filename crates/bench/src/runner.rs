@@ -79,6 +79,7 @@ pub fn run_engine(
         ..ExecOptions::default()
     };
     best_of(repeats, || {
+        #[expect(clippy::disallowed_methods, reason = "the harness times each run")]
         let start = Instant::now();
         // Decomposing on demand is part of what an unprepared DSM run costs.
         let owned;
@@ -114,6 +115,7 @@ pub fn run_handcoded(
 ) -> Measurement {
     let once = || -> std::result::Result<_, Infallible> {
         let mut stats = ExecStats::new();
+        #[expect(clippy::disallowed_methods, reason = "the harness times each run")]
         let start = Instant::now();
         let rows = kernel(&mut stats);
         Ok(Measurement {

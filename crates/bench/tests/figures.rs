@@ -4,6 +4,8 @@
 //! were planned (fig7b), every thread count returned the serial rows
 //! (fig_parallel_scaling) — and the table it printed is not empty.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use std::process::{Command, Output};
 
 /// (name, path of the built binary).

@@ -8,7 +8,7 @@
 //! cargo run --release -p hique-conformance --bin conformance -- --replay 0xdeadbeef
 //! ```
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use hique_conformance::genquery::{replay_seed, scan_query_for_seed};
 use hique_conformance::planquality::{measure_actuals, QualityReport};

@@ -218,6 +218,18 @@ mod tests {
     }
 
     #[test]
+    fn int64_neighbours_beyond_2_pow_53_are_a_mismatch() {
+        let big = 1i64 << 53;
+        assert!(!values_match(&Value::Int64(big), &Value::Int64(big + 1)));
+        let a = canonicalize(&result(vec![vec![Value::Int64(big), Value::Float64(1.0)]]));
+        let b = canonicalize(&result(vec![vec![
+            Value::Int64(big + 1),
+            Value::Float64(1.0),
+        ]]));
+        assert!(compare(&a, &b).is_err());
+    }
+
+    #[test]
     fn a_date_never_matches_its_day_number_as_a_float() {
         assert!(values_match(&Value::Date(8041), &Value::Date(8041)));
         assert!(!values_match(&Value::Date(8041), &Value::Float64(8041.0)));

@@ -212,6 +212,10 @@ fn mix(seed: u64) -> u64 {
 /// pool and spill space exist to inject into; a memory-resident fixture
 /// makes the lane vacuous and panics instead of silently passing.
 pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> ChaosReport {
+    #[expect(
+        clippy::expect_used,
+        reason = "harness precondition: the chaos lane demands a paged fixture and says so"
+    )]
     let storage = fixture
         .catalog
         .storage()

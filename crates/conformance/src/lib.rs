@@ -37,8 +37,6 @@
 //! integration tests run a fixed suite (100+ queries) plus golden-file
 //! checks pinning TPC-H Q1/Q3/Q10 results.
 
-#![forbid(unsafe_code)]
-
 pub mod canon;
 pub mod chaos;
 pub mod genquery;

@@ -3,6 +3,8 @@
 //! usable afterwards.  The CI `chaos` step and nightly `chaos-fuzz` lane run
 //! the same harness at larger query counts via the `conformance` binary.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_conformance::{run_chaos_suite, Fixture};
 
 #[test]

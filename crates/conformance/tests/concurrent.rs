@@ -17,6 +17,8 @@
 //! `peak_resident` rebase (overlapping executions used to report each
 //! other's high-water marks).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_conformance::{canonicalize, QueryGenerator};
 use hique_server::{Engine, Server, ServerConfig};
 

@@ -6,11 +6,17 @@
 //! Every failure message carries the per-query seed; reproduce one with
 //! `cargo run --release -p hique-conformance --bin conformance -- --replay <seed>`.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
+use hique_conformance::runner::run_engine;
 use hique_conformance::{
     canonicalize, compare, run_suite, Engine, Fixture, QueryGenerator, RandomQuery,
 };
+use hique_dsm::DsmDatabase;
 use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig, StagingStrategy};
 use hique_server::{Server, ServerConfig};
+use hique_storage::Catalog;
+use hique_types::{Column, DataType, Row, Schema, Value};
 
 const SF: f64 = 0.002;
 const SUITE_SEED: u64 = 0x41_1CDE; // fixed so failures are reproducible
@@ -92,6 +98,27 @@ fn the_corpus_plans_every_algorithm_and_staging_strategy() {
     );
 }
 
+/// The default plan, join teams off, and each join and aggregation
+/// algorithm forced in turn.
+fn forced_configs() -> Vec<PlannerConfig> {
+    let joins = [
+        JoinAlgorithm::Merge,
+        JoinAlgorithm::Partition,
+        JoinAlgorithm::HybridHashSortMerge,
+    ];
+    let aggs = [
+        AggAlgorithm::Sort,
+        AggAlgorithm::HybridHashSort,
+        AggAlgorithm::Map,
+    ];
+    let base = PlannerConfig::default;
+    [base(), base().with_join_teams(false)]
+        .into_iter()
+        .chain(joins.map(|j| base().with_join_algorithm(j)))
+        .chain(aggs.map(|a| base().with_agg_algorithm(a)))
+        .collect()
+}
+
 /// String keys wider than eight bytes whose values share their first
 /// eight (`Manufacturer#…`, `Clerk#…`, `Customer#…`, `Supplier#…`, part
 /// types), grouped and joined under the default plan, every forced join
@@ -112,24 +139,7 @@ fn wide_char_keys_agree_across_all_engines() {
         "select a.c_name, c.c_acctbal from customer a, customer b, customer c \
          where a.c_name = b.c_name and b.c_name = c.c_name",
     ];
-    let mut configs = vec![
-        PlannerConfig::default(),
-        PlannerConfig::default().with_join_teams(false),
-    ];
-    for join in [
-        JoinAlgorithm::Merge,
-        JoinAlgorithm::Partition,
-        JoinAlgorithm::HybridHashSortMerge,
-    ] {
-        configs.push(PlannerConfig::default().with_join_algorithm(join));
-    }
-    for agg in [
-        AggAlgorithm::Sort,
-        AggAlgorithm::HybridHashSort,
-        AggAlgorithm::Map,
-    ] {
-        configs.push(PlannerConfig::default().with_agg_algorithm(agg));
-    }
+    let configs = forced_configs();
     const BUDGET_PAGES: usize = 64;
     for (fixture, budget) in [
         (Fixture::generate(SF).unwrap(), 0),
@@ -157,6 +167,82 @@ fn wide_char_keys_agree_across_all_engines() {
                         outcome.divergences[0]
                     );
                     assert!(outcome.baseline.num_rows() > 0, "{sql}");
+                }
+            }
+        }
+    }
+}
+
+/// `Int64` keys beyond 2^53, where neighbouring integers share one f64:
+/// filtered by `=`, `<` and `>`, grouped, self-joined and ordered under the
+/// default plan, every forced join and aggregation algorithm and with join
+/// teams off, at threads 1 and 4.  Every engine returns holistic's rows,
+/// holistic returns the exact answer, and ORDER BY leaves the keys
+/// strictly increasing.  An engine that compared integers through f64
+/// would match, group, join and order these keys as one.
+#[test]
+fn int64_values_beyond_2_pow_53_agree_across_all_engines() {
+    const BIG: i64 = 1 << 53;
+    // (statement, rows of the exact answer)
+    let statements = [
+        (format!("select k, v from t where k = {}", BIG + 1), 1),
+        (format!("select k, v from t where k < {}", BIG + 1), 2),
+        (format!("select k, v from t where k > {BIG}"), 2),
+        ("select k, count(*) as n from t group by k".to_string(), 4),
+        (
+            "select a.k, b.v from t a, t b where a.k = b.k".to_string(),
+            4,
+        ),
+        ("select k, v from t order by k".to_string(), 4),
+    ];
+    let mut catalog = Catalog::new();
+    catalog
+        .create_table(
+            "t",
+            Schema::new(vec![
+                Column::new("k", DataType::Int64),
+                Column::new("v", DataType::Int32),
+            ]),
+        )
+        .unwrap();
+    // Descending, so a sort that took the big keys for equal would keep
+    // them out of order.
+    for (k, v) in [(BIG + 2, 1), (BIG + 1, 2), (BIG, 3), (5, 4)] {
+        let row = Row::new(vec![Value::Int64(k), Value::Int32(v)]);
+        catalog
+            .table_mut("t")
+            .unwrap()
+            .heap
+            .append_row(&row)
+            .unwrap();
+    }
+    catalog.analyze_table("t").unwrap();
+    let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
+    let configs = forced_configs();
+    for (sql, rows) in &statements {
+        for config in &configs {
+            for threads in [1, 4] {
+                let plan = plan_sql(sql, &catalog, &config.clone().with_threads(threads)).unwrap();
+                let holistic = run_engine(Engine::Holistic, &plan, &catalog, &dsm).unwrap();
+                assert_eq!(holistic.rows.len(), *rows, "{sql}");
+                let expected = canonicalize(&holistic);
+                for engine in Engine::ALL {
+                    let result = run_engine(engine, &plan, &catalog, &dsm)
+                        .unwrap_or_else(|e| panic!("{} failed on {sql}: {e}", engine.name()));
+                    if let Err(m) = compare(&canonicalize(&result), &expected) {
+                        panic!(
+                            "{} vs holistic on {sql} ({config:?}, threads {threads}): {m}",
+                            engine.name()
+                        );
+                    }
+                    if sql.contains("order by") {
+                        let keys: Vec<&Value> = result.rows.iter().map(|r| r.get(0)).collect();
+                        assert!(
+                            keys.windows(2).all(|w| w[0] < w[1]),
+                            "{} left {keys:?} out of order",
+                            engine.name()
+                        );
+                    }
                 }
             }
         }

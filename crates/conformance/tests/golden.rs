@@ -9,6 +9,8 @@
 //! Regenerate after an intentional change with:
 //! `HIQUE_BLESS=1 cargo test -p hique-conformance --test golden`
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use std::path::PathBuf;
 
 use hique_conformance::runner::{run_engine, Engine, Fixture};

@@ -8,6 +8,8 @@
 //! against the knob leaking into planning), while the holistic engine
 //! exercises the parallel staging, join and aggregation paths for real.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_conformance::{canonicalize, compare, Engine, Fixture};
 use hique_conformance::{runner::run_engine, QueryGenerator};
 use hique_plan::plan_sql;

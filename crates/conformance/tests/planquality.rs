@@ -14,6 +14,8 @@
 //!    order, so parallel conformance stays bit-stable with histograms on
 //!    (execution-level equality is enforced by `tests/parallel.rs`).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use std::sync::OnceLock;
 
 use hique_conformance::genquery::scan_query_for_seed;

@@ -13,6 +13,8 @@
 //! report spilled temporaries (whole-partition reload would have blown the
 //! pool's frame budget long before these queries finished).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_conformance::{canonicalize, compare, Engine, Fixture};
 use hique_conformance::{runner::run_engine, QueryGenerator};
 use hique_plan::{plan_sql, PlannerConfig};

@@ -13,6 +13,8 @@
 //!    has spilled (a scheduled storage fault, the chaos lane's mechanism),
 //!    every spill claim, pinned frame and spill file it made is released.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use std::sync::Arc;
 
 use hique_conformance::{run_mutation_suite, Fixture, QueryGenerator, MIN_REJECTION_RATE};

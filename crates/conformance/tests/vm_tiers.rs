@@ -15,6 +15,8 @@
 //! Failure messages carry the per-query seed; reproduce one with
 //! `cargo run --release -p hique-conformance --bin conformance -- --replay <seed>`.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_conformance::{Fixture, QueryGenerator};
 use hique_plan::plan_sql;
 use hique_types::{ExecStats, IoStats, Row, Value};

@@ -98,6 +98,7 @@ pub fn run(
     let mut timings = PhaseTimings::new();
 
     // ---- Staging -----------------------------------------------------------
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let t0 = Instant::now();
     let mut staged: Vec<Option<StagedSlot>> = (0..plan.staged.len()).map(|_| None).collect();
     for &t in &plan.join_order {
@@ -110,11 +111,16 @@ pub fn run(
     timings.record("staging", t0.elapsed());
 
     // ---- Joins --------------------------------------------------------------
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let t1 = Instant::now();
     let streams_to_sink = plan.aggregate.is_none();
     let mut decode = kernels.decoder();
     let mut rows: Vec<Row> = Vec::new();
     let mut counted: u64 = 0;
+    #[expect(
+        clippy::expect_used,
+        reason = "staged-slot takes follow the plan's join order; every slot is filled by the staging pass above"
+    )]
     let mut take = |t: usize| staged[t].take().expect("every input is staged once");
     // The right-hand inputs of each cascade step, in join order: a join
     // team is one step over all of its members.
@@ -136,6 +142,10 @@ pub fn run(
     let mut current = Some(take(plan.join_order[0]));
     for (i, rights) in steps.iter().enumerate() {
         cancel.check()?;
+        #[expect(
+            clippy::expect_used,
+            reason = "each cascade step consumes the intermediate the previous step produced"
+        )]
         let left = current
             .take()
             .expect("intermediate feeds the next step")
@@ -169,6 +179,7 @@ pub fn run(
 
     // ---- Aggregation / output -------------------------------------------------
     if let Some(spec) = &plan.aggregate {
+        #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
         let t2 = Instant::now();
         cancel.check()?;
         let slot = current
@@ -179,6 +190,7 @@ pub fn run(
     } else if let Some(slot) = current.take() {
         // Non-aggregate result that did not stream out of a join: run the
         // output decoder over every record.
+        #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
         let t3 = Instant::now();
         cancel.check()?;
         let set = slot.partitions(spill)?;
@@ -205,6 +217,7 @@ pub fn run(
     }
 
     // ---- Finalize ---------------------------------------------------------------
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let t4 = Instant::now();
     finalize_rows(&mut rows, &plan.order_by, plan.limit);
     let Run { mut stats, .. } = run;

@@ -149,9 +149,6 @@ pub fn merge_join(
 
 /// Merge two sorted packed buffers (the inner loops of the template, with
 /// the merge-join bound updates of Listing 2).
-// The paper's merge template takes both runs plus four bound cursors; a
-// params struct would just rename the arguments.
-#[allow(clippy::too_many_arguments)]
 fn merge_buffers(
     lbuf: &[u8],
     lts: usize,
@@ -226,8 +223,6 @@ fn merge_buffers(
 /// robust for intermediate results).  Repartitioning stays serial — it is a
 /// single memcpy-bound scatter pass — so its counters and partition contents
 /// do not depend on the pool width.
-// Mirrors the generated kernel's parameter list one-for-one, plus the pool.
-#[allow(clippy::too_many_arguments)]
 pub fn hybrid_join(
     left: &mut StagedRelation,
     right: &mut StagedRelation,
@@ -332,9 +327,6 @@ pub fn fine_partition_join(
 /// The fine directory of a staged input, building one on the fly (plus the
 /// backing partition buffers) when the input was not fine-partitioned by
 /// staging (e.g. an intermediate join result).
-// The (directory, backing buffers) pair is internal to this module; a
-// named struct would outlive its single call site.
-#[allow(clippy::type_complexity)]
 fn fine_directory_of(
     input: &StagedInput,
     key: CompiledKey,

@@ -20,8 +20,6 @@
 //! interpretation overhead, which is what the paper measures against the
 //! iterator engine.
 
-#![forbid(unsafe_code)]
-
 pub mod agg;
 mod agg_program;
 mod compiled;

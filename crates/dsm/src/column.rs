@@ -183,6 +183,10 @@ impl DsmDatabase {
     pub fn from_catalog(catalog: &Catalog) -> Result<DsmDatabase> {
         let mut tables = HashMap::new();
         for name in catalog.table_names() {
+            #[expect(
+                clippy::expect_used,
+                reason = "iterating table_names(); every listed table resolves"
+            )]
             let info = catalog.table(name).expect("listed table exists");
             tables.insert(name.to_string(), ColumnStore::from_heap(&info.heap)?);
         }

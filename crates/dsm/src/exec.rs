@@ -80,6 +80,10 @@ impl U32Slot {
                     ctx.cancel().check()?;
                     let page = ctx.temp().page_guard(h, i)?;
                     for rec in page.data().chunks_exact(4) {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "chunks_exact(4) yields 4-byte records"
+                        )]
                         out.push(u32::from_le_bytes(rec.try_into().expect("4-byte record")));
                     }
                 }
@@ -102,6 +106,7 @@ pub fn execute_plan(
     let cancel = &options.cancel;
     let mut stats = ExecStats::new();
     let mut timings = PhaseTimings::new();
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let started = Instant::now();
     let pool = ScopedPool::new(plan.threads);
     let envelope = RunEnvelope::begin(db.pool(), db.temp(), plan.memory_budget_pages, cancel)?;
@@ -124,6 +129,7 @@ pub fn execute_plan(
     }
 
     // ---- Selection (column-wise filters, materialized selection vectors) ----
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let t0 = Instant::now();
     let mut selections: Vec<Vec<u32>> = Vec::with_capacity(stores.len());
     for (t, store) in stores.iter().enumerate() {
@@ -140,6 +146,7 @@ pub fn execute_plan(
     timings.record("selection", t0.elapsed());
 
     // ---- Joins (hash joins over key columns, alignments materialized) --------
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let t1 = Instant::now();
     // alignment[t] = for each current output position, the row id in table t
     // — staged through the pool between steps under a memory budget.
@@ -262,6 +269,7 @@ pub fn execute_plan(
     };
 
     // ---- Aggregation ------------------------------------------------------------
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let t2 = Instant::now();
     let mut rows: Vec<Row> = Vec::new();
     // The row count of a count-only output.
@@ -339,6 +347,7 @@ pub fn execute_plan(
                 .iter()
                 .map(|o| match o {
                     OutputExpr::GroupColumn(ci) => {
+                        #[expect(clippy::unwrap_used, reason = "the spec lists every group column")]
                         let pos = spec.group_columns.iter().position(|g| g == ci).unwrap();
                         key_values[pos].clone()
                     }
@@ -430,12 +439,13 @@ fn apply_filter(
                 }
             }
             _ => {
-                let constant = filter.value.as_f64()?;
+                // Numbers compare as `Value`s: integers exactly, where
+                // through f64 keys beyond 2^53 would collide.  A string
+                // constant is a type error.
+                filter.value.as_f64()?;
                 for &i in chunk {
-                    if filter
-                        .op
-                        .matches(col.f64_at(i as usize).total_cmp(&constant))
-                    {
+                    let value = col.value_at(i as usize, dtype);
+                    if filter.op.matches(value.total_cmp(&filter.value)) {
                         out.push(i);
                     }
                 }

@@ -16,8 +16,6 @@
 //! The engine executes the same physical plans as the other two engines and
 //! returns identical results; only the execution model differs.
 
-#![forbid(unsafe_code)]
-
 pub mod column;
 pub mod exec;
 

@@ -50,6 +50,7 @@ pub fn execute_plan(
         .with_pool(pool)
         .with_spill(envelope.spill_shared())
         .with_cancel(cancel.clone());
+    #[expect(clippy::disallowed_methods, reason = "phase timing (PhaseTimings)")]
     let started = Instant::now();
 
     // ---- Staged inputs ----------------------------------------------------

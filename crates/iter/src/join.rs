@@ -189,6 +189,10 @@ impl PartStore {
         match self {
             PartStore::Rows(parts) => Ok(std::mem::take(&mut parts[p])),
             PartStore::Spilled(runs) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "spilled partitions only exist when staging ran under a spill context"
+                )]
                 let spill = ctx
                     .spill()
                     .expect("spilled partitions require an active spill context");

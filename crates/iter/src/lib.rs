@@ -19,8 +19,6 @@
 //! holistic engines, so the measured difference isolates the execution
 //! model, which is exactly the comparison of the paper's Figures 5–7.
 
-#![forbid(unsafe_code)]
-
 pub mod agg;
 pub mod exec;
 pub mod expr;

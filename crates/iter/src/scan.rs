@@ -67,6 +67,10 @@ impl QueryIterator for ScanIterator<'_> {
             // the guard does not outlive the cursor update.
             let base_schema = self.heap.schema();
             let decoded = {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pin guard set by the preceding advance of the same cursor"
+                )]
                 let page = self.current.as_ref().expect("guard set above");
                 if self.slot < page.num_tuples() {
                     let record = page.record(self.slot);

@@ -48,6 +48,10 @@ pub(crate) fn merge_sorted_row_runs(runs: Vec<Vec<Row>>, keys: &[(usize, bool)])
     let mut live: Vec<usize> = (0..runs.len()).filter(|&r| !runs[r].is_empty()).collect();
     match live.len() {
         0 => return Vec::new(),
+        #[expect(
+            clippy::expect_used,
+            reason = "single-run merge: live[0] indexes the one run the match arm proved exists"
+        )]
         1 => return runs.into_iter().nth(live[0]).expect("live run exists"),
         _ => {}
     }

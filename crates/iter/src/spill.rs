@@ -91,8 +91,10 @@ impl RowCursor {
     /// The next row of the run, or `None` when exhausted.  (Named like the
     /// Volcano interface on purpose — this is a pull cursor, not a std
     /// iterator, because each pull can fail on I/O.)
-    // Iterator::next cannot express the fallible pull, hence the clash.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "Iterator::next cannot express the fallible pull"
+    )]
     pub fn next(&mut self) -> Result<Option<Row>> {
         loop {
             if self.pos < self.buffer.len() {

@@ -29,8 +29,6 @@
 //! per-call spawn ever shows up in profiles, the replacement is a parked
 //! worker set behind the same `map` contract.
 
-#![forbid(unsafe_code)]
-
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -99,10 +97,15 @@ impl ScopedPool {
                         }
                         local.push((i, f(i)));
                     }
+                    #[expect(clippy::unwrap_used, reason = "a poisoned mutex means a worker already panicked; re-panicking propagates, not invents, the failure")]
                     collected.lock().unwrap().extend(local);
                 });
             }
         });
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a poisoned mutex means a worker already panicked; re-panicking propagates, not invents, the failure"
+        )]
         let mut indexed = collected.into_inner().unwrap();
         indexed.sort_unstable_by_key(|(i, _)| *i);
         debug_assert_eq!(indexed.len(), tasks);
@@ -140,6 +143,7 @@ impl ScopedPool {
         }
         let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         self.map(slots.len(), |i| {
+            #[expect(clippy::expect_used, reason = "a poisoned mutex means a worker already panicked, and map claims each task index exactly once")]
             let item = slots[i]
                 .lock()
                 .expect("slot mutex poisoned")

@@ -26,8 +26,6 @@
 //!   the spill namespace, take the pool and fault baselines, open the peak
 //!   window, and at the end fill the storage-side fields of `ExecStats`.
 
-#![forbid(unsafe_code)]
-
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 

@@ -119,6 +119,10 @@ pub fn greedy_order(
             }
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "greedy ordering invariant: the candidate set is non-empty while n >= 2"
+    )]
     let (first, second, first_est, first_edge) = best.expect("n >= 2");
 
     let mut order = vec![first, second];
@@ -146,6 +150,10 @@ pub fn greedy_order(
                 step = Some((cand, est, edge));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "greedy ordering invariant: the candidate set is non-empty while tables remain"
+        )]
         let (table, est, edge) = step.expect("candidate exists");
         order.push(table);
         edges.push(edge);

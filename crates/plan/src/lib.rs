@@ -24,8 +24,6 @@
 //! plan, so measured differences come from the execution model, not plan
 //! quality — the comparison the paper is designed around.
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod explain;
 pub mod joinorder;

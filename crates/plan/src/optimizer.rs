@@ -477,6 +477,10 @@ fn locate(bound: &BoundQuery, combined_idx: usize) -> (usize, usize) {
 }
 
 /// Position of base-table column `col` within the staged (projected) schema.
+#[expect(
+    clippy::expect_used,
+    reason = "compute_needed_columns retains every join and group key by construction"
+)]
 fn staged_index(keep: &[usize], col: usize) -> usize {
     keep.iter()
         .position(|&k| k == col)

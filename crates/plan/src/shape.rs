@@ -37,10 +37,9 @@ pub fn shape_key(sql: &str) -> String {
                 match chars.next() {
                     Some('\'') => {
                         out.push('\'');
-                        if chars.peek() == Some(&'\'') {
-                            out.push(chars.next().expect("peeked"));
-                        } else {
-                            break;
+                        match chars.next_if_eq(&'\'') {
+                            Some(q) => out.push(q),
+                            None => break,
                         }
                     }
                     Some(c) => out.push(c),
@@ -98,10 +97,9 @@ pub fn shape_class_and_consts(sql: &str) -> (String, Vec<String>) {
                 match chars.next() {
                     Some('\'') => {
                         lit.push('\'');
-                        if chars.peek() == Some(&'\'') {
-                            lit.push(chars.next().expect("peeked"));
-                        } else {
-                            break;
+                        match chars.next_if_eq(&'\'') {
+                            Some(q) => lit.push(q),
+                            None => break,
                         }
                     }
                     Some(c) => lit.push(c),
@@ -113,14 +111,12 @@ pub fn shape_class_and_consts(sql: &str) -> (String, Vec<String>) {
             prev = Some('?');
         } else if c.is_ascii_digit() && !prev.is_some_and(|p| p.is_alphanumeric() || p == '_') {
             // A numeric literal (not part of an identifier like `l_tax` or
-            // `t1`): swallow digits, one decimal point and an exponent.
+            // `t1`): swallow the whole run of digits and dots.  The lexer
+            // has no exponent, so neither does this.
             let mut lit = String::new();
             lit.push(c);
-            while chars
-                .peek()
-                .is_some_and(|&n| n.is_ascii_digit() || n == '.')
-            {
-                lit.push(chars.next().expect("peeked"));
+            while let Some(n) = chars.next_if(|&n| n.is_ascii_digit() || n == '.') {
+                lit.push(n);
             }
             consts.push(lit);
             out.push('?');

@@ -340,7 +340,15 @@ pub fn correlated_range_clamp(
             {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "date_preds keeps only columns with a distribution, checked by its guard"
+            )]
             let ldist = left.distribution(lcol).expect("checked above");
+            #[expect(
+                clippy::expect_used,
+                reason = "date_preds keeps only columns with a distribution, checked by its guard"
+            )]
             let rdist = right.distribution(rcol).expect("checked above");
             fn as_refs(preds: &[(CmpKind, Value)]) -> Vec<(CmpKind, &Value)> {
                 preds.iter().map(|(k, v)| (*k, v)).collect()

@@ -25,8 +25,6 @@
 //! `peak_resident_pages` is its own high-water mark, not a shared
 //! clobberable watermark).
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod engine;
 pub mod session;

@@ -19,7 +19,7 @@
 //! cache counters, shuts the server down cleanly, and exits nonzero on
 //! any failure.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
 use std::net::TcpListener;
 use std::process::ExitCode;

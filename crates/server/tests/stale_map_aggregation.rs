@@ -8,6 +8,8 @@
 //! allocation, which overflows or aborts the process — every session with
 //! it.  It is a typed `Execution` error naming the directory sizes now.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_server::{Engine, Server, ServerConfig};
 use hique_storage::Catalog;
 use hique_types::{Column, DataType, HiqueError, Row, Schema, Value};

@@ -7,6 +7,8 @@
 //! `min(i)` read `1.0000` vs `1`).  The differential harness compares
 //! numerics through `f64` and never saw it; the wire shows the bytes.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

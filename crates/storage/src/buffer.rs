@@ -656,9 +656,11 @@ pub struct PeakWindow<'a> {
 impl PeakWindow<'_> {
     /// High-water mark of resident frames since this window opened
     /// (initially the resident count at open time).
+    #[expect(
+        clippy::expect_used,
+        reason = "the window's entry is inserted when the window opens and removed only by this handle's Drop"
+    )]
     pub fn peak(&self) -> usize {
-        // Deliberately infallible: the entry is inserted when the window is
-        // created and removed only by this handle's Drop.
         *self
             .pool
             .state

@@ -257,9 +257,10 @@ impl Catalog {
 
         // Phase two (infallible swaps): adopt the files written above.
         for (name, disk) in disks {
-            // Deliberately infallible: `disks` was built by iterating this
-            // same map in phase one, and `self` is borrowed mutably
-            // throughout, so no table was dropped in between.
+            #[expect(
+                clippy::expect_used,
+                reason = "two-phase rebuild: `disks` was built from this same map in phase one, and `self` stays mutably borrowed, so no table was dropped in between"
+            )]
             self.tables
                 .get_mut(&name)
                 .expect("table existed in phase one")

@@ -276,8 +276,10 @@ impl TableHeap {
                 if pages.last().is_none_or(|p| p.is_full()) {
                     pages.push(Page::new(ts)?);
                 }
-                // Deliberately infallible: the branch above pushes a page
-                // whenever `pages` is empty or the tail is full.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the branch above pushes a page whenever `pages` is empty or its tail is full"
+                )]
                 let page = pages.last_mut().expect("page allocated above");
                 let pushed = page.push_record(record)?;
                 debug_assert!(pushed, "freshly allocated page rejected a record");

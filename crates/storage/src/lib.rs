@@ -12,8 +12,6 @@
 //! * a system [`catalog::Catalog`] mapping table names to schemas, heaps and
 //!   basic statistics.
 
-#![forbid(unsafe_code)]
-
 pub mod buffer;
 pub mod catalog;
 pub mod disk;

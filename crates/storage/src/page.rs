@@ -95,17 +95,15 @@ impl Page {
 
     /// Number of records currently stored.
     #[inline(always)]
+    #[expect(clippy::unwrap_used, reason = "a 4-byte slice converts to [u8; 4]")]
     pub fn num_tuples(&self) -> usize {
-        // Deliberately infallible: a 4-byte slice of the fixed-size header
-        // always converts to [u8; 4].
         u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize
     }
 
     /// Width in bytes of every record on this page.
     #[inline(always)]
+    #[expect(clippy::unwrap_used, reason = "a 4-byte slice converts to [u8; 4]")]
     pub fn tuple_size(&self) -> usize {
-        // Deliberately infallible: same fixed-size header slice as
-        // `num_tuples`.
         u32::from_le_bytes(self.buf[4..8].try_into().unwrap()) as usize
     }
 

@@ -176,9 +176,11 @@ impl TempSpace {
         let (id, denied) = {
             let mut s = self.lock_state();
             let denied = s.active >= s.max_claims;
+            #[expect(clippy::disallowed_methods, reason = "the spill-claim retry deadline")]
             let deadline = Instant::now() + CLAIM_TIMEOUT;
             while s.active >= s.max_claims {
                 cancel.check()?;
+                #[expect(clippy::disallowed_methods, reason = "the spill-claim retry deadline")]
                 let now = Instant::now();
                 if now >= deadline {
                     return Err(HiqueError::Storage(format!(
@@ -603,6 +605,7 @@ mod tests {
         // A claim queued behind the held slot must observe its deadline in
         // one poll slice, far inside the 30s admission timeout.
         let cancel = CancelToken::with_deadline(Duration::from_millis(100));
+        #[expect(clippy::disallowed_methods, reason = "the test times a deadline")]
         let started = Instant::now();
         let err = temp.claim(&cancel).unwrap_err();
         assert!(matches!(err, HiqueError::Cancelled(_)), "{err}");

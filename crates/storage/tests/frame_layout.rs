@@ -8,6 +8,8 @@
 //!
 //! Its own test binary: the allocator state it measures is this process's.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_storage::{Catalog, PAGE_SIZE};
 use hique_types::{Column, DataType, Row, Schema, Value};
 

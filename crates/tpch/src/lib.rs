@@ -12,8 +12,6 @@
 //! substitution rationale); scale factor 1.0 produces roughly the same row
 //! counts as the official generator.
 
-#![forbid(unsafe_code)]
-
 pub mod gen;
 pub mod queries;
 pub mod schema;

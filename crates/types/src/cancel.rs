@@ -52,6 +52,7 @@ impl CancelToken {
     }
 
     /// A live token that also fires once `timeout` has elapsed from now.
+    #[expect(clippy::disallowed_methods, reason = "a deadline is wall-clock")]
     pub fn with_deadline(timeout: Duration) -> CancelToken {
         CancelToken {
             inner: Some(Arc::new(CancelInner {
@@ -69,6 +70,7 @@ impl CancelToken {
     }
 
     /// True once the token is cancelled or past its deadline.
+    #[expect(clippy::disallowed_methods, reason = "a deadline is wall-clock")]
     pub fn is_cancelled(&self) -> bool {
         match &self.inner {
             None => false,
@@ -93,6 +95,7 @@ impl CancelToken {
     }
 
     /// Remaining time until the deadline, if one is set and not yet passed.
+    #[expect(clippy::disallowed_methods, reason = "a deadline is wall-clock")]
     pub fn time_left(&self) -> Option<Duration> {
         let deadline = self.inner.as_ref()?.deadline?;
         Some(deadline.saturating_duration_since(Instant::now()))

@@ -130,6 +130,10 @@ impl ColumnDistribution {
                 let slot = (cum * nb / rest_rows).min(nb - 1);
                 let extend_last = buckets.len() == slot + 1;
                 if extend_last {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "extend_last holds only when buckets.len() == slot + 1, so a last bucket exists"
+                    )]
                     let b = buckets.last_mut().expect("slot bucket exists");
                     b.hi = v.clone();
                     b.rows += count;

@@ -13,8 +13,6 @@
 //! total record width, and [`tuple`](mod@tuple) reads/writes typed fields at those
 //! offsets over `&[u8]`/`&mut [u8]` without any per-field dispatch.
 
-#![forbid(unsafe_code)]
-
 pub mod cancel;
 pub mod datatype;
 pub mod error;

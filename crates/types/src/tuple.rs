@@ -20,6 +20,7 @@ use crate::value::Value;
 /// Read the little-endian `i32` at `offset`.
 #[inline(always)]
 pub fn read_i32_at(record: &[u8], offset: usize) -> i32 {
+    #[expect(clippy::unwrap_used, reason = "a 4-byte slice converts to [u8; 4]")]
     let bytes: [u8; 4] = record[offset..offset + 4].try_into().unwrap();
     i32::from_le_bytes(bytes)
 }
@@ -27,6 +28,7 @@ pub fn read_i32_at(record: &[u8], offset: usize) -> i32 {
 /// Read the little-endian `i64` at `offset`.
 #[inline(always)]
 pub fn read_i64_at(record: &[u8], offset: usize) -> i64 {
+    #[expect(clippy::unwrap_used, reason = "an 8-byte slice converts to [u8; 8]")]
     let bytes: [u8; 8] = record[offset..offset + 8].try_into().unwrap();
     i64::from_le_bytes(bytes)
 }
@@ -34,6 +36,7 @@ pub fn read_i64_at(record: &[u8], offset: usize) -> i64 {
 /// Read the little-endian `f64` at `offset`.
 #[inline(always)]
 pub fn read_f64_at(record: &[u8], offset: usize) -> f64 {
+    #[expect(clippy::unwrap_used, reason = "an 8-byte slice converts to [u8; 8]")]
     let bytes: [u8; 8] = record[offset..offset + 8].try_into().unwrap();
     f64::from_le_bytes(bytes)
 }

@@ -128,20 +128,30 @@ impl Value {
 
     /// Total-order comparison across compatible value kinds.
     ///
-    /// Numeric kinds compare numerically regardless of width; strings
-    /// compare lexicographically; comparing a string with a number is a
-    /// type error at analysis time and panics here only in debug builds.
+    /// Integers (`Int32`, `Int64`, `Date`) compare as `i64` regardless of
+    /// width; an integer against a float compares exactly, the float placed
+    /// where `f64::total_cmp` puts it (`-0.0` just below zero, NaNs beyond
+    /// the infinities by sign); floats compare by `f64::total_cmp`; strings
+    /// compare lexicographically.  A string against a number is a type
+    /// error at analysis time; here it sorts below every number.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         match (self, other) {
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (Value::Str(_), _) => Ordering::Less,
+            (_, Value::Str(_)) => Ordering::Greater,
             (Value::Float64(a), Value::Float64(b)) => a.total_cmp(b),
-            (a, b) => {
-                // Mixed / integer comparison through f64 is exact for the
-                // integer ranges used by the workloads (< 2^53).
-                let fa = a.as_f64().unwrap_or(f64::NEG_INFINITY);
-                let fb = b.as_f64().unwrap_or(f64::NEG_INFINITY);
-                fa.total_cmp(&fb)
-            }
+            (Value::Float64(a), b) => cmp_int_f64(b.integer(), *a).reverse(),
+            (a, Value::Float64(b)) => cmp_int_f64(a.integer(), *b),
+            (a, b) => a.integer().cmp(&b.integer()),
+        }
+    }
+
+    /// The payload of an integer kind; `total_cmp` calls it on nothing else.
+    fn integer(&self) -> i64 {
+        match self {
+            Value::Int32(v) | Value::Date(v) => *v as i64,
+            Value::Int64(v) => *v,
+            Value::Float64(_) | Value::Str(_) => 0,
         }
     }
 
@@ -149,6 +159,18 @@ impl Value {
     pub fn sql_eq(&self, other: &Value) -> bool {
         self.total_cmp(other) == Ordering::Equal
     }
+}
+
+/// Order the integer `i` against the float `f` exactly.  Every float below
+/// 2^63 truncates to an `i64` without loss (below -2^63 the cast saturates
+/// and the tie-break still orders it), so the integer parts decide and the
+/// fraction breaks a tie; `-0.0` truncates to `0` and sorts below it.
+fn cmp_int_f64(i: i64, f: f64) -> Ordering {
+    if f.is_nan() || f >= 9_223_372_036_854_775_808.0 {
+        return 0.0f64.total_cmp(&f);
+    }
+    let t = f.trunc() as i64;
+    i.cmp(&t).then_with(|| (t as f64).total_cmp(&f))
 }
 
 /// Parse `YYYY-MM-DD` into days since 1970-01-01 (proleptic Gregorian).
@@ -226,8 +248,10 @@ impl Ord for Value {
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            // Hash numerics through their f64 bit pattern so that values that
-            // compare equal across widths hash identically.
+            // Numbers hash through their nearest f64's bits: an integer equals
+            // a float only when the float is exactly that integer, so values
+            // equal across kinds and widths hash identically.  Integers
+            // beyond 2^53 that round to one f64 only share a bucket.
             Value::Int32(v) => (*v as f64).to_bits().hash(state),
             Value::Int64(v) => (*v as f64).to_bits().hash(state),
             Value::Date(v) => (*v as f64).to_bits().hash(state),
@@ -258,6 +282,36 @@ mod tests {
         assert!(Value::Int32(5).sql_eq(&Value::Int64(5)));
         assert!(Value::Int32(5) < Value::Float64(5.5));
         assert!(Value::Int64(10) > Value::Int32(2));
+    }
+
+    #[test]
+    fn integers_beyond_2_pow_53_compare_exactly() {
+        let big = 1i64 << 53;
+        assert!(Value::Int64(big) < Value::Int64(big + 1));
+        assert_ne!(Value::Int64(big), Value::Int64(big + 1));
+        assert!(Value::Int64(i64::MAX - 1) < Value::Int64(i64::MAX));
+        // Against a float the comparison is exact too, so equality stays
+        // transitive: 2^53 + 1 equals neither 2^53 as a float nor 2^53.
+        let f = Value::Float64(big as f64);
+        assert_eq!(Value::Int64(big), f);
+        assert!(Value::Int64(big + 1) > f);
+        assert!(f < Value::Int64(big + 1));
+        assert!(Value::Int64(i64::MAX) < Value::Float64(9_223_372_036_854_775_808.0));
+        assert!(Value::Int64(i64::MIN) == Value::Float64(-9_223_372_036_854_775_808.0));
+        assert!(Value::Int64(i64::MIN) > Value::Float64(f64::NEG_INFINITY));
+    }
+
+    #[test]
+    fn an_integer_sits_where_total_cmp_puts_the_float() {
+        assert!(Value::Int32(0) > Value::Float64(-0.0));
+        assert_eq!(Value::Int32(0), Value::Float64(0.0));
+        assert!(Value::Int32(0) > Value::Float64(-0.5));
+        assert!(Value::Int32(-1) < Value::Float64(-0.5));
+        assert!(Value::Int32(2) > Value::Float64(1.5));
+        assert!(Value::Int32(1) < Value::Float64(1.5));
+        assert!(Value::Int64(i64::MAX) < Value::Float64(f64::NAN));
+        assert!(Value::Int64(i64::MIN) > Value::Float64(-f64::NAN));
+        assert!(Value::Date(3) == Value::Int64(3));
     }
 
     #[test]

@@ -43,8 +43,6 @@
 //!
 //! [`ExecStats`]: hique_types::ExecStats
 
-#![forbid(unsafe_code)]
-
 pub mod bytecode;
 pub mod exec;
 pub mod mutate;

@@ -191,6 +191,7 @@ impl VmProgram {
     /// diverging component when the template with `generated`'s constants
     /// does not decode to `generated`'s kernels.
     pub fn bind(&self, generated: &GeneratedQuery, catalog: &Catalog) -> Result<VmProgram> {
+        #[expect(clippy::disallowed_methods, reason = "compile, verify and bind cost")]
         let started = Instant::now();
         if self.mode != CompileMode::Pooled {
             return Err(HiqueError::Codegen(
@@ -201,6 +202,7 @@ impl VmProgram {
         rebound.pool = collect_pool(generated, catalog)?;
         // Verified while pooled, so every slot the code names exists before
         // it is folded.
+        #[expect(clippy::disallowed_methods, reason = "compile, verify and bind cost")]
         let verify_started = Instant::now();
         crate::verify::verify(&rebound, generated).map_err(VerifyError::refusal)?;
         rebound.verify_cost = verify_started.elapsed();
@@ -220,6 +222,7 @@ pub fn compile(
     catalog: &Catalog,
     mode: CompileMode,
 ) -> Result<VmProgram> {
+    #[expect(clippy::disallowed_methods, reason = "compile, verify and bind cost")]
     let started = Instant::now();
     let plan = generated.plan();
     let mut b = Builder::default();
@@ -317,6 +320,7 @@ pub fn compile(
     if mode == CompileMode::Specialized {
         fold_constants(&mut program.code, &program.pool);
     }
+    #[expect(clippy::disallowed_methods, reason = "compile, verify and bind cost")]
     let verify_started = Instant::now();
     crate::verify::verify(&program, generated)?;
     program.verify_cost = verify_started.elapsed();

@@ -3,6 +3,8 @@
 //! template — must compute exactly what the generic iterator baseline
 //! computes for the same physical plan.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique_holistic::{generate, GeneratedQuery};
 use hique_iter::ExecMode;
 use hique_plan::{plan_sql, PlannerConfig};

@@ -5,6 +5,8 @@
 //! cargo run --release --example join_teams
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "demos may panic")]
+
 use std::time::Instant;
 
 use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
@@ -68,6 +70,7 @@ fn main() -> hique::types::Result<()> {
     let team_plan = plan_query(&bound, &catalog, &PlannerConfig::default())?;
     assert!(team_plan.join_team.is_some());
     let generated = hique::holistic::generate(&team_plan)?;
+    #[expect(clippy::disallowed_methods, reason = "the example times each plan")]
     let t = Instant::now();
     let team = generated.execute_with(
         &catalog,
@@ -87,6 +90,7 @@ fn main() -> hique::types::Result<()> {
     )?;
     assert!(cascade_plan.join_team.is_none());
     let generated = hique::holistic::generate(&cascade_plan)?;
+    #[expect(clippy::disallowed_methods, reason = "the example times each plan")]
     let t = Instant::now();
     let cascade = generated.execute_with(
         &catalog,

@@ -5,6 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "demos may panic")]
+
 use hique::holistic;
 use hique::plan::{plan_sql, PlannerConfig};
 use hique::storage::Catalog;

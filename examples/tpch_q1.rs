@@ -6,6 +6,8 @@
 //! cargo run --release --example tpch_q1 -- 0.1     # scale factor as the argument
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "demos may panic")]
+
 use std::time::Instant;
 
 use hique::dsm::DsmDatabase;
@@ -30,6 +32,7 @@ fn main() -> hique::types::Result<()> {
     let plan = plan_sql(tpch::Q1_SQL, &catalog, &PlannerConfig::default())?;
 
     // Iterator engine (PostgreSQL-class baseline).
+    #[expect(clippy::disallowed_methods, reason = "the example times each engine")]
     let t = Instant::now();
     let iter_result =
         hique::iter::execute_plan(&plan, &catalog, ExecMode::Generic, &Default::default())?;
@@ -40,6 +43,7 @@ fn main() -> hique::types::Result<()> {
 
     // DSM column engine (MonetDB-class baseline).
     let db = DsmDatabase::from_catalog(&catalog).unwrap();
+    #[expect(clippy::disallowed_methods, reason = "the example times each engine")]
     let t = Instant::now();
     let dsm_result = hique::dsm::execute_plan(&plan, &db, &Default::default())?;
     println!(
@@ -49,6 +53,7 @@ fn main() -> hique::types::Result<()> {
 
     // HIQUE holistic generated code.
     let generated = hique::holistic::generate(&plan)?;
+    #[expect(clippy::disallowed_methods, reason = "the example times each engine")]
     let t = Instant::now();
     let hique_result = generated.execute(&catalog)?;
     println!(

@@ -20,8 +20,6 @@
 //!   line protocol.
 //! * [`tpch`] — TPC-H-shaped data generation and the benchmark queries.
 
-#![forbid(unsafe_code)]
-
 pub use hique_dsm as dsm;
 pub use hique_holistic as holistic;
 pub use hique_iter as iter;

@@ -2,6 +2,8 @@
 //! produce identical results for the same physical plan, across join
 //! algorithms, aggregation algorithms and randomized data.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique::dsm::DsmDatabase;
 use hique::iter::ExecMode;
 use hique::plan::{plan_query, AggAlgorithm, CatalogProvider, JoinAlgorithm, PlannerConfig};

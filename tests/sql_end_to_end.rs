@@ -1,6 +1,8 @@
 //! End-to-end SQL behaviour through the full pipeline
 //! (parse → analyze → optimize → generate → execute).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
 use hique::storage::Catalog;
 use hique::types::{Column, DataType, HiqueError, QueryResult, Result, Row, Schema, Value};

@@ -2,6 +2,8 @@
 //! engines, and Q1's aggregates match a reference computed directly from the
 //! raw lineitem data.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
+
 use hique::dsm::DsmDatabase;
 use hique::iter::ExecMode;
 use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
