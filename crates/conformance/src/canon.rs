@@ -113,17 +113,13 @@ impl fmt::Display for Mismatch {
 
 fn values_match(a: &Value, b: &Value) -> bool {
     match (a, b) {
-        // A date is a date on every engine: `8041.0` for `1992-01-07` is a
-        // typing bug, not float error (typed MIN/MAX hid behind this once).
-        (Value::Date(_), Value::Float64(_)) | (Value::Float64(_), Value::Date(_)) => false,
-        // Any other numeric pair compares through f64 with relative
-        // tolerance, so Int32/Int64 width differences and float accumulation
-        // error are both absorbed here.
-        (Value::Float64(_), _) | (_, Value::Float64(_)) => match (a.as_f64(), b.as_f64()) {
-            (Ok(fa), Ok(fb)) => (fa - fb).abs() <= FLOAT_RELATIVE_EPS * (1.0 + fa.abs()),
-            _ => false,
-        },
-        _ => a == b,
+        // Float accumulation order is the one difference engines may have.
+        (Value::Float64(fa), Value::Float64(fb)) => {
+            (fa - fb).abs() <= FLOAT_RELATIVE_EPS * (1.0 + fa.abs())
+        }
+        // Everything else is the same type and the same value: an integer
+        // of another width, or a date as its day number, is a typing bug.
+        _ => a.data_type() == b.data_type() && a == b,
     }
 }
 
@@ -211,9 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn int_widths_compare_numerically() {
-        assert!(values_match(&Value::Int32(5), &Value::Int64(5)));
-        assert!(!values_match(&Value::Int32(5), &Value::Int64(6)));
+    fn int_widths_are_a_mismatch() {
+        assert!(values_match(&Value::Int64(5), &Value::Int64(5)));
+        assert!(!values_match(&Value::Int32(5), &Value::Int64(5)));
+        assert!(!values_match(&Value::Int64(5), &Value::Int32(5)));
+        assert!(!values_match(&Value::Int64(5), &Value::Float64(5.0)));
         assert!(!values_match(&Value::Str("5".into()), &Value::Int64(5)));
     }
 

@@ -249,6 +249,118 @@ fn int64_values_beyond_2_pow_53_agree_across_all_engines() {
     }
 }
 
+/// One row per `(k, b, d, tag)`: an `Int32`, an `Int64`, a date and a
+/// `CHAR(4)` column, analyzed, with its DSM decomposition.
+fn typed_table(rows: &[(i32, i64, i32, &str)]) -> (Catalog, DsmDatabase) {
+    let mut catalog = Catalog::new();
+    catalog
+        .create_table(
+            "t",
+            Schema::new(vec![
+                Column::new("k", DataType::Int32),
+                Column::new("b", DataType::Int64),
+                Column::new("d", DataType::Date),
+                Column::new("tag", DataType::Char(4)),
+            ]),
+        )
+        .unwrap();
+    for &(k, b, d, tag) in rows {
+        let row = Row::new(vec![
+            Value::Int32(k),
+            Value::Int64(b),
+            Value::Date(d),
+            Value::Str(tag.to_string()),
+        ]);
+        catalog
+            .table_mut("t")
+            .unwrap()
+            .heap
+            .append_row(&row)
+            .unwrap();
+    }
+    catalog.analyze_table("t").unwrap();
+    let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
+    (catalog, dsm)
+}
+
+/// Arithmetic over an `Int32`, an `Int64` and a date column leaves as the
+/// plan's output types — `Int32`, `Int64` and `Date` — on every engine,
+/// under every forced algorithm at threads 1 and 4, with and without a
+/// filter and an ORDER BY.  An engine that handed out the `f64` it
+/// computed in would return `Float64` values here.
+#[test]
+fn integer_and_date_expressions_keep_their_type_on_all_engines() {
+    let (catalog, dsm) = typed_table(&[
+        (0, 1 << 40, 8041, "a"),
+        (7, -3, 9000, "b"),
+        (-2, 5, 10_000, "c"),
+    ]);
+    let statements = [
+        "select k + 1 as a, b + 1 as c, d + 1 as e from t",
+        "select k * 2 as a, b - 7 as c, d - 30 as e from t where k < 5 order by a",
+        "select tag, k - 1 as a, b * 3 as c, d + 365 as e from t order by tag",
+    ];
+    for sql in statements {
+        for config in forced_configs() {
+            for threads in [1, 4] {
+                let plan = plan_sql(sql, &catalog, &config.clone().with_threads(threads)).unwrap();
+                let types: Vec<DataType> = plan
+                    .output_schema
+                    .columns()
+                    .iter()
+                    .map(|c| c.dtype)
+                    .collect();
+                assert_eq!(
+                    &types[types.len() - 3..],
+                    [DataType::Int32, DataType::Int64, DataType::Date],
+                    "{sql}"
+                );
+                let expected =
+                    canonicalize(&run_engine(Engine::IterGeneric, &plan, &catalog, &dsm).unwrap());
+                for engine in Engine::ALL {
+                    let result = run_engine(engine, &plan, &catalog, &dsm)
+                        .unwrap_or_else(|e| panic!("{} failed on {sql}: {e}", engine.name()));
+                    assert!(!result.rows.is_empty(), "{sql}");
+                    for row in &result.rows {
+                        let got: Vec<DataType> =
+                            row.values().iter().map(Value::data_type).collect();
+                        assert_eq!(
+                            got[got.len() - 3..],
+                            types[types.len() - 3..],
+                            "{} on {sql}: {row:?}",
+                            engine.name()
+                        );
+                    }
+                    if let Err(m) = compare(&canonicalize(&result), &expected) {
+                        panic!(
+                            "{} vs iter-generic on {sql} ({config:?}, threads {threads}): {m}",
+                            engine.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A string literal outside ASCII matches the row that holds it, on every
+/// engine: the lexer keeps the literal's UTF-8 as written.
+#[test]
+fn a_non_ascii_literal_matches_its_row_on_all_engines() {
+    let (catalog, dsm) = typed_table(&[(1, 1, 1, "é"), (2, 2, 2, "e"), (3, 3, 3, "Ã©")]);
+    let plan = plan_sql(
+        "select k from t where tag = 'é'",
+        &catalog,
+        &PlannerConfig::default(),
+    )
+    .unwrap();
+    for engine in Engine::ALL {
+        let result = run_engine(engine, &plan, &catalog, &dsm).unwrap();
+        let keys: Vec<&Value> = result.rows.iter().map(|r| r.get(0)).collect();
+        assert_eq!(keys, [&Value::Int32(1)], "{}", engine.name());
+    }
+}
+
 /// Register programs wider and deeper than a one-byte register file:
 /// right-nested output expressions of 255, 256 and 300 levels with and
 /// without a filter, a left-nested 300-term sum, and 100 aggregates over

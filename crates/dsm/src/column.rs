@@ -70,7 +70,8 @@ impl ColumnData {
         }
     }
 
-    /// Boxed value at position `i` (result construction only).
+    /// Boxed value at position `i`, typed as `dtype` (result construction
+    /// only).
     pub fn value_at(&self, i: usize, dtype: DataType) -> Value {
         match self {
             ColumnData::I32(v) => {
@@ -81,7 +82,8 @@ impl ColumnData {
                 }
             }
             ColumnData::I64(v) => Value::Int64(v[i]),
-            ColumnData::F64(v) => Value::Float64(v[i]),
+            // Expressions compute in f64; the plan's type says what leaves.
+            ColumnData::F64(v) => Value::from_f64(v[i], dtype),
             ColumnData::Str(v) => Value::Str(v[i].clone()),
         }
     }

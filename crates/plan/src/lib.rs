@@ -41,4 +41,4 @@ pub use physical::{
     StagingStrategy,
 };
 pub use provider::CatalogProvider;
-pub use shape::{shape_class, shape_class_and_consts, shape_key};
+pub use shape::shape_class_and_consts;

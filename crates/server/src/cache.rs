@@ -1,7 +1,7 @@
 //! The class-keyed prepared-plan cache.
 //!
 //! Maps a query's *shape class* ([`hique_plan::shape_class_and_consts`] —
-//! the normalized text with literals masked) to the fully prepared
+//! the lexer's tokens with literals masked) to the fully prepared
 //! artifact: the optimized plan, the instantiated kernel program
 //! ([`GeneratedQuery`]) and the query-time-compiled bytecode
 //! ([`hique_vm::VmProgram`]).  Each entry also records the constant
@@ -31,12 +31,11 @@ use parking_lot::Mutex;
 /// preparation cost, paid once per shape and amortized by every reuse.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    /// Literal-masked template ([`hique_plan::shape_class`]) — the cache
-    /// key.
+    /// Literal-masked token stream — the cache key.
     pub class: String,
-    /// The literal texts masked out of `class`, in left-to-right order;
-    /// `(class, consts)` is a lossless split of the normalized query text
-    /// ([`hique_plan::shape_key`]).
+    /// The literals masked out of `class`, in left-to-right order;
+    /// `(class, consts)` is a lossless split of the query's tokens
+    /// ([`hique_plan::shape_class_and_consts`]).
     pub consts: Vec<String>,
     /// The generated kernel program (carries the physical plan).
     pub generated: GeneratedQuery,

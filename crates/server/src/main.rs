@@ -13,8 +13,9 @@
 //!
 //! `--smoke` is the CI entry point: it binds an ephemeral port, runs a
 //! battery of real-TCP queries (including repeated shapes, engine
-//! switches, a wide string key, a 100-aggregate statement and a 300-level
-//! output expression each answered identically by three engines, and a
+//! switches, a wide string key, a 100-aggregate statement, a 300-level
+//! output expression and integer and date arithmetic outputs each answered
+//! identically by four engines, and a
 //! deliberate error), verifies the responses and the plan
 //! cache counters, shuts the server down cleanly, and exits nonzero on
 //! any failure.
@@ -222,10 +223,11 @@ fn run_smoke() -> Result<(), String> {
         if stats.hits < 6 {
             return Err(format!("expected >= 6 cache hits, got {}", stats.hits));
         }
-        // Statements the three engines must answer identically: a string
+        // Statements the four engines must answer identically: a string
         // key wider than its eight-byte image, whose five values share those
         // eight bytes (`Manufacturer#1` … `#5`); an aggregate whose register
-        // program has 201 nodes; an output expression 300 levels deep.
+        // program has 201 nodes; an output expression 300 levels deep; and
+        // arithmetic that must leave as an integer and a date.
         let sums: Vec<String> = (1..=100)
             .map(|i| format!("sum(o_totalprice + {i}) as a{i}"))
             .collect();
@@ -256,10 +258,17 @@ fn run_smoke() -> Result<(), String> {
                 ),
                 None,
             ),
+            (
+                "typed expressions",
+                "select o_orderkey + 1 as k, o_orderdate + 1 as d from orders \
+                 where o_orderkey < 100 order by k"
+                    .to_string(),
+                None,
+            ),
         ];
         for (name, sql, expected_rows) in &statements {
             let mut replies = Vec::new();
-            for engine in ["holistic", "vm", "iter-generic"] {
+            for engine in ["holistic", "vm", "iter-generic", "dsm"] {
                 let resp = client
                     .request(&format!(".engine {engine}"))
                     .map_err(|e| e.to_string())?;
@@ -278,7 +287,7 @@ fn run_smoke() -> Result<(), String> {
             if replies.iter().any(|reply| *reply != replies[0]) {
                 return Err(format!("{name}: replies differ across engines"));
             }
-            eprintln!("smoke: {name}: identical on holistic, vm and iter-generic");
+            eprintln!("smoke: {name}: identical on holistic, vm, iter-generic and dsm");
         }
         // A bad query must produce a typed error and leave the connection
         // usable.

@@ -376,6 +376,42 @@ mod tests {
         assert_eq!(server.queries_served(), 2);
     }
 
+    /// An apostrophe in a `--` comment is comment text, so two statements
+    /// that differ only in a later literal's case are two cache keys: the
+    /// second statement gets its own rows, not the first one's.
+    #[test]
+    fn a_commented_apostrophe_does_not_merge_two_literals() {
+        let mut cat = Catalog::new();
+        cat.create_table(
+            "r",
+            Schema::new(vec![
+                Column::new("k", DataType::Int32),
+                Column::new("tag", DataType::Char(4)),
+            ]),
+        )
+        .unwrap();
+        for (k, tag) in [(1, "ABC"), (2, "abc"), (3, "abc")] {
+            cat.table_mut("r")
+                .unwrap()
+                .heap
+                .append_row(&Row::new(vec![Value::Int32(k), Value::Str(tag.into())]))
+                .unwrap();
+        }
+        cat.analyze_table("r").unwrap();
+        let server = Server::new(cat, ServerConfig::default()).unwrap();
+        let mut s = server.session();
+        let upper = s
+            .execute("select k from r -- don't\nwhere tag = 'ABC' order by k")
+            .unwrap();
+        let lower = s
+            .execute("select k from r -- don't\nwhere tag = 'abc' order by k")
+            .unwrap();
+        assert_eq!(upper.rows.len(), 1);
+        let keys: Vec<&Value> = lower.rows.iter().map(|r| r.get(0)).collect();
+        assert_eq!(keys, [&Value::Int32(2), &Value::Int32(3)]);
+        assert_eq!(server.cache_stats().template_hits, 1);
+    }
+
     #[test]
     fn all_engines_agree_through_sessions() {
         let server = Server::new(catalog(500), ServerConfig::default()).unwrap();

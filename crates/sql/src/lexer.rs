@@ -97,23 +97,27 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             '\'' => {
+                // Copied as slices of `input` between quotes, so the text
+                // stays UTF-8 exactly as written.
                 let mut s = String::new();
                 i += 1;
+                let mut start = i;
                 loop {
                     if i >= bytes.len() {
                         return Err(HiqueError::Parse("unterminated string literal".into()));
                     }
                     if bytes[i] == b'\'' {
-                        // `''` is an escaped quote.
+                        // `''` is an escaped quote: keep one of the two.
                         if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
+                            s.push_str(&input[start..=i]);
                             i += 2;
+                            start = i;
                             continue;
                         }
+                        s.push_str(&input[start..i]);
                         i += 1;
                         break;
                     }
-                    s.push(bytes[i] as char);
                     i += 1;
                 }
                 tokens.push(Token::StringLit(s));
@@ -162,7 +166,8 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     None => tokens.push(Token::Ident(text.to_ascii_lowercase())),
                 }
             }
-            other => {
+            _ => {
+                let other = input[i..].chars().next().unwrap_or(c);
                 return Err(HiqueError::Parse(format!("unexpected character '{other}'")));
             }
         }
@@ -207,6 +212,14 @@ mod tests {
         assert!(t.contains(&Token::GtEq));
         assert!(t.contains(&Token::Minus));
         assert!(t.contains(&Token::Ident("or_z".into())));
+    }
+
+    #[test]
+    fn string_literals_keep_their_utf8() {
+        let t = tokenize("select 'é', 'naïve ''café''' from t").unwrap();
+        assert_eq!(t[1], Token::StringLit("é".into()));
+        assert_eq!(t[3], Token::StringLit("naïve 'café'".into()));
+        assert_eq!(parse_error("select é"), "unexpected character 'é'");
     }
 
     #[test]

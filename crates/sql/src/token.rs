@@ -31,31 +31,34 @@ pub enum Keyword {
 impl Keyword {
     /// Parse an identifier into a keyword, if it is one.
     pub fn from_ident(s: &str) -> Option<Keyword> {
-        let up = s.to_ascii_uppercase();
-        Some(match up.as_str() {
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "GROUP" => Keyword::Group,
-            "ORDER" => Keyword::Order,
-            "BY" => Keyword::By,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "AND" => Keyword::And,
-            "AS" => Keyword::As,
-            "SUM" => Keyword::Sum,
-            "AVG" => Keyword::Avg,
-            "MIN" => Keyword::Min,
-            "MAX" => Keyword::Max,
-            "COUNT" => Keyword::Count,
-            "LIMIT" => Keyword::Limit,
-            "DATE" => Keyword::Date,
-            "INTERVAL" => Keyword::Interval,
-            "DAY" => Keyword::Day,
-            "MONTH" => Keyword::Month,
-            "YEAR" => Keyword::Year,
-            _ => return None,
-        })
+        const KEYWORDS: [(&str, Keyword); 21] = [
+            ("SELECT", Keyword::Select),
+            ("FROM", Keyword::From),
+            ("WHERE", Keyword::Where),
+            ("GROUP", Keyword::Group),
+            ("ORDER", Keyword::Order),
+            ("BY", Keyword::By),
+            ("ASC", Keyword::Asc),
+            ("DESC", Keyword::Desc),
+            ("AND", Keyword::And),
+            ("AS", Keyword::As),
+            ("SUM", Keyword::Sum),
+            ("AVG", Keyword::Avg),
+            ("MIN", Keyword::Min),
+            ("MAX", Keyword::Max),
+            ("COUNT", Keyword::Count),
+            ("LIMIT", Keyword::Limit),
+            ("DATE", Keyword::Date),
+            ("INTERVAL", Keyword::Interval),
+            ("DAY", Keyword::Day),
+            ("MONTH", Keyword::Month),
+            ("YEAR", Keyword::Year),
+        ];
+        // No allocation: every word of every statement comes through here.
+        KEYWORDS
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|&(_, k)| k)
     }
 }
 

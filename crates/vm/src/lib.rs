@@ -16,10 +16,12 @@
 //! crate makes explicit: a [`CompileMode::Specialized`] program folds the
 //! query's predicate constants into the instructions as immediates, while
 //! a [`CompileMode::Pooled`] program keeps them in a [`ConstPool`] so the
-//! compiled code is a template for its entire `shape_class` — the server's
-//! plan cache stores both, serving repeat queries the specialized program
-//! and literal-varying classmates a cheap [`VmProgram::bind`] (pool
-//! swapped, verified, constants folded) instead of a full prepare.
+//! compiled code is a template for its entire shape class (the query's
+//! tokens with every literal masked, [`hique_plan::shape_class_and_consts`]).
+//! The server's plan cache stores both, serving repeat queries the
+//! specialized program and literal-varying classmates a cheap
+//! [`VmProgram::bind`] (pool swapped, verified, constants folded) instead
+//! of a full prepare.
 //!
 //! Bytecode is a front end, not a second executor (DESIGN.md §15): once
 //! per execution the fragments and the constant pool decode into the

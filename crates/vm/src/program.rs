@@ -10,7 +10,8 @@
 //! accepts lowers.  The walk is canonical: the same plan shape always
 //! produces the same instruction sequence and the same constant-pool
 //! extraction order, which is what makes a [`CompileMode::Pooled`] program
-//! a rebindable template for its whole `shape_class`.
+//! a rebindable template for its whole shape class
+//! ([`hique_plan::shape_class_and_consts`]).
 //!
 //! Rebinding ([`VmProgram::bind`]) swaps in a class-mate's constants and
 //! verifies the result like any program: it is accepted iff it decodes to
