@@ -361,6 +361,81 @@ fn a_non_ascii_literal_matches_its_row_on_all_engines() {
     }
 }
 
+/// A string literal compared with a `CHAR(4)` column follows SQL's pad
+/// rule on every engine: trailing spaces do not count, and a literal longer
+/// than the column orders above every field it extends.  Each answer is
+/// stated, and checked on all five engines and through a server session,
+/// whose `vm` rebinds one statement's bytecode for the next literal.
+#[test]
+fn char_literals_follow_the_pad_rule_on_all_engines() {
+    let (catalog, dsm) = typed_table(&[(1, 1, 1, "ABCD"), (2, 2, 2, "AB"), (3, 3, 3, "ABCE")]);
+    let statements: [(&str, &[i32]); 5] = [
+        ("select k from t where tag = 'ABCDE' order by k", &[]),
+        ("select k from t where tag < 'ABCDE' order by k", &[1, 2]),
+        ("select k from t where tag > 'ABCD' order by k", &[3]),
+        (
+            "select k from t where tag <> 'ABCDE' order by k",
+            &[1, 2, 3],
+        ),
+        ("select k from t where tag = 'AB  ' order by k", &[2]),
+    ];
+    let keys = |rows: &[Row]| -> Vec<i32> {
+        rows.iter()
+            .map(|r| match r.get(0) {
+                Value::Int32(k) => *k,
+                other => panic!("key {other:?}"),
+            })
+            .collect()
+    };
+    for (sql, expected) in statements {
+        let plan = plan_sql(sql, &catalog, &PlannerConfig::default()).unwrap();
+        for engine in Engine::ALL {
+            let result = run_engine(engine, &plan, &catalog, &dsm).unwrap();
+            assert_eq!(keys(&result.rows), expected, "{} on {sql}", engine.name());
+        }
+    }
+    let server = Server::new(catalog, ServerConfig::default()).unwrap();
+    for engine in [Engine::Vm, Engine::Holistic] {
+        let mut session = server.session();
+        for (sql, expected) in statements {
+            let result = session.execute_on(sql, engine).unwrap();
+            assert_eq!(
+                keys(&result.rows),
+                expected,
+                "session {} on {sql}",
+                engine.name()
+            );
+        }
+    }
+}
+
+/// A number in exponent form is a `Float64` on every engine: `1e3` is
+/// 1000, not the integer 1 under the alias `e3`.
+#[test]
+fn exponent_literals_are_floats_on_all_engines() {
+    let (catalog, dsm) = typed_table(&[(1, 1, 1, "a"), (2, 2, 2, "b")]);
+    let plan = plan_sql(
+        "select k, 1e3 as x, 1.5e2 + k as y from t order by k",
+        &catalog,
+        &PlannerConfig::default(),
+    )
+    .unwrap();
+    for engine in Engine::ALL {
+        let result = run_engine(engine, &plan, &catalog, &dsm).unwrap();
+        let cells: Vec<(&Value, &Value)> =
+            result.rows.iter().map(|r| (r.get(1), r.get(2))).collect();
+        assert_eq!(
+            cells,
+            [
+                (&Value::Float64(1000.0), &Value::Float64(151.0)),
+                (&Value::Float64(1000.0), &Value::Float64(152.0)),
+            ],
+            "{}",
+            engine.name()
+        );
+    }
+}
+
 /// Register programs wider and deeper than a one-byte register file:
 /// right-nested output expressions of 255, 256 and 300 levels with and
 /// without a filter, a left-nested 300-term sum, and 100 aggregates over

@@ -168,7 +168,8 @@ pub struct CompiledFilter {
 enum FilterTest {
     /// `lo <= image <= hi`, inverted when `negate`.
     Interval { lo: u64, hi: u64, negate: bool },
-    /// Slice comparison with `value` (already padded to the column width).
+    /// Slice comparison with `value` (padded to the column width, or
+    /// longer than it).
     Bytes { op: CmpOp, value: Vec<u8> },
 }
 
@@ -205,7 +206,9 @@ impl CompiledFilter {
                     HiqueError::Codegen("string filter on non-string constant".into())
                 })?;
                 let mut bytes = s.as_bytes().to_vec();
-                bytes.resize(key.width, b' ');
+                if bytes.len() < key.width {
+                    bytes.resize(key.width, b' ');
+                }
                 Self::on_bytes(key, filter.op, bytes)
             }
         })
@@ -228,10 +231,13 @@ impl CompiledFilter {
         }
     }
 
-    /// `key <op> value` for a string key; `value` is `key.width` bytes.
+    /// `key <op> value` for a string key; `value` is at least `key.width`
+    /// bytes.  A longer constant compares on the field's width first, and a
+    /// field equal to its prefix orders below it: `=` then matches nothing
+    /// and `<>` everything.
     pub fn on_bytes(key: CompiledKey, op: CmpOp, value: Vec<u8>) -> Self {
-        debug_assert_eq!(value.len(), key.width);
-        let test = if key.image_is_exact() {
+        debug_assert!(value.len() >= key.width);
+        let test = if key.image_is_exact() && value.len() == key.width {
             FilterTest::interval(op, image_bytes(&value))
         } else {
             FilterTest::Bytes { op, value }
@@ -605,6 +611,15 @@ mod tests {
         assert!(f(2, CmpOp::Eq, Value::Str("abc".into())).matches(&rec));
         assert!(!f(2, CmpOp::Eq, Value::Str("abd".into())).matches(&rec));
         assert!(f(2, CmpOp::Lt, Value::Str("abd".into())).matches(&rec));
+        // A constant wider than the CHAR(6) field: a field equal to its
+        // first six bytes orders below it.
+        let full = record(5, 2.5, "abcdef", 100, 1 << 40);
+        let long = || Value::Str("abcdefg".into());
+        assert!(!f(2, CmpOp::Eq, long()).matches(&full));
+        assert!(f(2, CmpOp::NotEq, long()).matches(&full));
+        assert!(f(2, CmpOp::Lt, long()).matches(&full));
+        assert!(!f(2, CmpOp::GtEq, long()).matches(&full));
+        assert!(f(2, CmpOp::Gt, Value::Str("abcdee~".into())).matches(&full));
         assert!(f(3, CmpOp::GtEq, Value::Date(100)).matches(&rec));
         assert!(f(4, CmpOp::Gt, Value::Int64(0)).matches(&rec));
         // String filter against a non-string constant is a codegen error.
@@ -679,6 +694,7 @@ mod tests {
                 (0, Value::Int32(0)),
                 (1, Value::Float64(-0.0)),
                 (2, Value::Str("b".into())),
+                (2, Value::Str("b      ".into())),
                 (3, Value::Date(i32::MAX)),
                 (4, Value::Int64(i64::MIN)),
             ] {

@@ -717,7 +717,9 @@ mod tests {
                 DataType::Float64 => read_f64_at(rec, off).total_cmp(&f.value.as_f64().unwrap()),
                 DataType::Char(w) => {
                     let mut needle = f.value.as_str().unwrap().as_bytes().to_vec();
-                    needle.resize(w as usize, b' ');
+                    if needle.len() < w as usize {
+                        needle.resize(w as usize, b' ');
+                    }
                     rec[off..off + w as usize].cmp(&needle)
                 }
             };

@@ -9,7 +9,8 @@
 //! this crate's job:
 //!
 //! * [`Server`] owns the catalog, its paged storage runtime, the DSM
-//!   decomposition, and a [`PlanCache`] of prepared plans + instantiated
+//!   decomposition (built by the first dsm statement, not at start-up),
+//!   and a [`PlanCache`] of prepared plans + instantiated
 //!   kernel programs keyed on the query's shape class and constants
 //!   ([`hique_plan::shape_class_and_consts`]);
 //! * [`Session`] is one client's handle: it prepares through the shared

@@ -48,7 +48,11 @@ impl Default for ServerConfig {
 
 pub(crate) struct Shared {
     pub(crate) catalog: Catalog,
-    pub(crate) dsm: DsmDatabase,
+    /// The dsm engine's column copy of the catalog: empty until the first
+    /// dsm statement decomposes it ([`Shared::dsm`]).
+    dsm: Mutex<Option<Arc<DsmDatabase>>>,
+    /// Decompositions started, successful or not.
+    dsm_decompositions: AtomicU64,
     pub(crate) cache: PlanCache,
     pub(crate) planner: PlannerConfig,
     pub(crate) config: ServerConfig,
@@ -60,6 +64,23 @@ pub(crate) struct Shared {
     /// fires every one of them, which is how drain-on-shutdown stops
     /// in-flight work without tearing connections down mid-response.
     inflight: Mutex<HashMap<u64, CancelToken>>,
+}
+
+impl Shared {
+    /// The column copy the dsm engine runs on, decomposed by the first
+    /// caller.  Concurrent first callers wait for that one decomposition;
+    /// a failed one leaves the cell empty, so the next caller retries it.
+    /// A server that never runs dsm never holds a column.
+    fn dsm(&self) -> Result<Arc<DsmDatabase>> {
+        let mut cell = self.dsm.lock();
+        if let Some(dsm) = cell.as_ref() {
+            return Ok(Arc::clone(dsm));
+        }
+        self.dsm_decompositions.fetch_add(1, Ordering::Relaxed);
+        let dsm = Arc::new(DsmDatabase::from_catalog(&self.catalog)?);
+        *cell = Some(Arc::clone(&dsm));
+        Ok(dsm)
+    }
 }
 
 /// RAII registration of one executing query's token in the server's
@@ -87,7 +108,8 @@ pub struct Server {
 impl Server {
     /// Build a server over `catalog`.  When the catalog runs in paged mode
     /// the spill admission cap is set to `config.max_sessions` and the
-    /// default session budget is the pool capacity.
+    /// default session budget is the pool capacity.  Nothing is decomposed
+    /// here: the dsm engine's columns are built by the first dsm statement.
     pub fn new(catalog: Catalog, config: ServerConfig) -> Result<Server> {
         let budget = if config.memory_budget_pages != 0 {
             config.memory_budget_pages
@@ -97,14 +119,14 @@ impl Server {
         if let Some(runtime) = catalog.storage() {
             runtime.temp().set_max_claims(config.max_sessions.max(1));
         }
-        let dsm = DsmDatabase::from_catalog(&catalog)?;
         let planner = PlannerConfig::default()
             .with_threads(config.threads.max(1))
             .with_memory_budget_pages(budget);
         Ok(Server {
             shared: Arc::new(Shared {
                 catalog,
-                dsm,
+                dsm: Mutex::new(None),
+                dsm_decompositions: AtomicU64::new(0),
                 cache: PlanCache::new(config.plan_cache_capacity),
                 planner,
                 config,
@@ -271,13 +293,13 @@ impl Session {
             // The two kernel engines run their cached programs; the rest
             // have nothing to cache beyond the plan.
             Engine::Holistic => prepared.generated.execute_with(catalog, &options),
-            Engine::IterGeneric | Engine::IterOptimized | Engine::Dsm => run_plan(
-                engine,
-                prepared.plan(),
-                catalog,
-                Some(&self.shared.dsm),
-                &options,
-            ),
+            Engine::IterGeneric | Engine::IterOptimized => {
+                run_plan(engine, prepared.plan(), catalog, None, &options)
+            }
+            Engine::Dsm => self
+                .shared
+                .dsm()
+                .and_then(|dsm| run_plan(engine, prepared.plan(), catalog, Some(&dsm), &options)),
             Engine::Vm => prepared.vm.execute(&prepared.generated, catalog, &options),
         };
         match result {
@@ -410,6 +432,101 @@ mod tests {
         let keys: Vec<&Value> = lower.rows.iter().map(|r| r.get(0)).collect();
         assert_eq!(keys, [&Value::Int32(2), &Value::Int32(3)]);
         assert_eq!(server.cache_stats().template_hits, 1);
+    }
+
+    fn decompositions(server: &Server) -> u64 {
+        server.shared.dsm_decompositions.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn no_table_is_decomposed_before_the_first_dsm_statement() {
+        let server = Server::new(catalog(300), ServerConfig::default()).unwrap();
+        let sql = "select k, sum(v) as sv from r group by k order by k";
+        let mut s = server.session();
+        for engine in [
+            Engine::Holistic,
+            Engine::Vm,
+            Engine::IterGeneric,
+            Engine::IterOptimized,
+        ] {
+            s.execute_on(sql, engine).unwrap();
+        }
+        assert!(server.shared.dsm.lock().is_none());
+        assert_eq!(decompositions(&server), 0);
+        let first = s.execute_on(sql, Engine::Dsm).unwrap();
+        assert!(server.shared.dsm.lock().is_some());
+        let again = s.execute_on(sql, Engine::Dsm).unwrap();
+        assert_eq!(first.rows, again.rows);
+        assert_eq!(decompositions(&server), 1);
+    }
+
+    #[test]
+    fn concurrent_first_dsm_statements_decompose_once() {
+        let server = Server::new(catalog(20_000), ServerConfig::default()).unwrap();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (server, start) = (server.clone(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let mut s = server.session();
+                    s.set_engine(Engine::Dsm);
+                    start.wait();
+                    s.execute("select k, count(*) as n from r group by k order by k")
+                        .unwrap()
+                        .rows
+                })
+            })
+            .collect();
+        let rows: Vec<_> = runs.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(rows[0].len(), 10);
+        assert_eq!(rows[0], rows[1]);
+        assert_eq!(decompositions(&server), 1);
+    }
+
+    /// A decomposition that fails on a storage fault answers its statement
+    /// with a typed `ERR` and leaves the cell empty: the next dsm statement
+    /// decomposes again and answers.
+    #[test]
+    fn a_failed_decomposition_is_a_typed_error_and_the_next_dsm_statement_retries() {
+        use crate::wire::{serve, WireClient};
+        use hique_storage::FaultPlan;
+        use std::sync::atomic::AtomicBool;
+
+        let mut cat = catalog(2_000);
+        cat.spill_to_disk(2).unwrap();
+        let server = Server::new(cat, ServerConfig::default()).unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let serving = {
+            let (server, stop) = (server.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || serve(server, listener, stop))
+        };
+        let runtime = server.catalog().storage().unwrap();
+        runtime.install_fault_plan(Some(Arc::new(FaultPlan::new().fail_nth_read(1))));
+
+        let sql = "select k, count(*) as n from r group by k order by k";
+        let mut client = WireClient::connect(addr).unwrap();
+        assert!(client.request(".engine dsm").unwrap().is_ok());
+        let err = client.request(sql).unwrap();
+        assert!(
+            err.status.starts_with("ERR storage: injected fault"),
+            "{}",
+            err.status
+        );
+        assert!(server.shared.dsm.lock().is_none());
+
+        runtime.install_fault_plan(None);
+        let dsm = client.query(sql).unwrap();
+        assert!(client.request(".engine holistic").unwrap().is_ok());
+        let holistic = client.query(sql).unwrap();
+        assert_eq!(dsm.rows().len(), 10);
+        assert_eq!(dsm.rows(), holistic.rows());
+        assert_eq!(decompositions(&server), 2);
+
+        assert!(client.request(".quit").unwrap().is_ok());
+        stop.store(true, Ordering::Relaxed);
+        serving.join().unwrap().unwrap();
     }
 
     #[test]

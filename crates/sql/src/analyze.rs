@@ -595,10 +595,13 @@ fn flip(op: CmpOp) -> CmpOp {
 }
 
 fn coerce_literal(v: &Value, target: DataType) -> Result<Value> {
-    // Strings compared against date columns are parsed as dates; numbers
-    // are widened/narrowed; everything else must match.
+    // Strings compared against date columns are parsed as dates; against a
+    // CHAR column they lose their trailing spaces, SQL's pad rule, since a
+    // stored field is read back trimmed; numbers are widened/narrowed;
+    // everything else must match.
     match (v, target) {
         (Value::Str(s), DataType::Date) => Ok(Value::Date(hique_types::value::parse_date(s)?)),
+        (Value::Str(s), DataType::Char(_)) => Ok(Value::Str(s.trim_end_matches(' ').into())),
         _ => v.coerce_to(target),
     }
 }

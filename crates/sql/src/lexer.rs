@@ -140,6 +140,32 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     }
                     i += 1;
                 }
+                // An exponent, `e` or `E` with an optional sign and at least
+                // one digit, makes the number a float.
+                if matches!(bytes.get(i), Some(b'e' | b'E')) {
+                    let sign = usize::from(matches!(bytes.get(i + 1), Some(b'+' | b'-')));
+                    if bytes.get(i + 1 + sign).is_some_and(u8::is_ascii_digit) {
+                        is_float = true;
+                        i += 1 + sign;
+                        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+                            i += 1;
+                        }
+                    }
+                }
+                // A number runs into no identifier: `1e` and `2x` are not
+                // a number and an alias.
+                if bytes
+                    .get(i)
+                    .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
+                {
+                    let end = input[i..]
+                        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .map_or(input.len(), |n| i + n);
+                    return Err(HiqueError::Parse(format!(
+                        "invalid number '{}'",
+                        &input[start..end]
+                    )));
+                }
                 let text = &input[start..i];
                 if is_float {
                     let v: f64 = text
@@ -255,6 +281,34 @@ mod tests {
         assert_eq!(t[0], Token::Float(1.5));
         let t = tokenize("123").unwrap();
         assert_eq!(t[0], Token::Integer(123));
+    }
+
+    #[test]
+    fn exponents_lex_as_floats() {
+        for (text, v) in [
+            ("1.5e2", 150.0),
+            ("1e3", 1000.0),
+            ("2E-2", 0.02),
+            ("7e+1", 70.0),
+        ] {
+            assert_eq!(tokenize(text).unwrap(), [Token::Float(v), Token::Eof]);
+        }
+        let t = tokenize("select 1e3 as x from t").unwrap();
+        assert_eq!(t[1], Token::Float(1000.0));
+    }
+
+    #[test]
+    fn a_number_running_into_an_identifier_is_an_error() {
+        assert_eq!(parse_error("select 1e from t"), "invalid number '1e'");
+        assert_eq!(parse_error("select 1e+ from t"), "invalid number '1e'");
+        assert_eq!(parse_error("select 2x from t"), "invalid number '2x'");
+        assert_eq!(
+            parse_error("select 1.5e2_a from t"),
+            "invalid number '1.5e2_a'"
+        );
+        // A dot still ends a number: `1.e3` is 1, a dot and an identifier.
+        let t = tokenize("1.e3").unwrap();
+        assert_eq!(t[0], Token::Integer(1));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hique_types::tuple::read_value;
-use hique_types::{ColumnDistribution, HiqueError, Result, Schema, Value};
+use hique_types::tuple::{read_f64_at, read_i32_at, read_i64_at, read_str_at};
+use hique_types::{ColumnDistribution, DataType, HiqueError, Result, Schema, Value};
 
 use crate::buffer::{BufferPool, BufferPoolStats};
 use crate::disk::DiskManager;
@@ -251,8 +251,8 @@ impl Catalog {
         // The pool's frames are allocated now, while the memory-resident
         // pages are still alive: the images then come from one fresh,
         // ascending run of the heap instead of the holes those pages leave,
-        // and whatever runs before the first scan (the DSM decomposition)
-        // cannot interleave its allocations with them.
+        // and whatever allocates before the first scan cannot interleave
+        // its allocations with them.
         pool.reserve(self.tables.values().map(|t| t.heap.num_pages()).sum());
 
         // Phase two (infallible swaps): adopt the files written above.
@@ -300,23 +300,95 @@ impl Catalog {
     /// (empty) [`ColumnDistribution`] per column, which is how the optimizer tells
     /// "known to be empty" apart from "never analyzed".
     ///
-    /// Columns are processed one at a time: each pass materializes and sorts
-    /// a single column's values, so peak memory is one column, not the whole
-    /// table.
+    /// Columns are processed one at a time, so peak memory is one column,
+    /// not the whole table.  Each pass reads the field into a typed lane
+    /// (`i64`, `f64`, or trimmed CHAR bytes in one arena), sorts it in
+    /// [`Value::total_cmp`]'s order and run-length encodes it; only the
+    /// MCVs and bucket bounds ever become [`Value`]s.
     pub fn analyze_table(&mut self, name: &str) -> Result<()> {
         let info = self.table_mut(name)?;
-        let schema = info.schema.clone();
-        let mut stats = Vec::with_capacity(schema.len());
-        for c in 0..schema.len() {
-            let mut values: Vec<Value> = Vec::with_capacity(info.heap.num_tuples());
-            info.heap
-                .for_each_record(|record| values.push(read_value(record, &schema, c)))?;
-            values.sort_unstable_by(|a, b| a.total_cmp(b));
-            stats.push(ColumnDistribution::from_sorted(&values));
-        }
+        let stats = (0..info.schema.len())
+            .map(|c| analyze_column(&info.heap, &info.schema, c))
+            .collect::<Result<_>>()?;
         info.column_stats = stats;
         Ok(())
     }
+}
+
+/// One column's distribution, from a typed lane of its field.
+fn analyze_column(heap: &TableHeap, schema: &Schema, c: usize) -> Result<ColumnDistribution> {
+    let off = schema.offset(c);
+    Ok(match schema.column(c).dtype {
+        dtype @ (DataType::Int32 | DataType::Date | DataType::Int64) => {
+            let mut lane = if dtype == DataType::Int64 {
+                read_lane(heap, |r| read_i64_at(r, off))?
+            } else {
+                read_lane(heap, |r| i64::from(read_i32_at(r, off)))?
+            };
+            lane.sort_unstable();
+            from_lane(
+                &lane,
+                |a, b| a == b,
+                |&v| match dtype {
+                    DataType::Int32 => Value::Int32(v as i32),
+                    DataType::Date => Value::Date(v as i32),
+                    _ => Value::Int64(v),
+                },
+            )
+        }
+        DataType::Float64 => {
+            let mut lane = read_lane(heap, |r| read_f64_at(r, off))?;
+            lane.sort_unstable_by(f64::total_cmp);
+            // `total_cmp` is equal exactly when the bits are.
+            from_lane(
+                &lane,
+                |a, b| a.to_bits() == b.to_bits(),
+                |&v| Value::Float64(v),
+            )
+        }
+        DataType::Char(width) => {
+            // The trimmed text, as `read_value` sees it: comparing the padded
+            // bytes would put a field holding a byte below the pad first.
+            let mut arena: Vec<u8> = Vec::new();
+            let mut spans = read_lane(heap, |r| {
+                let start = arena.len();
+                arena.extend_from_slice(read_str_at(r, off, width as usize).as_bytes());
+                (start, arena.len())
+            })?;
+            let text = |&(start, end): &(usize, usize)| &arena[start..end];
+            spans.sort_unstable_by(|a, b| text(a).cmp(text(b)));
+            from_lane(
+                &spans,
+                |a, b| text(a) == text(b),
+                |span| Value::Str(String::from_utf8_lossy(text(span)).into_owned()),
+            )
+        }
+    })
+}
+
+/// Every record's `read` of a field, in heap order.
+fn read_lane<T>(heap: &TableHeap, mut read: impl FnMut(&[u8]) -> T) -> Result<Vec<T>> {
+    let mut lane = Vec::with_capacity(heap.num_tuples());
+    heap.for_each_record(|record| lane.push(read(record)))?;
+    Ok(lane)
+}
+
+/// [`ColumnDistribution::from_runs`] over a sorted lane whose runs are its
+/// stretches of `same` elements; `boxed` makes a run's [`Value`].
+fn from_lane<T>(
+    lane: &[T],
+    same: impl Fn(&T, &T) -> bool,
+    boxed: impl Fn(&T) -> Value,
+) -> ColumnDistribution {
+    let starts: Vec<usize> = (0..lane.len())
+        .filter(|&i| i == 0 || !same(&lane[i - 1], &lane[i]))
+        .collect();
+    let counts: Vec<usize> = starts
+        .iter()
+        .zip(starts.iter().skip(1).chain([&lane.len()]))
+        .map(|(start, end)| end - start)
+        .collect();
+    ColumnDistribution::from_runs(&counts, |run| boxed(&lane[starts[run]]))
 }
 
 #[cfg(test)]

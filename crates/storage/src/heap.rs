@@ -344,7 +344,7 @@ impl TableHeap {
 
     /// Visit every record in page/slot order, fetching pages through the
     /// storage mode's access path.  This is the mode-agnostic scan used by
-    /// `ANALYZE`, index builds and the DSM decomposition.
+    /// `ANALYZE` and the DSM decomposition.
     pub fn for_each_record(&self, mut f: impl FnMut(&[u8])) -> Result<()> {
         for p in 0..self.num_pages() {
             let guard = self.page_guard(p)?;

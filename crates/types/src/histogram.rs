@@ -74,87 +74,90 @@ pub struct ColumnDistribution {
 }
 
 impl ColumnDistribution {
-    /// Build the distribution from an unsorted snapshot of the column.
+    /// Build the distribution from an unsorted snapshot of the column: the
+    /// boxed reference that `ANALYZE`'s typed lanes are tested against.
     pub fn build(mut values: Vec<Value>) -> ColumnDistribution {
         values.sort_unstable_by(|a, b| a.total_cmp(b));
-        Self::from_sorted(&values)
-    }
-
-    /// Build the distribution from an ascending-sorted snapshot.
-    pub fn from_sorted(values: &[Value]) -> ColumnDistribution {
-        let rows = values.len();
-        if rows == 0 {
-            return ColumnDistribution::default();
-        }
-        // Run-length encode the sorted values.
         let mut runs: Vec<(Value, usize)> = Vec::new();
         for v in values {
             match runs.last_mut() {
-                Some((rv, count)) if rv.sql_eq(v) => *count += 1,
-                _ => runs.push((v.clone(), 1)),
+                Some((rv, count)) if rv.sql_eq(&v) => *count += 1,
+                _ => runs.push((v, 1)),
             }
         }
-        let distinct = runs.len();
+        let counts: Vec<usize> = runs.iter().map(|(_, count)| *count).collect();
+        Self::from_runs(&counts, |i| runs[i].0.clone())
+    }
+
+    /// Build the distribution from a column's run-length encoding:
+    /// `counts[i]` (at least one) rows hold the `i`-th smallest distinct
+    /// value, which `value_of_run(i)` materializes.  It is called only for
+    /// the MCVs and the bucket bounds, so a column is never boxed value by
+    /// value.
+    pub fn from_runs(
+        counts: &[usize],
+        value_of_run: impl Fn(usize) -> Value,
+    ) -> ColumnDistribution {
+        let rows: usize = counts.iter().sum();
+        let distinct = counts.len();
+        if rows == 0 {
+            return ColumnDistribution::default();
+        }
 
         // MCV selection: with few distinct values keep them all (estimates
         // become exact); otherwise keep the values strictly more frequent
-        // than the column average, capped at MCV_LIMIT.
-        let mcv: Vec<(Value, usize)> = if distinct <= MCV_LIMIT {
-            let mut all = runs.clone();
-            all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
-            all
-        } else {
-            let mut candidates: Vec<(Value, usize)> = runs
-                .iter()
-                .filter(|(_, count)| count * distinct > rows)
-                .cloned()
-                .collect();
-            candidates.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
-            candidates.truncate(MCV_LIMIT);
-            candidates
-        };
+        // than the column average, capped at MCV_LIMIT.  Most frequent
+        // first: the runs ascend by value, so the stable sort breaks count
+        // ties by ascending value.
+        let mut mcv_runs: Vec<usize> = (0..distinct)
+            .filter(|&i| distinct <= MCV_LIMIT || counts[i] * distinct > rows)
+            .collect();
+        mcv_runs.sort_by(|&a, &b| counts[b].cmp(&counts[a]));
+        mcv_runs.truncate(MCV_LIMIT);
+        let mut is_mcv = vec![false; distinct];
+        for &i in &mcv_runs {
+            is_mcv[i] = true;
+        }
 
         // Equi-depth buckets over the remaining runs: bucket membership by
         // cumulative row count, so each bucket holds ~rest_rows/B rows while
-        // a single run never splits across buckets.
-        let rest: Vec<&(Value, usize)> = runs
-            .iter()
-            .filter(|(v, _)| !mcv.iter().any(|(m, _)| m.sql_eq(v)))
-            .collect();
-        let rest_rows: usize = rest.iter().map(|(_, c)| c).sum();
-        let mut buckets: Vec<Bucket> = Vec::new();
-        if !rest.is_empty() {
-            let nb = HISTOGRAM_BUCKETS.min(rest.len());
-            let mut cum = 0usize;
-            for (v, count) in rest {
-                let slot = (cum * nb / rest_rows).min(nb - 1);
-                let extend_last = buckets.len() == slot + 1;
-                if extend_last {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "extend_last holds only when buckets.len() == slot + 1, so a last bucket exists"
-                    )]
-                    let b = buckets.last_mut().expect("slot bucket exists");
-                    b.hi = v.clone();
-                    b.rows += count;
-                    b.distinct += 1;
-                } else {
-                    buckets.push(Bucket {
-                        lo: v.clone(),
-                        hi: v.clone(),
-                        rows: *count,
-                        distinct: 1,
-                    });
+        // a single run never splits across buckets.  Each bucket is first a
+        // span of runs `(lo, hi, rows, distinct)`.
+        let rest = || (0..distinct).filter(|&i| !is_mcv[i]);
+        let rest_rows: usize = rest().map(|i| counts[i]).sum();
+        let nb = HISTOGRAM_BUCKETS.min(distinct - mcv_runs.len());
+        let mut spans: Vec<(usize, usize, usize, usize)> = Vec::new();
+        let mut cum = 0usize;
+        for i in rest() {
+            let slot = (cum * nb / rest_rows).min(nb - 1);
+            let extend_last = spans.len() == slot + 1;
+            match spans.last_mut() {
+                Some(span) if extend_last => {
+                    span.1 = i;
+                    span.2 += counts[i];
+                    span.3 += 1;
                 }
-                cum += count;
+                _ => spans.push((i, i, counts[i], 1)),
             }
+            cum += counts[i];
         }
 
         ColumnDistribution {
             rows,
             distinct,
-            mcv,
-            buckets,
+            mcv: mcv_runs
+                .into_iter()
+                .map(|i| (value_of_run(i), counts[i]))
+                .collect(),
+            buckets: spans
+                .into_iter()
+                .map(|(lo, hi, rows, distinct)| Bucket {
+                    lo: value_of_run(lo),
+                    hi: value_of_run(hi),
+                    rows,
+                    distinct,
+                })
+                .collect(),
         }
     }
 
@@ -511,7 +514,7 @@ mod tests {
             .iter()
             .map(|s| Value::Str(s.to_string()))
             .collect();
-        let d = ColumnDistribution::from_sorted(&values);
+        let d = ColumnDistribution::build(values);
         assert_eq!(d.eq_fraction(&Value::Str("C".into())), 0.5);
         assert_eq!(d.eq_fraction(&Value::Str("Z".into())), 0.0);
         let lt = d.cmp_fraction(CmpKind::Lt, &Value::Str("C".into()));
@@ -560,7 +563,7 @@ mod tests {
         let values: Vec<Value> = (0..200)
             .map(|i| Value::Str(format!("name{i:04}")))
             .collect();
-        let d = ColumnDistribution::from_sorted(&values);
+        let d = ColumnDistribution::build(values);
         assert!(d.mcv.len() < d.distinct, "histogram form expected");
         let below_all = Value::Str("aaaa".into());
         let above_all = Value::Str("zzzz".into());

@@ -431,8 +431,8 @@ impl Builder {
 /// The test op of one filter over the base record, its constant pushed to
 /// `pool` — the one place the VM converts a filter constant, with the
 /// conversions of `CompiledFilter::compile`: an `Int32`/`Date` column's
-/// constant narrowed to `i32`, a `Char(w)` constant space-padded (or cut)
-/// to `w` bytes.
+/// constant narrowed to `i32`, a `Char(w)` constant space-padded to `w`
+/// bytes (a longer one is kept whole).
 fn test_op(base: &Schema, f: &ColumnFilter, pool: &mut ConstPool) -> Result<Op> {
     let (offset, op) = (base.offset(f.column) as u32, f.op);
     Ok(match base.column(f.column).dtype {
@@ -456,7 +456,9 @@ fn test_op(base: &Schema, f: &ColumnFilter, pool: &mut ConstPool) -> Result<Op> 
                 HiqueError::Codegen("string filter on non-string constant".into())
             })?;
             let mut bytes = s.as_bytes().to_vec();
-            bytes.resize(w as usize, b' ');
+            if bytes.len() < w as usize {
+                bytes.resize(w as usize, b' ');
+            }
             Op::TestBytes {
                 offset,
                 width: w as u32,

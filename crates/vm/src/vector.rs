@@ -84,7 +84,7 @@ fn sweep(op: &Op, pool: &ConstPool) -> Result<CompiledFilter, String> {
                 .ok_or_else(|| format!("bytes pool slot {slot} of {}", pool.bytes.len()))?;
             let dtype = u16::try_from(width)
                 .ok()
-                .filter(|_| value.len() == width as usize)
+                .filter(|_| value.len() >= width as usize)
                 .map(DataType::Char)
                 .ok_or_else(|| format!("a {}-byte constant in a {width}-byte test", value.len()))?;
             CompiledFilter::on_bytes(key(offset, dtype), op, value.clone())
