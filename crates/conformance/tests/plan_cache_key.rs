@@ -5,12 +5,15 @@
 //! accepts).  Respellings change letter case, whitespace, `--` comments
 //! (with and without apostrophes) and the trailing `;`; literal edits turn
 //! an integer `N` into `N.0` and flip a string literal's case, and must
-//! change the key.
+//! change the key.  Over the same texts, the session's [`ShapeKey`] and
+//! its text form never disagree about classmates or exact matches.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, reason = "panics fail tests")]
 
 use hique_conformance::QueryGenerator;
-use hique_plan::shape_class_and_consts;
+use std::hash::BuildHasher;
+
+use hique_plan::{shape_class_and_consts, ShapeKey};
 use hique_sql::lexer::tokenize;
 use hique_sql::token::Token;
 use rand::rngs::SmallRng;
@@ -145,6 +148,53 @@ fn the_cache_key_matches_exactly_when_the_tokens_do() {
                 texts[i],
                 texts[j]
             );
+        }
+    }
+}
+
+/// The texts of the test above: each corpus query after its respellings
+/// and its literal edits.
+fn corpus() -> Vec<String> {
+    let mut generator = QueryGenerator::new(SUITE_SEED, SF);
+    let mut rng = SmallRng::seed_from_u64(SUITE_SEED);
+    let mut texts = Vec::new();
+    for _ in 0..SUITE_QUERIES {
+        let sql = generator.next_query().sql;
+        for _ in 0..RESPELLINGS {
+            texts.push(respell(&sql, &mut rng));
+        }
+        for floats in [true, false] {
+            let other = edit_literals(&sql, floats);
+            if other != sql {
+                texts.push(other);
+            }
+        }
+        texts.push(sql);
+    }
+    texts
+}
+
+#[test]
+fn the_session_key_and_its_text_form_agree() {
+    let hasher = std::collections::hash_map::RandomState::new();
+    let texts = corpus();
+    let keyed: Vec<_> = texts
+        .iter()
+        .map(|t| (ShapeKey::lex(t).unwrap(), shape_class_and_consts(t)))
+        .collect();
+    for (i, (key_a, text_a)) in keyed.iter().enumerate() {
+        for (j, (key_b, text_b)) in keyed.iter().enumerate().skip(i + 1) {
+            let classmates = key_a == key_b;
+            let pair = format!("{:?} vs {:?}", texts[i], texts[j]);
+            assert_eq!(classmates, text_a.0 == text_b.0, "{pair}");
+            assert_eq!(
+                classmates && key_a.same_consts(key_b),
+                text_a == text_b,
+                "{pair}"
+            );
+            if classmates {
+                assert_eq!(hasher.hash_one(key_a), hasher.hash_one(key_b), "{pair}");
+            }
         }
     }
 }

@@ -1,107 +1,112 @@
 //! Query-shape keys for the server's prepared-plan cache.
 //!
-//! The paper's Table III economics — generation, compilation and
-//! preparation cost per query — only pay off when a prepared plan (and its
-//! instantiated kernel program) is reused across requests.  "The same
-//! query" is what the parser would see: the key is the lexer's own token
-//! stream, so letter case, whitespace, `--` comments and the one trailing
-//! `;` the parser accepts fold away exactly as they do before parsing,
-//! while every literal is kept (`'A'` and `'a'`, `5` and `5.0` differ).
-//!
-//! [`shape_class_and_consts`] splits the token stream losslessly into its
-//! *shape class* — literals masked with `?` — and the vector of masked
-//! literals.  The cache keys on the class plus the constant vector: a
-//! query with the entry's constants reuses its plan outright (cached plans
-//! stay exact, including their literal-dependent cardinality estimates),
-//! while a classmate with other constants re-plans and rebinds the entry's
-//! pooled bytecode template.
+//! The paper's Table III economics — preparation cost per query — only pay
+//! off when a prepared plan and its kernel program are reused.  "The same
+//! query" is what the parser sees: a [`ShapeKey`] is the statement's
+//! tokens, lexed once and then parsed, so letter case, whitespace, `--`
+//! comments and the one trailing `;` fold away exactly as in parsing.
+//! Keys compare and hash by *shape class* — the tokens with every literal
+//! masked alike — and [`ShapeKey::same_consts`] compares the literal
+//! tokens exactly (`'A'` and `'a'`, `5` and `5.0` differ), which tells an
+//! exact match from a classmate that re-plans and rebinds the entry's
+//! pooled bytecode.  [`shape_class_and_consts`] renders the same key as
+//! text for the benchmark's trace.
+
+use std::fmt::Write;
+use std::hash::{Hash, Hasher};
 
 use hique_sql::lexer::tokenize;
-use hique_sql::token::{Keyword, Token};
+use hique_sql::token::Token;
+use hique_types::Result;
 
-/// Split a query into its shape class and the literals masked out of it,
-/// in left-to-right order.  Two texts get equal `(class, consts)` exactly
-/// when [`tokenize`] returns equal tokens (up to the one trailing `;`):
-/// the class renders every non-literal token, space-separated, and each
-/// const keeps its literal's kind — a string as `'text'`, an integer as
-/// its digits, a float in Rust's round-trip form with a `.` or exponent.
-/// A text that does not lex gets a class beginning with `!`, which no
-/// rendering produces.
+/// One statement's tokens, equal to another's when their shape classes
+/// are.
+#[derive(Debug, Clone)]
+pub struct ShapeKey {
+    tokens: Vec<Token>,
+}
+
+impl ShapeKey {
+    /// Lex `sql`; a text that does not lex is the lexer's typed `Parse`
+    /// error.
+    pub fn lex(sql: &str) -> Result<ShapeKey> {
+        tokenize(sql).map(|tokens| ShapeKey { tokens })
+    }
+
+    /// The tokens as lexed: the parser's input.
+    pub fn tokens(&self) -> &[Token] {
+        &self.tokens
+    }
+
+    /// The tokens that identify the statement: without `Eof` and without
+    /// the one trailing `;` the parser accepts.
+    fn statement(&self) -> &[Token] {
+        match self.tokens.as_slice() {
+            [head @ .., Token::Semicolon, Token::Eof] | [head @ .., Token::Eof] => head,
+            tokens => tokens,
+        }
+    }
+
+    /// The literal tokens, left to right.
+    fn consts(&self) -> impl Iterator<Item = &Token> {
+        self.statement().iter().filter(|t| t.is_literal())
+    }
+
+    /// Whether `other` carries the same literals: between classmates, an
+    /// exact match.
+    pub fn same_consts(&self, other: &ShapeKey) -> bool {
+        self.consts().eq(other.consts())
+    }
+}
+
+impl PartialEq for ShapeKey {
+    fn eq(&self, other: &ShapeKey) -> bool {
+        let (a, b) = (self.statement(), other.statement());
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x == y || (x.is_literal() && y.is_literal()))
+    }
+}
+
+impl Eq for ShapeKey {}
+
+/// Hashes the length and the identifiers, which tell classes apart at a
+/// fraction of the cost of hashing every token; equality settles the rest.
+impl Hash for ShapeKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let statement = self.statement();
+        statement.len().hash(state);
+        for token in statement.iter().filter(|t| matches!(t, Token::Ident(_))) {
+            token.hash(state);
+        }
+    }
+}
+
+/// A query's [`ShapeKey`] as text: its shape class and its constants, in
+/// left-to-right order.  The class renders every token of the statement
+/// space-separated with each literal as `?`, and each constant is its
+/// literal's rendering (`'text'`, digits, or a float with a `.` or
+/// exponent), so two texts get equal `(class, consts)` exactly when their
+/// keys are equal and carry the same constants.  A text that does not lex
+/// gets a class beginning with `!`, which no rendering produces.
 pub fn shape_class_and_consts(sql: &str) -> (String, Vec<String>) {
-    let Ok(mut tokens) = tokenize(sql) else {
+    let Ok(key) = ShapeKey::lex(sql) else {
         return (format!("!{sql}"), Vec::new());
     };
-    tokens.pop(); // Eof
-    if tokens.last() == Some(&Token::Semicolon) {
-        tokens.pop();
-    }
     let mut class = String::with_capacity(sql.len());
-    let mut consts = Vec::new();
-    for token in &tokens {
+    for token in key.statement() {
         if !class.is_empty() {
             class.push(' ');
         }
-        let piece = match token {
-            Token::Ident(name) => name,
-            Token::Keyword(k) => keyword(*k),
-            Token::Integer(v) => {
-                consts.push(v.to_string());
-                "?"
-            }
-            Token::Float(v) => {
-                consts.push(format!("{v:?}"));
-                "?"
-            }
-            Token::StringLit(s) => {
-                consts.push(format!("'{s}'"));
-                "?"
-            }
-            Token::Comma => ",",
-            Token::Dot => ".",
-            Token::LParen => "(",
-            Token::RParen => ")",
-            Token::Star => "*",
-            Token::Plus => "+",
-            Token::Minus => "-",
-            Token::Slash => "/",
-            Token::Eq => "=",
-            Token::NotEq => "<>",
-            Token::Lt => "<",
-            Token::LtEq => "<=",
-            Token::Gt => ">",
-            Token::GtEq => ">=",
-            Token::Semicolon => ";",
-            Token::Eof => "<eof>",
-        };
-        class.push_str(piece);
+        if token.is_literal() {
+            class.push('?');
+        } else {
+            // Writing to a `String` cannot fail.
+            let _ = write!(class, "{token}");
+        }
     }
-    (class, consts)
-}
-
-fn keyword(k: Keyword) -> &'static str {
-    match k {
-        Keyword::Select => "select",
-        Keyword::From => "from",
-        Keyword::Where => "where",
-        Keyword::Group => "group",
-        Keyword::Order => "order",
-        Keyword::By => "by",
-        Keyword::Asc => "asc",
-        Keyword::Desc => "desc",
-        Keyword::And => "and",
-        Keyword::As => "as",
-        Keyword::Sum => "sum",
-        Keyword::Avg => "avg",
-        Keyword::Min => "min",
-        Keyword::Max => "max",
-        Keyword::Count => "count",
-        Keyword::Limit => "limit",
-        Keyword::Date => "date",
-        Keyword::Interval => "interval",
-        Keyword::Day => "day",
-        Keyword::Month => "month",
-        Keyword::Year => "year",
-    }
+    (class, key.consts().map(Token::to_string).collect())
 }
 
 #[cfg(test)]

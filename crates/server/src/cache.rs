@@ -1,11 +1,11 @@
 //! The class-keyed prepared-plan cache.
 //!
-//! Maps a query's *shape class* ([`hique_plan::shape_class_and_consts`] —
-//! the lexer's tokens with literals masked) to the fully prepared
-//! artifact: the optimized plan, the instantiated kernel program
-//! ([`GeneratedQuery`]) and the query-time-compiled bytecode
-//! ([`hique_vm::VmProgram`]).  Each entry also records the constant
-//! vector its plan was prepared for, so a lookup distinguishes two cases:
+//! Maps a statement's [`ShapeKey`] — its tokens, compared with literals
+//! masked — to the fully prepared artifact: the optimized plan, the
+//! instantiated kernel program ([`GeneratedQuery`]) and the
+//! query-time-compiled bytecode ([`hique_vm::VmProgram`]).  The map keeps
+//! the key each entry was prepared for, constants included, so a lookup
+//! distinguishes two cases:
 //!
 //! * [`Lookup::Exact`] — same class *and* same constants: the cached
 //!   artifact is exact for this query (including literal-dependent
@@ -14,16 +14,15 @@
 //!   plan cannot be reused verbatim, but its *pooled* bytecode template
 //!   can be rebound to the new constants, skipping kernel lowering.
 //!
-//! The old literal-preserving key made every literal-varying repeat of a
-//! template a full miss (0% hit rate for point-lookup workloads); keying
-//! on the class turns those into template hits.  Eviction is LRU over a
-//! fixed entry budget; a class's latest constants win its slot.
+//! Eviction is LRU over a fixed entry budget; a class's latest constants
+//! win its slot.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use hique_holistic::GeneratedQuery;
-use hique_plan::PhysicalPlan;
+use hique_plan::{PhysicalPlan, ShapeKey};
 use hique_vm::VmProgram;
 use parking_lot::Mutex;
 
@@ -31,12 +30,6 @@ use parking_lot::Mutex;
 /// preparation cost, paid once per shape and amortized by every reuse.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    /// Literal-masked token stream — the cache key.
-    pub class: String,
-    /// The literals masked out of `class`, in left-to-right order;
-    /// `(class, consts)` is a lossless split of the query's tokens
-    /// ([`hique_plan::shape_class_and_consts`]).
-    pub consts: Vec<String>,
     /// The generated kernel program (carries the physical plan).
     pub generated: GeneratedQuery,
     /// Bytecode with this query's constants folded to immediates, for the
@@ -67,11 +60,13 @@ pub enum Lookup {
 
 struct Entry {
     prepared: Arc<PreparedQuery>,
-    last_used: u64,
+    /// A `Cell`, so a lookup stamps it through the key-value pair it reads.
+    last_used: Cell<u64>,
 }
 
+#[derive(Default)]
 struct CacheInner {
-    entries: HashMap<String, Entry>,
+    entries: HashMap<ShapeKey, Entry>,
     clock: u64,
     hits: u64,
     template_hits: u64,
@@ -109,63 +104,49 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             capacity: capacity.max(1),
-            inner: Mutex::new(CacheInner {
-                entries: HashMap::new(),
-                clock: 0,
-                hits: 0,
-                template_hits: 0,
-                misses: 0,
-            }),
+            inner: Mutex::new(CacheInner::default()),
         }
     }
 
-    /// Look up a shape class with this query's constant vector, counting
-    /// a hit (exact or template) or a miss.
-    pub fn lookup(&self, class: &str, consts: &[String]) -> Lookup {
-        let mut inner = self.inner.lock();
+    /// Look up a statement's class, counting a hit (exact when the
+    /// entry's constants are the statement's, else template) or a miss.
+    pub fn lookup(&self, key: &ShapeKey) -> Lookup {
+        let inner = &mut *self.inner.lock();
         inner.clock += 1;
-        let clock = inner.clock;
-        match inner.entries.get_mut(class) {
-            Some(entry) => {
-                entry.last_used = clock;
-                let prepared = Arc::clone(&entry.prepared);
-                inner.hits += 1;
-                if prepared.consts == consts {
-                    Lookup::Exact(prepared)
-                } else {
-                    inner.template_hits += 1;
-                    Lookup::Template(prepared)
-                }
-            }
-            None => {
-                inner.misses += 1;
-                Lookup::Miss
-            }
+        let Some((cached, entry)) = inner.entries.get_key_value(key) else {
+            inner.misses += 1;
+            return Lookup::Miss;
+        };
+        entry.last_used.set(inner.clock);
+        let prepared = Arc::clone(&entry.prepared);
+        inner.hits += 1;
+        if cached.same_consts(key) {
+            Lookup::Exact(prepared)
+        } else {
+            inner.template_hits += 1;
+            Lookup::Template(prepared)
         }
     }
 
-    /// Insert a prepared query under its shape class, evicting the
-    /// least-recently-used class when the cache is full.  An existing
-    /// entry for the same class is replaced (latest constants win).
-    pub fn insert(&self, prepared: Arc<PreparedQuery>) {
-        let mut inner = self.inner.lock();
+    /// Insert a query prepared for `key` under its shape class, evicting
+    /// the least-recently-used class when the cache is full.  An existing
+    /// entry for the same class is replaced, key included (latest
+    /// constants win).
+    pub fn insert(&self, key: ShapeKey, prepared: Arc<PreparedQuery>) {
+        let inner = &mut *self.inner.lock();
         inner.clock += 1;
-        let clock = inner.clock;
-        if !inner.entries.contains_key(&prepared.class) && inner.entries.len() >= self.capacity {
-            if let Some(victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.entries.remove(&victim);
+        if inner.entries.remove(&key).is_none() && inner.entries.len() >= self.capacity {
+            // Every stamp is a fresh clock value, so the oldest names one entry.
+            if let Some(oldest) = inner.entries.values().map(|e| e.last_used.get()).min() {
+                inner.entries.retain(|_, e| e.last_used.get() != oldest);
             }
         }
+        let last_used = Cell::new(inner.clock);
         inner.entries.insert(
-            prepared.class.clone(),
+            key,
             Entry {
                 prepared,
-                last_used: clock,
+                last_used,
             },
         );
     }
@@ -185,25 +166,24 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_plan::{plan_query, shape_class_and_consts, CatalogProvider, PlannerConfig};
+    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
     use hique_storage::Catalog;
     use hique_types::{Column, DataType, Row, Schema, Value};
 
-    fn prepared_for(sql: &str, cat: &Catalog) -> Arc<PreparedQuery> {
-        let q = hique_sql::parse_query(sql).unwrap();
+    fn insert_sql(cache: &PlanCache, sql: &str, cat: &Catalog) {
+        let key = ShapeKey::lex(sql).unwrap();
+        let q = hique_sql::parse_tokens(key.tokens()).unwrap();
         let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
         let plan = plan_query(&bound, cat, &PlannerConfig::default()).unwrap();
         let generated = hique_holistic::generate(&plan).unwrap();
         let template = hique_vm::compile(&generated, cat, hique_vm::CompileMode::Pooled).unwrap();
         let vm = template.bind(&generated, cat).unwrap();
-        let (class, consts) = shape_class_and_consts(sql);
-        Arc::new(PreparedQuery {
-            class,
-            consts,
+        let prepared = PreparedQuery {
             generated,
             vm,
             vm_template: Arc::new(template),
-        })
+        };
+        cache.insert(key, Arc::new(prepared));
     }
 
     fn catalog() -> Catalog {
@@ -228,8 +208,7 @@ mod tests {
     }
 
     fn lookup_sql(cache: &PlanCache, sql: &str) -> Lookup {
-        let (class, consts) = shape_class_and_consts(sql);
-        cache.lookup(&class, &consts)
+        cache.lookup(&ShapeKey::lex(sql).unwrap())
     }
 
     #[test]
@@ -238,7 +217,7 @@ mod tests {
         let cache = PlanCache::new(8);
         let sql = "select k from r where v > 10";
         assert!(matches!(lookup_sql(&cache, sql), Lookup::Miss));
-        cache.insert(prepared_for(sql, &cat));
+        insert_sql(&cache, sql, &cat);
         // A differently formatted spelling of the same query is exact.
         assert!(matches!(
             lookup_sql(&cache, "SELECT k FROM r   WHERE v > 10;"),
@@ -268,11 +247,11 @@ mod tests {
         let q1 = "select k from r where v > 1";
         let q2 = "select v from r where k > 2";
         let q3 = "select k, v from r where v > 3";
-        cache.insert(prepared_for(q1, &cat));
-        cache.insert(prepared_for(q2, &cat));
+        insert_sql(&cache, q1, &cat);
+        insert_sql(&cache, q2, &cat);
         // Touch q1 so q2 becomes the LRU victim.
         assert!(matches!(lookup_sql(&cache, q1), Lookup::Exact(_)));
-        cache.insert(prepared_for(q3, &cat));
+        insert_sql(&cache, q3, &cat);
         assert_eq!(cache.stats().entries, 2);
         assert!(matches!(lookup_sql(&cache, q1), Lookup::Exact(_)));
         assert!(
@@ -286,12 +265,19 @@ mod tests {
     fn reinsert_replaces_the_class_slot() {
         let cat = catalog();
         let cache = PlanCache::new(8);
-        cache.insert(prepared_for("select k from r where v > 10", &cat));
-        cache.insert(prepared_for("select k from r where v > 99", &cat));
+        insert_sql(&cache, "select k from r where v > 10", &cat);
+        insert_sql(&cache, "select k from r where v > 99", &cat);
         assert_eq!(cache.stats().entries, 1, "classmates share one slot");
-        match lookup_sql(&cache, "select k from r where v > 99") {
-            Lookup::Exact(entry) => assert_eq!(entry.consts, vec!["99".to_string()]),
-            _ => panic!("latest constants should win the slot"),
-        }
+        assert!(
+            matches!(
+                lookup_sql(&cache, "select k from r where v > 99"),
+                Lookup::Exact(_)
+            ),
+            "latest constants should win the slot"
+        );
+        assert!(matches!(
+            lookup_sql(&cache, "select k from r where v > 10"),
+            Lookup::Template(_)
+        ));
     }
 }

@@ -11,8 +11,8 @@
 //! * [`Server`] owns the catalog, its paged storage runtime, the DSM
 //!   decomposition (built by the first dsm statement, not at start-up),
 //!   and a [`PlanCache`] of prepared plans + instantiated
-//!   kernel programs keyed on the query's shape class and constants
-//!   ([`hique_plan::shape_class_and_consts`]);
+//!   kernel programs keyed on the statement's tokens, lexed once
+//!   ([`hique_plan::ShapeKey`]);
 //! * [`Session`] is one client's handle: it prepares through the shared
 //!   cache (first request of a shape pays the Table III cost, every repeat
 //!   is a cache hit) and executes on any of the five engine modes;

@@ -15,19 +15,22 @@
 //! battery of real-TCP queries (including repeated shapes, engine
 //! switches, a wide string key, a 100-aggregate statement, a 300-level
 //! output expression and integer and date arithmetic outputs each answered
-//! identically by four engines, and a
-//! deliberate error), verifies the responses and the plan
-//! cache counters, shuts the server down cleanly, and exits nonzero on
+//! identically by four engines, Q1 respelled as a plan-cache hit,
+//! and a deliberate error), verifies the responses and the plan cache
+//! counters, shuts the server down cleanly, and exits nonzero on
 //! any failure.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins may panic")]
 
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hique_server::{serve, Server, ServerConfig, WireClient};
+use hique_sql::lexer::tokenize;
+use hique_sql::token::Token;
 
 struct Args {
     sf: f64,
@@ -166,7 +169,7 @@ fn run_smoke() -> Result<(), String> {
         let mut client = WireClient::connect(addr).map_err(|e| e.to_string())?;
         // The paper's battery over the wire; run each twice so the second
         // pass must hit the plan cache.
-        let mut first_pass = Vec::new();
+        let mut first_pass = HashMap::new();
         for pass in 0..2 {
             for (name, sql) in hique_tpch::queries::all_queries() {
                 let resp = client
@@ -176,15 +179,9 @@ fn run_smoke() -> Result<(), String> {
                     return Err(format!("{name} pass {pass}: empty result"));
                 }
                 if pass == 0 {
-                    first_pass.push((name, resp.rows().to_vec()));
-                } else {
-                    let (_, baseline) = &first_pass[first_pass
-                        .iter()
-                        .position(|(n, _)| *n == name)
-                        .expect("pass 0 recorded")];
-                    if baseline != resp.rows() {
-                        return Err(format!("{name}: pass 1 diverged from pass 0"));
-                    }
+                    first_pass.insert(name, resp.rows().to_vec());
+                } else if first_pass[name] != resp.rows() {
+                    return Err(format!("{name}: pass 1 diverged from pass 0"));
                 }
                 eprintln!("smoke: {name} pass {pass}: {} rows", resp.rows().len());
             }
@@ -202,11 +199,7 @@ fn run_smoke() -> Result<(), String> {
             let resp = c2
                 .query(sql)
                 .map_err(|e| format!("{name} (iter-optimized): {e}"))?;
-            let (_, baseline) = &first_pass[first_pass
-                .iter()
-                .position(|(n, _)| *n == name)
-                .expect("pass 0 recorded")];
-            if baseline != resp.rows() {
+            if first_pass[name] != resp.rows() {
                 return Err(format!("{name}: iter-optimized diverged from holistic"));
             }
         }
@@ -289,6 +282,27 @@ fn run_smoke() -> Result<(), String> {
             }
             eprintln!("smoke: {name}: identical on holistic, vm, iter-generic and dsm");
         }
+        // Q1 respelled — keywords upper-cased, one space between tokens, a
+        // trailing `;` and a comment holding an apostrophe — is the same
+        // statement to the lexer, so the plan cache must answer it as a hit
+        // without a miss.
+        let (hits, misses) = cache_counters(&mut client)?;
+        let mut respelled = String::new();
+        for token in tokenize(hique_tpch::Q1_SQL).map_err(|e| e.to_string())? {
+            match token {
+                Token::Keyword(k) => respelled += &k.as_str().to_ascii_uppercase(),
+                Token::Eof => respelled += "; -- don't",
+                token => respelled += &token.to_string(),
+            }
+            respelled.push(' ');
+        }
+        client
+            .query(&respelled)
+            .map_err(|e| format!("respelled Q1: {e}"))?;
+        if cache_counters(&mut client)? != (hits + 1, misses) {
+            return Err("respelled Q1 was not one cache hit".to_string());
+        }
+        eprintln!("smoke: respelled Q1 hit the plan cache");
         // A bad query must produce a typed error and leave the connection
         // usable.
         let err = client
@@ -312,6 +326,19 @@ fn run_smoke() -> Result<(), String> {
     result?;
     eprintln!("smoke: OK");
     Ok(())
+}
+
+/// `cache_hits` and `cache_misses` as `.stats` reports them.
+fn cache_counters(client: &mut WireClient) -> Result<(u64, u64), String> {
+    let stats = client.request(".stats").map_err(|e| e.to_string())?;
+    let counter = |name| {
+        stats
+            .lines
+            .iter()
+            .find_map(|l| l.strip_prefix(name)?.parse().ok())
+    };
+    (counter("cache_hits=").zip(counter("cache_misses=")))
+        .ok_or_else(|| format!(".stats reports no cache counters: {:?}", stats.lines))
 }
 
 fn main() -> ExitCode {

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use hique_dsm::DsmDatabase;
 use hique_holistic::GeneratedQuery;
-use hique_plan::{plan_sql, shape_class_and_consts, PlannerConfig};
+use hique_plan::{plan_query, CatalogProvider, PlannerConfig, ShapeKey};
 use hique_storage::Catalog;
 use hique_types::{CancelToken, ExecOptions, HiqueError, QueryResult, Result};
 use hique_vm::VmProgram;
@@ -224,37 +224,40 @@ impl Session {
     }
 
     /// Prepare `sql` through the shared cache: returns the prepared
-    /// artifact and whether it was a cache hit.  An exact hit (same class,
-    /// same constants) reuses the cached artifact outright.  A template
-    /// hit (literal-varying classmate) re-plans with this query's exact
-    /// constants but rebinds the cached pooled bytecode template instead
-    /// of lowering from scratch.  A miss pays the full parse → analyze →
-    /// plan → generate → compile cost (the paper's Table III preparation)
-    /// and publishes the result for every other session.  A generator or
-    /// lowering error is returned as the typed error it is.
+    /// artifact and whether it was a cache hit.  The text is lexed once:
+    /// its tokens are the cache key ([`ShapeKey`]) and the parser's input;
+    /// a text that does not lex is a `Parse` error and no lookup.  An
+    /// exact hit (same class, same constants) reuses the cached artifact
+    /// outright.  A template hit (literal-varying classmate) re-plans with
+    /// this query's exact constants but rebinds the cached pooled bytecode
+    /// template instead of lowering from scratch.  A miss pays the full
+    /// parse → analyze → plan → generate → compile cost (the paper's Table
+    /// III preparation) and publishes the result for every other session.
+    /// A generator or lowering error is returned as the typed error it is.
     pub fn prepare(&self, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
-        let (class, consts) = shape_class_and_consts(sql);
-        let template = match self.shared.cache.lookup(&class, &consts) {
+        let key = ShapeKey::lex(sql)?;
+        let template = match self.shared.cache.lookup(&key) {
             Lookup::Exact(prepared) => return Ok((prepared, true)),
             Lookup::Template(prepared) => Some(prepared),
             Lookup::Miss => None,
         };
-        let plan = plan_sql(sql, &self.shared.catalog, &self.shared.planner)?;
+        let catalog = &self.shared.catalog;
+        let query = hique_sql::parse_tokens(key.tokens())?;
+        let bound = hique_sql::analyze(&query, &CatalogProvider::new(catalog))?;
+        let plan = plan_query(&bound, catalog, &self.shared.planner)?;
         let generated = hique_holistic::generate(&plan)?;
         let (vm, vm_template) = compile_vm(
             &generated,
-            &self.shared.catalog,
+            catalog,
             template.as_ref().map(|t| &t.vm_template),
         )?;
         let hit = template.is_some();
         let prepared = Arc::new(PreparedQuery {
-            class,
-            consts,
             generated,
             vm,
             vm_template,
         });
-        self.shared.cache.insert(Arc::clone(&prepared));
+        self.shared.cache.insert(key, Arc::clone(&prepared));
         Ok((prepared, hit))
     }
 
@@ -609,5 +612,19 @@ mod tests {
             Err(HiqueError::Analysis(_))
         ));
         assert!(matches!(s.execute("not sql"), Err(HiqueError::Parse(_))));
+    }
+
+    /// A statement that does not lex is answered by the lexer before the
+    /// cache is consulted: no lookup, so no miss.
+    #[test]
+    fn a_statement_that_does_not_lex_leaves_the_cache_alone() {
+        let server = Server::new(catalog(10), ServerConfig::default()).unwrap();
+        let s = server.session();
+        let before = server.cache_stats();
+        assert!(matches!(
+            s.prepare("select 'unterminated"),
+            Err(HiqueError::Parse(_))
+        ));
+        assert_eq!(server.cache_stats(), before);
     }
 }

@@ -2,7 +2,7 @@
 
 use hique_types::{HiqueError, Result};
 
-use crate::token::{Keyword, Token};
+use crate::token::{Keyword, Token, SYMBOLS};
 
 /// Tokenize SQL text.
 ///
@@ -20,81 +20,14 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             ' ' | '\t' | '\r' | '\n' => {
                 i += 1;
             }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                // `--` starts a comment running to end of line.
-                if i + 1 < bytes.len() && bytes[i + 1] == b'-' {
-                    while i < bytes.len() && bytes[i] != b'\n' {
-                        i += 1;
-                    }
-                } else {
-                    tokens.push(Token::Minus);
+            // `--` starts a comment running to end of line.
+            '-' if bytes.get(i + 1) == Some(&b'-') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
             }
-            '/' => {
-                tokens.push(Token::Slash);
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token::Semicolon);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            '!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token::NotEq);
-                    i += 2;
-                } else {
-                    return Err(HiqueError::Parse("unexpected '!'".into()));
-                }
-            }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token::LtEq);
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    tokens.push(Token::NotEq);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    tokens.push(Token::GtEq);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
+            '!' if bytes.get(i + 1) != Some(&b'=') => {
+                return Err(HiqueError::Parse("unexpected '!'".into()));
             }
             '\'' => {
                 // Copied as slices of `input` between quotes, so the text
@@ -167,17 +100,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     )));
                 }
                 let text = &input[start..i];
-                if is_float {
-                    let v: f64 = text
-                        .parse()
-                        .map_err(|_| HiqueError::Parse(format!("invalid number '{text}'")))?;
-                    tokens.push(Token::Float(v));
+                let invalid = || HiqueError::Parse(format!("invalid number '{text}'"));
+                tokens.push(if is_float {
+                    Token::Float(text.parse().map_err(|_| invalid())?)
                 } else {
-                    let v: i64 = text
-                        .parse()
-                        .map_err(|_| HiqueError::Parse(format!("invalid number '{text}'")))?;
-                    tokens.push(Token::Integer(v));
-                }
+                    Token::Integer(text.parse().map_err(|_| invalid())?)
+                });
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -193,8 +121,15 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             _ => {
-                let other = input[i..].chars().next().unwrap_or(c);
-                return Err(HiqueError::Parse(format!("unexpected character '{other}'")));
+                // The first byte rules out most entries without a compare.
+                let Some((text, token)) = SYMBOLS.iter().find(|(text, _)| {
+                    text.as_bytes()[0] == bytes[i] && bytes[i..].starts_with(text.as_bytes())
+                }) else {
+                    let other = input[i..].chars().next().unwrap_or(c);
+                    return Err(HiqueError::Parse(format!("unexpected character '{other}'")));
+                };
+                tokens.push(token.clone());
+                i += text.len();
             }
         }
     }
@@ -344,6 +279,13 @@ mod tests {
         assert!(parse_error("select 999999999999999999999 from t").contains("invalid number"));
         let t = tokenize("select 1.2.3 from t").unwrap();
         assert!(t.contains(&Token::Dot));
+    }
+
+    #[test]
+    fn every_symbol_lexes_as_its_token() {
+        for (text, token) in &SYMBOLS {
+            assert_eq!(tokenize(text).unwrap(), [token.clone(), Token::Eof]);
+        }
     }
 
     #[test]

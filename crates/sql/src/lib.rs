@@ -20,4 +20,4 @@ pub mod token;
 
 pub use analyze::{analyze, BoundQuery, SchemaProvider};
 pub use ast::Query;
-pub use parser::parse_query;
+pub use parser::{parse_query, parse_tokens};

@@ -26,28 +26,38 @@ use crate::token::{Keyword, Token};
 
 /// Parse one SQL query.
 pub fn parse_query(sql: &str) -> Result<Query> {
-    let tokens = tokenize(sql)?;
+    parse_tokens(&tokenize(sql)?)
+}
+
+/// Parse one SQL query from its tokens as [`tokenize`] returns them; the
+/// input ends at `Eof` or at the end of the slice.
+pub fn parse_tokens(tokens: &[Token]) -> Result<Query> {
     let mut p = Parser { tokens, pos: 0 };
     let q = p.parse_query()?;
     p.expect_end()?;
     Ok(q)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// A parse error naming what the grammar expected and the token found.
+fn expected<T>(what: &str, found: &Token) -> Result<T> {
+    Err(HiqueError::Parse(format!(
+        "expected {what}, found '{found}'"
+    )))
+}
+
+struct Parser<'a> {
+    tokens: &'a [Token],
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+        self.tokens.get(self.pos).unwrap_or(&Token::Eof)
     }
 
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
+        let t = self.peek().clone();
+        self.pos += 1;
         t
     }
 
@@ -64,10 +74,7 @@ impl Parser {
         if self.eat(tok) {
             Ok(())
         } else {
-            Err(HiqueError::Parse(format!(
-                "expected '{tok}', found '{}'",
-                self.peek()
-            )))
+            expected(&format!("'{tok}'"), self.peek())
         }
     }
 
@@ -82,9 +89,7 @@ impl Parser {
     fn expect_ident(&mut self) -> Result<String> {
         match self.advance() {
             Token::Ident(s) => Ok(s),
-            other => Err(HiqueError::Parse(format!(
-                "expected identifier, found '{other}'"
-            ))),
+            other => expected("identifier", &other),
         }
     }
 
@@ -145,11 +150,7 @@ impl Parser {
         if self.eat_keyword(Keyword::Limit) {
             match self.advance() {
                 Token::Integer(n) if n >= 0 => limit = Some(n as u64),
-                other => {
-                    return Err(HiqueError::Parse(format!(
-                        "expected non-negative integer after LIMIT, found '{other}'"
-                    )))
-                }
+                other => return expected("non-negative integer after LIMIT", &other),
             }
         }
         Ok(Query {
@@ -217,11 +218,7 @@ impl Parser {
             Token::LtEq => CmpOp::LtEq,
             Token::Gt => CmpOp::Gt,
             Token::GtEq => CmpOp::GtEq,
-            other => {
-                return Err(HiqueError::Parse(format!(
-                    "expected comparison operator, found '{other}'"
-                )))
-            }
+            other => return expected("comparison operator", &other),
         };
         let right = self.parse_expr()?;
         Ok(Predicate { left, op, right })
@@ -299,9 +296,7 @@ impl Parser {
                 // `DATE 'YYYY-MM-DD'`
                 match self.advance() {
                     Token::StringLit(s) => Ok(Expr::Literal(Value::Date(parse_date(&s)?))),
-                    other => Err(HiqueError::Parse(format!(
-                        "expected date string after DATE, found '{other}'"
-                    ))),
+                    other => expected("date string after DATE", &other),
                 }
             }
             Token::Keyword(Keyword::Interval) => {
@@ -314,53 +309,21 @@ impl Parser {
                         HiqueError::Parse(format!("invalid interval quantity '{s}'"))
                     })?,
                     Token::Integer(v) => v,
-                    other => {
-                        return Err(HiqueError::Parse(format!(
-                            "expected interval quantity, found '{other}'"
-                        )))
-                    }
+                    other => return expected("interval quantity", &other),
                 };
                 let days = match self.advance() {
                     Token::Keyword(Keyword::Day) => n,
                     Token::Keyword(Keyword::Month) => n * 30,
                     Token::Keyword(Keyword::Year) => n * 365,
-                    other => {
-                        return Err(HiqueError::Parse(format!(
-                            "expected DAY/MONTH/YEAR, found '{other}'"
-                        )))
-                    }
+                    other => return expected("DAY/MONTH/YEAR", &other),
                 };
                 Ok(Expr::IntervalDays(days))
             }
-            Token::Keyword(kw @ (Keyword::Sum | Keyword::Avg | Keyword::Min | Keyword::Max)) => {
-                let func = match kw {
-                    Keyword::Sum => AggFunc::Sum,
-                    Keyword::Avg => AggFunc::Avg,
-                    Keyword::Min => AggFunc::Min,
-                    Keyword::Max => AggFunc::Max,
-                    _ => unreachable!(),
-                };
-                self.expect(&Token::LParen)?;
-                let arg = self.parse_expr()?;
-                self.expect(&Token::RParen)?;
-                Ok(Expr::Aggregate {
-                    func,
-                    arg: Some(Box::new(arg)),
-                })
-            }
-            Token::Keyword(Keyword::Count) => {
-                self.expect(&Token::LParen)?;
-                let arg = if self.eat(&Token::Star) {
-                    None
-                } else {
-                    Some(Box::new(self.parse_expr()?))
-                };
-                self.expect(&Token::RParen)?;
-                Ok(Expr::Aggregate {
-                    func: AggFunc::Count,
-                    arg,
-                })
-            }
+            Token::Keyword(Keyword::Sum) => self.parse_aggregate(AggFunc::Sum),
+            Token::Keyword(Keyword::Avg) => self.parse_aggregate(AggFunc::Avg),
+            Token::Keyword(Keyword::Min) => self.parse_aggregate(AggFunc::Min),
+            Token::Keyword(Keyword::Max) => self.parse_aggregate(AggFunc::Max),
+            Token::Keyword(Keyword::Count) => self.parse_aggregate(AggFunc::Count),
             Token::Ident(name) => {
                 if self.eat(&Token::Dot) {
                     let col = self.expect_ident()?;
@@ -373,6 +336,18 @@ impl Parser {
                 "unexpected token '{other}' in expression"
             ))),
         }
+    }
+
+    /// `func ( expr )` after the function's keyword; `count` also takes `*`.
+    fn parse_aggregate(&mut self, func: AggFunc) -> Result<Expr> {
+        self.expect(&Token::LParen)?;
+        let arg = if func == AggFunc::Count && self.eat(&Token::Star) {
+            None
+        } else {
+            Some(Box::new(self.parse_expr()?))
+        };
+        self.expect(&Token::RParen)?;
+        Ok(Expr::Aggregate { func, arg })
     }
 }
 
@@ -572,6 +547,29 @@ mod tests {
             msg.contains("whatever") || msg.contains("expected"),
             "{msg}"
         );
+    }
+
+    /// An error names the token as the user wrote it: a keyword as its
+    /// word, a float with its decimal point.
+    #[test]
+    fn parse_errors_spell_tokens_as_sql() {
+        assert_eq!(parse_error("select a t"), "expected 'from', found '<eof>'");
+        assert_eq!(
+            parse_error("select a from t limit 2.0"),
+            "expected non-negative integer after LIMIT, found '2.0'"
+        );
+    }
+
+    #[test]
+    fn parse_tokens_reads_what_the_lexer_returns() {
+        let sql = "select k from r where v > 1;";
+        let mut tokens = tokenize(sql).unwrap();
+        assert_eq!(parse_tokens(&tokens).unwrap(), parse_query(sql).unwrap());
+        // Without its `Eof` the slice ends the statement just the same.
+        tokens.pop();
+        assert_eq!(parse_tokens(&tokens).unwrap(), parse_query(sql).unwrap());
+        tokens.push(Token::Semicolon);
+        assert!(parse_tokens(&tokens).is_err(), "two trailing ';'");
     }
 
     #[test]

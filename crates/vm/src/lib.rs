@@ -17,7 +17,7 @@
 //! query's predicate constants into the instructions as immediates, while
 //! a [`CompileMode::Pooled`] program keeps them in a [`ConstPool`] so the
 //! compiled code is a template for its entire shape class (the query's
-//! tokens with every literal masked, [`hique_plan::shape_class_and_consts`]).
+//! tokens with every literal masked, [`hique_plan::ShapeKey`]).
 //! The server's plan cache stores both, serving repeat queries the
 //! specialized program and literal-varying classmates a cheap
 //! [`VmProgram::bind`] (pool swapped, verified, constants folded) instead

@@ -11,7 +11,7 @@
 //! produces the same instruction sequence and the same constant-pool
 //! extraction order, which is what makes a [`CompileMode::Pooled`] program
 //! a rebindable template for its whole shape class
-//! ([`hique_plan::shape_class_and_consts`]).
+//! ([`hique_plan::ShapeKey`]).
 //!
 //! Rebinding ([`VmProgram::bind`]) swaps in a class-mate's constants and
 //! verifies the result like any program: it is accepted iff it decodes to
